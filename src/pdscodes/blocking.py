@@ -52,6 +52,16 @@ def _intersection_masks(tower: FieldTower, indicator: np.ndarray):
     return reps, kernels, inters
 
 
+def _nested_pairs(reps: np.ndarray, inters: np.ndarray):
+    """(inner, outer) hyperplane logs whose intersections nest, by outer row then inner."""
+    packed = np.packbits(inters, axis=1)
+    for i in range(len(reps)):
+        escapes = np.bitwise_and(packed, ~packed[i]).any(axis=1)
+        for j in np.nonzero(~escapes)[0].tolist():
+            if j != i:
+                yield int(reps[j]), int(reps[i])
+
+
 def hyperplane_intersections(subset: FieldSubset):
     """All intersections with the subset: sizes and the containment pairs.
 
@@ -60,14 +70,8 @@ def hyperplane_intersections(subset: FieldSubset):
     """
     tower = subset.tower
     reps, _, inters = _intersection_masks(tower, subset.indicator)
-    packed = np.packbits(inters, axis=1)
     sizes = inters.sum(axis=1).astype(np.int64)
-    containments = []
-    for i in range(len(reps)):
-        escapes = np.bitwise_and(packed, ~packed[i]).any(axis=1)
-        for j in np.nonzero(~escapes)[0].tolist():
-            if j != i:
-                containments.append((int(reps[j]), int(reps[i])))  # inter_j inside inter_i
+    containments = list(_nested_pairs(reps, inters))
     members = [np.nonzero(row)[0].astype(np.int64) for row in inters]
     return reps, sizes, members, containments
 
@@ -96,16 +100,11 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
 
     cutting = blocking and not contains_subspace
     if cutting:
-        packed = np.packbits(inters, axis=1)
-        for i in range(len(reps)):
-            escapes = np.bitwise_and(packed, ~packed[i]).any(axis=1)
-            inside = np.nonzero(~escapes)[0]
-            inside = inside[inside != i]
-            if len(inside):
-                cutting = False
-                # h1 is the contained intersection, h2 the containing one
-                witness = {"h1_log": int(reps[int(inside[0])]), "h2_log": int(reps[i])}
-                break
+        nested = next(_nested_pairs(reps, inters), None)
+        if nested is not None:
+            cutting = False
+            # h1 is the contained intersection, h2 the containing one
+            witness = {"h1_log": nested[0], "h2_log": nested[1]}
     return BlockingReport(blocking, contains_subspace, cutting, witness)
 
 

@@ -6,23 +6,17 @@ how often each trace value t occurs on a*S and weighting by zeta_p^t.
 Everything stays in Z[zeta_p]: a spectrum is a (q^m, p) integer array of
 raw zeta-coefficient vectors, one row per twisting element a.
 
-Two full-spectrum algorithms are provided.  The pointwise one costs
-O(q^m * |S|).  The transform one runs one exact butterfly pass per F_p
-digit of the field, O(em * p^2 * q^m) integer additions, and is the only
-practical route for fields beyond ~10^5 elements.  They agree bit for
-bit and tests enforce that.
+The full spectrum is taken by one exact butterfly pass per F_p digit of
+the field, O(em * p^2 * q^m) integer additions.  The pointwise count,
+O(q^m * |S|), is kept as the independent test reference; the two agree
+bit for bit and tests enforce that.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger
 from .field import FieldTower
-
-# pointwise mode switches to the transform above this size under mode="auto"
-FAST_MODE_THRESHOLD = 4096
 
 
 class SpectrumError(ValueError):
@@ -122,26 +116,16 @@ def scaled_sum_invariance_check(tower: FieldTower, a: int, lam: int, members: np
     return psi_sum(tower, tower.mul(lam, a), members) == psi_sum(tower, a, members)
 
 
-def _spectrum_pointwise(tower: FieldTower, members: np.ndarray, workers: int = 1) -> np.ndarray:
+def _spectrum_pointwise(tower: FieldTower, members: np.ndarray) -> np.ndarray:
     raw = np.zeros((tower.qm, tower.p), dtype=np.int64)
     raw[0, 0] = len(members)
     if len(members) == 0:
         return raw
     logs = tower.log[members].astype(np.int64)
     trace_of_exp = tower.trace_p[tower.exp].astype(np.int64)  # trace at gamma^i
-
-    def fill(lo: int, hi: int):
-        for t in range(lo, hi):
-            idx = (t + logs) % tower.order
-            raw[tower.exp[t], :] = np.bincount(trace_of_exp[idx], minlength=tower.p)
-
-    if workers <= 1:
-        fill(0, tower.order)
-    else:
-        chunk = (tower.order + workers - 1) // workers
-        bounds = [(i, min(i + chunk, tower.order)) for i in range(0, tower.order, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    for t in range(tower.order):
+        idx = (t + logs) % tower.order
+        raw[tower.exp[t], :] = np.bincount(trace_of_exp[idx], minlength=tower.p)
     return raw
 
 
@@ -175,21 +159,14 @@ def _spectrum_transform(tower: FieldTower, indicator: np.ndarray) -> np.ndarray:
     return work[dual]
 
 
-def full_spectrum(
-    tower: FieldTower,
-    members: np.ndarray,
-    mode: str = "auto",
-    workers: int = 1,
-) -> Spectrum:
+def full_spectrum(tower: FieldTower, members: np.ndarray, mode: str = "transform") -> Spectrum:
     """Character sums of S twisted by every a in F_{q^m}.
 
-    mode: "pointwise", "transform", or "auto" (transform for large fields).
+    mode: "transform" (the route), or "pointwise" (the test reference).
     """
     members = np.asarray(members, dtype=np.int64)
-    if mode == "auto":
-        mode = "transform" if tower.qm > FAST_MODE_THRESHOLD else "pointwise"
     if mode == "pointwise":
-        raw = _spectrum_pointwise(tower, members, workers=workers)
+        raw = _spectrum_pointwise(tower, members)
     elif mode == "transform":
         indicator = np.zeros(tower.qm, dtype=np.int64)
         indicator[members] = 1

@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 from .codes import (
+    DEFAULT_WORD_GUARD,
+    INCONCLUSIVE,
     MINIMAL,
     NOT_RUN,
     MethodVerdict,
@@ -32,6 +34,7 @@ from .codes import (
 from .blocking import is_cutting_vectorial_blocking
 from .field import FieldConstructionError, FieldSpec, build_tower
 from .pds import (
+    DIRECT_VERIFY_CAP,
     FieldSubset,
     GuardExceeded,
     PdsVerificationError,
@@ -47,8 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NEGATIVE = 3
 EXIT_PARTIAL = 4
-
-ALL_METHODS = ("cover", "heng", "snc", "pds", "latin", "cyclotomic")
 
 
 class ConfigError(Exception):
@@ -98,12 +99,12 @@ def cmd_pds(args) -> int:
     tower, subset, _ = _build_inputs(args)
     invariant = is_fq_invariant(subset)
     try:
-        cert, _ = verify_pds_spectral(subset, workers=args.workers)
+        cert, _ = verify_pds_spectral(subset)
     except PdsVerificationError as exc:
         _emit(args, {"error": str(exc), "witness": getattr(exc, "witness", None)})
         return EXIT_NEGATIVE
     direct = "skipped"
-    if tower.qm <= 10_000:
+    if tower.qm <= DIRECT_VERIFY_CAP:
         lam, mu = verify_pds_direct(subset)
         if (lam, mu) != (cert.lam, cert.mu):
             raise AssertionError("direct and spectral verification disagree; bug")
@@ -117,6 +118,41 @@ def cmd_pds(args) -> int:
     ]
     _emit(args, payload, table)
     return EXIT_OK
+
+
+def _pds_verdict(code, guard, cert, cert_error, cyclo) -> MethodVerdict:
+    if cert is not None and is_fq_invariant(code.subset):
+        return minimality_pds_sufficient(cert, code.tower.q, code.tower.m)
+    return MethodVerdict(INCONCLUSIVE, note=cert_error or "subset is not invariant")
+
+
+def _latin_verdict(code, guard, cert, cert_error, cyclo) -> MethodVerdict:
+    if cert is not None:
+        return minimality_latin_sufficient(cert, code.tower.q, code.tower.m)
+    return MethodVerdict(INCONCLUSIVE, note=cert_error)
+
+
+def _cyclotomic_verdict(code, guard, cert, cert_error, cyclo) -> MethodVerdict:
+    if cyclo is None:
+        return MethodVerdict(INCONCLUSIVE, note="subset has no cyclotomic description")
+    try:
+        prediction = predicted_cyclotomic_eigenvalues(code.tower, cyclo[0], cyclo[1])
+        return minimality_cyclotomic_sufficient(code.tower, prediction)
+    except (PdsVerificationError, ValueError) as exc:
+        return MethodVerdict(INCONCLUSIVE, note=str(exc))
+
+
+# --methods name -> (report key, verdict from (code, guard, cert, cert_error, cyclo)),
+# run in this order
+METHODS = {
+    "cover": ("cover", lambda code, guard, *_: code.minimality_cover(guard=guard)),
+    "heng": ("heng", lambda code, guard, *_: code.minimality_heng(guard=guard)),
+    "snc": ("snc", lambda code, guard, *_: code.minimality_snc(guard=guard)),
+    "pds": ("pds_sufficient", _pds_verdict),
+    "latin": ("latin_sufficient", _latin_verdict),
+    "cyclotomic": ("cyclotomic_sufficient", _cyclotomic_verdict),
+}
+ALL_METHODS = tuple(METHODS)
 
 
 def _selected_methods(spec: str) -> list[str]:
@@ -139,49 +175,18 @@ def cmd_code(args) -> int:
     cert = None
     cert_error = None
     try:
-        cert, _ = verify_pds_spectral(subset, workers=args.workers)
+        cert, _ = verify_pds_spectral(subset)
     except PdsVerificationError as exc:
         cert_error = str(exc)
 
-    if "cover" in methods:
-        report.record("cover", code.minimality_cover(guard=guard))
-    if "heng" in methods:
-        report.record("heng", code.minimality_heng(guard=guard))
-    if "snc" in methods:
-        report.record("snc", code.minimality_snc(guard=guard))
-    if "pds" in methods:
-        if cert is not None and is_fq_invariant(subset):
-            report.record("pds_sufficient", minimality_pds_sufficient(cert, tower.q, tower.m))
-        else:
-            report.record(
-                "pds_sufficient",
-                MethodVerdict("inconclusive", note=cert_error or "subset is not invariant"),
-            )
-    if "latin" in methods:
-        if cert is not None:
-            report.record("latin_sufficient", minimality_latin_sufficient(cert, tower.q, tower.m))
-        else:
-            report.record("latin_sufficient", MethodVerdict("inconclusive", note=cert_error))
-    if "cyclotomic" in methods:
-        if cyclo is not None:
-            try:
-                prediction = predicted_cyclotomic_eigenvalues(tower, cyclo[0], cyclo[1])
-                report.record(
-                    "cyclotomic_sufficient", minimality_cyclotomic_sufficient(tower, prediction)
-                )
-            except (PdsVerificationError, ValueError) as exc:
-                report.record("cyclotomic_sufficient", MethodVerdict("inconclusive", note=str(exc)))
-        else:
-            report.record(
-                "cyclotomic_sufficient",
-                MethodVerdict("inconclusive", note="subset has no cyclotomic description"),
-            )
+    for name, (key, verdict) in METHODS.items():
+        if name in methods:
+            report.record(key, verdict(code, guard, cert, cert_error, cyclo))
 
     dist = None
     dist_source = None
     try:
-        if code.word_count > guard:
-            raise GuardExceeded("word count over guard")
+        code.check_guard(guard)
         dist = code.weight_distribution_direct()
         dist_source = "direct"
     except GuardExceeded:
@@ -254,6 +259,9 @@ def cmd_sss(args) -> int:
     if report.oracle_total is not None:
         payload["oracle_total"] = report.oracle_total
         payload["note"] = "code is not minimal; the access-set/codeword bijection breaks"
+    elif verdict.status == NOT_RUN:
+        payload["minimality_assumed"] = True
+        payload["note"] = f"cover oracle not run ({verdict.note}); the code is taken as minimal"
     table = [
         f"x1_log: {report.x1_log} ({'outside' if report.x1_in_complement else 'inside'} the subset)",
         f"minimal access sets: {report.total}",
@@ -276,8 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--subset", help="subset spec: JSON file path or inline JSON")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--guard-codewords", type=int, default=2 ** 22,
+        p.add_argument("--guard-codewords", type=int, default=DEFAULT_WORD_GUARD,
                        help="cap on q^(m+1) for exhaustive scans")
 
     p_pds = sub.add_parser("pds", help="verify a subset as a partial difference set")

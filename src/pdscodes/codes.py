@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -320,6 +321,11 @@ class SubsetCode:
         self._supports = None
         self._kernel = None
 
+    def check_guard(self, guard: int) -> None:
+        """Raise GuardExceeded when an exhaustive scan over all words is over the guard."""
+        if self.word_count > guard:
+            raise GuardExceeded(f"word count {self.word_count} over guard {guard}")
+
     # -- enumeration -----------------------------------------------------
 
     def word_index(self, u_label: int, v: int) -> int:
@@ -337,27 +343,35 @@ class SubsetCode:
         contrib = np.where(self.subset.indicator[xs], u_elem, 0)
         return tower.add_sets(contrib, tr)
 
+    def _trace_labels(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(v, labels) for every nonzero v; labels[i] is the F_q label of Tr(v gamma^i).
+
+        A word (u, v) vanishes at gamma^i exactly when labels[i] is -u on
+        the subset and 0 off it, so weights and supports both read off this.
+        """
+        tower = self.tower
+        order = tower.order
+        labels_of_exp = tower.subfield_index[tower.trace_q[tower.exp]].astype(np.int64)
+        idx_all = np.arange(order, dtype=np.int64)
+        for lv in range(order):
+            yield int(tower.exp[lv]), labels_of_exp[(lv + idx_all) % order]
+
     def weight_table(self) -> np.ndarray:
         """Hamming weight of every word, shape (q, q^m), by direct counting."""
         if self._weight_table is not None:
             return self._weight_table
         tower = self.tower
-        q, qm, order = tower.q, tower.qm, tower.order
-        labels_of_exp = tower.subfield_index[tower.trace_q[tower.exp]].astype(np.int64)
+        q = tower.q
         mem = self.subset.indicator[tower.exp]  # membership in log order
         k = len(self.subset)
-        kc = order - k
+        kc = tower.order - k
         _, _, neg_q = tower.subfield_tables()
-        wt = np.zeros((q, qm), dtype=np.int64)
+        wt = np.zeros((q, tower.qm), dtype=np.int64)
         wt[1:, 0] = k  # v = 0: support is exactly the subset
-        idx_all = np.arange(order, dtype=np.int64)
-        for lv in range(order):
-            labels = labels_of_exp[(lv + idx_all) % order]
+        for v, labels in self._trace_labels():
             cnt_d = np.bincount(labels[mem], minlength=q)
             cnt_c = np.bincount(labels[~mem], minlength=q)
-            v = tower.exp[lv]
-            for u in range(q):
-                wt[u, v] = (k - cnt_d[neg_q[u]]) + (kc - cnt_c[0])
+            wt[:, v] = (k - cnt_d[neg_q]) + (kc - cnt_c[0])
         self._weight_table = wt
         return wt
 
@@ -368,13 +382,8 @@ class SubsetCode:
         return self._kernel
 
     def dimension(self) -> int:
-        kernel = len(self.kernel_words())
-        dim_loss = 0
-        while self.tower.q ** dim_loss < kernel:
-            dim_loss += 1
-        if self.tower.q ** dim_loss != kernel:
-            raise AssertionError("kernel size is not a power of q; bug")
-        return self.tower.m + 1 - dim_loss
+        """m + 1, less one when f is a trace form: then (u, -u a) spans the kernel."""
+        return self.tower.m + 1 - int(self.characteristic_is_linear())
 
     def characteristic_is_linear(self) -> bool:
         """Whether f coincides with a trace form (collapsing the dimension).
@@ -428,17 +437,13 @@ class SubsetCode:
         nbytes = (order + 7) // 8 * q * qm
         if nbytes > SUPPORT_BYTES_CAP:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
-        labels_of_exp = tower.subfield_index[tower.trace_q[tower.exp]].astype(np.int64)
         mem = self.subset.indicator[tower.exp]
         _, _, neg_q = tower.subfield_tables()
-        idx_all = np.arange(order, dtype=np.int64)
         rows = np.empty((q * qm, order), dtype=bool)
-        for lv in range(order):
-            labels = labels_of_exp[(lv + idx_all) % order]
-            v = int(tower.exp[lv])
+        for v, labels in self._trace_labels():
+            zero_off_d = ~mem & (labels == 0)
             for u in range(q):
                 zero_on_d = mem & (labels == neg_q[u])
-                zero_off_d = ~mem & (labels == 0)
                 rows[self.word_index(u, v), :] = ~(zero_on_d | zero_off_d)
         for u in range(q):
             rows[self.word_index(u, 0), :] = mem if u else False
@@ -468,6 +473,36 @@ class SubsetCode:
                 out.add(self.word_index(int(add_q[base_u, ku]), tower.add(base_v, kv)))
         return np.asarray(sorted(out), dtype=np.int64)
 
+    def _class_scan(
+        self, violations: Callable[[int], np.ndarray], guard: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(r, violating words) for each projective representative r, in order."""
+        self.check_guard(guard)
+        for r in self.projective_representatives().tolist():
+            yield r, violations(r)
+
+    def _scan_verdict(
+        self, violations: Callable[[int], np.ndarray], guard: int, note: str
+    ) -> MethodVerdict:
+        """NotMinimal at the scan's first violation, witnessed as (covered, coverer)."""
+        try:
+            for r, bad in self._class_scan(violations, guard):
+                if len(bad):
+                    return MethodVerdict(
+                        NOT_MINIMAL,
+                        witness=(self.word_of_index(int(bad[0])), self.word_of_index(r)),
+                        note=note,
+                    )
+        except GuardExceeded as exc:
+            return MethodVerdict(NOT_RUN, note=str(exc))
+        return MethodVerdict(MINIMAL)
+
+    def _cover_violations(self, r: int) -> np.ndarray:
+        """Word indices (vector-independent of r) whose support lies inside r's."""
+        sup = self.supports()
+        escapes = np.bitwise_and(sup, ~sup[r]).any(axis=1)
+        return np.setdiff1d(np.nonzero(~escapes)[0], self._dependent_words(r))
+
     def minimality_cover(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
         """Exhaustive support-containment oracle.
 
@@ -475,37 +510,13 @@ class SubsetCode:
         covered words in full; flags any containment between independent
         vectors.
         """
-        if self.word_count > guard:
-            return MethodVerdict(NOT_RUN, note=f"word count {self.word_count} over guard {guard}")
-        try:
-            sup = self.supports()
-        except GuardExceeded as exc:
-            return MethodVerdict(NOT_RUN, note=str(exc))
-        for r in self.projective_representatives().tolist():
-            escapes = np.bitwise_and(sup, ~sup[r]).any(axis=1)
-            covered = np.nonzero(~escapes)[0]
-            allowed = self._dependent_words(r)
-            bad = np.setdiff1d(covered, allowed, assume_unique=False)
-            if len(bad):
-                return MethodVerdict(
-                    NOT_MINIMAL,
-                    witness=(self.word_of_index(int(bad[0])), self.word_of_index(r)),
-                    note="support of the first word is contained in the second's",
-                )
-        return MethodVerdict(MINIMAL)
+        return self._scan_verdict(
+            self._cover_violations, guard, "support of the first word is contained in the second's"
+        )
 
     def cover_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality under the cover oracle (True = minimal)."""
-        if self.word_count > guard:
-            raise GuardExceeded("over guard")
-        sup = self.supports()
-        flags = {}
-        for r in self.projective_representatives().tolist():
-            escapes = np.bitwise_and(sup, ~sup[r]).any(axis=1)
-            covered = np.nonzero(~escapes)[0]
-            allowed = self._dependent_words(r)
-            flags[r] = len(np.setdiff1d(covered, allowed)) == 0
-        return flags
+        return {r: len(bad) == 0 for r, bad in self._class_scan(self._cover_violations, guard)}
 
     # -- weight-sum criterion ------------------------------------------------
 
@@ -529,39 +540,26 @@ class SubsetCode:
 
     def minimality_heng(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
         """Weight-sum identity scan over independent codeword pairs."""
-        if self.word_count > guard:
-            return MethodVerdict(NOT_RUN, note=f"word count {self.word_count} over guard {guard}")
-        for r in self.projective_representatives().tolist():
-            bad = self._heng_violations(r)
-            if len(bad):
-                return MethodVerdict(
-                    NOT_MINIMAL,
-                    witness=(self.word_of_index(int(bad[0])), self.word_of_index(r)),
-                    note="weight-sum identity fired for an independent pair",
-                )
-        return MethodVerdict(MINIMAL)
+        return self._scan_verdict(
+            self._heng_violations, guard, "weight-sum identity fired for an independent pair"
+        )
 
     def heng_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
-        if self.word_count > guard:
-            raise GuardExceeded("over guard")
-        return {
-            r: len(self._heng_violations(r)) == 0
-            for r in self.projective_representatives().tolist()
-        }
+        """Per-projective-class minimality under the weight-sum identity (True = minimal)."""
+        return {r: len(bad) == 0 for r, bad in self._class_scan(self._heng_violations, guard)}
 
     # -- span/annihilator criterion --------------------------------------------
 
     def minimality_snc(
-        self,
-        guard: int = DEFAULT_WORD_GUARD,
-        reduce_classes: bool = True,
-        cross_check_annihilator: bool = False,
+        self, guard: int = DEFAULT_WORD_GUARD, reduce_classes: bool = True
     ) -> MethodVerdict:
         """Exact span criterion: complement spans the field, and every trace
         slice is nonempty with annihilator inside the line of its direction.
         """
-        if self.word_count > guard:
-            return MethodVerdict(NOT_RUN, note=f"word count {self.word_count} over guard {guard}")
+        try:
+            self.check_guard(guard)
+        except GuardExceeded as exc:
+            return MethodVerdict(NOT_RUN, note=str(exc))
         tower = self.tower
         comp = self.subset.complement()
         if len(tower.linear_span(comp.members.tolist())) != tower.qm:
@@ -585,9 +583,7 @@ class SubsetCode:
                         witness=("empty_slice", (y_label, int(z))),
                         note="a trace slice of the subset is empty",
                     )
-                ann = slice_annihilator(
-                    self.subset, y_label, int(z), cross_check=cross_check_annihilator
-                )
+                ann = slice_annihilator(self.subset, y_label, int(z))
                 if not np.all(np.isin(ann, scalars)):
                     return MethodVerdict(
                         NOT_MINIMAL,

@@ -14,7 +14,7 @@ across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -429,14 +429,6 @@ class FieldTower:
     def trace_to_subfield(self, x: int) -> int:
         return int(self.trace_q[x])
 
-    def trace(self, x: int, target: str) -> int:
-        """Trace of x down to 'Fq' or 'Fp' (result as a field element)."""
-        if target == "Fq":
-            return self.trace_to_subfield(x)
-        if target == "Fp":
-            return int(self.trace_p[x])
-        raise ValueError("target must be 'Fq' or 'Fp'")
-
     def hyperplane(self, a: int) -> np.ndarray:
         """Kernel {x : Tr_{F_{q^m}/F_q}(x a) = 0}; size q^(m-1).  a must be nonzero."""
         if a == 0:
@@ -444,43 +436,32 @@ class FieldTower:
         vals = self.trace_q[self.mul_vec(a, np.arange(self.qm, dtype=np.int64))]
         return np.nonzero(vals == 0)[0].astype(np.int64)
 
-    def linear_span(self, elems: Iterable[int]) -> np.ndarray:
-        """F_q-linear span of a set of elements, as a sorted array (contains 0)."""
-        span = np.array([0], dtype=np.int64)
-        in_span = np.zeros(self.qm, dtype=bool)
-        in_span[0] = True
-        scalars = self.subfield_elements.astype(np.int64)
-        for s in np.unique(np.asarray(list(elems), dtype=np.int64)):
-            s = int(s)
-            if in_span[s]:
-                continue
-            mults = self.mul_vec(s, scalars)
-            span = np.unique(self.add_sets(span[:, None], mults[None, :]).ravel())
-            in_span[:] = False
-            in_span[span] = True
-            if len(span) == self.qm:
-                break
-        return span
-
-    def span_basis(self, elems: Iterable[int]) -> list[int]:
-        """Greedy F_q-basis of the span of elems."""
+    def _greedy_span(self, elems: Iterable[int]) -> tuple[list[int], np.ndarray]:
+        """(basis, span): elems kept in order when outside the span so far, and
+        their F_q-linear span as a sorted array (contains 0)."""
         basis: list[int] = []
         span = np.array([0], dtype=np.int64)
         in_span = np.zeros(self.qm, dtype=bool)
         in_span[0] = True
         scalars = self.subfield_elements.astype(np.int64)
-        for s in np.asarray(list(elems), dtype=np.int64):
-            s = int(s)
+        for s in np.asarray(list(elems), dtype=np.int64).tolist():
             if in_span[s]:
                 continue
             basis.append(s)
             mults = self.mul_vec(s, scalars)
             span = np.unique(self.add_sets(span[:, None], mults[None, :]).ravel())
-            in_span[:] = False
-            in_span[span] = True
+            in_span[span] = True  # the span only grows
             if len(span) == self.qm:
                 break
-        return basis
+        return basis, span
+
+    def linear_span(self, elems: Iterable[int]) -> np.ndarray:
+        """F_q-linear span of a set of elements, as a sorted array (contains 0)."""
+        return self._greedy_span(elems)[1]
+
+    def span_basis(self, elems: Iterable[int]) -> list[int]:
+        """Greedy F_q-basis of the span of elems."""
+        return self._greedy_span(elems)[0]
 
     def trace_annihilator(self, elems: Iterable[int]) -> np.ndarray:
         """{x : Tr_{F_{q^m}/F_q}(x s) = 0 for all s} as a sorted array.
@@ -499,13 +480,6 @@ class FieldTower:
     def in_subfield(self, x: int) -> bool:
         """Membership in the embedded copy of F_q."""
         return x == 0 or int(self.log[x]) % self.subfield_step == 0
-
-    def subfield_label(self, x: int) -> int:
-        """Dense F_q label of an embedded subfield element (0..q-1)."""
-        lbl = int(self.subfield_index[x])
-        if lbl < 0:
-            raise ValueError(f"element {x} is not in the embedded subfield")
-        return lbl
 
     def subfield_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables."""

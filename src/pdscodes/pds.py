@@ -103,8 +103,8 @@ class FieldSubset:
         """Closed under negation (needed for a Cayley connection set)."""
         return bool(np.all(self.indicator[self.tower.neg_table[self.members]]))
 
-    def spectrum(self, mode: str = "auto", workers: int = 1) -> Spectrum:
-        return full_spectrum(self.tower, self.members, mode=mode, workers=workers)
+    def spectrum(self) -> Spectrum:
+        return full_spectrum(self.tower, self.members)
 
     @classmethod
     def from_logs(cls, tower: FieldTower, logs: Sequence[int], origin=None) -> "FieldSubset":
@@ -296,7 +296,7 @@ def certificate_from_spectrum(subset: FieldSubset, spectrum: Spectrum) -> PdsCer
 
 
 def verify_pds_spectral(
-    subset: FieldSubset, spectrum: Spectrum | None = None, mode: str = "auto", workers: int = 1
+    subset: FieldSubset, spectrum: Spectrum | None = None
 ) -> tuple[PdsCertificate, Spectrum]:
     """Spectral PDS verification; raises PdsVerificationError with a witness."""
     if not subset.is_proper():
@@ -307,7 +307,7 @@ def verify_pds_spectral(
         )
         raise PdsVerificationError("set is not symmetric (-D != D)", witness=bad)
     if spectrum is None:
-        spectrum = subset.spectrum(mode=mode, workers=workers)
+        spectrum = subset.spectrum()
     return certificate_from_spectrum(subset, spectrum), spectrum
 
 

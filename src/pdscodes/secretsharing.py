@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import SubsetCode
-from .pds import GuardExceeded
 
 
 @dataclass

@@ -95,6 +95,28 @@ def test_binary_degenerate_dimension(f16):
         assert generic.dimension() == f16.m + 1
 
 
+def test_kernel_count_matches_closed_form_dimension(f16, f34, f35, f44):
+    # the closed-form dimension against the directly counted kernel of the weight table
+    rng = np.random.default_rng(21)
+    subsets = [
+        build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]),
+        build_cyclotomic_subset(f35, 11, [0]),
+        quadric_subset(f34, kind="elliptic")[0],
+        FieldSubset(f16, [x for x in range(1, f16.qm) if f16.trace_p[x] == 1]),
+    ]
+    subsets += [
+        FieldSubset(t, rng.choice(np.arange(1, t.qm), size=t.qm // 3, replace=False))
+        for t in (f16, f34, f44)
+    ]
+    dims = []
+    for subset in subsets:
+        code = SubsetCode(subset)
+        dims.append(code.dimension())
+        kernel = len(code.kernel_words())
+        assert kernel == code.tower.q ** (code.tower.m + 1 - dims[-1])
+    assert dims[3] == f16.m  # the trace-form subset loses one dimension
+
+
 def test_defining_set_structure(row1_code):
     entries = defining_set(row1_code.subset)
     assert len(entries) == row1_code.n

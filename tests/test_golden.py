@@ -1,0 +1,35 @@
+"""Golden reports: the CLI's stdout for a fixed set of commands, byte for byte.
+
+Each file under tests/data/golden/ is the exact stdout of the command named
+after it.  Any change to a verdict, witness, weight or key order shows here
+as a failed comparison.
+"""
+from pathlib import Path
+
+import pytest
+
+from pdscodes.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+GOLDEN = {
+    "pds-example-3.1": ["pds", "--recipe", "example-3.1"],
+    "pds-elliptic-3-4": ["pds", "--field", '{"p":3,"e":1,"m":4}',
+                         "--subset", '{"quadric":{"kind":"elliptic"}}'],
+    "code-example-3.1-all": ["code", "--recipe", "example-3.1", "--methods", "all"],
+    "code-example-3.3-hyperbolic-latin-cover": [
+        "code", "--recipe", "example-3.3", "--kind", "hyperbolic", "--p", "3", "--m", "4",
+        "--methods", "latin,cover"],
+    "blocking-4-4-N5": ["blocking", "--field", '{"p":2,"e":2,"m":4}',
+                        "--subset", '{"cyclotomic":{"N":5,"J":[0]}}'],
+    "sss-table-2-row-1": ["sss", "--recipe", "table-2-row-1", "--x1-log", "0"],
+    "sss-example-3.1-in-Dbar": ["sss", "--recipe", "example-3.1", "--x1", "in-Dbar"],
+    "code-table-2-row-1-all": ["code", "--recipe", "table-2-row-1", "--methods", "all"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(capsys, name):
+    assert main(list(GOLDEN[name])) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
