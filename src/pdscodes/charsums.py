@@ -32,12 +32,8 @@ class Spectrum:
         self.tower = tower
         self.raw = raw
         self.set_size = set_size
-        canon = raw[:, : tower.p - 1] - raw[:, tower.p - 1 : tower.p]
-        self._canon = canon
-        if tower.p == 2:
-            self._rational_mask = np.ones(tower.qm, dtype=bool)
-        else:
-            self._rational_mask = np.all(canon[:, 1:] == 0, axis=1)
+        self._canon = raw[:, : tower.p - 1] - raw[:, tower.p - 1 : tower.p]
+        self._rational_mask = np.all(self._canon[:, 1:] == 0, axis=1)
 
     def value(self, a: int) -> CyclotomicInteger:
         return CyclotomicInteger(self.tower.p, self.raw[a].tolist())
@@ -150,13 +146,8 @@ def _spectrum_transform(tower: FieldTower, indicator: np.ndarray) -> np.ndarray:
             new[:, k, :, :] = acc
         work = new.reshape(qm, p)
 
-    # row of the transform holding a's values: digits Tr_abs(a * X^i)
-    dual = np.zeros(qm, dtype=np.int64)
-    cur = np.arange(qm, dtype=np.int64)
-    for i in range(em):
-        dual += tower.trace_p[cur].astype(np.int64) * (p ** i)
-        cur = tower.mulx[cur].astype(np.int64)
-    return work[dual]
+    # the row holding a's values is indexed by the digits Tr_abs(a * X^i)
+    return work[tower.trace_coords]
 
 
 def full_spectrum(tower: FieldTower, members: np.ndarray, mode: str = "transform") -> Spectrum:
@@ -176,17 +167,24 @@ def full_spectrum(tower: FieldTower, members: np.ndarray, mode: str = "transform
     return Spectrum(tower, raw, int(len(members)))
 
 
+def squared_norms(raw: np.ndarray) -> np.ndarray:
+    """|z|^2 for every row z of a raw (n, p) zeta-coefficient array, exactly.
+
+    Returned in canonical form, p - 1 coefficients over 1, zeta, ...,
+    zeta^(p-2) per row: column 0 is the rational part, and the value is
+    rational exactly when the other columns vanish.
+    """
+    p = raw.shape[1]
+    # t-th coefficient of z * conj(z) is sum_i c_i c_{i-t}
+    coeffs = np.stack(
+        [sum(raw[:, i] * raw[:, (i - t) % p] for i in range(p)) for t in range(p)], axis=1
+    )
+    return coeffs[:, : p - 1] - coeffs[:, p - 1:]
+
+
 def parseval_total(spectrum: Spectrum) -> int:
     """sum over a of |value(a)|^2, computed exactly; equals q^m * |S|."""
-    p = spectrum.tower.p
-    raw = spectrum.raw
-    modsq = np.zeros_like(raw)
-    for t in range(p):
-        acc = np.zeros(raw.shape[0], dtype=np.int64)
-        for i in range(p):
-            acc += raw[:, i] * raw[:, (i - t) % p]
-        modsq[:, t] = acc
-    canon = modsq[:, : p - 1] - modsq[:, p - 1 : p]
-    if p > 2 and not np.all(canon[:, 1:] == 0):
-        raise SpectrumError("|value|^2 failed to be rational; arithmetic bug")
-    return int(canon[:, 0].sum())
+    total = squared_norms(spectrum.raw).sum(axis=0)
+    if np.any(total[1:]):
+        raise SpectrumError("sum of |value|^2 failed to be rational; arithmetic bug")
+    return int(total[0])

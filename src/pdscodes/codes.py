@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .charsums import psi_sum
+from .charsums import full_spectrum, psi_sum, squared_norms
 from .field import FieldTower
 from .pds import (
     CyclotomicPrediction,
@@ -187,7 +187,7 @@ def complement_kernel_slice(subset: FieldSubset, z: int) -> np.ndarray:
     if z == 0:
         raise ValueError("z must be nonzero")
     tower = subset.tower
-    comp = subset.complement().members
+    comp = np.flatnonzero(~subset.indicator)[1:]  # drop the zero element
     traces = tower.trace_q[tower.mul_vec(z, comp)]
     return comp[traces == 0]
 
@@ -247,25 +247,12 @@ def slice_annihilator(subset: FieldSubset, y_label: int, z: int,
 
 def _slice_annihilator_by_characters(tower: FieldTower, dyz: np.ndarray,
                                      dbar_z: np.ndarray) -> np.ndarray:
-    from .charsums import full_spectrum
-
-    p = tower.p
     spec_bar = full_spectrum(tower, dbar_z).raw
-    canon = spec_bar[:, : p - 1] - spec_bar[:, p - 1:]
-    mask = canon[:, 0] == len(dbar_z)
-    if p > 2:
-        mask &= np.all(canon[:, 1:] == 0, axis=1)
+    canon = spec_bar[:, : tower.p - 1] - spec_bar[:, tower.p - 1:]
+    mask = (canon[:, 0] == len(dbar_z)) & np.all(canon[:, 1:] == 0, axis=1)
 
-    spec_d = full_spectrum(tower, dyz).raw
-    # |z|^2 coefficients: t-th coefficient is sum_i c_i c_{i-t}
-    coeffs = np.stack(
-        [sum(spec_d[:, i] * spec_d[:, (i - t) % p] for i in range(p)) for t in range(p)],
-        axis=1,
-    )
-    canon2 = coeffs[:, : p - 1] - coeffs[:, p - 1:]
-    sq_ok = canon2[:, 0] == len(dyz) ** 2
-    if p > 2:
-        sq_ok &= np.all(canon2[:, 1:] == 0, axis=1)
+    sq = squared_norms(full_spectrum(tower, dyz).raw)
+    sq_ok = (sq[:, 0] == len(dyz) ** 2) & np.all(sq[:, 1:] == 0, axis=1)
     # require |psi| = |dyz| at a*lambda for every nonzero subfield lambda
     all_lams = np.ones(tower.qm, dtype=bool)
     for lam in tower.subfield_elements[1:].tolist():
@@ -282,7 +269,7 @@ def defining_set(subset: FieldSubset) -> list[tuple[int, int]]:
     tower = subset.tower
     return [
         (1 if subset.indicator[x] else 0, int(x))
-        for x in tower.exp[np.arange(tower.order)].tolist()
+        for x in tower.exp.tolist()
     ]
 
 
@@ -300,7 +287,7 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
         if not candidates.any():
             return None
     for a in np.nonzero(candidates)[0].tolist():
-        traces = tower.trace_q[tower.mul_vec(int(a), tower.exp[np.arange(tower.order)].astype(np.int64))]
+        traces = tower.trace_q[tower.mul_vec(int(a), tower.exp.astype(np.int64))]
         expected = np.where(f_vals == 1, one, 0)
         if np.array_equal(traces.astype(np.int64), expected):
             return int(a)
@@ -337,7 +324,7 @@ class SubsetCode:
     def codeword(self, u_label: int, v: int) -> np.ndarray:
         """The word as field elements in canonical coordinate order."""
         tower = self.tower
-        xs = tower.exp[np.arange(self.n)].astype(np.int64)
+        xs = tower.exp.astype(np.int64)
         tr = tower.trace_q[tower.mul_vec(v, xs)].astype(np.int64)
         u_elem = int(tower.subfield_elements[u_label])
         contrib = np.where(self.subset.indicator[xs], u_elem, 0)
@@ -532,7 +519,7 @@ class SubsetCode:
         total = np.zeros(q * qm, dtype=np.int64)
         for lam in range(1, q):
             su = add_q[ur, mul_q[lam, u_all]]
-            sv = tower._add_vec(np.int64(vr), tower.mul_vec(int(tower.subfield_elements[lam]), v_all))
+            sv = tower.add_sets(vr, tower.mul_vec(int(tower.subfield_elements[lam]), v_all))
             total += wt[su * qm + sv]
         lhs_equal = total == (q - 1) * wt[r] - wt
         candidates = np.nonzero(lhs_equal)[0]
@@ -572,7 +559,7 @@ class SubsetCode:
         if reduce_classes and invariant:
             zs = tower.exp[np.arange(tower.subfield_step)]
         else:
-            zs = tower.exp[np.arange(tower.order)]
+            zs = tower.exp
         for z in zs.tolist():
             scalars = np.sort(tower.mul_vec(int(z), tower.subfield_elements.astype(np.int64)))
             for y_label in range(tower.q):

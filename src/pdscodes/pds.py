@@ -89,9 +89,7 @@ class FieldSubset:
         return 0 < len(self) < self.tower.order
 
     def complement(self) -> "FieldSubset":
-        comp = np.setdiff1d(
-            self.tower.exp[np.arange(self.tower.order)].astype(np.int64), self.members
-        )
+        comp = np.setdiff1d(self.tower.exp.astype(np.int64), self.members)
         origin = None
         if isinstance(self.origin, CyclotomicOrigin):
             rest = tuple(sorted(set(range(self.origin.N)) - set(self.origin.J)))
@@ -328,7 +326,7 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     if is_fq_invariant(subset):
         reps = tower.exp[np.arange(tower.subfield_step)].astype(np.int64)
     else:
-        reps = tower.exp[np.arange(tower.order)].astype(np.int64)
+        reps = tower.exp.astype(np.int64)
 
     lam = mu = None
     lam_g = mu_g = None

@@ -91,15 +91,7 @@ class QPolynomial:
     def images(self) -> np.ndarray:
         """f applied to every field element (indexed by element)."""
         if self._images is None:
-            tower = self.tower
-            xs = np.arange(tower.qm, dtype=np.int64)
-            acc = np.zeros(tower.qm, dtype=np.int64)
-            cur = xs
-            for a in self.coeffs:
-                if a:
-                    acc = tower._add_vec(acc, tower.mul_vec(int(a), cur))
-                cur = tower.frobq[cur].astype(np.int64)
-            self._images = acc
+            self._images = self.tower.linearized_table(self.coeffs, self.tower.q)
         return self._images
 
     def __call__(self, x: int) -> int:
@@ -192,7 +184,7 @@ def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: 
     dual = g.trace_dual()
     img = g.images()
     # position permutation: coordinate x picks up the value at g(x)
-    perm = tower.log[img[tower.exp[np.arange(tower.order)]]].astype(np.int64)
+    perm = tower.log[img[tower.exp]].astype(np.int64)
     if np.any(perm < 0):
         raise ValueError("g is not bijective on the multiplicative group")
     dual_img = dual.images()

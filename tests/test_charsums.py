@@ -9,9 +9,11 @@ from pdscodes.charsums import (
     parseval_total,
     psi_sum,
     scaled_sum_invariance_check,
+    squared_norms,
     trace_count_table,
 )
 from pdscodes.cyclotomic import CyclotomicInteger
+from pdscodes.field import FieldSpec, build_tower
 
 
 def _power_residues(tower, n):
@@ -107,6 +109,17 @@ def test_parseval_on_random_subsets(f34):
         members = rng.choice(np.arange(1, f34.qm), size=size, replace=False)
         spec = full_spectrum(f34, members)
         assert parseval_total(spec) == f34.qm * size
+
+
+def test_parseval_with_irrational_norms():
+    # over F_5 a single |value|^2 can be irrational (2 + zeta + zeta^4 at
+    # some a); only the total over all a is the rational q^m * |S|
+    tower = build_tower(FieldSpec(p=5, e=1, m=2))
+    members = np.array([1, 2, 7])
+    spec = full_spectrum(tower, members)
+    sq = squared_norms(spec.raw)
+    assert np.any(sq[:, 1:] != 0)
+    assert parseval_total(spec) == tower.qm * len(members)
 
 
 def test_spectrum_json(f35):

@@ -38,6 +38,13 @@ def test_irreducible_but_imprimitive_rejected():
     # and even with the explicit check disabled, table construction catches it
     with pytest.raises(FieldConstructionError):
         build_tower(FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1), generator_check=False))
+    # x^8 + x^4 + x^3 + x + 1 over F_2: X has order 51 of 255, so the return
+    # to 1 happens past the scalar powers, inside the multiply-by-X^B gathers
+    aes = (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    assert poly_is_irreducible(aes, 2)
+    assert not poly_x_is_primitive(aes, 2)
+    with pytest.raises(FieldConstructionError):
+        build_tower(FieldSpec(p=2, e=1, m=8, modulus=aes, generator_check=False))
 
 
 def test_default_moduli_are_primitive():
@@ -133,7 +140,7 @@ def test_trace_transitivity(f44, f35):
         # trace of a subfield element down to F_p: sum of e Frobenius powers
         acc, cur = inner, inner
         for _ in range(f44.e - 1):
-            cur = int(f44.frob[cur])
+            cur = f44.pow(cur, f44.p)
             acc = f44.add(acc, cur)
         assert acc == f44.trace_to_prime(x)
     for x in range(f35.qm):
@@ -199,6 +206,18 @@ def test_subfield_membership(f44):
     assert {int(v) for v in f44.subfield_elements} == {x for x in range(f44.qm) if f44.in_subfield(x)}
 
 
+def test_subfield_tables_match_scalar_arithmetic(f44, f35):
+    for t in (f44, f35, build_tower(FieldSpec(p=3, e=2, m=2))):
+        add, mul, neg = t.subfield_tables()
+        assert add.dtype == mul.dtype == neg.dtype == np.int32
+        elems, idx = t.subfield_elements.tolist(), t.subfield_index
+        for i, x in enumerate(elems):
+            assert neg[i] == idx[t.neg(x)]
+            for j, y in enumerate(elems):
+                assert add[i, j] == idx[t.add(x, y)]
+                assert mul[i, j] == idx[t.mul(x, y)]
+
+
 def test_coordinate_tables(f44):
     elem_of_code, code_of_elem = f44.coordinate_tables()
     assert len(np.unique(elem_of_code)) == f44.qm
@@ -217,6 +236,30 @@ def test_field_spec_json_round_trip():
     spec2 = FieldSpec.from_json({"p": 3, "e": 1, "m": 4, "modulus": [2, 1, 0, 0, 1]})
     assert spec2.modulus == (2, 1, 0, 0, 1)
     assert spec2.to_json()["modulus"] == [2, 1, 0, 0, 1]
+
+
+def test_linear_map_table(f35, f44):
+    for t in (f35, f44):
+        basis = [t.p ** i for i in range(t.em)]
+        assert np.array_equal(t.linear_map_table(basis), np.arange(t.qm))
+        rng = np.random.default_rng(t.qm)
+        images = rng.integers(0, t.qm, size=t.em).tolist()
+        table = t.linear_map_table(images)
+        assert table[basis].tolist() == images
+        xs, ys = rng.integers(0, t.qm, size=(2, 200))
+        assert np.array_equal(table[t.add_sets(xs, ys)], t.add_sets(table[xs], table[ys]))
+    with pytest.raises(ValueError):
+        f35.linear_map_table([1])
+
+
+def test_trace_coords_are_trace_digits(f35, f44):
+    # digit i of trace_coords[a] is Tr_abs(a X^i)
+    for t in (f35, f44):
+        xs = np.arange(t.qm, dtype=np.int64)
+        expected = np.zeros(t.qm, dtype=np.int64)
+        for i in range(t.em):
+            expected += t.trace_p[t.mul_vec(int(t.exp[i]), xs)].astype(np.int64) * t.p ** i
+        assert np.array_equal(t.trace_coords, expected)
 
 
 def test_trace_linearity_exhaustive_f35(f35):

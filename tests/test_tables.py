@@ -1,0 +1,59 @@
+"""Golden tower tables: sha256 digests of every table on eight towers.
+
+tests/data/golden/tables.json holds, per tower, the digest of exp, log,
+trace_p, trace_q and neg_table (each cast to int64), their dtypes, and the
+digest of the raw spectrum of one fixed class union, which pins the row
+order of the character transform.  Regenerate (only on purpose) with
+
+    PYTHONPATH=src python tests/test_tables.py
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pdscodes.charsums import full_spectrum
+from pdscodes.field import FieldSpec, build_tower
+from pdscodes.pds import build_cyclotomic_subset
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "tables.json"
+
+TABLES = ("exp", "log", "trace_p", "trace_q", "neg_table")
+
+# (p, e, m) and the class union (N, J) whose spectrum is digested
+TOWERS = {
+    "F_3^12": ((3, 1, 12), (35, [0])),
+    "F_2^16": ((2, 1, 16), (5, [0])),
+    "F_4^8": ((2, 2, 8), (17, [0, 1])),
+    "F_5^6": ((5, 1, 6), (7, [0])),
+    "F_7^4": ((7, 1, 4), (5, [0, 1])),
+    "F_13^2": ((13, 1, 2), (4, [1])),
+    "F_9^3": ((3, 2, 3), (7, [0])),
+    "F_8^4": ((2, 3, 4), (13, [0, 2])),
+}
+
+
+def _sha(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.int64).tobytes()).hexdigest()
+
+
+def tower_digests(name: str) -> dict:
+    (p, e, m), (N, J) = TOWERS[name]
+    tower = build_tower(FieldSpec(p=p, e=e, m=m))
+    out = {t: _sha(getattr(tower, t)) for t in TABLES}
+    out["dtypes"] = {t: str(getattr(tower, t).dtype) for t in TABLES}
+    subset = build_cyclotomic_subset(tower, N, J)
+    out["spectrum"] = _sha(full_spectrum(tower, subset.members).raw)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_tables_match_golden(name):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert tower_digests(name) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({n: tower_digests(n) for n in TOWERS}, indent=2) + "\n")
