@@ -18,18 +18,24 @@ Minimality is decided by several methods of increasing abstraction:
   Inconclusive but never NotMinimal.
 
 Definite verdicts from different methods must agree; reports enforce it.
+
+The direct methods use the stabiliser <gamma^d> of the subset: the word
+(u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
+supports (up to that rotation) and every oracle condition are constant on
+the orbits of <gamma^d>, and the fills and scans visit one member per orbit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsums import full_spectrum, psi_sum, squared_norms
-from .field import FieldTower
+from .field import FieldTower, factorize
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
@@ -307,11 +313,29 @@ class SubsetCode:
         self._weight_table = None
         self._supports = None
         self._kernel = None
+        self._period = None
 
     def check_guard(self, guard: int) -> None:
         """Raise GuardExceeded when an exhaustive scan over all words is over the guard."""
         if self.word_count > guard:
             raise GuardExceeded(f"word count {self.word_count} over guard {guard}")
+
+    @property
+    def stabiliser_period(self) -> int:
+        """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*.
+
+        The periods of D's indicator in log order are the multiples of d
+        dividing q^m - 1, so d is q^m - 1 divided by each prime for as long
+        as the indicator, rolled by the quotient, stays the same.
+        """
+        if self._period is None:
+            mem = self.subset.indicator[self.tower.exp]
+            d = self.tower.order
+            for ell in factorize(d):
+                while d % ell == 0 and np.array_equal(np.roll(mem, d // ell), mem):
+                    d //= ell
+            self._period = d
+        return self._period
 
     # -- enumeration -----------------------------------------------------
 
@@ -331,17 +355,19 @@ class SubsetCode:
         return tower.add_sets(contrib, tr)
 
     def _trace_labels(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(v, labels) for every nonzero v; labels[i] is the F_q label of Tr(v gamma^i).
+        """(j, labels) for v = gamma^j, j < d; labels[i] is the F_q label of Tr(v gamma^i).
 
         A word (u, v) vanishes at gamma^i exactly when labels[i] is -u on
         the subset and 0 off it, so weights and supports both read off this.
+        The word (u, gamma^(j + k d)) is the word (u, gamma^j) read from
+        coordinate k d on, so these d values of v stand for every nonzero v.
         """
         tower = self.tower
         order = tower.order
         labels_of_exp = tower.subfield_index[tower.trace_q[tower.exp]].astype(np.int64)
         idx_all = np.arange(order, dtype=np.int64)
-        for lv in range(order):
-            yield int(tower.exp[lv]), labels_of_exp[(lv + idx_all) % order]
+        for j in range(self.stabiliser_period):
+            yield j, labels_of_exp[(j + idx_all) % order]
 
     def weight_table(self) -> np.ndarray:
         """Hamming weight of every word, shape (q, q^m), by direct counting."""
@@ -353,12 +379,15 @@ class SubsetCode:
         k = len(self.subset)
         kc = tower.order - k
         _, _, neg_q = tower.subfield_tables()
-        wt = np.zeros((q, tower.qm), dtype=np.int64)
-        wt[1:, 0] = k  # v = 0: support is exactly the subset
-        for v, labels in self._trace_labels():
+        d = self.stabiliser_period
+        cols = np.empty((q, d), dtype=np.int64)
+        for j, labels in self._trace_labels():
             cnt_d = np.bincount(labels[mem], minlength=q)
             cnt_c = np.bincount(labels[~mem], minlength=q)
-            wt[:, v] = (k - cnt_d[neg_q]) + (kc - cnt_c[0])
+            cols[:, j] = (k - cnt_d[neg_q]) + (kc - cnt_c[0])
+        wt = np.zeros((q, tower.qm), dtype=np.int64)
+        wt[1:, 0] = k  # v = 0: support is exactly the subset
+        wt[:, tower.exp] = np.tile(cols, tower.order // d)  # gamma^i takes column i mod d
         self._weight_table = wt
         return wt
 
@@ -416,7 +445,7 @@ class SubsetCode:
     # -- supports and the cover oracle --------------------------------------
 
     def supports(self) -> np.ndarray:
-        """Packed support bitsets, one row per word."""
+        """Packed support bitsets, one row per word, filled one orbit at a time."""
         if self._supports is not None:
             return self._supports
         tower = self.tower
@@ -426,16 +455,20 @@ class SubsetCode:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
         mem = self.subset.indicator[tower.exp]
         _, _, neg_q = tower.subfield_tables()
-        rows = np.empty((q * qm, order), dtype=bool)
-        for v, labels in self._trace_labels():
-            zero_off_d = ~mem & (labels == 0)
-            for u in range(q):
-                zero_on_d = mem & (labels == neg_q[u])
-                rows[self.word_index(u, v), :] = ~(zero_on_d | zero_off_d)
-        for u in range(q):
-            rows[self.word_index(u, 0), :] = mem if u else False
-        self._supports = np.packbits(rows, axis=1)
-        return self._supports
+        d = self.stabiliser_period
+        packed = np.zeros((q * qm, (order + 7) // 8), dtype=np.uint8)
+        packed[self.word_index(1, 0)::qm] = np.packbits(mem)  # v = 0, u != 0
+        # twice[u] holds the support of (u, gamma^j) twice over, so window k d
+        # is the support of (u, gamma^(j + k d))
+        twice = np.empty((q, 2 * order), dtype=bool)
+        windows = sliding_window_view(twice, order, axis=1)[:, :order:d]
+        u_rows = np.arange(q, dtype=np.int64)[:, None] * qm
+        for j, labels in self._trace_labels():
+            zero = np.where(mem, labels == neg_q[:, None], labels == 0)
+            twice[:, :order] = twice[:, order:] = ~zero
+            packed[u_rows + tower.exp[j::d]] = np.packbits(windows, axis=2)
+        self._supports = packed
+        return packed
 
     def projective_representatives(self) -> np.ndarray:
         """One word index per line through the origin of the index space."""
@@ -460,13 +493,49 @@ class SubsetCode:
                 out.add(self.word_index(int(add_q[base_u, ku]), tower.add(base_v, kv)))
         return np.asarray(sorted(out), dtype=np.int64)
 
+    def class_orbit(self, words: np.ndarray) -> np.ndarray:
+        """For each nonzero word, the lowest projective representative in its
+        orbit under F_q^* scaling and the stabiliser <gamma^d>.
+
+        The class of (u, v), u != 0, is that of (1, v/u), and its orbit is
+        fixed by log(v/u) mod d (v = 0 alone makes the orbit of (1, 0)).  The
+        class of (0, v) is that of (0, gamma^(log v mod step)), and its orbit
+        is fixed by log v mod g, g = gcd(d, step).
+        """
+        tower = self.tower
+        qm, order, step = tower.qm, tower.order, tower.subfield_step
+        d = self.stabiliser_period
+        g = gcd(d, step)
+        exp = tower.exp.astype(np.int64)
+        lowest_one = exp.reshape(order // d, d).min(axis=0)
+        lowest_zero = exp[:step].reshape(step // g, g).min(axis=0)
+        u, v = np.divmod(np.asarray(words, dtype=np.int64), qm)
+        log_v = tower.log[v].astype(np.int64)
+        # label u >= 1 is gamma^((u - 1) step), so log(v/u) = log v - (u - 1) step
+        one = qm + np.where(v == 0, 0, lowest_one[(log_v - (u - 1) * step) % d])
+        return np.where(u == 0, lowest_zero[log_v % g], one)
+
     def _class_scan(
         self, violations: Callable[[int], np.ndarray], guard: int
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """(r, violating words) for each projective representative r, in order."""
+        """(r, violating words) for the lowest representative r of each orbit, ascending.
+
+        A violation holds for every class of an orbit or for none, so the
+        first one found is the first of a scan over all projective
+        representatives, with the same witness.
+        """
         self.check_guard(guard)
-        for r in self.projective_representatives().tolist():
+        for r in np.unique(self.class_orbit(self.projective_representatives())).tolist():
             yield r, violations(r)
+
+    def _orbit_flags(self, violations: Callable[[int], np.ndarray], guard: int) -> dict[int, bool]:
+        """Minimality (True) of each orbit, keyed by its lowest representative."""
+        return {r: len(bad) == 0 for r, bad in self._class_scan(violations, guard)}
+
+    def _class_flags(self, orbit_flags: dict[int, bool]) -> dict[int, bool]:
+        """The orbit flags spread over every projective representative."""
+        reps = self.projective_representatives()
+        return {r: orbit_flags[o] for r, o in zip(reps.tolist(), self.class_orbit(reps).tolist())}
 
     def _scan_verdict(
         self, violations: Callable[[int], np.ndarray], guard: int, note: str
@@ -501,9 +570,13 @@ class SubsetCode:
             self._cover_violations, guard, "support of the first word is contained in the second's"
         )
 
+    def cover_orbit_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
+        """Per-orbit minimality under the cover oracle, keyed as `class_orbit` returns."""
+        return self._orbit_flags(self._cover_violations, guard)
+
     def cover_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality under the cover oracle (True = minimal)."""
-        return {r: len(bad) == 0 for r, bad in self._class_scan(self._cover_violations, guard)}
+        return self._class_flags(self.cover_orbit_flags(guard))
 
     # -- weight-sum criterion ------------------------------------------------
 
@@ -533,7 +606,7 @@ class SubsetCode:
 
     def heng_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality under the weight-sum identity (True = minimal)."""
-        return {r: len(bad) == 0 for r, bad in self._class_scan(self._heng_violations, guard)}
+        return self._class_flags(self._orbit_flags(self._heng_violations, guard))
 
     # -- span/annihilator criterion --------------------------------------------
 
@@ -542,6 +615,10 @@ class SubsetCode:
     ) -> MethodVerdict:
         """Exact span criterion: complement spans the field, and every trace
         slice is nonempty with annihilator inside the line of its direction.
+
+        Scaling z by the stabiliser <gamma^d> scales every slice, annihilator
+        and line alike, so z = gamma^j, j < d, decide it and the first failing
+        z in log order is the same; reduce_classes=False scans every z.
         """
         try:
             self.check_guard(guard)
@@ -555,11 +632,7 @@ class SubsetCode:
                 witness=("complement_span_deficient", None),
                 note="the complement does not span the field",
             )
-        invariant = is_fq_invariant(self.subset)
-        if reduce_classes and invariant:
-            zs = tower.exp[np.arange(tower.subfield_step)]
-        else:
-            zs = tower.exp
+        zs = tower.exp[: self.stabiliser_period] if reduce_classes else tower.exp
         for z in zs.tolist():
             scalars = np.sort(tower.mul_vec(int(z), tower.subfield_elements.astype(np.int64)))
             for y_label in range(tower.q):

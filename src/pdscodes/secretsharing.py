@@ -68,19 +68,9 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     total = int(np.count_nonzero(mask1))
     if code_is_minimal:
         return total, None
-    flags = code.cover_flags()
-    tower = code.tower
-    oracle_total = 0
-    for w in np.nonzero(mask1)[0].tolist():
-        u, v = code.word_of_index(int(w))
-        if u != 0:
-            # normalize to the projective representative with u-label 1
-            inv = next(l for l in range(1, tower.q) if tower.subfield_tables()[1][u, l] == 1)
-            rep = code.word_index(1, tower.mul(int(tower.subfield_elements[inv]), v))
-        else:
-            rep = code.word_index(0, int(tower.exp[int(tower.log[v]) % tower.subfield_step]))
-        if flags[rep]:
-            oracle_total += 1
+    flags = code.cover_orbit_flags()
+    orbits, counts = np.unique(code.class_orbit(np.flatnonzero(mask1)), return_counts=True)
+    oracle_total = sum(n for r, n in zip(orbits.tolist(), counts.tolist()) if flags[r])
     return total, oracle_total
 
 
@@ -91,8 +81,7 @@ def participant_coverage(code: SubsetCode, x1: int) -> dict[int, int]:
     if x1 == 0:
         raise ValueError("the secret coordinate must be a nonzero element")
     mask1 = _value_labels_at(code, x1) == 1
-    sup = np.unpackbits(code.supports(), axis=1, count=tower.order).astype(bool)
-    counts = sup[mask1].sum(axis=0)
+    counts = np.unpackbits(code.supports()[mask1], axis=1, count=tower.order).sum(axis=0)
     x1_log = int(tower.log[x1])
     return {
         j: int(counts[j]) for j in range(tower.order) if j != x1_log

@@ -219,3 +219,25 @@ def test_code_row3_pds_within_budget():
     assert payload["dim"] == 13
     assert payload["weights_source"] == "predicted"
     assert payload["minimal"]["pds_sufficient"]["verdict"] == "minimal"
+
+
+def test_code_3_8_N41_all_within_budget():
+    # F_{3^8}, N=41: 9 841 projective classes, but 83 stabiliser orbits to scan
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdscodes.cli", "code", "--field", '{"p":3,"e":1,"m":8}',
+         "--subset", '{"cyclotomic":{"N":41,"J":[0]}}', "--methods", "all"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["dim"] == 9
+    verdicts = {v if isinstance(v, str) else v["verdict"] for v in payload["minimal"].values()}
+    assert verdicts - {"inconclusive", "not_run"} == {"minimal"}  # overall: minimal
+    assert payload["weights"] == [
+        {"freq": 1, "w": 0},
+        {"freq": 2, "w": 160},
+        {"freq": 12800, "w": 4372},
+        {"freq": 6560, "w": 4374},
+        {"freq": 320, "w": 4453},
+    ]

@@ -25,6 +25,10 @@ GOLDEN = {
     "sss-table-2-row-1": ["sss", "--recipe", "table-2-row-1", "--x1-log", "0"],
     "sss-example-3.1-in-Dbar": ["sss", "--recipe", "example-3.1", "--x1", "in-Dbar"],
     "code-table-2-row-1-all": ["code", "--recipe", "table-2-row-1", "--methods", "all"],
+    "code-3-4-N10-all": ["code", "--field", '{"p":3,"e":1,"m":4}',
+                         "--subset", '{"cyclotomic":{"N":10,"J":[0]}}', "--methods", "all"],
+    "code-3-8-N41-all": ["code", "--field", '{"p":3,"e":1,"m":8}',
+                         "--subset", '{"cyclotomic":{"N":41,"J":[0]}}', "--methods", "all"],
 }
 
 

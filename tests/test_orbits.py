@@ -1,0 +1,193 @@
+"""The orbit-reduced direct oracles against full scans over every class.
+
+The cover, Heng and SNC scans, the weight table and the support matrix
+visit one member per orbit of the stabiliser <gamma^d> of the subset.  Each
+is compared here with the unreduced computation: the per-class violation
+sets over all projective representatives, the first violation of that full
+scan (verdict and witness), SNC over every z, and the words evaluated one
+by one.
+"""
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
+from pdscodes.field import FieldSpec, build_tower
+from pdscodes.pds import FieldSubset, build_cyclotomic_subset, is_fq_invariant, quadric_subset
+from pdscodes.secretsharing import _value_labels_at, minimal_access_count
+
+
+def _hyperplane(tower):
+    members = tower.hyperplane(1)
+    return FieldSubset(tower, members[members != 0])
+
+
+def _cyclotomic(N, J):
+    return lambda tower: build_cyclotomic_subset(tower, N, J)
+
+
+# name -> (tower fixture, subset builder, stabiliser period d)
+CODES = {
+    "F_2^4 N=3": ("f16", _cyclotomic(3, [0]), 3),
+    "F_2^4 N=5 J=[0,1]": ("f16", _cyclotomic(5, [0, 1]), 5),
+    "F_2^4 hyperplane": ("f16", _hyperplane, 15),
+    "F_3^4 hyperplane": ("f34", _hyperplane, 40),
+    "F_3^4 N=10": ("f34", _cyclotomic(10, [0]), 10),
+    "F_3^4 N=8 J=[0,3]": ("f34", _cyclotomic(8, [0, 3]), 8),
+    "F_3^4 elliptic quadric": ("f34", lambda t: quadric_subset(t, kind="elliptic")[0], 40),
+    "F_3^4 not invariant": ("f34", lambda t: FieldSubset.from_logs(t, [0, 1, 5, 17, 40]), 80),
+    "F_3^5 N=11": ("f35", _cyclotomic(11, [0]), 11),
+    "F_3^5 hyperplane": ("f35", _hyperplane, 121),
+    "F_4^4 N=5 J=[1,2,3,4]": ("f44", _cyclotomic(5, [1, 2, 3, 4]), 5),
+    "F_4^4 N=17": ("f44", _cyclotomic(17, [0]), 17),
+    "F_4^4 hyperplane": ("f44", _hyperplane, 85),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CODES))
+def code(request):
+    fixture, build, _ = CODES[request.param]
+    return SubsetCode(build(request.getfixturevalue(fixture)))
+
+
+def full_flags(code, violations):
+    return {r: len(violations(r)) == 0 for r in code.projective_representatives().tolist()}
+
+
+def full_verdict(code, violations):
+    """(status, witness) of a scan over every projective representative."""
+    for r in code.projective_representatives().tolist():
+        bad = violations(r)
+        if len(bad):
+            return NOT_MINIMAL, (code.word_of_index(int(bad[0])), code.word_of_index(r))
+    return MINIMAL, None
+
+
+def assert_reduced_equals_full(code):
+    assert code.cover_flags() == full_flags(code, code._cover_violations)
+    assert code.heng_flags() == full_flags(code, code._heng_violations)
+    for verdict, violations in ((code.minimality_cover(), code._cover_violations),
+                                (code.minimality_heng(), code._heng_violations)):
+        assert (verdict.status, verdict.witness) == full_verdict(code, violations)
+    reduced = code.minimality_snc()
+    full = code.minimality_snc(reduce_classes=False)
+    assert (reduced.status, reduced.witness) == (full.status, full.witness)
+
+
+def assert_fill_equals_words(code):
+    tower = code.tower
+    wt = code.weight_table()
+    sup = code.supports()
+    for u in range(tower.q):
+        for v in range(tower.qm):
+            nonzero = code.codeword(u, v) != 0
+            assert wt[u, v] == np.count_nonzero(nonzero)
+            assert np.array_equal(sup[code.word_index(u, v)], np.packbits(nonzero))
+
+
+def test_stabiliser_period_is_least_period(code):
+    tower = code.tower
+    d = code.stabiliser_period
+    mem = code.subset.indicator[tower.exp]
+    assert tower.order % d == 0
+    assert np.array_equal(np.roll(mem, d), mem)
+    assert all(not np.array_equal(np.roll(mem, e), mem) for e in range(1, d))
+    assert (tower.subfield_step % d == 0) == is_fq_invariant(code.subset)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_stabiliser_period_values(request, name):
+    fixture, build, d = CODES[name]
+    assert SubsetCode(build(request.getfixturevalue(fixture))).stabiliser_period == d
+
+
+def test_non_invariant_period_does_not_divide_step(f35):
+    code = SubsetCode(FieldSubset.from_logs(f35, [0, 1]))
+    assert code.stabiliser_period == f35.order
+    assert f35.subfield_step % code.stabiliser_period != 0
+
+
+def test_reduced_scans_equal_full_scan(code):
+    assert_reduced_equals_full(code)
+
+
+def test_orbit_fill_equals_words(code):
+    assert_fill_equals_words(code)
+
+
+def test_class_orbit_is_lowest_class_of_its_orbit(code):
+    reps = code.projective_representatives()
+    orbit = code.class_orbit(reps)
+    assert set(orbit.tolist()) <= set(reps.tolist())
+    for o in np.unique(orbit).tolist():
+        assert o == reps[orbit == o].min()
+    assert len(np.unique(orbit)) == 1 + code.stabiliser_period + np.gcd(
+        code.stabiliser_period, code.tower.subfield_step)
+
+
+def test_n10_witnesses(f34):
+    # a non-minimal report that carries witnesses; d = 10 against 80 elements
+    code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
+    assert code.minimality_cover().to_json()["witness"] == [[0, 15], [1, 15]]
+    assert code.minimality_heng().to_json()["witness"] == [[0, 15], [1, 15]]
+    assert code.minimality_snc().to_json()["witness"] == ["empty_slice", [1, 21]]
+    assert code.minimality_snc(reduce_classes=False).to_json()["witness"] == [
+        "empty_slice", [1, 21]]
+
+
+@pytest.mark.parametrize("name", ["F_3^4 hyperplane", "F_3^4 N=10", "F_4^4 hyperplane"])
+def test_oracle_total_equals_full_flags(request, name):
+    fixture, build, _ = CODES[name]
+    code = SubsetCode(build(request.getfixturevalue(fixture)))
+    tower = code.tower
+    _, mul_q, _ = tower.subfield_tables()
+    flags = full_flags(code, code._cover_violations)
+    for x1 in tower.exp[:: max(1, tower.order // 7)].tolist():
+        total, oracle_total = minimal_access_count(code, int(x1), code_is_minimal=False)
+        # each word with a 1 at x1, scaled to its projective representative
+        expected = 0
+        for w in np.flatnonzero(_value_labels_at(code, int(x1)) == 1).tolist():
+            u, v = code.word_of_index(w)
+            if u:
+                inv = next(lam for lam in range(1, tower.q) if mul_q[u, lam] == 1)
+                rep = code.word_index(1, tower.mul(int(tower.subfield_elements[inv]), v))
+            else:
+                rep = code.word_index(0, int(tower.exp[int(tower.log[v]) % tower.subfield_step]))
+            expected += flags[rep]
+        assert (total, oracle_total) == (tower.qm, expected)
+
+
+# -- random F_q^*-invariant unions ------------------------------------------------
+
+SMALL_FIELDS = [(2, 1, 4), (2, 1, 6), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3)]
+
+
+@lru_cache(maxsize=None)
+def _tower(p, e, m):
+    return build_tower(FieldSpec(p=p, e=e, m=m))
+
+
+@st.composite
+def invariant_unions(draw):
+    """A union of cosets of <gamma^n> for some n dividing the subfield step."""
+    tower = _tower(*draw(st.sampled_from(SMALL_FIELDS)))
+    step = tower.subfield_step
+    n = draw(st.sampled_from([n for n in range(2, step + 1) if step % n == 0]))
+    residues = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    logs = [r + k * n for r in residues for k in range(tower.order // n)]
+    return n, FieldSubset.from_logs(tower, logs)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invariant_unions())
+def test_random_invariant_unions_reduced_equals_full(case):
+    n, subset = case
+    assert is_fq_invariant(subset)
+    code = SubsetCode(subset)
+    assert n % code.stabiliser_period == 0
+    assert_reduced_equals_full(code)
+    assert_fill_equals_words(code)
