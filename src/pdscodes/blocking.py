@@ -115,15 +115,11 @@ def cutting_secondary_condition(subset: FieldSubset) -> tuple[bool, str]:
     The printed statement of this hypothesis is ambiguous; the returned note
     records the interpretation tested.
     """
-    from .pds import is_fq_invariant
-
     tower = subset.tower
     note = "tested as: for every nonzero v, the slice {x in D : Tr(vx) = -1} is nonempty"
-    # scaling v within an F_q^*-class permutes the slice when D is invariant
-    count = tower.subfield_step if is_fq_invariant(subset) else tower.order
+    # the slice of gamma^d v is gamma^-d times that of v, as gamma^d D = D
     target = int(tower.neg_table[tower.subfield_elements[1]])
-    for j in range(count):
-        z = int(tower.exp[j])
+    for z in tower.exp[: subset.stabiliser_period].tolist():
         traces = tower.trace_q[tower.mul_vec(z, subset.members)]
         if not np.any(traces == target):
             return False, note

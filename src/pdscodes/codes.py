@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsums import full_spectrum, psi_sum, squared_norms
-from .field import FieldTower, factorize
+from .field import FieldTower
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
@@ -313,7 +313,6 @@ class SubsetCode:
         self._weight_table = None
         self._supports = None
         self._kernel = None
-        self._period = None
 
     def check_guard(self, guard: int) -> None:
         """Raise GuardExceeded when an exhaustive scan over all words is over the guard."""
@@ -322,20 +321,8 @@ class SubsetCode:
 
     @property
     def stabiliser_period(self) -> int:
-        """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*.
-
-        The periods of D's indicator in log order are the multiples of d
-        dividing q^m - 1, so d is q^m - 1 divided by each prime for as long
-        as the indicator, rolled by the quotient, stays the same.
-        """
-        if self._period is None:
-            mem = self.subset.indicator[self.tower.exp]
-            d = self.tower.order
-            for ell in factorize(d):
-                while d % ell == 0 and np.array_equal(np.roll(mem, d // ell), mem):
-                    d //= ell
-            self._period = d
-        return self._period
+        """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
+        return self.subset.stabiliser_period
 
     # -- enumeration -----------------------------------------------------
 

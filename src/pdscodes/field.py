@@ -443,6 +443,22 @@ class FieldTower:
         """Pairwise sums {x + y}, broadcasting; digitwise mod p."""
         return self._add_vec(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
 
+    def stabiliser_period(self, members: np.ndarray) -> int:
+        """The least d with gamma^d S = S, S the nonzero members: Stab(S) = <gamma^d>.
+
+        The periods of S's indicator in log order are the multiples of d
+        dividing q^m - 1, so d is q^m - 1 divided by each prime for as long
+        as the indicator, rolled by the quotient, stays the same.
+        """
+        members = np.asarray(members, dtype=np.int64)
+        mem = np.zeros(self.order, dtype=bool)
+        mem[self.log[members[members != 0]]] = True
+        d = self.order
+        for ell in factorize(d):
+            while d % ell == 0 and np.array_equal(np.roll(mem, d // ell), mem):
+                d //= ell
+        return d
+
     # -- traces and hyperplanes -------------------------------------------
 
     def trace_to_prime(self, x: int) -> int:

@@ -10,6 +10,7 @@ fields both must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
@@ -64,15 +65,15 @@ class FieldSubset:
     """A subset of F_{q^m}^* with cached indicator, members and log list."""
 
     def __init__(self, tower: FieldTower, members: np.ndarray, origin=None):
-        members = np.unique(np.asarray(members, dtype=np.int64))
-        if len(members) and members[0] == 0:
-            raise ValueError("subsets live in the multiplicative group; 0 not allowed")
+        members = np.asarray(members, dtype=np.int64)
         if np.any(members >= tower.qm) or np.any(members < 0):
             raise ValueError("member out of field range")
-        self.tower = tower
-        self.members = members
         self.indicator = np.zeros(tower.qm, dtype=bool)
         self.indicator[members] = True
+        if self.indicator[0]:
+            raise ValueError("subsets live in the multiplicative group; 0 not allowed")
+        self.tower = tower
+        self.members = np.flatnonzero(self.indicator)  # sorted, without repeats
         self.origin = origin if origin is not None else ExplicitOrigin()
 
     def __len__(self):
@@ -84,6 +85,11 @@ class FieldSubset:
     @property
     def logs(self) -> np.ndarray:
         return np.sort(self.tower.log[self.members].astype(np.int64))
+
+    @cached_property
+    def stabiliser_period(self) -> int:
+        """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
+        return self.tower.stabiliser_period(self.members)
 
     def is_proper(self) -> bool:
         return 0 < len(self) < self.tower.order
@@ -312,8 +318,10 @@ def verify_pds_spectral(
 def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tuple[int, int]:
     """Combinatorial verification: |D ∩ (D + g)| constant on D and off D.
 
-    Uses one difference representative per F_q^*-class when the set is
-    invariant (identical verdict, q-1 times faster).
+    Runs g over gamma^j for j < d, one per orbit of D's stabiliser <gamma^d>:
+    multiplying by gamma^d maps D and D + g onto D and D + gamma^d g, so the
+    count and the membership of g repeat with period d in log order, and the
+    first violation, with its witness, is the one a scan over every g finds.
     """
     tower = subset.tower
     if tower.qm > cap:
@@ -323,14 +331,9 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     if not subset.is_symmetric():
         raise PdsVerificationError("set is not symmetric (-D != D)")
 
-    if is_fq_invariant(subset):
-        reps = tower.exp[np.arange(tower.subfield_step)].astype(np.int64)
-    else:
-        reps = tower.exp.astype(np.int64)
-
     lam = mu = None
     lam_g = mu_g = None
-    for g in reps.tolist():
+    for g in tower.exp[: subset.stabiliser_period].tolist():
         shifted = tower.add_sets(subset.members, np.int64(g))
         count = int(np.count_nonzero(subset.indicator[shifted]))
         if subset.indicator[g]:

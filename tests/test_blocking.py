@@ -122,3 +122,26 @@ def test_report_json_shape(ex31_complement):
     out = is_cutting_vectorial_blocking(ex31_complement).to_json()
     assert set(out) == {"blocking", "contains_subspace", "cutting", "witness"}
     assert set(out["witness"]) == {"h1_log", "h2_log"}
+
+
+def _secondary_condition_full(subset):
+    """cutting_secondary_condition over every nonzero v, without the orbit reduction."""
+    tower = subset.tower
+    target = int(tower.neg_table[tower.subfield_elements[1]])
+    return all(np.any(tower.trace_q[tower.mul_vec(v, subset.members)] == target)
+               for v in tower.exp.tolist())
+
+
+def test_secondary_condition_equals_full_scan(f16, f34, f44):
+    cases = [
+        quadric_subset(f34, kind="elliptic")[0],
+        build_cyclotomic_subset(f34, 10, [0]),
+        build_cyclotomic_subset(f16, 5, [0]),
+        build_cyclotomic_subset(f44, 3, [0]),     # d = 3, not F_4^*-invariant
+        build_cyclotomic_subset(f44, 51, [0, 1]),
+        FieldSubset(f44, np.arange(1, 120)),
+        FieldSubset(f34, [1, 2, 5]),
+    ]
+    verdicts = [cutting_secondary_condition(s)[0] for s in cases]
+    assert verdicts == [_secondary_condition_full(s) for s in cases]
+    assert True in verdicts and False in verdicts

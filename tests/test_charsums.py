@@ -1,6 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pdscodes import charsums
 from pdscodes.charsums import (
     Spectrum,
     full_spectrum,
@@ -14,6 +19,7 @@ from pdscodes.charsums import (
 )
 from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.field import FieldSpec, build_tower
+from pdscodes.pds import build_cyclotomic_subset, predicted_cyclotomic_eigenvalues, quadric_subset
 
 
 def _power_residues(tower, n):
@@ -149,3 +155,92 @@ def test_example31_character_values_rational(f44):
         val = psi_sum(f44, int(a), members)
         assert val.is_rational()
         assert val.rational_value() in (12, -4)
+
+
+# -- routes: the orbit count, the transform and the unreduced count -----------
+
+ROUTE_FIELDS = [(2, 1, 4), (2, 1, 6), (2, 2, 3), (3, 1, 3), (3, 1, 5), (3, 2, 2),
+                (5, 1, 3), (5, 2, 2), (7, 1, 2), (7, 2, 2)]
+
+
+@lru_cache(maxsize=None)
+def _route_tower(p, e, m):
+    return build_tower(FieldSpec(p=p, e=e, m=m))
+
+
+@st.composite
+def route_inputs(draw):
+    """A tower and members: class unions, F_q^*-invariant unions, other sets,
+    the empty set and singletons, each possibly with 0 added."""
+    tower = _route_tower(*draw(st.sampled_from(ROUTE_FIELDS)))
+    order = tower.order
+    kind = draw(st.sampled_from(["classes", "invariant", "other", "empty", "singleton"]))
+    if kind in ("classes", "invariant"):
+        base = order if kind == "classes" else tower.subfield_step
+        n = draw(st.sampled_from([n for n in range(1, base + 1) if base % n == 0]))
+        residues = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        logs = [r + k * n for r in residues for k in range(order // n)]
+    elif kind == "other":
+        size = draw(st.integers(2, order))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        logs = np.random.default_rng(seed).choice(order, size=size, replace=False)
+    elif kind == "singleton":
+        logs = [draw(st.integers(0, order - 1))]
+    else:
+        logs = []
+    members = tower.exp[np.asarray(logs, dtype=np.int64)].astype(np.int64)
+    if draw(st.booleans()):
+        members = np.append(members, 0)
+    return tower, members
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(route_inputs())
+def test_spectrum_routes_agree_bit_for_bit(case):
+    tower, members = case
+    default = full_spectrum(tower, members)
+    transform = full_spectrum(tower, members, mode="transform")
+    pointwise = full_spectrum(tower, members, mode="pointwise")
+    assert np.array_equal(default.raw, transform.raw)
+    assert np.array_equal(pointwise.raw, transform.raw)
+    assert default.set_size == transform.set_size == pointwise.set_size == len(members)
+
+
+@pytest.fixture(scope="module")
+def f312():
+    return build_tower(FieldSpec(p=3, e=1, m=12))
+
+
+def test_orbit_rows_are_the_gauss_periods(f312, monkeypatch):
+    # F_3^12, N = 73 (3^6 = -1 mod 73): the value at gamma^i depends on i mod 73
+    subset = build_cyclotomic_subset(f312, 73, [0, 5])
+    assert subset.stabiliser_period == 73
+
+    def no_transform(*args):
+        raise AssertionError("a class union with d = 73 must take the orbit count")
+
+    monkeypatch.setattr(charsums, "_spectrum_transform", no_transform)
+    vals = full_spectrum(f312, subset.members).rational_values()
+    pred = predicted_cyclotomic_eigenvalues(f312, 73, [0, 5])
+    assert vals[f312.exp[:73]].tolist() == list(pred.coset_values)
+    assert np.array_equal(vals[f312.exp], np.tile(pred.coset_values, f312.order // 73))
+
+
+def test_small_stabilisers_take_the_transform(monkeypatch):
+    # the trace hyperplane of F_2^10 (d = 1023, |S| = 511) and the elliptic
+    # quadric of F_3^8 (d = 3280, |S| = 2132): d |S| is over the transform cost
+    f210 = build_tower(FieldSpec(p=2, e=1, m=10))
+    hyperplane = f210.hyperplane(1)
+    hyperplane = hyperplane[hyperplane != 0]
+    quadric, _ = quadric_subset(build_tower(FieldSpec(p=3, e=1, m=8)), kind="elliptic")
+    assert f210.stabiliser_period(hyperplane) == 1023
+    assert quadric.stabiliser_period == 3280
+
+    def no_orbit_count(*args):
+        raise AssertionError("the orbit count must not run here")
+
+    monkeypatch.setattr(charsums, "_spectrum_pointwise", no_orbit_count)
+    for tower, members in ((f210, hyperplane), (quadric.tower, quadric.members)):
+        spec = full_spectrum(tower, members)
+        assert parseval_total(spec) == tower.qm * len(members)

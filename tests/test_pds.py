@@ -307,3 +307,97 @@ def test_complement_of_example31_spans(f44):
     # the 51-element subgroup already spans the field over F_4
     dbar = build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]).complement()
     assert len(f44.linear_span(dbar.members.tolist())) == f44.qm
+
+
+# -- the direct check against a scan over every g ------------------------------
+
+
+def _direct_reference(subset):
+    """verify_pds_direct without the orbit reduction: every g in F_{q^m}^*."""
+    tower = subset.tower
+    lam = mu = lam_g = mu_g = None
+    for g in tower.exp.tolist():
+        count = int(np.count_nonzero(subset.indicator[tower.add_sets(subset.members, g)]))
+        if subset.indicator[g]:
+            if lam is None:
+                lam, lam_g = count, g
+            elif count != lam:
+                raise PdsVerificationError("common-neighbor count not constant on the set",
+                                           witness=(lam_g, g, lam, count))
+        else:
+            if mu is None:
+                mu, mu_g = count, g
+            elif count != mu:
+                raise PdsVerificationError("common-neighbor count not constant off the set",
+                                           witness=(mu_g, g, mu, count))
+    return lam, mu
+
+
+def _symmetric_random(tower, size, seed):
+    half = np.random.default_rng(seed).choice(np.arange(1, tower.qm), size=size, replace=False)
+    return FieldSubset(tower, np.concatenate([half, tower.neg_table[half]]))
+
+
+DIRECT_PDS = {
+    "F_2^4 N=3": ("f16", lambda t: build_cyclotomic_subset(t, 3, [0])),
+    "F_2^4 N=5 J=[0,1]": ("f16", lambda t: build_cyclotomic_subset(t, 5, [0, 1])),
+    "F_3^4 hyperbolic": ("f34", lambda t: quadric_subset(t, kind="hyperbolic")[0]),
+    "F_3^4 elliptic": ("f34", lambda t: quadric_subset(t, kind="elliptic")[0]),
+    "F_3^4 N=10": ("f34", lambda t: build_cyclotomic_subset(t, 10, [0])),
+    "F_3^5 N=11": ("f35", lambda t: build_cyclotomic_subset(t, 11, [0])),
+    "F_4^4 N=5 J=[1,2,3,4]": ("f44", lambda t: build_cyclotomic_subset(t, 5, [1, 2, 3, 4])),
+    "F_4^4 N=17": ("f44", lambda t: build_cyclotomic_subset(t, 17, [0])),
+    # not F_4^*-invariant: d = 3 does not divide the subfield step 85
+    "F_4^4 N=3": ("f44", lambda t: build_cyclotomic_subset(t, 3, [0])),
+}
+
+DIRECT_NOT_PDS = {
+    # F_q^*-invariant class unions
+    "F_3^4 N=8 J=[0,1]": ("f34", lambda t: build_cyclotomic_subset(t, 8, [0, 1])),
+    "F_3^4 N=20": ("f34", lambda t: build_cyclotomic_subset(t, 20, [0])),
+    "F_3^5 N=11 J=[0,1]": ("f35", lambda t: build_cyclotomic_subset(t, 11, [0, 1])),
+    # symmetric, not F_q^*-invariant: d does not divide the subfield step
+    "F_4^4 N=15": ("f44", lambda t: build_cyclotomic_subset(t, 15, [0])),
+    "F_4^4 random": ("f44", lambda t: FieldSubset(t, np.arange(1, 100))),
+    "F_5^3 random symmetric": (None, lambda t: _symmetric_random(t, 20, 5)),
+    "F_2^4 random": ("f16", lambda t: FieldSubset(t, [1, 2, 3, 9, 12])),
+}
+
+
+def _direct_subset(request, table, name):
+    fixture, build = table[name]
+    tower = request.getfixturevalue(fixture) if fixture else build_tower(FieldSpec(p=5, e=1, m=3))
+    return build(tower)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_PDS))
+def test_direct_check_equals_full_scan_on_pds(request, name):
+    subset = _direct_subset(request, DIRECT_PDS, name)
+    assert verify_pds_direct(subset) == _direct_reference(subset)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_NOT_PDS))
+def test_direct_check_failure_equals_full_scan(request, name):
+    subset = _direct_subset(request, DIRECT_NOT_PDS, name)
+    assert subset.is_symmetric()
+    with pytest.raises(PdsVerificationError) as reduced:
+        verify_pds_direct(subset)
+    with pytest.raises(PdsVerificationError) as full:
+        _direct_reference(subset)
+    assert str(reduced.value) == str(full.value)
+    assert reduced.value.witness == full.value.witness
+
+
+def test_field_subset_input_validation(f34):
+    members = [int(f34.exp[i]) for i in (7, 3, 3, 40, 0, 7)]
+    subset = FieldSubset(f34, members)
+    assert subset.members.tolist() == sorted(set(members))
+    assert subset.members.dtype == np.int64
+    assert np.flatnonzero(subset.indicator).tolist() == sorted(set(members))
+    assert len(FieldSubset(f34, [])) == 0
+    with pytest.raises(ValueError, match="0 not allowed"):
+        FieldSubset(f34, [5, 0, 3])
+    with pytest.raises(ValueError, match="out of field range"):
+        FieldSubset(f34, [5, -1])
+    with pytest.raises(ValueError, match="out of field range"):
+        FieldSubset(f34, [5, f34.qm])
