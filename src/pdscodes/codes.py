@@ -11,8 +11,10 @@ Minimality is decided by several methods of increasing abstraction:
 
 * cover oracle: pairwise support containment between codewords;
 * heng: the weight-sum identity that detects covering pairs;
-* snc: the span/annihilator criterion on trace slices of the subset
-  (exact characterization, no pairwise scan);
+* snc: the span/annihilator criterion on trace slices of the subset, an
+  exact characterization and a rank test: the generator columns at the
+  zeros of each word must span a hyperplane (`rank_reaches`, which also
+  gives the per-class flags of `rank_orbit_flags`);
 * certificate-based sufficient conditions for verified PDS subsets
   (general, Latin-type, cyclotomic), which can return Minimal or
   Inconclusive but never NotMinimal.
@@ -34,7 +36,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .charsums import full_spectrum, psi_sum, squared_norms
+from .charsums import psi_sum
 from .field import FieldTower
 from .pds import (
     CyclotomicPrediction,
@@ -48,6 +50,7 @@ from .pds import (
 DEFAULT_WORD_GUARD = 2 ** 22          # max q^(m+1) for exhaustive scans
 DEFAULT_ENUM_BUDGET = 2 ** 30         # max q^(m+1) * (q^m - 1) for distributions
 SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for the support matrix
+ZERO_BLOCK = 2 ** 16                  # words x coordinates per block of zero-set ranks
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -174,6 +177,55 @@ def weight_class(cert: PdsCertificate, q: int, m: int) -> str:
     return "three" if cert.k in (base, base + cert.theta1, base + cert.theta2) else "four"
 
 
+# -- F_q-rank ------------------------------------------------------------------
+
+
+def rank_reaches(tower: FieldTower, elems, target):
+    """Whether the F_q-span of a set of distinct elements has dimension >= target.
+
+    elems is one set, or a 2-D array of sets padded with 0, and target one
+    number or one per set.  A subspace of dimension target - 1 has
+    q^(target-1) - 1 nonzero elements, so that many elements decide it (count
+    certificate).  The other sets are reduced over F_p, as base-p digits of
+    the elements times w^i, i < e (w = gamma^step, so they F_p-span the
+    F_q-span), one column at a time on chunks of doubling size, until e *
+    target pivots turn up.
+
+    Returns (reached, basis): basis[c] is the pivot row of digit c (1 there, 0
+    before it) or zero, and spans the set whenever reached is False.
+    """
+    p, em = tower.p, tower.em
+    sets = np.atleast_2d(np.asarray(elems, dtype=np.int64))
+    target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
+    goal = tower.e * target
+    count = np.count_nonzero(sets, axis=1)
+    reached = (goal <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
+    basis = np.zeros((len(sets), em, em), dtype=np.int64)
+    left = np.flatnonzero(~reached)
+    rest = np.take_along_axis(sets[left], np.argsort(sets[left] == 0, axis=1, kind="stable"),
+                              axis=1)[:, : count[left].max(initial=0)]  # nonzero elements first
+    gens = np.stack([tower.mul_vec(int(tower.exp[i * tower.subfield_step]), rest)
+                     for i in range(tower.e)], axis=2).reshape(len(rest), tower.e * rest.shape[1])
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    start, size = 0, 8 * em
+    while start < gens.shape[1] and not reached.all():
+        active = ~reached[left]
+        sub = left[active]
+        digits = gens[active, start:start + size, None] // p ** np.arange(em) % p
+        vecs = np.concatenate([basis[sub], digits], axis=1)
+        start, size = start + size, 2 * size
+        for c in range(em):
+            # the first vector with digit c, scaled to 1 there (zero where there is none)
+            col = vecs[:, :, c]
+            row = vecs[np.arange(len(sub)), (col != 0).argmax(axis=1)]
+            basis[sub, c] = row = row * inverse[row[:, c]][:, None] % p
+            vecs = (vecs - col[:, :, None] * row[:, None, :]) % p
+        reached[sub] = basis[sub].any(axis=2).sum(axis=1) >= goal[sub]
+    if np.ndim(elems) == 1:
+        return bool(reached[0]), basis[0]
+    return reached, basis
+
+
 # -- trace slices of the subset ------------------------------------------------
 
 
@@ -186,16 +238,6 @@ def slice_members(subset: FieldSubset, y_label: int, z: int) -> np.ndarray:
     target = int(tower.subfield_elements[neg_q[y_label]])
     traces = tower.trace_q[tower.mul_vec(z, subset.members)]
     return subset.members[traces == target]
-
-
-def complement_kernel_slice(subset: FieldSubset, z: int) -> np.ndarray:
-    """{x outside D (nonzero) : Tr(x z) = 0}."""
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    tower = subset.tower
-    comp = np.flatnonzero(~subset.indicator)[1:]  # drop the zero element
-    traces = tower.trace_q[tower.mul_vec(z, comp)]
-    return comp[traces == 0]
 
 
 def dyz_size(subset: FieldSubset, y_label: int, z: int, method: str = "auto") -> int:
@@ -224,47 +266,6 @@ def dyz_size(subset: FieldSubset, y_label: int, z: int, method: str = "auto") ->
     if not 0 <= size <= q ** (tower.m - 1):
         raise AssertionError("slice size out of the [0, q^(m-1)] range; bug")
     return size
-
-
-def slice_annihilator(subset: FieldSubset, y_label: int, z: int,
-                      cross_check: bool = False) -> np.ndarray:
-    """The subspace annihilating the slice differences and the complement kernel slice.
-
-    Always computed through span/annihilator arithmetic; with cross_check and
-    an invariant subset, the character-sum description of the same subspace is
-    evaluated independently and must agree.
-    """
-    tower = subset.tower
-    dyz = slice_members(subset, y_label, z)
-    dbar_z = complement_kernel_slice(subset, z)
-    if len(dyz):
-        diffs = np.unique(tower.add_sets(dyz[:, None], tower.neg_table[dyz][None, :]).ravel())
-    else:
-        diffs = np.array([], dtype=np.int64)
-    gens = np.concatenate([diffs, dbar_z])
-    result = tower.trace_annihilator(gens.tolist())
-
-    if cross_check and is_fq_invariant(subset):
-        alt = _slice_annihilator_by_characters(tower, dyz, dbar_z)
-        if not np.array_equal(result, alt):
-            raise AssertionError("annihilator and character descriptions disagree; bug")
-    return result
-
-
-def _slice_annihilator_by_characters(tower: FieldTower, dyz: np.ndarray,
-                                     dbar_z: np.ndarray) -> np.ndarray:
-    spec_bar = full_spectrum(tower, dbar_z).raw
-    canon = spec_bar[:, : tower.p - 1] - spec_bar[:, tower.p - 1:]
-    mask = (canon[:, 0] == len(dbar_z)) & np.all(canon[:, 1:] == 0, axis=1)
-
-    sq = squared_norms(full_spectrum(tower, dyz).raw)
-    sq_ok = (sq[:, 0] == len(dyz) ** 2) & np.all(sq[:, 1:] == 0, axis=1)
-    # require |psi| = |dyz| at a*lambda for every nonzero subfield lambda
-    all_lams = np.ones(tower.qm, dtype=bool)
-    for lam in tower.subfield_elements[1:].tolist():
-        idx = tower.mul_vec(int(lam), np.arange(tower.qm, dtype=np.int64))
-        all_lams &= sq_ok[idx]
-    return np.nonzero(mask & all_lams)[0].astype(np.int64)
 
 
 # -- the code ------------------------------------------------------------------
@@ -502,6 +503,11 @@ class SubsetCode:
         one = qm + np.where(v == 0, 0, lowest_one[(log_v - (u - 1) * step) % d])
         return np.where(u == 0, lowest_zero[log_v % g], one)
 
+    def _orbit_representatives(self, guard: int) -> np.ndarray:
+        """The lowest projective representative of each orbit, ascending."""
+        self.check_guard(guard)
+        return np.unique(self.class_orbit(self.projective_representatives()))
+
     def _class_scan(
         self, violations: Callable[[int], np.ndarray], guard: int
     ) -> Iterator[tuple[int, np.ndarray]]:
@@ -511,8 +517,7 @@ class SubsetCode:
         first one found is the first of a scan over all projective
         representatives, with the same witness.
         """
-        self.check_guard(guard)
-        for r in np.unique(self.class_orbit(self.projective_representatives())).tolist():
+        for r in self._orbit_representatives(guard).tolist():
             yield r, violations(r)
 
     def _orbit_flags(self, violations: Callable[[int], np.ndarray], guard: int) -> dict[int, bool]:
@@ -557,13 +562,9 @@ class SubsetCode:
             self._cover_violations, guard, "support of the first word is contained in the second's"
         )
 
-    def cover_orbit_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
-        """Per-orbit minimality under the cover oracle, keyed as `class_orbit` returns."""
-        return self._orbit_flags(self._cover_violations, guard)
-
     def cover_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality under the cover oracle (True = minimal)."""
-        return self._class_flags(self.cover_orbit_flags(guard))
+        return self._class_flags(self._orbit_flags(self._cover_violations, guard))
 
     # -- weight-sum criterion ------------------------------------------------
 
@@ -595,48 +596,93 @@ class SubsetCode:
         """Per-projective-class minimality under the weight-sum identity (True = minimal)."""
         return self._class_flags(self._orbit_flags(self._heng_violations, guard))
 
-    # -- span/annihilator criterion --------------------------------------------
+    # -- zero-set rank: the span criterion and per-class flags ---------------------
 
-    def minimality_snc(
-        self, guard: int = DEFAULT_WORD_GUARD, reduce_classes: bool = True
-    ) -> MethodVerdict:
-        """Exact span criterion: complement spans the field, and every trace
-        slice is nonempty with annihilator inside the line of its direction.
+    def _zero_ranks(self, us, vs, target: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(nonempty, reached) for the words (us[i], vs[i]), vs nonzero, in blocks
+        of about ZERO_BLOCK coordinates.  The zeros of (u, v) are D_{u,v} =
+        {x in D : Tr(v x) = -u}, nonempty or not, and D̄_v, with generator
+        columns (1, x) and (0, x) of rank [D_{u,v} nonempty] +
+        dim <(D_{u,v} - x_0) ∪ D̄_v>, a span inside the hyperplane H_v; reached
+        says whether that rank is at least target.
+        """
+        tower, order = self.tower, self.tower.order
+        xs = tower.exp.astype(np.int64)
+        on = self.subset.indicator[xs]
+        neg_q = tower.subfield_tables()[2]
+        per = max(1, ZERO_BLOCK // order)
+        for start in range(0, len(vs), per):
+            u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
+            logs = tower.log[v].astype(np.int64)[:, None] + np.arange(order)
+            labels = tower.subfield_index[tower.trace_q[tower.exp[logs % order]]]
+            zero = np.where(on, labels == neg_q[u][:, None], labels == 0)
+            ones = zero & on
+            # D̄_v, and the differences x - x_0 not already in it: those in D
+            gens = np.where(zero & ~on, xs, 0)
+            row, col = np.nonzero(ones)
+            diffs = tower.add_sets(xs[col], tower.neg_table[xs[ones.argmax(axis=1)]][row])
+            gens[row, col] = np.where(self.subset.indicator[diffs], diffs, 0)
+            nonempty = ones.any(axis=1)
+            inner = target - nonempty
+            reached = inner <= tower.m - 1  # the span lies in H_v
+            reached[reached] = rank_reaches(tower, gens[reached], inner[reached])[0]
+            yield nonempty, reached
 
-        Scaling z by the stabiliser <gamma^d> scales every slice, annihilator
-        and line alike, so z = gamma^j, j < d, decide it and the first failing
-        z in log order is the same; reduce_classes=False scans every z.
+    def rank_orbit_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
+        """Minimality (True) of each orbit, keyed as `class_orbit` returns: a word
+        is minimal exactly when the generator columns at its zeros have rank
+        k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank k,
+        counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
+        """
+        k = self.dimension()
+        reps = self._orbit_representatives(guard)
+        us, vs = np.divmod(reps, self.tower.qm)
+        comp = self.subset.complement().members
+        flags = np.full(len(reps), rank_reaches(self.tower, comp, k - 1)[0])
+        flags[vs != 0] = np.concatenate(
+            [reached for _, reached in self._zero_ranks(us[vs != 0], vs[vs != 0], k - 1)])
+        return dict(zip(reps.tolist(), flags.tolist()))
+
+    def rank_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
+        """Per-projective-class minimality by the zero-set rank (True = minimal)."""
+        return self._class_flags(self.rank_orbit_flags(guard))
+
+    def minimality_snc(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
+        """Exact span criterion, as a rank test: the complement spans the field,
+        and every trace slice D_{y,z} is nonempty with <(D_{y,z} - x_0) ∪ D̄_z>
+        of dimension m - 1, which is its annihilator lying in the line F_q z.
+        For f a trace form (dimension k = m) the zeros of every word need rank
+        k - 1 only, which an empty slice can reach.
+
+        Scaling z by the stabiliser <gamma^d> scales every slice, span and line
+        alike, so z = gamma^j, j < d, decide it and the first failing (z, y) in
+        log and label order is the same.
         """
         try:
             self.check_guard(guard)
         except GuardExceeded as exc:
             return MethodVerdict(NOT_RUN, note=str(exc))
         tower = self.tower
-        comp = self.subset.complement()
-        if len(tower.linear_span(comp.members.tolist())) != tower.qm:
+        k = self.dimension()
+        if not rank_reaches(tower, self.subset.complement().members, k - 1)[0]:
             return MethodVerdict(
                 NOT_MINIMAL,
                 witness=("complement_span_deficient", None),
                 note="the complement does not span the field",
             )
-        zs = tower.exp[: self.stabiliser_period] if reduce_classes else tower.exp
-        for z in zs.tolist():
-            scalars = np.sort(tower.mul_vec(int(z), tower.subfield_elements.astype(np.int64)))
-            for y_label in range(tower.q):
-                members = slice_members(self.subset, y_label, int(z))
-                if len(members) == 0:
-                    return MethodVerdict(
-                        NOT_MINIMAL,
-                        witness=("empty_slice", (y_label, int(z))),
-                        note="a trace slice of the subset is empty",
-                    )
-                ann = slice_annihilator(self.subset, y_label, int(z))
-                if not np.all(np.isin(ann, scalars)):
-                    return MethodVerdict(
-                        NOT_MINIMAL,
-                        witness=("annihilator_escapes", (y_label, int(z))),
-                        note="slice annihilator is larger than the direction line",
-                    )
+        zs = tower.exp[: self.stabiliser_period].astype(np.int64)
+        ys, vs = np.tile(np.arange(tower.q), len(zs)), np.repeat(zs, tower.q)
+        done = 0
+        for nonempty, reached in self._zero_ranks(ys, vs, k - 1):
+            bad = np.flatnonzero(~reached)
+            if len(bad):
+                word = (int(ys[done + bad[0]]), int(vs[done + bad[0]]))
+                if not nonempty[bad[0]]:
+                    return MethodVerdict(NOT_MINIMAL, witness=("empty_slice", word),
+                                         note="a trace slice of the subset is empty")
+                return MethodVerdict(NOT_MINIMAL, witness=("annihilator_escapes", word),
+                                     note="slice annihilator is larger than the direction line")
+            done += len(reached)
         return MethodVerdict(MINIMAL)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -473,45 +473,6 @@ class FieldTower:
             raise ValueError("hyperplane requires a nonzero element (kernel of a == 0 is everything)")
         vals = self.trace_q[self.mul_vec(a, np.arange(self.qm, dtype=np.int64))]
         return np.nonzero(vals == 0)[0].astype(np.int64)
-
-    def _greedy_span(self, elems: Iterable[int]) -> tuple[list[int], np.ndarray]:
-        """(basis, span): elems kept in order when outside the span so far, and
-        their F_q-linear span as a sorted array (contains 0)."""
-        basis: list[int] = []
-        span = np.array([0], dtype=np.int64)
-        in_span = np.zeros(self.qm, dtype=bool)
-        in_span[0] = True
-        scalars = self.subfield_elements.astype(np.int64)
-        for s in np.asarray(list(elems), dtype=np.int64).tolist():
-            if in_span[s]:
-                continue
-            basis.append(s)
-            mults = self.mul_vec(s, scalars)
-            span = np.unique(self.add_sets(span[:, None], mults[None, :]).ravel())
-            in_span[span] = True  # the span only grows
-            if len(span) == self.qm:
-                break
-        return basis, span
-
-    def linear_span(self, elems: Iterable[int]) -> np.ndarray:
-        """F_q-linear span of a set of elements, as a sorted array (contains 0)."""
-        return self._greedy_span(elems)[1]
-
-    def span_basis(self, elems: Iterable[int]) -> list[int]:
-        """Greedy F_q-basis of the span of elems."""
-        return self._greedy_span(elems)[0]
-
-    def trace_annihilator(self, elems: Iterable[int]) -> np.ndarray:
-        """{x : Tr_{F_{q^m}/F_q}(x s) = 0 for all s} as a sorted array.
-
-        Equals the annihilator of the span, so only a basis is probed.
-        """
-        basis = self.span_basis(elems)
-        mask = np.ones(self.qm, dtype=bool)
-        xs = np.arange(self.qm, dtype=np.int64)
-        for b in basis:
-            mask &= self.trace_q[self.mul_vec(b, xs)] == 0
-        return np.nonzero(mask)[0].astype(np.int64)
 
     # -- subfield ----------------------------------------------------------
 

@@ -476,40 +476,6 @@ def default_gram(tower: FieldTower, kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in gram)
 
 
-def _polar_form_rank(tower: FieldTower, gram) -> int:
-    """Rank over F_q of the polarization B(x,y) = Q(x+y) - Q(x) - Q(y)."""
-    add, mul, neg = tower.subfield_tables()
-    m = len(gram)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            val = int(add[gram[i][j], gram[j][i]]) if i != j else int(
-                add[gram[i][i], gram[i][i]]
-            )
-            mat[i][j] = val
-    rank = 0
-    rows = [row[:] for row in mat]
-    for col in range(m):
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_label = None
-        for cand in range(1, tower.q):
-            if mul[rows[rank][col], cand] == 1:
-                inv_label = cand
-                break
-        rows[rank] = [int(mul[v, inv_label]) for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    int(add[rows[r][c], neg[mul[factor, rows[rank][c]]]]) for c in range(m)
-                ]
-        rank += 1
-    return rank
-
-
 def quadric_subset(
     tower: FieldTower, kind: str | None = None, gram=None
 ) -> tuple[FieldSubset, PdsCertificate]:
@@ -531,11 +497,15 @@ def quadric_subset(
     gram = tuple(tuple(int(v) for v in row) for row in gram)
     if len(gram) != m or any(len(row) != m for row in gram):
         raise ValueError(f"gram matrix must be {m}x{m}")
-    if _polar_form_rank(tower, gram) != m:
-        raise ValueError("quadratic form is degenerate (polar form has a radical)")
+    from .codes import rank_reaches  # codes imports this module
 
     add, mul, _ = tower.subfield_tables()
     element_of_code, _ = tower.coordinate_tables()
+    # the polarization B(x,y) = Q(x+y) - Q(x) - Q(y) has the matrix G + G^T,
+    # and is nondegenerate when its rows, as elements, have rank m
+    polar = np.array([[add[gram[i][j], gram[j][i]] for j in range(m)] for i in range(m)])
+    if not rank_reaches(tower, np.unique(element_of_code[polar @ q ** np.arange(m)]), m)[0]:
+        raise ValueError("quadratic form is degenerate (polar form has a radical)")
     codes = np.arange(tower.qm, dtype=np.int64)
     coords = np.empty((tower.qm, m), dtype=np.int64)
     for i in range(m):

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .codes import rank_reaches
 from .field import FieldTower
 from .pds import FieldSubset
 
@@ -112,11 +113,9 @@ class QPolynomial:
         return True
 
     def is_bijective(self) -> bool:
-        """Kernel triviality via a spanning basis of images."""
+        """Kernel triviality: the images of the basis gamma^i, i < m, have rank m."""
         tower = self.tower
-        img = self.images()
-        basis_images = [int(img[tower.exp[i]]) for i in range(tower.m)]
-        return len(tower.span_basis(basis_images)) == tower.m
+        return rank_reaches(tower, np.unique(self.images()[tower.exp[: tower.m]]), tower.m)[0]
 
     # -- algebra -------------------------------------------------------------
 
@@ -175,24 +174,32 @@ def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: 
     """Whether permuting coordinates by g maps each word onto the dual-indexed word.
 
     Checks c(u, v) at position g(x) against c(u, dual(v)) at position x for
-    every index pair (u, v), exhaustively.
+    every index pair (u, v), exhaustively: u f(g(x)) + Tr(v g(x)) against
+    u f(x) + Tr(dual(v) x) as F_q labels over every (u, v, x), x nonzero, for
+    a chunk of v at a time (temporaries of about 2^16 entries).
     """
     subset = code.subset
     tower = code.tower
     if enforce_preservation and not is_automorphism_of(subset, g):
         raise ValueError("g does not preserve the subset; induced action undefined")
-    dual = g.trace_dual()
-    img = g.images()
-    # position permutation: coordinate x picks up the value at g(x)
-    perm = tower.log[img[tower.exp]].astype(np.int64)
-    if np.any(perm < 0):
+    dual_img = g.trace_dual().images()
+    xs = tower.exp.astype(np.int64)
+    gx = g.images()[xs]  # coordinate x picks up the value at g(x)
+    if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
-    dual_img = dual.images()
-    for u in range(tower.q):
-        for v in range(tower.qm):
-            original = code.codeword(u, v)
-            permuted = original[perm]
-            target = code.codeword(u, int(dual_img[v]))
-            if not np.array_equal(permuted, target):
-                return False
+    add_q = tower.subfield_tables()[0]
+    u = np.arange(tower.q)[:, None, None]
+    lhs_u, rhs_u = np.where(subset.indicator[gx], u, 0), np.where(subset.indicator[xs], u, 0)
+
+    def trace_labels(vs, ys):  # labels of Tr(v y), nonzero ys
+        logs = tower.log[vs].astype(np.int64)[:, None] + tower.log[ys].astype(np.int64)
+        return tower.subfield_index[tower.trace_q[np.where(
+            (vs != 0)[:, None], tower.exp[logs % tower.order], 0)]][None]
+
+    chunk = max(1, 2 ** 16 // (tower.q * tower.order))
+    for start in range(0, tower.qm, chunk):
+        vs = np.arange(start, min(start + chunk, tower.qm))
+        if not np.array_equal(add_q[lhs_u, trace_labels(vs, gx)],
+                              add_q[rhs_u, trace_labels(dual_img[vs], xs)]):
+            return False
     return True

@@ -7,7 +7,9 @@ codewords of the primal code whose x1-coordinate is 1, so everything here
 is counted on the primal side: the total is a coset count and each
 participant's coverage has a two-value closed form depending only on
 whether x1 avoids the subset and whether the participant is a scalar
-multiple of x1.
+multiple of x1.  A word is support-minimal exactly when the generator columns
+at its zeros have rank k - 1 (`SubsetCode.rank_orbit_flags`), which filters
+the count for a code that is not minimal.
 """
 from __future__ import annotations
 
@@ -61,14 +63,14 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     """Number of minimal access sets: words with coordinate 1 at x1.
 
     With a minimal code this is exactly q^m (a coset count).  Otherwise the
-    support-containment oracle filters to genuinely minimal words and both
-    numbers are reported.
+    zero-set rank flags (one per stabiliser orbit) filter to genuinely minimal
+    words and both numbers are reported.
     """
     mask1 = _value_labels_at(code, x1) == 1
     total = int(np.count_nonzero(mask1))
     if code_is_minimal:
         return total, None
-    flags = code.cover_orbit_flags()
+    flags = code.rank_orbit_flags()
     orbits, counts = np.unique(code.class_orbit(np.flatnonzero(mask1)), return_counts=True)
     oracle_total = sum(n for r, n in zip(orbits.tolist(), counts.tolist()) if flags[r])
     return total, oracle_total

@@ -1,0 +1,144 @@
+"""Small-field references for the span, annihilator and cutting computations.
+
+These are the direct set computations that the F_q-rank test replaced in
+the library: spans grown as sorted element sets, annihilators probed over
+every element, all pairwise slice differences, and the hyperplane-by-element
+intersection matrices with the pairwise containment scan.  They cost
+O(q^m) per span step or O(q^2m) per subset, so the tests use them on
+fields of at most a few hundred elements.
+"""
+import numpy as np
+
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, slice_members
+
+
+class Unreduced(SubsetCode):
+    """The same code with the trivial period q^m - 1 in place of the least
+    stabiliser period d: every orbit-reduced scan then visits every class."""
+
+    @property
+    def stabiliser_period(self):
+        return self.tower.order
+
+
+def complement_kernel_slice(subset, z):
+    """{x outside D (nonzero) : Tr(x z) = 0}."""
+    tower = subset.tower
+    comp = np.flatnonzero(~subset.indicator)[1:]  # drop the zero element
+    return comp[tower.trace_q[tower.mul_vec(z, comp)] == 0]
+
+
+def greedy_span(tower, elems):
+    """(basis, span): elems kept in order when outside the span so far, and
+    their F_q-span as a sorted array (contains 0)."""
+    basis = []
+    span = np.array([0], dtype=np.int64)
+    in_span = np.zeros(tower.qm, dtype=bool)
+    in_span[0] = True
+    scalars = tower.subfield_elements.astype(np.int64)
+    for s in np.asarray(list(elems), dtype=np.int64).tolist():
+        if in_span[s]:
+            continue
+        basis.append(s)
+        mults = tower.mul_vec(s, scalars)
+        span = np.unique(tower.add_sets(span[:, None], mults[None, :]).ravel())
+        in_span[span] = True
+    return basis, span
+
+
+def dimension(tower, elems):
+    """dim_{F_q} of the span."""
+    return len(greedy_span(tower, elems)[0])
+
+
+def trace_annihilator(tower, elems):
+    """{x : Tr(x s) = 0 for every s in elems} as a sorted array, probing a basis."""
+    mask = np.ones(tower.qm, dtype=bool)
+    xs = np.arange(tower.qm, dtype=np.int64)
+    for s in greedy_span(tower, elems)[0]:
+        mask &= tower.trace_q[tower.mul_vec(s, xs)] == 0
+    return np.flatnonzero(mask)
+
+
+def slice_annihilator(subset, y_label, z):
+    """The annihilator of every pairwise difference of D_{y,z} and of D̄_z."""
+    tower = subset.tower
+    dyz = slice_members(subset, y_label, z)
+    diffs = np.unique(tower.add_sets(dyz[:, None], tower.neg_table[dyz][None, :]).ravel())
+    return trace_annihilator(tower, np.concatenate([diffs, complement_kernel_slice(subset, z)]))
+
+
+def snc_reference(code):
+    """(status, witness) of the span criterion with pairwise slice differences,
+    scanning every nonzero z in log order."""
+    tower = code.tower
+    if dimension(tower, code.subset.complement().members) != tower.m:
+        return NOT_MINIMAL, ("complement_span_deficient", None)
+    for z in tower.exp.tolist():
+        line = tower.mul_vec(z, tower.subfield_elements.astype(np.int64))
+        for y in range(tower.q):
+            if len(slice_members(code.subset, y, z)) == 0:
+                return NOT_MINIMAL, ("empty_slice", (y, z))
+            if not np.all(np.isin(slice_annihilator(code.subset, y, z), line)):
+                return NOT_MINIMAL, ("annihilator_escapes", (y, z))
+    return MINIMAL, None
+
+
+def hyperplane_members(subset, j):
+    """D ∩ H_j, H_j the kernel of x -> Tr(gamma^j x)."""
+    tower = subset.tower
+    return subset.members[tower.trace_q[tower.mul_vec(int(tower.exp[j]), subset.members)] == 0]
+
+
+def intersection_masks(tower, indicator):
+    """Bool matrices (hyperplanes x elements): kernel masks and subset intersections,
+    hyperplane j being the kernel of x -> Tr(gamma^j x), j < step."""
+    xs = np.arange(tower.qm, dtype=np.int64)
+    kernels = np.stack([
+        tower.trace_q[tower.mul_vec(int(tower.exp[j]), xs)] == 0
+        for j in range(tower.subfield_step)
+    ])
+    kernels[:, 0] = False
+    return kernels, kernels & indicator[None, :]
+
+
+def nested_pairs(inters):
+    """(inner, outer) hyperplane logs whose intersections nest, by outer then inner."""
+    packed = np.packbits(inters, axis=1)
+    for i in range(len(inters)):
+        escapes = np.bitwise_and(packed, ~packed[i]).any(axis=1)
+        for j in np.flatnonzero(~escapes).tolist():
+            if j != i:
+                yield j, i
+
+
+def hyperplane_intersections(subset):
+    """(sizes, members, containments): every intersection with the subset, and
+    the (inner, outer) pairs with intersection inner inside intersection outer."""
+    _, inters = intersection_masks(subset.tower, subset.indicator)
+    members = [np.flatnonzero(row) for row in inters]
+    return inters.sum(axis=1), members, list(nested_pairs(inters))
+
+
+def cutting_reference(subset):
+    """The blocking report's JSON from the full intersection matrices."""
+    tower = subset.tower
+    kernels, inters = intersection_masks(tower, subset.indicator)
+    sizes = inters.sum(axis=1)
+    out = {"blocking": bool(np.all(sizes > 0))}
+    witness = None
+    if not out["blocking"]:
+        witness = {"empty_h_log": int(np.argmin(sizes))}
+    contained = sizes == kernels.sum(axis=1)
+    out["contains_subspace"] = bool(np.any(contained))
+    if out["contains_subspace"] and witness is None:
+        witness = {"contained_h_log": int(np.argmax(contained))}
+    out["cutting"] = out["blocking"] and not out["contains_subspace"]
+    if out["cutting"]:
+        nested = next(nested_pairs(inters), None)
+        if nested is not None:
+            out["cutting"] = False
+            witness = {"h1_log": nested[0], "h2_log": nested[1]}
+    if witness is not None:
+        out["witness"] = witness
+    return out

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
+import reference
+from reference import hyperplane_intersections
 
-from pdscodes.blocking import (
-    cutting_secondary_condition,
-    hyperplane_intersections,
-    hyperplane_representatives,
-    is_cutting_vectorial_blocking,
-)
+from pdscodes.blocking import cutting_secondary_condition, is_cutting_vectorial_blocking
 from pdscodes.codes import MINIMAL, SubsetCode
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import FieldSubset, build_cyclotomic_subset, quadric_subset
@@ -19,12 +16,11 @@ def ex31_complement(f44):
 
 
 def test_hyperplane_family_size(f44, f35):
-    assert len(hyperplane_representatives(f44)) == 85
-    assert len(hyperplane_representatives(f35)) == 121
-    # representatives are pairwise non-proportional: distinct kernels
-    from pdscodes.blocking import _intersection_masks
-
-    _, kernels, _ = _intersection_masks(f44, np.ones(f44.qm, dtype=bool))
+    # hyperplane j is the kernel of x -> Tr(gamma^j x), j < step: one per direction
+    assert f44.subfield_step == 85
+    assert f35.subfield_step == 121
+    # the directions are pairwise non-proportional: distinct kernels
+    kernels, _ = reference.intersection_masks(f44, np.ones(f44.qm, dtype=bool))
     packed = np.packbits(kernels, axis=1)
     assert len({row.tobytes() for row in packed}) == 85
 
@@ -35,13 +31,13 @@ def test_example31_not_cutting(ex31_complement, f44):
     assert not report.contains_subspace
     assert not report.cutting
     w = report.witness
-    reps, sizes, members, containments = hyperplane_intersections(ex31_complement)
-    size_of = dict(zip(reps.tolist(), sizes.tolist()))
+    sizes, members, _ = hyperplane_intersections(ex31_complement)
+    size_of = dict(enumerate(sizes.tolist()))
     # the witness intersections are nested, sizes 3 inside 15
     assert size_of[w["h1_log"]] == 3
     assert size_of[w["h2_log"]] == 15
-    small = set(members[list(reps).index(w["h1_log"])].tolist())
-    big = set(members[list(reps).index(w["h2_log"])].tolist())
+    small = set(members[w["h1_log"]].tolist())
+    big = set(members[w["h2_log"]].tolist())
     assert small < big
     # the subgroup meets the unit trace hyperplane in exactly 3 elements
     assert size_of[0] == 3
@@ -52,14 +48,14 @@ def test_example31_not_cutting(ex31_complement, f44):
 
 
 def test_intersection_sum_identity(ex31_complement, f44):
-    _, sizes, _, _ = hyperplane_intersections(ex31_complement)
+    sizes, _, _ = hyperplane_intersections(ex31_complement)
     per_element = (f44.qm // f44.q - 1) // (f44.q - 1)  # hyperplanes through a fixed x
     assert int(sizes.sum()) == len(ex31_complement) * per_element
 
 
 def test_empty_subset_intersections(f34):
     empty = FieldSubset(f34, np.array([], dtype=np.int64))
-    _, sizes, members, _ = hyperplane_intersections(empty)
+    sizes, members, _ = hyperplane_intersections(empty)
     assert int(sizes.sum()) == 0
     assert all(len(m) == 0 for m in members)
     report = is_cutting_vectorial_blocking(empty)
@@ -113,7 +109,7 @@ def test_verdict_invariant_under_generator_change():
         subset = build_cyclotomic_subset(tower, 5, [1, 2, 3, 4]).complement()
         report = is_cutting_vectorial_blocking(subset)
         assert (report.blocking, report.contains_subspace, report.cutting) == (True, False, False)
-        _, sizes, _, _ = hyperplane_intersections(subset)
+        sizes, _, _ = hyperplane_intersections(subset)
         vals, counts = np.unique(sizes, return_counts=True)
         assert vals.tolist() == [3, 15] and counts.tolist() == [17, 68]
 

@@ -241,3 +241,56 @@ def test_code_3_8_N41_all_within_budget():
         {"freq": 6560, "w": 4374},
         {"freq": 320, "w": 4453},
     ]
+
+
+def test_code_row3_snc_within_budget():
+    # 105 zero-set rank tests on F_{3^12}, each settled by the count certificate
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdscodes.cli", "code", "--recipe", "table-2-row-3",
+         "--methods", "snc"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["minimal"]["snc"] == "minimal"
+
+
+def test_blocking_row3_within_budget():
+    # 35 hyperplane orbits on F_{3^12} instead of 265 720 x 531 441 bool matrices
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdscodes.cli", "blocking", "--recipe", "table-2-row-3"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"blocking": True, "contains_subspace": False,
+                                       "cutting": True}
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def _blocking_f2_16(subset):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "pdscodes.cli", "blocking", "--field", '{"p":2,"e":1,"m":16}',
+         "--subset", subset],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+
+
+def test_blocking_f2_16_cubes_under_memory_limit():
+    # three hyperplane orbits; the intersection matrices would need 8.6 GB
+    proc = _blocking_f2_16('{"cyclotomic":{"N":3,"J":[0]}}')
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) >= {"blocking", "contains_subspace", "cutting"}
+
+
+def test_blocking_guard_exits_partial():
+    # a set with a trivial stabiliser leaves 65 535 hyperplane orbits
+    proc = _blocking_f2_16('{"explicit":{"logs":[0,1]}}')
+    assert proc.returncode == 4, proc.stderr
+    assert f"cost {65535 * 65536}" in proc.stderr and str(2 ** 30) in proc.stderr

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+import reference
 
 from pdscodes.codes import (
     INCONCLUSIVE,
@@ -10,17 +13,17 @@ from pdscodes.codes import (
     SubsetCode,
     ab_condition,
     characteristic_trace_form,
-    complement_kernel_slice,
     defining_set,
     dyz_size,
     minimality_cyclotomic_sufficient,
     minimality_latin_sufficient,
     minimality_pds_sufficient,
-    slice_annihilator,
+    rank_reaches,
     slice_members,
     weight_class,
     weight_distribution_predicted,
 )
+from pdscodes.cli import main
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import (
     FieldSubset,
@@ -95,6 +98,21 @@ def test_binary_degenerate_dimension(f16):
         assert generic.dimension() == f16.m + 1
 
 
+def test_trace_form_code_is_minimal_by_every_oracle(f16):
+    # f = Tr(x) on F_2^4 makes the one-weight [15, 4] simplex code, which is
+    # minimal: the zeros of each word have rank k - 1 = m - 1, and the
+    # complement spans only a hyperplane
+    code = SubsetCode(FieldSubset(f16, [x for x in range(1, f16.qm) if f16.trace_p[x] == 1]))
+    assert code.dimension() == f16.m
+    for verdict in (code.minimality_cover(), code.minimality_heng(), code.minimality_snc()):
+        assert verdict.status == MINIMAL
+    assert all(code.rank_flags().values()) and all(code.cover_flags().values())
+    logs = sorted(int(f16.log[x]) for x in code.subset.members)
+    argv = ["code", "--field", '{"p":2,"e":1,"m":4}',
+            "--subset", json.dumps({"explicit": {"logs": logs}}), "--methods", "all"]
+    assert main(argv) == 0
+
+
 def test_kernel_count_matches_closed_form_dimension(f16, f34, f35, f44):
     # the closed-form dimension against the directly counted kernel of the weight table
     rng = np.random.default_rng(21)
@@ -151,25 +169,45 @@ def test_dyz_closed_vs_direct_exhaustive_f34(f34):
             )
 
 
+def _log_q(tower, size):
+    dim = 0
+    while tower.q ** dim < size:
+        dim += 1
+    return dim
+
+
 def test_slice_annihilator_inside_line(ex31_code, f44):
+    # the zero-set rank of word (y, z) is m exactly when the pairwise-difference
+    # annihilator of the slice lies in the line F_q z, as it does on a minimal code
     rng = np.random.default_rng(17)
-    subset = ex31_code.subset
+    code = ex31_code
     for _ in range(20):
         y = int(rng.integers(0, f44.q))
         z = int(f44.exp[int(rng.integers(0, f44.order))])
-        ann = slice_annihilator(subset, y, z, cross_check=True)
+        ann = reference.slice_annihilator(code.subset, y, z)
         line = np.sort(f44.mul_vec(z, f44.subfield_elements.astype(np.int64)))
         assert 0 in ann
         assert np.all(np.isin(ann, line))
+        # the rank is 1 + dim of the difference span, m - 1 as the annihilator is the line
+        assert _log_q(f44, len(ann)) == 1
+        nonempty, reached = next(code._zero_ranks([y], [z], f44.m))
+        assert nonempty[0] and reached[0]
 
 
 def test_empty_slice_annihilator_reduces(f34, hyperplane_subset):
-    # slices of a hyperplane subset are empty off the kernel direction
+    # slices of a hyperplane subset are empty off the kernel direction, and the
+    # zero-set rank is then the dimension of the complement kernel slice alone
     subset = hyperplane_subset
     assert len(slice_members(subset, 1, 1)) == 0
-    ann = slice_annihilator(subset, 1, 1)
-    expected = f34.trace_annihilator(complement_kernel_slice(subset, 1).tolist())
-    assert np.array_equal(ann, expected)
+    dbar = reference.complement_kernel_slice(subset, 1)
+    ann = reference.trace_annihilator(f34, dbar)
+    rank = f34.m - _log_q(f34, len(ann))
+    assert rank == reference.dimension(f34, dbar) < f34.m
+    code = SubsetCode(subset)
+    for target, expected in ((rank, True), (rank + 1, False)):
+        nonempty, reached = next(code._zero_ranks([1], [1], target))
+        assert not nonempty[0] and reached[0] == expected
+    assert rank_reaches(f34, dbar, rank)[0] and not rank_reaches(f34, dbar, rank + 1)[0]
 
 
 def test_cover_oracle_example31(ex31_code):
@@ -237,8 +275,8 @@ def test_per_codeword_agreement_on_three_codes(f34, f35, hyperplane_subset):
 def test_snc_reduction_matches_full_scan(f34):
     subset, _ = quadric_subset(f34, kind="elliptic")
     code = SubsetCode(subset)
-    reduced = code.minimality_snc(reduce_classes=True)
-    full = code.minimality_snc(reduce_classes=False)
+    reduced = code.minimality_snc()
+    full = reference.Unreduced(subset).minimality_snc()
     assert reduced.status == full.status == MINIMAL
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import reference
 
+from pdscodes.codes import rank_reaches
 from pdscodes.field import (
     DEFAULT_MODULI,
     FieldConstructionError,
@@ -163,36 +165,41 @@ def test_hyperplane_sizes(f35, f44):
 
 
 def test_span_and_annihilator(f34):
-    assert f34.linear_span([]).tolist() == [0]
+    # rank 0 for the empty set and {0}, a line for one element, the field for a basis
+    for elems in ([], [0]):
+        assert rank_reaches(f34, elems, 0)[0]
+        assert not rank_reaches(f34, elems, 1)[0]
     x = int(f34.exp[10])
-    single = f34.linear_span([x])
-    assert len(single) == f34.q
-    assert set(single.tolist()) == {f34.mul(lam, x) for lam in f34.subfield_elements.tolist()}
-    # annihilator of {0} / empty set is everything
-    assert len(f34.trace_annihilator([0])) == f34.qm
-    assert len(f34.trace_annihilator([])) == f34.qm
-    # annihilator of a spanning set is {0}
+    reached, rows = rank_reaches(f34, [x], 2)
+    basis = (rows @ f34.p ** np.arange(f34.em))[rows.any(axis=1)]
+    assert not reached and len(basis) == 1
+    assert int(basis[0]) in {f34.mul(lam, x) for lam in f34.subfield_elements.tolist()}
     spanning = [int(f34.exp[k]) for k in range(f34.m)]
-    assert f34.trace_annihilator(spanning).tolist() == [0]
+    assert rank_reaches(f34, spanning, f34.m)[0]
+    assert reference.trace_annihilator(f34, spanning).tolist() == [0]
 
 
-def test_annihilator_duality_random(f34):
-    # span(U) = V iff ann(U) subset of ann(V), for U inside V; and ann(ann(S)) = span(S)
+def test_annihilator_duality_random(f34, f44):
+    # for U inside a random subspace V: the rank found by elimination is dim U,
+    # its basis spans U, the annihilator of U has q^(m - dim U) elements, and
+    # the rank reaches dim V exactly when U spans V
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        vdim = int(rng.integers(1, f34.m + 1))
-        vgens = rng.integers(1, f34.qm, size=vdim).tolist()
-        v1 = f34.linear_span(vgens)
-        size = int(rng.integers(1, min(len(v1), 6)))
-        u1 = rng.choice(v1, size=size, replace=False).tolist()
-        spans = len(f34.linear_span(u1)) == len(v1)
-        lu = set(f34.trace_annihilator(u1).tolist())
-        lv = set(f34.trace_annihilator(v1.tolist()).tolist())
-        assert spans == lu.issubset(lv)
-        assert np.array_equal(
-            f34.trace_annihilator(f34.trace_annihilator(u1).tolist()),
-            f34.linear_span(u1),
-        )
+    for tower in (f34, f44):
+        for _ in range(25):
+            vdim = int(rng.integers(1, tower.m + 1))
+            v1 = reference.greedy_span(tower, rng.integers(1, tower.qm, size=vdim).tolist())[1]
+            u1 = rng.choice(v1, size=int(rng.integers(1, min(len(v1), 6))), replace=False)
+            reached, rows = rank_reaches(tower, u1, tower.m)
+            rank = tower.m if reached else np.count_nonzero(rows.any(axis=1)) // tower.e
+            assert rank == reference.dimension(tower, u1)
+            if not reached:
+                basis = rows @ tower.p ** np.arange(tower.em)
+                assert np.array_equal(reference.greedy_span(tower, basis)[1],
+                                      reference.greedy_span(tower, u1)[1])
+            assert len(reference.trace_annihilator(tower, u1)) == tower.q ** (tower.m - rank)
+            vdim = reference.dimension(tower, v1)
+            spans = len(reference.greedy_span(tower, u1)[1]) == len(v1)
+            assert rank_reaches(tower, u1, vdim)[0] == spans
 
 
 def test_subfield_membership(f44):

@@ -29,6 +29,12 @@ GOLDEN = {
                          "--subset", '{"cyclotomic":{"N":10,"J":[0]}}', "--methods", "all"],
     "code-3-8-N41-all": ["code", "--field", '{"p":3,"e":1,"m":8}',
                          "--subset", '{"cyclotomic":{"N":41,"J":[0]}}', "--methods", "all"],
+    "sss-3-4-N10-x1-0": ["sss", "--field", '{"p":3,"e":1,"m":4}',
+                         "--subset", '{"cyclotomic":{"N":10,"J":[0]}}', "--x1-log", "0"],
+    "blocking-3-4-hyperbolic": ["blocking", "--field", '{"p":3,"e":1,"m":4}',
+                                "--subset", '{"quadric":{"kind":"hyperbolic"}}'],
+    "blocking-3-4-N10": ["blocking", "--field", '{"p":3,"e":1,"m":4}',
+                         "--subset", '{"cyclotomic":{"N":10,"J":[0]}}'],
 }
 
 

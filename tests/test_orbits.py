@@ -5,7 +5,8 @@ visit one member per orbit of the stabiliser <gamma^d> of the subset.  Each
 is compared here with the unreduced computation: the per-class violation
 sets over all projective representatives, the first violation of that full
 scan (verdict and witness), SNC over every z, and the words evaluated one
-by one.
+by one.  SNC over every z runs on `reference.Unreduced`, the same code
+with the trivial period q^m - 1.
 """
 from functools import lru_cache
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import Unreduced
 
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
 from pdscodes.field import FieldSpec, build_tower
@@ -73,7 +75,7 @@ def assert_reduced_equals_full(code):
                                 (code.minimality_heng(), code._heng_violations)):
         assert (verdict.status, verdict.witness) == full_verdict(code, violations)
     reduced = code.minimality_snc()
-    full = code.minimality_snc(reduce_classes=False)
+    full = Unreduced(code.subset).minimality_snc()
     assert (reduced.status, reduced.witness) == (full.status, full.witness)
 
 
@@ -134,7 +136,7 @@ def test_n10_witnesses(f34):
     assert code.minimality_cover().to_json()["witness"] == [[0, 15], [1, 15]]
     assert code.minimality_heng().to_json()["witness"] == [[0, 15], [1, 15]]
     assert code.minimality_snc().to_json()["witness"] == ["empty_slice", [1, 21]]
-    assert code.minimality_snc(reduce_classes=False).to_json()["witness"] == [
+    assert Unreduced(code.subset).minimality_snc().to_json()["witness"] == [
         "empty_slice", [1, 21]]
 
 

@@ -112,6 +112,31 @@ def test_induced_check_fails_without_preservation(f44):
     assert not induced_code_automorphism_check(code, shift, enforce_preservation=False)
 
 
+def _induced_check_per_word(code, g):
+    """The induced-action check one word pair at a time."""
+    tower = code.tower
+    perm = tower.log[g.images()[tower.exp]].astype(np.int64)
+    dual_img = g.trace_dual().images()
+    return all(np.array_equal(code.codeword(u, v)[perm], code.codeword(u, int(dual_img[v])))
+               for u in range(tower.q) for v in range(tower.qm))
+
+
+def test_induced_check_equals_per_word_scan(f34, f44):
+    # the chunked label comparison against the word-by-word loop, both verdicts
+    cases = [(build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]), f44),
+             (build_cyclotomic_subset(f34, 5, [0]), f34)]
+    verdicts = []
+    for subset, tower in cases:
+        code = SubsetCode(subset)
+        maps = [QPolynomial.frobenius(tower, i) for i in range(tower.m)]
+        maps += [QPolynomial.scaling(tower, int(tower.exp[k])) for k in range(1, 6)]
+        for g in maps:
+            got = induced_code_automorphism_check(code, g, enforce_preservation=False)
+            assert got == _induced_check_per_word(code, g)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
 def test_weight_multiset_preserved(f34):
     subset = build_cyclotomic_subset(f34, 5, [0])  # needs rho-invariance: 40 % 5 == 0
     code = SubsetCode(subset)

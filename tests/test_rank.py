@@ -1,0 +1,176 @@
+"""The F_q-rank test against the set computations it replaced.
+
+`rank_reaches` decides the span criterion, the per-class flags read by the
+secret-sharing count and the cutting test.  Here its verdicts are compared
+with the small-field references in `reference.py`: spans grown as element
+sets, SNC with every pairwise slice difference and a probed annihilator, and
+the cutting test on the full hyperplane-by-element matrices with the
+pairwise containment scan.  The count certificate and the elimination both
+run: the hyperplane intersections of random unions on F_2^8 sit on either
+side of the q^(m-2) bound, while SNC generator sets fall below it only now
+and then (one word of the F_2^8 elliptic quadric's complement).
+"""
+import random
+from functools import lru_cache
+
+import numpy as np
+import pytest
+import reference
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pdscodes.blocking import is_cutting_vectorial_blocking
+from pdscodes.codes import SubsetCode, rank_reaches, slice_members
+from pdscodes.field import FieldSpec, build_tower
+from pdscodes.pds import FieldSubset, quadric_subset
+
+FIELDS = [(2, 1, 4), (3, 1, 4), (3, 1, 5), (2, 2, 4), (2, 1, 8)]
+
+
+@lru_cache(maxsize=None)
+def _tower(p, e, m):
+    return build_tower(FieldSpec(p=p, e=e, m=m))
+
+
+def _frobenius_union(tower, rng):
+    """A union of F_q^*-cosets closed under x -> x^q, about half the group."""
+    step, seen, orbits = tower.subfield_step, set(), []
+    for j in range(step):
+        if j not in seen:
+            orbit, k = [], j
+            while k not in seen:
+                seen.add(k)
+                orbit.append(k)
+                k = k * tower.q % step
+            orbits.append(orbit)
+    rng.shuffle(orbits)
+    picked = []
+    for orbit in orbits:
+        if len(picked) >= step // 2:
+            break
+        picked += orbit
+    return FieldSubset.from_logs(tower, [j + k * step for j in picked for k in range(tower.q - 1)])
+
+
+def _elimination_sets(code):
+    """How many SNC words (y, z), z = gamma^j, j < d, have a generator set
+    T = (D_{y,z} - x_0) ∪ D̄_z below the count bound q^(m-2), and how many in all."""
+    tower = code.tower
+    below = total = 0
+    for z in tower.exp[: code.stabiliser_period].tolist():
+        dbar = set(reference.complement_kernel_slice(code.subset, z).tolist())
+        for y in range(tower.q):
+            dyz = slice_members(code.subset, y, z)
+            diffs = set(tower.add_sets(dyz, tower.neg(int(dyz[0]))).tolist()) if len(dyz) else set()
+            below += len((diffs | dbar) - {0}) < tower.q ** (tower.m - 2)
+            total += 1
+    return below, total
+
+
+def assert_rank_equals_references(code):
+    rank = code.rank_flags()
+    assert rank == code.cover_flags() == code.heng_flags()
+    snc = code.minimality_snc()
+    if code.dimension() == code.tower.m + 1:
+        assert (snc.status, snc.witness) == reference.snc_reference(code)
+    else:  # f is a trace form: a simplex code, outside the paper's criterion
+        assert snc.status == code.minimality_cover().status
+    assert is_cutting_vectorial_blocking(code.subset).to_json() == (
+        reference.cutting_reference(code.subset))
+
+
+@st.composite
+def subsets(draw):
+    """An F_q^*-invariant union of cosets of <gamma^n>, n | step, or any set."""
+    tower = _tower(*draw(st.sampled_from(FIELDS)))
+    if draw(st.booleans()):
+        step = tower.subfield_step
+        n = draw(st.sampled_from([n for n in range(2, step + 1) if step % n == 0]))
+        residues = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        logs = [r + k * n for r in residues for k in range(tower.order // n)]
+    else:
+        logs = draw(st.sets(st.integers(0, tower.order - 1), min_size=1,
+                            max_size=tower.order - 1))
+    return FieldSubset.from_logs(tower, sorted(logs))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(subsets())
+def test_rank_flags_snc_and_cutting_equal_references(subset):
+    assert_rank_equals_references(SubsetCode(subset))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_f28_random_unions_take_both_branches(seed):
+    # unions like the benchmark's: their SNC generator sets are decided by their
+    # size, and the cutting test eliminates on some hyperplanes and not others
+    code = SubsetCode(_frobenius_union(_tower(2, 1, 8), random.Random(seed)))
+    assert _elimination_sets(code)[0] == 0
+    tower = code.tower
+    sizes = [len(reference.hyperplane_members(code.subset, j)) for j in range(tower.subfield_step)]
+    assert min(sizes) < tower.q ** (tower.m - 2) <= max(sizes)
+    assert_rank_equals_references(code)
+
+
+def test_snc_elimination_branch():
+    # the complement of the F_2^8 elliptic quadric has one SNC word whose
+    # generator set is below the count bound
+    code = SubsetCode(quadric_subset(_tower(2, 1, 8), kind="elliptic")[0].complement())
+    assert _elimination_sets(code) == (1, 510)
+    assert_rank_equals_references(code)
+
+
+@pytest.mark.parametrize("key", FIELDS)
+def test_rank_equals_closure_dimension(key):
+    # every target from 0 to m + 1, on sets on both sides of the count bound
+    tower = _tower(*key)
+    rng = np.random.default_rng(sum(key))
+    for size in (0, 1, 2, tower.m, tower.qm // (tower.q * tower.q), tower.qm // tower.q):
+        for _ in range(3):
+            elems = rng.choice(np.arange(1, tower.qm), size=size, replace=False)
+            if size > 2 and rng.integers(2):
+                # a random subspace's worth of elements: deficient spans
+                gens = rng.integers(1, tower.qm, size=tower.m - 1).tolist()
+                span = reference.greedy_span(tower, gens)[1]
+                elems = rng.choice(span[1:], size=min(size, len(span) - 1), replace=False)
+            dim = reference.dimension(tower, elems)
+            for target in range(tower.m + 2):
+                reached, basis = rank_reaches(tower, elems, target)
+                assert reached == (dim >= target)
+                if not reached:
+                    found = (basis @ tower.p ** np.arange(tower.em))[basis.any(axis=1)]
+                    assert np.array_equal(reference.greedy_span(tower, found)[1],
+                                          reference.greedy_span(tower, elems)[1])
+
+
+def test_batched_sets_equal_one_at_a_time(f34, f44):
+    # padded rows with one target each give the single-set answers
+    rng = np.random.default_rng(5)
+    for tower in (f34, f44):
+        rows = np.zeros((12, 30), dtype=np.int64)
+        for i in range(len(rows)):
+            size = int(rng.integers(0, 30))
+            rows[i, rng.choice(30, size=size, replace=False)] = rng.choice(
+                np.arange(1, tower.qm), size=size, replace=False)
+        targets = rng.integers(0, tower.m + 1, size=len(rows))
+        reached, bases = rank_reaches(tower, rows, targets)
+        for row, target, got, basis in zip(rows, targets, reached, bases):
+            alone = rank_reaches(tower, row[row != 0], target)
+            assert got == alone[0]
+            assert np.array_equal(basis, alone[1])
+
+
+def test_polar_form_rank(f34):
+    # a nonzero form with a radical is degenerate; the default quadrics are not
+    q, add = f34.q, f34.subfield_tables()[0]
+    for gram in ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],  # x0 x1 + x2^2
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]):
+        polar = [[int(add[gram[i][j], gram[j][i]]) for j in range(4)] for i in range(4)]
+        element_of_code, _ = f34.coordinate_tables()
+        rows = element_of_code[np.array(polar) @ q ** np.arange(4)]
+        assert reference.dimension(f34, rows) < 4
+        with pytest.raises(ValueError, match="degenerate"):
+            quadric_subset(f34, gram=gram)
+    for kind in ("hyperbolic", "elliptic"):
+        assert quadric_subset(f34, kind=kind)[0].origin.kind == kind
