@@ -25,6 +25,10 @@ The direct methods use the stabiliser <gamma^d> of the subset: the word
 (u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
 supports (up to that rotation) and every oracle condition are constant on
 the orbits of <gamma^d>, and the fills and scans visit one member per orbit.
+Cover and Heng test those members a block at a time, each block one
+(members x words) array pass, and take the lowest violating member and
+its lowest violating word, so their witnesses are those of a scan over one
+member after another.
 """
 from __future__ import annotations
 
@@ -50,7 +54,8 @@ from .pds import (
 DEFAULT_WORD_GUARD = 2 ** 22          # max q^(m+1) for exhaustive scans
 DEFAULT_ENUM_BUDGET = 2 ** 30         # max q^(m+1) * (q^m - 1) for distributions
 SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for the support matrix
-ZERO_BLOCK = 2 ** 16                  # words x coordinates per block of zero-set ranks
+ZERO_BLOCK = 2 ** 16                  # entries per block: words x coordinates of the zero-set
+                                      # ranks, representatives x words of the cover/Heng scans
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -434,18 +439,23 @@ class SubsetCode:
 
     def supports(self) -> np.ndarray:
         """Packed support bitsets, one row per word, filled one orbit at a time."""
+        return self._support_words().view(np.uint8)[:, : (self.tower.order + 7) // 8]
+
+    def _support_words(self) -> np.ndarray:
+        """The packed supports as rows of uint64, zero-padded past the last coordinate."""
         if self._supports is not None:
             return self._supports
         tower = self.tower
         q, qm, order = tower.q, tower.qm, tower.order
-        nbytes = (order + 7) // 8 * q * qm
+        width = (order + 7) // 8
+        nbytes = width * q * qm
         if nbytes > SUPPORT_BYTES_CAP:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
         mem = self.subset.indicator[tower.exp]
         _, _, neg_q = tower.subfield_tables()
         d = self.stabiliser_period
-        packed = np.zeros((q * qm, (order + 7) // 8), dtype=np.uint8)
-        packed[self.word_index(1, 0)::qm] = np.packbits(mem)  # v = 0, u != 0
+        packed = np.zeros((q * qm, (order + 63) // 64 * 8), dtype=np.uint8)
+        packed[self.word_index(1, 0)::qm, :width] = np.packbits(mem)  # v = 0, u != 0
         # twice[u] holds the support of (u, gamma^j) twice over, so window k d
         # is the support of (u, gamma^(j + k d))
         twice = np.empty((q, 2 * order), dtype=bool)
@@ -454,9 +464,9 @@ class SubsetCode:
         for j, labels in self._trace_labels():
             zero = np.where(mem, labels == neg_q[:, None], labels == 0)
             twice[:, :order] = twice[:, order:] = ~zero
-            packed[u_rows + tower.exp[j::d]] = np.packbits(windows, axis=2)
-        self._supports = packed
-        return packed
+            packed[u_rows + tower.exp[j::d], :width] = np.packbits(windows, axis=2)
+        self._supports = packed.view(np.uint64)
+        return self._supports
 
     def projective_representatives(self) -> np.ndarray:
         """One word index per line through the origin of the index space."""
@@ -466,20 +476,17 @@ class SubsetCode:
         reps += [self.word_index(0, int(tower.exp[j])) for j in range(tower.subfield_step)]
         return np.asarray(sorted(reps), dtype=np.int64)
 
-    def _dependent_words(self, w: int) -> np.ndarray:
-        """Indices of words whose vectors are scalar multiples of word w's vector."""
+    def _dependent_words(self, reps: np.ndarray) -> np.ndarray:
+        """For each word r of reps, the indices of the words whose vectors are
+        scalar multiples of r's: lam r + kappa, lam in F_q, kappa in the kernel."""
         tower = self.tower
         add_q, mul_q, _ = tower.subfield_tables()
-        u, v = self.word_of_index(w)
-        out = set()
-        for lam in range(tower.q):
-            lu = int(mul_q[lam, u])
-            lv = tower.mul(int(tower.subfield_elements[lam]), v)
-            base_u, base_v = lu, lv
-            for kw in self.kernel_words().tolist():
-                ku, kv = self.word_of_index(int(kw))
-                out.add(self.word_index(int(add_q[base_u, ku]), tower.add(base_v, kv)))
-        return np.asarray(sorted(out), dtype=np.int64)
+        qm = tower.qm
+        ur, vr = np.divmod(reps, qm)
+        ku, kv = np.divmod(self.kernel_words(), qm)
+        lv = np.stack([tower.mul_vec(int(lam), vr) for lam in tower.subfield_elements])
+        words = add_q[mul_q[:, ur][..., None], ku] * qm + tower.add_sets(lv[..., None], kv)
+        return words.transpose(1, 0, 2).reshape(len(reps), -1)
 
     def class_orbit(self, words: np.ndarray) -> np.ndarray:
         """For each nonzero word, the lowest projective representative in its
@@ -508,48 +515,81 @@ class SubsetCode:
         self.check_guard(guard)
         return np.unique(self.class_orbit(self.projective_representatives()))
 
-    def _class_scan(
-        self, violations: Callable[[int], np.ndarray], guard: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """(r, violating words) for the lowest representative r of each orbit, ascending.
+    def _block_scan(
+        self, make_test: Callable[[], Callable[[np.ndarray], np.ndarray]], guard: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(reps, bad) for blocks of the ascending orbit representatives, bad[i, w]
+        saying that word w, vector-independent of reps[i], violates the test.
 
-        A violation holds for every class of an orbit or for none, so the
-        first one found is the first of a scan over all projective
-        representatives, with the same witness.
+        make_test() gives the test, a (block, words) bool array for a block of
+        representatives, once the guard has passed.  Blocks start at one
+        representative and double up to ZERO_BLOCK (representative, word)
+        entries, so a scan that stops at an early violation does little more
+        than that work.  A violation holds for every class of an orbit or for
+        none, so the first one found is the first of a scan over all
+        projective representatives, with the same witness.
         """
-        for r in self._orbit_representatives(guard).tolist():
-            yield r, violations(r)
+        reps = self._orbit_representatives(guard)
+        test = make_test()
+        most = max(1, ZERO_BLOCK // self.word_count)
+        start, size = 0, 1
+        while start < len(reps):
+            block = reps[start:start + size]
+            bad = test(block)
+            bad[np.arange(len(block))[:, None], self._dependent_words(block)] = False
+            yield block, bad
+            start, size = start + size, min(2 * size, most)
 
-    def _orbit_flags(self, violations: Callable[[int], np.ndarray], guard: int) -> dict[int, bool]:
+    def _orbit_flags(self, make_test, guard: int) -> dict[int, bool]:
         """Minimality (True) of each orbit, keyed by its lowest representative."""
-        return {r: len(bad) == 0 for r, bad in self._class_scan(violations, guard)}
+        return {r: ok for reps, bad in self._block_scan(make_test, guard)
+                for r, ok in zip(reps.tolist(), (~bad.any(axis=1)).tolist())}
 
     def _class_flags(self, orbit_flags: dict[int, bool]) -> dict[int, bool]:
         """The orbit flags spread over every projective representative."""
         reps = self.projective_representatives()
         return {r: orbit_flags[o] for r, o in zip(reps.tolist(), self.class_orbit(reps).tolist())}
 
-    def _scan_verdict(
-        self, violations: Callable[[int], np.ndarray], guard: int, note: str
-    ) -> MethodVerdict:
-        """NotMinimal at the scan's first violation, witnessed as (covered, coverer)."""
+    def _scan_verdict(self, make_test, guard: int, note: str) -> MethodVerdict:
+        """NotMinimal at the scan's first violation, witnessed as (covered, coverer):
+        the lowest violating representative and the lowest word it flags."""
         try:
-            for r, bad in self._class_scan(violations, guard):
-                if len(bad):
+            for reps, bad in self._block_scan(make_test, guard):
+                rows = np.flatnonzero(bad.any(axis=1))
+                if len(rows):
                     return MethodVerdict(
                         NOT_MINIMAL,
-                        witness=(self.word_of_index(int(bad[0])), self.word_of_index(r)),
+                        witness=(self.word_of_index(int(bad[rows[0]].argmax())),
+                                 self.word_of_index(int(reps[rows[0]]))),
                         note=note,
                     )
         except GuardExceeded as exc:
             return MethodVerdict(NOT_RUN, note=str(exc))
         return MethodVerdict(MINIMAL)
 
-    def _cover_violations(self, r: int) -> np.ndarray:
-        """Word indices (vector-independent of r) whose support lies inside r's."""
-        sup = self.supports()
-        escapes = np.bitwise_and(sup, ~sup[r]).any(axis=1)
-        return np.setdiff1d(np.nonzero(~escapes)[0], self._dependent_words(r))
+    def _cover_test(self) -> Callable[[np.ndarray], np.ndarray]:
+        """bad[i, w]: the support of word w lies inside that of reps[i].
+
+        The supports are compared one uint64 column at a time until the pairs
+        still inside, times the columns left, fit in ZERO_BLOCK; those pairs
+        are then compared on the rest of the row at once.  Nearly every pair
+        escapes in the first column.
+        """
+        sup = self._support_words()
+        width = sup.shape[1]
+
+        def test(reps):
+            outside = ~sup[reps]
+            inside = np.ones((len(reps), len(sup)), dtype=bool)
+            for c in range(width):
+                inside &= (sup[:, c] & outside[:, c, None]) == 0
+                if np.count_nonzero(inside) * (width - 1 - c) <= ZERO_BLOCK:
+                    break
+            rows, words = np.nonzero(inside)
+            inside[rows, words] = ~(sup[words, c + 1:] & outside[rows, c + 1:]).any(axis=1)
+            return inside
+
+        return test
 
     def minimality_cover(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
         """Exhaustive support-containment oracle.
@@ -559,42 +599,51 @@ class SubsetCode:
         vectors.
         """
         return self._scan_verdict(
-            self._cover_violations, guard, "support of the first word is contained in the second's"
+            self._cover_test, guard, "support of the first word is contained in the second's"
         )
 
     def cover_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality under the cover oracle (True = minimal)."""
-        return self._class_flags(self._orbit_flags(self._cover_violations, guard))
+        return self._class_flags(self._orbit_flags(self._cover_test, guard))
 
     # -- weight-sum criterion ------------------------------------------------
 
-    def _heng_violations(self, r: int) -> np.ndarray:
-        """Word indices w (vector-independent of r) satisfying the covering identity."""
+    def _heng_test(self) -> Callable[[np.ndarray], np.ndarray]:
+        """bad[i, w]: r = reps[i] and w satisfy the covering identity
+        sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w)."""
         tower = self.tower
         add_q, mul_q, _ = tower.subfield_tables()
         q, qm = tower.q, tower.qm
-        wt = self.weight_table().ravel()
-        ur, vr = self.word_of_index(r)
-        u_all = np.repeat(np.arange(q, dtype=np.int64), qm)
-        v_all = np.tile(np.arange(qm, dtype=np.int64), q)
-        total = np.zeros(q * qm, dtype=np.int64)
-        for lam in range(1, q):
-            su = add_q[ur, mul_q[lam, u_all]]
-            sv = tower.add_sets(vr, tower.mul_vec(int(tower.subfield_elements[lam]), v_all))
-            total += wt[su * qm + sv]
-        lhs_equal = total == (q - 1) * wt[r] - wt
-        candidates = np.nonzero(lhs_equal)[0]
-        return np.setdiff1d(candidates, self._dependent_words(r))
+        wt = self.weight_table()
+        vs = np.arange(qm, dtype=np.int64)
+        scalings = [tower.mul_vec(int(lam), vs) for lam in tower.subfield_elements]
+        # digitwise sums carry nothing, so v_r + v adds the high and the low
+        # halves of the base-p digits apart
+        split = tower.p ** (tower.em // 2)
+
+        def test(reps):
+            ur, vr = np.divmod(reps, qm)
+            high = tower.add_sets((vr - vr % split)[:, None], vs[::split])
+            low = tower.add_sets((vr % split)[:, None], vs[:split])
+            sums = (high[:, :, None] + low[:, None, :]).reshape(len(reps), qm)  # v_r + v
+            total = np.zeros((len(reps), q, qm), dtype=np.int64)
+            for lam in range(1, q):
+                su = add_q[ur[:, None], mul_q[lam]]  # u_r + lam u
+                total += wt[su[:, :, None], sums[:, None, scalings[lam]]]
+            bad = total == (q - 1) * wt[ur, vr][:, None, None] - wt
+            return bad.reshape(len(reps), -1)
+
+        return test
 
     def minimality_heng(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
         """Weight-sum identity scan over independent codeword pairs."""
         return self._scan_verdict(
-            self._heng_violations, guard, "weight-sum identity fired for an independent pair"
+            self._heng_test, guard, "weight-sum identity fired for an independent pair"
         )
 
     def heng_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality under the weight-sum identity (True = minimal)."""
-        return self._class_flags(self._orbit_flags(self._heng_violations, guard))
+        return self._class_flags(self._orbit_flags(self._heng_test, guard))
 
     # -- zero-set rank: the span criterion and per-class flags ---------------------
 

@@ -4,12 +4,13 @@ Shares are coordinates of dual codewords; the secret sits at a chosen
 nonzero field element x1 and the other coordinates belong to one
 participant each.  Minimal access sets correspond to support-minimal
 codewords of the primal code whose x1-coordinate is 1, so everything here
-is counted on the primal side: the total is a coset count and each
-participant's coverage has a two-value closed form depending only on
-whether x1 avoids the subset and whether the participant is a scalar
-multiple of x1.  A word is support-minimal exactly when the generator columns
-at its zeros have rank k - 1 (`SubsetCode.rank_orbit_flags`), which filters
-the count for a code that is not minimal.
+is counted on the primal side: the total is a coset count and, for every
+code, each participant's coverage has a two-value closed form depending
+only on whether its generator column is a scalar multiple of x1's (both
+outside the subset, on one F_q-line).  A word is support-minimal exactly
+when the generator columns at its zeros have rank k - 1
+(`SubsetCode.rank_orbit_flags`), which filters the count for a code that
+is not minimal.
 """
 from __future__ import annotations
 
@@ -76,30 +77,38 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     return total, oracle_total
 
 
+def _coverage(code: SubsetCode, x1: int, xs) -> np.ndarray:
+    """The number of words with a 1 at x1 that are nonzero at each x in xs.
+
+    The coordinates at x1 and x are the F_q-linear forms with generator
+    columns (f(x1), x1) and (f(x), x).  When the second is a multiple of the
+    first (x1 and x outside the subset, x/x1 in F_q), all q^m words with a 1
+    at x1 are nonzero at x; otherwise the forms are independent and q^(m-1)
+    of those words vanish there.  This holds whether or not the code is minimal.
+    """
+    tower = code.tower
+    indicator = code.subset.indicator
+    xs = np.asarray(xs)
+    same_line = (tower.log[xs].astype(np.int64) - int(tower.log[x1])) % tower.subfield_step == 0
+    multiple = same_line & ~indicator[xs] & (not indicator[x1])
+    return np.where(multiple, tower.qm, tower.qm - tower.qm // tower.q)
+
+
 def participant_coverage(code: SubsetCode, x1: int) -> dict[int, int]:
-    """For each participant (every nonzero element except x1), the number of
-    minimal access sets containing it, by direct enumeration."""
+    """For each participant (every nonzero element except x1, keyed by its log),
+    the number of minimal access sets containing it when the code is minimal."""
     tower = code.tower
     if x1 == 0:
         raise ValueError("the secret coordinate must be a nonzero element")
-    mask1 = _value_labels_at(code, x1) == 1
-    counts = np.unpackbits(code.supports()[mask1], axis=1, count=tower.order).sum(axis=0)
     x1_log = int(tower.log[x1])
-    return {
-        j: int(counts[j]) for j in range(tower.order) if j != x1_log
-    }
+    counts = _coverage(code, x1, tower.exp).tolist()
+    return {j: n for j, n in enumerate(counts) if j != x1_log}
 
 
 def coverage_closed_form(code: SubsetCode, x1: int, xi: int) -> int:
-    """The two-value formula: q^m for scalar multiples of an x1 outside the
-    subset, q^m - q^(m-1) in every other case."""
-    tower = code.tower
-    qm = tower.qm
-    in_complement = not code.subset.indicator[x1]
-    same_line = (int(tower.log[xi]) - int(tower.log[x1])) % tower.subfield_step == 0
-    if in_complement and same_line:
-        return qm
-    return qm - qm // tower.q
+    """The two-value formula for one participant: q^m for scalar multiples of
+    an x1 outside the subset that lie outside it too, q^m - q^(m-1) otherwise."""
+    return int(_coverage(code, x1, xi))
 
 
 def analyze_scheme(code: SubsetCode, x1: int, code_is_minimal: bool = True) -> AccessReport:

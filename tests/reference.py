@@ -1,15 +1,20 @@
-"""Small-field references for the span, annihilator and cutting computations.
+"""Small-field references for the span, annihilator, cutting, cover, Heng
+and coverage computations.
 
 These are the direct set computations that the F_q-rank test replaced in
 the library: spans grown as sorted element sets, annihilators probed over
 every element, all pairwise slice differences, and the hyperplane-by-element
 intersection matrices with the pairwise containment scan.  They cost
 O(q^m) per span step or O(q^2m) per subset, so the tests use them on
-fields of at most a few hundred elements.
+fields of at most a few hundred elements.  Beside them sit the cover and
+Heng scans of one coverer at a time, with the scalar multiples of a word
+listed in a loop, that the library now runs over blocks of coverers, and
+the participant coverage counted from the unpacked supports.
 """
 import numpy as np
 
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, slice_members
+from pdscodes.secretsharing import _value_labels_at
 
 
 class Unreduced(SubsetCode):
@@ -142,3 +147,53 @@ def cutting_reference(subset):
     if witness is not None:
         out["witness"] = witness
     return out
+
+
+def dependent_words(code, w):
+    """Indices of words whose vectors are scalar multiples of word w's vector."""
+    tower = code.tower
+    add_q, mul_q, _ = tower.subfield_tables()
+    u, v = code.word_of_index(w)
+    out = set()
+    for lam in range(tower.q):
+        lu = int(mul_q[lam, u])
+        lv = tower.mul(int(tower.subfield_elements[lam]), v)
+        for kw in code.kernel_words().tolist():
+            ku, kv = code.word_of_index(int(kw))
+            out.add(code.word_index(int(add_q[lu, ku]), tower.add(lv, kv)))
+    return np.asarray(sorted(out), dtype=np.int64)
+
+
+def cover_violations(code, r):
+    """Word indices (vector-independent of r) whose support lies inside r's."""
+    sup = code.supports()
+    escapes = np.bitwise_and(sup, ~sup[r]).any(axis=1)
+    return np.setdiff1d(np.nonzero(~escapes)[0], dependent_words(code, r))
+
+
+def heng_violations(code, r):
+    """Word indices w (vector-independent of r) satisfying the covering identity."""
+    tower = code.tower
+    add_q, mul_q, _ = tower.subfield_tables()
+    q, qm = tower.q, tower.qm
+    wt = code.weight_table().ravel()
+    ur, vr = code.word_of_index(r)
+    u_all = np.repeat(np.arange(q, dtype=np.int64), qm)
+    v_all = np.tile(np.arange(qm, dtype=np.int64), q)
+    total = np.zeros(q * qm, dtype=np.int64)
+    for lam in range(1, q):
+        su = add_q[ur, mul_q[lam, u_all]]
+        sv = tower.add_sets(vr, tower.mul_vec(int(tower.subfield_elements[lam]), v_all))
+        total += wt[su * qm + sv]
+    candidates = np.nonzero(total == (q - 1) * wt[r] - wt)[0]
+    return np.setdiff1d(candidates, dependent_words(code, r))
+
+
+def participant_coverage(code, x1):
+    """Participant log -> the number of words with a 1 at x1 whose support holds
+    it, counted from the unpacked supports."""
+    tower = code.tower
+    mask1 = _value_labels_at(code, x1) == 1
+    counts = np.unpackbits(code.supports()[mask1], axis=1, count=tower.order).sum(axis=0)
+    x1_log = int(tower.log[x1])
+    return {j: int(counts[j]) for j in range(tower.order) if j != x1_log}

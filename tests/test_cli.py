@@ -255,6 +255,20 @@ def test_code_row3_snc_within_budget():
     assert json.loads(proc.stdout)["minimal"]["snc"] == "minimal"
 
 
+def test_sss_row3_within_budget():
+    # the support matrix would need 106 GB; the coverage is read off the generator columns
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdscodes.cli", "sss", "--recipe", "table-2-row-3",
+         "--x1-log", "0"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["minimality_assumed"] is True
+    assert payload["total"] == 3 ** 12
+
+
 def test_blocking_row3_within_budget():
     # 35 hyperplane orbits on F_{3^12} instead of 265 720 x 531 441 bool matrices
     env = dict(os.environ, PYTHONPATH=str(SRC))

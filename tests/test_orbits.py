@@ -1,12 +1,13 @@
 """The orbit-reduced direct oracles against full scans over every class.
 
 The cover, Heng and SNC scans, the weight table and the support matrix
-visit one member per orbit of the stabiliser <gamma^d> of the subset.  Each
-is compared here with the unreduced computation: the per-class violation
-sets over all projective representatives, the first violation of that full
-scan (verdict and witness), SNC over every z, and the words evaluated one
-by one.  SNC over every z runs on `reference.Unreduced`, the same code
-with the trivial period q^m - 1.
+visit one member per orbit of the stabiliser <gamma^d> of the subset, and
+cover and Heng test blocks of those members at a time.  Each is compared
+here with the unreduced computation: the per-class violation sets of the
+one-coverer scans in `reference` over all projective representatives, the
+first violation of that full scan (verdict and witness), SNC over every z,
+and the words evaluated one by one.  SNC over every z runs on
+`reference.Unreduced`, the same code with the trivial period q^m - 1.
 """
 from functools import lru_cache
 
@@ -14,11 +15,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import Unreduced
+from reference import Unreduced, cover_violations, heng_violations
 
-from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
+from pdscodes import codes
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
 from pdscodes.field import FieldSpec, build_tower
-from pdscodes.pds import FieldSubset, build_cyclotomic_subset, is_fq_invariant, quadric_subset
+from pdscodes.pds import (
+    FieldSubset,
+    PdsVerificationError,
+    build_cyclotomic_subset,
+    is_fq_invariant,
+    quadric_subset,
+    verify_pds_spectral,
+)
 from pdscodes.secretsharing import _value_labels_at, minimal_access_count
 
 
@@ -36,6 +45,8 @@ CODES = {
     "F_2^4 N=3": ("f16", _cyclotomic(3, [0]), 3),
     "F_2^4 N=5 J=[0,1]": ("f16", _cyclotomic(5, [0, 1]), 5),
     "F_2^4 hyperplane": ("f16", _hyperplane, 15),
+    # the first block with a violation has two, whose lowest violating words differ
+    "F_2^4 not invariant": ("f16", lambda t: FieldSubset.from_logs(t, [0, 9, 11, 13, 14]), 15),
     "F_3^4 hyperplane": ("f34", _hyperplane, 40),
     "F_3^4 N=10": ("f34", _cyclotomic(10, [0]), 10),
     "F_3^4 N=8 J=[0,3]": ("f34", _cyclotomic(8, [0, 3]), 8),
@@ -56,24 +67,28 @@ def code(request):
 
 
 def full_flags(code, violations):
-    return {r: len(violations(r)) == 0 for r in code.projective_representatives().tolist()}
+    return {r: len(violations(code, r)) == 0 for r in code.projective_representatives().tolist()}
 
 
 def full_verdict(code, violations):
     """(status, witness) of a scan over every projective representative."""
     for r in code.projective_representatives().tolist():
-        bad = violations(r)
+        bad = violations(code, r)
         if len(bad):
             return NOT_MINIMAL, (code.word_of_index(int(bad[0])), code.word_of_index(r))
     return MINIMAL, None
 
 
-def assert_reduced_equals_full(code):
-    assert code.cover_flags() == full_flags(code, code._cover_violations)
-    assert code.heng_flags() == full_flags(code, code._heng_violations)
-    for verdict, violations in ((code.minimality_cover(), code._cover_violations),
-                                (code.minimality_heng(), code._heng_violations)):
+def assert_scans_equal_full(code):
+    assert code.cover_flags() == full_flags(code, cover_violations)
+    assert code.heng_flags() == full_flags(code, heng_violations)
+    for verdict, violations in ((code.minimality_cover(), cover_violations),
+                                (code.minimality_heng(), heng_violations)):
         assert (verdict.status, verdict.witness) == full_verdict(code, violations)
+
+
+def assert_reduced_equals_full(code):
+    assert_scans_equal_full(code)
     reduced = code.minimality_snc()
     full = Unreduced(code.subset).minimality_snc()
     assert (reduced.status, reduced.witness) == (full.status, full.witness)
@@ -120,6 +135,26 @@ def test_orbit_fill_equals_words(code):
     assert_fill_equals_words(code)
 
 
+@pytest.mark.parametrize("cap", ["one entry", "one rep", "two reps"])
+def test_block_boundaries_equal_full_scan(code, monkeypatch, cap):
+    # blocks of one and two representatives put every block boundary in play;
+    # a cap of one entry also makes cover screen every support column
+    entries = {"one entry": 1, "one rep": code.word_count, "two reps": 2 * code.word_count}
+    monkeypatch.setattr(codes, "ZERO_BLOCK", entries[cap])
+    assert_scans_equal_full(code)
+
+
+def test_first_witness_beyond_first_blocks(f34, monkeypatch):
+    code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
+    reps = code._orbit_representatives(codes.DEFAULT_WORD_GUARD).tolist()
+    for per_block in (1, 2):
+        monkeypatch.setattr(codes, "ZERO_BLOCK", per_block * code.word_count)
+        for verdict in (code.minimality_cover(), code.minimality_heng()):
+            coverer = code.word_index(*verdict.witness[1])
+            assert reps.index(coverer) >= 1 + per_block  # past the blocks of 1 and per_block
+            assert (verdict.status, verdict.witness) == (NOT_MINIMAL, ((0, 15), (1, 15)))
+
+
 def test_class_orbit_is_lowest_class_of_its_orbit(code):
     reps = code.projective_representatives()
     orbit = code.class_orbit(reps)
@@ -146,7 +181,7 @@ def test_oracle_total_equals_full_flags(request, name):
     code = SubsetCode(build(request.getfixturevalue(fixture)))
     tower = code.tower
     _, mul_q, _ = tower.subfield_tables()
-    flags = full_flags(code, code._cover_violations)
+    flags = full_flags(code, cover_violations)
     for x1 in tower.exp[:: max(1, tower.order // 7)].tolist():
         total, oracle_total = minimal_access_count(code, int(x1), code_is_minimal=False)
         # each word with a 1 at x1, scaled to its projective representative
@@ -165,6 +200,9 @@ def test_oracle_total_equals_full_flags(request, name):
 # -- random F_q^*-invariant unions ------------------------------------------------
 
 SMALL_FIELDS = [(2, 1, 4), (2, 1, 6), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3)]
+# p in {2, 3, 5, 7}, e in {1, 2}
+WEIGHT_FIELDS = [(2, 1, 6), (2, 2, 3), (3, 1, 4), (3, 2, 2), (5, 1, 3), (5, 2, 2), (7, 1, 3),
+                 (7, 2, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -173,9 +211,9 @@ def _tower(p, e, m):
 
 
 @st.composite
-def invariant_unions(draw):
+def invariant_unions(draw, fields=SMALL_FIELDS):
     """A union of cosets of <gamma^n> for some n dividing the subfield step."""
-    tower = _tower(*draw(st.sampled_from(SMALL_FIELDS)))
+    tower = _tower(*draw(st.sampled_from(fields)))
     step = tower.subfield_step
     n = draw(st.sampled_from([n for n in range(2, step + 1) if step % n == 0]))
     residues = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
@@ -193,3 +231,22 @@ def test_random_invariant_unions_reduced_equals_full(case):
     assert n % code.stabiliser_period == 0
     assert_reduced_equals_full(code)
     assert_fill_equals_words(code)
+
+
+@pytest.mark.parametrize("field", WEIGHT_FIELDS)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_invariant_unions_weights_equal_closed_form(field, data):
+    _, subset = data.draw(invariant_unions([field]))
+    code = SubsetCode(subset)
+    tower = code.tower
+    wt = code.weight_table()
+    closed = [code.weight_closed_form(v) for v in range(1, tower.qm)]
+    assert (wt[1:, 1:] == np.array(closed)).all()
+    try:
+        cert, _ = verify_pds_spectral(subset)
+    except PdsVerificationError:
+        return
+    predicted = weight_distribution_predicted(cert, tower.q, tower.m)
+    assert predicted.rows == code.weight_distribution_direct().rows

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 
 from pdscodes.codes import SubsetCode
 from pdscodes.field import FieldSpec, build_tower
@@ -123,3 +124,39 @@ def test_nonminimal_code_reports_both_counts(f34):
     total, oracle_total = minimal_access_count(code, x1, code_is_minimal=False)
     assert total == f34.qm
     assert oracle_total is not None and oracle_total < total
+
+
+@pytest.mark.parametrize("name", ["ex31", "row1", "F_3^4 hyperplane", "F_3^4 N=10",
+                                  "F_3^4 not invariant", "F_2^4 trace form"])
+def test_coverage_equals_enumeration(request, f16, f34, name):
+    # minimal and non-minimal codes, a subset that is not F_q^*-invariant, and
+    # a binary subset whose indicator is a trace form (dimension m)
+    if name == "ex31":
+        code = request.getfixturevalue("ex31_code")
+    elif name == "row1":
+        code = request.getfixturevalue("row1_code")
+    elif name == "F_3^4 hyperplane":
+        members = f34.hyperplane(1)
+        code = SubsetCode(FieldSubset(f34, members[members != 0]))
+    elif name == "F_3^4 N=10":
+        code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
+    elif name == "F_3^4 not invariant":
+        code = SubsetCode(FieldSubset.from_logs(f34, [0, 1, 5, 17, 40]))
+    else:
+        code = SubsetCode(FieldSubset.from_logs(f16, [3, 6, 7, 9, 11, 12, 13, 14]))
+    tower = code.tower
+    for x1 in tower.exp[:: max(1, tower.order // 40)].tolist():
+        coverage = participant_coverage(code, x1)
+        assert coverage == reference.participant_coverage(code, x1)
+        for j, n in coverage.items():
+            assert n == coverage_closed_form(code, x1, int(tower.exp[j]))
+
+
+def test_coverage_of_a_non_invariant_subset(f34):
+    # gamma^41 lies outside the subset and gamma^1 = -gamma^41 inside: the
+    # columns (0, x1) and (1, -x1) are independent
+    code = SubsetCode(FieldSubset.from_logs(f34, [0, 1, 5, 17, 40]))
+    x1 = int(f34.exp[41])
+    assert participant_coverage(code, x1)[1] == 54
+    assert coverage_closed_form(code, x1, int(f34.exp[1])) == 54
+    assert participant_coverage(code, int(f34.exp[42]))[2] == 81
