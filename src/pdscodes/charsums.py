@@ -3,20 +3,27 @@
 The canonical additive character sends x to zeta_p^Tr(x) with Tr the
 absolute trace; the sum of a subset S twisted by a is found by counting
 how often each trace value t occurs on a*S and weighting by zeta_p^t.
-Everything stays in Z[zeta_p]: a spectrum is a (q^m, p) integer array of
-raw zeta-coefficient vectors, one row per twisting element a.
+Everything stays in Z[zeta_p] as raw zeta-coefficient vectors of length p.
 
-The full spectrum takes the cheaper of two exact routes.  If gamma^d S = S,
-the value at a depends only on log(a) mod d (for a class union these are
-the d Gauss periods), so counting the traces on gamma^j S for j < d,
-d * |S| gathers, and copying row j to its coset gives every value.  The
-butterfly transform, one pass per F_p digit of the field, costs
-em * p^2 * q^m integer additions whatever S is; it serves the sets with a
-small stabiliser, such as quadrics and trace hyperplanes.  The unreduced
-count (d = q^m - 1) and the transform are the two test references, and
-all three agree bit for bit.
+A spectrum is held as its distinct rows: if gamma^d S = S, the value at a
+depends only on log(a) mod d (for a class union these are the d Gauss
+periods), so a Spectrum keeps d rows, row j serving every a = gamma^i with
+i = j (mod d), and a = 0 has the fixed row (|S|, 0, ..., 0).  Certificates,
+multiplicities and the JSON read the d rows, each taken (q^m - 1)/d times;
+the dense (q^m, p) array is built only when asked for.
+
+The full spectrum takes the cheaper of two exact routes.  The orbit count
+tallies the traces on gamma^j S for j < d, d * |S| gathers.  The butterfly
+transform, one pass per F_p digit of the field, costs em * p^2 * q^m
+integer additions whatever S is; it serves the sets with a small
+stabiliser, such as quadrics and trace hyperplanes, and its output, taken
+in log order, is the case d = q^m - 1.  The unreduced count
+(d = q^m - 1) and the transform are the two test references, and all
+three agree bit for bit.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -39,38 +46,78 @@ class SpectrumError(ValueError):
 
 
 class Spectrum:
-    """All character-sum values a -> sum over S, with eigenvalue bookkeeping."""
+    """All character-sum values a -> sum over S, with eigenvalue bookkeeping.
 
-    def __init__(self, tower: FieldTower, raw: np.ndarray, set_size: int):
-        if raw.shape != (tower.qm, tower.p):
-            raise ValueError(f"raw spectrum must have shape ({tower.qm}, {tower.p})")
+    rows[j] is the raw value at every a = gamma^i with i = j (mod period),
+    where gamma^period S = S; period divides q^m - 1.
+    """
+
+    def __init__(self, tower: FieldTower, rows: np.ndarray, period: int, set_size: int):
+        if tower.order % period or rows.shape != (period, tower.p):
+            raise ValueError(f"rows must have shape (d, {tower.p}) with d | {tower.order}")
         self.tower = tower
-        self.raw = raw
+        self.rows = rows
+        self.period = period
         self.set_size = set_size
-        self._canon = raw[:, : tower.p - 1] - raw[:, tower.p - 1 : tower.p]
-        self._rational_mask = np.all(self._canon[:, 1:] == 0, axis=1)
+        self._canon = rows[:, : tower.p - 1] - rows[:, tower.p - 1 :]
+        self._rational = np.all(self._canon[:, 1:] == 0, axis=1)
+
+    def _zero_row(self) -> np.ndarray:
+        row = np.zeros(self.tower.p, dtype=np.int64)
+        row[0] = self.set_size  # Tr(0 * x) = 0 for every x
+        return row
+
+    def row(self, a: int) -> np.ndarray:
+        """The raw value at a."""
+        if a == 0:
+            return self._zero_row()
+        return self.rows[int(self.tower.log[a]) % self.period]
+
+    def _row_index(self) -> np.ndarray:
+        """The row serving each nonzero a = 1, ..., q^m - 1."""
+        return self.tower.log[1:] % self.period
 
     def value(self, a: int) -> CyclotomicInteger:
-        return CyclotomicInteger(self.tower.p, self.raw[a].tolist())
+        return CyclotomicInteger(self.tower.p, self.row(a).tolist())
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        """The dense (q^m, p) array, row a the value at a; built once, on first use."""
+        raw = np.empty((self.tower.qm, self.tower.p), dtype=self.rows.dtype)
+        raw[0] = self._zero_row()
+        np.take(self.rows, self._row_index(), axis=0, out=raw[1:])
+        return raw
 
     @property
     def all_rational(self) -> bool:
         """True when every value at nonzero a is a rational integer."""
-        return bool(np.all(self._rational_mask[1:])) if self.tower.qm > 1 else True
+        return bool(np.all(self._rational))
+
+    def irrational_witness(self) -> int | None:
+        """The least a whose value is irrational, or None when all are rational."""
+        if self.all_rational:
+            return None
+        return int(np.argmin(self._rational[self._row_index()])) + 1
+
+    def _check_rational(self) -> None:
+        bad = self.irrational_witness()
+        if bad is not None:
+            raise SpectrumError(f"value at a={bad} is not a rational integer")
 
     def rational_values(self) -> np.ndarray:
         """The integer value at every a; raises if any value is irrational."""
-        if not bool(np.all(self._rational_mask)):
-            bad = int(np.nonzero(~self._rational_mask)[0][0])
-            raise SpectrumError(f"value at a={bad} is not a rational integer")
-        return self._canon[:, 0].copy()
+        self._check_rational()
+        vals = np.empty(self.tower.qm, dtype=self.rows.dtype)
+        vals[0] = self.set_size
+        vals[1:] = self._canon[self._row_index(), 0]
+        return vals
 
     def restricted_values(self) -> list[tuple[int, int]]:
         """Distinct values over nonzero a with multiplicities, descending by value."""
-        vals = self.rational_values()[1:]
-        uniq, counts = np.unique(vals, return_counts=True)
-        pairs = sorted(zip(uniq.tolist(), counts.tolist()), key=lambda t: -t[0])
-        return [(int(v), int(c)) for v, c in pairs]
+        self._check_rational()
+        uniq, counts = np.unique(self._canon[:, 0], return_counts=True)
+        per_row = self.tower.order // self.period
+        return [(int(v), int(c) * per_row) for v, c in zip(uniq[::-1], counts[::-1])]
 
     def to_json(self) -> dict:
         ok = self.all_rational
@@ -128,33 +175,29 @@ def scaled_sum_invariance_check(tower: FieldTower, a: int, lam: int, members: np
 
 
 def _spectrum_pointwise(tower: FieldTower, members: np.ndarray, period: int) -> np.ndarray:
-    """Count the trace values on gamma^j S for j < period, then gather row j to
-    every a = gamma^i with i = j (mod period): exact when gamma^period S = S.
+    """Row j counts the trace values on gamma^j S for j < period: the value
+    at every a = gamma^i with i = j (mod period) when gamma^period S = S.
 
     With period = q^m - 1 each row serves one a: that is the pointwise
     reference.  Rows are counted ORBIT_CHUNK (row, member) pairs at a time.
     """
     p = tower.p
     logs = tower.log[members[members != 0]].astype(np.int64)
-    trace_of_exp = tower.trace_p[tower.exp]  # trace at gamma^i
     rows = np.empty((period, p), dtype=np.int64)
     step = max(1, ORBIT_CHUNK // max(len(logs), 1))
     for j0 in range(0, period, step):
         js = np.arange(j0, min(j0 + step, period))
         # key (j - j0) * p + Tr(gamma^(j + log x)) counts row j's trace values
-        keys = np.take(trace_of_exp, js[:, None] + logs, mode="wrap").astype(np.int64)
+        keys = np.take(tower.trace_of_exp, js[:, None] + logs, mode="wrap").astype(np.int64)
         keys += (js - j0)[:, None] * p
         rows[j0 : j0 + len(js)] = np.bincount(keys.ravel(), minlength=len(js) * p).reshape(-1, p)
     rows[:, 0] += len(members) - len(logs)  # Tr(a * 0) = 0 for every a
-    raw = np.empty((tower.qm, p), dtype=np.int64)
-    raw[0] = 0
-    raw[0, 0] = len(members)
-    np.take(rows, tower.log[1:] % period, axis=0, out=raw[1:])
-    return raw
+    return rows
 
 
 def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
-    """Exact additive-character transform over the digit group (F_p)^em.
+    """Exact additive-character transform over the digit group (F_p)^em, as
+    one row per gamma^i, i < q^m - 1.
 
     Works on zeta-coefficient vectors: multiplying by zeta^t is a cyclic
     shift, so each butterfly stage is p^2 shifted adds along one digit.
@@ -175,7 +218,7 @@ def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
         work = new.reshape(qm, p)
 
     # the row holding a's values is indexed by the digits Tr_abs(a * X^i)
-    return work[tower.trace_coords]
+    return work[tower.trace_coords[tower.exp]]
 
 
 def full_spectrum(tower: FieldTower, members: np.ndarray, mode: str | None = None) -> Spectrum:
@@ -193,12 +236,10 @@ def full_spectrum(tower: FieldTower, members: np.ndarray, mode: str | None = Non
         orbit_cost = ORBIT_UNIT_COST * period * len(members)
         mode = "pointwise" if orbit_cost < tower.em * tower.p ** 2 * tower.qm else "transform"
     if mode == "transform":
-        raw = _spectrum_transform(tower, members)
-    elif mode == "pointwise":
-        raw = _spectrum_pointwise(tower, members, period)
-    else:
-        raise ValueError(f"unknown spectrum mode {mode!r}")
-    return Spectrum(tower, raw, int(len(members)))
+        return Spectrum(tower, _spectrum_transform(tower, members), tower.order, len(members))
+    if mode == "pointwise":
+        return Spectrum(tower, _spectrum_pointwise(tower, members, period), period, len(members))
+    raise ValueError(f"unknown spectrum mode {mode!r}")
 
 
 def squared_norms(raw: np.ndarray) -> np.ndarray:

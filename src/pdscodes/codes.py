@@ -471,10 +471,11 @@ class SubsetCode:
     def projective_representatives(self) -> np.ndarray:
         """One word index per line through the origin of the index space."""
         tower = self.tower
-        reps = [self.word_index(1, v) for v in range(tower.qm)]
-        # scaling v by F_q^* shifts its log by multiples of subfield_step
-        reps += [self.word_index(0, int(tower.exp[j])) for j in range(tower.subfield_step)]
-        return np.asarray(sorted(reps), dtype=np.int64)
+        # scaling v by F_q^* shifts its log by multiples of subfield_step;
+        # every (0, v) index is below every (1, v) index
+        heads = np.sort(tower.exp[: tower.subfield_step].astype(np.int64))
+        return np.concatenate([self.word_index(0, heads),
+                               self.word_index(1, np.arange(tower.qm, dtype=np.int64))])
 
     def _dependent_words(self, reps: np.ndarray) -> np.ndarray:
         """For each word r of reps, the indices of the words whose vectors are

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
@@ -460,6 +461,11 @@ class FieldTower:
         return d
 
     # -- traces and hyperplanes -------------------------------------------
+
+    @cached_property
+    def trace_of_exp(self) -> np.ndarray:
+        """trace_p in log order: Tr_abs(gamma^i) at index i < q^m - 1."""
+        return self.trace_p[self.exp]
 
     def trace_to_prime(self, x: int) -> int:
         return int(self.trace_p[x])

@@ -20,6 +20,8 @@ from .charsums import Spectrum, full_spectrum, is_invariant_under_subfield
 from .field import FieldTower
 
 DIRECT_VERIFY_CAP = 10_000
+# (g, member) pairs counted per numpy pass of the direct check
+DIRECT_CHUNK = 2 ** 20
 
 
 class PdsVerificationError(ValueError):
@@ -267,9 +269,8 @@ def classify_latin_type(v: int, k: int, lam: int, mu: int):
 
 def certificate_from_spectrum(subset: FieldSubset, spectrum: Spectrum) -> PdsCertificate:
     v, k = subset.tower.qm, len(subset)
-    if not spectrum.all_rational:
-        vals = spectrum._rational_mask[1:]
-        witness = int(np.nonzero(~vals)[0][0]) + 1
+    witness = spectrum.irrational_witness()
+    if witness is not None:
         raise PdsVerificationError(
             "character sum is irrational at some a; not a PDS with integer eigenvalues",
             witness=witness,
@@ -322,6 +323,8 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     multiplying by gamma^d maps D and D + g onto D and D + gamma^d g, so the
     count and the membership of g repeat with period d in log order, and the
     first violation, with its witness, is the one a scan over every g finds.
+    The counts are taken DIRECT_CHUNK (g, member) pairs at a time, and the
+    scan stops after the first chunk that holds a violation.
     """
     tower = subset.tower
     if tower.qm > cap:
@@ -331,28 +334,25 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     if not subset.is_symmetric():
         raise PdsVerificationError("set is not symmetric (-D != D)")
 
-    lam = mu = None
-    lam_g = mu_g = None
-    for g in tower.exp[: subset.stabiliser_period].tolist():
-        shifted = tower.add_sets(subset.members, np.int64(g))
-        count = int(np.count_nonzero(subset.indicator[shifted]))
-        if subset.indicator[g]:
-            if lam is None:
-                lam, lam_g = count, g
-            elif count != lam:
-                raise PdsVerificationError(
-                    "common-neighbor count not constant on the set",
-                    witness=(lam_g, g, lam, count),
-                )
-        else:
-            if mu is None:
-                mu, mu_g = count, g
-            elif count != mu:
-                raise PdsVerificationError(
-                    "common-neighbor count not constant off the set",
-                    witness=(mu_g, g, mu, count),
-                )
-    return int(lam), int(mu)
+    gs = tower.exp[: subset.stabiliser_period].astype(np.int64)
+    on = subset.indicator[gs].astype(np.intp)
+    first = np.array([np.argmin(on), np.argmax(on)])  # the first g off D and in D
+    counts = np.zeros(len(gs), dtype=np.int64)
+    step = max(1, DIRECT_CHUNK // len(subset))
+    for g0 in range(0, len(gs), step):
+        stop = min(g0 + step, len(gs))
+        shifted = tower.add_sets(gs[g0:stop, None], subset.members[None, :])
+        counts[g0:stop] = np.count_nonzero(subset.indicator[shifted], axis=1)
+        # a side's first count lies in this block or an earlier one
+        bad = np.flatnonzero(counts[g0:stop] != counts[first[on[g0:stop]]])
+        if len(bad):
+            g = g0 + int(bad[0])
+            ref = int(first[on[g]])
+            raise PdsVerificationError(
+                f"common-neighbor count not constant {('off', 'on')[on[g]]} the set",
+                witness=(int(gs[ref]), int(gs[g]), int(counts[ref]), int(counts[g])),
+            )
+    return int(counts[first[1]]), int(counts[first[0]])
 
 
 # -- cyclotomic predictions ---------------------------------------------------

@@ -9,11 +9,15 @@ O(q^m) per span step or O(q^2m) per subset, so the tests use them on
 fields of at most a few hundred elements.  Beside them sit the cover and
 Heng scans of one coverer at a time, with the scalar multiples of a word
 listed in a loop, that the library now runs over blocks of coverers, and
-the participant coverage counted from the unpacked supports.
+the participant coverage counted from the unpacked supports.  Last come
+the projective representatives as a sorted list of word indices, and the
+spectrum read off its dense (q^m, p) array.
 """
 import numpy as np
 
+from pdscodes.charsums import SpectrumError
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, slice_members
+from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.secretsharing import _value_labels_at
 
 
@@ -197,3 +201,55 @@ def participant_coverage(code, x1):
     counts = np.unpackbits(code.supports()[mask1], axis=1, count=tower.order).sum(axis=0)
     x1_log = int(tower.log[x1])
     return {j: int(counts[j]) for j in range(tower.order) if j != x1_log}
+
+
+def projective_representatives(code):
+    """One word index per line through the origin: every (1, v) and every
+    (0, gamma^j), j < subfield_step, listed one word_index call at a time."""
+    tower = code.tower
+    reps = [code.word_index(1, v) for v in range(tower.qm)]
+    reps += [code.word_index(0, int(tower.exp[j])) for j in range(tower.subfield_step)]
+    return np.asarray(sorted(reps), dtype=np.int64)
+
+
+class DenseSpectrum:
+    """A spectrum read off one raw row per element a, as Spectrum did when it
+    held the dense (q^m, p) array."""
+
+    def __init__(self, tower, raw, set_size):
+        self.tower = tower
+        self.raw = raw
+        self.set_size = set_size
+        self._canon = raw[:, : tower.p - 1] - raw[:, tower.p - 1 :]
+        self._rational_mask = np.all(self._canon[:, 1:] == 0, axis=1)
+
+    def value(self, a):
+        return CyclotomicInteger(self.tower.p, self.raw[a].tolist())
+
+    @property
+    def all_rational(self):
+        return bool(np.all(self._rational_mask[1:]))
+
+    def irrational_witness(self):
+        bad = np.nonzero(~self._rational_mask[1:])[0]
+        return int(bad[0]) + 1 if len(bad) else None
+
+    def rational_values(self):
+        if not bool(np.all(self._rational_mask)):
+            bad = int(np.nonzero(~self._rational_mask)[0][0])
+            raise SpectrumError(f"value at a={bad} is not a rational integer")
+        return self._canon[:, 0].copy()
+
+    def restricted_values(self):
+        uniq, counts = np.unique(self.rational_values()[1:], return_counts=True)
+        pairs = sorted(zip(uniq.tolist(), counts.tolist()), key=lambda t: -t[0])
+        return [(int(v), int(c)) for v, c in pairs]
+
+    def to_json(self):
+        ok = self.all_rational
+        out = {"k": self.set_size, "all_rational": ok, "values": []}
+        if ok:
+            out["values"] = [
+                {"theta": v, "multiplicity": c} for v, c in self.restricted_values()
+            ]
+        return out

@@ -1,13 +1,16 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import DenseSpectrum
 
 from pdscodes import charsums
 from pdscodes.charsums import (
     Spectrum,
+    SpectrumError,
     full_spectrum,
     is_invariant_under_subfield,
     orthogonality_sum,
@@ -19,7 +22,13 @@ from pdscodes.charsums import (
 )
 from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.field import FieldSpec, build_tower
-from pdscodes.pds import build_cyclotomic_subset, predicted_cyclotomic_eigenvalues, quadric_subset
+from pdscodes.pds import (
+    FieldSubset,
+    build_cyclotomic_subset,
+    predicted_cyclotomic_eigenvalues,
+    quadric_subset,
+    verify_pds_spectral,
+)
 
 
 def _power_residues(tower, n):
@@ -205,6 +214,49 @@ def test_spectrum_routes_agree_bit_for_bit(case):
     assert np.array_equal(default.raw, transform.raw)
     assert np.array_equal(pointwise.raw, transform.raw)
     assert default.set_size == transform.set_size == pointwise.set_size == len(members)
+    for spec in (default, transform, pointwise):
+        assert_rows_read_as_dense(spec)
+
+
+def assert_rows_read_as_dense(spec):
+    """Every reading of the rows equals the same reading of the dense array."""
+    dense = DenseSpectrum(spec.tower, spec.raw, spec.set_size)
+    assert all(spec.value(a) == dense.value(a) for a in range(spec.tower.qm))
+    assert spec.all_rational == dense.all_rational
+    assert spec.irrational_witness() == dense.irrational_witness()
+    assert spec.to_json() == dense.to_json()
+    if dense.all_rational:
+        assert spec.restricted_values() == dense.restricted_values()
+        assert np.array_equal(spec.rational_values(), dense.rational_values())
+        return
+    for read in ("restricted_values", "rational_values"):
+        with pytest.raises(SpectrumError) as rows:
+            getattr(spec, read)()
+        with pytest.raises(SpectrumError) as full:
+            getattr(dense, read)()
+        assert str(rows.value) == str(full.value)
+
+
+# (p, e, m) and the logs of a set whose character sums are irrational, p >= 3;
+# the first two have a stabiliser <gamma^d> with d < q^m - 1
+IRRATIONAL = {
+    "F_3^5 order-11 subgroup": ((3, 1, 5), list(range(0, 242, 22))),
+    "F_7^2 order-3 coset": ((7, 1, 2), [5, 21, 37]),
+    "F_3^5 singleton": ((3, 1, 5), [7]),
+    "F_5^3 random": ((5, 1, 3), [3, 17, 40, 41, 99, 100]),
+    "F_9^2 pair": ((3, 2, 2), [1, 30]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IRRATIONAL))
+def test_irrational_rows_read_as_dense(name):
+    field, logs = IRRATIONAL[name]
+    tower = _route_tower(*field)
+    members = FieldSubset.from_logs(tower, logs).members
+    for mode in (None, "transform", "pointwise"):
+        spec = full_spectrum(tower, members, mode=mode)
+        assert not spec.all_rational
+        assert_rows_read_as_dense(spec)
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +296,34 @@ def test_small_stabilisers_take_the_transform(monkeypatch):
     for tower, members in ((f210, hyperplane), (quadric.tower, quadric.members)):
         spec = full_spectrum(tower, members)
         assert parseval_total(spec) == tower.qm * len(members)
+
+
+@pytest.mark.parametrize("a", [1, 64, 65, 200, 242])
+def test_irrational_witness_is_least_element(f35, a):
+    # one irrational row, serving a alone
+    rows = np.zeros((f35.order, 3), dtype=np.int64)
+    rows[f35.log[a], 1] = 1
+    spec = Spectrum(f35, rows, f35.order, 0)
+    assert spec.irrational_witness() == a
+    assert DenseSpectrum(f35, spec.raw, 0).irrational_witness() == a
+
+
+def test_class_union_spectrum_stays_in_its_rows():
+    # F_2^22, N = 3: three Gauss-period rows serve 2^22 - 1 elements, and
+    # neither the count, the certificate nor the JSON builds the dense array
+    tower = build_tower(FieldSpec(p=2, e=1, m=22))
+    subset = build_cyclotomic_subset(tower, 3, [0])
+    tracemalloc.start()
+    try:
+        spec = full_spectrum(tower, subset.members)
+        cert, _ = verify_pds_spectral(subset, spec)
+        out = spec.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.period == 3 and spec.rows.shape == (3, 2)
+    assert (cert.theta1, cert.theta2) == (1365, -683)
+    assert out["values"] == [{"theta": 1365, "multiplicity": 1398101},
+                             {"theta": -683, "multiplicity": 2796202}]
+    assert peak < tower.qm * tower.p * 8
+    assert "raw" not in vars(spec)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import Unreduced, cover_violations, heng_violations
+from reference import Unreduced, cover_violations, heng_violations, projective_representatives
 
 from pdscodes import codes
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
@@ -153,6 +153,10 @@ def test_first_witness_beyond_first_blocks(f34, monkeypatch):
             coverer = code.word_index(*verdict.witness[1])
             assert reps.index(coverer) >= 1 + per_block  # past the blocks of 1 and per_block
             assert (verdict.status, verdict.witness) == (NOT_MINIMAL, ((0, 15), (1, 15)))
+
+
+def test_projective_representatives_equal_list_form(code):
+    assert np.array_equal(code.projective_representatives(), projective_representatives(code))
 
 
 def test_class_orbit_is_lowest_class_of_its_orbit(code):

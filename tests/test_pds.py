@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdscodes import pds
 from pdscodes.charsums import full_spectrum
 from pdscodes.codes import rank_reaches
 from pdscodes.field import FieldSpec, build_tower
@@ -156,6 +157,18 @@ def test_direct_verification_failure_witness(f34):
     assert err.value.witness is not None
     with pytest.raises(PdsVerificationError):
         verify_pds_spectral(bad)
+
+
+def test_irrational_certificate_witness():
+    # {x, -x} over F_5: the values zeta^t + zeta^-t are irrational wherever
+    # t = Tr(a x) != 0, and the witness is the least such a
+    tower = build_tower(FieldSpec(p=5, e=1, m=3))
+    x = int(tower.exp[7])
+    subset = FieldSubset(tower, [x, int(tower.neg_table[x])])
+    with pytest.raises(PdsVerificationError) as exc:
+        verify_pds_spectral(subset)
+    traces = tower.trace_p[tower.mul_vec(x, np.arange(tower.qm))]
+    assert exc.value.witness == int(np.flatnonzero(traces)[0])
 
 
 def test_direct_guard(f35):
@@ -341,6 +354,8 @@ def _symmetric_random(tower, size, seed):
 
 DIRECT_PDS = {
     "F_2^4 N=3": ("f16", lambda t: build_cyclotomic_subset(t, 3, [0])),
+    # the first g off D is the last of the d = 3 representatives
+    "F_2^4 N=3 J=[0,1]": ("f16", lambda t: build_cyclotomic_subset(t, 3, [0, 1])),
     "F_2^4 N=5 J=[0,1]": ("f16", lambda t: build_cyclotomic_subset(t, 5, [0, 1])),
     "F_3^4 hyperbolic": ("f34", lambda t: quadric_subset(t, kind="hyperbolic")[0]),
     "F_3^4 elliptic": ("f34", lambda t: quadric_subset(t, kind="elliptic")[0]),
@@ -387,6 +402,34 @@ def test_direct_check_failure_equals_full_scan(request, name):
         _direct_reference(subset)
     assert str(reduced.value) == str(full.value)
     assert reduced.value.witness == full.value.witness
+
+
+@pytest.mark.parametrize("chunk", ["one g", "split"])
+@pytest.mark.parametrize("table,name", [("pds", n) for n in sorted(DIRECT_PDS)]
+                         + [("not pds", n) for n in sorted(DIRECT_NOT_PDS)])
+def test_direct_check_chunks_equal_full_scan(request, monkeypatch, table, name, chunk):
+    # one g per chunk, or a chunk boundary between the first violation and the
+    # count it is compared with (between the two halves of the g range for a PDS)
+    subset = _direct_subset(request, DIRECT_PDS if table == "pds" else DIRECT_NOT_PDS, name)
+    try:
+        expected = _direct_reference(subset)
+    except PdsVerificationError as exc:
+        expected = exc
+    step = 1
+    if chunk == "split":
+        d = subset.stabiliser_period
+        step = (d + 1) // 2
+        if isinstance(expected, PdsVerificationError):
+            step = int(subset.tower.log[expected.witness[1]])
+            assert step < d and int(subset.tower.log[expected.witness[0]]) < step
+    monkeypatch.setattr(pds, "DIRECT_CHUNK", step * len(subset))
+    if not isinstance(expected, PdsVerificationError):
+        assert verify_pds_direct(subset) == expected
+        return
+    with pytest.raises(PdsVerificationError) as batched:
+        verify_pds_direct(subset)
+    assert str(batched.value) == str(expected)
+    assert batched.value.witness == expected.witness
 
 
 def test_field_subset_input_validation(f34):
