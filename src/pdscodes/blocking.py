@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import DEFAULT_ENUM_BUDGET, rank_reaches
+from .codes import DEFAULT_ENUM_BUDGET, rank_reaches, slice_members
 from .pds import FieldSubset, GuardExceeded
 
 
@@ -42,12 +42,10 @@ def _intersections(subset: FieldSubset, count: int) -> Iterator[tuple[int, np.nd
     """(j0, rows): rows[i] is D ∩ H_(j0+i) padded with 0, for j0 + i < count, in
     batches of about 2^17 digits (rows x |D| x em)."""
     tower, members = subset.tower, subset.members
-    logs = tower.log[members].astype(np.int64)
     per = max(1, 2 ** 17 // (tower.em * max(1, len(members))))
     for j0 in range(0, count, per):
-        js = np.arange(j0, min(j0 + per, count))
-        traces = tower.trace_q[tower.exp[(js[:, None] + logs) % tower.order]]
-        yield j0, np.where(traces == 0, members, 0)
+        directions = tower.exp[j0:min(j0 + per, count)]
+        yield j0, np.where(tower.trace_labels(directions[:, None], members) == 0, members, 0)
 
 
 def _first_nested_pair(subset: FieldSubset, orbits: int) -> tuple[int, int] | None:
@@ -67,7 +65,7 @@ def _first_nested_pair(subset: FieldSubset, orbits: int) -> tuple[int, int] | No
         for j in (j0 + np.flatnonzero(~spans)).tolist():
             ann = np.ones(step, dtype=bool)
             for b in (bases[j - j0] @ tower.p ** np.arange(tower.em)).tolist():
-                ann &= tower.trace_q[tower.mul_vec(b, directions)] == 0
+                ann &= tower.trace_labels(b, directions) == 0
             ann[j] = False
             ls = np.flatnonzero(ann)
             outer = ls % orbits
@@ -126,9 +124,7 @@ def cutting_secondary_condition(subset: FieldSubset) -> tuple[bool, str]:
     tower = subset.tower
     note = "tested as: for every nonzero v, the slice {x in D : Tr(vx) = -1} is nonempty"
     # the slice of gamma^d v is gamma^-d times that of v, as gamma^d D = D
-    target = int(tower.neg_table[tower.subfield_elements[1]])
     for z in tower.exp[: subset.stabiliser_period].tolist():
-        traces = tower.trace_q[tower.mul_vec(z, subset.members)]
-        if not np.any(traces == target):
+        if not len(slice_members(subset, 1, z)):
             return False, note
     return True, note

@@ -7,6 +7,12 @@ counting trace values directly (no character theory), so the weight table
 doubles as an independent oracle for everything the spectral closed forms
 predict.
 
+`SubsetCode.word_labels` is the batch route to coordinate values: dense
+F_q labels read through the tower's trace-label table
+(`FieldTower.trace_labels`).  `SubsetCode.codeword` computes one word on
+field elements (multiply, trace, add) and is the reference the table is
+tested against.
+
 Minimality is decided by several methods of increasing abstraction:
 
 * cover oracle: pairwise support containment between codewords;
@@ -240,9 +246,7 @@ def slice_members(subset: FieldSubset, y_label: int, z: int) -> np.ndarray:
         raise ValueError("z must be nonzero")
     tower = subset.tower
     _, _, neg_q = tower.subfield_tables()
-    target = int(tower.subfield_elements[neg_q[y_label]])
-    traces = tower.trace_q[tower.mul_vec(z, subset.members)]
-    return subset.members[traces == target]
+    return subset.members[tower.trace_labels(z, subset.members) == neg_q[y_label]]
 
 
 def dyz_size(subset: FieldSubset, y_label: int, z: int, method: str = "auto") -> int:
@@ -286,24 +290,20 @@ def defining_set(subset: FieldSubset) -> list[tuple[int, int]]:
 
 
 def characteristic_trace_form(subset: FieldSubset) -> int | None:
-    """The a with f(x) = Tr(a x) on all nonzero x, or None if no such a exists."""
+    """The a with f(x) = Tr(a x) on all nonzero x, or None if no such a exists.
+
+    gamma^0, ..., gamma^(m-1) is an F_q-basis, so exactly one a has
+    Tr(a gamma^i) = f(gamma^i) for i < m; it is the answer if it matches f
+    on every nonzero x.
+    """
     tower = subset.tower
-    f_vals = subset.indicator[tower.exp].astype(np.int64)  # 0/1 in log order
-    one = int(tower.subfield_elements[1])
-    candidates = np.ones(tower.qm, dtype=bool)
-    xs = np.arange(tower.qm, dtype=np.int64)
-    for i in range(tower.m):
-        beta = int(tower.exp[i])
-        want = one if subset.indicator[beta] else 0
-        candidates &= tower.trace_q[tower.mul_vec(beta, xs)] == want
-        if not candidates.any():
-            return None
-    for a in np.nonzero(candidates)[0].tolist():
-        traces = tower.trace_q[tower.mul_vec(int(a), tower.exp.astype(np.int64))]
-        expected = np.where(f_vals == 1, one, 0)
-        if np.array_equal(traces.astype(np.int64), expected):
-            return int(a)
-    return None
+    xs = np.arange(tower.qm)
+    match = np.ones(tower.qm, dtype=bool)
+    for beta in tower.exp[: tower.m].tolist():
+        match &= tower.trace_labels(xs, beta) == subset.indicator[beta]
+    a = int(match.argmax())
+    f = subset.indicator[tower.exp]
+    return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
 class SubsetCode:
@@ -347,20 +347,11 @@ class SubsetCode:
         contrib = np.where(self.subset.indicator[xs], u_elem, 0)
         return tower.add_sets(contrib, tr)
 
-    def _trace_labels(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(j, labels) for v = gamma^j, j < d; labels[i] is the F_q label of Tr(v gamma^i).
-
-        A word (u, v) vanishes at gamma^i exactly when labels[i] is -u on
-        the subset and 0 off it, so weights and supports both read off this.
-        The word (u, gamma^(j + k d)) is the word (u, gamma^j) read from
-        coordinate k d on, so these d values of v stand for every nonzero v.
-        """
-        tower = self.tower
-        order = tower.order
-        labels_of_exp = tower.subfield_index[tower.trace_q[tower.exp]].astype(np.int64)
-        idx_all = np.arange(order, dtype=np.int64)
-        for j in range(self.stabiliser_period):
-            yield j, labels_of_exp[(j + idx_all) % order]
+    def word_labels(self, u_label, v, x) -> np.ndarray:
+        """Dense F_q labels of u f(x) + Tr(v x), broadcasting u, v and x; zeros allowed."""
+        add_q = self.tower.subfield_tables()[0]
+        u_f = np.where(self.subset.indicator[x], u_label, 0)
+        return add_q[u_f, self.tower.trace_labels(v, x)]
 
     def weight_table(self) -> np.ndarray:
         """Hamming weight of every word, shape (q, q^m), by direct counting."""
@@ -374,7 +365,12 @@ class SubsetCode:
         _, _, neg_q = tower.subfield_tables()
         d = self.stabiliser_period
         cols = np.empty((q, d), dtype=np.int64)
-        for j, labels in self._trace_labels():
+        # (u, gamma^j) vanishes at x when Tr(gamma^j x) is -u on the subset and 0
+        # off it; (u, gamma^(j + k d)) is that word read from coordinate k d on.
+        # Tr(gamma^j gamma^i) is entry j + i of the label table read twice over.
+        labels_twice = np.tile(tower.trace_label_of_exp, 2)
+        for j in range(d):
+            labels = labels_twice[j:j + tower.order]
             cnt_d = np.bincount(labels[mem], minlength=q)
             cnt_c = np.bincount(labels[~mem], minlength=q)
             cols[:, j] = (k - cnt_d[neg_q]) + (kc - cnt_c[0])
@@ -412,11 +408,12 @@ class SubsetCode:
         return np.stack(rows)
 
     def generator_matrix_text(self) -> str:
-        tower = self.tower
-        lines = []
-        for row in self.generator_matrix():
-            lines.append(" ".join(str(int(tower.subfield_index[v])) for v in row))
-        return "\n".join(lines) + "\n"
+        """The generator matrix rows as dense F_q labels, space-separated."""
+        m, exp = self.tower.m, self.tower.exp
+        us = np.array([1] + [0] * m)
+        vs = np.concatenate([[0], exp[:m]])
+        rows = self.word_labels(us[:, None], vs[:, None], exp)
+        return "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
 
     # -- weight distribution ----------------------------------------------
 
@@ -452,7 +449,6 @@ class SubsetCode:
         if nbytes > SUPPORT_BYTES_CAP:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
         mem = self.subset.indicator[tower.exp]
-        _, _, neg_q = tower.subfield_tables()
         d = self.stabiliser_period
         packed = np.zeros((q * qm, (order + 63) // 64 * 8), dtype=np.uint8)
         packed[self.word_index(1, 0)::qm, :width] = np.packbits(mem)  # v = 0, u != 0
@@ -460,11 +456,15 @@ class SubsetCode:
         # is the support of (u, gamma^(j + k d))
         twice = np.empty((q, 2 * order), dtype=bool)
         windows = sliding_window_view(twice, order, axis=1)[:, :order:d]
-        u_rows = np.arange(q, dtype=np.int64)[:, None] * qm
-        for j, labels in self._trace_labels():
-            zero = np.where(mem, labels == neg_q[:, None], labels == 0)
-            twice[:, :order] = twice[:, order:] = ~zero
-            packed[u_rows + tower.exp[j::d], :width] = np.packbits(windows, axis=2)
+        # the word (u, gamma^j) is add_q[u f(gamma^i), Tr(gamma^j gamma^i)], its
+        # trace labels read off the table twice over as in weight_table
+        us = np.arange(q, dtype=np.int64)[:, None]
+        u_f = np.where(mem, us, 0)
+        add_q = tower.subfield_tables()[0]
+        labels_twice = np.tile(tower.trace_label_of_exp, 2)
+        for j in range(d):
+            twice[:, :order] = twice[:, order:] = add_q[u_f, labels_twice[j:j + order]] != 0
+            packed[us * qm + tower.exp[j::d], :width] = np.packbits(windows, axis=2)
         self._supports = packed.view(np.uint64)
         return self._supports
 
@@ -656,16 +656,13 @@ class SubsetCode:
         dim <(D_{u,v} - x_0) ∪ D̄_v>, a span inside the hyperplane H_v; reached
         says whether that rank is at least target.
         """
-        tower, order = self.tower, self.tower.order
+        tower = self.tower
         xs = tower.exp.astype(np.int64)
         on = self.subset.indicator[xs]
-        neg_q = tower.subfield_tables()[2]
-        per = max(1, ZERO_BLOCK // order)
+        per = max(1, ZERO_BLOCK // tower.order)
         for start in range(0, len(vs), per):
             u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
-            logs = tower.log[v].astype(np.int64)[:, None] + np.arange(order)
-            labels = tower.subfield_index[tower.trace_q[tower.exp[logs % order]]]
-            zero = np.where(on, labels == neg_q[u][:, None], labels == 0)
+            zero = self.word_labels(u[:, None], v[:, None], xs) == 0
             ones = zero & on
             # D̄_v, and the differences x - x_0 not already in it: those in D
             gens = np.where(zero & ~on, xs, 0)

@@ -21,6 +21,11 @@ scatter.  The traces are linearized polynomials sum_k x^(step^k), whose
 basis images come from exp/log (`linearized_table`, which also serves
 q-polynomials).  trace_coords[a] packs the digits Tr_abs(a X^i), which
 index the row of the character transform that holds a's value.
+
+Two cached tables hold traces in log order: trace_of_exp[i] is
+Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
+Tr(gamma^i).  `trace_labels(v, x)` reads the label table at
+log v + log x; it is the one batch route to the F_q value of Tr(v x).
 """
 from __future__ import annotations
 
@@ -467,6 +472,23 @@ class FieldTower:
         """trace_p in log order: Tr_abs(gamma^i) at index i < q^m - 1."""
         return self.trace_p[self.exp]
 
+    @cached_property
+    def trace_label_of_exp(self) -> np.ndarray:
+        """Dense F_q labels in log order: the label of Tr(gamma^i) at index
+        i < q^m - 1, in the smallest unsigned dtype that holds q - 1."""
+        labels = self.subfield_index[self.trace_q[self.exp]]
+        return labels.astype(np.min_scalar_type(self.q - 1))
+
+    def trace_labels(self, v, x) -> np.ndarray:
+        """Dense F_q labels of Tr(v x), broadcasting v against x; zeros allowed.
+
+        Reads trace_label_of_exp at log v + log x; with fields capped at
+        MAX_FIELD_SIZE = 2^26 the sum of two int32 logs cannot overflow.
+        """
+        v, x = np.asarray(v), np.asarray(x)
+        labels = self.trace_label_of_exp[(self.log[v] + self.log[x]) % self.order]
+        return np.where((v == 0) | (x == 0), 0, labels)
+
     def trace_to_prime(self, x: int) -> int:
         return int(self.trace_p[x])
 
@@ -477,8 +499,7 @@ class FieldTower:
         """Kernel {x : Tr_{F_{q^m}/F_q}(x a) = 0}; size q^(m-1).  a must be nonzero."""
         if a == 0:
             raise ValueError("hyperplane requires a nonzero element (kernel of a == 0 is everything)")
-        vals = self.trace_q[self.mul_vec(a, np.arange(self.qm, dtype=np.int64))]
-        return np.nonzero(vals == 0)[0].astype(np.int64)
+        return np.flatnonzero(self.trace_labels(a, np.arange(self.qm)) == 0)
 
     # -- subfield ----------------------------------------------------------
 

@@ -147,22 +147,27 @@ def cyclotomic_classes(tower: FieldTower, N: int) -> list[np.ndarray]:
     ]
 
 
+def _class_indices(tower: FieldTower, N: int, J: Sequence[int]) -> tuple[int, ...]:
+    """J reduced mod N and sorted, for an N dividing q^m - 1.
+
+    J must be a nonempty proper subset of Z_N, and for odd q N must divide
+    (q^m-1)/2: then J + (q^m-1)/2 = J (mod N), and since -1 = gamma^((q^m-1)/2)
+    the union is symmetric.
+    """
+    J = tuple(sorted({int(j) % N for j in J}))
+    if not J or len(J) >= N:
+        raise ValueError("J must be a nonempty proper subset of Z_N")
+    half = tower.order // 2
+    if tower.q % 2 == 1 and half % N != 0:
+        raise ValueError(f"odd q requires N | (q^m-1)/2; got N={N}, (q^m-1)/2={half}")
+    return J
+
+
 def build_cyclotomic_subset(tower: FieldTower, N: int, J: Sequence[int]) -> FieldSubset:
     """Union of the classes indexed by J; enforces the odd-q symmetry conditions."""
     if tower.order % N != 0:
         raise ValueError(f"N={N} does not divide q^m - 1 = {tower.order}")
-    J = tuple(sorted({int(j) % N for j in J}))
-    if not J or len(J) >= N:
-        raise ValueError("J must be a nonempty proper subset of Z_N")
-    if tower.q % 2 == 1:
-        half = tower.order // 2
-        if half * 2 != tower.order or half % N != 0:
-            raise ValueError(
-                f"odd q requires N | (q^m-1)/2; got N={N}, (q^m-1)/2={tower.order // 2}"
-            )
-        shift = half % N
-        if {(j + shift) % N for j in J} != set(J):
-            raise ValueError("odd q requires J + (q^m-1)/2 = J (mod N)")
+    J = _class_indices(tower, N, J)
     members = np.concatenate(
         [tower.exp[np.arange(j, tower.order, N)].astype(np.int64) for j in J]
     )
@@ -383,15 +388,7 @@ def predicted_cyclotomic_eigenvalues(
     p, em = tower.p, tower.em
     if N <= 1 or tower.order % N != 0 or N == tower.order:
         raise ValueError(f"N={N} must be a proper divisor > 1 of q^m - 1")
-    J = tuple(sorted({int(j) % N for j in J}))
-    if not J or len(J) >= N:
-        raise ValueError("J must be a nonempty proper subset of Z_N")
-    if tower.q % 2 == 1:
-        if (tower.order // 2) % N != 0:
-            raise ValueError("odd q requires N | (q^m-1)/2")
-        shift = (tower.order // 2) % N
-        if {(j + shift) % N for j in J} != set(J):
-            raise ValueError("odd q requires J + (q^m-1)/2 = J (mod N)")
+    J = _class_indices(tower, N, J)
 
     ell1 = None
     for ell in range(1, em // 2 + 1):

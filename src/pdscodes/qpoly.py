@@ -187,19 +187,10 @@ def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: 
     gx = g.images()[xs]  # coordinate x picks up the value at g(x)
     if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
-    add_q = tower.subfield_tables()[0]
     u = np.arange(tower.q)[:, None, None]
-    lhs_u, rhs_u = np.where(subset.indicator[gx], u, 0), np.where(subset.indicator[xs], u, 0)
-
-    def trace_labels(vs, ys):  # labels of Tr(v y), nonzero ys
-        logs = tower.log[vs].astype(np.int64)[:, None] + tower.log[ys].astype(np.int64)
-        return tower.subfield_index[tower.trace_q[np.where(
-            (vs != 0)[:, None], tower.exp[logs % tower.order], 0)]][None]
-
     chunk = max(1, 2 ** 16 // (tower.q * tower.order))
     for start in range(0, tower.qm, chunk):
-        vs = np.arange(start, min(start + chunk, tower.qm))
-        if not np.array_equal(add_q[lhs_u, trace_labels(vs, gx)],
-                              add_q[rhs_u, trace_labels(dual_img[vs], xs)]):
+        vs = np.arange(start, min(start + chunk, tower.qm))[:, None]
+        if not np.array_equal(code.word_labels(u, vs, gx), code.word_labels(u, dual_img[vs], xs)):
             return False
     return True

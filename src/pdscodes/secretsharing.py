@@ -48,16 +48,10 @@ class AccessReport:
 
 
 def _value_labels_at(code: SubsetCode, x: int) -> np.ndarray:
-    """Dense label of every word's coordinate at position x (a nonzero element)."""
-    tower = code.tower
-    add_q, _, _ = tower.subfield_tables()
-    q, qm = tower.q, tower.qm
-    u_all = np.repeat(np.arange(q, dtype=np.int64), qm)
-    v_all = np.tile(np.arange(qm, dtype=np.int64), q)
-    tr_labels = tower.subfield_index[tower.trace_q[tower.mul_vec(x, v_all)]].astype(np.int64)
-    if code.subset.indicator[x]:
-        return add_q[u_all, tr_labels].astype(np.int64)
-    return tr_labels
+    """Dense label of every word's coordinate at position x (a nonzero element),
+    by word index."""
+    us = np.arange(code.tower.q)[:, None]
+    return code.word_labels(us, np.arange(code.tower.qm), x).ravel()
 
 
 def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True):

@@ -12,13 +12,16 @@ listed in a loop, that the library now runs over blocks of coverers, and
 the participant coverage counted from the unpacked supports.  Last come
 the projective representatives as a sorted list of word indices, and the
 spectrum read off its dense (q^m, p) array.
+
+Trace values are computed here on field elements (mul_vec, then trace_q),
+never through the library's trace-label table, so these references stay
+independent of it.
 """
 import numpy as np
 
 from pdscodes.charsums import SpectrumError
-from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, slice_members
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
 from pdscodes.cyclotomic import CyclotomicInteger
-from pdscodes.secretsharing import _value_labels_at
 
 
 class Unreduced(SubsetCode):
@@ -28,6 +31,27 @@ class Unreduced(SubsetCode):
     @property
     def stabiliser_period(self):
         return self.tower.order
+
+
+def trace_labels(tower, v, xs):
+    """Dense F_q labels of Tr(v x) for one v and an array of x, on field elements."""
+    return tower.subfield_index[tower.trace_q[tower.mul_vec(v, np.asarray(xs, dtype=np.int64))]]
+
+
+def slice_members(subset, y_label, z):
+    """{x in D : Tr(x z) = -y}, y given as a dense F_q label."""
+    tower = subset.tower
+    _, _, neg_q = tower.subfield_tables()
+    return subset.members[trace_labels(tower, z, subset.members) == neg_q[y_label]]
+
+
+def value_labels_at(code, x):
+    """Dense label of every word's coordinate at x, by word index: u f(x) + Tr(v x)
+    added on field elements."""
+    tower = code.tower
+    u_part = tower.subfield_elements * bool(code.subset.indicator[x])
+    tr = tower.trace_q[tower.mul_vec(x, np.arange(tower.qm, dtype=np.int64))]
+    return tower.subfield_index[tower.add_sets(u_part[:, None], tr[None, :])].ravel()
 
 
 def complement_kernel_slice(subset, z):
@@ -197,7 +221,7 @@ def participant_coverage(code, x1):
     """Participant log -> the number of words with a 1 at x1 whose support holds
     it, counted from the unpacked supports."""
     tower = code.tower
-    mask1 = _value_labels_at(code, x1) == 1
+    mask1 = value_labels_at(code, x1) == 1
     counts = np.unpackbits(code.supports()[mask1], axis=1, count=tower.order).sum(axis=0)
     x1_log = int(tower.log[x1])
     return {j: int(counts[j]) for j in range(tower.order) if j != x1_log}

@@ -98,6 +98,22 @@ def test_binary_degenerate_dimension(f16):
         assert generic.dimension() == f16.m + 1
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_characteristic_trace_form_finds_every_trace_set(m):
+    # over F_2 each {x : Tr(a x) = 1}, a != 0, is the trace form a; swapping
+    # one member for a non-member leaves no trace form
+    t = build_tower(FieldSpec(p=2, e=1, m=m))
+    xs = t.exp.astype(np.int64)
+    for a in range(1, t.qm):
+        ones = reference.trace_labels(t, a, xs) == 1
+        members, others = xs[ones], xs[~ones]
+        assert characteristic_trace_form(FieldSubset(t, members)) == a
+        for i in range(len(members)):
+            swapped = members.copy()
+            swapped[i] = others[(a + i) % len(others)]
+            assert characteristic_trace_form(FieldSubset(t, swapped)) is None
+
+
 def test_trace_form_code_is_minimal_by_every_oracle(f16):
     # f = Tr(x) on F_2^4 makes the one-weight [15, 4] simplex code, which is
     # minimal: the zeros of each word have rank k - 1 = m - 1, and the

@@ -275,3 +275,31 @@ def test_trace_linearity_exhaustive_f35(f35):
     for y in range(f35.qm):
         sums = f35._add_vec(xs, np.int64(y))
         assert np.array_equal(f35.trace_q[sums].astype(np.int64), (tr + tr[y]) % 3)
+
+
+# (p, e, m): F_2^4, F_3^4, F_4^4, F_8^4, F_9^2 and F_5^3
+LABEL_TOWERS = [(2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 3, 4), (3, 2, 2), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("p,e,m", LABEL_TOWERS)
+def test_trace_labels_equal_element_route(p, e, m):
+    # every (v, x), zeros included, in blocks of v broadcast against all x
+    t = build_tower(FieldSpec(p=p, e=e, m=m))
+    xs = np.arange(t.qm)
+    for start in range(0, t.qm, 256):
+        vs = xs[start:start + 256]
+        expected = np.stack([reference.trace_labels(t, v, xs) for v in vs.tolist()])
+        assert np.array_equal(t.trace_labels(vs[:, None], xs), expected)
+    assert t.trace_label_of_exp.dtype == np.uint8
+
+
+def test_trace_labels_wide_subfield():
+    # q = 2^9: labels up to 511 need 16 bits
+    t = build_tower(FieldSpec(p=2, e=9, m=2))
+    assert t.trace_label_of_exp.dtype == np.uint16
+    xs = np.arange(t.qm)
+    rng = np.random.default_rng(9)
+    vs = np.concatenate([[0, 1], rng.integers(2, t.qm, size=30)])
+    for v in vs.tolist():
+        assert np.array_equal(t.trace_labels(v, xs), reference.trace_labels(t, v, xs))
+    assert t.trace_labels(vs[:, None], xs).max() == t.q - 1

@@ -105,6 +105,21 @@ def assert_fill_equals_words(code):
             assert np.array_equal(sup[code.word_index(u, v)], np.packbits(nonzero))
 
 
+def test_word_labels_equal_codewords(code):
+    # the table route against the element route, for every word
+    tower = code.tower
+    us, vs = np.divmod(np.arange(code.word_count), tower.qm)
+    labels = code.word_labels(us[:, None], vs[:, None], tower.exp)
+    words = np.stack([code.codeword(u, v) for u, v in zip(us.tolist(), vs.tolist())])
+    assert np.array_equal(labels, tower.subfield_index[words])
+
+
+def test_generator_matrix_text_equals_element_route(code):
+    labels = code.tower.subfield_index[code.generator_matrix()]
+    expected = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in labels)
+    assert code.generator_matrix_text() == expected
+
+
 def test_stabiliser_period_is_least_period(code):
     tower = code.tower
     d = code.stabiliser_period

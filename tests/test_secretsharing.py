@@ -103,6 +103,15 @@ def test_coverage_constant_on_scalar_classes(ex31_code, f44):
             assert coverage[partner] == n
 
 
+def test_value_labels_equal_element_route(ex31_code, f44):
+    from pdscodes.secretsharing import _value_labels_at
+
+    # one x1 inside the subset, one outside it
+    for x1 in (int(ex31_code.subset.members[0]), int(ex31_code.subset.complement().members[0])):
+        assert np.array_equal(_value_labels_at(ex31_code, x1),
+                              reference.value_labels_at(ex31_code, x1))
+
+
 def test_access_sets_are_support_minimal(ex31_code, f44):
     # sampled words with coordinate 1 at x1: no other such word has support inside
     from pdscodes.secretsharing import _value_labels_at
