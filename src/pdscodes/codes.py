@@ -19,8 +19,9 @@ Minimality is decided by several methods of increasing abstraction:
 * heng: the weight-sum identity that detects covering pairs;
 * snc: the span/annihilator criterion on trace slices of the subset, an
   exact characterization and a rank test: the generator columns at the
-  zeros of each word must span a hyperplane (`rank_reaches`, which also
-  gives the per-class flags of `rank_orbit_flags`);
+  zeros of each word must span a hyperplane.  `rank_orbit_flags` runs that
+  test (`rank_reaches`) once per code and stabiliser orbit; SNC reads its
+  verdict and witness from those cached flags, as the `sss` count does;
 * certificate-based sufficient conditions for verified PDS subsets
   (general, Latin-type, cyclotomic), which can return Minimal or
   Inconclusive but never NotMinimal.
@@ -292,17 +293,16 @@ def defining_set(subset: FieldSubset) -> list[tuple[int, int]]:
 def characteristic_trace_form(subset: FieldSubset) -> int | None:
     """The a with f(x) = Tr(a x) on all nonzero x, or None if no such a exists.
 
-    gamma^0, ..., gamma^(m-1) is an F_q-basis, so exactly one a has
-    Tr(a gamma^i) = f(gamma^i) for i < m; it is the answer if it matches f
-    on every nonzero x.
+    x -> Tr(a x) is the q-polynomial with coefficients a^(q^j), so the one
+    taking f's values on the F_q-basis gamma^0, ..., gamma^(m-1) gives the
+    only candidate a; it is the answer if it matches f on every nonzero x.
     """
+    from .qpoly import QPolynomial  # qpoly imports this module
+
     tower = subset.tower
-    xs = np.arange(tower.qm)
-    match = np.ones(tower.qm, dtype=bool)
-    for beta in tower.exp[: tower.m].tolist():
-        match &= tower.trace_labels(xs, beta) == subset.indicator[beta]
-    a = int(match.argmax())
     f = subset.indicator[tower.exp]
+    images = tower.subfield_elements[f[: tower.m].astype(np.int64)]
+    a = QPolynomial.from_basis_images(tower, images).coeffs[0]
     return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
@@ -319,6 +319,8 @@ class SubsetCode:
         self._weight_table = None
         self._supports = None
         self._kernel = None
+        self._dimension = None
+        self._rank_flags = None
 
     def check_guard(self, guard: int) -> None:
         """Raise GuardExceeded when an exhaustive scan over all words is over the guard."""
@@ -388,7 +390,9 @@ class SubsetCode:
 
     def dimension(self) -> int:
         """m + 1, less one when f is a trace form: then (u, -u a) spans the kernel."""
-        return self.tower.m + 1 - int(self.characteristic_is_linear())
+        if self._dimension is None:
+            self._dimension = self.tower.m + 1 - int(self.characteristic_is_linear())
+        return self._dimension
 
     def characteristic_is_linear(self) -> bool:
         """Whether f coincides with a trace form (collapsing the dimension).
@@ -541,15 +545,20 @@ class SubsetCode:
             yield block, bad
             start, size = start + size, min(2 * size, most)
 
-    def _orbit_flags(self, make_test, guard: int) -> dict[int, bool]:
-        """Minimality (True) of each orbit, keyed by its lowest representative."""
-        return {r: ok for reps, bad in self._block_scan(make_test, guard)
-                for r, ok in zip(reps.tolist(), (~bad.any(axis=1)).tolist())}
+    def _orbit_flags(self, make_test, guard: int) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, flags): the ascending orbit representatives and their minimality (True)."""
+        scans = [(reps, ~bad.any(axis=1)) for reps, bad in self._block_scan(make_test, guard)]
+        return np.concatenate([r for r, _ in scans]), np.concatenate([f for _, f in scans])
 
-    def _class_flags(self, orbit_flags: dict[int, bool]) -> dict[int, bool]:
+    def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
+        """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)."""
+        reps, flags = orbit_flags
+        return flags[np.searchsorted(reps, self.class_orbit(words))]
+
+    def _class_flags(self, orbit_flags) -> dict[int, bool]:
         """The orbit flags spread over every projective representative."""
         reps = self.projective_representatives()
-        return {r: orbit_flags[o] for r, o in zip(reps.tolist(), self.class_orbit(reps).tolist())}
+        return dict(zip(reps.tolist(), self.word_flags(orbit_flags, reps).tolist()))
 
     def _scan_verdict(self, make_test, guard: int, note: str) -> MethodVerdict:
         """NotMinimal at the scan's first violation, witnessed as (covered, coverer):
@@ -648,18 +657,17 @@ class SubsetCode:
 
     # -- zero-set rank: the span criterion and per-class flags ---------------------
 
-    def _zero_ranks(self, us, vs, target: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(nonempty, reached) for the words (us[i], vs[i]), vs nonzero, in blocks
-        of about ZERO_BLOCK coordinates.  The zeros of (u, v) are D_{u,v} =
-        {x in D : Tr(v x) = -u}, nonempty or not, and D̄_v, with generator
-        columns (1, x) and (0, x) of rank [D_{u,v} nonempty] +
-        dim <(D_{u,v} - x_0) ∪ D̄_v>, a span inside the hyperplane H_v; reached
-        says whether that rank is at least target.
+    def _zero_ranks(self, us, vs, target: int) -> np.ndarray:
+        """Whether the generator columns at the zeros of each word (us[i], vs[i]),
+        vs nonzero, have rank >= target, in blocks of about ZERO_BLOCK coordinates.
+        The zeros of (u, v) are D_{u,v} = {x in D : Tr(v x) = -u}, maybe empty, and
+        D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
         """
         tower = self.tower
         xs = tower.exp.astype(np.int64)
         on = self.subset.indicator[xs]
         per = max(1, ZERO_BLOCK // tower.order)
+        reached = np.empty(len(vs), dtype=bool)
         for start in range(0, len(vs), per):
             u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
             zero = self.word_labels(u[:, None], v[:, None], xs) == 0
@@ -669,68 +677,59 @@ class SubsetCode:
             row, col = np.nonzero(ones)
             diffs = tower.add_sets(xs[col], tower.neg_table[xs[ones.argmax(axis=1)]][row])
             gens[row, col] = np.where(self.subset.indicator[diffs], diffs, 0)
-            nonempty = ones.any(axis=1)
-            inner = target - nonempty
-            reached = inner <= tower.m - 1  # the span lies in H_v
-            reached[reached] = rank_reaches(tower, gens[reached], inner[reached])[0]
-            yield nonempty, reached
+            inner = target - ones.any(axis=1)
+            ok = inner <= tower.m - 1  # the span lies in H_v
+            ok[ok] = rank_reaches(tower, gens[ok], inner[ok])[0]
+            reached[start:start + per] = ok
+        return reached
 
-    def rank_orbit_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
-        """Minimality (True) of each orbit, keyed as `class_orbit` returns: a word
-        is minimal exactly when the generator columns at its zeros have rank
-        k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank k,
-        counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
+    def rank_orbit_flags(self, guard: int = DEFAULT_WORD_GUARD) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, flags): the ascending orbit representatives and the minimality
+        (True) of each, computed once per code; every call checks the guard.
+        A word is minimal exactly when the generator columns at its zeros have
+        rank k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank
+        k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
         """
-        k = self.dimension()
         reps = self._orbit_representatives(guard)
-        us, vs = np.divmod(reps, self.tower.qm)
-        comp = self.subset.complement().members
-        flags = np.full(len(reps), rank_reaches(self.tower, comp, k - 1)[0])
-        flags[vs != 0] = np.concatenate(
-            [reached for _, reached in self._zero_ranks(us[vs != 0], vs[vs != 0], k - 1)])
-        return dict(zip(reps.tolist(), flags.tolist()))
+        if self._rank_flags is None:
+            k = self.dimension()
+            us, vs = np.divmod(reps, self.tower.qm)
+            comp = self.subset.complement().members
+            flags = np.full(len(reps), rank_reaches(self.tower, comp, k - 1)[0])
+            flags[vs != 0] = self._zero_ranks(us[vs != 0], vs[vs != 0], k - 1)
+            self._rank_flags = flags
+        return reps, self._rank_flags
 
     def rank_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
         """Per-projective-class minimality by the zero-set rank (True = minimal)."""
         return self._class_flags(self.rank_orbit_flags(guard))
 
     def minimality_snc(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
-        """Exact span criterion, as a rank test: the complement spans the field,
-        and every trace slice D_{y,z} is nonempty with <(D_{y,z} - x_0) ∪ D̄_z>
-        of dimension m - 1, which is its annihilator lying in the line F_q z.
-        For f a trace form (dimension k = m) the zeros of every word need rank
-        k - 1 only, which an empty slice can reach.
-
-        Scaling z by the stabiliser <gamma^d> scales every slice, span and line
-        alike, so z = gamma^j, j < d, decide it and the first failing (z, y) in
-        log and label order is the same.
+        """Exact span criterion, read off the rank flags: the complement spans the
+        field (the flag of (1, 0)), and for z = gamma^j, j < d, each trace slice
+        D_{y,z} is nonempty with <(D_{y,z} - x_0) ∪ D̄_z> of dimension m - 1, its
+        annihilator inside the line F_q z (the flag of (y, z)); for f a trace
+        form (k = m) rank k - 1 suffices, which an empty slice can reach.  The
+        witness is the first failing (y, z), z in log order, then y in label order.
         """
         try:
-            self.check_guard(guard)
+            orbit_flags = self.rank_orbit_flags(guard)
         except GuardExceeded as exc:
             return MethodVerdict(NOT_RUN, note=str(exc))
-        tower = self.tower
-        k = self.dimension()
-        if not rank_reaches(tower, self.subset.complement().members, k - 1)[0]:
-            return MethodVerdict(
-                NOT_MINIMAL,
-                witness=("complement_span_deficient", None),
-                note="the complement does not span the field",
-            )
-        zs = tower.exp[: self.stabiliser_period].astype(np.int64)
-        ys, vs = np.tile(np.arange(tower.q), len(zs)), np.repeat(zs, tower.q)
-        done = 0
-        for nonempty, reached in self._zero_ranks(ys, vs, k - 1):
-            bad = np.flatnonzero(~reached)
-            if len(bad):
-                word = (int(ys[done + bad[0]]), int(vs[done + bad[0]]))
-                if not nonempty[bad[0]]:
-                    return MethodVerdict(NOT_MINIMAL, witness=("empty_slice", word),
-                                         note="a trace slice of the subset is empty")
-                return MethodVerdict(NOT_MINIMAL, witness=("annihilator_escapes", word),
-                                     note="slice annihilator is larger than the direction line")
-            done += len(reached)
-        return MethodVerdict(MINIMAL)
+        if not self.word_flags(orbit_flags, self.word_index(1, 0)):
+            return MethodVerdict(NOT_MINIMAL, witness=("complement_span_deficient", None),
+                                 note="the complement does not span the field")
+        zs = self.tower.exp[: self.stabiliser_period].astype(np.int64)
+        words = self.word_index(np.arange(self.tower.q), zs[:, None]).ravel()
+        ok = self.word_flags(orbit_flags, words)
+        if ok.all():
+            return MethodVerdict(MINIMAL)
+        word = self.word_of_index(int(words[ok.argmin()]))
+        if len(slice_members(self.subset, *word)) == 0:
+            return MethodVerdict(NOT_MINIMAL, witness=("empty_slice", word),
+                                 note="a trace slice of the subset is empty")
+        return MethodVerdict(NOT_MINIMAL, witness=("annihilator_escapes", word),
+                             note="slice annihilator is larger than the direction line")
 
 
 # -- certificate-based sufficient conditions ------------------------------------

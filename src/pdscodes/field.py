@@ -97,6 +97,13 @@ class FieldConstructionError(ValueError):
     """Raised when a field spec cannot be realized (bad prime, modulus, size)."""
 
 
+def int_list(value, name: str) -> list[int]:
+    """A JSON spec field that must be a list of integers, or a ValueError naming it."""
+    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    return value
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -252,7 +259,7 @@ class FieldSpec:
             p=int(obj["p"]),
             e=int(obj["e"]),
             m=int(obj["m"]),
-            modulus=tuple(mod) if mod is not None else None,
+            modulus=tuple(int_list(mod, "modulus")) if mod is not None else None,
             generator_check=bool(obj.get("generator_check", True)),
         )
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .charsums import Spectrum, full_spectrum, is_invariant_under_subfield
-from .field import FieldTower
+from .field import FieldTower, int_list
 
 DIRECT_VERIFY_CAP = 10_000
 # (g, member) pairs counted per numpy pass of the direct check
@@ -121,12 +121,16 @@ class FieldSubset:
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
         if "cyclotomic" in obj:
             c = obj["cyclotomic"]
-            return build_cyclotomic_subset(tower, int(c["N"]), c["J"])
+            return build_cyclotomic_subset(tower, int(c["N"]), int_list(c["J"], "J"))
         if "explicit" in obj:
-            return cls.from_logs(tower, obj["explicit"]["logs"])
+            return cls.from_logs(tower, int_list(obj["explicit"]["logs"], "logs"))
         if "quadric" in obj:
             qd = obj["quadric"]
             gram = qd.get("gram")
+            if gram is not None:
+                if not isinstance(gram, list):
+                    raise ValueError(f"gram must be a list of rows, got {gram!r}")
+                gram = [int_list(row, "gram row") for row in gram]
             subset, _ = quadric_subset(tower, kind=qd.get("kind"), gram=gram)
             return subset
         raise ValueError("subset spec must be one of cyclotomic/explicit/quadric")
@@ -141,7 +145,7 @@ class FieldSubset:
 def cyclotomic_classes(tower: FieldTower, N: int) -> list[np.ndarray]:
     """The N classes gamma^i * <gamma^N>, each of size (q^m-1)/N."""
     if N < 1 or tower.order % N != 0:
-        raise ValueError(f"N={N} does not divide q^m - 1 = {tower.order}")
+        raise ValueError(f"N={N} must be a positive divisor of q^m - 1 = {tower.order}")
     return [
         tower.exp[np.arange(i, tower.order, N)].astype(np.int64) for i in range(N)
     ]
@@ -165,8 +169,8 @@ def _class_indices(tower: FieldTower, N: int, J: Sequence[int]) -> tuple[int, ..
 
 def build_cyclotomic_subset(tower: FieldTower, N: int, J: Sequence[int]) -> FieldSubset:
     """Union of the classes indexed by J; enforces the odd-q symmetry conditions."""
-    if tower.order % N != 0:
-        raise ValueError(f"N={N} does not divide q^m - 1 = {tower.order}")
+    if N < 1 or tower.order % N != 0:
+        raise ValueError(f"N={N} must be a positive divisor of q^m - 1 = {tower.order}")
     J = _class_indices(tower, N, J)
     members = np.concatenate(
         [tower.exp[np.arange(j, tower.order, N)].astype(np.int64) for j in J]
@@ -494,6 +498,8 @@ def quadric_subset(
     gram = tuple(tuple(int(v) for v in row) for row in gram)
     if len(gram) != m or any(len(row) != m for row in gram):
         raise ValueError(f"gram matrix must be {m}x{m}")
+    if any(not 0 <= v < q for row in gram for v in row):
+        raise ValueError(f"gram entries must be F_q labels 0..{q - 1}")
     from .codes import rank_reaches  # codes imports this module
 
     add, mul, _ = tower.subfield_tables()

@@ -65,10 +65,8 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     total = int(np.count_nonzero(mask1))
     if code_is_minimal:
         return total, None
-    flags = code.rank_orbit_flags()
-    orbits, counts = np.unique(code.class_orbit(np.flatnonzero(mask1)), return_counts=True)
-    oracle_total = sum(n for r, n in zip(orbits.tolist(), counts.tolist()) if flags[r])
-    return total, oracle_total
+    minimal = code.word_flags(code.rank_orbit_flags(), np.flatnonzero(mask1))
+    return total, int(np.count_nonzero(minimal))
 
 
 def _coverage(code: SubsetCode, x1: int, xs) -> np.ndarray:

@@ -71,6 +71,29 @@ def test_malformed_subset_is_config_error(capsys):
     assert "error" in err
 
 
+F44 = '{"p": 2, "e": 2, "m": 4}'
+F34 = '{"p": 3, "e": 1, "m": 4}'
+GRAM = '{"quadric": {"gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, %s]]}}'
+
+
+@pytest.mark.parametrize("field, subset, message", [
+    (F44, '{"cyclotomic": {"N": 0, "J": [0]}}', "N=0 must be a positive divisor of q^m - 1"),
+    (F44, '{"cyclotomic": {"N": -5, "J": [0]}}', "N=-5 must be a positive divisor of q^m - 1"),
+    (F34, GRAM % 7, "gram entries must be F_q labels 0..2"),
+    (F34, GRAM % -1, "gram entries must be F_q labels 0..2"),
+    (F44, '{"cyclotomic": {"N": 5, "J": 3}}', "J must be a list of integers, got 3"),
+    (F44, '{"explicit": {"logs": 3}}', "logs must be a list of integers, got 3"),
+    (F34, '{"quadric": {"gram": 5}}', "gram must be a list of rows, got 5"),
+    (F34, '{"quadric": {"gram": [1, 2, 3, 4]}}', "gram row must be a list of integers, got 1"),
+    ('{"p": 2, "e": 2, "m": 4, "modulus": 5}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "modulus must be a list of integers, got 5"),
+])
+def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
+    code, _, err = run_cli(capsys, "pds", "--field", field, "--subset", subset)
+    assert code == 2
+    assert message in err
+
+
 def test_unknown_recipe_is_config_error(capsys):
     code, _, err = run_cli(capsys, "pds", "--recipe", "nope")
     assert code == 2

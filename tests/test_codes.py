@@ -8,6 +8,7 @@ from pdscodes.codes import (
     INCONCLUSIVE,
     MINIMAL,
     NOT_MINIMAL,
+    NOT_RUN,
     MethodVerdict,
     MinimalityReport,
     SubsetCode,
@@ -27,11 +28,13 @@ from pdscodes.cli import main
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import (
     FieldSubset,
+    GuardExceeded,
     build_cyclotomic_subset,
     predicted_cyclotomic_eigenvalues,
     quadric_subset,
     verify_pds_spectral,
 )
+from pdscodes.secretsharing import analyze_scheme
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,36 @@ def test_characteristic_trace_form_finds_every_trace_set(m):
             swapped = members.copy()
             swapped[i] = others[(a + i) % len(others)]
             assert characteristic_trace_form(FieldSubset(t, swapped)) is None
+
+
+@pytest.mark.parametrize("p, e, m", [(2, 1, 4), (2, 1, 5), (2, 2, 3)])
+def test_characteristic_trace_form_matches_brute_force(p, e, m):
+    # every a tried on the element route, for the trace sets {x : Tr(a x) = 1}
+    # (trace forms only over F_2) and for random sets
+    t = build_tower(FieldSpec(p=p, e=e, m=m))
+    xs = t.exp.astype(np.int64)
+    table = np.stack([reference.trace_labels(t, a, xs) for a in range(t.qm)])
+    rng = np.random.default_rng(t.qm)
+    sets = [xs[table[a] == 1] for a in range(1, t.qm)]
+    sets += [rng.choice(xs, size=int(rng.integers(1, t.order)), replace=False) for _ in range(40)]
+    for members in sets:
+        subset = FieldSubset(t, members)
+        matches = np.flatnonzero((table == subset.indicator[xs]).all(axis=1)).tolist()
+        assert len(matches) <= 1
+        assert characteristic_trace_form(subset) == (matches[0] if matches else None)
+
+
+def test_dimension_evaluates_the_trace_form_once(f16, monkeypatch):
+    calls = []
+
+    def counted(subset):
+        calls.append(subset)
+        return characteristic_trace_form(subset)
+
+    monkeypatch.setattr("pdscodes.codes.characteristic_trace_form", counted)
+    code = SubsetCode(FieldSubset.from_logs(f16, [0, 1, 3, 7]))
+    assert code.dimension() == code.dimension() == f16.m + 1
+    assert calls == [code.subset]
 
 
 def test_trace_form_code_is_minimal_by_every_oracle(f16):
@@ -206,8 +239,7 @@ def test_slice_annihilator_inside_line(ex31_code, f44):
         assert np.all(np.isin(ann, line))
         # the rank is 1 + dim of the difference span, m - 1 as the annihilator is the line
         assert _log_q(f44, len(ann)) == 1
-        nonempty, reached = next(code._zero_ranks([y], [z], f44.m))
-        assert nonempty[0] and reached[0]
+        assert len(slice_members(code.subset, y, z)) and code._zero_ranks([y], [z], f44.m)[0]
 
 
 def test_empty_slice_annihilator_reduces(f34, hyperplane_subset):
@@ -221,9 +253,48 @@ def test_empty_slice_annihilator_reduces(f34, hyperplane_subset):
     assert rank == reference.dimension(f34, dbar) < f34.m
     code = SubsetCode(subset)
     for target, expected in ((rank, True), (rank + 1, False)):
-        nonempty, reached = next(code._zero_ranks([1], [1], target))
-        assert not nonempty[0] and reached[0] == expected
+        assert code._zero_ranks([1], [1], target)[0] == expected
     assert rank_reaches(f34, dbar, rank)[0] and not rank_reaches(f34, dbar, rank + 1)[0]
+
+
+def test_one_zero_rank_scan_per_code(hyperplane_subset, monkeypatch):
+    # SNC, the per-class flags and the secret-sharing filter share one scan
+    calls = []
+    zero_ranks = SubsetCode._zero_ranks
+
+    def counted(self, *args):
+        calls.append(self)
+        return zero_ranks(self, *args)
+
+    monkeypatch.setattr(SubsetCode, "_zero_ranks", counted)
+    code = SubsetCode(hyperplane_subset)
+    snc = code.minimality_snc()
+    flags = code.rank_flags()
+    report = analyze_scheme(code, 1, code_is_minimal=False)
+    assert calls == [code]
+    assert (snc.status, snc.witness) == reference.snc_reference(code)
+    assert not all(flags.values()) and report.oracle_total < report.total
+
+
+def test_guard_applies_after_the_rank_flags_are_cached(row1_code):
+    code = SubsetCode(row1_code.subset)
+    assert code.minimality_snc().status == MINIMAL
+    assert code.minimality_snc(guard=10).status == NOT_RUN
+    with pytest.raises(GuardExceeded):
+        code.rank_orbit_flags(guard=10)
+
+
+def test_annihilator_escapes_witness():
+    # F_3^3, d = 26, k = 4: the first failing slice is nonempty, but its
+    # differences and the complement kernel slice span too little
+    t = build_tower(FieldSpec(p=3, e=1, m=3))
+    code = SubsetCode(FieldSubset.from_logs(t, [1, 4, 6, 7, 8, 9, 10, 11, 14, 16, 19, 23, 24]))
+    assert (code.stabiliser_period, code.dimension()) == (26, 4)
+    snc = code.minimality_snc()
+    assert (snc.status, snc.witness) == (NOT_MINIMAL, ("annihilator_escapes", (2, 5)))
+    assert snc.note == "slice annihilator is larger than the direction line"
+    assert (snc.status, snc.witness) == reference.snc_reference(code)
+    assert code.minimality_cover().status == NOT_MINIMAL
 
 
 def test_cover_oracle_example31(ex31_code):
