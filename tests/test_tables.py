@@ -1,9 +1,9 @@
 """Golden tower tables: sha256 digests of every table on eight towers.
 
 tests/data/golden/tables.json holds, per tower, the digest of exp, log,
-trace_p, trace_q and neg_table (each cast to int64), their dtypes, and the
-digest of the raw spectrum of one fixed class union, which pins the row
-order of the character transform.  Regenerate (only on purpose) with
+trace_p, trace_q, neg_table, trace_coords and subfield_index (each cast to
+int64), their dtypes, and the digest of the raw spectrum of one fixed class
+union, which pins the row order of the character transform.  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_tables.py
 """
@@ -20,7 +20,7 @@ from pdscodes.pds import build_cyclotomic_subset
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "tables.json"
 
-TABLES = ("exp", "log", "trace_p", "trace_q", "neg_table")
+TABLES = ("exp", "log", "trace_p", "trace_q", "neg_table", "trace_coords", "subfield_index")
 
 # (p, e, m) and the class union (N, J) whose spectrum is digested
 TOWERS = {
