@@ -321,6 +321,7 @@ class SubsetCode:
         self._kernel = None
         self._dimension = None
         self._rank_flags = None
+        self._orbit_reps = None
 
     def check_guard(self, guard: int) -> None:
         """Raise GuardExceeded when an exhaustive scan over all words is over the guard."""
@@ -516,9 +517,12 @@ class SubsetCode:
         return np.where(u == 0, lowest_zero[log_v % g], one)
 
     def _orbit_representatives(self, guard: int) -> np.ndarray:
-        """The lowest projective representative of each orbit, ascending."""
+        """The lowest projective representative of each orbit, ascending (cached)."""
         self.check_guard(guard)
-        return np.unique(self.class_orbit(self.projective_representatives()))
+        if self._orbit_reps is None:
+            self._orbit_reps = np.unique(self.class_orbit(self.projective_representatives()))
+            self._orbit_reps.flags.writeable = False
+        return self._orbit_reps
 
     def _block_scan(
         self, make_test: Callable[[], Callable[[np.ndarray], np.ndarray]], guard: int

@@ -12,15 +12,17 @@ tables are immutable after construction, so a tower can be shared freely
 across threads.
 
 The traces, the negation, trace_coords and multiplication by a fixed
-power of X are F_p-linear maps on the packed digits.  Each is tabulated
-by `FieldTower.linear_map_table` from the images of the em basis
-elements X^i, computed on scalars, by packed doubling.  exp takes its
-first B ~ sqrt(q^m) powers of X by scalar shift-and-reduce and the rest
-B at a time through the multiply-by-X^B table; log is its inverse
-scatter.  The traces are linearized polynomials sum_k x^(step^k), whose
-basis images come from exp/log (`linearized_table`, which also serves
-q-polynomials).  trace_coords[a] packs the digits Tr_abs(a X^i), which
-index the row of the character transform that holds a's value.
+power of X are F_p-linear maps on the packed digits, tabulated by
+`FieldTower.linear_map_table` from the images of the basis X^i: on the
+low and the high half of the digits apart (digit-matrix products mod p),
+then joined by one digitwise add of arrays, which gathers from a cached
+table adding two c-digit chunks (c = 5 for p = 3; XOR for p = 2).  exp
+takes its first B ~ sqrt(q^m) powers of X by scalar shift-and-reduce and
+the rest B at a time through the multiply-by-X^B table; log is its
+inverse scatter.  The traces are linearized polynomials sum_k x^(step^k),
+whose basis images come from exp/log (`linearized_table`, which also
+serves q-polynomials).  trace_coords[a] packs the digits Tr_abs(a X^i),
+which index the row of the character transform that holds a's value.
 
 Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
@@ -97,6 +99,13 @@ class FieldConstructionError(ValueError):
     """Raised when a field spec cannot be realized (bad prime, modulus, size)."""
 
 
+def int_field(value, name: str) -> int:
+    """A JSON spec field that must be an integer (not a bool), or a ValueError naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def int_list(value, name: str) -> list[int]:
     """A JSON spec field that must be a list of integers, or a ValueError naming it."""
     if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
@@ -105,14 +114,7 @@ def int_list(value, name: str) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -203,12 +205,7 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
     if (p, degree) in DEFAULT_MODULI:
         return DEFAULT_MODULI[(p, degree)]
     for code in range(1, p ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
+        f = [code // p ** i % p for i in range(degree)] + [1]
         if f[0] != 0 and poly_is_irreducible(f, p) and poly_x_is_primitive(f, p):
             return tuple(f)
     raise FieldConstructionError(f"no primitive polynomial found for p={p}, degree={degree}")
@@ -256,9 +253,9 @@ class FieldSpec:
             obj = json.loads(obj)
         mod = obj.get("modulus")
         return cls(
-            p=int(obj["p"]),
-            e=int(obj["e"]),
-            m=int(obj["m"]),
+            p=int_field(obj["p"], "p"),
+            e=int_field(obj["e"], "e"),
+            m=int_field(obj["m"], "m"),
             modulus=tuple(int_list(mod, "modulus")) if mod is not None else None,
             generator_check=bool(obj.get("generator_check", True)),
         )
@@ -323,22 +320,22 @@ class FieldTower:
         self.log = log
 
         # the traces and negation are F_p-linear; trace_p[p^i] is Tr(X^i)
-        trace_p = self.linearized_table([1] * em, p).astype(np.int32)
+        trace_p = self.linearized_table([1] * em, p)
         if trace_p[p ** np.arange(em)].max() >= p:
             raise FieldConstructionError("absolute trace left the prime field; tables corrupt")
         self.trace_p = trace_p.astype(np.int8)
         # with e = 1 the two traces are one map
         self.trace_q = (
             trace_p if self.e == 1
-            else self.linearized_table([1] * self.m, self.q).astype(np.int32)
+            else self.linearized_table([1] * self.m, self.q)
         )
-        self.neg_table = self.linear_map_table([(p - 1) * p ** i for i in range(em)]).astype(np.int32)
+        self.neg_table = self.linear_map_table([(p - 1) * p ** i for i in range(em)])
         # trace_coords[a] packs the digits Tr(a X^i), i < em: the row of the
         # character transform that holds a's value
         tr_x = self.trace_p[exp[: 2 * em - 1]].astype(np.int64).tolist()
         self.trace_coords = self.linear_map_table(
             [sum(tr_x[i + j] * p ** i for i in range(em)) for j in range(em)]
-        ).astype(np.int32)
+        )
 
         # dense labels for F_q: 0 -> 0, 1 + j -> gamma^(j * subfield_step)
         sub = np.zeros(self.q, dtype=np.int32)
@@ -367,50 +364,63 @@ class FieldTower:
 
     def linearized_table(self, coeffs: Sequence[int], step: int) -> np.ndarray:
         """x -> sum_k coeffs[k] * x^(step^k), for step a power of p, tabulated
-        on every element (int64, indexed by element).
+        on every element (int32, indexed by element).
 
         The map is F_p-linear, so only the images of the basis X^i = gamma^i
         are computed, through exp/log, and linear_map_table does the rest.
         """
         i = np.arange(self.em, dtype=np.int64)
-        images = np.zeros(self.em, dtype=np.int64)
-        for k, c in enumerate(coeffs):
-            if c:
-                logs = (int(self.log[c]) + i * pow(step, k, self.order)) % self.order
-                images = self._add_vec(images, self.exp[logs])
-        return self.linear_map_table(images.tolist())
+        terms = [self.exp[(int(self.log[c]) + i * pow(step, k, self.order)) % self.order]
+                 for k, c in enumerate(coeffs) if c]
+        # the images, summed digit by digit over the terms
+        digits = np.reshape(terms, (-1, self.em, 1)) // self.p ** i % self.p
+        return self.linear_map_table((digits.sum(axis=0) % self.p @ self.p ** i).tolist())
 
     def linear_map_table(self, images: Sequence[int]) -> np.ndarray:
         """The F_p-linear map sending X^i (the packed element p^i) to images[i],
-        tabulated on every element (int64, indexed by element).
+        tabulated on every element (int32, indexed by element).
 
-        Packed doubling: the table on the p^(i+1) elements below p^(i+1) is p
-        copies of the table below p^i, copy d shifted by d * images[i].
+        The low h = em // 2 and the high em - h digits are tabulated apart, as
+        digit rows of the arguments times digit rows of the images, mod p; one
+        digitwise add joins them: table[hi * p^h + lo] = high[hi] + low[lo].
         """
         if len(images) != self.em:
             raise ValueError(f"need one image per basis element X^i (em = {self.em})")
-        table = np.zeros(1, dtype=np.int64)
-        for image in images:
-            multiples = [0]
-            for _ in range(self.p - 1):
-                multiples.append(self.add(multiples[-1], int(image)))
-            table = self._add_vec(table[None, :], np.array(multiples)[:, None]).ravel()
-        return table
+        p, h = self.p, self.em // 2
+        place = p ** np.arange(self.em, dtype=np.int64)
+        rows = np.asarray(images, dtype=np.int64)[:, None] // place % p
+        args = np.arange(p ** (self.em - h), dtype=np.int64)[:, None] // place[: self.em - h] % p
+        high = (args @ rows[h:] % p @ place).astype(np.int32)
+        low = (args[: p ** h, :h] @ rows[:h] % p @ place).astype(np.int32)
+        return self._add_vec(high[:, None], low).ravel()
 
-    # -- digitwise helper (mod-p addition on packed base-p ints) -----------
+    # -- digitwise addition (mod-p addition on packed base-p ints) ----------
+
+    @cached_property
+    def _digit_add(self) -> tuple[int, int, np.ndarray]:
+        """(c, A, table): table[x * A + y] is the digitwise sum mod p of two c-digit
+        numbers.  c is the most digits (at most em) whose table of pairs (A = p^c)
+        has at most 2^16 entries; with c = 1 the table is read at x + y instead
+        (A = 1), which keeps it small for p > 2^8."""
+        p, c = self.p, 1
+        while c < self.em and p ** (2 * c + 2) <= 2 ** 16:
+            c += 1
+        if c == 1:
+            return 1, 1, (np.arange(2 * p - 1) % p).astype(np.int32)
+        digits = np.arange(p ** c)[:, None] // p ** np.arange(c) % p
+        table = (digits[:, None] + digits) % p @ p ** np.arange(c)
+        return c, p ** c, table.ravel().astype(np.int32)
 
     def _add_vec(self, x, y):
-        """Digitwise x + y mod p on ints or int64 arrays (broadcasting): the
-        integer sum, less p * p^i wherever digit i overflows."""
+        """Digitwise x + y mod p on ints or int arrays (broadcasting): one table
+        gather per c digits, summed in the dtype of x and y (for p = 2, x ^ y)."""
         if self.p == 2:
             return x ^ y
-        out = x + y
-        overflow = self.p
-        for _ in range(self.em):
-            x, dx = divmod(x, self.p)
-            y, dy = divmod(y, self.p)
-            out -= (dx + dy >= self.p) * overflow
-            overflow *= self.p
+        c, A, table = self._digit_add
+        out = 0
+        for k in range(0, self.em, c):
+            (x, xc), (y, yc) = divmod(x, self.p ** c), divmod(y, self.p ** c)
+            out += table.take(xc * A + yc) * self.p ** k
         return out
 
     # -- scalar element operations ---------------------------------------
@@ -453,8 +463,9 @@ class FieldTower:
         return out
 
     def add_sets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Pairwise sums {x + y}, broadcasting; digitwise mod p."""
-        return self._add_vec(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
+        """Pairwise sums {x + y}, broadcasting; digitwise mod p (int64)."""
+        xs, ys = np.asarray(xs, dtype=np.int32), np.asarray(ys, dtype=np.int32)
+        return self._add_vec(xs, ys).astype(np.int64)
 
     def stabiliser_period(self, members: np.ndarray) -> int:
         """The least d with gamma^d S = S, S the nonzero members: Stab(S) = <gamma^d>.

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .charsums import Spectrum, full_spectrum, is_invariant_under_subfield
-from .field import FieldTower, int_list
+from .field import FieldTower, int_field, int_list
 
 DIRECT_VERIFY_CAP = 10_000
 # (g, member) pairs counted per numpy pass of the direct check
@@ -121,7 +121,7 @@ class FieldSubset:
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
         if "cyclotomic" in obj:
             c = obj["cyclotomic"]
-            return build_cyclotomic_subset(tower, int(c["N"]), int_list(c["J"], "J"))
+            return build_cyclotomic_subset(tower, int_field(c["N"], "N"), int_list(c["J"], "J"))
         if "explicit" in obj:
             return cls.from_logs(tower, int_list(obj["explicit"]["logs"], "logs"))
         if "quadric" in obj:

@@ -9,9 +9,11 @@ O(q^m) per span step or O(q^2m) per subset, so the tests use them on
 fields of at most a few hundred elements.  Beside them sit the cover and
 Heng scans of one coverer at a time, with the scalar multiples of a word
 listed in a loop, that the library now runs over blocks of coverers, and
-the participant coverage counted from the unpacked supports.  Last come
+the participant coverage counted from the unpacked supports.  Then come
 the projective representatives as a sorted list of word indices, and the
-spectrum read off its dense (q^m, p) array.
+spectrum read off its dense (q^m, p) array.  Last, the field's digitwise
+addition one base-p digit per round, and an F_p-linear map evaluated on
+digit lists, which the library computes through its chunked addition table.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
@@ -277,3 +279,28 @@ class DenseSpectrum:
                 {"theta": v, "multiplicity": c} for v, c in self.restricted_values()
             ]
         return out
+
+
+def digit_add(p, em, x, y):
+    """Digitwise x + y mod p on packed base-p ints or arrays (broadcasting, int64):
+    the integer sum, less p * p^i wherever digit i overflows, one digit a round."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    out = x + y
+    overflow = p
+    for _ in range(em):
+        x, dx = divmod(x, p)
+        y, dy = divmod(y, p)
+        out -= (dx + dy >= p) * overflow
+        overflow *= p
+    return out
+
+
+def linear_map(p, em, images, x):
+    """The F_p-linear map X^i -> images[i] at the packed element x, on digit lists."""
+    def digits(v):
+        return [v // p ** i % p for i in range(em)]
+
+    out = [0] * em
+    for d, image in zip(digits(x), images):
+        out = [(o + d * g) % p for o, g in zip(out, digits(image))]
+    return sum(o * p ** i for i, o in enumerate(out))

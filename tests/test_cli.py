@@ -87,6 +87,15 @@ GRAM = '{"quadric": {"gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0
     (F34, '{"quadric": {"gram": [1, 2, 3, 4]}}', "gram row must be a list of integers, got 1"),
     ('{"p": 2, "e": 2, "m": 4, "modulus": 5}', '{"cyclotomic": {"N": 5, "J": [0]}}',
      "modulus must be a list of integers, got 5"),
+    # scalar fields take JSON integers only: no null, no float, no bool
+    (F44, '{"cyclotomic": {"N": null, "J": [0]}}', "N must be an integer, got None"),
+    (F44, '{"cyclotomic": {"N": 5.9, "J": [0]}}', "N must be an integer, got 5.9"),
+    ('{"p": null, "e": 1, "m": 4}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "p must be an integer, got None"),
+    ('{"p": 3.5, "e": 1, "m": 4}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "p must be an integer, got 3.5"),
+    ('{"p": 3, "e": true, "m": 4}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "e must be an integer, got True"),
 ])
 def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
     code, _, err = run_cli(capsys, "pds", "--field", field, "--subset", subset)

@@ -5,6 +5,7 @@ import pytest
 import reference
 
 from pdscodes.codes import (
+    DEFAULT_WORD_GUARD,
     INCONCLUSIVE,
     MINIMAL,
     NOT_MINIMAL,
@@ -282,6 +283,27 @@ def test_guard_applies_after_the_rank_flags_are_cached(row1_code):
     assert code.minimality_snc(guard=10).status == NOT_RUN
     with pytest.raises(GuardExceeded):
         code.rank_orbit_flags(guard=10)
+
+
+def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code):
+    calls = []
+    class_orbit = SubsetCode.class_orbit
+
+    def counted(self, words):
+        calls.append(len(words))
+        return class_orbit(self, words)
+
+    code = SubsetCode(row1_code.subset)
+    reps = code._orbit_representatives(DEFAULT_WORD_GUARD)
+    monkeypatch.setattr(SubsetCode, "class_orbit", counted)
+    assert code._orbit_representatives(DEFAULT_WORD_GUARD) is reps
+    assert calls == []
+    assert code.minimality_cover().status == MINIMAL
+    # the guard still applies once the representatives are cached
+    for method in (code.minimality_cover, code.minimality_heng, code.minimality_snc):
+        assert method(guard=10).status == NOT_RUN
+    with pytest.raises(GuardExceeded):
+        code._orbit_representatives(10)
 
 
 def test_annihilator_escapes_witness():

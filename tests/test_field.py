@@ -1,6 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdscodes.codes import rank_reaches
 from pdscodes.field import (
@@ -246,17 +250,65 @@ def test_field_spec_json_round_trip():
 
 
 def test_linear_map_table(f35, f44):
+    # every element against the digit-list map, and the identity on the basis
     for t in (f35, f44):
         basis = [t.p ** i for i in range(t.em)]
         assert np.array_equal(t.linear_map_table(basis), np.arange(t.qm))
-        rng = np.random.default_rng(t.qm)
-        images = rng.integers(0, t.qm, size=t.em).tolist()
+        images = np.random.default_rng(t.qm).integers(0, t.qm, size=t.em).tolist()
         table = t.linear_map_table(images)
-        assert table[basis].tolist() == images
-        xs, ys = rng.integers(0, t.qm, size=(2, 200))
-        assert np.array_equal(table[t.add_sets(xs, ys)], t.add_sets(table[xs], table[ys]))
+        assert table.dtype == np.int32
+        expected = [reference.linear_map(t.p, t.em, images, x) for x in range(t.qm)]
+        assert table.tolist() == expected
     with pytest.raises(ValueError):
         f35.linear_map_table([1])
+
+
+# (p, em) towers F_p^em for the digitwise-addition oracle.  The chunk is
+# c = 5 digits for p = 3, 3 for p = 5 and 2 for p = 7, 11, 13 (at most
+# 2^16 table entries), 1 for p = 17; each p runs past 2c and includes ems
+# that are not multiples of c.
+DIGIT_TOWERS = (
+    [(3, em) for em in (1, 4, 5, 6, 7, 10, 11)]
+    + [(5, em) for em in (1, 2, 3, 4, 5, 7)]
+    + [(p, em) for p in (7, 11, 13) for em in (1, 2, 3, 4, 5)]
+    + [(17, em) for em in (1, 2, 3)]
+)
+SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((6,), (6,)), ((3, 1), (1, 4)), ((2, 1, 3), (4, 1))]
+
+
+@lru_cache(maxsize=None)
+def digit_tower(p, em):
+    return build_tower(FieldSpec(p=p, e=1, m=em))
+
+
+def test_digit_towers_span_more_than_two_chunks():
+    for p in {p for p, _ in DIGIT_TOWERS}:
+        em = max(em for q, em in DIGIT_TOWERS if q == p)
+        chunk = digit_tower(p, em)._digit_add[0]
+        assert p ** em > chunk ** 2
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(tower=st.sampled_from(DIGIT_TOWERS), shapes=st.sampled_from(SHAPES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_digitwise_addition_matches_oracle(tower, shapes, seed):
+    p, em = tower
+    t = digit_tower(p, em)
+    rng = np.random.default_rng(seed)
+    # draw from 0, q^m - 1 (every digit p - 1) and uniform elements
+    pool = np.concatenate([[0, t.qm - 1], rng.integers(0, t.qm, size=8)])
+    xs, ys = (rng.choice(pool, size=shape) for shape in shapes)
+    expected = reference.digit_add(p, em, xs, ys)
+    got = t.add_sets(xs, ys)
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    x, y = int(xs.flat[0]), int(ys.flat[0])
+    assert t.add(x, y) == int(reference.digit_add(p, em, x, y))
+    assert int(t.add_sets(x, y)) == t.add(x, y)
+    images = rng.choice(pool, size=em).tolist()
+    table = t.linear_map_table(images)
+    for v in pool.tolist():
+        assert int(table[v]) == reference.linear_map(p, em, images, v)
 
 
 def test_trace_coords_are_trace_digits(f35, f44):
@@ -273,7 +325,7 @@ def test_trace_linearity_exhaustive_f35(f35):
     xs = np.arange(f35.qm, dtype=np.int64)
     tr = f35.trace_q[xs].astype(np.int64)
     for y in range(f35.qm):
-        sums = f35._add_vec(xs, np.int64(y))
+        sums = f35.add_sets(xs, y)
         assert np.array_equal(f35.trace_q[sums].astype(np.int64), (tr + tr[y]) % 3)
 
 
