@@ -464,8 +464,8 @@ class FieldTower:
 
     def add_sets(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Pairwise sums {x + y}, broadcasting; digitwise mod p (int64)."""
-        xs, ys = np.asarray(xs, dtype=np.int32), np.asarray(ys, dtype=np.int32)
-        return self._add_vec(xs, ys).astype(np.int64)
+        xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        return self._add_vec(xs, ys).astype(np.int64, copy=False)
 
     def stabiliser_period(self, members: np.ndarray) -> int:
         """The least d with gamma^d S = S, S the nonzero members: Stab(S) = <gamma^d>.
