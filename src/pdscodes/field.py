@@ -372,7 +372,6 @@ class FieldTower:
         i = np.arange(self.em, dtype=np.int64)
         terms = [self.exp[(int(self.log[c]) + i * pow(step, k, self.order)) % self.order]
                  for k, c in enumerate(coeffs) if c]
-        # the images, summed digit by digit over the terms
         digits = np.reshape(terms, (-1, self.em, 1)) // self.p ** i % self.p
         return self.linear_map_table((digits.sum(axis=0) % self.p @ self.p ** i).tolist())
 
@@ -399,17 +398,18 @@ class FieldTower:
     @cached_property
     def _digit_add(self) -> tuple[int, int, np.ndarray]:
         """(c, A, table): table[x * A + y] is the digitwise sum mod p of two c-digit
-        numbers.  c is the most digits (at most em) whose table of pairs (A = p^c)
-        has at most 2^16 entries; with c = 1 the table is read at x + y instead
-        (A = 1), which keeps it small for p > 2^8."""
+        numbers, c the most digits (<= em) whose table of pairs (A = p^c) has at most
+        2^16 entries; a 1-digit table is read at x + y (A = 1), small for p > 2^8."""
         p, c = self.p, 1
         while c < self.em and p ** (2 * c + 2) <= 2 ** 16:
             c += 1
         if c == 1:
             return 1, 1, (np.arange(2 * p - 1) % p).astype(np.int32)
-        digits = np.arange(p ** c)[:, None] // p ** np.arange(c) % p
-        table = (digits[:, None] + digits) % p @ p ** np.arange(c)
-        return c, p ** c, table.ravel().astype(np.int32)
+        a = np.arange(p, dtype=np.int32)
+        table = digit = (a[:, None] + a) % p
+        for k in range(1, c):  # one more digit on top of both numbers
+            table = (digit[:, None, :, None] * p ** k + table[:, None]).reshape(p ** (k + 1), -1)
+        return c, p ** c, table.ravel()
 
     def _add_vec(self, x, y):
         """Digitwise x + y mod p on ints or int arrays (broadcasting): one table
