@@ -409,7 +409,7 @@ class FieldTower:
         table = digit = (a[:, None] + a) % p
         for k in range(1, c):  # one more digit on top of both numbers
             table = (digit[:, None, :, None] * p ** k + table[:, None]).reshape(p ** (k + 1), -1)
-        return c, p ** c, table.ravel()
+        return c, p ** c, table.ravel().astype(np.uint8)  # the sums are below p^c <= 2^8
 
     def _add_vec(self, x, y):
         """Digitwise x + y mod p on ints or int arrays (broadcasting): one table
@@ -420,7 +420,7 @@ class FieldTower:
         out = 0
         for k in range(0, self.em, c):
             (x, xc), (y, yc) = divmod(x, self.p ** c), divmod(y, self.p ** c)
-            out += table.take(xc * A + yc) * self.p ** k
+            out += np.multiply(table.take(xc * A + yc), self.p ** k, dtype=np.int32)
         return out
 
     # -- scalar element operations ---------------------------------------
