@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isqrt
 from typing import Sequence
 
@@ -372,8 +372,8 @@ class FieldTower:
         i = np.arange(self.em, dtype=np.int64)
         terms = [self.exp[(int(self.log[c]) + i * pow(step, k, self.order)) % self.order]
                  for k, c in enumerate(coeffs) if c]
-        digits = np.reshape(terms, (-1, self.em, 1)) // self.p ** i % self.p
-        return self.linear_map_table((digits.sum(axis=0) % self.p @ self.p ** i).tolist())
+        images = reduce(self._add_vec, terms, np.zeros(self.em, dtype=np.int32))
+        return self.linear_map_table(images.tolist())
 
     def linear_map_table(self, images: Sequence[int]) -> np.ndarray:
         """The F_p-linear map sending X^i (the packed element p^i) to images[i],
@@ -413,7 +413,7 @@ class FieldTower:
 
     def _add_vec(self, x, y):
         """Digitwise x + y mod p on ints or int arrays (broadcasting): one table
-        gather per c digits, summed in the dtype of x and y (for p = 2, x ^ y)."""
+        gather per c digits, accumulated in int32 (for p = 2, x ^ y)."""
         if self.p == 2:
             return x ^ y
         c, A, table = self._digit_add
