@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 # Hard cap on table-backed fields: seven tables of this length, mostly int32.
-# F_{2^24} builds in 1.6-1.7 s with a 654 MB peak RSS and F_{3^12} in 0.22 s
-# with 59 MB (2-core Xeon, numpy 2.4); F_{2^26} was not measured.
+# F_{2^24} builds in 1.1 s with a 511 MB peak RSS and F_{3^12} in 0.05-0.06 s
+# with 51 MB (2-core Xeon, numpy 2.4); F_{2^26} was not measured.
 MAX_FIELD_SIZE = 2 ** 26
 
 # Default defining polynomials, low degree first, indexed by (p, e*m).

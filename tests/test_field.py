@@ -284,8 +284,8 @@ def digit_tower(p, em):
 def test_digit_towers_span_more_than_two_chunks():
     for p in {p for p, _ in DIGIT_TOWERS}:
         em = max(em for q, em in DIGIT_TOWERS if q == p)
-        chunk = digit_tower(p, em)._digit_add[0]
-        assert p ** em > chunk ** 2
+        digits_per_chunk = digit_tower(p, em)._digit_add[0]
+        assert em > 2 * digits_per_chunk
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
