@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import DEFAULT_ENUM_BUDGET, rank_reaches, slice_members
+from .codes import DEFAULT_ENUM_BUDGET, rank_reaches
 from .pds import FieldSubset, GuardExceeded
 
 
@@ -113,18 +113,3 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
             witness = {"h1_log": nested[0], "h2_log": nested[1]}
     return BlockingReport(blocking, contains_subspace, cutting, witness)
 
-
-def cutting_secondary_condition(subset: FieldSubset) -> tuple[bool, str]:
-    """Secondary hypothesis of the cutting-set construction, under the reading
-    "for every nonzero v there is x in the subset with Tr(v x) = -1".
-
-    The printed statement of this hypothesis is ambiguous; the returned note
-    records the interpretation tested.
-    """
-    tower = subset.tower
-    note = "tested as: for every nonzero v, the slice {x in D : Tr(vx) = -1} is nonempty"
-    # the slice of gamma^d v is gamma^-d times that of v, as gamma^d D = D
-    for z in tower.exp[: subset.stabiliser_period].tolist():
-        if not len(slice_members(subset, 1, z)):
-            return False, note
-    return True, note

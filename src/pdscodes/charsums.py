@@ -18,8 +18,8 @@ transform, one pass per F_p digit of the field, costs em * p^2 * q^m
 integer additions whatever S is; it serves the sets with a small
 stabiliser, such as quadrics and trace hyperplanes, and its output, taken
 in log order, is the case d = q^m - 1.  The unreduced count
-(d = q^m - 1) and the transform are the two test references, and all
-three agree bit for bit.
+(d = q^m - 1) and the transform are the two test references, reached
+through `tests/reference.py`, and all three agree bit for bit.
 """
 from __future__ import annotations
 
@@ -37,8 +37,9 @@ from .field import FieldTower
 # 2.5-12 ns per addition, a ratio of 0.7 (F_2^10), 0.8 (F_7^4), 1.5 (F_3^8,
 # F_3^12), 1.7 (F_2^12), 2.0-2.5 (F_5^6, F_7^5, F_3^10) and 4 (F_2^16).
 ORBIT_UNIT_COST = 2
-# (row, member) pairs counted per numpy pass: 8 MB of int64 keys
-ORBIT_CHUNK = 2 ** 20
+# (row or g, member) pairs counted per numpy pass, here and in the direct
+# PDS check: 8 MB of int64 keys
+PAIR_CHUNK = 2 ** 20
 
 
 class SpectrumError(ValueError):
@@ -163,28 +164,17 @@ def is_invariant_under_subfield(tower: FieldTower, indicator: np.ndarray) -> boo
     return bool(np.all(indicator[tower.mul_vec(int(gen), members)]))
 
 
-def scaled_sum_invariance_check(tower: FieldTower, a: int, lam: int, members: np.ndarray) -> bool:
-    """psi(lam*a, S) == psi(a, S); only meaningful for F_q^*-invariant S."""
-    if not tower.in_subfield(lam) or lam == 0:
-        raise ValueError("lambda must be a nonzero subfield element")
-    indicator = np.zeros(tower.qm, dtype=bool)
-    indicator[np.asarray(members, dtype=np.int64)] = True
-    if not is_invariant_under_subfield(tower, indicator):
-        raise ValueError("subset is not F_q^*-invariant; the scaling identity does not apply")
-    return psi_sum(tower, tower.mul(lam, a), members) == psi_sum(tower, a, members)
-
-
 def _spectrum_pointwise(tower: FieldTower, members: np.ndarray, period: int) -> np.ndarray:
     """Row j counts the trace values on gamma^j S for j < period: the value
     at every a = gamma^i with i = j (mod period) when gamma^period S = S.
 
     With period = q^m - 1 each row serves one a: that is the pointwise
-    reference.  Rows are counted ORBIT_CHUNK (row, member) pairs at a time.
+    reference.  Rows are counted PAIR_CHUNK (row, member) pairs at a time.
     """
     p = tower.p
     logs = tower.log[members[members != 0]].astype(np.int64)
     rows = np.empty((period, p), dtype=np.int64)
-    step = max(1, ORBIT_CHUNK // max(len(logs), 1))
+    step = max(1, PAIR_CHUNK // max(len(logs), 1))
     for j0 in range(0, period, step):
         js = np.arange(j0, min(j0 + step, period))
         # key (j - j0) * p + Tr(gamma^(j + log x)) counts row j's trace values
@@ -221,25 +211,16 @@ def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
     return work[tower.trace_coords[tower.exp]]
 
 
-def full_spectrum(tower: FieldTower, members: np.ndarray, mode: str | None = None) -> Spectrum:
-    """Character sums of S (distinct elements, 0 allowed) twisted by every a.
-
-    By default the cheaper of two routes: the orbit count, d * |S| gathers
-    for the stabiliser <gamma^d> of S, or the transform, em * p^2 * q^m
-    additions.  mode="transform" and mode="pointwise" (the count without
-    the orbit reduction) force the two test references.
+def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
+    """Character sums of S (distinct elements, 0 allowed) twisted by every a,
+    by the cheaper of two routes: the orbit count, d * |S| gathers for the
+    stabiliser <gamma^d> of S, or the transform, em * p^2 * q^m additions.
     """
     members = np.asarray(members, dtype=np.int64)
-    period = tower.order
-    if mode is None:
-        period = tower.stabiliser_period(members)
-        orbit_cost = ORBIT_UNIT_COST * period * len(members)
-        mode = "pointwise" if orbit_cost < tower.em * tower.p ** 2 * tower.qm else "transform"
-    if mode == "transform":
-        return Spectrum(tower, _spectrum_transform(tower, members), tower.order, len(members))
-    if mode == "pointwise":
+    period = tower.stabiliser_period(members)
+    if ORBIT_UNIT_COST * period * len(members) < tower.em * tower.p ** 2 * tower.qm:
         return Spectrum(tower, _spectrum_pointwise(tower, members, period), period, len(members))
-    raise ValueError(f"unknown spectrum mode {mode!r}")
+    return Spectrum(tower, _spectrum_transform(tower, members), tower.order, len(members))
 
 
 def squared_norms(raw: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .blocking import is_cutting_vectorial_blocking
 from .field import FieldConstructionError, FieldSpec, build_tower
 from .pds import (
     DIRECT_VERIFY_CAP,
+    CyclotomicOrigin,
     FieldSubset,
     GuardExceeded,
     PdsVerificationError,
@@ -71,17 +72,11 @@ def _build_inputs(args):
             p=getattr(args, "p", None),
             m=getattr(args, "m", None),
         )
-        return data.tower, data.subset, data.cyclotomic
+        return data.tower, data.subset
     if not args.field or not args.subset:
         raise ConfigError("either --recipe or both --field and --subset are required")
-    spec = FieldSpec.from_json(_load_spec_arg(args.field))
-    tower = build_tower(spec)
-    subset_obj = _load_spec_arg(args.subset)
-    subset = FieldSubset.from_json(tower, subset_obj)
-    cyclo = None
-    if "cyclotomic" in subset_obj:
-        cyclo = (int(subset_obj["cyclotomic"]["N"]), tuple(subset_obj["cyclotomic"]["J"]))
-    return tower, subset, cyclo
+    tower = build_tower(FieldSpec.from_json(_load_spec_arg(args.field)))
+    return tower, FieldSubset.from_json(tower, _load_spec_arg(args.subset))
 
 
 def _emit(args, payload: dict, table_lines: list[str] | None = None):
@@ -96,7 +91,7 @@ def _emit(args, payload: dict, table_lines: list[str] | None = None):
 
 
 def cmd_pds(args) -> int:
-    tower, subset, _ = _build_inputs(args)
+    tower, subset = _build_inputs(args)
     invariant = is_fq_invariant(subset)
     try:
         cert, _ = verify_pds_spectral(subset)
@@ -120,29 +115,30 @@ def cmd_pds(args) -> int:
     return EXIT_OK
 
 
-def _pds_verdict(code, guard, cert, cert_error, cyclo) -> MethodVerdict:
+def _pds_verdict(code, guard, cert, cert_error) -> MethodVerdict:
     if cert is not None and is_fq_invariant(code.subset):
         return minimality_pds_sufficient(cert, code.tower.q, code.tower.m)
     return MethodVerdict(INCONCLUSIVE, note=cert_error or "subset is not invariant")
 
 
-def _latin_verdict(code, guard, cert, cert_error, cyclo) -> MethodVerdict:
+def _latin_verdict(code, guard, cert, cert_error) -> MethodVerdict:
     if cert is not None:
         return minimality_latin_sufficient(cert, code.tower.q, code.tower.m)
     return MethodVerdict(INCONCLUSIVE, note=cert_error)
 
 
-def _cyclotomic_verdict(code, guard, cert, cert_error, cyclo) -> MethodVerdict:
-    if cyclo is None:
+def _cyclotomic_verdict(code, guard, cert, cert_error) -> MethodVerdict:
+    origin = code.subset.origin
+    if not isinstance(origin, CyclotomicOrigin):
         return MethodVerdict(INCONCLUSIVE, note="subset has no cyclotomic description")
     try:
-        prediction = predicted_cyclotomic_eigenvalues(code.tower, cyclo[0], cyclo[1])
+        prediction = predicted_cyclotomic_eigenvalues(code.tower, origin.N, origin.J)
         return minimality_cyclotomic_sufficient(code.tower, prediction)
     except (PdsVerificationError, ValueError) as exc:
         return MethodVerdict(INCONCLUSIVE, note=str(exc))
 
 
-# --methods name -> (report key, verdict from (code, guard, cert, cert_error, cyclo)),
+# --methods name -> (report key, verdict from (code, guard, cert, cert_error)),
 # run in this order
 METHODS = {
     "cover": ("cover", lambda code, guard, *_: code.minimality_cover(guard=guard)),
@@ -166,7 +162,7 @@ def _selected_methods(spec: str) -> list[str]:
 
 
 def cmd_code(args) -> int:
-    tower, subset, cyclo = _build_inputs(args)
+    tower, subset = _build_inputs(args)
     code = SubsetCode(subset)
     methods = _selected_methods(args.methods)
     report = MinimalityReport()
@@ -181,7 +177,7 @@ def cmd_code(args) -> int:
 
     for name, (key, verdict) in METHODS.items():
         if name in methods:
-            report.record(key, verdict(code, guard, cert, cert_error, cyclo))
+            report.record(key, verdict(code, guard, cert, cert_error))
 
     dist = None
     dist_source = None
@@ -226,7 +222,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_blocking(args) -> int:
-    _, subset, _ = _build_inputs(args)
+    _, subset = _build_inputs(args)
     report = is_cutting_vectorial_blocking(subset)
     payload = report.to_json()
     table = [
@@ -241,7 +237,7 @@ def cmd_blocking(args) -> int:
 
 
 def cmd_sss(args) -> int:
-    tower, subset, _ = _build_inputs(args)
+    tower, subset = _build_inputs(args)
     code = SubsetCode(subset)
     if args.x1_log is not None:
         x1 = int(tower.exp[args.x1_log % tower.order])

@@ -9,9 +9,8 @@ predict.
 
 `SubsetCode.word_labels` is the batch route to coordinate values: dense
 F_q labels read through the tower's trace-label table
-(`FieldTower.trace_labels`).  `SubsetCode.codeword` computes one word on
-field elements (multiply, trace, add) and is the reference the table is
-tested against.
+(`FieldTower.trace_labels`).  The tests hold it against words computed on
+field elements (multiply, trace, add).
 
 Minimality is decided by several methods of increasing abstraction:
 
@@ -281,15 +280,6 @@ def dyz_size(subset: FieldSubset, y_label: int, z: int, method: str = "auto") ->
 # -- the code ------------------------------------------------------------------
 
 
-def defining_set(subset: FieldSubset) -> list[tuple[int, int]]:
-    """Ordered pairs (f(x), x) over the nonzero elements in ascending log order."""
-    tower = subset.tower
-    return [
-        (1 if subset.indicator[x] else 0, int(x))
-        for x in tower.exp.tolist()
-    ]
-
-
 def characteristic_trace_form(subset: FieldSubset) -> int | None:
     """The a with f(x) = Tr(a x) on all nonzero x, or None if no such a exists.
 
@@ -320,7 +310,7 @@ class SubsetCode:
         self._supports = None
         self._kernel = None
         self._dimension = None
-        self._rank_flags = None
+        self._rank_orbit_flags = None
         self._orbit_reps = None
 
     def check_guard(self, guard: int) -> None:
@@ -340,15 +330,6 @@ class SubsetCode:
 
     def word_of_index(self, w: int) -> tuple[int, int]:
         return w // self.tower.qm, w % self.tower.qm
-
-    def codeword(self, u_label: int, v: int) -> np.ndarray:
-        """The word as field elements in canonical coordinate order."""
-        tower = self.tower
-        xs = tower.exp.astype(np.int64)
-        tr = tower.trace_q[tower.mul_vec(v, xs)].astype(np.int64)
-        u_elem = int(tower.subfield_elements[u_label])
-        contrib = np.where(self.subset.indicator[xs], u_elem, 0)
-        return tower.add_sets(contrib, tr)
 
     def word_labels(self, u_label, v, x) -> np.ndarray:
         """Dense F_q labels of u f(x) + Tr(v x), broadcasting u, v and x; zeros allowed."""
@@ -405,13 +386,6 @@ class SubsetCode:
             return False
         return characteristic_trace_form(self.subset) is not None
 
-    def generator_matrix(self) -> np.ndarray:
-        """Rows c(1, 0), c(0, 1), c(0, gamma), ..., c(0, gamma^(m-1)) as field elements."""
-        rows = [self.codeword(1, 0)]
-        for i in range(self.tower.m):
-            rows.append(self.codeword(0, int(self.tower.exp[i])))
-        return np.stack(rows)
-
     def generator_matrix_text(self) -> str:
         """The generator matrix rows as dense F_q labels, space-separated."""
         m, exp = self.tower.m, self.tower.exp
@@ -421,11 +395,6 @@ class SubsetCode:
         return "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
 
     # -- weight distribution ----------------------------------------------
-
-    def weight_closed_form(self, v: int) -> int:
-        """q^m - q^(m-1) + psi(vD) for u, v nonzero; needs an invariant subset."""
-        psi = psi_sum(self.tower, v, self.subset.members).rational_value()
-        return self.tower.qm - self.tower.qm // self.tower.q + psi
 
     def weight_distribution_direct(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
         cost = self.word_count * self.n
@@ -549,20 +518,10 @@ class SubsetCode:
             yield block, bad
             start, size = start + size, min(2 * size, most)
 
-    def _orbit_flags(self, make_test, guard: int) -> tuple[np.ndarray, np.ndarray]:
-        """(reps, flags): the ascending orbit representatives and their minimality (True)."""
-        scans = [(reps, ~bad.any(axis=1)) for reps, bad in self._block_scan(make_test, guard)]
-        return np.concatenate([r for r, _ in scans]), np.concatenate([f for _, f in scans])
-
     def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
         """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)."""
         reps, flags = orbit_flags
         return flags[np.searchsorted(reps, self.class_orbit(words))]
-
-    def _class_flags(self, orbit_flags) -> dict[int, bool]:
-        """The orbit flags spread over every projective representative."""
-        reps = self.projective_representatives()
-        return dict(zip(reps.tolist(), self.word_flags(orbit_flags, reps).tolist()))
 
     def _scan_verdict(self, make_test, guard: int, note: str) -> MethodVerdict:
         """NotMinimal at the scan's first violation, witnessed as (covered, coverer):
@@ -616,10 +575,6 @@ class SubsetCode:
             self._cover_test, guard, "support of the first word is contained in the second's"
         )
 
-    def cover_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
-        """Per-projective-class minimality under the cover oracle (True = minimal)."""
-        return self._class_flags(self._orbit_flags(self._cover_test, guard))
-
     # -- weight-sum criterion ------------------------------------------------
 
     def _heng_test(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -655,11 +610,7 @@ class SubsetCode:
             self._heng_test, guard, "weight-sum identity fired for an independent pair"
         )
 
-    def heng_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
-        """Per-projective-class minimality under the weight-sum identity (True = minimal)."""
-        return self._class_flags(self._orbit_flags(self._heng_test, guard))
-
-    # -- zero-set rank: the span criterion and per-class flags ---------------------
+    # -- zero-set rank: the span criterion and per-orbit flags ---------------------
 
     def _zero_ranks(self, us, vs, target: int) -> np.ndarray:
         """Whether the generator columns at the zeros of each word (us[i], vs[i]),
@@ -695,18 +646,14 @@ class SubsetCode:
         k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
         """
         reps = self._orbit_representatives(guard)
-        if self._rank_flags is None:
+        if self._rank_orbit_flags is None:
             k = self.dimension()
             us, vs = np.divmod(reps, self.tower.qm)
             comp = self.subset.complement().members
             flags = np.full(len(reps), rank_reaches(self.tower, comp, k - 1)[0])
             flags[vs != 0] = self._zero_ranks(us[vs != 0], vs[vs != 0], k - 1)
-            self._rank_flags = flags
-        return reps, self._rank_flags
-
-    def rank_flags(self, guard: int = DEFAULT_WORD_GUARD) -> dict[int, bool]:
-        """Per-projective-class minimality by the zero-set rank (True = minimal)."""
-        return self._class_flags(self.rank_orbit_flags(guard))
+            self._rank_orbit_flags = flags
+        return reps, self._rank_orbit_flags
 
     def minimality_snc(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
         """Exact span criterion, read off the rank flags: the complement spans the

@@ -107,9 +107,17 @@ def int_field(value, name: str) -> int:
 
 
 def int_list(value, name: str) -> list[int]:
-    """A JSON spec field that must be a list of integers, or a ValueError naming it."""
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    """A JSON spec field that must be a list of integers (not bools), or a ValueError."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value):
         raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    return value
+
+
+def obj_field(value, name: str) -> dict:
+    """A JSON spec field that must be an object, or a ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
     return value
 
 
@@ -251,6 +259,7 @@ class FieldSpec:
     def from_json(cls, obj: dict | str) -> "FieldSpec":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        obj = obj_field(obj, "field spec")
         mod = obj.get("modulus")
         return cls(
             p=int_field(obj["p"], "p"),
@@ -507,12 +516,6 @@ class FieldTower:
         labels = self.trace_label_of_exp[(self.log[v] + self.log[x]) % self.order]
         return np.where((v == 0) | (x == 0), 0, labels)
 
-    def trace_to_prime(self, x: int) -> int:
-        return int(self.trace_p[x])
-
-    def trace_to_subfield(self, x: int) -> int:
-        return int(self.trace_q[x])
-
     def hyperplane(self, a: int) -> np.ndarray:
         """Kernel {x : Tr_{F_{q^m}/F_q}(x a) = 0}; size q^(m-1).  a must be nonzero."""
         if a == 0:
@@ -520,10 +523,6 @@ class FieldTower:
         return np.flatnonzero(self.trace_labels(a, np.arange(self.qm)) == 0)
 
     # -- subfield ----------------------------------------------------------
-
-    def in_subfield(self, x: int) -> bool:
-        """Membership in the embedded copy of F_q."""
-        return x == 0 or int(self.log[x]) % self.subfield_step == 0
 
     def subfield_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables."""

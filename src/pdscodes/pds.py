@@ -16,12 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .charsums import Spectrum, full_spectrum, is_invariant_under_subfield
-from .field import FieldTower, int_field, int_list
+from .charsums import PAIR_CHUNK, Spectrum, full_spectrum, is_invariant_under_subfield
+from .field import FieldTower, int_field, int_list, obj_field
 
 DIRECT_VERIFY_CAP = 10_000
-# (g, member) pairs counted per numpy pass of the direct check
-DIRECT_CHUNK = 2 ** 20
 
 
 class PdsVerificationError(ValueError):
@@ -119,13 +117,15 @@ class FieldSubset:
 
     @classmethod
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
+        obj = obj_field(obj, "subset spec")
         if "cyclotomic" in obj:
-            c = obj["cyclotomic"]
+            c = obj_field(obj["cyclotomic"], "cyclotomic")
             return build_cyclotomic_subset(tower, int_field(c["N"], "N"), int_list(c["J"], "J"))
         if "explicit" in obj:
-            return cls.from_logs(tower, int_list(obj["explicit"]["logs"], "logs"))
+            logs = obj_field(obj["explicit"], "explicit")["logs"]
+            return cls.from_logs(tower, int_list(logs, "logs"))
         if "quadric" in obj:
-            qd = obj["quadric"]
+            qd = obj_field(obj["quadric"], "quadric")
             gram = qd.get("gram")
             if gram is not None:
                 if not isinstance(gram, list):
@@ -332,7 +332,7 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     multiplying by gamma^d maps D and D + g onto D and D + gamma^d g, so the
     count and the membership of g repeat with period d in log order, and the
     first violation, with its witness, is the one a scan over every g finds.
-    The counts are taken DIRECT_CHUNK (g, member) pairs at a time, and the
+    The counts are taken PAIR_CHUNK (g, member) pairs at a time, and the
     scan stops after the first chunk that holds a violation.
     """
     tower = subset.tower
@@ -347,7 +347,7 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     on = subset.indicator[gs].astype(np.intp)
     first = np.array([np.argmin(on), np.argmax(on)])  # the first g off D and in D
     counts = np.zeros(len(gs), dtype=np.int64)
-    step = max(1, DIRECT_CHUNK // len(subset))
+    step = max(1, PAIR_CHUNK // len(subset))
     for g0 in range(0, len(gs), step):
         stop = min(g0 + step, len(gs))
         shifted = tower.add_sets(gs[g0:stop, None], subset.members[None, :])

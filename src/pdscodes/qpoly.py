@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import rank_reaches
+from .codes import ZERO_BLOCK, rank_reaches
 from .field import FieldTower
 from .pds import FieldSubset
 
@@ -29,14 +29,6 @@ class QPolynomial:
         self.tower = tower
         self.coeffs = coeffs
         self._images = None
-
-    @classmethod
-    def identity(cls, tower: FieldTower) -> "QPolynomial":
-        return cls(tower, (1,) + (0,) * (tower.m - 1))
-
-    @classmethod
-    def scaling(cls, tower: FieldTower, a: int) -> "QPolynomial":
-        return cls(tower, (a,) + (0,) * (tower.m - 1))
 
     @classmethod
     def frobenius(cls, tower: FieldTower, i: int = 1) -> "QPolynomial":
@@ -98,20 +90,6 @@ class QPolynomial:
     def __call__(self, x: int) -> int:
         return int(self.images()[x])
 
-    def is_linear_over_subfield(self) -> bool:
-        """Sanity check of F_q-linearity by sampling (true by construction)."""
-        tower = self.tower
-        rng = np.random.default_rng(0)
-        img = self.images()
-        for _ in range(32):
-            x, y = (int(v) for v in rng.integers(0, tower.qm, size=2))
-            lam = int(tower.subfield_elements[int(rng.integers(0, tower.q))])
-            lhs = img[tower.add(tower.mul(lam, x), y)]
-            rhs = tower.add(tower.mul(lam, int(img[x])), int(img[y]))
-            if lhs != rhs:
-                return False
-        return True
-
     def is_bijective(self) -> bool:
         """Kernel triviality: the images of the basis gamma^i, i < m, have rank m."""
         tower = self.tower
@@ -127,21 +105,6 @@ class QPolynomial:
         for i in range(m):
             a = self.coeffs[(m - i) % m]
             out.append(tower.pow(a, q ** i) if a else 0)
-        return QPolynomial(tower, out)
-
-    def compose(self, other: "QPolynomial") -> "QPolynomial":
-        """self after other, reduced: coefficients c_k = sum a_i * b_j^(q^i), i+j = k mod m."""
-        tower = self.tower
-        m, q = tower.m, tower.q
-        out = [0] * m
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                k = (i + j) % m
-                out[k] = tower.add(out[k], tower.mul(a, tower.pow(b, q ** i)))
         return QPolynomial(tower, out)
 
     def __eq__(self, other):
@@ -162,21 +125,13 @@ def is_automorphism_of(subset: FieldSubset, g: QPolynomial) -> bool:
     return bool(np.all(subset.indicator[g.images()[subset.members]]))
 
 
-def is_semilinear_automorphism_of(subset: FieldSubset, p_power: int) -> bool:
-    """Whether x -> x^(p^r) preserves the subset (always bijective, F_p-linear only)."""
-    tower = subset.tower
-    logs = tower.log[subset.members].astype(np.int64)
-    images = tower.exp[(logs * pow(tower.p, p_power, tower.order)) % tower.order]
-    return bool(np.all(subset.indicator[images]))
-
-
 def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: bool = True) -> bool:
     """Whether permuting coordinates by g maps each word onto the dual-indexed word.
 
     Checks c(u, v) at position g(x) against c(u, dual(v)) at position x for
     every index pair (u, v), exhaustively: u f(g(x)) + Tr(v g(x)) against
     u f(x) + Tr(dual(v) x) as F_q labels over every (u, v, x), x nonzero, for
-    a chunk of v at a time (temporaries of about 2^16 entries).
+    a chunk of v at a time (temporaries of about ZERO_BLOCK entries).
     """
     subset = code.subset
     tower = code.tower
@@ -188,7 +143,7 @@ def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: 
     if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
     u = np.arange(tower.q)[:, None, None]
-    chunk = max(1, 2 ** 16 // (tower.q * tower.order))
+    chunk = max(1, ZERO_BLOCK // (tower.q * tower.order))
     for start in range(0, tower.qm, chunk):
         vs = np.arange(start, min(start + chunk, tower.qm))[:, None]
         if not np.array_equal(code.word_labels(u, vs, gx), code.word_labels(u, dual_img[vs], xs)):

@@ -1,19 +1,22 @@
-"""Small-field references for the span, annihilator, cutting, cover, Heng
-and coverage computations.
+"""Small-field references for the codeword, span, annihilator, cutting,
+cover, Heng and coverage computations.
 
-These are the direct set computations that the F_q-rank test replaced in
-the library: spans grown as sorted element sets, annihilators probed over
+The words and the generator matrix are added up on field elements.  Then
+come the direct set computations that the F_q-rank test replaced in the
+library: spans grown as sorted element sets, annihilators probed over
 every element, all pairwise slice differences, and the hyperplane-by-element
 intersection matrices with the pairwise containment scan.  They cost
 O(q^m) per span step or O(q^2m) per subset, so the tests use them on
 fields of at most a few hundred elements.  Beside them sit the cover and
 Heng scans of one coverer at a time, with the scalar multiples of a word
-listed in a loop, that the library now runs over blocks of coverers, and
-the participant coverage counted from the unpacked supports.  Then come
-the projective representatives as a sorted list of word indices, and the
-spectrum read off its dense (q^m, p) array.  Last, the field's digitwise
-addition one base-p digit per round, and an F_p-linear map evaluated on
-digit lists, which the library computes through its chunked addition table.
+listed in a loop, that the library now runs over blocks of coverers, the
+flags of such a scan over every class, and the participant coverage
+counted from the unpacked supports.  Then come the projective
+representatives as a sorted list of word indices, and the spectrum by its
+two test routes (the transform and the unreduced count) or read off its
+dense (q^m, p) array.  Last, the field's digitwise addition one base-p
+digit per round, and an F_p-linear map evaluated on digit lists, which
+the library computes through its chunked addition table.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
@@ -21,7 +24,7 @@ independent of it.
 """
 import numpy as np
 
-from pdscodes.charsums import SpectrumError
+from pdscodes import charsums
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
 from pdscodes.cyclotomic import CyclotomicInteger
 
@@ -54,6 +57,19 @@ def value_labels_at(code, x):
     u_part = tower.subfield_elements * bool(code.subset.indicator[x])
     tr = tower.trace_q[tower.mul_vec(x, np.arange(tower.qm, dtype=np.int64))]
     return tower.subfield_index[tower.add_sets(u_part[:, None], tr[None, :])].ravel()
+
+
+def codeword(code, u_label, v):
+    """The word (u, v) as field elements in log order: u f(x) + Tr(v x), added on elements."""
+    tower, xs = code.tower, code.tower.exp.astype(np.int64)
+    u_part = np.where(code.subset.indicator[xs], int(tower.subfield_elements[u_label]), 0)
+    return tower.add_sets(u_part, tower.trace_q[tower.mul_vec(v, xs)])
+
+
+def generator_matrix(code):
+    """Rows c(1, 0), c(0, 1), c(0, gamma), ..., c(0, gamma^(m-1)) as field elements."""
+    vs = code.tower.exp[: code.tower.m].tolist()
+    return np.stack([codeword(code, 1, 0)] + [codeword(code, 0, v) for v in vs])
 
 
 def complement_kernel_slice(subset, z):
@@ -219,6 +235,11 @@ def heng_violations(code, r):
     return np.setdiff1d(candidates, dependent_words(code, r))
 
 
+def full_flags(code, violations):
+    """Whether each projective representative, in order, has no violation in a full scan."""
+    return [len(violations(code, r)) == 0 for r in code.projective_representatives().tolist()]
+
+
 def participant_coverage(code, x1):
     """Participant log -> the number of words with a 1 at x1 whose support holds
     it, counted from the unpacked supports."""
@@ -236,6 +257,13 @@ def projective_representatives(code):
     reps = [code.word_index(1, v) for v in range(tower.qm)]
     reps += [code.word_index(0, int(tower.exp[j])) for j in range(tower.subfield_step)]
     return np.asarray(sorted(reps), dtype=np.int64)
+
+
+def route_spectrum(tower, members, route):
+    """A test reference as a Spectrum: "transform", or "pointwise", the unreduced count."""
+    rows = (charsums._spectrum_transform(tower, members) if route == "transform"
+            else charsums._spectrum_pointwise(tower, members, tower.order))
+    return charsums.Spectrum(tower, rows, tower.order, len(members))
 
 
 class DenseSpectrum:
@@ -263,7 +291,7 @@ class DenseSpectrum:
     def rational_values(self):
         if not bool(np.all(self._rational_mask)):
             bad = int(np.nonzero(~self._rational_mask)[0][0])
-            raise SpectrumError(f"value at a={bad} is not a rational integer")
+            raise charsums.SpectrumError(f"value at a={bad} is not a rational integer")
         return self._canon[:, 0].copy()
 
     def restricted_values(self):

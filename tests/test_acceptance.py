@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import cover_violations, full_flags, heng_violations, route_spectrum
 
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.charsums import full_spectrum, orthogonality_sum, parseval_total
@@ -132,7 +133,7 @@ def test_criterion_5_table2_row3_extended():
     with budget("5 (table II row 3, extended scale)", 600):
         tower = build_tower(FieldSpec(p=3, e=1, m=12))
         subset = build_cyclotomic_subset(tower, 35, [0])
-        spectrum = full_spectrum(tower, subset.members, mode="transform")
+        spectrum = route_spectrum(tower, subset.members, "transform")
         cert, _ = verify_pds_spectral(subset, spectrum=spectrum)
         assert (cert.k, cert.theta1, cert.theta2) == (15184, 118, -125)
         assert minimality_pds_sufficient(cert, 3, 12).status == MINIMAL
@@ -146,7 +147,7 @@ def test_criterion_6a_orthogonality_exhaustive_f35(f35):
         zero_trace = 0
         for x in range(f35.qm):
             val = orthogonality_sum(f35, x)
-            assert val == (3 if f35.trace_to_subfield(x) == 0 else 0)
+            assert val == (3 if f35.trace_q[x] == 0 else 0)
             zero_trace += val == 3
         assert zero_trace == 81
 
@@ -194,10 +195,10 @@ def test_criterion_6d_heng_equals_cover_per_codeword(f34, f35):
         ]
         seen_nonminimal = False
         for code in codes:
-            cover = code.cover_flags()
-            heng = code.heng_flags()
-            assert cover == heng
-            seen_nonminimal |= not all(cover.values())
+            rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives())
+            cover = full_flags(code, cover_violations)
+            assert rank.tolist() == cover == full_flags(code, heng_violations)
+            seen_nonminimal |= not all(cover)
         assert seen_nonminimal
 
 
@@ -220,7 +221,7 @@ def test_criterion_6e_dyz_closed_form_exhaustive(f35, f44):
 def test_criterion_6f_trace_dual_exhaustive(f34):
     with budget("6f (trace-dual identity on F_3^4)", 120):
         rng = np.random.default_rng(55)
-        polys = [QPolynomial.identity(f34), QPolynomial.frobenius(f34, 1)]
+        polys = [QPolynomial.frobenius(f34, 0), QPolynomial.frobenius(f34, 1)]
         polys += [
             QPolynomial(f34, rng.integers(0, f34.qm, size=f34.m).tolist()) for _ in range(8)
         ]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import DenseSpectrum
+from reference import DenseSpectrum, route_spectrum
 
 from pdscodes import charsums
 from pdscodes.charsums import (
@@ -16,7 +16,6 @@ from pdscodes.charsums import (
     orthogonality_sum,
     parseval_total,
     psi_sum,
-    scaled_sum_invariance_check,
     squared_norms,
     trace_count_table,
 )
@@ -55,7 +54,7 @@ def test_orthogonality_exhaustive_f35(f35):
     hits = 0
     for x in range(f35.qm):
         val = orthogonality_sum(f35, x)
-        expected = f35.q if f35.trace_to_subfield(x) == 0 else 0
+        expected = f35.q if f35.trace_q[x] == 0 else 0
         assert val == expected
         hits += val == f35.q
     assert hits == 81
@@ -88,8 +87,8 @@ def test_modes_agree_bit_exactly(f35, f44, f34):
     rng = np.random.default_rng(4)
     for tower in (f35, f44, f34):
         members = rng.choice(np.arange(1, tower.qm), size=tower.qm // 3, replace=False)
-        a = full_spectrum(tower, members, mode="pointwise")
-        b = full_spectrum(tower, members, mode="transform")
+        a = route_spectrum(tower, members, "pointwise")
+        b = route_spectrum(tower, members, "transform")
         assert np.array_equal(a.raw[:, : tower.p - 1] - a.raw[:, -1:],
                               b.raw[:, : tower.p - 1] - b.raw[:, -1:])
 
@@ -100,12 +99,12 @@ def test_scaled_sum_invariance(f44):
     lams = f44.subfield_elements[1:].tolist()
     for a in rng.integers(0, f44.qm, size=20).tolist() + [0]:
         for lam in lams:
-            assert scaled_sum_invariance_check(f44, int(a), int(lam), members)
-    # non-invariant set is rejected
+            assert psi_sum(f44, f44.mul(lam, a), members) == psi_sum(f44, a, members)
+    # a set that is not invariant breaks the identity
     bad = np.array([1, int(f44.exp[2])], dtype=np.int64)
     assert not is_invariant_under_subfield(f44, np.isin(np.arange(f44.qm), bad))
-    with pytest.raises(ValueError):
-        scaled_sum_invariance_check(f44, 1, int(lams[0]), bad)
+    assert any(psi_sum(f44, f44.mul(lam, a), bad) != psi_sum(f44, a, bad)
+               for a in range(1, f44.qm) for lam in lams)
 
 
 def test_complement_relation(f35):
@@ -209,8 +208,8 @@ def route_inputs(draw):
 def test_spectrum_routes_agree_bit_for_bit(case):
     tower, members = case
     default = full_spectrum(tower, members)
-    transform = full_spectrum(tower, members, mode="transform")
-    pointwise = full_spectrum(tower, members, mode="pointwise")
+    transform = route_spectrum(tower, members, "transform")
+    pointwise = route_spectrum(tower, members, "pointwise")
     assert np.array_equal(default.raw, transform.raw)
     assert np.array_equal(pointwise.raw, transform.raw)
     assert default.set_size == transform.set_size == pointwise.set_size == len(members)
@@ -253,8 +252,9 @@ def test_irrational_rows_read_as_dense(name):
     field, logs = IRRATIONAL[name]
     tower = _route_tower(*field)
     members = FieldSubset.from_logs(tower, logs).members
-    for mode in (None, "transform", "pointwise"):
-        spec = full_spectrum(tower, members, mode=mode)
+    specs = [full_spectrum(tower, members)]
+    specs += [route_spectrum(tower, members, route) for route in ("transform", "pointwise")]
+    for spec in specs:
         assert not spec.all_rational
         assert_rows_read_as_dense(spec)
 

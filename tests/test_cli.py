@@ -74,6 +74,7 @@ def test_malformed_subset_is_config_error(capsys):
 F44 = '{"p": 2, "e": 2, "m": 4}'
 F34 = '{"p": 3, "e": 1, "m": 4}'
 GRAM = '{"quadric": {"gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, %s]]}}'
+FIELD_LIST = str(Path(__file__).parent / "data" / "field-list.json")  # holds [3, 1, 4]
 
 
 @pytest.mark.parametrize("field, subset, message", [
@@ -96,6 +97,13 @@ GRAM = '{"quadric": {"gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0
      "p must be an integer, got 3.5"),
     ('{"p": 3, "e": true, "m": 4}', '{"cyclotomic": {"N": 5, "J": [0]}}',
      "e must be an integer, got True"),
+    (F34, '{"explicit": {"logs": [1, true]}}', "logs must be a list of integers, got [1, True]"),
+    # spec values that must be JSON objects
+    (F44, '{"cyclotomic": 5}', "cyclotomic must be a JSON object, got 5"),
+    (F34, '{"explicit": []}', "explicit must be a JSON object, got []"),
+    (F34, '{"quadric": 5}', "quadric must be a JSON object, got 5"),
+    pytest.param(FIELD_LIST, '{"cyclotomic": {"N": 5, "J": [0]}}',
+                 "field spec must be a JSON object, got [3, 1, 4]", id="field-file-holds-a-list"),
 ])
 def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
     code, _, err = run_cli(capsys, "pds", "--field", field, "--subset", subset)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import reference
 
+from pdscodes.charsums import psi_sum
 from pdscodes.codes import (
     DEFAULT_WORD_GUARD,
     INCONCLUSIVE,
@@ -15,7 +16,6 @@ from pdscodes.codes import (
     SubsetCode,
     ab_condition,
     characteristic_trace_form,
-    defining_set,
     dyz_size,
     minimality_cyclotomic_sufficient,
     minimality_latin_sufficient,
@@ -57,14 +57,14 @@ def hyperplane_subset(f34):
 
 def test_codeword_basics(ex31_code):
     code = ex31_code
-    assert not code.codeword(0, 0).any()
-    cw = code.codeword(1, 0)
+    assert not reference.codeword(code, 0, 0).any()
+    cw = reference.codeword(code, 1, 0)
     support = np.nonzero(cw)[0]
     xs = code.tower.exp[support]
     assert len(support) == 204
     assert all(code.subset.indicator[x] for x in xs.tolist())
     v = int(code.tower.exp[9])
-    assert int(np.count_nonzero(code.codeword(0, v))) == 256 - 64
+    assert int(np.count_nonzero(reference.codeword(code, 0, v))) == 256 - 64
 
 
 def test_codeword_linearity(ex31_code):
@@ -75,8 +75,8 @@ def test_codeword_linearity(ex31_code):
     for _ in range(20):
         u1, u2 = (int(x) for x in rng.integers(0, tower.q, size=2))
         v1, v2 = (int(x) for x in rng.integers(0, tower.qm, size=2))
-        lhs = code.codeword(int(add_q[u1, u2]), tower.add(v1, v2))
-        rhs = tower.add_sets(code.codeword(u1, v1), code.codeword(u2, v2))
+        lhs = reference.codeword(code, int(add_q[u1, u2]), tower.add(v1, v2))
+        rhs = tower.add_sets(reference.codeword(code, u1, v1), reference.codeword(code, u2, v2))
         assert np.array_equal(lhs, rhs)
 
 
@@ -156,7 +156,8 @@ def test_trace_form_code_is_minimal_by_every_oracle(f16):
     assert code.dimension() == f16.m
     for verdict in (code.minimality_cover(), code.minimality_heng(), code.minimality_snc()):
         assert verdict.status == MINIMAL
-    assert all(code.rank_flags().values()) and all(code.cover_flags().values())
+    assert code.rank_orbit_flags()[1].all()
+    assert all(reference.full_flags(code, reference.cover_violations))
     logs = sorted(int(f16.log[x]) for x in code.subset.members)
     argv = ["code", "--field", '{"p":2,"e":1,"m":4}',
             "--subset", json.dumps({"explicit": {"logs": logs}}), "--methods", "all"]
@@ -186,14 +187,11 @@ def test_kernel_count_matches_closed_form_dimension(f16, f34, f35, f44):
 
 
 def test_defining_set_structure(row1_code):
-    entries = defining_set(row1_code.subset)
-    assert len(entries) == row1_code.n
-    seconds = [x for _, x in entries]
-    assert len(set(seconds)) == row1_code.n
-    assert sum(flag for flag, _ in entries) == len(row1_code.subset)
-    # ordering follows ascending discrete log
-    logs = [int(row1_code.tower.log[x]) for x in seconds]
-    assert logs == sorted(logs)
+    # the coordinates are the nonzero elements in ascending log order, f read there
+    tower = row1_code.tower
+    assert len(tower.exp) == len(set(tower.exp.tolist())) == row1_code.n
+    assert np.array_equal(tower.log[tower.exp], np.arange(row1_code.n))
+    assert np.count_nonzero(row1_code.subset.indicator[tower.exp]) == len(row1_code.subset)
 
 
 def test_dyz_sizes_example31(ex31_code, f44):
@@ -270,11 +268,11 @@ def test_one_zero_rank_scan_per_code(hyperplane_subset, monkeypatch):
     monkeypatch.setattr(SubsetCode, "_zero_ranks", counted)
     code = SubsetCode(hyperplane_subset)
     snc = code.minimality_snc()
-    flags = code.rank_flags()
+    _, flags = code.rank_orbit_flags()
     report = analyze_scheme(code, 1, code_is_minimal=False)
     assert calls == [code]
     assert (snc.status, snc.witness) == reference.snc_reference(code)
-    assert not all(flags.values()) and report.oracle_total < report.total
+    assert not flags.all() and report.oracle_total < report.total
 
 
 def test_guard_applies_after_the_rank_flags_are_cached(row1_code):
@@ -375,10 +373,10 @@ def test_per_codeword_agreement_on_three_codes(f34, f35, hyperplane_subset):
         SubsetCode(hyperplane_subset),  # deliberately non-minimal
     ]
     for code in codes:
-        cover = code.cover_flags()
-        heng = code.heng_flags()
-        assert cover == heng
-    assert not all(codes[2].cover_flags().values())
+        rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives())
+        cover = reference.full_flags(code, reference.cover_violations)
+        assert rank.tolist() == cover == reference.full_flags(code, reference.heng_violations)
+    assert not all(cover)  # the last code, the hyperplane
 
 
 def test_snc_reduction_matches_full_scan(f34):
@@ -469,8 +467,10 @@ def test_weight_distribution_row1(row1_code):
 
 def test_weight_closed_form_matches_table(row1_code, f35):
     wt = row1_code.weight_table()
+    members = row1_code.subset.members
     for v in range(1, f35.qm):
-        expected = row1_code.weight_closed_form(v)
+        # q^m - q^(m-1) + psi(vD) for u, v nonzero and D invariant
+        expected = f35.qm - f35.qm // f35.q + psi_sum(f35, v, members).rational_value()
         for u in range(1, f35.q):
             assert wt[u, v] == expected
 
@@ -524,7 +524,7 @@ def test_report_cross_validation():
 
 
 def test_generator_matrix(row1_code):
-    mat = row1_code.generator_matrix()
+    mat = reference.generator_matrix(row1_code)
     assert mat.shape == (6, 242)
     text = row1_code.generator_matrix_text()
     assert len(text.strip().splitlines()) == 6

@@ -43,3 +43,12 @@ def test_golden_report(capsys, name):
     assert main(list(GOLDEN[name])) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_unreduced_class_indices_print_the_reduced_golden(capsys):
+    # J = [10, 0] is {0} mod N = 10: the cyclotomic verdict reads (N, J) off the
+    # subset, so the report is the golden one byte for byte
+    argv = ["code", "--field", '{"p":3,"e":1,"m":4}',
+            "--subset", '{"cyclotomic":{"N":10,"J":[10,0]}}', "--methods", "all"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "code-3-4-N10-all.json").read_text()

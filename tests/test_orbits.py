@@ -4,9 +4,10 @@ The cover, Heng and SNC scans, the weight table and the support matrix
 visit one member per orbit of the stabiliser <gamma^d> of the subset, and
 cover and Heng test blocks of those members at a time.  Each is compared
 here with the unreduced computation: the per-class violation sets of the
-one-coverer scans in `reference` over all projective representatives, the
-first violation of that full scan (verdict and witness), SNC over every z,
-and the words evaluated one by one.  SNC over every z runs on
+one-coverer scans in `reference` over all projective representatives
+(against the per-orbit rank flags spread over them), the first violation
+of that full scan (verdict and witness), SNC over every z, and the words
+evaluated one by one.  SNC over every z runs on
 `reference.Unreduced`, the same code with the trivial period q^m - 1.
 """
 from functools import lru_cache
@@ -15,9 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import Unreduced, cover_violations, heng_violations, projective_representatives
+from reference import (
+    Unreduced,
+    codeword,
+    cover_violations,
+    full_flags,
+    generator_matrix,
+    heng_violations,
+    projective_representatives,
+)
 
 from pdscodes import codes
+from pdscodes.charsums import psi_sum
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import (
@@ -66,10 +76,6 @@ def code(request):
     return SubsetCode(build(request.getfixturevalue(fixture)))
 
 
-def full_flags(code, violations):
-    return {r: len(violations(code, r)) == 0 for r in code.projective_representatives().tolist()}
-
-
 def full_verdict(code, violations):
     """(status, witness) of a scan over every projective representative."""
     for r in code.projective_representatives().tolist():
@@ -80,8 +86,8 @@ def full_verdict(code, violations):
 
 
 def assert_scans_equal_full(code):
-    assert code.cover_flags() == full_flags(code, cover_violations)
-    assert code.heng_flags() == full_flags(code, heng_violations)
+    rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives())
+    assert rank.tolist() == full_flags(code, cover_violations) == full_flags(code, heng_violations)
     for verdict, violations in ((code.minimality_cover(), cover_violations),
                                 (code.minimality_heng(), heng_violations)):
         assert (verdict.status, verdict.witness) == full_verdict(code, violations)
@@ -100,7 +106,7 @@ def assert_fill_equals_words(code):
     sup = code.supports()
     for u in range(tower.q):
         for v in range(tower.qm):
-            nonzero = code.codeword(u, v) != 0
+            nonzero = codeword(code, u, v) != 0
             assert wt[u, v] == np.count_nonzero(nonzero)
             assert np.array_equal(sup[code.word_index(u, v)], np.packbits(nonzero))
 
@@ -110,12 +116,12 @@ def test_word_labels_equal_codewords(code):
     tower = code.tower
     us, vs = np.divmod(np.arange(code.word_count), tower.qm)
     labels = code.word_labels(us[:, None], vs[:, None], tower.exp)
-    words = np.stack([code.codeword(u, v) for u, v in zip(us.tolist(), vs.tolist())])
+    words = np.stack([codeword(code, u, v) for u, v in zip(us.tolist(), vs.tolist())])
     assert np.array_equal(labels, tower.subfield_index[words])
 
 
 def test_generator_matrix_text_equals_element_route(code):
-    labels = code.tower.subfield_index[code.generator_matrix()]
+    labels = code.tower.subfield_index[generator_matrix(code)]
     expected = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in labels)
     assert code.generator_matrix_text() == expected
 
@@ -200,7 +206,8 @@ def test_oracle_total_equals_full_flags(request, name):
     code = SubsetCode(build(request.getfixturevalue(fixture)))
     tower = code.tower
     _, mul_q, _ = tower.subfield_tables()
-    flags = full_flags(code, cover_violations)
+    flags = dict(zip(code.projective_representatives().tolist(),
+                     full_flags(code, cover_violations)))
     for x1 in tower.exp[:: max(1, tower.order // 7)].tolist():
         total, oracle_total = minimal_access_count(code, int(x1), code_is_minimal=False)
         # each word with a 1 at x1, scaled to its projective representative
@@ -261,8 +268,10 @@ def test_random_invariant_unions_weights_equal_closed_form(field, data):
     code = SubsetCode(subset)
     tower = code.tower
     wt = code.weight_table()
-    closed = [code.weight_closed_form(v) for v in range(1, tower.qm)]
-    assert (wt[1:, 1:] == np.array(closed)).all()
+    # q^m - q^(m-1) + psi(vD) for u, v nonzero
+    psi = [psi_sum(tower, v, subset.members).rational_value() for v in range(1, tower.qm)]
+    closed = tower.qm - tower.qm // tower.q + np.array(psi)
+    assert (wt[1:, 1:] == closed).all()
     try:
         cert, _ = verify_pds_spectral(subset)
     except PdsVerificationError:

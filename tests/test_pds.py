@@ -422,7 +422,7 @@ def test_direct_check_chunks_equal_full_scan(request, monkeypatch, table, name, 
         if isinstance(expected, PdsVerificationError):
             step = int(subset.tower.log[expected.witness[1]])
             assert step < d and int(subset.tower.log[expected.witness[0]]) < step
-    monkeypatch.setattr(pds, "DIRECT_CHUNK", step * len(subset))
+    monkeypatch.setattr(pds, "PAIR_CHUNK", step * len(subset))
     if not isinstance(expected, PdsVerificationError):
         assert verify_pds_direct(subset) == expected
         return

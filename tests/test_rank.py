@@ -68,8 +68,9 @@ def _elimination_sets(code):
 
 
 def assert_rank_equals_references(code):
-    rank = code.rank_flags()
-    assert rank == code.cover_flags() == code.heng_flags()
+    rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives()).tolist()
+    assert rank == reference.full_flags(code, reference.cover_violations)
+    assert rank == reference.full_flags(code, reference.heng_violations)
     snc = code.minimality_snc()
     if code.dimension() == code.tower.m + 1:
         assert (snc.status, snc.witness) == reference.snc_reference(code)
