@@ -13,13 +13,16 @@ multiplicities and the JSON read the d rows, each taken (q^m - 1)/d times;
 the dense (q^m, p) array is built only when asked for.
 
 The full spectrum takes the cheaper of two exact routes.  The orbit count
-tallies the traces on gamma^j S for j < d, d * |S| gathers.  The butterfly
-transform, one pass per F_p digit of the field, costs em * p^2 * q^m
-integer additions whatever S is; it serves the sets with a small
-stabiliser, such as quadrics and trace hyperplanes, and its output, taken
-in log order, is the case d = q^m - 1.  The unreduced count
-(d = q^m - 1) and the transform are the two test references, reached
-through `tests/reference.py`, and all three agree bit for bit.
+reads S as a union of |I| cosets of <gamma^d>: one sequential pass over
+the group, in log order, counts the d Gauss periods of order d, and each
+row is the sum of |I| of them, added as slices of a (d, p) table.  The
+butterfly transform, one pass per F_p digit of the field, costs
+em * p^2 * q^m integer additions whatever S is; it serves the sets with a
+small stabiliser, such as quadrics and trace hyperplanes, and its output,
+taken in log order, is the case d = q^m - 1.  The transform and an
+unreduced count with one key per (row, member) pair are the two test
+references, reached through `tests/reference.py`, and all three agree bit
+for bit.
 """
 from __future__ import annotations
 
@@ -31,15 +34,16 @@ from .cyclotomic import CyclotomicInteger
 from .field import FieldTower
 
 
-# Cost of the orbit count per (row, member) pair over the transform's cost
-# per addition.  Best of 5 on a 2-core Xeon (numpy 2.4), random sets with
-# (q^m - 1) * |S| close to em * p^2 * q^m: 6.0-10.5 ns per pair against
-# 2.5-12 ns per addition, a ratio of 0.7 (F_2^10), 0.8 (F_7^4), 1.5 (F_3^8,
-# F_3^12), 1.7 (F_2^12), 2.0-2.5 (F_5^6, F_7^5, F_3^10) and 4 (F_2^16).
-ORBIT_UNIT_COST = 2
-# (row or g, member) pairs counted per numpy pass, here and in the direct
-# PDS check: 8 MB of int64 keys
-PAIR_CHUNK = 2 ** 20
+# Cost of the orbit count per unit of its work estimate, (p - 1) * q^m plus
+# |I| * d * p, over the transform's cost per addition.  Best of 5 on a 2-core
+# Xeon (numpy 2.4), random sets with c = 1 and |I| = 5 * em * p, near the
+# crossover: 0.74-4.0 ns per unit against 3.2-11 ns per addition, a ratio of
+# 0.15 (F_7^4), 0.19-0.25 (F_3^12, F_5^6, F_3^10, F_2^16, F_7^5), 0.27 (F_3^8)
+# and 0.34-0.36 (F_2^12, F_2^10).
+ORBIT_UNIT_COST = 0.25
+# Entries of trace_of_exp in each row of the wide view that the Gauss-period
+# count reduces over, so that a small period does not make narrow reductions
+FOLD_WIDTH = 4096
 
 
 class SpectrumError(ValueError):
@@ -164,23 +168,44 @@ def is_invariant_under_subfield(tower: FieldTower, indicator: np.ndarray) -> boo
     return bool(np.all(indicator[tower.mul_vec(int(gen), members)]))
 
 
-def _spectrum_pointwise(tower: FieldTower, members: np.ndarray, period: int) -> np.ndarray:
-    """Row j counts the trace values on gamma^j S for j < period: the value
-    at every a = gamma^i with i = j (mod period) when gamma^period S = S.
+def _gauss_periods(tower: FieldTower, period: int) -> np.ndarray:
+    """G[r, t] = #{k < c : Tr(gamma^(r + k d)) = t} for d = period and
+    c = (q^m - 1)/d: the Gauss periods of order d as zeta-count vectors, in
+    the smallest unsigned dtype that holds c.
 
-    With period = q^m - 1 each row serves one a: that is the pointwise
-    reference.  Rows are counted PAIR_CHUNK (row, member) pairs at a time.
+    trace_of_exp, read as a (c, d) array, is summed down its columns with
+    one compare per nonzero t; blocks of rows are laid side by side so that
+    each reduction runs over at least FOLD_WIDTH entries, whatever d is.
     """
-    p = tower.p
-    logs = tower.log[members[members != 0]].astype(np.int64)
-    rows = np.empty((period, p), dtype=np.int64)
-    step = max(1, PAIR_CHUNK // max(len(logs), 1))
-    for j0 in range(0, period, step):
-        js = np.arange(j0, min(j0 + step, period))
-        # key (j - j0) * p + Tr(gamma^(j + log x)) counts row j's trace values
-        keys = np.take(tower.trace_of_exp, js[:, None] + logs, mode="wrap").astype(np.int64)
-        keys += (js - j0)[:, None] * p
-        rows[j0 : j0 + len(js)] = np.bincount(keys.ravel(), minlength=len(js) * p).reshape(-1, p)
+    p, c = tower.p, tower.order // period
+    dtype = np.min_scalar_type(c)
+    block = -(-FOLD_WIDTH // period)  # rows of the (c, d) array per wide row
+    wide = c // block * block * period
+    counts = np.empty((period, p), dtype=dtype)
+    for t in range(1, p):
+        hits = tower.trace_of_exp == t
+        folded = np.add.reduce(hits[:wide].reshape(-1, block * period), axis=0, dtype=dtype)
+        counts[:, t] = np.add.reduce(folded.reshape(block, period), axis=0, dtype=dtype)
+        counts[:, t] += np.add.reduce(hits[wide:].reshape(-1, period), axis=0, dtype=dtype)
+    counts[:, 0] = c - counts[:, 1:].sum(axis=1, dtype=dtype)
+    return counts
+
+
+def _spectrum_orbit(tower: FieldTower, members: np.ndarray, period: int) -> np.ndarray:
+    """Row j counts the trace values on gamma^j S for j < period, where
+    gamma^period S = S: the value at every a = gamma^i with i = j (mod period).
+
+    S minus 0 is the union of the cosets gamma^i <gamma^period> for i in I,
+    so row j is the sum of the Gauss periods G[(j + i) mod period], i in I,
+    added as two slices per i.
+    """
+    logs = tower.log[members[members != 0]]
+    cosets = np.flatnonzero(np.bincount(logs % period, minlength=period))
+    periods = _gauss_periods(tower, period)
+    rows = np.zeros((period, tower.p), dtype=np.int64)
+    for i in cosets.tolist():
+        rows[: period - i] += periods[i:]
+        rows[period - i :] += periods[:i]
     rows[:, 0] += len(members) - len(logs)  # Tr(a * 0) = 0 for every a
     return rows
 
@@ -213,13 +238,16 @@ def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
 
 def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
     """Character sums of S (distinct elements, 0 allowed) twisted by every a,
-    by the cheaper of two routes: the orbit count, d * |S| gathers for the
-    stabiliser <gamma^d> of S, or the transform, em * p^2 * q^m additions.
+    by the cheaper of two routes: the orbit count, (p - 1) * q^m compares
+    and |I| * d * p additions for the stabiliser <gamma^d> of S, a union of
+    |I| cosets, or the transform, em * p^2 * q^m additions.
     """
     members = np.asarray(members, dtype=np.int64)
     period = tower.stabiliser_period(members)
-    if ORBIT_UNIT_COST * period * len(members) < tower.em * tower.p ** 2 * tower.qm:
-        return Spectrum(tower, _spectrum_pointwise(tower, members, period), period, len(members))
+    cosets = len(members) * period // tower.order  # |I|, S a union of |I| cosets
+    work = (tower.p - 1) * tower.qm + cosets * period * tower.p
+    if ORBIT_UNIT_COST * work < tower.em * tower.p ** 2 * tower.qm:
+        return Spectrum(tower, _spectrum_orbit(tower, members, period), period, len(members))
     return Spectrum(tower, _spectrum_transform(tower, members), tower.order, len(members))
 
 

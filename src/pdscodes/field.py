@@ -114,11 +114,25 @@ def int_list(value, name: str) -> list[int]:
     return value
 
 
+def bool_field(value, name: str) -> bool:
+    """A JSON spec field that must be true or false, or a ValueError naming it."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def obj_field(value, name: str) -> dict:
     """A JSON spec field that must be an object, or a ValueError naming it."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
     return value
+
+
+def required(obj: dict, key: str, spec: str):
+    """obj[key], or a ValueError naming the key and the spec that lacks it."""
+    if key not in obj:
+        raise ValueError(f"{spec} is missing key {key!r}")
+    return obj[key]
 
 
 def is_prime(n: int) -> bool:
@@ -260,13 +274,12 @@ class FieldSpec:
         if isinstance(obj, str):
             obj = json.loads(obj)
         obj = obj_field(obj, "field spec")
+        p, e, m = (int_field(required(obj, key, "field spec"), key) for key in ("p", "e", "m"))
         mod = obj.get("modulus")
         return cls(
-            p=int_field(obj["p"], "p"),
-            e=int_field(obj["e"], "e"),
-            m=int_field(obj["m"], "m"),
+            p=p, e=e, m=m,
             modulus=tuple(int_list(mod, "modulus")) if mod is not None else None,
-            generator_check=bool(obj.get("generator_check", True)),
+            generator_check=bool_field(obj.get("generator_check", True), "generator_check"),
         )
 
     def to_json(self) -> dict:
@@ -481,14 +494,16 @@ class FieldTower:
 
         The periods of S's indicator in log order are the multiples of d
         dividing q^m - 1, so d is q^m - 1 divided by each prime for as long
-        as the indicator, rolled by the quotient, stays the same.
+        as the quotient s = d / ell is still a period.  The indicator has
+        cyclic period d and s divides d, so s is one exactly when the first
+        d entries, shifted by s, agree with themselves: mem[s:d] = mem[:d-s].
         """
         members = np.asarray(members, dtype=np.int64)
         mem = np.zeros(self.order, dtype=bool)
         mem[self.log[members[members != 0]]] = True
         d = self.order
         for ell in factorize(d):
-            while d % ell == 0 and np.array_equal(np.roll(mem, d // ell), mem):
+            while d % ell == 0 and np.array_equal(mem[d // ell : d], mem[: d - d // ell]):
                 d //= ell
         return d
 

@@ -16,10 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .charsums import PAIR_CHUNK, Spectrum, full_spectrum, is_invariant_under_subfield
-from .field import FieldTower, int_field, int_list, obj_field
+from .charsums import Spectrum, full_spectrum, is_invariant_under_subfield
+from .field import FieldTower, int_field, int_list, obj_field, required
 
 DIRECT_VERIFY_CAP = 10_000
+# (g, member) pairs counted per numpy pass in the direct PDS check: 8 MB of
+# int64 keys
+PAIR_CHUNK = 2 ** 20
 
 
 class PdsVerificationError(ValueError):
@@ -120,9 +123,10 @@ class FieldSubset:
         obj = obj_field(obj, "subset spec")
         if "cyclotomic" in obj:
             c = obj_field(obj["cyclotomic"], "cyclotomic")
-            return build_cyclotomic_subset(tower, int_field(c["N"], "N"), int_list(c["J"], "J"))
+            N, J = (required(c, key, "cyclotomic spec") for key in ("N", "J"))
+            return build_cyclotomic_subset(tower, int_field(N, "N"), int_list(J, "J"))
         if "explicit" in obj:
-            logs = obj_field(obj["explicit"], "explicit")["logs"]
+            logs = required(obj_field(obj["explicit"], "explicit"), "logs", "explicit spec")
             return cls.from_logs(tower, int_list(logs, "logs"))
         if "quadric" in obj:
             qd = obj_field(obj["quadric"], "quadric")

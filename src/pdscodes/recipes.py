@@ -13,40 +13,37 @@ from .pds import FieldSubset, build_cyclotomic_subset, quadric_subset
 
 @dataclass
 class RecipeData:
-    name: str
     tower: FieldTower
     subset: FieldSubset
-    notes: str = ""
 
 
 def _example_31() -> RecipeData:
     tower = build_tower(FieldSpec(p=2, e=2, m=4))
     subset = build_cyclotomic_subset(tower, 5, [1, 2, 3, 4])
-    return RecipeData("example-3.1", tower, subset)
+    return RecipeData(tower, subset)
 
 
 def _row1() -> RecipeData:
     tower = build_tower(FieldSpec(p=3, e=1, m=5))
     subset = build_cyclotomic_subset(tower, 11, [0])
-    return RecipeData("table-2-row-1", tower, subset)
+    return RecipeData(tower, subset)
 
 
 def _row1_complement() -> RecipeData:
     base = _row1()
-    return RecipeData("example-3.2-complement", base.tower, base.subset.complement())
+    return RecipeData(base.tower, base.subset.complement())
 
 
 def _example_33(kind: str = "hyperbolic", p: int = 3, m: int = 4) -> RecipeData:
     tower = build_tower(FieldSpec(p=p, e=1, m=m))
     subset, _ = quadric_subset(tower, kind=kind)
-    return RecipeData(f"example-3.3-{kind}", tower, subset, notes=f"{kind} quadric")
+    return RecipeData(tower, subset)
 
 
 def _row3() -> RecipeData:
     tower = build_tower(FieldSpec(p=3, e=1, m=12))
     subset = build_cyclotomic_subset(tower, 35, [0])
-    return RecipeData("table-2-row-3", tower, subset,
-                      notes="extended scale; exhaustive oracles stay guarded off")
+    return RecipeData(tower, subset)
 
 
 RECIPES = {

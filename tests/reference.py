@@ -12,11 +12,13 @@ Heng scans of one coverer at a time, with the scalar multiples of a word
 listed in a loop, that the library now runs over blocks of coverers, the
 flags of such a scan over every class, and the participant coverage
 counted from the unpacked supports.  Then come the projective
-representatives as a sorted list of word indices, and the spectrum by its
-two test routes (the transform and the unreduced count) or read off its
-dense (q^m, p) array.  Last, the field's digitwise addition one base-p
-digit per round, and an F_p-linear map evaluated on digit lists, which
-the library computes through its chunked addition table.
+representatives as a sorted list of word indices, the spectrum by its
+two test routes (the transform and the unreduced count, one key per
+(row, member) pair) or read off its dense (q^m, p) array, and the least
+stabiliser period by trying every divisor of q^m - 1.  Last, the field's
+digitwise addition one base-p digit per round, and an F_p-linear map
+evaluated on digit lists, which the library computes through its chunked
+addition table.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
@@ -259,11 +261,37 @@ def projective_representatives(code):
     return np.asarray(sorted(reps), dtype=np.int64)
 
 
+def pointwise_rows(tower, members, chunk=2 ** 20):
+    """Row j counts the trace values on gamma^j S for every j < q^m - 1, one
+    (row, member) pair per key, chunk pairs per bincount."""
+    p, order = tower.p, tower.order
+    members = np.asarray(members, dtype=np.int64)
+    logs = tower.log[members[members != 0]].astype(np.int64)
+    rows = np.empty((order, p), dtype=np.int64)
+    step = max(1, chunk // max(len(logs), 1))
+    for j0 in range(0, order, step):
+        js = np.arange(j0, min(j0 + step, order))
+        # key (j - j0) * p + Tr(gamma^(j + log x)) counts row j's trace values
+        keys = np.take(tower.trace_of_exp, js[:, None] + logs, mode="wrap").astype(np.int64)
+        keys += (js - j0)[:, None] * p
+        rows[j0 : j0 + len(js)] = np.bincount(keys.ravel(), minlength=len(js) * p).reshape(-1, p)
+    rows[:, 0] += len(members) - len(logs)  # Tr(a * 0) = 0 for every a
+    return rows
+
+
 def route_spectrum(tower, members, route):
     """A test reference as a Spectrum: "transform", or "pointwise", the unreduced count."""
     rows = (charsums._spectrum_transform(tower, members) if route == "transform"
-            else charsums._spectrum_pointwise(tower, members, tower.order))
+            else pointwise_rows(tower, members))
     return charsums.Spectrum(tower, rows, tower.order, len(members))
+
+
+def least_period(tower, members):
+    """The least divisor d of q^m - 1 with gamma^d S = S, S the nonzero members,
+    tried in increasing order by set equality of the shifted logs."""
+    logs = {int(tower.log[x]) for x in np.asarray(members).tolist() if x != 0}
+    divisors = [d for d in range(1, tower.order + 1) if tower.order % d == 0]
+    return next(d for d in divisors if {(k + d) % tower.order for k in logs} == logs)
 
 
 class DenseSpectrum:

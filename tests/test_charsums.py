@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import DenseSpectrum, route_spectrum
+from reference import DenseSpectrum, least_period, route_spectrum
 
 from pdscodes import charsums
 from pdscodes.charsums import (
@@ -207,14 +207,50 @@ def route_inputs(draw):
 @given(route_inputs())
 def test_spectrum_routes_agree_bit_for_bit(case):
     tower, members = case
+    period = tower.stabiliser_period(members)
+    assert period == least_period(tower, members)
     default = full_spectrum(tower, members)
+    orbit = Spectrum(tower, charsums._spectrum_orbit(tower, members, period), period,
+                     len(members))
     transform = route_spectrum(tower, members, "transform")
     pointwise = route_spectrum(tower, members, "pointwise")
-    assert np.array_equal(default.raw, transform.raw)
-    assert np.array_equal(pointwise.raw, transform.raw)
+    for spec in (default, orbit, pointwise):
+        assert np.array_equal(spec.raw, transform.raw)
     assert default.set_size == transform.set_size == pointwise.set_size == len(members)
     for spec in (default, transform, pointwise):
         assert_rows_read_as_dense(spec)
+
+
+# (p, e, m) of the fields the Gauss-period count is checked on, every
+# divisor d of q^m - 1 in turn: d = 1, c = 2 and c = 1 among them
+FOLD_FIELDS = [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("width", [charsums.FOLD_WIDTH, 8], ids=["default-width", "width-8"])
+@pytest.mark.parametrize("field", FOLD_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_gauss_period_rows_equal_references(field, width, monkeypatch):
+    # a random union of cosets of <gamma^d>, with and without 0; width 8 lays
+    # the (c, d) array out in blocks of rows plus a remainder even when c is small
+    monkeypatch.setattr(charsums, "FOLD_WIDTH", width)
+    tower = _route_tower(*field)
+    order = tower.order
+    rng = np.random.default_rng(order)
+    for d in (d for d in range(1, order + 1) if order % d == 0):
+        cosets = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+        logs = (cosets[:, None] + d * np.arange(order // d)).ravel()
+        for zero in (False, True):
+            members = tower.exp[logs].astype(np.int64)
+            if zero:
+                members = np.append(members, 0)
+            period = tower.stabiliser_period(members)
+            assert period == least_period(tower, members) and d % period == 0
+            pointwise = route_spectrum(tower, members, "pointwise")
+            assert np.array_equal(pointwise.raw, route_spectrum(tower, members, "transform").raw)
+            assert np.array_equal(full_spectrum(tower, members).raw, pointwise.raw)
+            for k in (period, d):
+                orbit = Spectrum(tower, charsums._spectrum_orbit(tower, members, k), k,
+                                 len(members))
+                assert np.array_equal(orbit.raw, pointwise.raw)
 
 
 def assert_rows_read_as_dense(spec):
@@ -292,7 +328,7 @@ def test_small_stabilisers_take_the_transform(monkeypatch):
     def no_orbit_count(*args):
         raise AssertionError("the orbit count must not run here")
 
-    monkeypatch.setattr(charsums, "_spectrum_pointwise", no_orbit_count)
+    monkeypatch.setattr(charsums, "_spectrum_orbit", no_orbit_count)
     for tower, members in ((f210, hyperplane), (quadric.tower, quadric.members)):
         spec = full_spectrum(tower, members)
         assert parseval_total(spec) == tower.qm * len(members)

@@ -104,6 +104,16 @@ FIELD_LIST = str(Path(__file__).parent / "data" / "field-list.json")  # holds [3
     (F34, '{"quadric": 5}', "quadric must be a JSON object, got 5"),
     pytest.param(FIELD_LIST, '{"cyclotomic": {"N": 5, "J": [0]}}',
                  "field spec must be a JSON object, got [3, 1, 4]", id="field-file-holds-a-list"),
+    # a missing key is named together with the spec that lacks it
+    ('{"p": 3, "e": 1}', '{"cyclotomic": {"N": 5, "J": [0]}}', "field spec is missing key 'm'"),
+    (F44, '{"cyclotomic": {"J": [0]}}', "cyclotomic spec is missing key 'N'"),
+    (F44, '{"cyclotomic": {"N": 5}}', "cyclotomic spec is missing key 'J'"),
+    (F34, '{"explicit": {}}', "explicit spec is missing key 'logs'"),
+    # generator_check takes JSON booleans only
+    ('{"p": 3, "e": 1, "m": 4, "generator_check": "no"}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "generator_check must be true or false, got 'no'"),
+    ('{"p": 3, "e": 1, "m": 4, "generator_check": 0}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "generator_check must be true or false, got 0"),
 ])
 def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
     code, _, err = run_cli(capsys, "pds", "--field", field, "--subset", subset)

@@ -1,10 +1,13 @@
-"""Every function and method in src/pdscodes has a caller outside the tests.
+"""Every function and method in src/pdscodes has a caller outside the tests,
+and every dataclass field is read there.
 
 A library name that no other code in src/ or perfbench/ uses, and that
 `pdscodes.__all__` does not export, is test-only code: it belongs in
 `reference.py` when tests compare the library against it, and nowhere when
 the public API can state the test's assertion.  ALLOWED names the test
-oracles the library keeps on purpose.
+oracles the library keeps on purpose.  A dataclass field that src/ and
+perfbench/ never read as `.field` is set for nothing; UNREAD_FIELDS names
+the fields kept on purpose.
 """
 import ast
 from pathlib import Path
@@ -23,6 +26,18 @@ ALLOWED = {
     "cyclotomic.CyclotomicInteger.norm_squared": "|z|^2 in Z[zeta_p], checked against the "
                                                  "norm form of Z[zeta_3]",
     "cyclotomic.CyclotomicInteger.is_zero": "the zero test of a value in Z[zeta_p]",
+}
+
+
+# Fields that only tests read, each with the reason it stays.
+UNREAD_FIELDS = {
+    "codes.WeightDistribution.merged_note": "says that two predicted weights coincide and "
+                                            "their frequencies were summed",
+    "pds.CyclotomicPrediction.ell1": "the least ell with p^ell = -1 (mod N), which fixes t",
+    "pds.CyclotomicPrediction.coset_values": "the predicted value on each class, checked "
+                                             "against the spectrum rows",
+    "secretsharing.AccessReport.dictators": "the participants behind the dictatorial "
+                                            "classification",
 }
 
 
@@ -59,3 +74,40 @@ def test_every_library_function_has_a_caller_outside_the_tests():
         and name not in used and name not in pdscodes.__all__
     )
     assert uncalled == sorted(ALLOWED)
+
+
+def _is_dataclass(node):
+    return any(
+        isinstance(dec, ast.Name) and dec.id == "dataclass"
+        or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+        and dec.func.id == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
+def _dataclass_fields(tree):
+    """(qualified name, name) of each field declared in a module-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _read_attributes(tree):
+    """Every attribute the module reads as `.name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    read = {name for tree in trees.values() for name in _read_attributes(tree)}
+    unread = sorted(
+        f"{path.stem}.{qualified}"
+        for path in LIBRARY
+        for qualified, name in _dataclass_fields(trees[path])
+        if name not in read
+    )
+    assert unread == sorted(UNREAD_FIELDS)
