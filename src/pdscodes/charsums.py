@@ -124,15 +124,6 @@ class Spectrum:
         per_row = self.tower.order // self.period
         return [(int(v), int(c) * per_row) for v, c in zip(uniq[::-1], counts[::-1])]
 
-    def to_json(self) -> dict:
-        ok = self.all_rational
-        out = {"k": self.set_size, "all_rational": ok, "values": []}
-        if ok:
-            out["values"] = [
-                {"theta": v, "multiplicity": c} for v, c in self.restricted_values()
-            ]
-        return out
-
 
 def trace_count_table(tower: FieldTower, a: int, members: np.ndarray) -> np.ndarray:
     """counts[t] = #{x in S : Tr_abs(a x) = t}; sums to |S|."""
@@ -191,22 +182,21 @@ def _gauss_periods(tower: FieldTower, period: int) -> np.ndarray:
     return counts
 
 
-def _spectrum_orbit(tower: FieldTower, members: np.ndarray, period: int) -> np.ndarray:
+def _spectrum_orbit(tower: FieldTower, period: int, cosets: np.ndarray,
+                    set_size: int) -> np.ndarray:
     """Row j counts the trace values on gamma^j S for j < period, where
     gamma^period S = S: the value at every a = gamma^i with i = j (mod period).
 
-    S minus 0 is the union of the cosets gamma^i <gamma^period> for i in I,
-    so row j is the sum of the Gauss periods G[(j + i) mod period], i in I,
-    added as two slices per i.
+    S minus 0 is the union of the cosets gamma^i <gamma^period> for i in
+    cosets, so row j is the sum of the Gauss periods G[(j + i) mod period],
+    i in cosets, added as two slices per i; the rest of set_size is 0.
     """
-    logs = tower.log[members[members != 0]]
-    cosets = np.flatnonzero(np.bincount(logs % period, minlength=period))
     periods = _gauss_periods(tower, period)
     rows = np.zeros((period, tower.p), dtype=np.int64)
     for i in cosets.tolist():
         rows[: period - i] += periods[i:]
         rows[period - i :] += periods[:i]
-    rows[:, 0] += len(members) - len(logs)  # Tr(a * 0) = 0 for every a
+    rows[:, 0] += set_size - len(cosets) * (tower.order // period)  # Tr(a * 0) = 0
     return rows
 
 
@@ -243,11 +233,11 @@ def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
     |I| cosets, or the transform, em * p^2 * q^m additions.
     """
     members = np.asarray(members, dtype=np.int64)
-    period = tower.stabiliser_period(members)
-    cosets = len(members) * period // tower.order  # |I|, S a union of |I| cosets
-    work = (tower.p - 1) * tower.qm + cosets * period * tower.p
+    period, cosets = tower.stabiliser(members)
+    work = (tower.p - 1) * tower.qm + len(cosets) * period * tower.p
     if ORBIT_UNIT_COST * work < tower.em * tower.p ** 2 * tower.qm:
-        return Spectrum(tower, _spectrum_orbit(tower, members, period), period, len(members))
+        rows = _spectrum_orbit(tower, period, cosets, len(members))
+        return Spectrum(tower, rows, period, len(members))
     return Spectrum(tower, _spectrum_transform(tower, members), tower.order, len(members))
 
 

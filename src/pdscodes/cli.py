@@ -34,8 +34,6 @@ from .codes import (
 from .blocking import is_cutting_vectorial_blocking
 from .field import FieldConstructionError, FieldSpec, build_tower
 from .pds import (
-    DIRECT_VERIFY_CAP,
-    CyclotomicOrigin,
     FieldSubset,
     GuardExceeded,
     PdsVerificationError,
@@ -98,12 +96,12 @@ def cmd_pds(args) -> int:
     except PdsVerificationError as exc:
         _emit(args, {"error": str(exc), "witness": getattr(exc, "witness", None)})
         return EXIT_NEGATIVE
-    direct = "skipped"
-    if tower.qm <= DIRECT_VERIFY_CAP:
-        lam, mu = verify_pds_direct(subset)
-        if (lam, mu) != (cert.lam, cert.mu):
+    try:
+        if verify_pds_direct(subset) != (cert.lam, cert.mu):
             raise AssertionError("direct and spectral verification disagree; bug")
         direct = "ok"
+    except GuardExceeded:
+        direct = "skipped"
     payload = cert.to_json()
     payload["fq_invariant"] = invariant
     payload["direct_check"] = direct
@@ -115,21 +113,21 @@ def cmd_pds(args) -> int:
     return EXIT_OK
 
 
-def _pds_verdict(code, guard, cert, cert_error) -> MethodVerdict:
+def _pds_verdict(code, cert, cert_error) -> MethodVerdict:
     if cert is not None and is_fq_invariant(code.subset):
         return minimality_pds_sufficient(cert, code.tower.q, code.tower.m)
     return MethodVerdict(INCONCLUSIVE, note=cert_error or "subset is not invariant")
 
 
-def _latin_verdict(code, guard, cert, cert_error) -> MethodVerdict:
+def _latin_verdict(code, cert, cert_error) -> MethodVerdict:
     if cert is not None:
         return minimality_latin_sufficient(cert, code.tower.q, code.tower.m)
     return MethodVerdict(INCONCLUSIVE, note=cert_error)
 
 
-def _cyclotomic_verdict(code, guard, cert, cert_error) -> MethodVerdict:
+def _cyclotomic_verdict(code, cert, cert_error) -> MethodVerdict:
     origin = code.subset.origin
-    if not isinstance(origin, CyclotomicOrigin):
+    if origin is None:
         return MethodVerdict(INCONCLUSIVE, note="subset has no cyclotomic description")
     try:
         prediction = predicted_cyclotomic_eigenvalues(code.tower, origin.N, origin.J)
@@ -138,12 +136,12 @@ def _cyclotomic_verdict(code, guard, cert, cert_error) -> MethodVerdict:
         return MethodVerdict(INCONCLUSIVE, note=str(exc))
 
 
-# --methods name -> (report key, verdict from (code, guard, cert, cert_error)),
+# --methods name -> (report key, verdict from (code, cert, cert_error)),
 # run in this order
 METHODS = {
-    "cover": ("cover", lambda code, guard, *_: code.minimality_cover(guard=guard)),
-    "heng": ("heng", lambda code, guard, *_: code.minimality_heng(guard=guard)),
-    "snc": ("snc", lambda code, guard, *_: code.minimality_snc(guard=guard)),
+    "cover": ("cover", lambda code, *_: code.minimality_cover()),
+    "heng": ("heng", lambda code, *_: code.minimality_heng()),
+    "snc": ("snc", lambda code, *_: code.minimality_snc()),
     "pds": ("pds_sufficient", _pds_verdict),
     "latin": ("latin_sufficient", _latin_verdict),
     "cyclotomic": ("cyclotomic_sufficient", _cyclotomic_verdict),
@@ -163,10 +161,9 @@ def _selected_methods(spec: str) -> list[str]:
 
 def cmd_code(args) -> int:
     tower, subset = _build_inputs(args)
-    code = SubsetCode(subset)
+    code = SubsetCode(subset, guard=args.guard_codewords)
     methods = _selected_methods(args.methods)
     report = MinimalityReport()
-    guard = args.guard_codewords
 
     cert = None
     cert_error = None
@@ -177,12 +174,11 @@ def cmd_code(args) -> int:
 
     for name, (key, verdict) in METHODS.items():
         if name in methods:
-            report.record(key, verdict(code, guard, cert, cert_error))
+            report.record(key, verdict(code, cert, cert_error))
 
     dist = None
     dist_source = None
     try:
-        code.check_guard(guard)
         dist = code.weight_distribution_direct()
         dist_source = "direct"
     except GuardExceeded:
@@ -238,7 +234,7 @@ def cmd_blocking(args) -> int:
 
 def cmd_sss(args) -> int:
     tower, subset = _build_inputs(args)
-    code = SubsetCode(subset)
+    code = SubsetCode(subset, guard=args.guard_codewords)
     if args.x1_log is not None:
         x1 = int(tower.exp[args.x1_log % tower.order])
     elif args.x1 == "in-D":
@@ -248,7 +244,7 @@ def cmd_sss(args) -> int:
     else:
         raise ConfigError("give --x1-log N or --x1 in-D|in-Dbar")
     # trust minimality unless the oracle can run and disproves it
-    verdict = code.minimality_cover(guard=args.guard_codewords)
+    verdict = code.minimality_cover()
     minimal = verdict.status != "not_minimal"
     report = analyze_scheme(code, x1, code_is_minimal=minimal)
     payload = report.to_json()
@@ -280,8 +276,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--subset", help="subset spec: JSON file path or inline JSON")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--guard-codewords", type=int, default=DEFAULT_WORD_GUARD,
-                       help="cap on q^(m+1) for exhaustive scans")
 
     p_pds = sub.add_parser("pds", help="verify a subset as a partial difference set")
     common(p_pds)
@@ -309,6 +303,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_sss.add_argument("--x1", choices=("in-D", "in-Dbar"),
                        help="pick the first subset/complement element as the secret coordinate")
     p_sss.set_defaults(func=cmd_sss)
+    for p in (p_code, p_sss):  # the two that run exhaustive scans over all words
+        p.add_argument("--guard-codewords", type=int, default=DEFAULT_WORD_GUARD,
+                       help="cap on q^(m+1) for exhaustive scans")
     return parser
 
 
@@ -323,7 +320,7 @@ def main(argv=None) -> int:
     except PdsVerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (ConfigError, FieldConstructionError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, FieldConstructionError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

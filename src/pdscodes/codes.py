@@ -297,26 +297,23 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
 
 
 class SubsetCode:
-    """The length q^m - 1, (generically) dimension m + 1 code of a subset."""
+    """The length q^m - 1, (generically) dimension m + 1 code of a subset; guard
+    caps the word count q^(m+1) of the scans and the enumeration over all words."""
 
-    def __init__(self, subset: FieldSubset):
+    def __init__(self, subset: FieldSubset, guard: int = DEFAULT_WORD_GUARD):
         if not subset.is_proper():
             raise ValueError("code construction needs a nonempty proper subset")
         self.subset = subset
         self.tower = subset.tower
         self.n = self.tower.order
         self.word_count = self.tower.q * self.tower.qm
+        self.guard = guard
         self._weight_table = None
         self._supports = None
         self._kernel = None
         self._dimension = None
         self._rank_orbit_flags = None
         self._orbit_reps = None
-
-    def check_guard(self, guard: int) -> None:
-        """Raise GuardExceeded when an exhaustive scan over all words is over the guard."""
-        if self.word_count > guard:
-            raise GuardExceeded(f"word count {self.word_count} over guard {guard}")
 
     @property
     def stabiliser_period(self) -> int:
@@ -396,11 +393,12 @@ class SubsetCode:
 
     # -- weight distribution ----------------------------------------------
 
-    def weight_distribution_direct(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
+    def weight_distribution_direct(self) -> WeightDistribution:
+        self._check_guard()
         cost = self.word_count * self.n
-        if cost > budget:
+        if cost > DEFAULT_ENUM_BUDGET:
             raise GuardExceeded(
-                f"direct enumeration cost {cost} exceeds the budget {budget}"
+                f"direct enumeration cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}"
             )
         wt = self.weight_table().ravel()
         weights, freqs = np.unique(wt, return_counts=True)
@@ -485,16 +483,20 @@ class SubsetCode:
         one = qm + np.where(v == 0, 0, lowest_one[(log_v - (u - 1) * step) % d])
         return np.where(u == 0, lowest_zero[log_v % g], one)
 
-    def _orbit_representatives(self, guard: int) -> np.ndarray:
+    def _check_guard(self) -> None:
+        if self.word_count > self.guard:
+            raise GuardExceeded(f"word count {self.word_count} over guard {self.guard}")
+
+    def _orbit_representatives(self) -> np.ndarray:
         """The lowest projective representative of each orbit, ascending (cached)."""
-        self.check_guard(guard)
         if self._orbit_reps is None:
+            self._check_guard()
             self._orbit_reps = np.unique(self.class_orbit(self.projective_representatives()))
             self._orbit_reps.flags.writeable = False
         return self._orbit_reps
 
     def _block_scan(
-        self, make_test: Callable[[], Callable[[np.ndarray], np.ndarray]], guard: int
+        self, make_test: Callable[[], Callable[[np.ndarray], np.ndarray]]
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(reps, bad) for blocks of the ascending orbit representatives, bad[i, w]
         saying that word w, vector-independent of reps[i], violates the test.
@@ -507,7 +509,7 @@ class SubsetCode:
         none, so the first one found is the first of a scan over all
         projective representatives, with the same witness.
         """
-        reps = self._orbit_representatives(guard)
+        reps = self._orbit_representatives()
         test = make_test()
         most = max(1, ZERO_BLOCK // self.word_count)
         start, size = 0, 1
@@ -523,11 +525,11 @@ class SubsetCode:
         reps, flags = orbit_flags
         return flags[np.searchsorted(reps, self.class_orbit(words))]
 
-    def _scan_verdict(self, make_test, guard: int, note: str) -> MethodVerdict:
+    def _scan_verdict(self, make_test, note: str) -> MethodVerdict:
         """NotMinimal at the scan's first violation, witnessed as (covered, coverer):
         the lowest violating representative and the lowest word it flags."""
         try:
-            for reps, bad in self._block_scan(make_test, guard):
+            for reps, bad in self._block_scan(make_test):
                 rows = np.flatnonzero(bad.any(axis=1))
                 if len(rows):
                     return MethodVerdict(
@@ -564,7 +566,7 @@ class SubsetCode:
 
         return test
 
-    def minimality_cover(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
+    def minimality_cover(self) -> MethodVerdict:
         """Exhaustive support-containment oracle.
 
         Scans coverers by projective class (cover is scalar-invariant) and
@@ -572,7 +574,7 @@ class SubsetCode:
         vectors.
         """
         return self._scan_verdict(
-            self._cover_test, guard, "support of the first word is contained in the second's"
+            self._cover_test, "support of the first word is contained in the second's"
         )
 
     # -- weight-sum criterion ------------------------------------------------
@@ -604,10 +606,10 @@ class SubsetCode:
 
         return test
 
-    def minimality_heng(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
+    def minimality_heng(self) -> MethodVerdict:
         """Weight-sum identity scan over independent codeword pairs."""
         return self._scan_verdict(
-            self._heng_test, guard, "weight-sum identity fired for an independent pair"
+            self._heng_test, "weight-sum identity fired for an independent pair"
         )
 
     # -- zero-set rank: the span criterion and per-orbit flags ---------------------
@@ -638,14 +640,14 @@ class SubsetCode:
             reached[start:start + per] = ok
         return reached
 
-    def rank_orbit_flags(self, guard: int = DEFAULT_WORD_GUARD) -> tuple[np.ndarray, np.ndarray]:
+    def rank_orbit_flags(self) -> tuple[np.ndarray, np.ndarray]:
         """(reps, flags): the ascending orbit representatives and the minimality
-        (True) of each, computed once per code; every call checks the guard.
+        (True) of each, computed once per code.
         A word is minimal exactly when the generator columns at its zeros have
         rank k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank
         k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
         """
-        reps = self._orbit_representatives(guard)
+        reps = self._orbit_representatives()
         if self._rank_orbit_flags is None:
             k = self.dimension()
             us, vs = np.divmod(reps, self.tower.qm)
@@ -655,7 +657,7 @@ class SubsetCode:
             self._rank_orbit_flags = flags
         return reps, self._rank_orbit_flags
 
-    def minimality_snc(self, guard: int = DEFAULT_WORD_GUARD) -> MethodVerdict:
+    def minimality_snc(self) -> MethodVerdict:
         """Exact span criterion, read off the rank flags: the complement spans the
         field (the flag of (1, 0)), and for z = gamma^j, j < d, each trace slice
         D_{y,z} is nonempty with <(D_{y,z} - x_0) ∪ D̄_z> of dimension m - 1, its
@@ -664,7 +666,7 @@ class SubsetCode:
         witness is the first failing (y, z), z in log order, then y in label order.
         """
         try:
-            orbit_flags = self.rank_orbit_flags(guard)
+            orbit_flags = self.rank_orbit_flags()
         except GuardExceeded as exc:
             return MethodVerdict(NOT_RUN, note=str(exc))
         if not self.word_flags(orbit_flags, self.word_index(1, 0)):

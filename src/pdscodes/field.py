@@ -31,7 +31,6 @@ log v + log x; it is the one batch route to the F_q value of Tr(v x).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import isqrt
@@ -251,14 +250,18 @@ class FieldSpec:
     generator_check: bool = True
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise FieldConstructionError(f"p={self.p} is not prime")
         if self.e < 1 or self.m < 1:
             raise FieldConstructionError("e and m must be positive")
-        if self.p ** (self.e * self.m) > MAX_FIELD_SIZE:
+        # p and e*m are bounded before the power and the trial division, so a
+        # huge spec fails at once
+        em = self.e * self.m
+        if self.p > MAX_FIELD_SIZE or em >= MAX_FIELD_SIZE.bit_length() or (
+                self.p ** em > MAX_FIELD_SIZE):
             raise FieldConstructionError(
-                f"field size {self.p}^{self.e * self.m} exceeds the table cap {MAX_FIELD_SIZE}"
+                f"field size {self.p}^{em} exceeds the table cap {MAX_FIELD_SIZE}"
             )
+        if not is_prime(self.p):
+            raise FieldConstructionError(f"p={self.p} is not prime")
         if self.modulus is not None:
             mod = tuple(c % self.p for c in self.modulus)
             if len(mod) != self.e * self.m + 1:
@@ -270,9 +273,7 @@ class FieldSpec:
             object.__setattr__(self, "modulus", mod)
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "FieldSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "FieldSpec":
         obj = obj_field(obj, "field spec")
         p, e, m = (int_field(required(obj, key, "field spec"), key) for key in ("p", "e", "m"))
         mod = obj.get("modulus")
@@ -281,12 +282,6 @@ class FieldSpec:
             modulus=tuple(int_list(mod, "modulus")) if mod is not None else None,
             generator_check=bool_field(obj.get("generator_check", True), "generator_check"),
         )
-
-    def to_json(self) -> dict:
-        out = {"p": self.p, "e": self.e, "m": self.m}
-        if self.modulus is not None:
-            out["modulus"] = list(self.modulus)
-        return out
 
 
 class FieldTower:
@@ -489,14 +484,17 @@ class FieldTower:
         xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
         return self._add_vec(xs, ys).astype(np.int64, copy=False)
 
-    def stabiliser_period(self, members: np.ndarray) -> int:
-        """The least d with gamma^d S = S, S the nonzero members: Stab(S) = <gamma^d>.
+    def stabiliser(self, members: np.ndarray) -> tuple[int, np.ndarray]:
+        """(d, I): the least d with gamma^d S = S, S the nonzero members, so
+        Stab(S) = <gamma^d>, and the ascending i < d with S the union of the
+        cosets gamma^i <gamma^d>, i in I.
 
         The periods of S's indicator in log order are the multiples of d
         dividing q^m - 1, so d is q^m - 1 divided by each prime for as long
         as the quotient s = d / ell is still a period.  The indicator has
         cyclic period d and s divides d, so s is one exactly when the first
         d entries, shifted by s, agree with themselves: mem[s:d] = mem[:d-s].
+        Those first d entries mark I.
         """
         members = np.asarray(members, dtype=np.int64)
         mem = np.zeros(self.order, dtype=bool)
@@ -505,7 +503,7 @@ class FieldTower:
         for ell in factorize(d):
             while d % ell == 0 and np.array_equal(mem[d // ell : d], mem[: d - d // ell]):
                 d //= ell
-        return d
+        return d, np.flatnonzero(mem[:d])
 
     # -- traces and hyperplanes -------------------------------------------
 

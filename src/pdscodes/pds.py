@@ -45,29 +45,13 @@ class CyclotomicOrigin:
     N: int
     J: tuple[int, ...]
 
-    def to_json(self):
-        return {"cyclotomic": {"N": self.N, "J": list(self.J)}}
-
-
-@dataclass(frozen=True)
-class ExplicitOrigin:
-    def to_json(self):
-        return {"explicit": {}}
-
-
-@dataclass(frozen=True)
-class QuadricOrigin:
-    gram: tuple[tuple[int, ...], ...]
-    kind: str
-
-    def to_json(self):
-        return {"quadric": {"gram": [list(r) for r in self.gram], "kind": self.kind}}
-
 
 class FieldSubset:
-    """A subset of F_{q^m}^* with cached indicator, members and log list."""
+    """A subset of F_{q^m}^* with cached indicator and sorted members; origin
+    is the (N, J) of a union of cyclotomic classes, or None."""
 
-    def __init__(self, tower: FieldTower, members: np.ndarray, origin=None):
+    def __init__(self, tower: FieldTower, members: np.ndarray,
+                 origin: CyclotomicOrigin | None = None):
         members = np.asarray(members, dtype=np.int64)
         if np.any(members >= tower.qm) or np.any(members < 0):
             raise ValueError("member out of field range")
@@ -77,7 +61,7 @@ class FieldSubset:
             raise ValueError("subsets live in the multiplicative group; 0 not allowed")
         self.tower = tower
         self.members = np.flatnonzero(self.indicator)  # sorted, without repeats
-        self.origin = origin if origin is not None else ExplicitOrigin()
+        self.origin = origin
 
     def __len__(self):
         return int(len(self.members))
@@ -85,14 +69,10 @@ class FieldSubset:
     def __contains__(self, x: int) -> bool:
         return bool(self.indicator[x])
 
-    @property
-    def logs(self) -> np.ndarray:
-        return np.sort(self.tower.log[self.members].astype(np.int64))
-
     @cached_property
     def stabiliser_period(self) -> int:
         """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
-        return self.tower.stabiliser_period(self.members)
+        return self.tower.stabiliser(self.members)[0]
 
     def is_proper(self) -> bool:
         return 0 < len(self) < self.tower.order
@@ -100,7 +80,7 @@ class FieldSubset:
     def complement(self) -> "FieldSubset":
         comp = np.setdiff1d(self.tower.exp.astype(np.int64), self.members)
         origin = None
-        if isinstance(self.origin, CyclotomicOrigin):
+        if self.origin is not None:
             rest = tuple(sorted(set(range(self.origin.N)) - set(self.origin.J)))
             if rest:
                 origin = CyclotomicOrigin(self.origin.N, rest)
@@ -114,9 +94,10 @@ class FieldSubset:
         return full_spectrum(self.tower, self.members)
 
     @classmethod
-    def from_logs(cls, tower: FieldTower, logs: Sequence[int], origin=None) -> "FieldSubset":
-        logs = np.asarray(list(logs), dtype=np.int64) % tower.order
-        return cls(tower, tower.exp[logs].astype(np.int64), origin)
+    def from_logs(cls, tower: FieldTower, logs: Sequence[int]) -> "FieldSubset":
+        # reduced as Python ints, so any integer log is taken mod q^m - 1
+        logs = np.array([int(lg) % tower.order for lg in logs], dtype=np.int64)
+        return cls(tower, tower.exp[logs].astype(np.int64))
 
     @classmethod
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
@@ -138,12 +119,6 @@ class FieldSubset:
             subset, _ = quadric_subset(tower, kind=qd.get("kind"), gram=gram)
             return subset
         raise ValueError("subset spec must be one of cyclotomic/explicit/quadric")
-
-    def to_json(self) -> dict:
-        out = self.origin.to_json()
-        if isinstance(self.origin, ExplicitOrigin):
-            out["explicit"]["logs"] = self.logs.tolist()
-        return out
 
 
 def cyclotomic_classes(tower: FieldTower, N: int) -> list[np.ndarray]:
@@ -192,7 +167,7 @@ def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:
 def is_fq_invariant(subset: FieldSubset) -> bool:
     """Closure under F_q^* scaling; cyclotomic origins are cross-checked via rho."""
     direct = is_invariant_under_subfield(subset.tower, subset.indicator)
-    if isinstance(subset.origin, CyclotomicOrigin):
+    if subset.origin is not None:
         via_rho = rho_invariant(subset.tower, subset.origin.N, subset.origin.J)
         if via_rho != direct:
             raise AssertionError(
@@ -329,7 +304,7 @@ def verify_pds_spectral(
     return certificate_from_spectrum(subset, spectrum), spectrum
 
 
-def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tuple[int, int]:
+def verify_pds_direct(subset: FieldSubset) -> tuple[int, int]:
     """Combinatorial verification: |D ∩ (D + g)| constant on D and off D.
 
     Runs g over gamma^j for j < d, one per orbit of D's stabiliser <gamma^d>:
@@ -340,8 +315,8 @@ def verify_pds_direct(subset: FieldSubset, cap: int = DIRECT_VERIFY_CAP) -> tupl
     scan stops after the first chunk that holds a violation.
     """
     tower = subset.tower
-    if tower.qm > cap:
-        raise GuardExceeded(f"direct verification capped at {cap} field elements")
+    if tower.qm > DIRECT_VERIFY_CAP:
+        raise GuardExceeded(f"direct verification capped at {DIRECT_VERIFY_CAP} field elements")
     if not subset.is_proper():
         raise PdsVerificationError("connection set must be nonempty and proper")
     if not subset.is_symmetric():
@@ -476,8 +451,6 @@ def default_gram(tower: FieldTower, kind: str) -> tuple[tuple[int, ...], ...]:
         gram[m - 2][m - 2] = a
         gram[m - 2][m - 1] = b
         gram[m - 1][m - 1] = c
-    elif kind != "hyperbolic":
-        raise ValueError("kind must be 'hyperbolic' or 'elliptic'")
     return tuple(tuple(row) for row in gram)
 
 
@@ -490,6 +463,8 @@ def quadric_subset(
     upper-triangular coefficient matrix of dense F_q labels with
     Q(x) = sum over i<=j of gram[i][j] * x_i * x_j.
     """
+    if kind not in (None, "hyperbolic", "elliptic"):
+        raise ValueError(f"kind must be 'hyperbolic' or 'elliptic', got {kind!r}")
     m, q = tower.m, tower.q
     if m < 4 or m % 2 != 0:
         raise ValueError("quadric construction needs even m >= 4")
@@ -541,9 +516,7 @@ def quadric_subset(
                 raise ValueError(
                     f"form has {len(members)} zeros, inconsistent with a {kind} quadric"
                 )
-            detected = "hyperbolic" if eps == 1 else "elliptic"
-            subset = FieldSubset(tower, members, QuadricOrigin(gram, detected))
-            return subset, cert
+            return FieldSubset(tower, members), cert
     raise PdsVerificationError(
         f"zero count {len(members)} matches neither quadric type", witness=len(members)
     )

@@ -7,7 +7,6 @@ by a subset automorphism lands on the codeword indexed by the dual image.
 """
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
@@ -66,18 +65,6 @@ class QPolynomial:
                         for c in range(m + 1)
                     ]
         return cls(tower, [rows[j][m] for j in range(m)])
-
-    @classmethod
-    def from_json(cls, tower: FieldTower, obj: dict | str) -> "QPolynomial":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        logs = obj["coeffs_logs"]
-        coeffs = [0 if lg is None else int(tower.exp[int(lg) % tower.order]) for lg in logs]
-        return cls(tower, coeffs)
-
-    def to_json(self) -> dict:
-        logs = [None if c == 0 else int(self.tower.log[c]) for c in self.coeffs]
-        return {"coeffs_logs": logs}
 
     # -- evaluation --------------------------------------------------------
 

@@ -61,7 +61,7 @@ RECIPES = {
 def build_recipe(name: str, kind: str | None = None, p: int | None = None,
                  m: int | None = None) -> RecipeData:
     if name not in RECIPES:
-        raise KeyError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
+        raise ValueError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
     if name == "example-3.3":
         return _example_33(kind or "hyperbolic", p or 3, m or 4)
     if kind is not None and not name.startswith("example-3.3"):

@@ -294,6 +294,13 @@ def least_period(tower, members):
     return next(d for d in divisors if {(k + d) % tower.order for k in logs} == logs)
 
 
+def coset_logs(tower, members, period):
+    """The ascending i < period with gamma^i in S, S the nonzero members: the
+    cosets gamma^i <gamma^period> that make up S when gamma^period S = S."""
+    return np.array(sorted({int(tower.log[x]) % period
+                            for x in np.asarray(members).tolist() if x != 0}), dtype=np.int64)
+
+
 class DenseSpectrum:
     """A spectrum read off one raw row per element a, as Spectrum did when it
     held the dense (q^m, p) array."""
@@ -326,15 +333,6 @@ class DenseSpectrum:
         uniq, counts = np.unique(self.rational_values()[1:], return_counts=True)
         pairs = sorted(zip(uniq.tolist(), counts.tolist()), key=lambda t: -t[0])
         return [(int(v), int(c)) for v, c in pairs]
-
-    def to_json(self):
-        ok = self.all_rational
-        out = {"k": self.set_size, "all_rational": ok, "values": []}
-        if ok:
-            out["values"] = [
-                {"theta": v, "multiplicity": c} for v, c in self.restricted_values()
-            ]
-        return out
 
 
 def digit_add(p, em, x, y):

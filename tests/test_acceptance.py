@@ -137,9 +137,8 @@ def test_criterion_5_table2_row3_extended():
         cert, _ = verify_pds_spectral(subset, spectrum=spectrum)
         assert (cert.k, cert.theta1, cert.theta2) == (15184, 118, -125)
         assert minimality_pds_sufficient(cert, 3, 12).status == MINIMAL
-        code = SubsetCode(subset)
         # exhaustive oracle stays behind the guard at this scale
-        assert code.minimality_cover(guard=2 ** 20).status == "not_run"
+        assert SubsetCode(subset, guard=2 ** 20).minimality_cover().status == "not_run"
 
 
 def test_criterion_6a_orthogonality_exhaustive_f35(f35):

@@ -114,6 +114,16 @@ FIELD_LIST = str(Path(__file__).parent / "data" / "field-list.json")  # holds [3
      "generator_check must be true or false, got 'no'"),
     ('{"p": 3, "e": 1, "m": 4, "generator_check": 0}', '{"cyclotomic": {"N": 5, "J": [0]}}',
      "generator_check must be true or false, got 0"),
+    # a huge p or e*m fails before any primality test or power
+    ('{"p": 2305843009213693951, "e": 1, "m": 1}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "exceeds the table cap"),
+    ('{"p": 3, "e": 1, "m": 400000000000}', '{"cyclotomic": {"N": 5, "J": [0]}}',
+     "exceeds the table cap"),
+    # the quadric kind is one of two names
+    (F34, '{"quadric": {"kind": ["x"], "gram": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], '
+          '[0, 0, 0, 0]]}}', "kind must be 'hyperbolic' or 'elliptic', got ['x']"),
+    (F34, '{"quadric": {"kind": "foo", "gram": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], '
+          '[0, 0, 0, 0]]}}', "kind must be 'hyperbolic' or 'elliptic', got 'foo'"),
 ])
 def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
     code, _, err = run_cli(capsys, "pds", "--field", field, "--subset", subset)
@@ -121,10 +131,30 @@ def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
     assert message in err
 
 
+def test_huge_explicit_logs_reduce_mod_the_group_order(capsys):
+    # the squares of F_81 (a Paley PDS), each log shifted by a multiple of 80
+    # far past int64
+    logs = [2 * k + 80 * 10 ** 22 for k in range(40)]
+    code, out, _ = run_cli(capsys, "pds", "--field", F34,
+                           "--subset", json.dumps({"explicit": {"logs": logs}}))
+    assert code == 0
+    _, squares, _ = run_cli(capsys, "pds", "--field", F34,
+                            "--subset", '{"cyclotomic": {"N": 2, "J": [0]}}')
+    assert json.loads(out) == json.loads(squares)
+
+
 def test_unknown_recipe_is_config_error(capsys):
     code, _, err = run_cli(capsys, "pds", "--recipe", "nope")
     assert code == 2
-    assert "unknown recipe" in err
+    assert err.startswith("error: unknown recipe")
+
+
+@pytest.mark.parametrize("command", ["pds", "blocking"])
+def test_guard_option_only_where_read(command):
+    # only code and sss run the exhaustive word scans the guard caps
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--recipe", "example-3.1", "--guard-codewords", "1"])
+    assert exc.value.code == 2
 
 
 def test_code_example31_all_methods(capsys):

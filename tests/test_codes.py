@@ -6,7 +6,6 @@ import reference
 
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import (
-    DEFAULT_WORD_GUARD,
     INCONCLUSIVE,
     MINIMAL,
     NOT_MINIMAL,
@@ -275,14 +274,6 @@ def test_one_zero_rank_scan_per_code(hyperplane_subset, monkeypatch):
     assert not flags.all() and report.oracle_total < report.total
 
 
-def test_guard_applies_after_the_rank_flags_are_cached(row1_code):
-    code = SubsetCode(row1_code.subset)
-    assert code.minimality_snc().status == MINIMAL
-    assert code.minimality_snc(guard=10).status == NOT_RUN
-    with pytest.raises(GuardExceeded):
-        code.rank_orbit_flags(guard=10)
-
-
 def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code):
     calls = []
     class_orbit = SubsetCode.class_orbit
@@ -292,16 +283,11 @@ def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code)
         return class_orbit(self, words)
 
     code = SubsetCode(row1_code.subset)
-    reps = code._orbit_representatives(DEFAULT_WORD_GUARD)
+    reps = code._orbit_representatives()
     monkeypatch.setattr(SubsetCode, "class_orbit", counted)
-    assert code._orbit_representatives(DEFAULT_WORD_GUARD) is reps
+    assert code._orbit_representatives() is reps
     assert calls == []
     assert code.minimality_cover().status == MINIMAL
-    # the guard still applies once the representatives are cached
-    for method in (code.minimality_cover, code.minimality_heng, code.minimality_snc):
-        assert method(guard=10).status == NOT_RUN
-    with pytest.raises(GuardExceeded):
-        code._orbit_representatives(10)
 
 
 def test_annihilator_escapes_witness():
@@ -534,10 +520,16 @@ def test_generator_matrix(row1_code):
         assert int(np.count_nonzero(row)) == 162
 
 
-def test_guards_return_not_run(row1_code):
-    verdict = row1_code.minimality_cover(guard=10)
-    assert verdict.status == "not_run"
-    assert row1_code.minimality_heng(guard=10).status == "not_run"
-    assert row1_code.minimality_snc(guard=10).status == "not_run"
-    with pytest.raises(Exception):
-        row1_code.weight_distribution_direct(budget=10)
+def test_guards_return_not_run(row1_code, monkeypatch):
+    code = SubsetCode(row1_code.subset, guard=10)
+    assert code.minimality_cover().status == NOT_RUN
+    assert code.minimality_heng().status == NOT_RUN
+    assert code.minimality_snc().status == NOT_RUN
+    with pytest.raises(GuardExceeded, match="over guard 10"):
+        code.rank_orbit_flags()
+    with pytest.raises(GuardExceeded, match="over guard 10"):
+        code.weight_distribution_direct()
+    # the enumeration budget on words x coordinates, read at call time
+    monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 10)
+    with pytest.raises(GuardExceeded, match="exceeds the budget 10"):
+        SubsetCode(row1_code.subset).weight_distribution_direct()

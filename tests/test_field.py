@@ -27,6 +27,12 @@ def test_spec_rejects_bad_parameters():
         FieldSpec(p=2, e=1, m=30)  # over the table cap
     with pytest.raises(FieldConstructionError):
         FieldSpec(p=3, e=1, m=2, modulus=(1, 1, 1, 1))  # wrong degree
+    # a huge p or e*m fails at once, before the primality test and the power
+    for p, e, m in ((2 ** 61 - 1, 1, 1),  # a prime: 1.5 * 10^9 trial divisions
+                    (3, 1, 4 * 10 ** 11),  # 3^(4 * 10^11) has 6 * 10^11 bits
+                    (4, 10 ** 12, 1)):
+        with pytest.raises(FieldConstructionError, match="exceeds the table cap"):
+            FieldSpec(p=p, e=e, m=m)
 
 
 def test_reducible_modulus_rejected():
@@ -235,13 +241,13 @@ def test_coordinate_tables(f44):
 
 
 def test_field_spec_json_round_trip():
-    spec = FieldSpec.from_json('{"p": 2, "e": 2, "m": 4}')
+    spec = FieldSpec.from_json({"p": 2, "e": 2, "m": 4})
     assert spec.modulus is None
     t = build_tower(spec)
     assert t.qm == 256
     spec2 = FieldSpec.from_json({"p": 3, "e": 1, "m": 4, "modulus": [2, 1, 0, 0, 1]})
     assert spec2.modulus == (2, 1, 0, 0, 1)
-    assert spec2.to_json()["modulus"] == [2, 1, 0, 0, 1]
+    assert build_tower(spec2).modulus == (2, 1, 0, 0, 1)
 
 
 def test_linear_map_table(f35, f44):

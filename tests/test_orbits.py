@@ -167,7 +167,7 @@ def test_block_boundaries_equal_full_scan(code, monkeypatch, cap):
 
 def test_first_witness_beyond_first_blocks(f34, monkeypatch):
     code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
-    reps = code._orbit_representatives(codes.DEFAULT_WORD_GUARD).tolist()
+    reps = code._orbit_representatives().tolist()
     for per_block in (1, 2):
         monkeypatch.setattr(codes, "ZERO_BLOCK", per_block * code.word_count)
         for verdict in (code.minimality_cover(), code.minimality_heng()):

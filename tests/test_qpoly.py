@@ -166,12 +166,6 @@ def test_weight_multiset_preserved(f34):
     assert sorted(permuted_weights) == sorted(wt.tolist())
 
 
-def test_qpoly_json_round_trip(f34):
-    f = QPolynomial.from_json(f34, {"coeffs_logs": [None, 0, None, None]})
-    assert f == QPolynomial.frobenius(f34, 1)
-    assert f.to_json() == {"coeffs_logs": [None, 0, None, None]}
-
-
 def test_from_basis_images_round_trip(f34):
     rng = np.random.default_rng(43)
     for _ in range(5):

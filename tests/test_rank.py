@@ -173,5 +173,5 @@ def test_polar_form_rank(f34):
         assert reference.dimension(f34, rows) < 4
         with pytest.raises(ValueError, match="degenerate"):
             quadric_subset(f34, gram=gram)
-    for kind in ("hyperbolic", "elliptic"):
-        assert quadric_subset(f34, kind=kind)[0].origin.kind == kind
+    for kind, flag in (("hyperbolic", "latin"), ("elliptic", "negative_latin")):
+        assert quadric_subset(f34, kind=kind)[1].type_flag == flag

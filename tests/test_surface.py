@@ -7,9 +7,12 @@ A library name that no other code in src/ or perfbench/ uses, and that
 the public API can state the test's assertion.  ALLOWED names the test
 oracles the library keeps on purpose.  A dataclass field that src/ and
 perfbench/ never read as `.field` is set for nothing; UNREAD_FIELDS names
-the fields kept on purpose.
+the fields kept on purpose.  A parameter with a default that no call in
+src/ or perfbench/ sets, by keyword or by position, is a setting nobody
+uses; UNSET_DEFAULTS names those kept on purpose.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pdscodes
@@ -42,14 +45,15 @@ UNREAD_FIELDS = {
 
 
 def _definitions(tree):
-    """(qualified name, name) of each module-level function and each method."""
+    """(qualified name, name, class name or None, node) of each module-level
+    function and each method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name
+            yield node.name, node.name, None, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, node.name, item
 
 
 def _used_names(tree):
@@ -69,7 +73,7 @@ def test_every_library_function_has_a_caller_outside_the_tests():
     uncalled = sorted(
         f"{path.stem}.{qualified}"
         for path in LIBRARY
-        for qualified, name in _definitions(trees[path])
+        for qualified, name, _, _ in _definitions(trees[path])
         if not (name.startswith("__") and name.endswith("__"))
         and name not in used and name not in pdscodes.__all__
     )
@@ -111,3 +115,58 @@ def test_every_dataclass_field_is_read_outside_the_tests():
         if name not in read
     )
     assert unread == sorted(UNREAD_FIELDS)
+
+
+# Parameters with a default that no caller sets, each with the reason it stays.
+UNSET_DEFAULTS = {
+    "cli.main argv": "the entry point; tests pass the arguments, a shell leaves them to sys.argv",
+    "codes.dyz_size method": "the closed form and the direct count that the tests compare",
+    "qpoly.induced_code_automorphism_check enforce_preservation":
+        "lets the tests run the exhaustive check on maps that do not preserve the subset",
+}
+
+
+def _parameters(fn, method):
+    """(positional parameters, parameters with a default) of fn; the self or
+    cls of a method that is no staticmethod is no positional parameter of its
+    calls."""
+    args = fn.args
+    bound = method and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}
+    positional = [a.arg for a in args.posonlyargs + args.args][int(bound):]
+    defaults = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    return positional, defaults + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                   if d is not None]
+
+
+def _calls(node, owner=None):
+    """(called name, positional arguments, keyword names) of every call; cls(...)
+    calls the enclosing class, and tracer.call(name, fn, *args) calls fn."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func, args = child.func, child.args
+            if isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2:
+                func, args = args[1], args[2:]
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name is not None:
+                yield owner if name == "cls" else name, args, [k.arg for k in child.keywords]
+        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
+def test_every_default_is_set_by_some_caller():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    reach, keywords = {}, {}  # called name -> positions some call fills, keywords it passes
+    for tree in trees.values():
+        for name, args, names in _calls(tree):
+            # *args may fill every position from its own on, **kwargs (None) any keyword
+            filled = sys.maxsize if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            reach[name] = max(reach.get(name, 0), filled)
+            keywords.setdefault(name, set()).update(names)
+    unset = []
+    for path in LIBRARY:
+        for qualified, name, owner, fn in _definitions(trees[path]):
+            positional, defaults = _parameters(fn, method=owner is not None)
+            called = owner if name == "__init__" else name  # a class call reaches __init__
+            unset += [f"{path.stem}.{qualified} {param}" for param in defaults
+                      if not ({param, None} & keywords.get(called, set())
+                              or param in positional[: reach.get(called, 0)])]
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
