@@ -227,13 +227,18 @@ def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
 
 
 def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
-    """Character sums of S (distinct elements, 0 allowed) twisted by every a,
-    by the cheaper of two routes: the orbit count, (p - 1) * q^m compares
-    and |I| * d * p additions for the stabiliser <gamma^d> of S, a union of
-    |I| cosets, or the transform, em * p^2 * q^m additions.
-    """
+    """Character sums of S (distinct elements, 0 allowed) twisted by every a."""
     members = np.asarray(members, dtype=np.int64)
-    period, cosets = tower.stabiliser(members)
+    return stabiliser_spectrum(tower, members, *tower.stabiliser(members))
+
+
+def stabiliser_spectrum(tower: FieldTower, members: np.ndarray, period: int,
+                        cosets: np.ndarray) -> Spectrum:
+    """full_spectrum for an S whose stabiliser (period, cosets) is known, by
+    the cheaper of two routes: the orbit count, (p - 1) * q^m compares and
+    |I| * d * p additions for the stabiliser <gamma^d> of S, a union of |I|
+    cosets, or the transform, em * p^2 * q^m additions.
+    """
     work = (tower.p - 1) * tower.qm + len(cosets) * period * tower.p
     if ORBIT_UNIT_COST * work < tower.em * tower.p ** 2 * tower.qm:
         rows = _spectrum_orbit(tower, period, cosets, len(members))

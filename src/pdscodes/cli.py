@@ -20,6 +20,7 @@ from .codes import (
     DEFAULT_WORD_GUARD,
     INCONCLUSIVE,
     MINIMAL,
+    NOT_MINIMAL,
     NOT_RUN,
     MethodVerdict,
     MinimalityReport,
@@ -243,9 +244,10 @@ def cmd_sss(args) -> int:
         x1 = int(subset.complement().members[0])
     else:
         raise ConfigError("give --x1-log N or --x1 in-D|in-Dbar")
-    # trust minimality unless the oracle can run and disproves it
-    verdict = code.minimality_cover()
-    minimal = verdict.status != "not_minimal"
+    # trust minimality unless SNC can run and disproves it; its rank flags
+    # also filter the count for a code that is not minimal
+    verdict = code.minimality_snc()
+    minimal = verdict.status != NOT_MINIMAL
     report = analyze_scheme(code, x1, code_is_minimal=minimal)
     payload = report.to_json()
     if report.oracle_total is not None:
@@ -253,7 +255,7 @@ def cmd_sss(args) -> int:
         payload["note"] = "code is not minimal; the access-set/codeword bijection breaks"
     elif verdict.status == NOT_RUN:
         payload["minimality_assumed"] = True
-        payload["note"] = f"cover oracle not run ({verdict.note}); the code is taken as minimal"
+        payload["note"] = f"SNC not run ({verdict.note}); the code is taken as minimal"
     table = [
         f"x1_log: {report.x1_log} ({'outside' if report.x1_in_complement else 'inside'} the subset)",
         f"minimal access sets: {report.total}",

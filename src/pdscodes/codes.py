@@ -19,7 +19,7 @@ Minimality is decided by several methods of increasing abstraction:
 * snc: the span/annihilator criterion on trace slices of the subset, an
   exact characterization and a rank test: the generator columns at the
   zeros of each word must span a hyperplane.  `rank_orbit_flags` runs that
-  test (`rank_reaches`) once per code and stabiliser orbit; SNC reads its
+  test (`rank_reaches`) once per code and orbit (below); SNC reads its
   verdict and witness from those cached flags, as the `sss` count does;
 * certificate-based sufficient conditions for verified PDS subsets
   (general, Latin-type, cyclotomic), which can return Minimal or
@@ -30,11 +30,18 @@ Definite verdicts from different methods must agree; reports enforce it.
 The direct methods use the stabiliser <gamma^d> of the subset: the word
 (u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
 supports (up to that rotation) and every oracle condition are constant on
-the orbits of <gamma^d>, and the fills and scans visit one member per orbit.
-Cover and Heng test those members a block at a time, each block one
-(members x words) array pass, and take the lowest violating member and
-its lowest violating word, so their witnesses are those of a scan over one
-member after another.
+the orbits of <gamma^d>, and the weight and support fills visit one member
+per orbit.  The scans (cover, Heng, the rank flags behind SNC and the
+secret-sharing count) also use the least Frobenius power x -> x^(p^s)
+with D^(p^s) = D: the word (u^(p^s), v^(p^s)) is (u, v) with its
+coordinates permuted and raised to the p^s-th power, so the oracle
+conditions are constant on the orbits of the group all three generate,
+and the scans visit the lowest projective word of each.  Cover and Heng
+test those members a block at a time, each block one (members x words)
+array pass, and take the lowest violating member and its lowest violating
+word.  A violation holds on a whole orbit, so that member is the lowest
+violating projective word, and the witnesses are those of a scan over one
+projective word after another.
 """
 from __future__ import annotations
 
@@ -314,11 +321,28 @@ class SubsetCode:
         self._dimension = None
         self._rank_orbit_flags = None
         self._orbit_reps = None
+        self._fine_reps = None
+        self._fine_orbit = None
 
     @property
     def stabiliser_period(self) -> int:
         """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
         return self.subset.stabiliser_period
+
+    @property
+    def frobenius_power(self) -> int:
+        """The least s with D^(p^s) = D, a divisor of em (s = em: x^(p^em) = x).
+
+        D is the union of the cosets gamma^i <gamma^d>, i in I, and x -> x^(p^s)
+        sends gamma^i <gamma^d> onto gamma^(p^s i) <gamma^d>, so the test is
+        p^s I = I (mod d); p^s is prime to d, so p^s I inside I suffices.
+        """
+        tower = self.tower
+        d, cosets = self.subset.stabiliser
+        on = np.zeros(d, dtype=bool)
+        on[cosets] = True
+        return next(s for s in range(1, tower.em + 1)
+                    if tower.em % s == 0 and on[cosets * pow(tower.p, s, d) % d].all())
 
     # -- enumeration -----------------------------------------------------
 
@@ -488,10 +512,32 @@ class SubsetCode:
             raise GuardExceeded(f"word count {self.word_count} over guard {self.guard}")
 
     def _orbit_representatives(self) -> np.ndarray:
-        """The lowest projective representative of each orbit, ascending (cached)."""
+        """The lowest projective representative of each orbit under F_q^*
+        scaling, <gamma^d> and x -> x^(p^s), s = frobenius_power, ascending
+        (cached).
+
+        The Frobenius map sends the word (u, v) to (u^(p^s), v^(p^s)), which
+        is the word (u, v) with every coordinate raised to the p^s-th power
+        and read at x^(p^s) (f(x^(p^s)) = f(x) as D^(p^s) = D).  It permutes
+        the orbits of class_orbit, and each cycle of that permutation is one
+        orbit, represented by the lowest class_orbit representative in it.
+        """
         if self._orbit_reps is None:
             self._check_guard()
-            self._orbit_reps = np.unique(self.class_orbit(self.projective_representatives()))
+            tower, s = self.tower, self.frobenius_power
+            fine = np.unique(self.class_orbit(self.projective_representatives()))
+            # the Frobenius image of each fine representative; u in {0, 1} is fixed
+            u, v = np.divmod(fine, tower.qm)
+            logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
+            image = np.where(v == 0, 0, tower.exp[logs % tower.order])
+            succ = np.searchsorted(fine, self.class_orbit(self.word_index(u, image)))
+            lowest = at = np.arange(len(fine))
+            for _ in range(tower.em // s - 1):  # the cycle lengths divide em / s
+                at = succ[at]
+                lowest = np.minimum(lowest, at)
+            first, self._fine_orbit = np.unique(lowest, return_inverse=True)
+            self._fine_reps = fine
+            self._orbit_reps = fine[first]
             self._orbit_reps.flags.writeable = False
         return self._orbit_reps
 
@@ -521,9 +567,11 @@ class SubsetCode:
             start, size = start + size, min(2 * size, most)
 
     def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
-        """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)."""
-        reps, flags = orbit_flags
-        return flags[np.searchsorted(reps, self.class_orbit(words))]
+        """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)
+        over _orbit_representatives(): word -> class_orbit -> its Frobenius cycle."""
+        _, flags = orbit_flags
+        fine = np.searchsorted(self._fine_reps, self.class_orbit(words))
+        return flags[self._fine_orbit[fine]]
 
     def _scan_verdict(self, make_test, note: str) -> MethodVerdict:
         """NotMinimal at the scan's first violation, witnessed as (covered, coverer):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charsums import Spectrum, full_spectrum, is_invariant_under_subfield
+from .charsums import Spectrum, is_invariant_under_subfield, stabiliser_spectrum
 from .field import FieldTower, int_field, int_list, obj_field, required
 
 DIRECT_VERIFY_CAP = 10_000
@@ -70,9 +70,15 @@ class FieldSubset:
         return bool(self.indicator[x])
 
     @cached_property
+    def stabiliser(self) -> tuple[int, np.ndarray]:
+        """(d, I): Stab(D) = <gamma^d> in F_{q^m}^*, and D the union of the
+        cosets gamma^i <gamma^d>, i in I (`FieldTower.stabiliser`)."""
+        return self.tower.stabiliser(self.members)
+
+    @property
     def stabiliser_period(self) -> int:
-        """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
-        return self.tower.stabiliser(self.members)[0]
+        """The least d with gamma^d D = D."""
+        return self.stabiliser[0]
 
     def is_proper(self) -> bool:
         return 0 < len(self) < self.tower.order
@@ -91,7 +97,7 @@ class FieldSubset:
         return bool(np.all(self.indicator[self.tower.neg_table[self.members]]))
 
     def spectrum(self) -> Spectrum:
-        return full_spectrum(self.tower, self.members)
+        return stabiliser_spectrum(self.tower, self.members, *self.stabiliser)
 
     @classmethod
     def from_logs(cls, tower: FieldTower, logs: Sequence[int]) -> "FieldSubset":

@@ -58,8 +58,8 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     """Number of minimal access sets: words with coordinate 1 at x1.
 
     With a minimal code this is exactly q^m (a coset count).  Otherwise the
-    zero-set rank flags (one per stabiliser orbit) filter to genuinely minimal
-    words and both numbers are reported.
+    zero-set rank flags (one per orbit of the scans, see `SubsetCode`)
+    filter to genuinely minimal words and both numbers are reported.
     """
     mask1 = _value_labels_at(code, x1) == 1
     total = int(np.count_nonzero(mask1))

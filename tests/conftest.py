@@ -25,3 +25,9 @@ def f34():
 def f16():
     # F_{2^4} with q = 2 (binary caveat paths)
     return build_tower(FieldSpec(p=2, e=1, m=4))
+
+
+@pytest.fixture(scope="session")
+def f64():
+    # F_{2^6} (64 elements)
+    return build_tower(FieldSpec(p=2, e=1, m=6))

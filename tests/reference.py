@@ -14,8 +14,10 @@ flags of such a scan over every class, and the participant coverage
 counted from the unpacked supports.  Then come the projective
 representatives as a sorted list of word indices, the spectrum by its
 two test routes (the transform and the unreduced count, one key per
-(row, member) pair) or read off its dense (q^m, p) array, and the least
-stabiliser period by trying every divisor of q^m - 1.  Last, the field's
+(row, member) pair) or read off its dense (q^m, p) array, the least
+stabiliser period by trying every divisor of q^m - 1, the least Frobenius
+power by comparing sets of powers, and the orbits of the words closed
+under the stabiliser, scaling and that Frobenius power one word at a time.  Last, the field's
 digitwise addition one base-p digit per round, and an F_p-linear map
 evaluated on digit lists, which the library computes through its chunked
 addition table.
@@ -33,11 +35,16 @@ from pdscodes.cyclotomic import CyclotomicInteger
 
 class Unreduced(SubsetCode):
     """The same code with the trivial period q^m - 1 in place of the least
-    stabiliser period d: every orbit-reduced scan then visits every class."""
+    stabiliser period d and the identity x -> x^(p^em) in place of the least
+    Frobenius power: every orbit-reduced scan then visits every class."""
 
     @property
     def stabiliser_period(self):
         return self.tower.order
+
+    @property
+    def frobenius_power(self):
+        return self.tower.em
 
 
 def trace_labels(tower, v, xs):
@@ -292,6 +299,49 @@ def least_period(tower, members):
     logs = {int(tower.log[x]) for x in np.asarray(members).tolist() if x != 0}
     divisors = [d for d in range(1, tower.order + 1) if tower.order % d == 0]
     return next(d for d in divisors if {(k + d) % tower.order for k in logs} == logs)
+
+
+def least_frobenius_power(tower, members):
+    """The least s dividing em with {x^(p^s) : x in S} = S, S the nonzero
+    members, tried in increasing order by set equality of the powers."""
+    elems = {x for x in np.asarray(members).tolist() if x != 0}
+    return next(s for s in range(1, tower.em + 1)
+                if tower.em % s == 0 and {tower.pow(x, tower.p ** s) for x in elems} == elems)
+
+
+def orbit_representatives(code):
+    """The lowest projective word of each orbit of the nonzero words under
+    (u, v) -> (u, gamma^d v), (lam u, lam v) for lam in F_q^* and
+    (u^(p^s), v^(p^s)), d and s found by least_period and
+    least_frobenius_power; each orbit is closed by a search over words held
+    as field elements."""
+    tower = code.tower
+    members = code.subset.members
+    shift = int(tower.exp[least_period(tower, members) % tower.order])
+    power = tower.p ** least_frobenius_power(tower, members)
+    lam = int(tower.exp[tower.subfield_step % tower.order])  # generates F_q^*
+    projective = set(projective_representatives(code).tolist())
+
+    def index(word):
+        return int(tower.subfield_index[word[0]]) * tower.qm + word[1]
+
+    seen, reps = set(), []
+    for u in tower.subfield_elements.tolist():
+        for v in range(tower.qm):
+            if (u, v) == (0, 0) or index((u, v)) in seen:
+                continue
+            orbit, todo = {(u, v)}, [(u, v)]
+            while todo:
+                a, b = todo.pop()
+                for word in ((a, tower.mul(shift, b)), (tower.mul(lam, a), tower.mul(lam, b)),
+                             (tower.pow(a, power), tower.pow(b, power))):
+                    if word not in orbit:
+                        orbit.add(word)
+                        todo.append(word)
+            indices = {index(word) for word in orbit}
+            seen |= indices
+            reps.append(min(indices & projective))
+    return np.array(sorted(reps), dtype=np.int64)
 
 
 def coset_logs(tower, members, period):

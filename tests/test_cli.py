@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pdscodes.cli import main
+from pdscodes.field import FieldTower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -234,14 +235,14 @@ def test_sss_recipe(capsys):
 
 
 def test_sss_flags_assumed_minimality(capsys):
-    # the cover oracle cannot run under this guard, so minimality is assumed, and said
+    # SNC cannot run under this guard, so minimality is assumed, and said
     code, out, _ = run_cli(
         capsys, "sss", "--recipe", "table-2-row-1", "--x1-log", "0", "--guard-codewords", "1"
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["minimality_assumed"] is True
-    assert "over guard 1" in payload["note"]
+    assert payload["note"].startswith("SNC not run") and "over guard 1" in payload["note"]
     assert payload["total"] == 243
     # where the oracle runs, the report carries no such flag
     _, out, _ = run_cli(capsys, "sss", "--recipe", "table-2-row-1", "--x1-log", "0")
@@ -253,6 +254,22 @@ def test_sss_x1_sides(capsys):
     _, out_dbar, _ = run_cli(capsys, "sss", "--recipe", "example-3.1", "--x1", "in-Dbar")
     assert json.loads(out_d)["classification"] == "democratic"
     assert json.loads(out_dbar)["classification"] == "dictatorial"
+
+
+@pytest.mark.parametrize("argv", [["pds", "--recipe", "example-3.1"],
+                                  ["code", "--recipe", "example-3.1", "--methods", "all"]])
+def test_one_stabiliser_scan_per_subset(capsys, monkeypatch, argv):
+    # the spectrum, the direct check and the code read the subset's cached (d, I)
+    calls = []
+    stabiliser = FieldTower.stabiliser
+
+    def counted(self, members):
+        calls.append(len(members))
+        return stabiliser(self, members)
+
+    monkeypatch.setattr(FieldTower, "stabiliser", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [204]
 
 
 def test_table_format_and_out_file(capsys, tmp_path):
@@ -302,7 +319,7 @@ def test_code_row3_pds_within_budget():
 
 
 def test_code_3_8_N41_all_within_budget():
-    # F_{3^8}, N=41: 9 841 projective classes, but 83 stabiliser orbits to scan
+    # F_{3^8}, N=41: 9 841 projective classes, 83 stabiliser orbits, 13 with Frobenius
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "pdscodes.cli", "code", "--field", '{"p":3,"e":1,"m":8}',
@@ -335,8 +352,23 @@ def test_code_row3_snc_within_budget():
     assert json.loads(proc.stdout)["minimal"]["snc"] == "minimal"
 
 
+def test_code_row3_all_within_budget():
+    # cover would need a 106 GB support matrix; Heng and SNC scan the 11 orbits
+    # that Frobenius leaves of the 71 stabiliser orbits
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdscodes.cli", "code", "--recipe", "table-2-row-3",
+         "--methods", "all"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 4, proc.stderr
+    minimal = json.loads(proc.stdout)["minimal"]
+    assert (minimal["cover"], minimal["heng"], minimal["snc"]) == ("not_run", "minimal", "minimal")
+
+
 def test_sss_row3_within_budget():
-    # the support matrix would need 106 GB; the coverage is read off the generator columns
+    # the support matrix would need 106 GB; the coverage is read off the generator
+    # columns, and SNC decides minimality over 11 orbits instead of taking it on trust
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "pdscodes.cli", "sss", "--recipe", "table-2-row-3",
@@ -345,7 +377,7 @@ def test_sss_row3_within_budget():
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
-    assert payload["minimality_assumed"] is True
+    assert "minimality_assumed" not in payload
     assert payload["total"] == 3 ** 12
 
 

@@ -1,14 +1,17 @@
 """The orbit-reduced direct oracles against full scans over every class.
 
-The cover, Heng and SNC scans, the weight table and the support matrix
-visit one member per orbit of the stabiliser <gamma^d> of the subset, and
-cover and Heng test blocks of those members at a time.  Each is compared
-here with the unreduced computation: the per-class violation sets of the
-one-coverer scans in `reference` over all projective representatives
-(against the per-orbit rank flags spread over them), the first violation
-of that full scan (verdict and witness), SNC over every z, and the words
-evaluated one by one.  SNC over every z runs on
-`reference.Unreduced`, the same code with the trivial period q^m - 1.
+The weight table and the support matrix visit one member per orbit of the
+stabiliser <gamma^d> of the subset.  The cover, Heng and SNC scans and the
+rank flags visit one member per orbit of <gamma^d>, F_q^* scaling and the
+least Frobenius power x -> x^(p^s) that fixes the subset, and cover and
+Heng test blocks of those members at a time.  The orbits are compared
+with their closure word by word in `reference`, and each computation
+with the unreduced one: the per-class violation sets of the one-coverer
+scans in `reference` over all projective representatives (against the
+per-orbit rank flags spread over them), the first violation of that full
+scan (verdict and witness), SNC over every z, and the words evaluated one
+by one.  SNC over every z runs on `reference.Unreduced`, the same code
+with the trivial period q^m - 1 and no Frobenius power.
 """
 from functools import lru_cache
 
@@ -23,6 +26,8 @@ from reference import (
     full_flags,
     generator_matrix,
     heng_violations,
+    least_frobenius_power,
+    orbit_representatives,
     projective_representatives,
 )
 
@@ -50,29 +55,35 @@ def _cyclotomic(N, J):
     return lambda tower: build_cyclotomic_subset(tower, N, J)
 
 
-# name -> (tower fixture, subset builder, stabiliser period d)
+# name -> (tower fixture, subset builder, stabiliser period d, Frobenius power s)
 CODES = {
-    "F_2^4 N=3": ("f16", _cyclotomic(3, [0]), 3),
-    "F_2^4 N=5 J=[0,1]": ("f16", _cyclotomic(5, [0, 1]), 5),
-    "F_2^4 hyperplane": ("f16", _hyperplane, 15),
+    "F_2^4 N=3": ("f16", _cyclotomic(3, [0]), 3, 1),
+    "F_2^4 N=5 J=[0,1]": ("f16", _cyclotomic(5, [0, 1]), 5, 4),
+    "F_2^4 hyperplane": ("f16", _hyperplane, 15, 1),
     # the first block with a violation has two, whose lowest violating words differ
-    "F_2^4 not invariant": ("f16", lambda t: FieldSubset.from_logs(t, [0, 9, 11, 13, 14]), 15),
-    "F_3^4 hyperplane": ("f34", _hyperplane, 40),
-    "F_3^4 N=10": ("f34", _cyclotomic(10, [0]), 10),
-    "F_3^4 N=8 J=[0,3]": ("f34", _cyclotomic(8, [0, 3]), 8),
-    "F_3^4 elliptic quadric": ("f34", lambda t: quadric_subset(t, kind="elliptic")[0], 40),
-    "F_3^4 not invariant": ("f34", lambda t: FieldSubset.from_logs(t, [0, 1, 5, 17, 40]), 80),
-    "F_3^5 N=11": ("f35", _cyclotomic(11, [0]), 11),
-    "F_3^5 hyperplane": ("f35", _hyperplane, 121),
-    "F_4^4 N=5 J=[1,2,3,4]": ("f44", _cyclotomic(5, [1, 2, 3, 4]), 5),
-    "F_4^4 N=17": ("f44", _cyclotomic(17, [0]), 17),
-    "F_4^4 hyperplane": ("f44", _hyperplane, 85),
+    "F_2^4 not invariant": ("f16", lambda t: FieldSubset.from_logs(t, [0, 9, 11, 13, 14]), 15, 4),
+    # not minimal, s = 2 of em = 6: 19 orbits merge into 11, the last of them
+    # holds the cover and Heng witness
+    "F_2^6 N=9 J=[6]": ("f64", _cyclotomic(9, [6]), 9, 2),
+    "F_3^4 hyperplane": ("f34", _hyperplane, 40, 1),
+    "F_3^4 N=10": ("f34", _cyclotomic(10, [0]), 10, 1),
+    # x -> x^9 fixes each coset of <gamma^8> (9 = 1 mod 8), so it merges no orbits
+    "F_3^4 N=8 J=[0,3]": ("f34", _cyclotomic(8, [0, 3]), 8, 2),
+    "F_3^4 elliptic quadric": ("f34", lambda t: quadric_subset(t, kind="elliptic")[0], 40, 4),
+    "F_3^4 not invariant": ("f34", lambda t: FieldSubset.from_logs(t, [0, 1, 5, 17, 40]), 80, 4),
+    "F_3^5 N=11": ("f35", _cyclotomic(11, [0]), 11, 1),
+    "F_3^5 hyperplane": ("f35", _hyperplane, 121, 1),
+    "F_4^4 N=5 J=[1,2,3,4]": ("f44", _cyclotomic(5, [1, 2, 3, 4]), 5, 1),
+    # x -> x^4 sends the cosets 1, 4 to 4, 1 and merges 11 orbits into 7
+    "F_4^4 N=5 J=[1,4]": ("f44", _cyclotomic(5, [1, 4]), 5, 2),
+    "F_4^4 N=17": ("f44", _cyclotomic(17, [0]), 17, 1),
+    "F_4^4 hyperplane": ("f44", _hyperplane, 85, 1),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CODES))
 def code(request):
-    fixture, build, _ = CODES[request.param]
+    fixture, build, _, _ = CODES[request.param]
     return SubsetCode(build(request.getfixturevalue(fixture)))
 
 
@@ -138,8 +149,37 @@ def test_stabiliser_period_is_least_period(code):
 
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_stabiliser_period_values(request, name):
-    fixture, build, d = CODES[name]
+    fixture, build, d, _ = CODES[name]
     assert SubsetCode(build(request.getfixturevalue(fixture))).stabiliser_period == d
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_frobenius_power_values(request, name):
+    fixture, build, _, s = CODES[name]
+    code = SubsetCode(build(request.getfixturevalue(fixture)))
+    assert code.frobenius_power == s
+    assert code.frobenius_power == least_frobenius_power(code.tower, code.subset.members)
+
+
+def test_orbit_representatives_equal_closure(code):
+    assert np.array_equal(code._orbit_representatives(), orbit_representatives(code))
+
+
+# (p, e, m), N, J -> orbits of <gamma^d> and scaling, and with the Frobenius power
+ORBIT_COUNTS = {
+    "table-2-row-1": ((3, 1, 5), 11, [0], 23, 7),
+    "example-3.1": ((2, 2, 4), 5, [1, 2, 3, 4], 11, 5),
+    "F_3^8 N=41": ((3, 1, 8), 41, [0], 83, 13),
+    "table-2-row-3": ((3, 1, 12), 35, [0], 71, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_COUNTS))
+def test_frobenius_merged_orbit_counts(name):
+    field, N, J, fine, merged = ORBIT_COUNTS[name]
+    code = SubsetCode(build_cyclotomic_subset(_tower(*field), N, J))
+    assert len(np.unique(code.class_orbit(code.projective_representatives()))) == fine
+    assert len(code._orbit_representatives()) == merged
 
 
 def test_non_invariant_period_does_not_divide_step(f35):
@@ -200,9 +240,10 @@ def test_n10_witnesses(f34):
         "empty_slice", [1, 21]]
 
 
-@pytest.mark.parametrize("name", ["F_3^4 hyperplane", "F_3^4 N=10", "F_4^4 hyperplane"])
+@pytest.mark.parametrize("name", ["F_3^4 hyperplane", "F_3^4 N=10", "F_4^4 N=5 J=[1,4]",
+                                  "F_4^4 hyperplane"])
 def test_oracle_total_equals_full_flags(request, name):
-    fixture, build, _ = CODES[name]
+    fixture, build, _, _ = CODES[name]
     code = SubsetCode(build(request.getfixturevalue(fixture)))
     tower = code.tower
     _, mul_q, _ = tower.subfield_tables()
