@@ -3,9 +3,9 @@
 Codewords are indexed by (u, v) in F_q x F_{q^m}; the word evaluates
 u*f(x) + Tr(v x) over the nonzero field elements in ascending discrete-log
 order, f being the subset's characteristic function.  Weights come from
-counting trace values directly (no character theory), so the weight table
-doubles as an independent oracle for everything the spectral closed forms
-predict.
+counting trace values directly (no character theory), so the weight
+columns double as an independent oracle for everything the spectral closed
+forms predict.
 
 `SubsetCode.word_labels` is the batch route to coordinate values: dense
 F_q labels read through the tower's trace-label table
@@ -30,18 +30,20 @@ Definite verdicts from different methods must agree; reports enforce it.
 The direct methods use the stabiliser <gamma^d> of the subset: the word
 (u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
 supports (up to that rotation) and every oracle condition are constant on
-the orbits of <gamma^d>, and the weight and support fills visit one member
-per orbit.  The scans (cover, Heng, the rank flags behind SNC and the
-secret-sharing count) also use the least Frobenius power x -> x^(p^s)
-with D^(p^s) = D: the word (u^(p^s), v^(p^s)) is (u, v) with its
-coordinates permuted and raised to the p^s-th power, so the oracle
-conditions are constant on the orbits of the group all three generate,
-and the scans visit the lowest projective word of each.  Cover and Heng
-test those members a block at a time, each block one (members x words)
-array pass, and take the lowest violating member and its lowest violating
-word.  A violation holds on a whole orbit, so that member is the lowest
-violating projective word, and the witnesses are those of a scan over one
-projective word after another.
+the orbits of <gamma^d>.  The weights are kept as (q, d) class columns, one
+per orbit, counted by blocked bincounts over the label table; the supports
+of all words are filled a block of words at a time, each block one compare
+against windows of the label table and one packbits.  The scans (cover,
+Heng, the rank flags behind SNC and the secret-sharing count) also use the
+least Frobenius power x -> x^(p^s) with D^(p^s) = D: the word
+(u^(p^s), v^(p^s)) is (u, v) with its coordinates permuted and raised to
+the p^s-th power, so the oracle conditions are constant on the orbits of
+the group all three generate, and the scans visit the lowest projective
+word of each.  Cover and Heng test those members a block at a time, each
+block one (members x words) array pass, and take the lowest violating
+member and its lowest violating word.  A violation holds on a whole orbit,
+so that member is the lowest violating projective word, and the witnesses
+are those of a scan over one projective word after another.
 """
 from __future__ import annotations
 
@@ -65,9 +67,12 @@ from .pds import (
 )
 
 DEFAULT_WORD_GUARD = 2 ** 22          # max q^(m+1) for exhaustive scans
-DEFAULT_ENUM_BUDGET = 2 ** 30         # max q^(m+1) * (q^m - 1) for distributions
-SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for the support matrix
-ZERO_BLOCK = 2 ** 16                  # entries per block: words x coordinates of the zero-set
+DEFAULT_ENUM_BUDGET = 2 ** 30         # max pairs an enumeration counts: (class, element) pairs
+                                      # d * min(k, n - k) of the weight columns, hyperplanes x
+                                      # elements of the cutting test
+SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for the support matrix, rows padded to uint64
+ZERO_BLOCK = 2 ** 16                  # entries per block: classes x elements of the weight count,
+                                      # words x coordinates of the support fill and the zero-set
                                       # ranks, representatives x words of the cover/Heng scans
 
 
@@ -303,9 +308,15 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
     return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
+def _label_windows(tower: FieldTower, rows: int) -> np.ndarray:
+    """A (rows, q^m - 1) view whose entry [j, i] is the label of Tr(gamma^(j + i))."""
+    labels = tower.trace_label_of_exp
+    return sliding_window_view(np.concatenate([labels, labels[: rows - 1]]), tower.order)
+
+
 class SubsetCode:
     """The length q^m - 1, (generically) dimension m + 1 code of a subset; guard
-    caps the word count q^(m+1) of the scans and the enumeration over all words."""
+    caps the word count q^(m+1) of the scans."""
 
     def __init__(self, subset: FieldSubset, guard: int = DEFAULT_WORD_GUARD):
         if not subset.is_proper():
@@ -359,36 +370,56 @@ class SubsetCode:
         return add_q[u_f, self.tower.trace_labels(v, x)]
 
     def weight_table(self) -> np.ndarray:
-        """Hamming weight of every word, shape (q, q^m), by direct counting."""
+        """Hamming weights as (q, d) class columns, by direct counting (cached).
+
+        Column j holds the weights of the words (u, gamma^j), u in label
+        order: the word (u, v), v != 0, has the weight in column log v mod d,
+        and (u, 0) has weight k for u != 0.  (u, gamma^j) vanishes at x when
+        Tr(gamma^j x) is -u on D and 0 off it, so its weight is
+        (k - cnt[j, -u]) + (n - k - (q^(m-1) - 1 - cnt[j, 0])), with
+        cnt[j, t] = #{x in D : Tr(gamma^j x) = t}; a nonzero functional takes
+        the value t at q^(m-1) - [t = 0] nonzero x.  That also gives cnt from
+        the same count over the complement, so the smaller side is counted:
+        d * min(k, n - k) (j, x) pairs, Tr(gamma^j x) being entry j + log x of
+        the label table, a block of about ZERO_BLOCK pairs per bincount.
+        """
         if self._weight_table is not None:
             return self._weight_table
         tower = self.tower
-        q = tower.q
-        mem = self.subset.indicator[tower.exp]  # membership in log order
-        k = len(self.subset)
-        kc = tower.order - k
+        q, order, fibre = tower.q, tower.order, tower.qm // tower.q
+        d, k = self.stabiliser_period, len(self.subset)
+        on_subset = 2 * k <= order
+        logs = (tower.log[self.subset.members] if on_subset
+                else np.flatnonzero(~self.subset.indicator[tower.exp]))
+        windows = _label_windows(tower, d)
+        cnt = np.zeros((d, q), dtype=np.int64)
+        for start in range(0, len(logs), ZERO_BLOCK):
+            part = logs[start:start + ZERO_BLOCK]
+            per = max(1, ZERO_BLOCK // len(part))
+            for j in range(0, d, per):
+                keys = windows[j:j + per][:, part].astype(np.intp)
+                keys += np.arange(0, len(keys) * q, q)[:, None]  # row r counts keys r q + label
+                # the keys in memory order (the gather lays them out by column)
+                counts = np.bincount(keys.ravel(order="K"), minlength=len(keys) * q)
+                cnt[j:j + per] += counts.reshape(-1, q)
+                del keys  # so that one block of keys is alive at a time
+        if not on_subset:
+            cnt = fibre - (np.arange(q) == 0) - cnt
         _, _, neg_q = tower.subfield_tables()
-        d = self.stabiliser_period
-        cols = np.empty((q, d), dtype=np.int64)
-        # (u, gamma^j) vanishes at x when Tr(gamma^j x) is -u on the subset and 0
-        # off it; (u, gamma^(j + k d)) is that word read from coordinate k d on.
-        # Tr(gamma^j gamma^i) is entry j + i of the label table read twice over.
-        labels_twice = np.tile(tower.trace_label_of_exp, 2)
-        for j in range(d):
-            labels = labels_twice[j:j + tower.order]
-            cnt_d = np.bincount(labels[mem], minlength=q)
-            cnt_c = np.bincount(labels[~mem], minlength=q)
-            cols[:, j] = (k - cnt_d[neg_q]) + (kc - cnt_c[0])
-        wt = np.zeros((q, tower.qm), dtype=np.int64)
-        wt[1:, 0] = k  # v = 0: support is exactly the subset
-        wt[:, tower.exp] = np.tile(cols, tower.order // d)  # gamma^i takes column i mod d
-        self._weight_table = wt
-        return wt
+        cols = (k - cnt[:, neg_q]) + (order - k - (fibre - 1) + cnt[:, :1])
+        self._weight_table = np.ascontiguousarray(cols.T)
+        self._weight_table.flags.writeable = False
+        return self._weight_table
 
     def kernel_words(self) -> np.ndarray:
-        """Indices of words that evaluate to the zero vector."""
+        """Indices of words that evaluate to the zero vector, ascending: (0, 0)
+        and every (u, gamma^(j + t d)) with weight 0 in column j (weight k > 0
+        rules out (u, 0), u != 0)."""
         if self._kernel is None:
-            self._kernel = np.nonzero(self.weight_table().ravel() == 0)[0]
+            tower, d = self.tower, self.stabiliser_period
+            us, js = np.nonzero(self.weight_table() == 0)
+            vs = tower.exp[js[:, None] + np.arange(0, tower.order, d)].astype(np.int64)
+            self._kernel = np.sort(np.append(0, self.word_index(us[:, None], vs)))
         return self._kernel
 
     def dimension(self) -> int:
@@ -418,49 +449,54 @@ class SubsetCode:
     # -- weight distribution ----------------------------------------------
 
     def weight_distribution_direct(self) -> WeightDistribution:
-        self._check_guard()
-        cost = self.word_count * self.n
+        """The distribution counted off the class columns: each column stands
+        for (q^m - 1)/d words, and v = 0 adds weight 0 once and k q - 1 times.
+        The guard is the count's work, d * min(k, n - k)."""
+        d, k = self.stabiliser_period, len(self.subset)
+        cost = d * min(k, self.n - k)
         if cost > DEFAULT_ENUM_BUDGET:
             raise GuardExceeded(
                 f"direct enumeration cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}"
             )
-        wt = self.weight_table().ravel()
-        weights, freqs = np.unique(wt, return_counts=True)
-        return WeightDistribution(tuple(zip(weights.tolist(), freqs.tolist())))
+        weights, counts = np.unique(self.weight_table(), return_counts=True)
+        freq = dict(zip(weights.tolist(), (counts * (self.n // d)).tolist()))
+        freq[0] = freq.get(0, 0) + 1
+        freq[k] = freq.get(k, 0) + self.tower.q - 1
+        return WeightDistribution(tuple(sorted(freq.items())))
 
     # -- supports and the cover oracle --------------------------------------
 
     def supports(self) -> np.ndarray:
-        """Packed support bitsets, one row per word, filled one orbit at a time."""
+        """Packed support bitsets, one row per word, filled a block of words at a time."""
         return self._support_words().view(np.uint8)[:, : (self.tower.order + 7) // 8]
 
     def _support_words(self) -> np.ndarray:
-        """The packed supports as rows of uint64, zero-padded past the last coordinate."""
+        """The packed supports as rows of uint64, zero-padded past the last coordinate.
+
+        The word (u, gamma^w) is nonzero at x = gamma^i where the label of
+        Tr(gamma^(w + i)) differs from -u f(x).  Blocks of words, about
+        ZERO_BLOCK (word, coordinate) pairs each, are compared and packed at
+        once.
+        """
         if self._supports is not None:
             return self._supports
         tower = self.tower
         q, qm, order = tower.q, tower.qm, tower.order
-        width = (order + 7) // 8
-        nbytes = width * q * qm
+        width, row = (order + 7) // 8, (order + 63) // 64 * 8  # packed bytes, padded
+        nbytes = q * qm * row
         if nbytes > SUPPORT_BYTES_CAP:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
         mem = self.subset.indicator[tower.exp]
-        d = self.stabiliser_period
-        packed = np.zeros((q * qm, (order + 63) // 64 * 8), dtype=np.uint8)
+        packed = np.zeros((q * qm, row), dtype=np.uint8)
         packed[self.word_index(1, 0)::qm, :width] = np.packbits(mem)  # v = 0, u != 0
-        # twice[u] holds the support of (u, gamma^j) twice over, so window k d
-        # is the support of (u, gamma^(j + k d))
-        twice = np.empty((q, 2 * order), dtype=bool)
-        windows = sliding_window_view(twice, order, axis=1)[:, :order:d]
-        # the word (u, gamma^j) is add_q[u f(gamma^i), Tr(gamma^j gamma^i)], its
-        # trace labels read off the table twice over as in weight_table
+        windows = _label_windows(tower, order)
+        _, _, neg_q = tower.subfield_tables()
+        zero_at = np.where(mem, neg_q[:, None], 0).astype(windows.dtype)[:, None, :]  # -u f(x)
         us = np.arange(q, dtype=np.int64)[:, None]
-        u_f = np.where(mem, us, 0)
-        add_q = tower.subfield_tables()[0]
-        labels_twice = np.tile(tower.trace_label_of_exp, 2)
-        for j in range(d):
-            twice[:, :order] = twice[:, order:] = add_q[u_f, labels_twice[j:j + order]] != 0
-            packed[us * qm + tower.exp[j::d], :width] = np.packbits(windows, axis=2)
+        per = max(1, ZERO_BLOCK // (q * order))
+        for w in range(0, order, per):
+            nonzero = windows[w:w + per] != zero_at
+            packed[us * qm + tower.exp[w:w + per], :width] = np.packbits(nonzero, axis=2)
         self._supports = packed.view(np.uint64)
         return self._supports
 
@@ -633,7 +669,11 @@ class SubsetCode:
         tower = self.tower
         add_q, mul_q, _ = tower.subfield_tables()
         q, qm = tower.q, tower.qm
-        wt = self.weight_table()
+        # the weight of every word (u, v), gathered below: (u, 0) has weight k
+        # for u != 0, and (u, gamma^i) the weight in column i mod d
+        wt = np.zeros((q, qm), dtype=np.int64)
+        wt[1:, 0] = len(self.subset)
+        wt[:, tower.exp] = np.tile(self.weight_table(), tower.order // self.stabiliser_period)
         vs = np.arange(qm, dtype=np.int64)
         scalings = [tower.mul_vec(int(lam), vs) for lam in tower.subfield_elements]
         # digitwise sums carry nothing, so v_r + v adds the high and the low

@@ -7,26 +7,32 @@ library: spans grown as sorted element sets, annihilators probed over
 every element, all pairwise slice differences, and the hyperplane-by-element
 intersection matrices with the pairwise containment scan.  They cost
 O(q^m) per span step or O(q^2m) per subset, so the tests use them on
-fields of at most a few hundred elements.  Beside them sit the cover and
-Heng scans of one coverer at a time, with the scalar multiples of a word
-listed in a loop, that the library now runs over blocks of coverers, the
-flags of such a scan over every class, and the participant coverage
-counted from the unpacked supports.  Then come the projective
-representatives as a sorted list of word indices, the spectrum by its
-two test routes (the transform and the unreduced count, one key per
-(row, member) pair) or read off its dense (q^m, p) array, the least
-stabiliser period by trying every divisor of q^m - 1, the least Frobenius
-power by comparing sets of powers, and the orbits of the words closed
-under the stabiliser, scaling and that Frobenius power one word at a time.  Last, the field's
-digitwise addition one base-p digit per round, and an F_p-linear map
-evaluated on digit lists, which the library computes through its chunked
-addition table.
+fields of at most a few hundred elements.  The dense (q, q^m) weight table
+and the packed supports are filled one stabiliser class at a time, the
+loops the library replaced with its class columns and block fills.
+Beside them sit the cover and Heng scans of one coverer at a time, with
+the scalar multiples of a word listed in a loop, that the library now
+runs over blocks of coverers, the flags of such a scan over every class,
+and the participant coverage counted from the unpacked supports.  Then
+come the projective representatives as a sorted list of word indices, the
+spectrum by its two test routes (the transform and the unreduced count,
+one key per (row, member) pair) or read off its dense (q^m, p) array, the
+least stabiliser period by trying every divisor of q^m - 1, the least
+Frobenius power by comparing sets of powers, and the orbits of the words
+closed under the stabiliser, scaling and that Frobenius power one word at
+a time.  Last, the field's digitwise addition one base-p digit per round,
+and an F_p-linear map evaluated on digit lists, which the library computes
+through its chunked addition table.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
-independent of it.
+independent of it; the two class-loop fills are the exception, and the
+tests hold them against the words computed on field elements.
 """
+from functools import lru_cache
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pdscodes import charsums
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
@@ -219,6 +225,55 @@ def dependent_words(code, w):
     return np.asarray(sorted(out), dtype=np.int64)
 
 
+@lru_cache(maxsize=4)
+def weight_table(code):
+    """Hamming weight of every word, shape (q, q^m) (read-only): for each class
+    j < d, one bincount over the subset and one over its complement of the
+    label table read twice over from entry j, the (q, d) class columns then
+    tiled over the powers of gamma^d."""
+    tower = code.tower
+    q = tower.q
+    mem = code.subset.indicator[tower.exp]
+    k = len(code.subset)
+    _, _, neg_q = tower.subfield_tables()
+    d = code.stabiliser_period
+    cols = np.empty((q, d), dtype=np.int64)
+    labels_twice = np.tile(tower.trace_label_of_exp, 2)
+    for j in range(d):
+        labels = labels_twice[j:j + tower.order]
+        cnt_d = np.bincount(labels[mem], minlength=q)
+        cnt_c = np.bincount(labels[~mem], minlength=q)
+        cols[:, j] = (k - cnt_d[neg_q]) + (tower.order - k - cnt_c[0])
+    wt = np.zeros((q, tower.qm), dtype=np.int64)
+    wt[1:, 0] = k
+    wt[:, tower.exp] = np.tile(cols, tower.order // d)
+    wt.flags.writeable = False
+    return wt
+
+
+def support_words(code):
+    """The packed supports as uint64 rows padded like the library's, one class
+    j < d at a time: the supports of every (u, gamma^j), held twice over, give
+    those of (u, gamma^(j + t d)) as windows t d coordinates on."""
+    tower = code.tower
+    q, qm, order = tower.q, tower.qm, tower.order
+    width = (order + 7) // 8
+    mem = code.subset.indicator[tower.exp]
+    d = code.stabiliser_period
+    packed = np.zeros((q * qm, (order + 63) // 64 * 8), dtype=np.uint8)
+    packed[code.word_index(1, 0)::qm, :width] = np.packbits(mem)
+    twice = np.empty((q, 2 * order), dtype=bool)
+    windows = sliding_window_view(twice, order, axis=1)[:, :order:d]
+    us = np.arange(q, dtype=np.int64)[:, None]
+    u_f = np.where(mem, us, 0)
+    add_q = tower.subfield_tables()[0]
+    labels_twice = np.tile(tower.trace_label_of_exp, 2)
+    for j in range(d):
+        twice[:, :order] = twice[:, order:] = add_q[u_f, labels_twice[j:j + order]] != 0
+        packed[us * qm + tower.exp[j::d], :width] = np.packbits(windows, axis=2)
+    return packed.view(np.uint64)
+
+
 def cover_violations(code, r):
     """Word indices (vector-independent of r) whose support lies inside r's."""
     sup = code.supports()
@@ -231,7 +286,7 @@ def heng_violations(code, r):
     tower = code.tower
     add_q, mul_q, _ = tower.subfield_tables()
     q, qm = tower.q, tower.qm
-    wt = code.weight_table().ravel()
+    wt = weight_table(code).ravel()
     ur, vr = code.word_of_index(r)
     u_all = np.repeat(np.arange(q, dtype=np.int64), qm)
     v_all = np.tile(np.arange(qm, dtype=np.int64), q)

@@ -304,7 +304,9 @@ def test_generator_matrix_export(capsys, tmp_path):
 
 
 def test_code_row3_pds_within_budget():
-    # F_{3^12}: a dimension read off the weight table would cost O((q^m)^2) here
+    # F_{3^12}: a dimension read off the weight table would cost O((q^m)^2) here;
+    # the enumerated distribution counts d * k = 35 * 15 184 (class, element) pairs
+    # and must equal the predicted one
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "pdscodes.cli", "code", "--recipe", "table-2-row-3",
@@ -314,7 +316,7 @@ def test_code_row3_pds_within_budget():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["dim"] == 13
-    assert payload["weights_source"] == "predicted"
+    assert payload["weights_source"] == "direct"
     assert payload["minimal"]["pds_sufficient"]["verdict"] == "minimal"
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ def test_snc_example31(ex31_code):
 
 def test_trace_subcode_equal_weights(row1_code):
     # words with u = 0 all have weight q^m - q^(m-1), and none covers another
-    wt = row1_code.weight_table()
+    wt = reference.weight_table(row1_code)
     assert np.all(wt[0, 1:] == 162)
     sup = row1_code.supports()
     reps = [row1_code.word_index(0, int(row1_code.tower.exp[j])) for j in range(0, 121, 7)]
@@ -452,7 +453,7 @@ def test_weight_distribution_row1(row1_code):
 
 
 def test_weight_closed_form_matches_table(row1_code, f35):
-    wt = row1_code.weight_table()
+    wt = reference.weight_table(row1_code)
     members = row1_code.subset.members
     for v in range(1, f35.qm):
         # q^m - q^(m-1) + psi(vD) for u, v nonzero and D invariant
@@ -527,9 +528,36 @@ def test_guards_return_not_run(row1_code, monkeypatch):
     assert code.minimality_snc().status == NOT_RUN
     with pytest.raises(GuardExceeded, match="over guard 10"):
         code.rank_orbit_flags()
-    with pytest.raises(GuardExceeded, match="over guard 10"):
-        code.weight_distribution_direct()
-    # the enumeration budget on words x coordinates, read at call time
+    # the enumeration budget on the count's d * min(k, n - k) pairs, read at call time
     monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(GuardExceeded, match="exceeds the budget 10"):
         SubsetCode(row1_code.subset).weight_distribution_direct()
+
+
+def test_support_cap_counts_padded_rows(f34, monkeypatch):
+    # 80 coordinates pack into 10 bytes, but each row is two uint64 words:
+    # 3 * 81 rows of 16 bytes
+    subset = build_cyclotomic_subset(f34, 10, [0])
+    allocated = 3 * 81 * 16
+    monkeypatch.setattr("pdscodes.codes.SUPPORT_BYTES_CAP", allocated - 1)
+    with pytest.raises(GuardExceeded, match=f"would need {allocated} bytes"):
+        SubsetCode(subset).supports()
+    monkeypatch.setattr("pdscodes.codes.SUPPORT_BYTES_CAP", allocated)
+    assert SubsetCode(subset)._support_words().nbytes == allocated
+
+
+def test_weight_distribution_memory_below_dense_table():
+    # F_{3^11}, N = 23: the dense (q, q^m) int64 table would take 4.25 MB
+    tower = build_tower(FieldSpec(p=3, e=1, m=11))
+    subset = build_cyclotomic_subset(tower, 23, [0])
+    code = SubsetCode(subset)
+    # fill the caches the count reads first, so that the peak is the count's own
+    code.stabiliser_period, tower.trace_label_of_exp, tower.subfield_tables()
+    tracemalloc.start()
+    try:
+        dist = code.weight_distribution_direct()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.total == tower.q * tower.qm
+    assert peak < tower.q * tower.qm * 8 // 4

@@ -1,17 +1,19 @@
 """The orbit-reduced direct oracles against full scans over every class.
 
-The weight table and the support matrix visit one member per orbit of the
-stabiliser <gamma^d> of the subset.  The cover, Heng and SNC scans and the
-rank flags visit one member per orbit of <gamma^d>, F_q^* scaling and the
-least Frobenius power x -> x^(p^s) that fixes the subset, and cover and
-Heng test blocks of those members at a time.  The orbits are compared
-with their closure word by word in `reference`, and each computation
-with the unreduced one: the per-class violation sets of the one-coverer
-scans in `reference` over all projective representatives (against the
-per-orbit rank flags spread over them), the first violation of that full
-scan (verdict and witness), SNC over every z, and the words evaluated one
-by one.  SNC over every z runs on `reference.Unreduced`, the same code
-with the trivial period q^m - 1 and no Frobenius power.
+The weights are (q, d) columns, one per orbit of the stabiliser <gamma^d>
+of the subset, and the supports are filled a block of words at a time;
+both are compared bit for bit with the class loops in `reference`, and
+through those with the words evaluated one by one.  The cover, Heng and
+SNC scans and the rank flags visit one member per orbit of <gamma^d>,
+F_q^* scaling and the least Frobenius power x -> x^(p^s) that fixes the
+subset, and cover and Heng test blocks of those members at a time.  The
+orbits are compared with their closure word by word in `reference`, and
+each computation with the unreduced one: the per-class violation sets of
+the one-coverer scans in `reference` over all projective representatives
+(against the per-orbit rank flags spread over them), the first violation
+of that full scan (verdict and witness), SNC over every z, and the words
+evaluated one by one.  SNC over every z runs on `reference.Unreduced`, the
+same code with the trivial period q^m - 1 and no Frobenius power.
 """
 from functools import lru_cache
 
@@ -29,6 +31,8 @@ from reference import (
     least_frobenius_power,
     orbit_representatives,
     projective_representatives,
+    support_words,
+    weight_table,
 )
 
 from pdscodes import codes
@@ -60,6 +64,8 @@ CODES = {
     "F_2^4 N=3": ("f16", _cyclotomic(3, [0]), 3, 1),
     "F_2^4 N=5 J=[0,1]": ("f16", _cyclotomic(5, [0, 1]), 5, 4),
     "F_2^4 hyperplane": ("f16", _hyperplane, 15, 1),
+    # f(x) = Tr(x): the words (u, u) span the kernel, so one weight column is zero
+    "F_2^4 trace form": ("f16", lambda t: FieldSubset(t, np.flatnonzero(t.trace_p == 1)), 15, 1),
     # the first block with a violation has two, whose lowest violating words differ
     "F_2^4 not invariant": ("f16", lambda t: FieldSubset.from_logs(t, [0, 9, 11, 13, 14]), 15, 4),
     # not minimal, s = 2 of em = 6: 19 orbits merge into 11, the last of them
@@ -113,13 +119,25 @@ def assert_reduced_equals_full(code):
 
 def assert_fill_equals_words(code):
     tower = code.tower
-    wt = code.weight_table()
+    wt = weight_table(code)
     sup = code.supports()
     for u in range(tower.q):
         for v in range(tower.qm):
             nonzero = codeword(code, u, v) != 0
             assert wt[u, v] == np.count_nonzero(nonzero)
             assert np.array_equal(sup[code.word_index(u, v)], np.packbits(nonzero))
+
+
+def assert_fills_equal_reference(code):
+    """The class columns, kernel words, distribution and packed supports
+    against the class loops of `reference`, bit for bit."""
+    tower, d = code.tower, code.stabiliser_period
+    dense = weight_table(code)
+    assert np.array_equal(code.weight_table(), dense[:, tower.exp[:d]])
+    assert np.array_equal(code.kernel_words(), np.flatnonzero(dense.ravel() == 0))
+    weights, freqs = np.unique(dense, return_counts=True)
+    assert code.weight_distribution_direct().rows == tuple(zip(weights.tolist(), freqs.tolist()))
+    assert np.array_equal(code._support_words(), support_words(code))
 
 
 def test_word_labels_equal_codewords(code):
@@ -194,6 +212,53 @@ def test_reduced_scans_equal_full_scan(code):
 
 def test_orbit_fill_equals_words(code):
     assert_fill_equals_words(code)
+
+
+def test_fills_equal_class_loops(code):
+    assert_fills_equal_reference(code)
+    assert_fills_equal_reference(Unreduced(code.subset))  # d = q^m - 1
+
+
+@pytest.mark.parametrize("block", [1, 5, 200])
+def test_fill_blocks_equal_class_loops(code, monkeypatch, block):
+    # blocks of one entry, of a few classes or words, and of part of the
+    # subset (or its complement) when it has more than `block` elements
+    monkeypatch.setattr(codes, "ZERO_BLOCK", block)
+    assert_fills_equal_reference(SubsetCode(code.subset))
+
+
+# (p, e, m) of the seeded subsets
+SEEDED_FIELDS = [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)]
+
+
+def _seeded_subset(tower, kind, seed):
+    """"least period": the powers of gamma^r, r the least prime dividing
+    q^m - 1, so d = r (d = 1 leaves no proper subset, as gamma generates
+    F_{q^m}^*); "union": N and J drawn from the seed; "sparse" and "dense": a
+    fifth and four fifths of the nonzero elements, the latter counted over its
+    complement (k > n/2)."""
+    rng = np.random.default_rng(seed)
+    if kind == "least period":
+        r = next(r for r in range(2, tower.order + 1) if tower.order % r == 0)
+        return FieldSubset.from_logs(tower, range(0, tower.order, r))
+    if kind == "union":
+        half = tower.order // (1 if tower.p == 2 else 2)  # odd q needs N | (q^m - 1)/2
+        N = int(rng.choice([n for n in range(2, half) if half % n == 0]))
+        return build_cyclotomic_subset(tower, N, rng.permutation(N)[: rng.integers(1, N)].tolist())
+    size = tower.order // 5 * (1 if kind == "sparse" else 4)
+    return FieldSubset.from_logs(tower, rng.choice(tower.order, size=size, replace=False))
+
+
+@pytest.mark.parametrize("kind", ["least period", "union", "sparse", "dense"])
+@pytest.mark.parametrize("field", SEEDED_FIELDS,
+                         ids=[f"F_{p ** e}^{m}" for p, e, m in SEEDED_FIELDS])
+def test_seeded_fills_equal_class_loops(field, kind):
+    tower = _tower(*field)
+    for seed in range(3):
+        code = SubsetCode(_seeded_subset(tower, kind, seed))
+        assert (2 * len(code.subset) > tower.order) == (kind == "dense") or kind == "union"
+        assert kind != "least period" or code.stabiliser_period * len(code.subset) == tower.order
+        assert_fills_equal_reference(code)
 
 
 @pytest.mark.parametrize("cap", ["one entry", "one rep", "two reps"])
@@ -308,7 +373,7 @@ def test_random_invariant_unions_weights_equal_closed_form(field, data):
     _, subset = data.draw(invariant_unions([field]))
     code = SubsetCode(subset)
     tower = code.tower
-    wt = code.weight_table()
+    wt = weight_table(code)
     # q^m - q^(m-1) + psi(vD) for u, v nonzero
     psi = [psi_sum(tower, v, subset.members).rational_value() for v in range(1, tower.qm)]
     closed = tower.qm - tower.qm // tower.q + np.array(psi)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import codeword
+from reference import codeword, weight_table
 
 from pdscodes.codes import SubsetCode
 from pdscodes.pds import build_cyclotomic_subset
@@ -158,7 +158,7 @@ def test_weight_multiset_preserved(f34):
     if not is_automorphism_of(subset, g):
         pytest.skip("frobenius does not preserve this subset")
     perm = f34.log[g.images()[f34.exp[np.arange(f34.order)]]].astype(np.int64)
-    wt = code.weight_table().ravel()
+    wt = weight_table(code).ravel()
     permuted_weights = []
     for u in range(f34.q):
         for v in range(f34.qm):
