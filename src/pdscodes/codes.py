@@ -31,7 +31,7 @@ The direct methods use the stabiliser <gamma^d> of the subset: the word
 (u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
 supports (up to that rotation) and every oracle condition are constant on
 the orbits of <gamma^d>.  The weights are kept as (q, d) class columns, one
-per orbit, counted by blocked bincounts over the label table; the supports
+per orbit, counted in blocks over windows of the label table; the supports
 of all words are filled a block of words at a time, each block one compare
 against windows of the label table and one packbits.  The scans (cover,
 Heng, the rank flags behind SNC and the secret-sharing count) also use the
@@ -53,7 +53,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .charsums import psi_sum
 from .field import FieldTower
@@ -308,6 +308,30 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
     return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
+def _cyclic_windows(labels: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, wrapped): row s of table is labels[s : s + w] for s <= n - w,
+    n = len(labels), and row s - (n - w) of wrapped is that window read mod n
+    for n - w <= s < n.  Only the 2 w - 1 labels around the end are copied."""
+    around = np.concatenate([labels[len(labels) - w:], labels[:w - 1]])
+    # sliding_window_view(a, w), without the checks that outcost small gathers
+    return tuple(as_strided(a, (len(a) - w + 1, w), a.strides * 2, writeable=False)
+                 for a in (labels, around))
+
+
+def _label_rows(table: np.ndarray, wrapped: np.ndarray, logs: np.ndarray, j: int) -> np.ndarray:
+    """Row x holds the labels at (log x + j + c) mod n, c < w, for ascending
+    logs and the _cyclic_windows of width w: windows of the table where they
+    end before it does, and where they start past its end, less n; the fewer
+    than w rows that straddle the end read wrapped."""
+    n, w = len(table) + len(wrapped) - 1, len(wrapped)
+    lo, hi = np.searchsorted(logs, [n - w - j + 1, n - j])
+    rows = np.empty((len(logs), w), dtype=table.dtype)
+    rows[:lo] = table[j:][logs[:lo]]
+    rows[lo:hi] = wrapped[logs[lo:hi] - (n - w - j)]
+    rows[hi:] = table[logs[hi:] - (n - j)]
+    return rows
+
+
 def _label_windows(tower: FieldTower, rows: int) -> np.ndarray:
     """A (rows, q^m - 1) view whose entry [j, i] is the label of Tr(gamma^(j + i))."""
     labels = tower.trace_label_of_exp
@@ -380,8 +404,11 @@ class SubsetCode:
         cnt[j, t] = #{x in D : Tr(gamma^j x) = t}; a nonzero functional takes
         the value t at q^(m-1) - [t = 0] nonzero x.  That also gives cnt from
         the same count over the complement, so the smaller side is counted:
-        d * min(k, n - k) (j, x) pairs, Tr(gamma^j x) being entry j + log x of
-        the label table, a block of about ZERO_BLOCK pairs per bincount.
+        d * min(k, n - k) (j, x) pairs, Tr(gamma^j x) being entry
+        (j + log x) mod (q^m - 1) of the label table.  A block of about
+        ZERO_BLOCK pairs reads, for each x, a run of consecutive j as one
+        window of the table (`_label_rows`, which copies none of it), and its
+        columns are counted by one bincount, or for q = 2 by column sums.
         """
         if self._weight_table is not None:
             return self._weight_table
@@ -391,18 +418,26 @@ class SubsetCode:
         on_subset = 2 * k <= order
         logs = (tower.log[self.subset.members] if on_subset
                 else np.flatnonzero(~self.subset.indicator[tower.exp]))
-        windows = _label_windows(tower, d)
+        logs.sort()  # a fresh array, ascending for _label_rows
+        labels = tower.trace_label_of_exp
         cnt = np.zeros((d, q), dtype=np.int64)
         for start in range(0, len(logs), ZERO_BLOCK):
             part = logs[start:start + ZERO_BLOCK]
-            per = max(1, ZERO_BLOCK // len(part))
-            for j in range(0, d, per):
-                keys = windows[j:j + per][:, part].astype(np.intp)
-                keys += np.arange(0, len(keys) * q, q)[:, None]  # row r counts keys r q + label
-                # the keys in memory order (the gather lays them out by column)
-                counts = np.bincount(keys.ravel(order="K"), minlength=len(keys) * q)
-                cnt[j:j + per] += counts.reshape(-1, q)
-                del keys  # so that one block of keys is alive at a time
+            w = min(d, max(1, ZERO_BLOCK // len(part)))
+            table, wrapped = _cyclic_windows(labels, w)
+            for top in range(0, d, w):
+                j = min(top, d - w)  # the last block ends at d; its rows below top are counted
+                rows = _label_rows(table, wrapped, part, j)[:, top - j:]
+                if q == 2:  # labels 0 and 1: a column sum counts the ones
+                    cnt[top:j + w, 1] += rows.sum(axis=0, dtype=np.int64)
+                else:
+                    keys = rows.astype(np.intp)
+                    keys += np.arange(0, keys.shape[1] * q, q)  # column c counts keys c q + label
+                    counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * q)
+                    cnt[top:j + w] += counts.reshape(-1, q)
+                    del keys
+                del rows  # so that one block is alive at a time
+        cnt[:, 0] = len(logs) - cnt[:, 1:].sum(axis=1)  # the q = 2 sums count only the ones
         if not on_subset:
             cnt = fibre - (np.arange(q) == 0) - cnt
         _, _, neg_q = tower.subfield_tables()

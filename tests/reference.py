@@ -20,9 +20,11 @@ one key per (row, member) pair) or read off its dense (q^m, p) array, the
 least stabiliser period by trying every divisor of q^m - 1, the least
 Frobenius power by comparing sets of powers, and the orbits of the words
 closed under the stabiliser, scaling and that Frobenius power one word at
-a time.  Last, the field's digitwise addition one base-p digit per round,
+a time.  Then the field's digitwise addition one base-p digit per round,
 and an F_p-linear map evaluated on digit lists, which the library computes
-through its chunked addition table.
+through its chunked addition table.  Last, the induced code automorphism
+check by comparing every label of every word pair, a chunk of v at a time,
+which the library decides by F_p-linearity and the basis pairs.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
@@ -35,8 +37,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pdscodes import charsums
-from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, ZERO_BLOCK, SubsetCode
 from pdscodes.cyclotomic import CyclotomicInteger
+from pdscodes.qpoly import is_automorphism_of
 
 
 class Unreduced(SubsetCode):
@@ -463,3 +466,29 @@ def linear_map(p, em, images, x):
     for d, image in zip(digits(x), images):
         out = [(o + d * g) % p for o, g in zip(out, digits(image))]
     return sum(o * p ** i for i, o in enumerate(out))
+
+
+def induced_code_automorphism_check(code, g, enforce_preservation=True):
+    """Whether permuting coordinates by g maps each word onto the dual-indexed word.
+
+    Checks c(u, v) at position g(x) against c(u, dual(v)) at position x for
+    every index pair (u, v), exhaustively: u f(g(x)) + Tr(v g(x)) against
+    u f(x) + Tr(dual(v) x) as F_q labels over every (u, v, x), x nonzero, for
+    a chunk of v at a time (temporaries of about ZERO_BLOCK entries).
+    """
+    subset = code.subset
+    tower = code.tower
+    if enforce_preservation and not is_automorphism_of(subset, g):
+        raise ValueError("g does not preserve the subset; induced action undefined")
+    dual_img = g.trace_dual().images()
+    xs = tower.exp.astype(np.int64)
+    gx = g.images()[xs]  # coordinate x picks up the value at g(x)
+    if np.any(gx == 0):
+        raise ValueError("g is not bijective on the multiplicative group")
+    u = np.arange(tower.q)[:, None, None]
+    chunk = max(1, ZERO_BLOCK // (tower.q * tower.order))
+    for start in range(0, tower.qm, chunk):
+        vs = np.arange(start, min(start + chunk, tower.qm))[:, None]
+        if not np.array_equal(code.word_labels(u, vs, gx), code.word_labels(u, dual_img[vs], xs)):
+            return False
+    return True

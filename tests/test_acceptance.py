@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 from reference import cover_violations, full_flags, heng_violations, route_spectrum
+from reference import induced_code_automorphism_check as exhaustive_check
 
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.charsums import full_spectrum, orthogonality_sum, parseval_total
@@ -225,6 +226,7 @@ def test_criterion_6f_trace_dual_exhaustive(f34):
             QPolynomial(f34, rng.integers(0, f34.qm, size=f34.m).tolist()) for _ in range(8)
         ]
         xs = np.arange(f34.qm, dtype=np.int64)
+        code = SubsetCode(build_cyclotomic_subset(f34, 5, [0]))
         for f in polys:
             fd = f.trace_dual()
             img_f, img_d = f.images(), fd.images()
@@ -233,6 +235,14 @@ def test_criterion_6f_trace_dual_exhaustive(f34):
                 rhs = f34.trace_q[f34.mul_vec(int(img_d[y]), xs)]
                 assert np.array_equal(lhs, rhs)
             assert fd.trace_dual() == f
+            # the induced action: decided by linearity, and label by label
+            if f.is_bijective():
+                assert induced_code_automorphism_check(code, f, enforce_preservation=False) \
+                    == exhaustive_check(code, f, enforce_preservation=False)
+            else:
+                for check in (induced_code_automorphism_check, exhaustive_check):
+                    with pytest.raises(ValueError, match="not bijective"):
+                        check(code, f, enforce_preservation=False)
 
 
 def test_criterion_6g_frobenius_code_automorphism(f44):
@@ -240,7 +250,23 @@ def test_criterion_6g_frobenius_code_automorphism(f44):
         subset = build_cyclotomic_subset(f44, 5, [1, 2, 3, 4])
         code = SubsetCode(subset)
         g = QPolynomial.frobenius(f44, 1)
-        assert induced_code_automorphism_check(code, g)  # exhaustive over all (u, v)
+        assert induced_code_automorphism_check(code, g)
+        assert exhaustive_check(code, g)  # over all (u, v)
+
+
+def test_criterion_6g_induced_automorphism_at_scale():
+    # q q^m (q^m - 1) labels: 2.2e12 on F_{2^20}, 1.0e10 on F_{3^10}, out of
+    # reach of the exhaustive check; each decision runs cold, on fresh maps
+    f2_20 = build_tower(FieldSpec(p=2, e=1, m=20))
+    code = SubsetCode(build_cyclotomic_subset(f2_20, 3, [0]))
+    with budget("6g (Frobenius on F_2^20, N=3)", 2):
+        assert induced_code_automorphism_check(code, QPolynomial.frobenius(f2_20, 1))
+    f3_10 = build_tower(FieldSpec(p=3, e=1, m=10))
+    subset, _ = quadric_subset(f3_10, kind="elliptic")
+    code = SubsetCode(subset)
+    with budget("6g (x -> -x on the F_3^10 elliptic quadric)", 2):
+        minus = QPolynomial(f3_10, [f3_10.neg(1)] + [0] * (f3_10.m - 1))
+        assert induced_code_automorphism_check(code, minus)
 
 
 def test_criterion_6h_secret_sharing_coverage(f44):

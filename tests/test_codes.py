@@ -561,3 +561,19 @@ def test_weight_distribution_memory_below_dense_table():
         tracemalloc.stop()
     assert dist.total == tower.q * tower.qm
     assert peak < tower.q * tower.qm * 8 // 4
+
+
+def test_weight_count_reads_the_label_table_in_place():
+    # F_{2^18}, N = 3: the count once read a wrapped copy of the 256 KB label
+    # table and peaked at 1176 KB; it must stay at least 200 KB below that
+    tower = build_tower(FieldSpec(p=2, e=1, m=18))
+    code = SubsetCode(build_cyclotomic_subset(tower, 3, [0]))
+    code.stabiliser_period, tower.trace_label_of_exp, tower.subfield_tables()
+    tracemalloc.start()
+    try:
+        dist = code.weight_distribution_direct()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.total == tower.q * tower.qm
+    assert peak <= (1176 - 200) * 1024

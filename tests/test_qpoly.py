@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from reference import codeword, weight_table
+from reference import induced_code_automorphism_check as exhaustive_check
 
 from pdscodes.codes import SubsetCode
+from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import build_cyclotomic_subset
 from pdscodes.qpoly import QPolynomial, induced_code_automorphism_check, is_automorphism_of
 
@@ -121,9 +123,19 @@ def test_induced_check_fails_without_preservation(f44):
     code = SubsetCode(subset)
     shift = _scaling(f44, int(f44.exp[1]))
     assert shift.is_bijective()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not preserve the subset"):
         induced_code_automorphism_check(code, shift)
     assert not induced_code_automorphism_check(code, shift, enforce_preservation=False)
+
+
+def test_induced_check_names_a_non_bijective_map(f44):
+    # the trace map kills a hyperplane: the error is about bijectivity, not about D
+    code = SubsetCode(build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]))
+    trace = QPolynomial(f44, [1] * f44.m)
+    assert not trace.is_bijective()
+    for enforce in (True, False):
+        with pytest.raises(ValueError, match="g is not bijective on the multiplicative group"):
+            induced_code_automorphism_check(code, trace, enforce_preservation=enforce)
 
 
 def _induced_check_per_word(code, g):
@@ -136,7 +148,7 @@ def _induced_check_per_word(code, g):
 
 
 def test_induced_check_equals_per_word_scan(f34, f44):
-    # the chunked label comparison against the word-by-word loop, both verdicts
+    # the decision by linearity against the word-by-word loop, both verdicts
     cases = [(build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]), f44),
              (build_cyclotomic_subset(f34, 5, [0]), f34)]
     verdicts = []
@@ -149,6 +161,72 @@ def test_induced_check_equals_per_word_scan(f34, f44):
             assert got == _induced_check_per_word(code, g)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def _outcome(check, code, g):
+    """The verdict of one route, or the message of the ValueError it raised."""
+    try:
+        return check(code, g, enforce_preservation=False)
+    except ValueError as err:
+        return str(err)
+
+
+def _oracle_maps(tower, rng):
+    """Every Frobenius power, the scalings by gamma^k for k = 1..5, x^q - x
+    and the trace (neither bijective), and eight seeded random q-polynomials."""
+    maps = [QPolynomial.frobenius(tower, i) for i in range(tower.m)]
+    maps += [_scaling(tower, int(tower.exp[k])) for k in range(1, 6)]
+    maps += [QPolynomial(tower, [int(tower.neg_table[1]), 1] + [0] * (tower.m - 2)),
+             QPolynomial(tower, [1] * tower.m)]
+    return maps + [_random_qpoly(tower, rng) for _ in range(8)]
+
+
+# (p, e, m) of the seeded class unions
+ORACLE_FIELDS = [(2, 1, 8), (3, 1, 4), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS,
+                         ids=[f"F_{p ** e}^{m}" for p, e, m in ORACLE_FIELDS])
+def test_induced_check_equals_exhaustive_oracle(field):
+    # seeded class unions (N | (q^m - 1)/2 for odd q), each against every map
+    tower = build_tower(FieldSpec(*field))
+    half = tower.order // (1 if tower.p == 2 else 2)
+    outcomes = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        N = int(rng.choice([n for n in range(2, half) if half % n == 0]))
+        J = rng.permutation(N)[: rng.integers(1, N)].tolist()
+        code = SubsetCode(build_cyclotomic_subset(tower, N, J))
+        for g in _oracle_maps(tower, rng):
+            got = _outcome(induced_code_automorphism_check, code, g)
+            assert got == _outcome(exhaustive_check, code, g), (N, g)
+            outcomes.append(got)
+    assert {True, False, "g is not bijective on the multiplicative group"} <= set(outcomes)
+
+
+def test_mutated_tables_against_oracle(f34, f44):
+    # one changed entry of g off 0 or of the dual anywhere breaks the action,
+    # and so does either table swapped for x -> x^(q^2), which is F_p-linear
+    # and fixes D (only the basis pairs tell); g(0) is read by neither route
+    cases = [(build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]), QPolynomial.frobenius(f44, 1)),
+             (build_cyclotomic_subset(f34, 5, [0]), QPolynomial.frobenius(f34, 0))]
+    rng = np.random.default_rng(47)
+    for subset, g in cases:
+        tower, code = subset.tower, SubsetCode(subset)
+        coeffs, other = g.coeffs, QPolynomial.frobenius(tower, 2).images()
+        assert induced_code_automorphism_check(code, g) and exhaustive_check(code, g)
+        xs = [1, *rng.integers(2, tower.qm, size=4).tolist()]
+        for table, at, expected in ([("g", x, False) for x in [*xs, None]]
+                                    + [("dual", v, False) for v in [0, *xs, None]]
+                                    + [("g", 0, True)]):
+            g = QPolynomial(tower, coeffs)  # fresh caches
+            img = g.images() if table == "g" else g.trace_dual().images()
+            if at is None:
+                img[:] = other
+            else:
+                img[at] = img[at] % (tower.qm - 1) + 1  # another nonzero element
+            got = induced_code_automorphism_check(code, g, enforce_preservation=False)
+            assert got == exhaustive_check(code, g, enforce_preservation=False) == expected
 
 
 def test_weight_multiset_preserved(f34):
@@ -199,6 +277,7 @@ def test_quadric_symmetry_generators_membership(f34):
     swap_planes = map_from_coordinate_permutation([2, 3, 0, 1])
     assert is_automorphism_of(subset, swap_planes)
     assert induced_code_automorphism_check(SubsetCode(subset), swap_planes)
+    assert exhaustive_check(SubsetCode(subset), swap_planes)
 
     shear_images = []
     for i in range(f34.m):
@@ -207,6 +286,9 @@ def test_quadric_symmetry_generators_membership(f34):
     shear = QPolynomial.from_basis_images(f34, shear_images)
     assert shear.is_bijective()
     assert not is_automorphism_of(subset, shear)
+    quadric_code = SubsetCode(subset)
+    assert not induced_code_automorphism_check(quadric_code, shear, enforce_preservation=False)
+    assert not exhaustive_check(quadric_code, shear, enforce_preservation=False)
 
     # scalings always preserve the zero set of a quadratic form
     for lam in f34.subfield_elements[1:].tolist():
