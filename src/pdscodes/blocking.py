@@ -7,6 +7,16 @@ A subset is a cutting (1, m-1)-pattern when it meets every hyperplane,
 contains none entirely, and no intersection sits inside another one, which
 is <D ∩ H> = H for every H.  The stabiliser <gamma^d> of D maps D ∩ H_j onto
 D ∩ H_(j-d), so the hyperplanes j < gcd(d, step) stand for all of them.
+
+Tr(gamma^j x) is entry (j + log x) mod (q^m - 1) of the label table, so a
+block of consecutive hyperplanes reads, for each member, one window of that
+table (`codes._label_rows`, as in the weight count): the sizes |D ∩ H_j|
+come from column sums of those windows, and only the intersections below the
+count bound q^(m-2) become rows for the packed rank test.  The annihilators
+of the spans that fall short are read in blocks of one `trace_labels` pass
+each, and one lexsort takes the first nested pair.  The intersection
+matrices and the pairwise containment scan are the oracle in
+tests/reference.py.
 """
 from __future__ import annotations
 
@@ -16,8 +26,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import DEFAULT_ENUM_BUDGET, rank_reaches
+from .codes import DEFAULT_ENUM_BUDGET, _column_sums, _cyclic_windows, _label_rows, rank_reaches
 from .pds import FieldSubset, GuardExceeded
+
+BLOCK = 2 ** 17  # entries per block: members x hyperplanes, or spans x em x step
 
 
 @dataclass(frozen=True)
@@ -38,42 +50,58 @@ class BlockingReport:
         return out
 
 
-def _intersections(subset: FieldSubset, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(j0, rows): rows[i] is D ∩ H_(j0+i) padded with 0, for j0 + i < count, in
-    batches of about 2^17 digits (rows x |D| x em)."""
-    tower, members = subset.tower, subset.members
-    per = max(1, 2 ** 17 // (tower.em * max(1, len(members))))
-    for j0 in range(0, count, per):
-        directions = tower.exp[j0:min(j0 + per, count)]
-        yield j0, np.where(tower.trace_labels(directions[:, None], members) == 0, members, 0)
+def _on_hyperplanes(subset: FieldSubset, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(j0, on): on[i, x] says that the member x, in log order, lies on
+    H_(j0+i), for j0 + i < count, in blocks of about BLOCK entries."""
+    tower = subset.tower
+    logs = np.sort(tower.log[subset.members])
+    w = min(count, max(1, BLOCK // max(1, len(logs))))
+    table, wrapped = _cyclic_windows(tower.trace_label_of_exp, w)
+    for top in range(0, count, w):
+        j = min(top, count - w)  # the last block ends at count
+        yield top, (_label_rows(table, wrapped, logs, j)[:, top - j:] == 0).T
 
 
-def _first_nested_pair(subset: FieldSubset, orbits: int) -> tuple[int, int] | None:
+def _first_nested_pair(subset: FieldSubset, orbits: int, sizes: np.ndarray
+                       ) -> tuple[int, int] | None:
     """The first (inner, outer) hyperplane logs, by outer then inner, with
     D ∩ H_inner inside H_outer, that is gamma^outer annihilating <D ∩ H_inner>.
 
-    A pair (j, l) found for j < orbits = gcd(d, step) stands for the pairs
-    (j - kd, l - kd) mod step, as gamma^kd carries the span and its
-    annihilator along; the first of them has outer l mod orbits.
+    sizes[j] = |D ∩ H_j|; an intersection of q^(m-2) or more members spans
+    H_j by count, so only the others are rank tested.  A pair (j, l) found
+    for j < orbits = gcd(d, step) stands for the pairs (j - kd, l - kd) mod
+    step, as gamma^kd carries the span and its annihilator along; the first
+    of them has outer l mod orbits.
     """
     tower = subset.tower
-    step = tower.subfield_step
-    directions = tower.exp[:step].astype(np.int64)
-    firsts = []  # (outer, inner)
-    for j0, rows in _intersections(subset, orbits):
-        spans, bases = rank_reaches(tower, rows, tower.m - 1)
-        for j in (j0 + np.flatnonzero(~spans)).tolist():
-            ann = np.ones(step, dtype=bool)
-            for b in (bases[j - j0] @ tower.p ** np.arange(tower.em)).tolist():
-                ann &= tower.trace_labels(b, directions) == 0
-            ann[j] = False
-            ls = np.flatnonzero(ann)
-            outer = ls % orbits
-            firsts.append(min(zip(outer.tolist(), ((outer - ls + j) % step).tolist())))
-    if not firsts:
+    small = sizes < tower.qm // tower.q ** 2
+    if not small.any():
         return None
-    outer, inner = min(firsts)
-    return inner, outer
+    elems = tower.exp[np.sort(tower.log[subset.members])]
+    short, bases = [], []  # the hyperplanes whose intersections fall short, and their spans
+    for j0, on in _on_hyperplanes(subset, orbits):
+        rows = np.flatnonzero(small[j0:j0 + len(on)])
+        if len(rows):
+            spans, basis = rank_reaches(tower, np.where(on[rows], elems, 0), tower.m - 1)
+            short.append(j0 + rows[~spans])
+            bases.append(basis[~spans] @ tower.p ** np.arange(tower.em))
+    short, bases = np.concatenate(short), np.concatenate(bases)
+    if not len(short):
+        return None
+    step = tower.subfield_step
+    directions = tower.exp[:step]
+    per = max(1, BLOCK // (tower.em * step))
+    pairs = []  # (i, ls): gamma^ls annihilates the span of D ∩ H_short[i]
+    for s in range(0, len(short), per):
+        ann = (tower.trace_labels(bases[s:s + per, :, None], directions) == 0).all(axis=1)
+        ann[np.arange(len(ann)), short[s:s + per]] = False
+        i, ls = np.nonzero(ann)
+        pairs.append((s + i, ls))
+    i, ls = (np.concatenate(part) for part in zip(*pairs))
+    outer = ls % orbits
+    inner = (outer - ls + short[i]) % step
+    first = np.lexsort((inner, outer))[0]
+    return int(inner[first]), int(outer[first])
 
 
 def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
@@ -91,8 +119,7 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     if orbits * tower.qm > DEFAULT_ENUM_BUDGET:
         raise GuardExceeded(f"cutting test cost {orbits * tower.qm} (hyperplane orbits x q^m) "
                             f"exceeds the budget {DEFAULT_ENUM_BUDGET}")
-    sizes = np.concatenate([np.count_nonzero(rows, axis=1)
-                            for _, rows in _intersections(subset, orbits)])
+    sizes = np.concatenate([_column_sums(on.T) for _, on in _on_hyperplanes(subset, orbits)])
 
     blocking = bool(np.all(sizes > 0))
     witness = None
@@ -106,7 +133,7 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
 
     cutting = blocking and not contains_subspace
     if cutting:
-        nested = _first_nested_pair(subset, orbits)
+        nested = _first_nested_pair(subset, orbits, sizes)
         if nested is not None:
             cutting = False
             # h1 is the contained intersection, h2 the containing one

@@ -19,8 +19,10 @@ Minimality is decided by several methods of increasing abstraction:
 * snc: the span/annihilator criterion on trace slices of the subset, an
   exact characterization and a rank test: the generator columns at the
   zeros of each word must span a hyperplane.  `rank_orbit_flags` runs that
-  test (`rank_reaches`) once per code and orbit (below); SNC reads its
-  verdict and witness from those cached flags, as the `sss` count does;
+  test (`rank_reaches`, an elimination on the packed elements, whose
+  base-p digits are their F_p-coordinates) once per code and orbit
+  (below); SNC reads its verdict and witness from those cached flags, as
+  the `sss` count does;
 * certificate-based sufficient conditions for verified PDS subsets
   (general, Latin-type, cyclotomic), which can return Minimal or
   Inconclusive but never NotMinimal.
@@ -209,44 +211,70 @@ def rank_reaches(tower: FieldTower, elems, target):
     elems is one set, or a 2-D array of sets padded with 0, and target one
     number or one per set.  A subspace of dimension target - 1 has
     q^(target-1) - 1 nonzero elements, so that many elements decide it (count
-    certificate).  The other sets are reduced over F_p, as base-p digits of
-    the elements times w^i, i < e (w = gamma^step, so they F_p-span the
-    F_q-span), one column at a time on chunks of doubling size, until e *
-    target pivots turn up.
+    certificate).  The other sets are reduced over F_p on the packed elements
+    times w^i, i < e (w = gamma^step, so they F_p-span the F_q-span): an
+    element's base-p digits are its F_p-coordinates.  The reduction runs on
+    chunks of doubling size, until e * target pivots turn up, one digit
+    column c at a time: the first vector with digit c is the pivot, its p
+    multiples come from digitwise adds, and every vector adds the multiple
+    that clears its digit c (one gather and one digitwise add).  The
+    elimination on arrays of digits is the oracle in tests/reference.py.
 
-    Returns (reached, basis): basis[c] is the pivot row of digit c (1 there, 0
-    before it) or zero, and spans the set whenever reached is False.
+    Returns (reached, basis): basis[c] is the digit row of the pivot of digit
+    c (1 there, 0 before it) or zero, and spans the set whenever reached is
+    False.
     """
-    p, em = tower.p, tower.em
     sets = np.atleast_2d(np.asarray(elems, dtype=np.int64))
     target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
     goal = tower.e * target
     count = np.count_nonzero(sets, axis=1)
     reached = (goal <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
-    basis = np.zeros((len(sets), em, em), dtype=np.int64)
+    basis = np.zeros((len(sets), tower.em, tower.em), dtype=np.int64)
     left = np.flatnonzero(~reached)
-    rest = np.take_along_axis(sets[left], np.argsort(sets[left] == 0, axis=1, kind="stable"),
-                              axis=1)[:, : count[left].max(initial=0)]  # nonzero elements first
-    gens = np.stack([tower.mul_vec(int(tower.exp[i * tower.subfield_step]), rest)
-                     for i in range(tower.e)], axis=2).reshape(len(rest), tower.e * rest.shape[1])
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    start, size = 0, 8 * em
-    while start < gens.shape[1] and not reached.all():
-        active = ~reached[left]
-        sub = left[active]
-        digits = gens[active, start:start + size, None] // p ** np.arange(em) % p
-        vecs = np.concatenate([basis[sub], digits], axis=1)
-        start, size = start + size, 2 * size
-        for c in range(em):
-            # the first vector with digit c, scaled to 1 there (zero where there is none)
-            col = vecs[:, :, c]
-            row = vecs[np.arange(len(sub)), (col != 0).argmax(axis=1)]
-            basis[sub, c] = row = row * inverse[row[:, c]][:, None] % p
-            vecs = (vecs - col[:, :, None] * row[:, None, :]) % p
-        reached[sub] = basis[sub].any(axis=2).sum(axis=1) >= goal[sub]
+    if len(left):
+        reached[left], pivots = _packed_pivots(tower, sets[left], count[left], goal[left])
+        basis[left] = pivots[:, :, None] // tower.p ** np.arange(tower.em) % tower.p
     if np.ndim(elems) == 1:
         return bool(reached[0]), basis[0]
     return reached, basis
+
+
+def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal: np.ndarray):
+    """(reached, pivots) for sets of count nonzero elements each, padded with 0:
+    pivots[i, c] is the packed pivot of digit c of set i, or 0, after the
+    chunk in which goal[i] pivots turn up, or after the whole set."""
+    p, em = tower.p, tower.em
+    reached = np.zeros(len(sets), dtype=bool)
+    pivots = np.zeros((len(sets), em), dtype=np.int32)
+    rest = np.zeros((len(sets), count.max()), dtype=np.int32)
+    rest[np.arange(rest.shape[1]) < count[:, None]] = sets[sets != 0]  # nonzero elements first
+    scalars = tower.exp[np.arange(tower.e) * tower.subfield_step].tolist()  # w^i
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    # clear[a, t]: the multiple of a pivot with digit a that clears digit t
+    clear = -np.arange(p) * inverse[:, None] % p
+    start, size = 0, 8 * tower.m  # elements, each giving e vectors
+    while start < rest.shape[1] and not reached.all():
+        sub = np.flatnonzero(~reached)
+        part = rest[sub, start:start + size]
+        gens = np.stack([tower.mul_vec(w, part) for w in scalars], axis=2).reshape(len(sub), -1)
+        vecs = np.concatenate([pivots[sub], gens], axis=1)
+        start, size = start + size, 2 * size
+        rows = np.arange(len(sub))
+        for c in range(em):
+            high = vecs // p ** c
+            digit = high - high // p * p  # floor divisions are cheaper than %
+            at = (digit != 0).argmax(axis=1)  # 0, with digit 0, where there is none
+            pivot, lead = vecs[rows, at], digit[rows, at]
+            mult = [np.zeros_like(pivot), pivot]
+            for _ in range(2, p):
+                mult.append(tower._add_vec(mult[-1], pivot))
+            mult = np.stack(mult, axis=1)
+            pivots[sub, c] = mult[rows, inverse[lead]]
+            # row s of fix holds the multiples of pivot s that clear digits 0..p-1
+            fix = mult[rows[:, None], clear[lead]]
+            vecs = tower._add_vec(vecs, fix.take(digit + (rows * p)[:, None]))
+        reached[sub] = np.count_nonzero(pivots[sub], axis=1) >= goal[sub]
+    return reached, pivots
 
 
 # -- trace slices of the subset ------------------------------------------------
@@ -332,6 +360,17 @@ def _label_rows(table: np.ndarray, wrapped: np.ndarray, logs: np.ndarray, j: int
     return rows
 
 
+def _column_sums(bits: np.ndarray) -> np.ndarray:
+    """Column sums of a 0/1 (rows, w) block as int64, by float32 products with a
+    ones vector, 2^24 rows at a time: exact, as every partial sum is an integer
+    below 2^24, and fast for both narrow and wide blocks."""
+    out = np.zeros(bits.shape[1], dtype=np.int64)
+    for start in range(0, len(bits), 2 ** 24):
+        part = bits[start:start + 2 ** 24]
+        out += (np.ones(len(part), dtype=np.float32) @ part.astype(np.float32)).astype(np.int64)
+    return out
+
+
 def _label_windows(tower: FieldTower, rows: int) -> np.ndarray:
     """A (rows, q^m - 1) view whose entry [j, i] is the label of Tr(gamma^(j + i))."""
     labels = tower.trace_label_of_exp
@@ -408,7 +447,7 @@ class SubsetCode:
         (j + log x) mod (q^m - 1) of the label table.  A block of about
         ZERO_BLOCK pairs reads, for each x, a run of consecutive j as one
         window of the table (`_label_rows`, which copies none of it), and its
-        columns are counted by one bincount, or for q = 2 by column sums.
+        columns are counted by one bincount, or for q = 2 by `_column_sums`.
         """
         if self._weight_table is not None:
             return self._weight_table
@@ -429,7 +468,7 @@ class SubsetCode:
                 j = min(top, d - w)  # the last block ends at d; its rows below top are counted
                 rows = _label_rows(table, wrapped, part, j)[:, top - j:]
                 if q == 2:  # labels 0 and 1: a column sum counts the ones
-                    cnt[top:j + w, 1] += rows.sum(axis=0, dtype=np.int64)
+                    cnt[top:j + w, 1] += _column_sums(rows)
                 else:
                     keys = rows.astype(np.intp)
                     keys += np.arange(0, keys.shape[1] * q, q)  # column c counts keys c q + label

@@ -416,9 +416,10 @@ class FieldTower:
     def _digit_add(self) -> tuple[int, int, np.ndarray]:
         """(c, A, table): table[x * A + y] is the digitwise sum mod p of two c-digit
         numbers, c the most digits (<= em) whose table of pairs (A = p^c) has at most
-        2^16 entries; a 1-digit table is read at x + y (A = 1), small for p > 2^8."""
+        2^17 entries; a 1-digit table is read at x + y (A = 1), small for p > 2^8.
+        The table is uint8 where the sums, below p^c, fit (uint16 for p = 7, 17, 19)."""
         p, c = self.p, 1
-        while c < self.em and p ** (2 * c + 2) <= 2 ** 16:
+        while c < self.em and p ** (2 * c + 2) <= 2 ** 17:
             c += 1
         if c == 1:
             return 1, 1, (np.arange(2 * p - 1) % p).astype(np.int32)
@@ -426,7 +427,7 @@ class FieldTower:
         table = digit = (a[:, None] + a) % p
         for k in range(1, c):  # one more digit on top of both numbers
             table = (digit[:, None, :, None] * p ** k + table[:, None]).reshape(p ** (k + 1), -1)
-        return c, p ** c, table.ravel().astype(np.uint8)  # the sums are below p^c <= 2^8
+        return c, p ** c, table.ravel().astype(np.min_scalar_type(p ** c - 1))
 
     def _add_vec(self, x, y):
         """Digitwise x + y mod p on ints or int arrays (broadcasting): one table
@@ -434,10 +435,17 @@ class FieldTower:
         if self.p == 2:
             return x ^ y
         c, A, table = self._digit_add
-        out = 0
+        chunk, out = self.p ** c, 0
         for k in range(0, self.em, c):
-            (x, xc), (y, yc) = divmod(x, self.p ** c), divmod(y, self.p ** c)
-            out += np.multiply(table.take(xc * A + yc), self.p ** k, dtype=np.int32)
+            # the low c digits, split off by floor division (far cheaper than
+            # divmod or % on arrays) except from the top chunk
+            xc, yc = x, y
+            if k + c < self.em:
+                x, y = x // chunk, y // chunk
+                xc, yc = xc - x * chunk, yc - y * chunk
+            # the pair index is made in intp, which take reads without a copy
+            out += np.multiply(table.take(np.add(xc * A, yc, dtype=np.intp)), self.p ** k,
+                               dtype=np.int32)
         return out
 
     # -- scalar element operations ---------------------------------------

@@ -24,7 +24,9 @@ a time.  Then the field's digitwise addition one base-p digit per round,
 and an F_p-linear map evaluated on digit lists, which the library computes
 through its chunked addition table.  Last, the induced code automorphism
 check by comparing every label of every word pair, a chunk of v at a time,
-which the library decides by F_p-linearity and the basis pairs.
+which the library decides by F_p-linearity and the basis pairs, and the
+rank test's elimination on arrays of base-p digits, which the library runs
+on the packed elements.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
@@ -492,3 +494,49 @@ def induced_code_automorphism_check(code, g, enforce_preservation=True):
         if not np.array_equal(code.word_labels(u, vs, gx), code.word_labels(u, dual_img[vs], xs)):
             return False
     return True
+
+
+def rank_reaches(tower, elems, target):
+    """Whether the F_q-span of a set of distinct elements has dimension >= target.
+
+    elems is one set, or a 2-D array of sets padded with 0, and target one
+    number or one per set.  A subspace of dimension target - 1 has
+    q^(target-1) - 1 nonzero elements, so that many elements decide it (count
+    certificate).  The other sets are reduced over F_p, as base-p digits of
+    the elements times w^i, i < e (w = gamma^step, so they F_p-span the
+    F_q-span), one column at a time on chunks of doubling size, until e *
+    target pivots turn up.
+
+    Returns (reached, basis): basis[c] is the pivot row of digit c (1 there, 0
+    before it) or zero, and spans the set whenever reached is False.
+    """
+    p, em = tower.p, tower.em
+    sets = np.atleast_2d(np.asarray(elems, dtype=np.int64))
+    target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
+    goal = tower.e * target
+    count = np.count_nonzero(sets, axis=1)
+    reached = (goal <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
+    basis = np.zeros((len(sets), em, em), dtype=np.int64)
+    left = np.flatnonzero(~reached)
+    rest = np.take_along_axis(sets[left], np.argsort(sets[left] == 0, axis=1, kind="stable"),
+                              axis=1)[:, : count[left].max(initial=0)]  # nonzero elements first
+    gens = np.stack([tower.mul_vec(int(tower.exp[i * tower.subfield_step]), rest)
+                     for i in range(tower.e)], axis=2).reshape(len(rest), tower.e * rest.shape[1])
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    start, size = 0, 8 * em
+    while start < gens.shape[1] and not reached.all():
+        active = ~reached[left]
+        sub = left[active]
+        digits = gens[active, start:start + size, None] // p ** np.arange(em) % p
+        vecs = np.concatenate([basis[sub], digits], axis=1)
+        start, size = start + size, 2 * size
+        for c in range(em):
+            # the first vector with digit c, scaled to 1 there (zero where there is none)
+            col = vecs[:, :, c]
+            row = vecs[np.arange(len(sub)), (col != 0).argmax(axis=1)]
+            basis[sub, c] = row = row * inverse[row[:, c]][:, None] % p
+            vecs = (vecs - col[:, :, None] * row[:, None, :]) % p
+        reached[sub] = basis[sub].any(axis=2).sum(axis=1) >= goal[sub]
+    if np.ndim(elems) == 1:
+        return bool(reached[0]), basis[0]
+    return reached, basis

@@ -3,7 +3,12 @@
 Run with `pytest tests/test_acceptance.py -v` for per-criterion verdicts.
 All numeric assertions are exact; the time budgets are the stated caps.
 """
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,9 @@ from pdscodes.pds import (
 )
 from pdscodes.qpoly import QPolynomial, induced_code_automorphism_check
 from pdscodes.secretsharing import coverage_closed_form, participant_coverage
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class budget:
@@ -128,6 +136,20 @@ def test_criterion_4_example_33_quadrics():
             assert (cert.eps, cert.r) == (eps, r)
             assert minimality_latin_sufficient(cert, 3, 4).status == MINIMAL
             assert SubsetCode(subset).minimality_cover().status == MINIMAL
+
+
+def test_criterion_4_elliptic_quadric_cutting_at_scale():
+    # the hyperplane sections of the F_{2^12} elliptic quadric: 4095 rank tests
+    # below the count bound, cold through the CLI
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with budget("4 (blocking, F_2^12 elliptic quadric, cold)", 2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdscodes.cli", "blocking", "--field", '{"p":2,"e":1,"m":12}',
+             "--subset", '{"quadric":{"kind":"elliptic"}}'],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cutting"] is True
 
 
 def test_criterion_5_table2_row3_extended():

@@ -3,6 +3,7 @@ import pytest
 import reference
 from reference import hyperplane_intersections
 
+from pdscodes import blocking
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.codes import MINIMAL, SubsetCode
 from pdscodes.field import FieldSpec, build_tower
@@ -126,3 +127,37 @@ def test_report_json_shape(ex31_complement):
     out = is_cutting_vectorial_blocking(ex31_complement).to_json()
     assert set(out) == {"blocking", "contains_subspace", "cutting", "witness"}
     assert set(out["witness"]) == {"h1_log", "h2_log"}
+
+
+@pytest.mark.parametrize("key", [(2, 1, 10), (3, 1, 6), (2, 2, 5)])
+def test_nested_pair_past_the_first_batch(key):
+    # random elements with a trivial stabiliser, less those on H_j0 and off H_l:
+    # the intersections fill several batches of hyperplanes, and D ∩ H_j0, the
+    # one span that falls short, lies in a later batch
+    tower = build_tower(FieldSpec(*key))
+    rng = np.random.default_rng(sum(key))
+    elems = tower.exp[rng.choice(tower.order, size=tower.qm * 4 // 5, replace=False)]
+    j0, l = tower.subfield_step - 40, 7
+    off = ((tower.trace_labels(int(tower.exp[j0]), elems) == 0)
+           & (tower.trace_labels(int(tower.exp[l]), elems) != 0))
+    subset = FieldSubset(tower, np.sort(elems[~off]).astype(np.int64))
+    assert subset.stabiliser_period == tower.order
+    assert blocking.BLOCK // len(subset) < j0 < tower.subfield_step
+    report = is_cutting_vectorial_blocking(subset).to_json()
+    assert report == reference.cutting_reference(subset)
+    assert report["witness"]["h1_log"] == j0
+
+
+def test_nested_pair_past_the_first_annihilator_block():
+    # 16 random elements of F_{2^10}: most of the 1023 intersections have fewer
+    # than m - 1 = 9 elements and fall short, so their annihilators fill many
+    # blocks, and the first nested pair comes from a later block
+    tower = build_tower(FieldSpec(p=2, e=1, m=10))
+    rng = np.random.default_rng(0)
+    subset = FieldSubset(tower, np.sort(tower.exp[rng.choice(tower.order, size=16, replace=False)]))
+    report = is_cutting_vectorial_blocking(subset).to_json()
+    assert report == reference.cutting_reference(subset)
+    inner = report["witness"]["h1_log"]
+    short_before = sum(len(reference.hyperplane_members(subset, j)) < tower.m - 1
+                       for j in range(inner))
+    assert short_before >= blocking.BLOCK // (tower.em * tower.subfield_step)

@@ -14,6 +14,7 @@ from pdscodes.codes import (
     MethodVerdict,
     MinimalityReport,
     SubsetCode,
+    _column_sums,
     ab_condition,
     characteristic_trace_form,
     dyz_size,
@@ -577,3 +578,12 @@ def test_weight_count_reads_the_label_table_in_place():
         tracemalloc.stop()
     assert dist.total == tower.q * tower.qm
     assert peak <= (1176 - 200) * 1024
+
+
+def test_column_sums_exact_past_float32_precision():
+    # 2^24 + 3 ones: one float32 sum would round it to 2^24 + 4; the blocking
+    # sizes sum as many rows on sets of more than 2^24 members
+    n = 2 ** 24 + 3
+    bits = np.broadcast_to(np.uint8(1), (n, 1))
+    assert _column_sums(bits).tolist() == [n]
+    assert _column_sums(bits[:0]).tolist() == [0]

@@ -265,14 +265,15 @@ def test_linear_map_table(f35, f44):
 
 
 # (p, em) towers F_p^em for the digitwise-addition oracle.  The chunk is
-# c = 5 digits for p = 3, 3 for p = 5 and 2 for p = 7, 11, 13 (at most
-# 2^16 table entries), 1 for p = 17; each p runs past 2c and includes ems
-# that are not multiples of c.
+# c = 5 digits for p = 3, 3 for p = 5 and 7 (at most 2^17 table entries; a
+# uint16 table for p = 7) and 2 for p = 11, 13, 17 (uint16 for 17); each p
+# runs past 2c and includes ems that are not multiples of c.
 DIGIT_TOWERS = (
     [(3, em) for em in (1, 4, 5, 6, 7, 10, 11)]
     + [(5, em) for em in (1, 2, 3, 4, 5, 7)]
-    + [(p, em) for p in (7, 11, 13) for em in (1, 2, 3, 4, 5)]
-    + [(17, em) for em in (1, 2, 3)]
+    + [(7, em) for em in (1, 2, 3, 4, 5, 7)]
+    + [(p, em) for p in (11, 13) for em in (1, 2, 3, 4, 5)]
+    + [(17, em) for em in (1, 2, 3, 5)]
 )
 SHAPES = [((), ()), ((7,), ()), ((), (5,)), ((6,), (6,)), ((3, 1), (1, 4)), ((2, 1, 3), (4, 1))]
 

@@ -19,10 +19,12 @@ import reference
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pdscodes import codes, qpoly
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.codes import SubsetCode, rank_reaches, slice_members
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import FieldSubset, quadric_subset
+from pdscodes.qpoly import QPolynomial
 
 FIELDS = [(2, 1, 4), (3, 1, 4), (3, 1, 5), (2, 2, 4), (2, 1, 8)]
 
@@ -160,6 +162,129 @@ def test_batched_sets_equal_one_at_a_time(f34, f44):
             alone = rank_reaches(tower, row[row != 0], target)
             assert got == alone[0]
             assert np.array_equal(basis, alone[1])
+
+
+ORACLE_FIELDS = [(2, 1, 8), (3, 1, 4), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)]
+
+
+def assert_kernel_equals_oracle(tower, elems, target):
+    # the packed elimination against the digit-array one, bit for bit
+    got, want = rank_reaches(tower, elems, target), reference.rank_reaches(tower, elems, target)
+    assert type(got[0]) is type(want[0]) and np.array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    return got
+
+
+def _padded_batch(tower, rng, rows, width):
+    """Sets padded with 0 at random places, row 0 all zero: random elements,
+    or elements of a random subspace of dimension below m, of random sizes."""
+    batch = np.zeros((rows, width), dtype=np.int64)
+    for i in range(1, rows):
+        pool = np.arange(1, tower.qm)
+        if rng.integers(2):
+            gens = rng.integers(1, tower.qm, size=int(rng.integers(1, tower.m))).tolist()
+            pool = reference.greedy_span(tower, gens)[1][1:]
+        size = int(rng.integers(0, min(width, len(pool)) + 1))
+        batch[i, rng.choice(width, size=size, replace=False)] = rng.choice(
+            pool, size=size, replace=False)
+    return batch
+
+
+@pytest.mark.parametrize("key", ORACLE_FIELDS)
+def test_packed_elimination_equals_digit_oracle(key):
+    # seeded padded batches, every target from 0 to m + 1, one target per row,
+    # and each row alone
+    tower = _tower(*key)
+    rng = np.random.default_rng(sum(key) * 7)
+    outcomes = set()
+    for width in (1, tower.m, 3 * tower.m, 60):
+        batch = _padded_batch(tower, rng, 16, width)
+        for target in range(tower.m + 2):
+            outcomes.update(assert_kernel_equals_oracle(tower, batch, target)[0][1:].tolist())
+        assert_kernel_equals_oracle(tower, batch, rng.integers(0, tower.m + 2, size=len(batch)))
+        for row in batch[:4]:
+            assert_kernel_equals_oracle(tower, row[row != 0], int(rng.integers(0, tower.m + 2)))
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("key", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
+def test_packed_elimination_in_doubled_chunks(key):
+    # more than 8 m elements of a hyperplane come first, so the first chunk of
+    # 8 m elements (8 em vectors) leaves the span short; one element off the
+    # hyperplane, at a later place in each row, reaches rank m in the next
+    # chunk, below the count bound q^(m-1)
+    tower = _tower(*key)
+    rng = np.random.default_rng(sum(key))
+    inside = tower.hyperplane(int(tower.exp[5]))[1:]
+    outside = np.setdiff1d(np.arange(1, tower.qm), inside)
+    n = tower.q ** (tower.m - 1) - 2
+    assert n > 8 * tower.m
+    rows = np.zeros((6, n + 9), dtype=np.int64)
+    for i, row in enumerate(rows):
+        elems = rng.permutation(inside)[:n].tolist()
+        elems.insert(8 * tower.m + 5 * i, int(rng.choice(outside)))
+        row[np.sort(rng.choice(len(row), size=n + 1, replace=False))] = elems
+        assert not reference.rank_reaches(tower, row[row != 0][:8 * tower.m], tower.m)[0]
+    reached, _ = assert_kernel_equals_oracle(tower, rows, tower.m)
+    assert reached.all()
+    for target in (tower.m - 1, tower.m + 1, [tower.m, tower.m + 1] * 3):
+        assert_kernel_equals_oracle(tower, rows, target)
+    for row in rows[:2]:
+        assert assert_kernel_equals_oracle(tower, row[row != 0], tower.m)[0]
+
+
+def test_packed_elimination_stops_after_the_reaching_chunk():
+    # a row stops at the end of the chunk in which it reaches its target, with
+    # the pivots found so far; target m - 1, below the count bound q^(m-2)
+    rng = np.random.default_rng(3)
+    # F_{4^5}: the first chunk, 8 m = 40 elements, spans a hyperplane; the
+    # element off it, at place 50, falls in the next chunk and is not read
+    tower = _tower(2, 2, 5)
+    inside = tower.hyperplane(int(tower.exp[9]))[1:]
+    elems = rng.permutation(inside)[:60].tolist()
+    elems.insert(50, int(np.setdiff1d(np.arange(1, tower.qm), inside)[0]))
+    reached, basis = assert_kernel_equals_oracle(tower, np.array([elems]), tower.m - 1)
+    assert reached[0] and np.count_nonzero(basis[0].any(axis=1)) == tower.em - tower.e
+    # F_{2^10}: 80 elements span a subspace of dimension m - 2; the element off
+    # it at place 100 reaches m - 1 in the second chunk, 160 elements long, so
+    # the element off that span at place 200 is read too
+    tower = _tower(2, 1, 10)
+    h1, h2 = (set(tower.hyperplane(int(tower.exp[j]))[1:].tolist()) for j in (3, 4))
+    both = np.array(sorted(h1 & h2))
+    elems = rng.permutation(both)[:218].tolist()
+    elems.insert(100, min(h1 - h2))
+    elems.insert(200, min(set(range(1, tower.qm)) - h1))
+    reached, basis = assert_kernel_equals_oracle(tower, np.array([elems]), tower.m - 1)
+    assert reached[0] and np.count_nonzero(basis[0].any(axis=1)) == tower.em
+
+
+def test_single_set_callers_equal_digit_oracle(monkeypatch):
+    # the calls that QPolynomial.is_bijective and quadric_subset make, as made
+    calls = []
+
+    def checked(tower, elems, target):
+        calls.append(np.ndim(elems))
+        return assert_kernel_equals_oracle(tower, elems, target)
+
+    monkeypatch.setattr(qpoly, "rank_reaches", checked)
+    monkeypatch.setattr(codes, "rank_reaches", checked)  # quadric_subset imports it per call
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for key in ORACLE_FIELDS:
+        tower = _tower(*key)
+        maps = [QPolynomial.frobenius(tower, i) for i in range(tower.m)]
+        maps.append(QPolynomial(tower, [1] * tower.m))  # the trace: not bijective
+        maps += [QPolynomial(tower, rng.integers(0, tower.qm, size=tower.m).tolist())
+                 for _ in range(4)]
+        verdicts.update(f.is_bijective() for f in maps)
+        if tower.m % 2 == 0 and tower.m >= 4:
+            for kind in ("hyperbolic", "elliptic"):
+                quadric_subset(tower, kind=kind)
+            with pytest.raises(ValueError, match="degenerate"):
+                quadric_subset(tower, gram=[[1] + [0] * (tower.m - 1)]
+                               + [[0] * tower.m] * (tower.m - 1))
+    assert verdicts == {False, True}
+    assert calls and set(calls) == {1}
 
 
 def test_polar_form_rank(f34):
