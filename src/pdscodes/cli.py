@@ -35,6 +35,7 @@ from .codes import (
 from .blocking import is_cutting_vectorial_blocking
 from .field import FieldConstructionError, FieldSpec, build_tower
 from .pds import (
+    CyclotomicOrigin,
     FieldSubset,
     GuardExceeded,
     PdsVerificationError,
@@ -128,7 +129,7 @@ def _latin_verdict(code, cert, cert_error) -> MethodVerdict:
 
 def _cyclotomic_verdict(code, cert, cert_error) -> MethodVerdict:
     origin = code.subset.origin
-    if origin is None:
+    if not isinstance(origin, CyclotomicOrigin):
         return MethodVerdict(INCONCLUSIVE, note="subset has no cyclotomic description")
     try:
         prediction = predicted_cyclotomic_eigenvalues(code.tower, origin.N, origin.J)

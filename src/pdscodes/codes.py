@@ -36,16 +36,22 @@ the orbits of <gamma^d>.  The weights are kept as (q, d) class columns, one
 per orbit, counted in blocks over windows of the label table; the supports
 of all words are filled a block of words at a time, each block one compare
 against windows of the label table and one packbits.  The scans (cover,
-Heng, the rank flags behind SNC and the secret-sharing count) also use the
-least Frobenius power x -> x^(p^s) with D^(p^s) = D: the word
-(u^(p^s), v^(p^s)) is (u, v) with its coordinates permuted and raised to
-the p^s-th power, so the oracle conditions are constant on the orbits of
-the group all three generate, and the scans visit the lowest projective
-word of each.  Cover and Heng test those members a block at a time, each
-block one (members x words) array pass, and take the lowest violating
-member and its lowest violating word.  A violation holds on a whole orbit,
-so that member is the lowest violating projective word, and the witnesses
-are those of a scan over one projective word after another.
+Heng, the rank flags behind SNC and the secret-sharing count) also use a
+list of verified automorphisms (`SubsetCode._automorphisms`): the least
+Frobenius power x -> x^(p^s) with D^(p^s) = D, which sends (u, v) to
+(u^(p^s), v^(p^s)), the word with its coordinates permuted and raised to
+the p^s-th power, and for a quadric subset reflections g of its orthogonal
+group (orthogonal transvections for p = 2), each sending (u, v) to
+(u, g*(v)), the word with its coordinates permuted, g* the trace dual.  So
+the oracle conditions are constant on the orbits of the group all of them
+generate, and the scans visit the lowest projective word of each: 7
+orbits for a quadric over odd q and 5 over even q, against 6561 projective
+classes of the F_{3^8} quadrics under F_q^* alone.  Cover and Heng test
+those members a block at a time, each block one (members x words) array
+pass, and take the lowest violating member and its lowest violating word.
+A violation holds on a whole orbit, so that member is the lowest violating
+projective word, and the witnesses are those of a scan over one projective
+word after another.
 """
 from __future__ import annotations
 
@@ -64,6 +70,7 @@ from .pds import (
     FieldSubset,
     GuardExceeded,
     PdsCertificate,
+    QuadricOrigin,
     is_fq_invariant,
     rho_invariant,
 )
@@ -205,34 +212,38 @@ def weight_class(cert: PdsCertificate, q: int, m: int) -> str:
 # -- F_q-rank ------------------------------------------------------------------
 
 
-def rank_reaches(tower: FieldTower, elems, target):
+def rank_reaches(tower: FieldTower, elems, target, count=None):
     """Whether the F_q-span of a set of distinct elements has dimension >= target.
 
-    elems is one set, or a 2-D array of sets padded with 0, and target one
-    number or one per set.  A subspace of dimension target - 1 has
-    q^(target-1) - 1 nonzero elements, so that many elements decide it (count
-    certificate).  The other sets are reduced over F_p on the packed elements
-    times w^i, i < e (w = gamma^step, so they F_p-span the F_q-span): an
-    element's base-p digits are its F_p-coordinates.  The reduction runs on
-    chunks of doubling size, until e * target pivots turn up, one digit
-    column c at a time: the first vector with digit c is the pivot, its p
-    multiples come from digitwise adds, and every vector adds the multiple
-    that clears its digit c (one gather and one digitwise add).  The
-    elimination on arrays of digits is the oracle in tests/reference.py.
+    elems is one set, or a 2-D array of sets padded with 0, of any integer
+    dtype, and target one number or one per set; count, when the caller
+    knows it, is the number of nonzero elements of each set.  A subspace of
+    dimension target - 1 has q^(target-1) - 1 nonzero elements, so that many
+    elements decide it (count certificate).  The other sets are reduced over
+    F_p on the packed elements times w^i, i < e (w = gamma^step, so they
+    F_p-span the F_q-span): an element's base-p digits are its
+    F_p-coordinates.  The reduction runs on chunks of doubling size, until
+    e * target pivots turn up, one digit column c at a time: the first
+    vector with digit c is the pivot, its p multiples come from digitwise
+    adds, and every vector adds the multiple that clears its digit c (one
+    gather and one digitwise add).  The elimination on arrays of digits is
+    the oracle in tests/reference.py.
 
     Returns (reached, basis): basis[c] is the digit row of the pivot of digit
     c (1 there, 0 before it) or zero, and spans the set whenever reached is
     False.
     """
-    sets = np.atleast_2d(np.asarray(elems, dtype=np.int64))
+    sets = np.atleast_2d(np.asarray(elems))
     target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
     goal = tower.e * target
-    count = np.count_nonzero(sets, axis=1)
+    if count is None:
+        count = np.count_nonzero(sets, axis=1)
     reached = (goal <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
     basis = np.zeros((len(sets), tower.em, tower.em), dtype=np.int64)
     left = np.flatnonzero(~reached)
     if len(left):
-        reached[left], pivots = _packed_pivots(tower, sets[left], count[left], goal[left])
+        rows = sets if len(left) == len(sets) else sets[left]
+        reached[left], pivots = _packed_pivots(tower, rows, count[left], goal[left])
         basis[left] = pivots[:, :, None] // tower.p ** np.arange(tower.em) % tower.p
     if np.ndim(elems) == 1:
         return bool(reached[0]), basis[0]
@@ -395,7 +406,7 @@ class SubsetCode:
         self._dimension = None
         self._rank_orbit_flags = None
         self._orbit_reps = None
-        self._fine_reps = None
+        self._classes = None
         self._fine_orbit = None
 
     @property
@@ -595,58 +606,117 @@ class SubsetCode:
         words = add_q[mul_q[:, ur][..., None], ku] * qm + tower.add_sets(lv[..., None], kv)
         return words.transpose(1, 0, 2).reshape(len(reps), -1)
 
-    def class_orbit(self, words: np.ndarray) -> np.ndarray:
-        """For each nonzero word, the lowest projective representative in its
-        orbit under F_q^* scaling and the stabiliser <gamma^d>.
+    def _class_ids(self, words: np.ndarray) -> np.ndarray:
+        """For each nonzero word, its orbit under F_q^* scaling and the
+        stabiliser <gamma^d> as a number below g + 1 + d, g = gcd(d, step).
 
-        The class of (u, v), u != 0, is that of (1, v/u), and its orbit is
-        fixed by log(v/u) mod d (v = 0 alone makes the orbit of (1, 0)).  The
-        class of (0, v) is that of (0, gamma^(log v mod step)), and its orbit
-        is fixed by log v mod g, g = gcd(d, step).
+        The class of (0, v) is that of (0, gamma^(log v mod step)), and its
+        orbit is fixed by log v mod g (numbered so).  The class of (u, v),
+        u != 0, is that of (1, v/u), and its orbit is fixed by log(v/u) mod d
+        (numbered g + 1 + that); v = 0 alone makes the orbit of (1, 0), g.
         """
         tower = self.tower
-        qm, order, step = tower.qm, tower.order, tower.subfield_step
-        d = self.stabiliser_period
+        d, step = self.stabiliser_period, tower.subfield_step
         g = gcd(d, step)
-        exp = tower.exp.astype(np.int64)
-        lowest_one = exp.reshape(order // d, d).min(axis=0)
-        lowest_zero = exp[:step].reshape(step // g, g).min(axis=0)
-        u, v = np.divmod(np.asarray(words, dtype=np.int64), qm)
+        u, v = np.divmod(np.asarray(words, dtype=np.int64), tower.qm)
         log_v = tower.log[v].astype(np.int64)
         # label u >= 1 is gamma^((u - 1) step), so log(v/u) = log v - (u - 1) step
-        one = qm + np.where(v == 0, 0, lowest_one[(log_v - (u - 1) * step) % d])
-        return np.where(u == 0, lowest_zero[log_v % g], one)
+        scaled = np.where(v == 0, g, g + 1 + (log_v - (u - 1) * step) % d)
+        return np.where(u == 0, log_v % g, scaled)
+
+    def class_representatives(self) -> np.ndarray:
+        """The lowest projective word of each orbit of the nonzero words under
+        F_q^* scaling and <gamma^d>, ascending (cached with the rank of each
+        orbit's number among them, which class_index reads)."""
+        if self._classes is None:
+            reps = self.projective_representatives()  # ascending, so first is lowest
+            _, first = np.unique(self._class_ids(reps), return_index=True)
+            ascending = np.argsort(first)
+            rank = np.empty(len(first), dtype=np.intp)
+            rank[ascending] = np.arange(len(first))
+            self._classes = reps[first[ascending]], rank
+        return self._classes[0]
+
+    def class_index(self, words: np.ndarray) -> np.ndarray:
+        """For each nonzero word, the index in class_representatives() of the
+        lowest projective word in its orbit under F_q^* scaling and <gamma^d>."""
+        self.class_representatives()
+        return self._classes[1][self._class_ids(words)]
 
     def _check_guard(self) -> None:
         if self.word_count > self.guard:
             raise GuardExceeded(f"word count {self.word_count} over guard {self.guard}")
 
+    def _automorphisms(self, v: np.ndarray) -> Iterator[np.ndarray]:
+        """The images of the elements v under the maps v -> g(v) by which
+        automorphisms of the code act on its words (u, v), u in {0, 1}, beyond
+        F_q^* scaling and <gamma^d>: stacks of image rows, one per map.
+
+        The least Frobenius power x -> x^(p^s) with D^(p^s) = D sends (u, v)
+        to (u^(p^s), v^(p^s)): the word with every coordinate raised to the
+        p^s-th power and read at x^(p^s).  For a quadric subset, each
+        reflection g of `qpoly.quadric_reflections` sends (u, v) to
+        (u, g*(v)), the word read at g(x), g* the trace dual; each is checked
+        by `tables_induce_code_automorphism` before it is used.  At most 2m
+        are drawn; on every quadric tried, 4 to 13 of them reach the orbits
+        of the whole orthogonal group (`_orbit_representatives`).
+        """
+        tower, s = self.tower, self.frobenius_power
+        if s < tower.em:
+            logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
+            yield np.where(v == 0, 0, tower.exp[logs % tower.order])[None]
+        if isinstance(self.subset.origin, QuadricOrigin):
+            from .qpoly import quadric_reflections, tables_induce_code_automorphism
+
+            for g, dual in quadric_reflections(self.subset, 2 * tower.m):
+                if not tables_induce_code_automorphism(self.subset, g, dual, False).all():
+                    raise AssertionError("a reflection of the quadric is no code automorphism; bug")
+                yield dual[:, v]
+
     def _orbit_representatives(self) -> np.ndarray:
         """The lowest projective representative of each orbit under F_q^*
-        scaling, <gamma^d> and x -> x^(p^s), s = frobenius_power, ascending
-        (cached).
+        scaling, <gamma^d> and the _automorphisms, ascending (cached).
 
-        The Frobenius map sends the word (u, v) to (u^(p^s), v^(p^s)), which
-        is the word (u, v) with every coordinate raised to the p^s-th power
-        and read at x^(p^s) (f(x^(p^s)) = f(x) as D^(p^s) = D).  It permutes
-        the orbits of class_orbit, and each cycle of that permutation is one
-        orbit, represented by the lowest class_orbit representative in it.
+        Each automorphism permutes the orbits of class_representatives().
+        Their labels, first their own index, settle after each stack of
+        automorphisms: a label takes the least label that the orbits holding
+        it reach along a map of the stack, and each orbit then takes the
+        label of its label, until none changes.  So the orbits joined by the
+        stack and by those before it hold one label, the least index among
+        them, and earlier maps need not be kept.  The orbits with one label
+        make one orbit, represented by the lowest class representative in
+        it.  Any set of verified automorphisms gives orbits on which every
+        oracle condition is constant; more of them only merge orbits.
+
+        For a quadric subset no more are drawn once the orbits of the whole
+        orthogonal group are reached.  By Witt's theorem those are (1, 0)
+        and, for u = 0 and for u = 1, the words with v isotropic and those
+        with v anisotropic (Q read at the vector that v names through the
+        trace form), the latter split by the square class of Q for odd q, as
+        F_q^* scales Q by squares: 5 orbits for even q, 7 for odd q.
         """
         if self._orbit_reps is None:
             self._check_guard()
-            tower, s = self.tower, self.frobenius_power
-            fine = np.unique(self.class_orbit(self.projective_representatives()))
-            # the Frobenius image of each fine representative; u in {0, 1} is fixed
-            u, v = np.divmod(fine, tower.qm)
-            logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
-            image = np.where(v == 0, 0, tower.exp[logs % tower.order])
-            succ = np.searchsorted(fine, self.class_orbit(self.word_index(u, image)))
-            lowest = at = np.arange(len(fine))
-            for _ in range(tower.em // s - 1):  # the cycle lengths divide em / s
-                at = succ[at]
-                lowest = np.minimum(lowest, at)
+            fine = self.class_representatives()
+            u, v = np.divmod(fine, self.tower.qm)  # u in {0, 1}
+            least = 1
+            if isinstance(self.subset.origin, QuadricOrigin):
+                least = 7 if self.tower.p > 2 else 5
+            lowest = np.arange(len(fine))
+            for images in self._automorphisms(v):
+                # row r: the class index of the image of each class under map r
+                succs = self.class_index(self.word_index(u, images))
+                last = None
+                while not np.array_equal(lowest, last):
+                    last, lowest = lowest, lowest.copy()
+                    # each label takes the least label that the classes holding
+                    # it reach along a map, and every class its label's label
+                    np.minimum.at(lowest, last, last[succs].min(axis=0))
+                    while not np.array_equal(lowest, lowest[lowest]):
+                        lowest = lowest[lowest]
+                if np.count_nonzero(lowest == np.arange(len(fine))) <= least:
+                    break
             first, self._fine_orbit = np.unique(lowest, return_inverse=True)
-            self._fine_reps = fine
             self._orbit_reps = fine[first]
             self._orbit_reps.flags.writeable = False
         return self._orbit_reps
@@ -678,10 +748,9 @@ class SubsetCode:
 
     def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
         """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)
-        over _orbit_representatives(): word -> class_orbit -> its Frobenius cycle."""
+        over _orbit_representatives(): word -> class_index -> its merged orbit."""
         _, flags = orbit_flags
-        fine = np.searchsorted(self._fine_reps, self.class_orbit(words))
-        return flags[self._fine_orbit[fine]]
+        return flags[self._fine_orbit[self.class_index(words)]]
 
     def _scan_verdict(self, make_test, note: str) -> MethodVerdict:
         """NotMinimal at the scan's first violation, witnessed as (covered, coverer):
@@ -783,7 +852,7 @@ class SubsetCode:
         D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
         """
         tower = self.tower
-        xs = tower.exp.astype(np.int64)
+        xs = tower.exp
         on = self.subset.indicator[xs]
         per = max(1, ZERO_BLOCK // tower.order)
         reached = np.empty(len(vs), dtype=bool)
@@ -792,13 +861,16 @@ class SubsetCode:
             zero = self.word_labels(u[:, None], v[:, None], xs) == 0
             ones = zero & on
             # D̄_v, and the differences x - x_0 not already in it: those in D
-            gens = np.where(zero & ~on, xs, 0)
+            keep = zero & ~on
             row, col = np.nonzero(ones)
             diffs = tower.add_sets(xs[col], tower.neg_table[xs[ones.argmax(axis=1)]][row])
-            gens[row, col] = np.where(self.subset.indicator[diffs], diffs, 0)
+            keep[row, col] = in_d = self.subset.indicator[diffs]
+            gens = np.where(keep, xs, 0)
+            gens[row, col] = np.where(in_d, diffs, 0)
+            count = keep.view(np.uint8).sum(axis=1, dtype=np.int32)  # faster than count_nonzero
             inner = target - ones.any(axis=1)
             ok = inner <= tower.m - 1  # the span lies in H_v
-            ok[ok] = rank_reaches(tower, gens[ok], inner[ok])[0]
+            ok[ok] = rank_reaches(tower, gens[ok], inner[ok], count[ok])[0]
             reached[start:start + per] = ok
         return reached
 

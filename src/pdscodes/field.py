@@ -392,23 +392,25 @@ class FieldTower:
         images = reduce(self._add_vec, terms, np.zeros(self.em, dtype=np.int32))
         return self.linear_map_table(images.tolist())
 
-    def linear_map_table(self, images: Sequence[int]) -> np.ndarray:
+    def linear_map_table(self, images) -> np.ndarray:
         """The F_p-linear map sending X^i (the packed element p^i) to images[i],
-        tabulated on every element (int32, indexed by element).
+        tabulated on every element (int32, indexed by element); images of
+        shape (..., em) give one table per row, of shape (..., q^m).
 
         The low h = em // 2 and the high em - h digits are tabulated apart, as
         digit rows of the arguments times digit rows of the images, mod p; one
         digitwise add joins them: table[hi * p^h + lo] = high[hi] + low[lo].
         """
-        if len(images) != self.em:
+        images = np.asarray(images, dtype=np.int64)
+        if images.shape[-1:] != (self.em,):
             raise ValueError(f"need one image per basis element X^i (em = {self.em})")
         p, h = self.p, self.em // 2
         place = p ** np.arange(self.em, dtype=np.int64)
-        rows = np.asarray(images, dtype=np.int64)[:, None] // place % p
+        rows = images[..., None] // place % p
         args = np.arange(p ** (self.em - h), dtype=np.int64)[:, None] // place[: self.em - h] % p
-        high = (args @ rows[h:] % p @ place).astype(np.int32)
-        low = (args[: p ** h, :h] @ rows[:h] % p @ place).astype(np.int32)
-        return self._add_vec(high[:, None], low).ravel()
+        high = (args @ rows[..., h:, :] % p @ place).astype(np.int32)
+        low = (args[: p ** h, :h] @ rows[..., :h, :] % p @ place).astype(np.int32)
+        return self._add_vec(high[..., :, None], low[..., None, :]).reshape(*images.shape[:-1], -1)
 
     # -- digitwise addition (mod-p addition on packed base-p ints) ----------
 

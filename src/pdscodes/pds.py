@@ -1,11 +1,11 @@
 """Candidate subsets of F_{q^m}^* and partial-difference-set verification.
 
-A subset is carried as an indicator bitset plus a construction descriptor
-(union of cyclotomic classes, explicit element list, or the zero set of a
-quadratic form).  Verification runs on two independent routes: the
-spectral one reads the distinct character-sum values off the full
-spectrum, the combinatorial one counts differences directly; on small
-fields both must agree.
+A subset is carried as an indicator bitset plus its origin: the (N, J) of
+a union of cyclotomic classes, the Gram matrix of a quadratic form whose
+nonzero zeros it is, or none (an explicit element list).  Verification
+runs on two independent routes: the spectral one reads the distinct
+character-sum values off the full spectrum, the combinatorial one counts
+differences directly; on small fields both must agree.
 """
 from __future__ import annotations
 
@@ -46,12 +46,19 @@ class CyclotomicOrigin:
     J: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class QuadricOrigin:
+    """The nonzero zeros of the nondegenerate quadratic form with this
+    upper-triangular coefficient matrix of dense F_q labels (`quadric_subset`)."""
+    gram: tuple[tuple[int, ...], ...]
+
+
 class FieldSubset:
     """A subset of F_{q^m}^* with cached indicator and sorted members; origin
-    is the (N, J) of a union of cyclotomic classes, or None."""
+    is a CyclotomicOrigin, a QuadricOrigin or None."""
 
     def __init__(self, tower: FieldTower, members: np.ndarray,
-                 origin: CyclotomicOrigin | None = None):
+                 origin: CyclotomicOrigin | QuadricOrigin | None = None):
         members = np.asarray(members, dtype=np.int64)
         if np.any(members >= tower.qm) or np.any(members < 0):
             raise ValueError("member out of field range")
@@ -86,7 +93,7 @@ class FieldSubset:
     def complement(self) -> "FieldSubset":
         comp = np.setdiff1d(self.tower.exp.astype(np.int64), self.members)
         origin = None
-        if self.origin is not None:
+        if isinstance(self.origin, CyclotomicOrigin):
             rest = tuple(sorted(set(range(self.origin.N)) - set(self.origin.J)))
             if rest:
                 origin = CyclotomicOrigin(self.origin.N, rest)
@@ -173,7 +180,7 @@ def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:
 def is_fq_invariant(subset: FieldSubset) -> bool:
     """Closure under F_q^* scaling; cyclotomic origins are cross-checked via rho."""
     direct = is_invariant_under_subfield(subset.tower, subset.indicator)
-    if subset.origin is not None:
+    if isinstance(subset.origin, CyclotomicOrigin):
         via_rho = rho_invariant(subset.tower, subset.origin.N, subset.origin.J)
         if via_rho != direct:
             raise AssertionError(
@@ -460,6 +467,21 @@ def default_gram(tower: FieldTower, kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in gram)
 
 
+def quadric_values(tower: FieldTower, gram, xs) -> np.ndarray:
+    """Dense F_q labels of Q(x) = sum over i <= j of gram[i][j] x_i x_j for an
+    array of elements x, x_i the F_q-coordinates over 1, gamma, ..., gamma^(m-1)."""
+    add, mul, _ = tower.subfield_tables()
+    _, code_of_element = tower.coordinate_tables()
+    codes = code_of_element[np.asarray(xs)]
+    coords = [codes // tower.q ** i % tower.q for i in range(tower.m)]
+    values = np.zeros(codes.shape, dtype=np.int64)
+    for i, row in enumerate(gram):
+        for j in range(i, tower.m):
+            if row[j]:
+                values = add[values, mul[mul[row[j], coords[i]], coords[j]]]
+    return values
+
+
 def quadric_subset(
     tower: FieldTower, kind: str | None = None, gram=None
 ) -> tuple[FieldSubset, PdsCertificate]:
@@ -487,27 +509,14 @@ def quadric_subset(
         raise ValueError(f"gram entries must be F_q labels 0..{q - 1}")
     from .codes import rank_reaches  # codes imports this module
 
-    add, mul, _ = tower.subfield_tables()
+    add, _, _ = tower.subfield_tables()
     element_of_code, _ = tower.coordinate_tables()
     # the polarization B(x,y) = Q(x+y) - Q(x) - Q(y) has the matrix G + G^T,
     # and is nondegenerate when its rows, as elements, have rank m
     polar = np.array([[add[gram[i][j], gram[j][i]] for j in range(m)] for i in range(m)])
     if not rank_reaches(tower, np.unique(element_of_code[polar @ q ** np.arange(m)]), m)[0]:
         raise ValueError("quadratic form is degenerate (polar form has a radical)")
-    codes = np.arange(tower.qm, dtype=np.int64)
-    coords = np.empty((tower.qm, m), dtype=np.int64)
-    for i in range(m):
-        coords[:, i] = (codes // q ** i) % q
-    values = np.zeros(tower.qm, dtype=np.int64)
-    for i in range(m):
-        for j in range(i, m):
-            c = gram[i][j]
-            if c:
-                term = mul[mul[c, coords[:, i]], coords[:, j]]
-                values = add[values, term]
-    zero_codes = np.nonzero(values == 0)[0]
-    members = element_of_code[zero_codes]
-    members = members[members != 0]
+    members = np.flatnonzero(quadric_values(tower, gram, np.arange(tower.qm)) == 0)[1:]
     sqm = isqrt(tower.qm)
 
     half = q ** (m // 2 - 1)
@@ -522,7 +531,7 @@ def quadric_subset(
                 raise ValueError(
                     f"form has {len(members)} zeros, inconsistent with a {kind} quadric"
                 )
-            return FieldSubset(tower, members), cert
+            return FieldSubset(tower, members, QuadricOrigin(gram)), cert
     raise PdsVerificationError(
         f"zero count {len(members)} matches neither quadric type", witness=len(members)
     )

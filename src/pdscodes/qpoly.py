@@ -10,17 +10,20 @@ in O(em q^m) work, not by comparing the q q^m (q^m - 1) labels of every
 word: the condition splits into a condition on the subset and the
 trace-dual identity, which F_p-linearity reduces to the em x em pairs of
 basis elements.  The exhaustive comparison is kept as the test oracle in
-`tests/reference.py`.
+`tests/reference.py`.  The same decision on element tables verifies the
+reflections of a quadric (`quadric_reflections`), whose trace duals come
+from the basis pairs and trace_coords, before the code scans merge their
+orbits with them.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import rank_reaches
+from .codes import ZERO_BLOCK, rank_reaches
 from .field import FieldTower
-from .pds import FieldSubset
+from .pds import FieldSubset, quadric_values
 
 
 class QPolynomial:
@@ -49,30 +52,29 @@ class QPolynomial:
         """The unique reduced q-polynomial sending gamma^i to images[i] for i < m.
 
         Solves the m x m Moore-style system sum_j a_j * (gamma^i)^(q^j) = y_i
-        by Gaussian elimination over the big field.
+        by Gauss-Jordan elimination over the big field, one array step per
+        pivot column; the scalar elimination is the oracle in tests/reference.py.
         """
-        m, q = tower.m, tower.q
+        m, q, order = tower.m, tower.q, tower.order
         if len(images) != m:
             raise ValueError(f"need one image per basis element (m = {m})")
-        rows = []
-        for i in range(m):
-            beta = int(tower.exp[i])
-            rows.append([tower.pow(beta, q ** j) for j in range(m)] + [int(images[i])])
+        rows = np.empty((m, m + 1), dtype=np.int64)
+        rows[:, :m] = tower.exp[np.arange(m)[:, None] * q ** np.arange(m) % order]
+        rows[:, m] = images
         for col in range(m):
-            piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
-            if piv is None:
+            below = np.flatnonzero(rows[col:, col])
+            if not len(below):
                 raise ValueError("basis images are degenerate; no reduced representation")
-            rows[col], rows[piv] = rows[piv], rows[col]
-            inv = tower.inv(rows[col][col])
-            rows[col] = [tower.mul(inv, v) for v in rows[col]]
-            for r in range(m):
-                if r != col and rows[r][col] != 0:
-                    factor = rows[r][col]
-                    rows[r] = [
-                        tower.sub(rows[r][c], tower.mul(factor, rows[col][c]))
-                        for c in range(m + 1)
-                    ]
-        return cls(tower, [rows[j][m] for j in range(m)])
+            rows[[col, col + below[0]]] = rows[[col + below[0], col]]
+            rows[col] = tower.mul_vec(tower.inv(int(rows[col, col])), rows[col])
+            # every other row less its entry in col times the pivot row, as one
+            # product table of the logs and one digitwise add
+            factor, pivot = rows[:, col].copy(), rows[col]
+            factor[col] = 0
+            logs = tower.log[factor][:, None].astype(np.int64) + tower.log[pivot]
+            product = np.where((factor[:, None] == 0) | (pivot == 0), 0, tower.exp[logs % order])
+            rows = tower.add_sets(rows, tower.neg_table[product])
+        return cls(tower, rows[:, m].tolist())
 
     # -- evaluation --------------------------------------------------------
 
@@ -145,19 +147,66 @@ def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: 
     first; with enforce_preservation, a g that fails (A), that is g(D) != D,
     raises too.
     """
-    subset, tower = code.subset, code.tower
-    g_img, dual_img = g.images(), g.trace_dual().images()
-    gx = g_img[tower.exp]  # coordinate x picks up the value at g(x)
+    return bool(tables_induce_code_automorphism(
+        code.subset, g.images(), g.trace_dual().images(), enforce_preservation))
+
+
+def tables_induce_code_automorphism(subset: FieldSubset, g_img: np.ndarray, dual_img: np.ndarray,
+                                    enforce_preservation: bool) -> np.ndarray:
+    """`induced_code_automorphism_check` on the element tables of g and of its
+    trace dual, with its errors; stacks of tables, of shape (..., q^m), give
+    one verdict per pair of rows."""
+    tower = subset.tower
+    gx = g_img[..., tower.exp]  # coordinate x picks up the value at g(x)
     if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
-    fixes_subset = np.array_equal(subset.indicator[gx], subset.indicator[tower.exp])  # (A)
-    if enforce_preservation and not fixes_subset:
+    fixes_subset = (subset.indicator[gx] == subset.indicator[tower.exp]).all(axis=-1)  # (A)
+    if enforce_preservation and not fixes_subset.all():
         raise ValueError("g does not preserve the subset; induced action undefined")
     basis = tower.p ** np.arange(tower.em, dtype=np.int64)
-    return bool(
-        fixes_subset
-        and np.array_equal(tower.linear_map_table(g_img[basis])[1:], g_img[1:])
-        and np.array_equal(tower.linear_map_table(dual_img[basis]), dual_img)
-        and np.array_equal(tower.trace_labels(basis[:, None], g_img[basis]),
-                           tower.trace_labels(dual_img[basis][:, None], basis))
-    )
+    g_basis, dual_basis = g_img[..., basis], dual_img[..., basis]
+    pairs = (tower.trace_labels(basis[:, None], g_basis[..., None, :])
+             == tower.trace_labels(dual_basis[..., :, None], basis))
+    return (fixes_subset
+            & (tower.linear_map_table(g_basis)[..., 1:] == g_img[..., 1:]).all(axis=-1)
+            & (tower.linear_map_table(dual_basis) == dual_img).all(axis=-1)
+            & pairs.all(axis=(-2, -1)))
+
+
+def quadric_reflections(subset: FieldSubset, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stacks (g, g*) of element tables, one row per reflection, in blocks of
+    about ZERO_BLOCK entries: g the reflection x -> x - (B(x, a)/Q(a)) a of the
+    subset's quadric Q (a `QuadricOrigin`) and g* its trace dual, for the
+    first count a = gamma^j, j ascending, outside the subset (Q(a) != 0).
+
+    B(x, y) = Q(x + y) - Q(x) - Q(y) is the polar form; for p = 2 these maps
+    are orthogonal transvections.  Each g is F_q-linear and fixes Q, so it
+    fixes the subset; it is tabulated from its images of the packed basis
+    X^i.  trace_coords[w] packs the digits Tr(w X^i), so the trace-dual
+    basis is the w_i with trace_coords[w_i] = X^i, and g*(X^k) is the sum of
+    Tr(X^k g(X^i)) w_i, digit k of trace_coords[g(X^i)] being that trace:
+    the em x em basis pairs.
+    """
+    tower = subset.tower
+    p, em, gram = tower.p, tower.em, subset.origin.gram
+    add_q, mul_q, neg_q = tower.subfield_tables()
+    basis = p ** np.arange(em, dtype=np.int64)
+    hits = np.flatnonzero(np.isin(tower.trace_coords, basis))
+    dual_basis = hits[np.argsort(tower.trace_coords[hits])][:, None] // basis % p
+    a = tower.exp[np.flatnonzero(~subset.indicator[tower.exp])[:count]].astype(np.int64)
+    # Q at a + X^i, at X^i and at a, one row per a
+    values = quadric_values(tower, gram, np.concatenate(
+        [tower.add_sets(a[:, None], basis), np.broadcast_to(basis, (len(a), em)), a[:, None]],
+        axis=1))
+    q_a = values[:, -1]
+    polar = add_q[add_q[values[:, :em], neg_q[values[:, em:-1]]], neg_q[q_a][:, None]]
+    inverse = (mul_q == 1).argmax(axis=1)  # of each nonzero label
+    scale = tower.subfield_elements[neg_q[mul_q[polar, inverse[q_a][:, None]]]]  # -B/Q(a)
+    logs = tower.log[scale].astype(np.int64) + tower.log[a][:, None]
+    images = tower.add_sets(basis, np.where(scale == 0, 0, tower.exp[logs % tower.order]))
+    pairs = tower.trace_coords[images][..., None] // basis % p  # [r, i, k] = Tr(X^k g_r(X^i))
+    duals = (pairs.transpose(0, 2, 1) @ dual_basis % p) @ basis
+    per = max(1, ZERO_BLOCK // tower.qm)
+    for start in range(0, len(a), per):
+        yield (tower.linear_map_table(images[start:start + per]),
+               tower.linear_map_table(duals[start:start + per]))

@@ -31,3 +31,9 @@ def f16():
 def f64():
     # F_{2^6} (64 elements)
     return build_tower(FieldSpec(p=2, e=1, m=6))
+
+
+@pytest.fixture(scope="session")
+def f28():
+    # F_{2^8} (256 elements, binary)
+    return build_tower(FieldSpec(p=2, e=1, m=8))

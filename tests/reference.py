@@ -24,9 +24,13 @@ a time.  Then the field's digitwise addition one base-p digit per round,
 and an F_p-linear map evaluated on digit lists, which the library computes
 through its chunked addition table.  Last, the induced code automorphism
 check by comparing every label of every word pair, a chunk of v at a time,
-which the library decides by F_p-linearity and the basis pairs, and the
-rank test's elimination on arrays of base-p digits, which the library runs
-on the packed elements.
+which the library decides by F_p-linearity and the basis pairs, the rank
+test's elimination on arrays of base-p digits, which the library runs on
+the packed elements, and the q-polynomial through given basis images
+solved with one scalar field operation per entry, which the library solves
+one array step per pivot column.  The orbit closure also takes, for a
+quadric, every reflection of its orthogonal group, evaluated on field
+elements, its trace dual found by matching rows of traces.
 
 Trace values are computed here on field elements (mul_vec, then trace_q),
 never through the library's trace-label table, so these references stay
@@ -41,21 +45,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 from pdscodes import charsums
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, ZERO_BLOCK, SubsetCode
 from pdscodes.cyclotomic import CyclotomicInteger
+from pdscodes.pds import QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
 
 
 class Unreduced(SubsetCode):
     """The same code with the trivial period q^m - 1 in place of the least
-    stabiliser period d and the identity x -> x^(p^em) in place of the least
-    Frobenius power: every orbit-reduced scan then visits every class."""
+    stabiliser period d and no further automorphisms (no Frobenius power, no
+    reflections): every orbit-reduced scan then visits every class."""
 
     @property
     def stabiliser_period(self):
         return self.tower.order
 
-    @property
-    def frobenius_power(self):
-        return self.tower.em
+    def _automorphisms(self, v):
+        return iter(())
 
 
 def trace_labels(tower, v, xs):
@@ -369,10 +373,55 @@ def least_frobenius_power(tower, members):
                 if tower.em % s == 0 and {tower.pow(x, tower.p ** s) for x in elems} == elems)
 
 
+def quadric_labels(tower, gram):
+    """Q(x) as a dense F_q label for every element x, Q(x) = sum over i <= j of
+    gram[i][j] x_i x_j, x_i the F_q-coordinates over 1, gamma, ..., gamma^(m-1),
+    one element at a time on Python ints."""
+    add, mul, _ = tower.subfield_tables()
+    _, code_of_element = tower.coordinate_tables()
+    out = []
+    for x in range(tower.qm):
+        c = [int(code_of_element[x]) // tower.q ** i % tower.q for i in range(tower.m)]
+        value = 0
+        for i in range(tower.m):
+            for j in range(i, tower.m):
+                value = int(add[value, mul[mul[gram[i][j], c[i]], c[j]]])
+        out.append(value)
+    return np.array(out)
+
+
+def reflection_duals(code):
+    """For a subset with a QuadricOrigin: the table v -> g*(v) for every
+    reflection g: x -> x - (B(x, a)/Q(a)) a, a anisotropic (all of them, so
+    that they generate the orthogonal group), B(x, a) = Q(x + a) - Q(x) - Q(a).
+    g is evaluated on every element, and g*(v) is the w whose row of traces
+    Tr(w x) over the nonzero x equals the row Tr(v g(x))."""
+    tower = code.tower
+    add, mul, neg = tower.subfield_tables()
+    values = quadric_labels(tower, code.subset.origin.gram)
+    xs = np.arange(tower.qm, dtype=np.int64)
+    nonzero = xs[1:]
+
+    def rows(images):
+        return [tower.trace_q[tower.mul_vec(v, images)].tobytes() for v in range(tower.qm)]
+
+    position = {row: w for w, row in enumerate(rows(nonzero))}
+    duals = []
+    for a in np.flatnonzero(values).tolist():  # Q(a) != 0
+        polar = add[add[values[tower.add_sets(xs, a)], neg[values]], neg[values[a]]]
+        inverse = next(c for c in range(1, tower.q) if mul[values[a], c] == 1)
+        scale = neg[mul[polar, inverse]]  # -B(x, a)/Q(a)
+        moves = np.array([tower.mul(int(tower.subfield_elements[c]), a) for c in range(tower.q)])
+        g = tower.add_sets(xs, moves[scale])
+        duals.append(np.array([position[row] for row in rows(g[nonzero])]))
+    return duals
+
+
 def orbit_representatives(code):
     """The lowest projective word of each orbit of the nonzero words under
-    (u, v) -> (u, gamma^d v), (lam u, lam v) for lam in F_q^* and
-    (u^(p^s), v^(p^s)), d and s found by least_period and
+    (u, v) -> (u, gamma^d v), (lam u, lam v) for lam in F_q^*,
+    (u^(p^s), v^(p^s)) and, for a quadric subset, (u, g*(v)) for every
+    reflection of reflection_duals, d and s found by least_period and
     least_frobenius_power; each orbit is closed by a search over words held
     as field elements."""
     tower = code.tower
@@ -380,6 +429,8 @@ def orbit_representatives(code):
     shift = int(tower.exp[least_period(tower, members) % tower.order])
     power = tower.p ** least_frobenius_power(tower, members)
     lam = int(tower.exp[tower.subfield_step % tower.order])  # generates F_q^*
+    duals = [dual.tolist() for dual in reflection_duals(code)] if isinstance(
+        code.subset.origin, QuadricOrigin) else []
     projective = set(projective_representatives(code).tolist())
 
     def index(word):
@@ -393,8 +444,9 @@ def orbit_representatives(code):
             orbit, todo = {(u, v)}, [(u, v)]
             while todo:
                 a, b = todo.pop()
-                for word in ((a, tower.mul(shift, b)), (tower.mul(lam, a), tower.mul(lam, b)),
-                             (tower.pow(a, power), tower.pow(b, power))):
+                images = [(a, tower.mul(shift, b)), (tower.mul(lam, a), tower.mul(lam, b)),
+                          (tower.pow(a, power), tower.pow(b, power))]
+                for word in images + [(a, dual[b]) for dual in duals]:
                     if word not in orbit:
                         orbit.add(word)
                         todo.append(word)
@@ -540,3 +592,23 @@ def rank_reaches(tower, elems, target):
     if np.ndim(elems) == 1:
         return bool(reached[0]), basis[0]
     return reached, basis
+
+
+def from_basis_images(tower, images):
+    """The coefficients of the reduced q-polynomial sending gamma^i to images[i],
+    i < m: the Moore-style system sum_j a_j (gamma^i)^(q^j) = images[i] solved by
+    Gauss-Jordan elimination with one scalar tower.mul / tower.sub per entry."""
+    m, q = tower.m, tower.q
+    rows = [[tower.pow(int(tower.exp[i]), q ** j) for j in range(m)] + [int(images[i])]
+            for i in range(m)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = tower.inv(rows[col][col])
+        rows[col] = [tower.mul(inv, v) for v in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [tower.sub(rows[r][c], tower.mul(factor, rows[col][c]))
+                           for c in range(m + 1)]
+    return [rows[j][m] for j in range(m)]

@@ -152,6 +152,21 @@ def test_criterion_4_elliptic_quadric_cutting_at_scale():
     assert json.loads(proc.stdout)["cutting"] is True
 
 
+def test_criterion_4_elliptic_quadric_all_methods_at_scale():
+    # F_{3^8}: cover, Heng and SNC scan the 7 orbits of the orthogonal group
+    # (6561 projective classes under F_q^* alone), cold through the CLI
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with budget("4 (code --methods all, F_3^8 elliptic quadric, cold)", 2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdscodes.cli", "code", "--recipe", "example-3.3",
+             "--kind", "elliptic", "--p", "3", "--m", "8", "--methods", "all"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).parent / "data" / "golden" / "code-3-8-elliptic-all.json"
+    assert proc.stdout == golden.read_text()
+
+
 def test_criterion_5_table2_row3_extended():
     with budget("5 (table II row 3, extended scale)", 600):
         tower = build_tower(FieldSpec(p=3, e=1, m=12))

@@ -200,6 +200,25 @@ def test_code_quadric_recipe(capsys):
     assert payload["minimal"]["cover"] == "minimal"
 
 
+@pytest.mark.parametrize("command", [["pds"], ["code", "--methods", "pds,latin,cyclotomic"]])
+def test_quadric_origin_is_not_read_as_cyclotomic(capsys, command):
+    # a quadric subset records its Gram matrix as its origin: the F_q^*-invariance
+    # cross-check and the cyclotomic criterion must not read it as an (N, J)
+    code, out, _ = run_cli(
+        capsys, command[0], "--field", '{"p":3,"e":1,"m":4}',
+        "--subset", '{"quadric":{"gram":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}}',
+        *command[1:],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    if command[0] == "pds":
+        assert (payload["fq_invariant"], payload["type"]) == (True, "latin")
+    else:
+        assert payload["minimal"] == {"pds_sufficient": {"fired": "3a", "verdict": "minimal"},
+                                      "latin_sufficient": "minimal",
+                                      "cyclotomic_sufficient": "inconclusive"}
+
+
 def test_code_guard_partial_exit(capsys):
     code, out, _ = run_cli(
         capsys, "code", "--recipe", "table-2-row-1", "--methods", "cover,pds",

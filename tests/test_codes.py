@@ -278,15 +278,15 @@ def test_one_zero_rank_scan_per_code(hyperplane_subset, monkeypatch):
 
 def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code):
     calls = []
-    class_orbit = SubsetCode.class_orbit
+    class_index = SubsetCode.class_index
 
     def counted(self, words):
         calls.append(len(words))
-        return class_orbit(self, words)
+        return class_index(self, words)
 
     code = SubsetCode(row1_code.subset)
     reps = code._orbit_representatives()
-    monkeypatch.setattr(SubsetCode, "class_orbit", counted)
+    monkeypatch.setattr(SubsetCode, "class_index", counted)
     assert code._orbit_representatives() is reps
     assert calls == []
     assert code.minimality_cover().status == MINIMAL

@@ -260,6 +260,10 @@ def test_linear_map_table(f35, f44):
         assert table.dtype == np.int32
         expected = [reference.linear_map(t.p, t.em, images, x) for x in range(t.qm)]
         assert table.tolist() == expected
+        # a stack of image rows gives one table per row
+        stacked = t.linear_map_table([[images, basis]] * 2)
+        assert stacked.shape == (2, 2, t.qm) and stacked.dtype == np.int32
+        assert (stacked == np.stack([table, np.arange(t.qm)])).all()
     with pytest.raises(ValueError):
         f35.linear_map_table([1])
 

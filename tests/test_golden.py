@@ -27,6 +27,8 @@ GOLDEN = {
     "code-table-2-row-1-all": ["code", "--recipe", "table-2-row-1", "--methods", "all"],
     "code-3-4-N10-all": ["code", "--field", '{"p":3,"e":1,"m":4}',
                          "--subset", '{"cyclotomic":{"N":10,"J":[0]}}', "--methods", "all"],
+    "code-3-8-elliptic-all": ["code", "--recipe", "example-3.3", "--kind", "elliptic",
+                              "--p", "3", "--m", "8", "--methods", "all"],
     "code-3-8-N41-all": ["code", "--field", '{"p":3,"e":1,"m":8}',
                          "--subset", '{"cyclotomic":{"N":41,"J":[0]}}', "--methods", "all"],
     "sss-3-4-N10-x1-0": ["sss", "--field", '{"p":3,"e":1,"m":4}',

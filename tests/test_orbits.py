@@ -5,21 +5,26 @@ of the subset, and the supports are filled a block of words at a time;
 both are compared bit for bit with the class loops in `reference`, and
 through those with the words evaluated one by one.  The cover, Heng and
 SNC scans and the rank flags visit one member per orbit of <gamma^d>,
-F_q^* scaling and the least Frobenius power x -> x^(p^s) that fixes the
-subset, and cover and Heng test blocks of those members at a time.  The
-orbits are compared with their closure word by word in `reference`, and
-each computation with the unreduced one: the per-class violation sets of
-the one-coverer scans in `reference` over all projective representatives
-(against the per-orbit rank flags spread over them), the first violation
-of that full scan (verdict and witness), SNC over every z, and the words
-evaluated one by one.  SNC over every z runs on `reference.Unreduced`, the
-same code with the trivial period q^m - 1 and no Frobenius power.
+F_q^* scaling, the least Frobenius power x -> x^(p^s) that fixes the
+subset and, for a quadric, the reflections of its orthogonal group, and
+cover and Heng test blocks of those members at a time.  The orbits are
+compared with their closure word by word in `reference` (under every
+reflection there, so the library's few must reach the orbits of the whole
+orthogonal group), their counts are pinned, and every reflection the
+library draws is checked as a code automorphism by linearity and label by
+label.  Each computation is compared with the unreduced one: the
+per-class violation sets of the one-coverer scans in `reference` over all
+projective representatives (against the per-orbit rank flags spread over
+them), the first violation of that full scan (verdict and witness), SNC
+over every z, and the words evaluated one by one.  SNC over every z, and
+all three scans on random quadrics, run on `reference.Unreduced`, the same
+code with the trivial period q^m - 1 and no further automorphisms.
 """
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     Unreduced,
@@ -34,8 +39,9 @@ from reference import (
     support_words,
     weight_table,
 )
+from reference import induced_code_automorphism_check as exhaustive_check
 
-from pdscodes import codes
+from pdscodes import codes, qpoly
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
 from pdscodes.field import FieldSpec, build_tower
@@ -46,6 +52,12 @@ from pdscodes.pds import (
     is_fq_invariant,
     quadric_subset,
     verify_pds_spectral,
+)
+from pdscodes.qpoly import (
+    QPolynomial,
+    induced_code_automorphism_check,
+    quadric_reflections,
+    tables_induce_code_automorphism,
 )
 from pdscodes.secretsharing import _value_labels_at, minimal_access_count
 
@@ -76,6 +88,8 @@ CODES = {
     # x -> x^9 fixes each coset of <gamma^8> (9 = 1 mod 8), so it merges no orbits
     "F_3^4 N=8 J=[0,3]": ("f34", _cyclotomic(8, [0, 3]), 8, 2),
     "F_3^4 elliptic quadric": ("f34", lambda t: quadric_subset(t, kind="elliptic")[0], 40, 4),
+    "F_3^4 hyperbolic quadric": ("f34", lambda t: quadric_subset(t, kind="hyperbolic")[0], 40, 4),
+    "F_2^8 elliptic quadric": ("f28", lambda t: quadric_subset(t, kind="elliptic")[0], 255, 8),
     "F_3^4 not invariant": ("f34", lambda t: FieldSubset.from_logs(t, [0, 1, 5, 17, 40]), 80, 4),
     "F_3^5 N=11": ("f35", _cyclotomic(11, [0]), 11, 1),
     "F_3^5 hyperplane": ("f35", _hyperplane, 121, 1),
@@ -84,6 +98,7 @@ CODES = {
     "F_4^4 N=5 J=[1,4]": ("f44", _cyclotomic(5, [1, 4]), 5, 2),
     "F_4^4 N=17": ("f44", _cyclotomic(17, [0]), 17, 1),
     "F_4^4 hyperplane": ("f44", _hyperplane, 85, 1),
+    "F_4^4 elliptic quadric": ("f44", lambda t: quadric_subset(t, kind="elliptic")[0], 85, 8),
 }
 
 
@@ -196,8 +211,72 @@ ORBIT_COUNTS = {
 def test_frobenius_merged_orbit_counts(name):
     field, N, J, fine, merged = ORBIT_COUNTS[name]
     code = SubsetCode(build_cyclotomic_subset(_tower(*field), N, J))
-    assert len(np.unique(code.class_orbit(code.projective_representatives()))) == fine
+    assert len(np.unique(code.class_index(code.projective_representatives()))) == fine
     assert len(code._orbit_representatives()) == merged
+
+
+# (p, e, m), kind -> orbits of F_q^* (every projective word but the v-scalings
+# of u = 1) and with the reflections: those of the orthogonal group and F_q^*,
+# 7 for odd q and 5 for even q
+QUADRIC_ORBIT_COUNTS = {
+    "F_3^4 elliptic": ((3, 1, 4), "elliptic", 81, 7),
+    "F_3^4 hyperbolic": ((3, 1, 4), "hyperbolic", 81, 7),
+    "F_2^8 elliptic": ((2, 1, 8), "elliptic", 511, 5),
+    "F_4^4 elliptic": ((2, 2, 4), "elliptic", 171, 5),
+    "F_3^8 elliptic": ((3, 1, 8), "elliptic", 6561, 7),
+    "F_3^8 hyperbolic": ((3, 1, 8), "hyperbolic", 6561, 7),
+    "F_3^10 elliptic": ((3, 1, 10), "elliptic", 59049, 7),
+}
+
+
+def _reflections(code):
+    """The (g, g*) tables of the reflections the code draws, one row each."""
+    g, dual = zip(*quadric_reflections(code.subset, 2 * code.tower.m))
+    return np.concatenate(g), np.concatenate(dual)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRIC_ORBIT_COUNTS))
+def test_reflection_merged_orbit_counts(name):
+    field, kind, fine, merged = QUADRIC_ORBIT_COUNTS[name]
+    code = SubsetCode(quadric_subset(_tower(*field), kind=kind)[0])
+    assert len(np.unique(code.class_index(code.projective_representatives()))) == fine
+    assert len(code._orbit_representatives()) == merged
+    # every reflection drawn induces a code automorphism (A and B on the tables)
+    g, dual = _reflections(code)
+    assert len(g) == 2 * code.tower.m
+    assert tables_induce_code_automorphism(code.subset, g, dual, True).all()
+
+
+def test_reflection_failing_the_check_is_refused(f34, monkeypatch):
+    # a trace dual with two entries swapped breaks (B): the scans refuse it
+    # instead of merging orbits along it
+    def corrupted(subset, count):
+        for g, dual in quadric_reflections(subset, count):
+            dual = dual.copy()
+            dual[:, [1, 2]] = dual[:, [2, 1]]
+            yield g, dual
+
+    monkeypatch.setattr(qpoly, "quadric_reflections", corrupted)
+    code = SubsetCode(quadric_subset(f34, kind="elliptic")[0])
+    with pytest.raises(AssertionError, match="no code automorphism"):
+        code.minimality_cover()
+
+
+@pytest.mark.parametrize("name", ["F_3^4 elliptic quadric", "F_3^4 hyperbolic quadric",
+                                  "F_2^8 elliptic quadric", "F_4^4 elliptic quadric"])
+def test_reflections_are_code_automorphisms(request, name):
+    # each reflection as a q-polynomial: its tables equal the library's (the
+    # trace dual by the basis pairs equal to QPolynomial.trace_dual), and it
+    # passes the check by linearity and the exhaustive one, label by label
+    fixture, build, _, _ = CODES[name]
+    code = SubsetCode(build(request.getfixturevalue(fixture)))
+    tower = code.tower
+    for g, dual in zip(*_reflections(code)):
+        poly = QPolynomial.from_basis_images(tower, g[tower.exp[: tower.m]])
+        assert np.array_equal(poly.images(), g)
+        assert np.array_equal(poly.trace_dual().images(), dual)
+        assert induced_code_automorphism_check(code, poly)
+        assert exhaustive_check(code, poly)
 
 
 def test_non_invariant_period_does_not_divide_step(f35):
@@ -287,12 +366,13 @@ def test_projective_representatives_equal_list_form(code):
 
 def test_class_orbit_is_lowest_class_of_its_orbit(code):
     reps = code.projective_representatives()
-    orbit = code.class_orbit(reps)
+    orbit = code.class_representatives()[code.class_index(reps)]
     assert set(orbit.tolist()) <= set(reps.tolist())
     for o in np.unique(orbit).tolist():
         assert o == reps[orbit == o].min()
     assert len(np.unique(orbit)) == 1 + code.stabiliser_period + np.gcd(
         code.stabiliser_period, code.tower.subfield_step)
+    assert np.array_equal(code.class_representatives(), np.unique(orbit))
 
 
 def test_n10_witnesses(f34):
@@ -327,6 +407,37 @@ def test_oracle_total_equals_full_flags(request, name):
                 rep = code.word_index(0, int(tower.exp[int(tower.log[v]) % tower.subfield_step]))
             expected += flags[rep]
         assert (total, oracle_total) == (tower.qm, expected)
+
+
+# -- random quadrics ---------------------------------------------------------------
+
+QUADRIC_FIELDS = [(2, 1, 6), (3, 1, 4), (2, 2, 4), (2, 1, 8)]
+
+
+def random_gram(draw, tower):
+    """A random upper-triangular Gram matrix of dense F_q labels."""
+    m = tower.m
+    entries = draw(st.lists(st.integers(0, tower.q - 1), min_size=m * m, max_size=m * m))
+    return [[entries[i * m + j] if j >= i else 0 for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("field", QUADRIC_FIELDS, ids=[f"F_{p ** e}^{m}" for p, e, m in QUADRIC_FIELDS])
+@settings(derandomize=True, database=None, max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_random_quadrics_reduced_equals_unreduced(field, data):
+    tower = _tower(*field)
+    try:
+        subset = quadric_subset(tower, gram=random_gram(data.draw, tower))[0]
+    except ValueError:  # a degenerate form
+        assume(False)
+    code, full = SubsetCode(subset), Unreduced(subset)
+    assert len(code._orbit_representatives()) == (7 if tower.p > 2 else 5)
+    if tower.qm <= 81:  # the closure under every reflection, word by word
+        assert np.array_equal(code._orbit_representatives(), orbit_representatives(code))
+    for method in ("minimality_cover", "minimality_heng", "minimality_snc"):
+        reduced, unreduced = getattr(code, method)(), getattr(full, method)()
+        assert (reduced.status, reduced.witness) == (unreduced.status, unreduced.witness)
 
 
 # -- random F_q^*-invariant unions ------------------------------------------------

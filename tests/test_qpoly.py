@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import codeword, weight_table
+from reference import codeword, from_basis_images, weight_table
 from reference import induced_code_automorphism_check as exhaustive_check
 
 from pdscodes.codes import SubsetCode
@@ -253,6 +253,23 @@ def test_from_basis_images_round_trip(f34):
             f34, [int(img[f34.exp[i]]) for i in range(f34.m)]
         )
         assert rebuilt == f
+
+
+# p in {2, 3, 5}, and e = 2 for each
+SOLVE_FIELDS = [(2, 1, 8), (3, 1, 4), (5, 1, 3), (2, 2, 4), (3, 2, 3), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=[f"F_{p ** e}^{m}" for p, e, m in SOLVE_FIELDS])
+def test_from_basis_images_equals_scalar_oracle(field):
+    # random images, zeros among them, against the scalar elimination
+    tower = build_tower(FieldSpec(*field))
+    rng = np.random.default_rng(sum(field))
+    for trial in range(6):
+        images = rng.integers(0, tower.qm, size=tower.m)
+        images[rng.random(tower.m) < 0.2 * trial / 5] = 0
+        poly = QPolynomial.from_basis_images(tower, images.tolist())
+        assert list(poly.coeffs) == from_basis_images(tower, images.tolist())
+        assert np.array_equal(poly.images()[tower.exp[: tower.m]], images)
 
 
 def test_quadric_symmetry_generators_membership(f34):

@@ -168,10 +168,14 @@ ORACLE_FIELDS = [(2, 1, 8), (3, 1, 4), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3
 
 
 def assert_kernel_equals_oracle(tower, elems, target):
-    # the packed elimination against the digit-array one, bit for bit
+    # the packed elimination against the digit-array one, bit for bit, also on
+    # int32 rows with their nonzero counts given
     got, want = rank_reaches(tower, elems, target), reference.rank_reaches(tower, elems, target)
-    assert type(got[0]) is type(want[0]) and np.array_equal(got[0], want[0])
-    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    rows = np.asarray(elems, dtype=np.int32)
+    counted = rank_reaches(tower, rows, target, np.count_nonzero(np.atleast_2d(rows), axis=1))
+    for out in (got, counted):
+        assert type(out[0]) is type(want[0]) and np.array_equal(out[0], want[0])
+        assert out[1].dtype == want[1].dtype and np.array_equal(out[1], want[1])
     return got
 
 
@@ -285,6 +289,26 @@ def test_single_set_callers_equal_digit_oracle(monkeypatch):
                                + [[0] * tower.m] * (tower.m - 1))
     assert verdicts == {False, True}
     assert calls and set(calls) == {1}
+
+
+def test_zero_ranks_pass_the_nonzero_counts(monkeypatch):
+    # the SNC rows go in as built, with the counts their builder took
+    rows = []
+
+    def checked(tower, elems, target, count=None):
+        if np.ndim(elems) == 2:
+            assert np.array_equal(count, np.count_nonzero(elems, axis=1))
+            rows.append(len(elems))
+        return rank_reaches(tower, elems, target, count)
+
+    monkeypatch.setattr(codes, "rank_reaches", checked)
+    for key in ORACLE_FIELDS:
+        tower = _tower(*key)
+        subset = _frobenius_union(tower, random.Random(sum(key)))
+        code, full = SubsetCode(subset), reference.Unreduced(subset)
+        reps, flags = full.rank_orbit_flags()
+        assert np.array_equal(code.word_flags(code.rank_orbit_flags(), reps), flags)
+    assert sum(rows) > 0
 
 
 def test_polar_form_rank(f34):
