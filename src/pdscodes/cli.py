@@ -66,12 +66,7 @@ def _load_spec_arg(value: str) -> dict:
 
 def _build_inputs(args):
     if args.recipe:
-        data = build_recipe(
-            args.recipe,
-            kind=getattr(args, "kind", None),
-            p=getattr(args, "p", None),
-            m=getattr(args, "m", None),
-        )
+        data = build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
         return data.tower, data.subset
     if not args.field or not args.subset:
         raise ConfigError("either --recipe or both --field and --subset are required")
@@ -279,6 +274,10 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--subset", help="subset spec: JSON file path or inline JSON")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "table"), default="json")
+        p.add_argument("--kind", choices=("hyperbolic", "elliptic"),
+                       help="quadric kind for the quadric recipe")
+        p.add_argument("--p", type=int, help="quadric recipe: base prime")
+        p.add_argument("--m", type=int, help="quadric recipe: extension degree")
 
     p_pds = sub.add_parser("pds", help="verify a subset as a partial difference set")
     common(p_pds)
@@ -290,10 +289,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="comma list of cover,heng,snc,pds,latin,cyclotomic or 'all'")
     p_code.add_argument("--gen-matrix", dest="gen_matrix",
                         help="also write the generator matrix (plain text, one basis row per line)")
-    p_code.add_argument("--kind", choices=("hyperbolic", "elliptic"),
-                        help="quadric kind for the quadric recipe")
-    p_code.add_argument("--p", type=int, help="quadric recipe: base prime")
-    p_code.add_argument("--m", type=int, help="quadric recipe: extension degree")
     p_code.set_defaults(func=cmd_code)
 
     p_blk = sub.add_parser("blocking", help="hyperplane-intersection (cutting) analysis")

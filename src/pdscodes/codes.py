@@ -47,11 +47,14 @@ the oracle conditions are constant on the orbits of the group all of them
 generate, and the scans visit the lowest projective word of each: 7
 orbits for a quadric over odd q and 5 over even q, against 6561 projective
 classes of the F_{3^8} quadrics under F_q^* alone.  Cover and Heng test
-those members a block at a time, each block one (members x words) array
-pass, and take the lowest violating member and its lowest violating word.
-A violation holds on a whole orbit, so that member is the lowest violating
-projective word, and the witnesses are those of a scan over one projective
-word after another.
+those members a block at a time, each block one (members x lines) array
+pass over the projective lines F_q^* w of the words (`FieldTower.line_layout`),
+on which both tests are constant, and take the lowest violating member and
+the least word of its first violating line, the lines being ordered by
+least word.  A violation holds on a whole orbit, so that member is the
+lowest violating projective word, and the witnesses are those of a scan
+over one projective word after another.  The words dependent on each
+member, which neither test may flag, are listed once per code.
 """
 from __future__ import annotations
 
@@ -408,6 +411,7 @@ class SubsetCode:
         self._orbit_reps = None
         self._classes = None
         self._fine_orbit = None
+        self._dependents = None
 
     @property
     def stabiliser_period(self) -> int:
@@ -459,12 +463,17 @@ class SubsetCode:
         ZERO_BLOCK pairs reads, for each x, a run of consecutive j as one
         window of the table (`_label_rows`, which copies none of it), and its
         columns are counted by one bincount, or for q = 2 by `_column_sums`.
+        The guard is that work, d * min(k, n - k) pairs, against
+        DEFAULT_ENUM_BUDGET.
         """
         if self._weight_table is not None:
             return self._weight_table
         tower = self.tower
         q, order, fibre = tower.q, tower.order, tower.qm // tower.q
         d, k = self.stabiliser_period, len(self.subset)
+        cost = d * min(k, order - k)
+        if cost > DEFAULT_ENUM_BUDGET:
+            raise GuardExceeded(f"weight count cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         on_subset = 2 * k <= order
         logs = (tower.log[self.subset.members] if on_subset
                 else np.flatnonzero(~self.subset.indicator[tower.exp]))
@@ -536,13 +545,8 @@ class SubsetCode:
     def weight_distribution_direct(self) -> WeightDistribution:
         """The distribution counted off the class columns: each column stands
         for (q^m - 1)/d words, and v = 0 adds weight 0 once and k q - 1 times.
-        The guard is the count's work, d * min(k, n - k)."""
+        The guard is that of the count (weight_table)."""
         d, k = self.stabiliser_period, len(self.subset)
-        cost = d * min(k, self.n - k)
-        if cost > DEFAULT_ENUM_BUDGET:
-            raise GuardExceeded(
-                f"direct enumeration cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}"
-            )
         weights, counts = np.unique(self.weight_table(), return_counts=True)
         freq = dict(zip(weights.tolist(), (counts * (self.n // d)).tolist()))
         freq[0] = freq.get(0, 0) + 1
@@ -594,17 +598,37 @@ class SubsetCode:
         return np.concatenate([self.word_index(0, heads),
                                self.word_index(1, np.arange(tower.qm, dtype=np.int64))])
 
-    def _dependent_words(self, reps: np.ndarray) -> np.ndarray:
-        """For each word r of reps, the indices of the words whose vectors are
-        scalar multiples of r's: lam r + kappa, lam in F_q, kappa in the kernel."""
+    def _line_words(self) -> np.ndarray:
+        """The least word of each projective line of the nonzero words,
+        ascending: (0, v) for the least v of each line F_q^* v, then (1, y)
+        for every y, whose multiples (u, u y) all lie above it."""
+        qm = self.tower.qm
+        return np.concatenate([self.tower.line_layout[0], np.arange(qm, 2 * qm)]).astype(np.int64)
+
+    def _line_columns(self, words: np.ndarray) -> np.ndarray:
+        """The index in _line_words() of the line of each nonzero word: (0, v)
+        is on the line F_q^* v, and (u, v), u != 0, on the line of (1, v/u)."""
         tower = self.tower
-        add_q, mul_q, _ = tower.subfield_tables()
-        qm = tower.qm
-        ur, vr = np.divmod(reps, qm)
-        ku, kv = np.divmod(self.kernel_words(), qm)
-        lv = np.stack([tower.mul_vec(int(lam), vr) for lam in tower.subfield_elements])
-        words = add_q[mul_q[:, ur][..., None], ku] * qm + tower.add_sets(lv[..., None], kv)
-        return words.transpose(1, 0, 2).reshape(len(reps), -1)
+        least, rank, scale = tower.line_layout
+        u, v = np.divmod(words, tower.qm)
+        # label u >= 1 is gamma^((u - 1) step), so 1/u is row -(u - 1) of scale
+        over_u = scale[-(u - 1) % (tower.q - 1), v]
+        return np.where(u == 0, rank[tower.log[v] % tower.subfield_step], len(least) + over_u)
+
+    def _dependent_columns(self) -> np.ndarray:
+        """Row i: the _line_words() columns of the words whose vectors are scalar
+        multiples of that of the orbit representative r = reps[i] (cached).
+        Those are lam r + kappa, kappa in the kernel: for lam != 0 on the line
+        of r + kappa / lam, else kappa itself; the zero word is read as r."""
+        if self._dependents is None:
+            add_q = self.tower.subfield_tables()[0]
+            reps, kernel = self._orbit_representatives(), self.kernel_words()
+            (ur, vr), (ku, kv) = np.divmod(reps, self.tower.qm), np.divmod(kernel, self.tower.qm)
+            shifted = self.word_index(add_q[ur[:, None], ku], self.tower.add_sets(vr[:, None], kv))
+            words = np.concatenate([shifted, np.broadcast_to(kernel, shifted.shape)], axis=1)
+            own = self._line_columns(reps)[:, None]
+            self._dependents = np.where(words == 0, own, self._line_columns(words))
+        return self._dependents
 
     def _class_ids(self, words: np.ndarray) -> np.ndarray:
         """For each nonzero word, its orbit under F_q^* scaling and the
@@ -724,25 +748,29 @@ class SubsetCode:
     def _block_scan(
         self, make_test: Callable[[], Callable[[np.ndarray], np.ndarray]]
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(reps, bad) for blocks of the ascending orbit representatives, bad[i, w]
-        saying that word w, vector-independent of reps[i], violates the test.
+        """(reps, bad) for blocks of the ascending orbit representatives, bad[i, c]
+        saying that the words on line c of _line_words(), vector-independent of
+        reps[i], violate the test.
 
-        make_test() gives the test, a (block, words) bool array for a block of
+        make_test() gives the test, a (block, lines) bool array for a block of
         representatives, once the guard has passed.  Blocks start at one
         representative and double up to ZERO_BLOCK (representative, word)
         entries, so a scan that stops at an early violation does little more
-        than that work.  A violation holds for every class of an orbit or for
-        none, so the first one found is the first of a scan over all
-        projective representatives, with the same witness.
+        than that work.  A violation holds for every word of a line (w and
+        lam w have one support and one Heng sum) and for every class of an
+        orbit or for none, and the lines ascend by least word, so the first
+        one found is the first of a scan over all projective representatives
+        and all words, with the same witness.
         """
         reps = self._orbit_representatives()
+        dependents = self._dependent_columns()
         test = make_test()
         most = max(1, ZERO_BLOCK // self.word_count)
         start, size = 0, 1
         while start < len(reps):
             block = reps[start:start + size]
             bad = test(block)
-            bad[np.arange(len(block))[:, None], self._dependent_words(block)] = False
+            bad[np.arange(len(block))[:, None], dependents[start:start + size]] = False
             yield block, bad
             start, size = start + size, min(2 * size, most)
 
@@ -759,9 +787,10 @@ class SubsetCode:
             for reps, bad in self._block_scan(make_test):
                 rows = np.flatnonzero(bad.any(axis=1))
                 if len(rows):
+                    covered = self._line_words()[bad[rows[0]].argmax()]
                     return MethodVerdict(
                         NOT_MINIMAL,
-                        witness=(self.word_of_index(int(bad[rows[0]].argmax())),
+                        witness=(self.word_of_index(int(covered)),
                                  self.word_of_index(int(reps[rows[0]]))),
                         note=note,
                     )
@@ -770,25 +799,28 @@ class SubsetCode:
         return MethodVerdict(MINIMAL)
 
     def _cover_test(self) -> Callable[[np.ndarray], np.ndarray]:
-        """bad[i, w]: the support of word w lies inside that of reps[i].
+        """bad[i, c]: the support of the words on line c lies inside that of reps[i].
 
-        The supports are compared one uint64 column at a time until the pairs
-        still inside, times the columns left, fit in ZERO_BLOCK; those pairs
-        are then compared on the rest of the row at once.  Nearly every pair
-        escapes in the first column.
+        The support rows of the least words of the lines are read through
+        their indices, one uint64 column at a time, until the pairs still
+        inside, times the columns left, fit in ZERO_BLOCK; those pairs are
+        then compared on the rest of the row at once.  Nearly every pair
+        escapes in the first column, which is gathered once per scan.
         """
         sup = self._support_words()
         width = sup.shape[1]
+        lines = self._line_words()
+        head = sup[lines, 0]
 
         def test(reps):
             outside = ~sup[reps]
-            inside = np.ones((len(reps), len(sup)), dtype=bool)
-            for c in range(width):
-                inside &= (sup[:, c] & outside[:, c, None]) == 0
-                if np.count_nonzero(inside) * (width - 1 - c) <= ZERO_BLOCK:
-                    break
-            rows, words = np.nonzero(inside)
-            inside[rows, words] = ~(sup[words, c + 1:] & outside[rows, c + 1:]).any(axis=1)
+            inside = (head & outside[:, :1]) == 0
+            c = 0
+            while np.count_nonzero(inside) * (width - 1 - c) > ZERO_BLOCK:
+                c += 1
+                inside &= (sup[lines, c] & outside[:, c, None]) == 0
+            rows, cols = np.nonzero(inside)
+            inside[rows, cols] = ~(sup[lines[cols], c + 1:] & outside[rows, c + 1:]).any(axis=1)
             return inside
 
         return test
@@ -807,18 +839,27 @@ class SubsetCode:
     # -- weight-sum criterion ------------------------------------------------
 
     def _heng_test(self) -> Callable[[np.ndarray], np.ndarray]:
-        """bad[i, w]: r = reps[i] and w satisfy the covering identity
-        sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w)."""
+        """bad[i, c]: r = reps[i] and the words w on line c satisfy the covering
+        identity sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w).
+
+        wt(r + x) is gathered once for every word x, as int32, and summed over
+        the q - 1 points lam w of each line, the same sum for every w on it.
+        """
         tower = self.tower
-        add_q, mul_q, _ = tower.subfield_tables()
+        add_q = tower.subfield_tables()[0]
         q, qm = tower.q, tower.qm
-        # the weight of every word (u, v), gathered below: (u, 0) has weight k
-        # for u != 0, and (u, gamma^i) the weight in column i mod d
-        wt = np.zeros((q, qm), dtype=np.int64)
+        least, _, scale = tower.line_layout
+        # the weight of every word (u, v): (u, 0) has weight k for u != 0,
+        # and (u, gamma^i) the weight in column i mod d
+        wt = np.zeros((q, qm), dtype=np.int32)
         wt[1:, 0] = len(self.subset)
-        wt[:, tower.exp] = np.tile(self.weight_table(), tower.order // self.stabiliser_period)
+        wt[:, tower.exp.reshape(-1, self.stabiliser_period)] = self.weight_table()[:, None]
+        wt = wt.ravel()
+        # points[lam - 1, c]: the word lam w, w the least word of line c
+        times_u = np.arange(qm, q * qm, qm, dtype=np.int32)[:, None]
+        points = np.concatenate([scale[:, least], times_u + scale], axis=1)
+        line_wt = wt[points[0]]
         vs = np.arange(qm, dtype=np.int64)
-        scalings = [tower.mul_vec(int(lam), vs) for lam in tower.subfield_elements]
         # digitwise sums carry nothing, so v_r + v adds the high and the low
         # halves of the base-p digits apart
         split = tower.p ** (tower.em // 2)
@@ -828,12 +869,11 @@ class SubsetCode:
             high = tower.add_sets((vr - vr % split)[:, None], vs[::split])
             low = tower.add_sets((vr % split)[:, None], vs[:split])
             sums = (high[:, :, None] + low[:, None, :]).reshape(len(reps), qm)  # v_r + v
-            total = np.zeros((len(reps), q, qm), dtype=np.int64)
-            for lam in range(1, q):
-                su = add_q[ur[:, None], mul_q[lam]]  # u_r + lam u
-                total += wt[su[:, :, None], sums[:, None, scalings[lam]]]
-            bad = total == (q - 1) * wt[ur, vr][:, None, None] - wt
-            return bad.reshape(len(reps), -1)
+            near = wt[(add_q[ur] * qm)[:, :, None] + sums[:, None, :]].reshape(len(reps), -1)
+            total = near[:, points[0]]  # near[i, x] = wt(reps[i] + x)
+            for row in points[1:]:
+                total += near[:, row]
+            return total == (q - 1) * wt[reps][:, None] - line_wt
 
         return test
 
@@ -850,15 +890,20 @@ class SubsetCode:
         vs nonzero, have rank >= target, in blocks of about ZERO_BLOCK coordinates.
         The zeros of (u, v) are D_{u,v} = {x in D : Tr(v x) = -u}, maybe empty, and
         D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
+        A block finds them as the support fill does: the window of the label
+        table from log v on, compared with -u f(x).
         """
         tower = self.tower
         xs = tower.exp
         on = self.subset.indicator[xs]
+        windows = _label_windows(tower, tower.order)
+        _, _, neg_q = tower.subfield_tables()
+        zero_at = np.where(on, neg_q[:, None], 0).astype(windows.dtype)  # -u f(x)
         per = max(1, ZERO_BLOCK // tower.order)
         reached = np.empty(len(vs), dtype=bool)
         for start in range(0, len(vs), per):
             u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
-            zero = self.word_labels(u[:, None], v[:, None], xs) == 0
+            zero = windows[tower.log[v]] == zero_at[u]
             ones = zero & on
             # D̄_v, and the differences x - x_0 not already in it: those in D
             keep = zero & ~on

@@ -91,7 +91,7 @@ class FieldSubset:
         return 0 < len(self) < self.tower.order
 
     def complement(self) -> "FieldSubset":
-        comp = np.setdiff1d(self.tower.exp.astype(np.int64), self.members)
+        comp = np.flatnonzero(~self.indicator)[1:]  # every nonzero element outside D
         origin = None
         if isinstance(self.origin, CyclotomicOrigin):
             rest = tuple(sorted(set(range(self.origin.N)) - set(self.origin.J)))

@@ -13,7 +13,10 @@ loops the library replaced with its class columns and block fills.
 Beside them sit the cover and Heng scans of one coverer at a time, with
 the scalar multiples of a word listed in a loop, that the library now
 runs over blocks of coverers, the flags of such a scan over every class,
-and the participant coverage counted from the unpacked supports.  Then
+and the participant coverage counted from the unpacked supports.  The
+lines F_q^* v that those scans test one at a time are listed by
+multiplying v by each nonzero element of F_q, and the complement of a
+subset is taken as a set difference.  Then
 come the projective representatives as a sorted list of word indices, the
 spectrum by its two test routes (the transform and the unreduced count,
 one key per (row, member) pair) or read off its dense (q^m, p) array, the
@@ -45,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from pdscodes import charsums
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, ZERO_BLOCK, SubsetCode
 from pdscodes.cyclotomic import CyclotomicInteger
-from pdscodes.pds import QuadricOrigin
+from pdscodes.pds import CyclotomicOrigin, QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
 
 
@@ -217,6 +220,31 @@ def cutting_reference(subset):
     if witness is not None:
         out["witness"] = witness
     return out
+
+
+def line_layout(tower):
+    """(least, rank, scale) of `FieldTower.line_layout` on field elements: each
+    line F_q^* v listed by multiplying v by every nonzero element of F_q one
+    at a time, its least element kept, the minima sorted, and the scaling
+    table filled one product at a time."""
+    scalars = tower.subfield_elements[1:].tolist()
+    minima = [min(tower.mul(c, int(v)) for c in scalars) for v in tower.exp[:tower.subfield_step]]
+    least = sorted(set(minima))
+    rank = [least.index(x) for x in minima]
+    scale = [[tower.mul(c, x) for x in range(tower.qm)] for c in scalars]
+    return np.array(least), np.array(rank), np.array(scale)
+
+
+def complement(subset):
+    """(members, origin) of the complement of a subset in F_{q^m}^*: the
+    set difference of every nonzero element and the members, and for a
+    cyclotomic origin (N, J) the classes of Z_N outside J."""
+    members = np.setdiff1d(subset.tower.exp.astype(np.int64), subset.members)
+    origin = None
+    if isinstance(subset.origin, CyclotomicOrigin):
+        origin = CyclotomicOrigin(subset.origin.N, tuple(
+            j for j in range(subset.origin.N) if j not in subset.origin.J))
+    return members, origin
 
 
 def dependent_words(code, w):

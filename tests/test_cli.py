@@ -200,6 +200,21 @@ def test_code_quadric_recipe(capsys):
     assert payload["minimal"]["cover"] == "minimal"
 
 
+@pytest.mark.parametrize("command", [["pds"], ["code", "--methods", "latin,snc"], ["blocking"],
+                                     ["sss", "--x1-log", "2"]])
+def test_quadric_recipe_flags_on_every_subcommand(capsys, command):
+    # --kind/--p/--m belong to every subcommand, and name the same subset as
+    # the quadric spec on the same field
+    code, out, err = run_cli(capsys, command[0], "--recipe", "example-3.3", "--kind", "elliptic",
+                             "--p", "3", "--m", "4", *command[1:])
+    assert (code, err) == (0, "")
+    spec_code, spec_out, _ = run_cli(capsys, command[0], "--field", '{"p":3,"e":1,"m":4}',
+                                     "--subset", '{"quadric":{"kind":"elliptic"}}', *command[1:])
+    assert (code, out) == (spec_code, spec_out)
+    hyperbolic = run_cli(capsys, command[0], "--recipe", "example-3.3", *command[1:])
+    assert hyperbolic[1] != out
+
+
 @pytest.mark.parametrize("command", [["pds"], ["code", "--methods", "pds,latin,cyclotomic"]])
 def test_quadric_origin_is_not_read_as_cyclotomic(capsys, command):
     # a quadric subset records its Gram matrix as its origin: the F_q^*-invariance

@@ -535,6 +535,27 @@ def test_guards_return_not_run(row1_code, monkeypatch):
         SubsetCode(row1_code.subset).weight_distribution_direct()
 
 
+def test_weight_count_budget_skips_cover_and_heng(f34, monkeypatch, capsys):
+    # the F_{3^4} elliptic quadric: d = 40 and k = 20, so the count costs 800 pairs
+    subset, _ = quadric_subset(f34, kind="elliptic")
+    monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 799)
+    code = SubsetCode(subset)
+    note = "weight count cost 800 exceeds the budget 799"
+    for verdict in (code.minimality_cover(), code.minimality_heng()):
+        assert (verdict.status, verdict.note) == (NOT_RUN, note)
+    with pytest.raises(GuardExceeded, match=note):
+        code.weight_distribution_direct()
+    assert code.minimality_snc().status == MINIMAL  # SNC reads no weights
+    exit_code = main(["code", "--recipe", "example-3.3", "--kind", "elliptic", "--methods", "all"])
+    payload = json.loads(capsys.readouterr().out)
+    assert exit_code == 4 and payload["weights_source"] == "predicted"
+    assert {key: payload["minimal"][key] for key in ("cover", "heng", "snc")} == {
+        "cover": NOT_RUN, "heng": NOT_RUN, "snc": MINIMAL}
+    monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 800)
+    code = SubsetCode(subset)
+    assert code.minimality_cover().status == code.minimality_heng().status == MINIMAL
+
+
 def test_support_cap_counts_padded_rows(f34, monkeypatch):
     # 80 coordinates pack into 10 bytes, but each row is two uint64 words:
     # 3 * 81 rows of 16 bytes
@@ -578,6 +599,23 @@ def test_weight_count_reads_the_label_table_in_place():
         tracemalloc.stop()
     assert dist.total == tower.q * tower.qm
     assert peak <= (1176 - 200) * 1024
+
+
+def test_heng_scan_memory():
+    # F_{3^8}, N = 41, 13 orbits: the scan once summed (block, q, q^m) int64
+    # arrays over q - 1 gathers and peaked at 1.75 MB; summing wt(r + x) over
+    # the points of each line in int32 peaks at 1.23 MB
+    tower = build_tower(FieldSpec(p=3, e=1, m=8))
+    code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
+    code.weight_table(), code._orbit_representatives(), tower.line_layout
+    tracemalloc.start()
+    try:
+        verdict = code.minimality_heng()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == MINIMAL
+    assert peak <= 1400 * 1024
 
 
 def test_column_sums_exact_past_float32_precision():

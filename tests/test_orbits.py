@@ -18,7 +18,9 @@ projective representatives (against the per-orbit rank flags spread over
 them), the first violation of that full scan (verdict and witness), SNC
 over every z, and the words evaluated one by one.  SNC over every z, and
 all three scans on random quadrics, run on `reference.Unreduced`, the same
-code with the trivial period q^m - 1 and no further automorphisms.
+code with the trivial period q^m - 1 and no further automorphisms.  The
+lines F_q^* w that cover and Heng test one column each, and the dependent
+lines of each member, are compared with lists built on field elements.
 """
 from functools import lru_cache
 
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+import reference
 from reference import (
     Unreduced,
     codeword,
@@ -373,6 +376,54 @@ def test_class_orbit_is_lowest_class_of_its_orbit(code):
     assert len(np.unique(orbit)) == 1 + code.stabiliser_period + np.gcd(
         code.stabiliser_period, code.tower.subfield_step)
     assert np.array_equal(code.class_representatives(), np.unique(orbit))
+
+
+@pytest.mark.parametrize("p, e, m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3), (3, 2, 2)])
+def test_line_layout_equals_element_route(p, e, m):
+    tower = _tower(p, e, m)
+    layout = tower.line_layout
+    for table, expected in zip(layout, reference.line_layout(tower)):
+        assert np.array_equal(table, expected)
+    least = layout[0]
+    assert np.all(np.diff(least) > 0) and len(least) == tower.subfield_step
+    # every nonzero word is on the column of each of its q - 1 multiples, and
+    # that column's least word is the least of them
+    code = SubsetCode(_hyperplane(tower))
+    _, mul_q, _ = tower.subfield_tables()
+    lines = code._line_words()
+    assert np.all(np.diff(lines) > 0)
+    u, v = np.divmod(np.arange(1, code.word_count), tower.qm)
+    multiples = np.stack([code.word_index(mul_q[lam, u], tower.mul_vec(int(c), v))
+                          for lam, c in enumerate(tower.subfield_elements.tolist()) if lam])
+    columns = code._line_columns(multiples)
+    assert np.all(columns == columns[0])
+    assert np.array_equal(lines[columns[0]], multiples.min(axis=0))
+    assert np.array_equal(code._line_columns(lines), np.arange(len(lines)))
+
+
+def test_dependent_columns_equal_reference(code):
+    reps = code._orbit_representatives().tolist()
+    for r, row in zip(reps, code._dependent_columns()):
+        words = reference.dependent_words(code, r)
+        assert set(row.tolist()) == set(code._line_columns(words[words != 0]).tolist())
+
+
+@pytest.mark.parametrize("p, e, m, N, J, witness", [
+    (3, 1, 4, 10, [0], ((0, 15), (1, 15))),
+    (3, 2, 2, 8, [0, 1], ((0, 14), (1, 14))),
+])
+def test_witness_on_a_line_whose_least_word_is_no_head(p, e, m, N, J, witness):
+    # the covered word (0, v) is the least word of its line F_q^* v but not
+    # the gamma^j, j < subfield_step, that stands for the line elsewhere
+    code = SubsetCode(build_cyclotomic_subset(_tower(p, e, m), N, J))
+    tower = code.tower
+    (u, v), _ = witness
+    assert u == 0 and v not in tower.exp[:tower.subfield_step]
+    assert v == tower.mul_vec(v, tower.subfield_elements[1:]).min()
+    for verdict, violations in ((code.minimality_cover(), cover_violations),
+                                (code.minimality_heng(), heng_violations)):
+        assert (verdict.status, verdict.witness) == (NOT_MINIMAL, witness)
+        assert verdict.witness == full_verdict(code, violations)[1]
 
 
 def test_n10_witnesses(f34):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 
 from pdscodes import pds
 from pdscodes.charsums import full_spectrum
@@ -65,6 +66,17 @@ def test_build_subset_sizes(ex31, row1, f44):
     drest = build_cyclotomic_subset(f44, 5, [1, 2, 3, 4])
     assert np.array_equal(np.sort(d0.complement().members), np.sort(drest.members))
     assert isinstance(drest.complement().origin, CyclotomicOrigin)
+
+
+def test_complement_equals_set_difference(ex31, row1, f34):
+    quadric, _ = quadric_subset(f34, kind="elliptic")
+    explicit = FieldSubset.from_logs(f34, [0, 1, 5, 17, 40])
+    for subset in (ex31, row1, row1.complement(), quadric, explicit):
+        comp = subset.complement()
+        members, origin = reference.complement(subset)
+        assert np.array_equal(comp.members, members)
+        assert comp.origin == origin
+    assert row1.complement().origin == CyclotomicOrigin(11, tuple(range(1, 11)))
 
 
 def test_build_subset_rejects_bad_inputs(f44, f35):
