@@ -65,6 +65,9 @@ def _load_spec_arg(value: str) -> dict:
 
 
 def _build_inputs(args):
+    for flag in ("kind", "p", "m"):
+        if getattr(args, flag) is not None and args.recipe != "example-3.3":
+            raise ConfigError(f"--{flag} only applies to --recipe example-3.3")
     if args.recipe:
         data = build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
         return data.tower, data.subset

@@ -64,7 +64,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .charsums import psi_sum
 from .field import FieldTower
@@ -385,12 +385,6 @@ def _column_sums(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label_windows(tower: FieldTower, rows: int) -> np.ndarray:
-    """A (rows, q^m - 1) view whose entry [j, i] is the label of Tr(gamma^(j + i))."""
-    labels = tower.trace_label_of_exp
-    return sliding_window_view(np.concatenate([labels, labels[: rows - 1]]), tower.order)
-
-
 class SubsetCode:
     """The length q^m - 1, (generically) dimension m + 1 code of a subset; guard
     caps the word count q^(m+1) of the scans."""
@@ -578,7 +572,7 @@ class SubsetCode:
         mem = self.subset.indicator[tower.exp]
         packed = np.zeros((q * qm, row), dtype=np.uint8)
         packed[self.word_index(1, 0)::qm, :width] = np.packbits(mem)  # v = 0, u != 0
-        windows = _label_windows(tower, order)
+        windows = _cyclic_windows(tower.trace_label_of_exp, order)[1]
         _, _, neg_q = tower.subfield_tables()
         zero_at = np.where(mem, neg_q[:, None], 0).astype(windows.dtype)[:, None, :]  # -u f(x)
         us = np.arange(q, dtype=np.int64)[:, None]
@@ -588,15 +582,6 @@ class SubsetCode:
             packed[us * qm + tower.exp[w:w + per], :width] = np.packbits(nonzero, axis=2)
         self._supports = packed.view(np.uint64)
         return self._supports
-
-    def projective_representatives(self) -> np.ndarray:
-        """One word index per line through the origin of the index space."""
-        tower = self.tower
-        # scaling v by F_q^* shifts its log by multiples of subfield_step;
-        # every (0, v) index is below every (1, v) index
-        heads = np.sort(tower.exp[: tower.subfield_step].astype(np.int64))
-        return np.concatenate([self.word_index(0, heads),
-                               self.word_index(1, np.arange(tower.qm, dtype=np.int64))])
 
     def _line_words(self) -> np.ndarray:
         """The least word of each projective line of the nonzero words,
@@ -651,14 +636,24 @@ class SubsetCode:
     def class_representatives(self) -> np.ndarray:
         """The lowest projective word of each orbit of the nonzero words under
         F_q^* scaling and <gamma^d>, ascending (cached with the rank of each
-        orbit's number among them, which class_index reads)."""
+        orbit's number among them, which class_index reads).
+
+        The projective words are the heads (0, gamma^j), j < step, one per
+        line F_q^* v, and every (1, v), and each lowest word is a column
+        minimum of exp: the head of class r < g has j = r (mod g), column r
+        of exp[:step] read as a (step/g, g) array; the (1, v) of class
+        g + 1 + r has log v = r (mod d), column r of exp read as an
+        ((q^m - 1)/d, d) array; class g is (1, 0).  Only these g + 1 + d
+        words are sorted.
+        """
         if self._classes is None:
-            reps = self.projective_representatives()  # ascending, so first is lowest
-            _, first = np.unique(self._class_ids(reps), return_index=True)
-            ascending = np.argsort(first)
-            rank = np.empty(len(first), dtype=np.intp)
-            rank[ascending] = np.arange(len(first))
-            self._classes = reps[first[ascending]], rank
+            tower, d = self.tower, self.stabiliser_period
+            g = gcd(d, tower.subfield_step)
+            heads = tower.exp[: tower.subfield_step].reshape(-1, g).min(axis=0)
+            lowest = tower.exp.reshape(-1, d).min(axis=0)
+            words = np.concatenate([heads, tower.qm + np.append(0, lowest)]).astype(np.int64)
+            ascending = np.argsort(words)
+            self._classes = words[ascending], np.argsort(ascending)  # the rank of each class
         return self._classes[0]
 
     def class_index(self, words: np.ndarray) -> np.ndarray:
@@ -710,7 +705,9 @@ class SubsetCode:
         them, and earlier maps need not be kept.  The orbits with one label
         make one orbit, represented by the lowest class representative in
         it.  Any set of verified automorphisms gives orbits on which every
-        oracle condition is constant; more of them only merge orbits.
+        oracle condition is constant; more of them only merge orbits.  The
+        work is on the g + 1 + d class representatives and their images, none
+        of it word-sized, so the word guard sits at the scans that use it.
 
         For a quadric subset no more are drawn once the orbits of the whole
         orthogonal group are reached.  By Witt's theorem those are (1, 0)
@@ -720,7 +717,6 @@ class SubsetCode:
         F_q^* scales Q by squares: 5 orbits for even q, 7 for odd q.
         """
         if self._orbit_reps is None:
-            self._check_guard()
             fine = self.class_representatives()
             u, v = np.divmod(fine, self.tower.qm)  # u in {0, 1}
             least = 1
@@ -753,7 +749,7 @@ class SubsetCode:
         reps[i], violate the test.
 
         make_test() gives the test, a (block, lines) bool array for a block of
-        representatives, once the guard has passed.  Blocks start at one
+        representatives, once the word guard has passed.  Blocks start at one
         representative and double up to ZERO_BLOCK (representative, word)
         entries, so a scan that stops at an early violation does little more
         than that work.  A violation holds for every word of a line (w and
@@ -762,6 +758,7 @@ class SubsetCode:
         one found is the first of a scan over all projective representatives
         and all words, with the same witness.
         """
+        self._check_guard()
         reps = self._orbit_representatives()
         dependents = self._dependent_columns()
         test = make_test()
@@ -896,7 +893,7 @@ class SubsetCode:
         tower = self.tower
         xs = tower.exp
         on = self.subset.indicator[xs]
-        windows = _label_windows(tower, tower.order)
+        windows = _cyclic_windows(tower.trace_label_of_exp, tower.order)[1]
         _, _, neg_q = tower.subfield_tables()
         zero_at = np.where(on, neg_q[:, None], 0).astype(windows.dtype)  # -u f(x)
         per = max(1, ZERO_BLOCK // tower.order)
@@ -926,6 +923,7 @@ class SubsetCode:
         rank k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank
         k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
         """
+        self._check_guard()
         reps = self._orbit_representatives()
         if self._rank_orbit_flags is None:
             k = self.dimension()

@@ -114,13 +114,6 @@ def int_list(value, name: str) -> list[int]:
     return value
 
 
-def bool_field(value, name: str) -> bool:
-    """A JSON spec field that must be true or false, or a ValueError naming it."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def obj_field(value, name: str) -> dict:
     """A JSON spec field that must be an object, or a ValueError naming it."""
     if not isinstance(value, dict):
@@ -239,16 +232,14 @@ class FieldSpec:
 
     ``modulus`` lists the coefficients of a monic irreducible polynomial
     of degree e*m over F_p, low degree first; None selects the built-in
-    default.  ``generator_check`` demands that the residue of X be
-    primitive (table construction verifies this in either case, the flag
-    only controls the up-front order test).
+    default.  The residue of X must be primitive: an order test checks
+    that up front, and table construction checks it again.
     """
 
     p: int
     e: int
     m: int
     modulus: tuple[int, ...] | None = None
-    generator_check: bool = True
 
     def __post_init__(self):
         if self.e < 1 or self.m < 1:
@@ -281,7 +272,6 @@ class FieldSpec:
         return cls(
             p=p, e=e, m=m,
             modulus=tuple(int_list(mod, "modulus")) if mod is not None else None,
-            generator_check=bool_field(obj.get("generator_check", True), "generator_check"),
         )
 
 
@@ -303,7 +293,7 @@ class FieldTower:
         modulus = spec.modulus if spec.modulus is not None else default_modulus(self.p, self.em)
         if not poly_is_irreducible(modulus, self.p):
             raise FieldConstructionError(f"modulus {list(modulus)} is reducible over F_{self.p}")
-        if spec.generator_check and not poly_x_is_primitive(modulus, self.p):
+        if not poly_x_is_primitive(modulus, self.p):
             raise FieldConstructionError(
                 f"modulus {list(modulus)} is irreducible but X is not primitive"
             )

@@ -64,6 +64,4 @@ def build_recipe(name: str, kind: str | None = None, p: int | None = None,
         raise ValueError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
     if name == "example-3.3":
         return _example_33(kind or "hyperbolic", p or 3, m or 4)
-    if kind is not None and not name.startswith("example-3.3"):
-        raise ValueError("--kind only applies to the quadric recipe")
     return RECIPES[name]()

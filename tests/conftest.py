@@ -22,6 +22,12 @@ def f34():
 
 
 @pytest.fixture(scope="session")
+def f92():
+    # F_{9^2}: p=3, e=2, m=2 (81 elements over a non-prime base field)
+    return build_tower(FieldSpec(p=3, e=2, m=2))
+
+
+@pytest.fixture(scope="session")
 def f16():
     # F_{2^4} with q = 2 (binary caveat paths)
     return build_tower(FieldSpec(p=2, e=1, m=4))

@@ -338,7 +338,7 @@ def heng_violations(code, r):
 
 def full_flags(code, violations):
     """Whether each projective representative, in order, has no violation in a full scan."""
-    return [len(violations(code, r)) == 0 for r in code.projective_representatives().tolist()]
+    return [len(violations(code, r)) == 0 for r in projective_representatives(code).tolist()]
 
 
 def participant_coverage(code, x1):

@@ -110,11 +110,6 @@ FIELD_LIST = str(Path(__file__).parent / "data" / "field-list.json")  # holds [3
     (F44, '{"cyclotomic": {"J": [0]}}', "cyclotomic spec is missing key 'N'"),
     (F44, '{"cyclotomic": {"N": 5}}', "cyclotomic spec is missing key 'J'"),
     (F34, '{"explicit": {}}', "explicit spec is missing key 'logs'"),
-    # generator_check takes JSON booleans only
-    ('{"p": 3, "e": 1, "m": 4, "generator_check": "no"}', '{"cyclotomic": {"N": 5, "J": [0]}}',
-     "generator_check must be true or false, got 'no'"),
-    ('{"p": 3, "e": 1, "m": 4, "generator_check": 0}', '{"cyclotomic": {"N": 5, "J": [0]}}',
-     "generator_check must be true or false, got 0"),
     # a huge p or e*m fails before any primality test or power
     ('{"p": 2305843009213693951, "e": 1, "m": 1}', '{"cyclotomic": {"N": 5, "J": [0]}}',
      "exceeds the table cap"),
@@ -213,6 +208,20 @@ def test_quadric_recipe_flags_on_every_subcommand(capsys, command):
     assert (code, out) == (spec_code, spec_out)
     hyperbolic = run_cli(capsys, command[0], "--recipe", "example-3.3", *command[1:])
     assert hyperbolic[1] != out
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["pds", "--recipe", "example-3.1", "--p", "5", "--m", "9"], "--p"),
+    (["blocking", "--field", '{"p":3,"e":1,"m":4}', "--subset", '{"quadric":{"kind":"hyperbolic"}}',
+      "--kind", "elliptic"], "--kind"),
+    (["pds", "--recipe", "example-3.3-hyperbolic", "--kind", "elliptic"], "--kind"),
+    (["sss", "--recipe", "table-2-row-1", "--m", "4", "--x1-log", "0"], "--m"),
+])
+def test_quadric_flags_only_with_the_quadric_recipe(capsys, args, flag):
+    # anywhere but --recipe example-3.3 the flags would be silently ignored
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert f"{flag} only applies to --recipe example-3.3" in err
 
 
 @pytest.mark.parametrize("command", [["pds"], ["code", "--methods", "pds,latin,cyclotomic"]])

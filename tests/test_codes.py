@@ -361,7 +361,7 @@ def test_per_codeword_agreement_on_three_codes(f34, f35, hyperplane_subset):
         SubsetCode(hyperplane_subset),  # deliberately non-minimal
     ]
     for code in codes:
-        rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives())
+        rank = code.word_flags(code.rank_orbit_flags(), reference.projective_representatives(code))
         cover = reference.full_flags(code, reference.cover_violations)
         assert rank.tolist() == cover == reference.full_flags(code, reference.heng_violations)
     assert not all(cover)  # the last code, the hyperplane
@@ -524,6 +524,8 @@ def test_generator_matrix(row1_code):
 
 def test_guards_return_not_run(row1_code, monkeypatch):
     code = SubsetCode(row1_code.subset, guard=10)
+    # the orbit merge does no word-sized work: the guard sits at the scans
+    assert np.array_equal(code._orbit_representatives(), row1_code._orbit_representatives())
     assert code.minimality_cover().status == NOT_RUN
     assert code.minimality_heng().status == NOT_RUN
     assert code.minimality_snc().status == NOT_RUN

@@ -41,22 +41,23 @@ def test_reducible_modulus_rejected():
         build_tower(FieldSpec(p=2, e=1, m=2, modulus=(1, 0, 1)))
 
 
-def test_irreducible_but_imprimitive_rejected():
+def test_irreducible_but_imprimitive_rejected(monkeypatch):
     # x^2 + 1 is irreducible over F_3 but X has order 4, not 8
     assert poly_is_irreducible((1, 0, 1), 3)
     assert not poly_x_is_primitive((1, 0, 1), 3)
-    with pytest.raises(FieldConstructionError):
+    with pytest.raises(FieldConstructionError, match="X is not primitive"):
         build_tower(FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)))
-    # and even with the explicit check disabled, table construction catches it
-    with pytest.raises(FieldConstructionError):
-        build_tower(FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1), generator_check=False))
     # x^8 + x^4 + x^3 + x + 1 over F_2: X has order 51 of 255, so the return
     # to 1 happens past the scalar powers, inside the multiply-by-X^B gathers
     aes = (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert poly_is_irreducible(aes, 2)
     assert not poly_x_is_primitive(aes, 2)
-    with pytest.raises(FieldConstructionError):
-        build_tower(FieldSpec(p=2, e=1, m=8, modulus=aes, generator_check=False))
+    # with the up-front order test passed over, table construction catches both
+    monkeypatch.setattr("pdscodes.field.poly_x_is_primitive", lambda coeffs, p: True)
+    for spec in (FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)),
+                 FieldSpec(p=2, e=1, m=8, modulus=aes)):
+        with pytest.raises(FieldConstructionError, match="does not generate the multiplicative"):
+            build_tower(spec)
 
 
 def test_default_moduli_are_primitive():

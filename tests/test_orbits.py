@@ -102,6 +102,11 @@ CODES = {
     "F_4^4 N=17": ("f44", _cyclotomic(17, [0]), 17, 1),
     "F_4^4 hyperplane": ("f44", _hyperplane, 85, 1),
     "F_4^4 elliptic quadric": ("f44", lambda t: quadric_subset(t, kind="elliptic")[0], 85, 8),
+    # the affine hyperplane Tr(x) = 1: no stabiliser, so the g = gcd(d, step)
+    # = 10 head classes are fewer than the d = 80 classes of the (1, v)
+    "F_9^2 hyperplane Tr = 1": (
+        "f92", lambda t: FieldSubset(t, np.flatnonzero(t.trace_labels(1, np.arange(t.qm)) == 1)),
+        80, 1),
 }
 
 
@@ -113,7 +118,7 @@ def code(request):
 
 def full_verdict(code, violations):
     """(status, witness) of a scan over every projective representative."""
-    for r in code.projective_representatives().tolist():
+    for r in projective_representatives(code).tolist():
         bad = violations(code, r)
         if len(bad):
             return NOT_MINIMAL, (code.word_of_index(int(bad[0])), code.word_of_index(r))
@@ -121,7 +126,7 @@ def full_verdict(code, violations):
 
 
 def assert_scans_equal_full(code):
-    rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives())
+    rank = code.word_flags(code.rank_orbit_flags(), projective_representatives(code))
     assert rank.tolist() == full_flags(code, cover_violations) == full_flags(code, heng_violations)
     for verdict, violations in ((code.minimality_cover(), cover_violations),
                                 (code.minimality_heng(), heng_violations)):
@@ -214,7 +219,7 @@ ORBIT_COUNTS = {
 def test_frobenius_merged_orbit_counts(name):
     field, N, J, fine, merged = ORBIT_COUNTS[name]
     code = SubsetCode(build_cyclotomic_subset(_tower(*field), N, J))
-    assert len(np.unique(code.class_index(code.projective_representatives()))) == fine
+    assert len(np.unique(code.class_index(projective_representatives(code)))) == fine
     assert len(code._orbit_representatives()) == merged
 
 
@@ -242,7 +247,7 @@ def _reflections(code):
 def test_reflection_merged_orbit_counts(name):
     field, kind, fine, merged = QUADRIC_ORBIT_COUNTS[name]
     code = SubsetCode(quadric_subset(_tower(*field), kind=kind)[0])
-    assert len(np.unique(code.class_index(code.projective_representatives()))) == fine
+    assert len(np.unique(code.class_index(projective_representatives(code)))) == fine
     assert len(code._orbit_representatives()) == merged
     # every reflection drawn induces a code automorphism (A and B on the tables)
     g, dual = _reflections(code)
@@ -364,11 +369,18 @@ def test_first_witness_beyond_first_blocks(f34, monkeypatch):
 
 
 def test_projective_representatives_equal_list_form(code):
-    assert np.array_equal(code.projective_representatives(), projective_representatives(code))
+    # the class representatives, column minima of exp, are the lowest words
+    # of the classes among the projective words listed one by one, and
+    # class_index numbers each class by the rank of that word
+    words = projective_representatives(code)  # ascending: a class's first is its lowest
+    _, first = np.unique(code._class_ids(words), return_index=True)
+    lowest = words[first]
+    assert np.array_equal(code.class_representatives(), np.sort(lowest))
+    assert np.array_equal(code.class_index(lowest), np.argsort(np.argsort(lowest)))
 
 
 def test_class_orbit_is_lowest_class_of_its_orbit(code):
-    reps = code.projective_representatives()
+    reps = projective_representatives(code)
     orbit = code.class_representatives()[code.class_index(reps)]
     assert set(orbit.tolist()) <= set(reps.tolist())
     for o in np.unique(orbit).tolist():
@@ -443,7 +455,7 @@ def test_oracle_total_equals_full_flags(request, name):
     code = SubsetCode(build(request.getfixturevalue(fixture)))
     tower = code.tower
     _, mul_q, _ = tower.subfield_tables()
-    flags = dict(zip(code.projective_representatives().tolist(),
+    flags = dict(zip(projective_representatives(code).tolist(),
                      full_flags(code, cover_violations)))
     for x1 in tower.exp[:: max(1, tower.order // 7)].tolist():
         total, oracle_total = minimal_access_count(code, int(x1), code_is_minimal=False)

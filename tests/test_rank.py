@@ -70,7 +70,7 @@ def _elimination_sets(code):
 
 
 def assert_rank_equals_references(code):
-    rank = code.word_flags(code.rank_orbit_flags(), code.projective_representatives()).tolist()
+    rank = code.word_flags(code.rank_orbit_flags(), reference.projective_representatives(code)).tolist()
     assert rank == reference.full_flags(code, reference.cover_violations)
     assert rank == reference.full_flags(code, reference.heng_violations)
     snc = code.minimality_snc()

@@ -1,5 +1,5 @@
 """Every function and method in src/pdscodes has a caller outside the tests,
-and every dataclass field is read there.
+and every dataclass field and module-level constant is read there.
 
 A library name that no other code in src/ or perfbench/ uses, and that
 `pdscodes.__all__` does not export, is test-only code: it belongs in
@@ -9,7 +9,9 @@ oracles the library keeps on purpose.  A dataclass field that src/ and
 perfbench/ never read as `.field` is set for nothing; UNREAD_FIELDS names
 the fields kept on purpose.  A parameter with a default that no call in
 src/ or perfbench/ sets, by keyword or by position, is a setting nobody
-uses; UNSET_DEFAULTS names those kept on purpose.
+uses; UNSET_DEFAULTS names those kept on purpose.  A module-level
+UPPERCASE constant that src/ and perfbench/ never read is a cap or guard
+that nothing enforces any more.
 """
 import ast
 import sys
@@ -57,9 +59,9 @@ def _definitions(tree):
 
 
 def _used_names(tree):
-    """Every name the module reads, reads as an attribute or imports."""
+    """Every name the module reads, reads or sets as an attribute, or imports."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -171,3 +173,18 @@ def test_every_default_is_set_by_some_caller():
                       if not ({param, None} & keywords.get(called, set())
                               or param in positional[: reach.get(called, 0)])]
     assert sorted(unset) == sorted(UNSET_DEFAULTS)
+
+
+def _constants(tree):
+    """The module-level UPPERCASE names the module assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper())
+
+
+def test_every_constant_is_read_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    read = {name for tree in trees.values() for name in _used_names(tree)}
+    constants = [f"{path.stem}.{name}" for path in LIBRARY for name in _constants(trees[path])]
+    assert len(constants) >= 20  # the scan finds them
+    assert sorted(c for c in constants if c.split(".")[1] not in read) == []
