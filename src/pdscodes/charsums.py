@@ -16,7 +16,11 @@ The full spectrum takes the cheaper of two exact routes.  The orbit count
 reads S as a union of |I| cosets of <gamma^d>: one sequential pass over
 the group, in log order, counts the d Gauss periods of order d, and each
 row is the sum of |I| of them, added as slices of a (d, p) table.  The
-butterfly transform, one pass per F_p digit of the field, costs
+periods depend only on the field and d, so each tower keeps the tables it
+has counted, read-only, and a later set with the same d only adds its |I|
+slices.  The tables held never take more bytes than trace_of_exp, the
+table they summarise; a period past that bound is counted afresh each time.
+The butterfly transform, one pass per F_p digit of the field, costs
 em * p^2 * q^m integer additions whatever S is; it serves the sets with a
 small stabiliser, such as quadrics and trace hyperplanes, and its output,
 taken in log order, is the case d = q^m - 1.  The transform and an
@@ -27,6 +31,7 @@ for bit.
 from __future__ import annotations
 
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -44,6 +49,8 @@ ORBIT_UNIT_COST = 0.25
 # Entries of trace_of_exp in each row of the wide view that the Gauss-period
 # count reduces over, so that a small period does not make narrow reductions
 FOLD_WIDTH = 4096
+# tower -> {period: its Gauss-period table}, filled by gauss_periods
+_HELD_PERIODS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 class SpectrumError(ValueError):
@@ -182,6 +189,20 @@ def _gauss_periods(tower: FieldTower, period: int) -> np.ndarray:
     return counts
 
 
+def gauss_periods(tower: FieldTower, period: int) -> np.ndarray:
+    """The table of `_gauss_periods`, read-only, held on the tower's memo
+    while every table held there fits in trace_of_exp.nbytes together;
+    a table past that is counted afresh on each call."""
+    held = _HELD_PERIODS.setdefault(tower, {})
+    table = held.get(period)
+    if table is None:
+        table = _gauss_periods(tower, period)
+        table.flags.writeable = False
+        if table.nbytes + sum(t.nbytes for t in held.values()) <= tower.trace_of_exp.nbytes:
+            held[period] = table
+    return table
+
+
 def _spectrum_orbit(tower: FieldTower, period: int, cosets: np.ndarray,
                     set_size: int) -> np.ndarray:
     """Row j counts the trace values on gamma^j S for j < period, where
@@ -191,7 +212,7 @@ def _spectrum_orbit(tower: FieldTower, period: int, cosets: np.ndarray,
     cosets, so row j is the sum of the Gauss periods G[(j + i) mod period],
     i in cosets, added as two slices per i; the rest of set_size is 0.
     """
-    periods = _gauss_periods(tower, period)
+    periods = gauss_periods(tower, period)
     rows = np.zeros((period, tower.p), dtype=np.int64)
     for i in cosets.tolist():
         rows[: period - i] += periods[i:]
@@ -237,7 +258,9 @@ def stabiliser_spectrum(tower: FieldTower, members: np.ndarray, period: int,
     """full_spectrum for an S whose stabiliser (period, cosets) is known, by
     the cheaper of two routes: the orbit count, (p - 1) * q^m compares and
     |I| * d * p additions for the stabiliser <gamma^d> of S, a union of |I|
-    cosets, or the transform, em * p^2 * q^m additions.
+    cosets, or the transform, em * p^2 * q^m additions.  The count is
+    charged even when the tower holds its table, so that the route depends
+    on (d, |I|) alone and not on what ran before.
     """
     work = (tower.p - 1) * tower.qm + len(cosets) * period * tower.p
     if ORBIT_UNIT_COST * work < tower.em * tower.p ** 2 * tower.qm:

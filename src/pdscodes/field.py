@@ -488,23 +488,12 @@ class FieldTower:
     def stabiliser(self, members: np.ndarray) -> tuple[int, np.ndarray]:
         """(d, I): the least d with gamma^d S = S, S the nonzero members, so
         Stab(S) = <gamma^d>, and the ascending i < d with S the union of the
-        cosets gamma^i <gamma^d>, i in I.
-
-        The periods of S's indicator in log order are the multiples of d
-        dividing q^m - 1, so d is q^m - 1 divided by each prime for as long
-        as the quotient s = d / ell is still a period.  The indicator has
-        cyclic period d and s divides d, so s is one exactly when the first
-        d entries, shifted by s, agree with themselves: mem[s:d] = mem[:d-s].
-        Those first d entries mark I.
-        """
+        cosets gamma^i <gamma^d>, i in I: the cyclic period of S's
+        indicator in log order (`cyclic_period`)."""
         members = np.asarray(members, dtype=np.int64)
         mem = np.zeros(self.order, dtype=bool)
         mem[self.log[members[members != 0]]] = True
-        d = self.order
-        for ell in factorize(d):
-            while d % ell == 0 and np.array_equal(mem[d // ell : d], mem[: d - d // ell]):
-                d //= ell
-        return d, np.flatnonzero(mem[:d])
+        return cyclic_period(mem)
 
     # -- traces and hyperplanes -------------------------------------------
 
@@ -603,6 +592,23 @@ class FieldTower:
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m}, size={self.qm})"
+
+
+def cyclic_period(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """(d, I): the least d with mask[i + d mod n] = mask[i] for every i, n
+    = len(mask), and the ascending i < d marked in mask.
+
+    The cyclic periods of mask are the multiples of d dividing n, so d is n
+    divided by each prime for as long as the quotient s = d / ell is still
+    a period.  mask has cyclic period d and s divides d, so s is one exactly
+    when the first d entries, shifted by s, agree with themselves:
+    mask[s:d] = mask[:d-s].  Those first d entries mark I.
+    """
+    d = len(mask)
+    for ell in factorize(d):
+        while d % ell == 0 and np.array_equal(mask[d // ell : d], mask[: d - d // ell]):
+            d //= ell
+    return d, np.flatnonzero(mask[:d])
 
 
 def build_tower(spec: FieldSpec) -> FieldTower:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .charsums import Spectrum, is_invariant_under_subfield, stabiliser_spectrum
-from .field import FieldTower, int_field, int_list, obj_field, required
+from .field import FieldTower, cyclic_period, int_field, int_list, obj_field, required
 
 DIRECT_VERIFY_CAP = 10_000
 # (g, member) pairs counted per numpy pass in the direct PDS check: 8 MB of
@@ -79,7 +79,14 @@ class FieldSubset:
     @cached_property
     def stabiliser(self) -> tuple[int, np.ndarray]:
         """(d, I): Stab(D) = <gamma^d> in F_{q^m}^*, and D the union of the
-        cosets gamma^i <gamma^d>, i in I (`FieldTower.stabiliser`)."""
+        cosets gamma^i <gamma^d>, i in I.  A class union (N, J) has
+        gamma^d D = D exactly when J + d = J (mod N), so d and I are read
+        off J's indicator on Z_N in O(N); other subsets scan their members
+        (`FieldTower.stabiliser`)."""
+        if isinstance(self.origin, CyclotomicOrigin):
+            classes = np.zeros(self.origin.N, dtype=bool)
+            classes[list(self.origin.J)] = True
+            return cyclic_period(classes)
         return self.tower.stabiliser(self.members)
 
     @property
@@ -100,8 +107,12 @@ class FieldSubset:
         return FieldSubset(self.tower, comp, origin)
 
     def is_symmetric(self) -> bool:
-        """Closed under negation (needed for a Cayley connection set)."""
-        return bool(np.all(self.indicator[self.tower.neg_table[self.members]]))
+        """Closed under negation (needed for a Cayley connection set).
+
+        -1 = gamma^h, h = (q^m - 1)/2 for odd q and h = 0 for even q, so
+        -D = D exactly when gamma^h lies in Stab(D) = <gamma^d>: d | h.
+        """
+        return self.tower.p == 2 or self.tower.order // 2 % self.stabiliser_period == 0
 
     def spectrum(self) -> Spectrum:
         return stabiliser_spectrum(self.tower, self.members, *self.stabiliser)
@@ -136,20 +147,22 @@ class FieldSubset:
 
 def cyclotomic_classes(tower: FieldTower, N: int) -> list[np.ndarray]:
     """The N classes gamma^i * <gamma^N>, each of size (q^m-1)/N."""
+    return list(_class_members(tower, N, _class_indices(tower, N)))
+
+
+def _class_indices(tower: FieldTower, N: int,
+                   J: Sequence[int] | None = None) -> tuple[int, ...]:
+    """J reduced mod N and sorted, for N a positive divisor of q^m - 1;
+    J = None stands for all of Z_N.
+
+    A given J must be a nonempty proper subset of Z_N, and for odd q N must
+    divide (q^m-1)/2: then J + (q^m-1)/2 = J (mod N), and since
+    -1 = gamma^((q^m-1)/2) the union is symmetric.
+    """
     if N < 1 or tower.order % N != 0:
         raise ValueError(f"N={N} must be a positive divisor of q^m - 1 = {tower.order}")
-    return [
-        tower.exp[np.arange(i, tower.order, N)].astype(np.int64) for i in range(N)
-    ]
-
-
-def _class_indices(tower: FieldTower, N: int, J: Sequence[int]) -> tuple[int, ...]:
-    """J reduced mod N and sorted, for an N dividing q^m - 1.
-
-    J must be a nonempty proper subset of Z_N, and for odd q N must divide
-    (q^m-1)/2: then J + (q^m-1)/2 = J (mod N), and since -1 = gamma^((q^m-1)/2)
-    the union is symmetric.
-    """
+    if J is None:
+        return tuple(range(N))
     J = tuple(sorted({int(j) % N for j in J}))
     if not J or len(J) >= N:
         raise ValueError("J must be a nonempty proper subset of Z_N")
@@ -159,15 +172,16 @@ def _class_indices(tower: FieldTower, N: int, J: Sequence[int]) -> tuple[int, ..
     return J
 
 
+def _class_members(tower: FieldTower, N: int, J: tuple[int, ...]) -> np.ndarray:
+    """Row r is the class gamma^J[r] <gamma^N>: exp read as a ((q^m-1)/N, N)
+    array has class j as its column j."""
+    return tower.exp.reshape(-1, N).T[list(J)].astype(np.int64)
+
+
 def build_cyclotomic_subset(tower: FieldTower, N: int, J: Sequence[int]) -> FieldSubset:
     """Union of the classes indexed by J; enforces the odd-q symmetry conditions."""
-    if N < 1 or tower.order % N != 0:
-        raise ValueError(f"N={N} must be a positive divisor of q^m - 1 = {tower.order}")
     J = _class_indices(tower, N, J)
-    members = np.concatenate(
-        [tower.exp[np.arange(j, tower.order, N)].astype(np.int64) for j in J]
-    )
-    return FieldSubset(tower, members, CyclotomicOrigin(N, J))
+    return FieldSubset(tower, _class_members(tower, N, J).ravel(), CyclotomicOrigin(N, J))
 
 
 def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:

@@ -20,7 +20,8 @@ subset is taken as a set difference.  Then
 come the projective representatives as a sorted list of word indices, the
 spectrum by its two test routes (the transform and the unreduced count,
 one key per (row, member) pair) or read off its dense (q^m, p) array, the
-least stabiliser period by trying every divisor of q^m - 1, the least
+least stabiliser period by trying every divisor of q^m - 1, the symmetry
+of a subset by gathering the negatives of its members, the least
 Frobenius power by comparing sets of powers, and the orbits of the words
 closed under the stabiliser, scaling and that Frobenius power one word at
 a time.  Then the field's digitwise addition one base-p digit per round,
@@ -482,6 +483,12 @@ def orbit_representatives(code):
             seen |= indices
             reps.append(min(indices & projective))
     return np.array(sorted(reps), dtype=np.int64)
+
+
+def is_symmetric(subset):
+    """Whether -x lies in the subset for every member x, gathered through the
+    negation table."""
+    return bool(np.all(subset.indicator[subset.tower.neg_table[subset.members]]))
 
 
 def coset_logs(tower, members, period):

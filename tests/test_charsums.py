@@ -221,9 +221,10 @@ FOLD_FIELDS = [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)]
 @pytest.mark.parametrize("field", FOLD_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
 def test_gauss_period_rows_equal_references(field, width, monkeypatch):
     # a random union of cosets of <gamma^d>, with and without 0; width 8 lays
-    # the (c, d) array out in blocks of rows plus a remainder even when c is small
+    # the (c, d) array out in blocks of rows plus a remainder even when c is
+    # small.  A fresh tower holds no tables yet, so each width counts afresh
     monkeypatch.setattr(charsums, "FOLD_WIDTH", width)
-    tower = _route_tower(*field)
+    tower = build_tower(FieldSpec(*field))
     order = tower.order
     rng = np.random.default_rng(order)
     for d in (d for d in range(1, order + 1) if order % d == 0):
@@ -244,6 +245,62 @@ def test_gauss_period_rows_equal_references(field, width, monkeypatch):
                                                 len(members))
                 orbit = Spectrum(tower, rows, k, len(members))
                 assert np.array_equal(orbit.raw, pointwise.raw)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("field", FOLD_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_held_gauss_periods_equal_a_fresh_count(field):
+    # every divisor d in turn on a fresh tower: more tables than the bound
+    # lets the tower hold, so some are counted afresh on every call
+    tower = build_tower(FieldSpec(*field))
+    for d in _divisors(tower.order):
+        for _ in range(2):
+            table = charsums.gauss_periods(tower, d)
+            assert np.array_equal(table, charsums._gauss_periods(tower, d))
+            assert table.dtype == charsums._gauss_periods(tower, d).dtype
+            assert not table.flags.writeable
+    held = charsums._HELD_PERIODS[tower]
+    assert 0 < len(held) < len(_divisors(tower.order))
+    assert sum(table.nbytes for table in held.values()) <= tower.trace_of_exp.nbytes
+    # a held table is handed out again, not recounted
+    assert all(charsums.gauss_periods(tower, d) is table for d, table in held.items())
+
+
+@pytest.mark.parametrize("field", [(2, 1, 12), (3, 1, 8)], ids=["F_2^12", "F_3^8"])
+def test_held_periods_stay_within_trace_of_exp(field):
+    # the periods asked for in descending order, so the large tables come
+    # first and would crowd the bound if they were held
+    tower = build_tower(FieldSpec(*field))
+    for d in _divisors(tower.order)[::-1]:
+        charsums.gauss_periods(tower, d)
+        held = charsums._HELD_PERIODS[tower]
+        assert sum(table.nbytes for table in held.values()) <= tower.trace_of_exp.nbytes
+    assert tower.order not in held  # (q^m - 1) p bytes, over the bound on its own
+    assert held
+
+
+def test_second_candidate_with_the_same_period_counts_nothing(monkeypatch):
+    # F_3^8, N = 41 (3^4 = -1 mod 41): the first union counts the 41 Gauss
+    # periods once, and every later union of N = 41 classes reads them
+    tower = build_tower(FieldSpec(p=3, e=1, m=8))
+    calls = []
+    count = charsums._gauss_periods
+
+    def counted(tower, period):
+        calls.append(period)
+        return count(tower, period)
+
+    monkeypatch.setattr(charsums, "_gauss_periods", counted)
+    for J in ([0, 1], [3, 17], [5, 40]):
+        subset = build_cyclotomic_subset(tower, 41, J)
+        cert, spec = verify_pds_spectral(subset)
+        assert spec.period == 41
+        assert full_spectrum(tower, subset.members).rows.tolist() == spec.rows.tolist()
+        assert cert.to_json() == predicted_cyclotomic_eigenvalues(tower, 41, J).certificate.to_json()
+    assert calls == [41]
 
 
 def assert_rows_read_as_dense(spec):

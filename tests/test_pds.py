@@ -91,6 +91,69 @@ def test_build_subset_rejects_bad_inputs(f44, f35):
         build_cyclotomic_subset(f35, 2, [0])  # 2 divides 242 but not 121
 
 
+# (p, e, m) of the fields the class-union stabiliser is checked on
+ORIGIN_FIELDS = [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)]
+
+
+def _class_union(tower, N, J):
+    """The union of the classes indexed by J with its origin (N, J), for any
+    N dividing q^m - 1, also where build_cyclotomic_subset asks for more."""
+    classes = cyclotomic_classes(tower, N)
+    members = np.concatenate([classes[j] for j in J])
+    return FieldSubset(tower, members, CyclotomicOrigin(N, tuple(sorted(J))))
+
+
+@pytest.mark.parametrize("field", ORIGIN_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_origin_stabiliser_equals_least_period(field):
+    # every N | q^m - 1 up to 200: a random J, a J made periodic by a
+    # divisor of N, and the complements of both
+    tower = build_tower(FieldSpec(*field))
+    rng = np.random.default_rng(tower.order)
+    for N in (n for n in range(2, 201) if tower.order % n == 0):
+        k = int(rng.choice([k for k in range(2, N + 1) if N % k == 0]))
+        coarse = rng.choice(k, size=int(rng.integers(1, k)), replace=False)
+        periodic = (coarse[:, None] + k * np.arange(N // k)).ravel()
+        for J in (rng.choice(N, size=int(rng.integers(1, N)), replace=False), periodic):
+            subset = _class_union(tower, N, J.tolist())
+            for s in (subset, subset.complement()):
+                assert isinstance(s.origin, CyclotomicOrigin)
+                d, cosets = s.stabiliser
+                assert d == reference.least_period(tower, s.members)
+                assert np.array_equal(cosets, reference.coset_logs(tower, s.members, d))
+                assert d == tower.stabiliser(s.members)[0]
+
+
+def _hyperplane(tower, a):
+    members = tower.hyperplane(a)
+    return FieldSubset(tower, members[members != 0])
+
+
+@pytest.mark.parametrize("name", ["f16", "f64", "f44", "f34", "f35", "f92"])
+def test_is_symmetric_equals_the_gather(request, name):
+    # class unions (for odd q also with N outside (q^m - 1)/2, which are not
+    # symmetric), quadrics, random sets and symmetric sets, random unions of
+    # cosets of <gamma^k>, and trace hyperplanes
+    tower = request.getfixturevalue(name)
+    rng = np.random.default_rng(tower.qm)
+    subsets = []
+    for N in (n for n in range(2, 30) if tower.order % n == 0):
+        J = rng.choice(N, size=int(rng.integers(1, N)), replace=False).tolist()
+        subsets += [_class_union(tower, N, J), _class_union(tower, N, J).complement()]
+    if tower.m >= 4 and tower.m % 2 == 0 and (tower.m, tower.q) != (4, 2):
+        subsets += [quadric_subset(tower, kind)[0] for kind in ("hyperbolic", "elliptic")]
+    for size in (1, 2, 7, tower.order // 2):
+        subsets += [FieldSubset(tower, rng.choice(np.arange(1, tower.qm), size, replace=False))]
+        subsets += [_symmetric_random(tower, size, int(rng.integers(2 ** 32)))]
+    for k in (k for k in (3, 5, 8, 10, 17) if tower.order % k == 0):
+        logs = rng.choice(k, size=int(rng.integers(1, k)), replace=False)
+        subsets += [FieldSubset.from_logs(tower, (logs[:, None] + k * np.arange(tower.order // k)).ravel())]
+    subsets += [_hyperplane(tower, int(a)) for a in tower.exp[:5]]
+    flags = [s.is_symmetric() for s in subsets]
+    assert flags == [reference.is_symmetric(s) for s in subsets]
+    if tower.p > 2:
+        assert any(flags) and not all(flags)
+
+
 def test_invariance_routes(ex31, row1, f35):
     # N = 5 divides (4^4-1)/3 = 85, so rho is the identity on Z_5
     assert ex31.tower.subfield_step % 5 == 0
