@@ -69,8 +69,8 @@ def _build_inputs(args):
         if getattr(args, flag) is not None and args.recipe != "example-3.3":
             raise ConfigError(f"--{flag} only applies to --recipe example-3.3")
     if args.recipe:
-        data = build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
-        return data.tower, data.subset
+        subset = build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
+        return subset.tower, subset
     if not args.field or not args.subset:
         raise ConfigError("either --recipe or both --field and --subset are required")
     tower = build_tower(FieldSpec.from_json(_load_spec_arg(args.field)))
@@ -291,7 +291,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--methods", default="all",
                         help="comma list of cover,heng,snc,pds,latin,cyclotomic or 'all'")
     p_code.add_argument("--gen-matrix", dest="gen_matrix",
-                        help="also write the generator matrix (plain text, one basis row per line)")
+                        help="also write the generator matrix (plain text, one row per line): "
+                             "the m + 1 rows f, Tr(x), ..., Tr(gamma^(m-1) x), which span the code")
     p_code.set_defaults(func=cmd_code)
 
     p_blk = sub.add_parser("blocking", help="hyperplane-intersection (cutting) analysis")

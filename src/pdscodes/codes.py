@@ -12,6 +12,12 @@ F_q labels read through the tower's trace-label table
 (`FieldTower.trace_labels`).  The tests hold it against words computed on
 field elements (multiply, trace, add).
 
+The dimension is m + 1 unless f is a trace form Tr(a x), which only q = 2
+allows; `characteristic_trace_form` reads that one candidate a off the
+tower's trace_coords table and compares it with f.  The kernel words, and
+so the dimension, come from it alone, not from the weight columns, whose
+zeros the tests hold against it.
+
 Minimality is decided by several methods of increasing abstraction:
 
 * cover oracle: pairwise support containment between codewords;
@@ -335,18 +341,21 @@ def dyz_size(subset: FieldSubset, y_label: int, z: int, method: str = "auto") ->
 
 
 def characteristic_trace_form(subset: FieldSubset) -> int | None:
-    """The a with f(x) = Tr(a x) on all nonzero x, or None if no such a exists.
+    """The a with f(x) = Tr(a x) on all nonzero x, or None if no such a exists,
+    for a nonempty subset.
 
-    x -> Tr(a x) is the q-polynomial with coefficients a^(q^j), so the one
-    taking f's values on the F_q-basis gamma^0, ..., gamma^(m-1) gives the
-    only candidate a; it is the answer if it matches f on every nonzero x.
+    A nonzero F_q-linear form takes all q values and f only 0 and 1, so only
+    q = 2 leaves a candidate.  There trace_coords[a] packs the bits
+    Tr(a X^i), so the one a whose trace_coords packs the bits f(X^i), X^i
+    the packed element 2^i, is the only candidate; it is the answer if it
+    matches f on every nonzero x.
     """
-    from .qpoly import QPolynomial  # qpoly imports this module
-
     tower = subset.tower
+    if tower.q > 2:
+        return None
+    basis = 2 ** np.arange(tower.m)
+    a = int(np.argmax(tower.trace_coords == basis @ subset.indicator[basis]))
     f = subset.indicator[tower.exp]
-    images = tower.subfield_elements[f[: tower.m].astype(np.int64)]
-    a = QPolynomial.from_basis_images(tower, images).coeffs[0]
     return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
@@ -400,7 +409,6 @@ class SubsetCode:
         self._weight_table = None
         self._supports = None
         self._kernel = None
-        self._dimension = None
         self._rank_orbit_flags = None
         self._orbit_reps = None
         self._classes = None
@@ -500,31 +508,18 @@ class SubsetCode:
         return self._weight_table
 
     def kernel_words(self) -> np.ndarray:
-        """Indices of words that evaluate to the zero vector, ascending: (0, 0)
-        and every (u, gamma^(j + t d)) with weight 0 in column j (weight k > 0
-        rules out (u, 0), u != 0)."""
+        """Indices of the words that evaluate to the zero vector, ascending: (0, 0),
+        and (1, a) when f is the trace form Tr(a x) (`characteristic_trace_form`,
+        over F_2 only).  Each u has at most one v with u f(x) + Tr(v x) = 0 on
+        every nonzero x, and for u != 0 only a trace form f has one."""
         if self._kernel is None:
-            tower, d = self.tower, self.stabiliser_period
-            us, js = np.nonzero(self.weight_table() == 0)
-            vs = tower.exp[js[:, None] + np.arange(0, tower.order, d)].astype(np.int64)
-            self._kernel = np.sort(np.append(0, self.word_index(us[:, None], vs)))
+            a = characteristic_trace_form(self.subset)
+            self._kernel = np.array([0] if a is None else [0, self.word_index(1, a)])
         return self._kernel
 
     def dimension(self) -> int:
-        """m + 1, less one when f is a trace form: then (u, -u a) spans the kernel."""
-        if self._dimension is None:
-            self._dimension = self.tower.m + 1 - int(self.characteristic_is_linear())
-        return self._dimension
-
-    def characteristic_is_linear(self) -> bool:
-        """Whether f coincides with a trace form (collapsing the dimension).
-
-        Impossible for q > 2 with a proper invariant subset, which the
-        binary case must check directly.
-        """
-        if self.tower.q > 2 and is_fq_invariant(self.subset):
-            return False
-        return characteristic_trace_form(self.subset) is not None
+        """m + 1, less one when f is a trace form: m + 2 less the kernel size."""
+        return self.tower.m + 2 - len(self.kernel_words())
 
     def generator_matrix_text(self) -> str:
         """The generator matrix rows as dense F_q labels, space-separated."""

@@ -457,11 +457,6 @@ class FieldTower:
             return 0
         return int(self.exp[(int(self.log[x]) + int(self.log[y])) % self.order])
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of the zero element")
-        return int(self.exp[(-int(self.log[x])) % self.order])
-
     def pow(self, x: int, k: int) -> int:
         if x == 0:
             if k <= 0:

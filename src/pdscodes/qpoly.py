@@ -47,35 +47,6 @@ class QPolynomial:
         coeffs[i % tower.m] = 1
         return cls(tower, coeffs)
 
-    @classmethod
-    def from_basis_images(cls, tower: FieldTower, images: Sequence[int]) -> "QPolynomial":
-        """The unique reduced q-polynomial sending gamma^i to images[i] for i < m.
-
-        Solves the m x m Moore-style system sum_j a_j * (gamma^i)^(q^j) = y_i
-        by Gauss-Jordan elimination over the big field, one array step per
-        pivot column; the scalar elimination is the oracle in tests/reference.py.
-        """
-        m, q, order = tower.m, tower.q, tower.order
-        if len(images) != m:
-            raise ValueError(f"need one image per basis element (m = {m})")
-        rows = np.empty((m, m + 1), dtype=np.int64)
-        rows[:, :m] = tower.exp[np.arange(m)[:, None] * q ** np.arange(m) % order]
-        rows[:, m] = images
-        for col in range(m):
-            below = np.flatnonzero(rows[col:, col])
-            if not len(below):
-                raise ValueError("basis images are degenerate; no reduced representation")
-            rows[[col, col + below[0]]] = rows[[col + below[0], col]]
-            rows[col] = tower.mul_vec(tower.inv(int(rows[col, col])), rows[col])
-            # every other row less its entry in col times the pivot row, as one
-            # product table of the logs and one digitwise add
-            factor, pivot = rows[:, col].copy(), rows[col]
-            factor[col] = 0
-            logs = tower.log[factor][:, None].astype(np.int64) + tower.log[pivot]
-            product = np.where((factor[:, None] == 0) | (pivot == 0), 0, tower.exp[logs % order])
-            rows = tower.add_sets(rows, tower.neg_table[product])
-        return cls(tower, rows[:, m].tolist())
-
     # -- evaluation --------------------------------------------------------
 
     def images(self) -> np.ndarray:

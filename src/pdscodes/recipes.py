@@ -5,45 +5,28 @@ pinned so that repeated runs produce byte-identical reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .field import FieldSpec, FieldTower, build_tower
+from .field import FieldSpec, build_tower
 from .pds import FieldSubset, build_cyclotomic_subset, quadric_subset
 
 
-@dataclass
-class RecipeData:
-    tower: FieldTower
-    subset: FieldSubset
+def _example_31() -> FieldSubset:
+    return build_cyclotomic_subset(build_tower(FieldSpec(p=2, e=2, m=4)), 5, [1, 2, 3, 4])
 
 
-def _example_31() -> RecipeData:
-    tower = build_tower(FieldSpec(p=2, e=2, m=4))
-    subset = build_cyclotomic_subset(tower, 5, [1, 2, 3, 4])
-    return RecipeData(tower, subset)
+def _row1() -> FieldSubset:
+    return build_cyclotomic_subset(build_tower(FieldSpec(p=3, e=1, m=5)), 11, [0])
 
 
-def _row1() -> RecipeData:
-    tower = build_tower(FieldSpec(p=3, e=1, m=5))
-    subset = build_cyclotomic_subset(tower, 11, [0])
-    return RecipeData(tower, subset)
+def _row1_complement() -> FieldSubset:
+    return _row1().complement()
 
 
-def _row1_complement() -> RecipeData:
-    base = _row1()
-    return RecipeData(base.tower, base.subset.complement())
+def _example_33(kind: str = "hyperbolic", p: int = 3, m: int = 4) -> FieldSubset:
+    return quadric_subset(build_tower(FieldSpec(p=p, e=1, m=m)), kind=kind)[0]
 
 
-def _example_33(kind: str = "hyperbolic", p: int = 3, m: int = 4) -> RecipeData:
-    tower = build_tower(FieldSpec(p=p, e=1, m=m))
-    subset, _ = quadric_subset(tower, kind=kind)
-    return RecipeData(tower, subset)
-
-
-def _row3() -> RecipeData:
-    tower = build_tower(FieldSpec(p=3, e=1, m=12))
-    subset = build_cyclotomic_subset(tower, 35, [0])
-    return RecipeData(tower, subset)
+def _row3() -> FieldSubset:
+    return build_cyclotomic_subset(build_tower(FieldSpec(p=3, e=1, m=12)), 35, [0])
 
 
 RECIPES = {
@@ -59,7 +42,7 @@ RECIPES = {
 
 
 def build_recipe(name: str, kind: str | None = None, p: int | None = None,
-                 m: int | None = None) -> RecipeData:
+                 m: int | None = None) -> FieldSubset:
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
     if name == "example-3.3":

@@ -57,16 +57,16 @@ def _value_labels_at(code: SubsetCode, x: int) -> np.ndarray:
 def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True):
     """Number of minimal access sets: words with coordinate 1 at x1.
 
-    With a minimal code this is exactly q^m (a coset count).  Otherwise the
-    zero-set rank flags (one per orbit of the scans, see `SubsetCode`)
-    filter to genuinely minimal words and both numbers are reported.
+    That coordinate is a nonzero F_q-linear form on the words (u, v), so it
+    is 1 on a coset of its kernel: q^m words, for every code.  When the code
+    is not minimal, the zero-set rank flags (one per orbit of the scans, see
+    `SubsetCode`) filter those words to the genuinely minimal ones and both
+    numbers are reported.
     """
-    mask1 = _value_labels_at(code, x1) == 1
-    total = int(np.count_nonzero(mask1))
     if code_is_minimal:
-        return total, None
-    minimal = code.word_flags(code.rank_orbit_flags(), np.flatnonzero(mask1))
-    return total, int(np.count_nonzero(minimal))
+        return code.tower.qm, None
+    ones = np.flatnonzero(_value_labels_at(code, x1) == 1)
+    return code.tower.qm, int(np.count_nonzero(code.word_flags(code.rank_orbit_flags(), ones)))
 
 
 def _coverage(code: SubsetCode, x1: int, xs) -> np.ndarray:

@@ -31,8 +31,8 @@ check by comparing every label of every word pair, a chunk of v at a time,
 which the library decides by F_p-linearity and the basis pairs, the rank
 test's elimination on arrays of base-p digits, which the library runs on
 the packed elements, and the q-polynomial through given basis images
-solved with one scalar field operation per entry, which the library solves
-one array step per pivot column.  The orbit closure also takes, for a
+solved with one scalar field operation per entry, by which the tests build
+the maps they check.  The orbit closure also takes, for a
 quadric, every reflection of its orthogonal group, evaluated on field
 elements, its trace dual found by matching rows of traces.
 
@@ -249,7 +249,8 @@ def complement(subset):
 
 
 def dependent_words(code, w):
-    """Indices of words whose vectors are scalar multiples of word w's vector."""
+    """Indices of words whose vectors are scalar multiples of word w's vector,
+    the kernel read as the zeros of the dense weight table."""
     tower = code.tower
     add_q, mul_q, _ = tower.subfield_tables()
     u, v = code.word_of_index(w)
@@ -257,7 +258,7 @@ def dependent_words(code, w):
     for lam in range(tower.q):
         lu = int(mul_q[lam, u])
         lv = tower.mul(int(tower.subfield_elements[lam]), v)
-        for kw in code.kernel_words().tolist():
+        for kw in np.flatnonzero(weight_table(code).ravel() == 0).tolist():
             ku, kv = code.word_of_index(int(kw))
             out.add(code.word_index(int(add_q[lu, ku]), tower.add(lv, kv)))
     return np.asarray(sorted(out), dtype=np.int64)
@@ -639,7 +640,7 @@ def from_basis_images(tower, images):
     for col in range(m):
         piv = next(r for r in range(col, m) if rows[r][col] != 0)
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = tower.inv(rows[col][col])
+        inv = tower.pow(rows[col][col], -1)
         rows[col] = [tower.mul(inv, v) for v in rows[col]]
         for r in range(m):
             if r != col and rows[r][col] != 0:

@@ -84,7 +84,7 @@ def test_codeword_linearity(ex31_code):
 def test_dimensions(ex31_code, row1_code):
     assert ex31_code.n == 255
     assert ex31_code.dimension() == 5
-    assert not ex31_code.characteristic_is_linear()
+    assert characteristic_trace_form(ex31_code.subset) is None
     assert row1_code.n == 242
     assert row1_code.dimension() == 6
 
@@ -93,13 +93,12 @@ def test_binary_degenerate_dimension(f16):
     # over F_2 the indicator of {x : Tr(x) = 1} is itself a trace form
     members = np.array([x for x in range(1, f16.qm) if f16.trace_p[x] == 1], dtype=np.int64)
     code = SubsetCode(FieldSubset(f16, members))
-    assert code.characteristic_is_linear()
     assert characteristic_trace_form(code.subset) == 1
     assert code.dimension() == f16.m
     # a generic binary subset stays full-dimensional
     rng = np.random.default_rng(3)
     generic = SubsetCode(FieldSubset(f16, rng.choice(np.arange(1, 16), size=6, replace=False)))
-    if not generic.characteristic_is_linear():
+    if characteristic_trace_form(generic.subset) is None:
         assert generic.dimension() == f16.m + 1
 
 
@@ -119,7 +118,7 @@ def test_characteristic_trace_form_finds_every_trace_set(m):
             assert characteristic_trace_form(FieldSubset(t, swapped)) is None
 
 
-@pytest.mark.parametrize("p, e, m", [(2, 1, 4), (2, 1, 5), (2, 2, 3)])
+@pytest.mark.parametrize("p, e, m", [(2, 1, 4), (2, 1, 5), (2, 2, 3), (3, 1, 4), (3, 2, 2)])
 def test_characteristic_trace_form_matches_brute_force(p, e, m):
     # every a tried on the element route, for the trace sets {x : Tr(a x) = 1}
     # (trace forms only over F_2) and for random sets
@@ -132,7 +131,7 @@ def test_characteristic_trace_form_matches_brute_force(p, e, m):
     for members in sets:
         subset = FieldSubset(t, members)
         matches = np.flatnonzero((table == subset.indicator[xs]).all(axis=1)).tolist()
-        assert len(matches) <= 1
+        assert len(matches) <= 1 and not (matches and t.q > 2)
         assert characteristic_trace_form(subset) == (matches[0] if matches else None)
 
 
@@ -166,7 +165,8 @@ def test_trace_form_code_is_minimal_by_every_oracle(f16):
 
 
 def test_kernel_count_matches_closed_form_dimension(f16, f34, f35, f44):
-    # the closed-form dimension against the directly counted kernel of the weight table
+    # the dimension from the trace form against the kernel counted off the
+    # weight columns: the weight-0 frequency of the enumerated distribution
     rng = np.random.default_rng(21)
     subsets = [
         build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]),
@@ -182,7 +182,7 @@ def test_kernel_count_matches_closed_form_dimension(f16, f34, f35, f44):
     for subset in subsets:
         code = SubsetCode(subset)
         dims.append(code.dimension())
-        kernel = len(code.kernel_words())
+        kernel = code.weight_distribution_direct().as_dict()[0]
         assert kernel == code.tower.q ** (code.tower.m + 1 - dims[-1])
     assert dims[3] == f16.m  # the trace-form subset loses one dimension
 
@@ -537,22 +537,23 @@ def test_guards_return_not_run(row1_code, monkeypatch):
         SubsetCode(row1_code.subset).weight_distribution_direct()
 
 
-def test_weight_count_budget_skips_cover_and_heng(f34, monkeypatch, capsys):
+def test_weight_count_budget_skips_heng(f34, monkeypatch, capsys):
     # the F_{3^4} elliptic quadric: d = 40 and k = 20, so the count costs 800 pairs
     subset, _ = quadric_subset(f34, kind="elliptic")
     monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 799)
     code = SubsetCode(subset)
     note = "weight count cost 800 exceeds the budget 799"
-    for verdict in (code.minimality_cover(), code.minimality_heng()):
-        assert (verdict.status, verdict.note) == (NOT_RUN, note)
+    verdict = code.minimality_heng()
+    assert (verdict.status, verdict.note) == (NOT_RUN, note)
     with pytest.raises(GuardExceeded, match=note):
         code.weight_distribution_direct()
-    assert code.minimality_snc().status == MINIMAL  # SNC reads no weights
+    # cover and SNC read no weights: the kernel comes from the trace form
+    assert code.minimality_cover().status == code.minimality_snc().status == MINIMAL
     exit_code = main(["code", "--recipe", "example-3.3", "--kind", "elliptic", "--methods", "all"])
     payload = json.loads(capsys.readouterr().out)
     assert exit_code == 4 and payload["weights_source"] == "predicted"
     assert {key: payload["minimal"][key] for key in ("cover", "heng", "snc")} == {
-        "cover": NOT_RUN, "heng": NOT_RUN, "snc": MINIMAL}
+        "cover": MINIMAL, "heng": NOT_RUN, "snc": MINIMAL}
     monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 800)
     code = SubsetCode(subset)
     assert code.minimality_cover().status == code.minimality_heng().status == MINIMAL

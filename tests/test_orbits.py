@@ -163,6 +163,11 @@ def assert_fills_equal_reference(code):
     assert np.array_equal(code._support_words(), support_words(code))
 
 
+def test_kernel_size_is_the_zero_weight_frequency(code):
+    # the kernel from the trace form against the enumerated distribution
+    assert code.weight_distribution_direct().as_dict()[0] == len(code.kernel_words())
+
+
 def test_word_labels_equal_codewords(code):
     # the table route against the element route, for every word
     tower = code.tower
@@ -280,7 +285,7 @@ def test_reflections_are_code_automorphisms(request, name):
     code = SubsetCode(build(request.getfixturevalue(fixture)))
     tower = code.tower
     for g, dual in zip(*_reflections(code)):
-        poly = QPolynomial.from_basis_images(tower, g[tower.exp[: tower.m]])
+        poly = QPolynomial(tower, reference.from_basis_images(tower, g[tower.exp[: tower.m]]))
         assert np.array_equal(poly.images(), g)
         assert np.array_equal(poly.trace_dual().images(), dual)
         assert induced_code_automorphism_check(code, poly)

@@ -136,10 +136,12 @@ def test_nonminimal_code_reports_both_counts(f34):
 
 
 @pytest.mark.parametrize("name", ["ex31", "row1", "F_3^4 hyperplane", "F_3^4 N=10",
-                                  "F_3^4 not invariant", "F_2^4 trace form"])
+                                  "F_3^4 not invariant", "F_2^4 not invariant",
+                                  "F_2^4 trace form"])
 def test_coverage_equals_enumeration(request, f16, f34, name):
-    # minimal and non-minimal codes, a subset that is not F_q^*-invariant, and
-    # a binary subset whose indicator is a trace form (dimension m)
+    # minimal and non-minimal codes, subsets that are not F_q^*-invariant, and
+    # a binary subset whose indicator is a trace form (dimension m); the
+    # access-set total is q^m for each
     if name == "ex31":
         code = request.getfixturevalue("ex31_code")
     elif name == "row1":
@@ -151,10 +153,15 @@ def test_coverage_equals_enumeration(request, f16, f34, name):
         code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
     elif name == "F_3^4 not invariant":
         code = SubsetCode(FieldSubset.from_logs(f34, [0, 1, 5, 17, 40]))
+    elif name == "F_2^4 not invariant":
+        code = SubsetCode(FieldSubset.from_logs(f16, [0, 9, 11, 13, 14]))
     else:
         code = SubsetCode(FieldSubset.from_logs(f16, [3, 6, 7, 9, 11, 12, 13, 14]))
     tower = code.tower
     for x1 in tower.exp[:: max(1, tower.order // 40)].tolist():
+        ones = int(np.count_nonzero(reference.value_labels_at(code, x1) == 1))
+        for code_is_minimal in (True, False):
+            assert minimal_access_count(code, x1, code_is_minimal)[0] == ones == tower.qm
         coverage = participant_coverage(code, x1)
         assert coverage == reference.participant_coverage(code, x1)
         for j, n in coverage.items():
