@@ -157,13 +157,12 @@ def orthogonality_sum(tower: FieldTower, x: int) -> int:
     return total.rational_value()
 
 
-def is_invariant_under_subfield(tower: FieldTower, indicator: np.ndarray) -> bool:
-    """Whether the indicated subset is closed under F_q^* scaling."""
-    members = np.nonzero(indicator)[0]
-    if len(members) == 0:
-        return True
+def is_invariant_under_subfield(tower: FieldTower, members: np.ndarray) -> bool:
+    """Whether the set of the sorted, distinct members is closed under F_q^*
+    scaling: scaling by a generator of F_q^* permutes the field, so the set
+    is closed exactly when its scaled members, sorted, are the members."""
     gen = tower.exp[tower.subfield_step % tower.order]  # generator of F_q^* (1 when q = 2)
-    return bool(np.all(indicator[tower.mul_vec(int(gen), members)]))
+    return bool(np.array_equal(np.sort(tower.mul_vec(int(gen), members)), members))
 
 
 def _gauss_periods(tower: FieldTower, period: int) -> np.ndarray:

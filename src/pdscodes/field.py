@@ -485,10 +485,9 @@ class FieldTower:
         Stab(S) = <gamma^d>, and the ascending i < d with S the union of the
         cosets gamma^i <gamma^d>, i in I: the cyclic period of S's
         indicator in log order (`cyclic_period`)."""
-        members = np.asarray(members, dtype=np.int64)
-        mem = np.zeros(self.order, dtype=bool)
-        mem[self.log[members[members != 0]]] = True
-        return cyclic_period(mem)
+        mem = np.zeros(self.order + 1, dtype=bool)  # the last slot takes log[0] = -1
+        mem[self.log[members].astype(np.intp)] = True
+        return cyclic_period(mem[:-1])
 
     # -- traces and hyperplanes -------------------------------------------
 

@@ -1,8 +1,9 @@
 """Candidate subsets of F_{q^m}^* and partial-difference-set verification.
 
-A subset is carried as an indicator bitset plus its origin: the (N, J) of
+A subset is carried as its sorted members plus its origin: the (N, J) of
 a union of cyclotomic classes, the Gram matrix of a quadratic form whose
-nonzero zeros it is, or none (an explicit element list).  Verification
+nonzero zeros it is, or none (an explicit element list).  Its q^m-entry
+indicator bitset is built only when something reads it.  Verification
 runs on two independent routes: the spectral one reads the distinct
 character-sum values off the full spectrum, the combinatorial one counts
 differences directly; on small fields both must agree.
@@ -54,21 +55,35 @@ class QuadricOrigin:
 
 
 class FieldSubset:
-    """A subset of F_{q^m}^* with cached indicator and sorted members; origin
-    is a CyclotomicOrigin, a QuadricOrigin or None."""
+    """A subset of F_{q^m}^*: its members, sorted and without repeats, in
+    int64, taken from any array of elements by one int32 sort and a
+    neighbour compare, and an indicator built on first read; origin is a
+    CyclotomicOrigin, a QuadricOrigin or None."""
 
     def __init__(self, tower: FieldTower, members: np.ndarray,
                  origin: CyclotomicOrigin | QuadricOrigin | None = None):
-        members = np.asarray(members, dtype=np.int64)
-        if np.any(members >= tower.qm) or np.any(members < 0):
+        members = np.asarray(members).ravel()
+        # checked before the int32 cast, which would wrap larger values
+        if members.size and (members.min() < 0 or members.max() >= tower.qm):
             raise ValueError("member out of field range")
-        self.indicator = np.zeros(tower.qm, dtype=bool)
-        self.indicator[members] = True
-        if self.indicator[0]:
+        members = members.astype(np.int32)  # q^m <= MAX_FIELD_SIZE = 2^26
+        members.sort()
+        first = np.ones(len(members), dtype=bool)  # the first of each run of repeats
+        np.not_equal(members[1:], members[:-1], out=first[1:])
+        members = members[first]
+        del first  # freed before the int64 copy, which sets the peak
+        if len(members) and members[0] == 0:
             raise ValueError("subsets live in the multiplicative group; 0 not allowed")
         self.tower = tower
-        self.members = np.flatnonzero(self.indicator)  # sorted, without repeats
+        self.members = members.astype(np.int64)  # sorted, without repeats
         self.origin = origin
+
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """The q^m-entry membership bitset, built on first read."""
+        indicator = np.zeros(self.tower.qm, dtype=bool)
+        indicator[self.members] = True
+        return indicator
 
     def __len__(self):
         return int(len(self.members))
@@ -121,7 +136,7 @@ class FieldSubset:
     def from_logs(cls, tower: FieldTower, logs: Sequence[int]) -> "FieldSubset":
         # reduced as Python ints, so any integer log is taken mod q^m - 1
         logs = np.array([int(lg) % tower.order for lg in logs], dtype=np.int64)
-        return cls(tower, tower.exp[logs].astype(np.int64))
+        return cls(tower, tower.exp[logs])
 
     @classmethod
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
@@ -174,8 +189,8 @@ def _class_indices(tower: FieldTower, N: int,
 
 def _class_members(tower: FieldTower, N: int, J: tuple[int, ...]) -> np.ndarray:
     """Row r is the class gamma^J[r] <gamma^N>: exp read as a ((q^m-1)/N, N)
-    array has class j as its column j."""
-    return tower.exp.reshape(-1, N).T[list(J)].astype(np.int64)
+    array has class j as its column j (one int32 gather)."""
+    return tower.exp.reshape(-1, N).T[list(J)]
 
 
 def build_cyclotomic_subset(tower: FieldTower, N: int, J: Sequence[int]) -> FieldSubset:
@@ -193,7 +208,7 @@ def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:
 
 def is_fq_invariant(subset: FieldSubset) -> bool:
     """Closure under F_q^* scaling; cyclotomic origins are cross-checked via rho."""
-    direct = is_invariant_under_subfield(subset.tower, subset.indicator)
+    direct = is_invariant_under_subfield(subset.tower, subset.members)
     if isinstance(subset.origin, CyclotomicOrigin):
         via_rho = rho_invariant(subset.tower, subset.origin.N, subset.origin.J)
         if via_rho != direct:
@@ -322,10 +337,9 @@ def verify_pds_spectral(
     if not subset.is_proper():
         raise PdsVerificationError("connection set must be nonempty and proper")
     if not subset.is_symmetric():
-        bad = next(
-            int(d) for d in subset.members if not subset.indicator[subset.tower.neg_table[d]]
-        )
-        raise PdsVerificationError("set is not symmetric (-D != D)", witness=bad)
+        members = subset.members
+        bad = members[~subset.indicator[subset.tower.neg_table[members]]]
+        raise PdsVerificationError("set is not symmetric (-D != D)", witness=int(bad[0]))
     if spectrum is None:
         spectrum = subset.spectrum()
     return certificate_from_spectrum(subset, spectrum), spectrum

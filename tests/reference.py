@@ -21,7 +21,9 @@ come the projective representatives as a sorted list of word indices, the
 spectrum by its two test routes (the transform and the unreduced count,
 one key per (row, member) pair) or read off its dense (q^m, p) array, the
 least stabiliser period by trying every divisor of q^m - 1, the symmetry
-of a subset by gathering the negatives of its members, the least
+of a subset by gathering the negatives of its members, its least
+asymmetry witness by trying them one at a time, a subset's members taken
+through a q^m-entry indicator, the least
 Frobenius power by comparing sets of powers, and the orbits of the words
 closed under the stabiliser, scaling and that Frobenius power one word at
 a time.  Then the field's digitwise addition one base-p digit per round,
@@ -490,6 +492,23 @@ def is_symmetric(subset):
     """Whether -x lies in the subset for every member x, gathered through the
     negation table."""
     return bool(np.all(subset.indicator[subset.tower.neg_table[subset.members]]))
+
+
+def asymmetry_witness(subset):
+    """The least member x whose negative -x lies outside the subset, tried
+    one member at a time."""
+    return next(int(d) for d in subset.members if not subset.indicator[subset.tower.neg_table[d]])
+
+
+def indicator_members(tower, members):
+    """The sorted, distinct members of a subset taken through a q^m-entry
+    indicator: scattered into it in int64, read back with flatnonzero."""
+    members = np.asarray(members, dtype=np.int64)
+    if np.any(members >= tower.qm) or np.any(members < 0):
+        raise ValueError("member out of field range")
+    indicator = np.zeros(tower.qm, dtype=bool)
+    indicator[members] = True
+    return np.flatnonzero(indicator)
 
 
 def coset_logs(tower, members, period):

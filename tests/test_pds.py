@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import reference
@@ -120,7 +122,9 @@ def test_origin_stabiliser_equals_least_period(field):
                 d, cosets = s.stabiliser
                 assert d == reference.least_period(tower, s.members)
                 assert np.array_equal(cosets, reference.coset_logs(tower, s.members, d))
-                assert d == tower.stabiliser(s.members)[0]
+                for members in (s.members, np.append(s.members, 0)):  # 0 is in no coset
+                    scanned, scanned_cosets = tower.stabiliser(members)
+                    assert scanned == d and np.array_equal(scanned_cosets, cosets)
 
 
 def _hyperplane(tower, a):
@@ -212,6 +216,25 @@ def test_asymmetric_set_rejected(f35):
     single = FieldSubset(f35, np.array([1]))
     with pytest.raises(PdsVerificationError, match="symmetric"):
         verify_pds_spectral(single)
+
+
+def test_asymmetry_witness_is_the_least():
+    # a symmetric explicit set plus elements above its least member whose
+    # negatives stay outside, so the witness is not the first member
+    f38 = build_tower(FieldSpec(p=3, e=1, m=8))
+    rng = np.random.default_rng(38)
+    half = f38.order // 2
+    logs = rng.choice(f38.order, size=40, replace=False)
+    symmetric = FieldSubset.from_logs(f38, np.concatenate([logs, logs + half]))
+    outside = np.setdiff1d(f38.exp.astype(np.int64), symmetric.members)
+    outside = outside[outside > symmetric.members[0]]
+    subset = FieldSubset(f38, np.concatenate(
+        [symmetric.members, rng.choice(outside, size=5, replace=False)]))
+    expected = reference.asymmetry_witness(subset)
+    assert expected != subset.members[0]
+    with pytest.raises(PdsVerificationError, match="symmetric") as err:
+        verify_pds_spectral(subset)
+    assert err.value.witness == expected
 
 
 def test_direct_vs_spectral_on_quadric(f34):
@@ -521,3 +544,34 @@ def test_field_subset_input_validation(f34):
         FieldSubset(f34, [5, -1])
     with pytest.raises(ValueError, match="out of field range"):
         FieldSubset(f34, [5, f34.qm])
+
+    # any array of elements gives the members the indicator route gives
+    rng = np.random.default_rng(34)
+    drawn = rng.integers(1, f34.qm, size=60)  # unsorted, with repeats
+    for members in (drawn.tolist(), drawn.astype(np.int32), drawn.astype(np.int64),
+                    drawn.reshape(6, 10), []):
+        subset = FieldSubset(f34, members)
+        expected = reference.indicator_members(f34, members)
+        assert subset.members.dtype == np.int64
+        assert np.array_equal(subset.members, expected)
+        assert np.array_equal(np.flatnonzero(subset.indicator), expected)
+    # range-checked before the int32 cast, where 2^32 + 5 would wrap to 5
+    for members in ([5, 2 ** 32 + 5], np.array([5, 2 ** 32 + 5]), np.array([2 ** 31 + 5])):
+        with pytest.raises(ValueError, match="out of field range"):
+            FieldSubset(f34, members)
+
+
+def test_class_union_builds_no_indicator():
+    # the build allocates O(|D|), far below one byte per field element, and
+    # neither the spectrum nor the spectral check of a symmetric union
+    # builds the indicator
+    f312 = build_tower(FieldSpec(p=3, e=1, m=12))
+    tracemalloc.start()
+    try:
+        subset = build_cyclotomic_subset(f312, 73, [49, 55])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < f312.qm // 2
+    verify_pds_spectral(subset, full_spectrum(f312, subset.members))
+    assert "indicator" not in vars(subset)
