@@ -1,73 +1,58 @@
-"""Minimal linear codes from multiplicatively invariant subsets of finite fields."""
+"""Minimal linear codes from multiplicatively invariant subsets of finite fields.
 
-from .charsums import Spectrum, full_spectrum, orthogonality_sum, psi_sum
-from .codes import (
-    MinimalityReport,
-    SubsetCode,
-    WeightDistribution,
-    ab_condition,
-    minimality_cyclotomic_sufficient,
-    minimality_latin_sufficient,
-    minimality_pds_sufficient,
-    weight_class,
-    weight_distribution_predicted,
-)
-from .cyclotomic import CyclotomicInteger
-from .blocking import BlockingReport, is_cutting_vectorial_blocking
-from .field import FieldSpec, FieldTower, build_tower
-from .pds import (
-    FieldSubset,
-    PdsCertificate,
-    PdsVerificationError,
-    build_cyclotomic_subset,
-    cyclotomic_classes,
-    is_fq_invariant,
-    predicted_cyclotomic_eigenvalues,
-    quadric_subset,
-    verify_pds_direct,
-    verify_pds_spectral,
-)
-from .qpoly import QPolynomial, induced_code_automorphism_check, is_automorphism_of
-from .recipes import RECIPES, build_recipe
-from .secretsharing import AccessReport, analyze_scheme
+Each public name is imported from its home module on first use (PEP 562),
+so `from pdscodes import pds` compiles only the modules that pds imports.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessReport",
-    "BlockingReport",
-    "CyclotomicInteger",
-    "FieldSpec",
-    "FieldSubset",
-    "FieldTower",
-    "MinimalityReport",
-    "PdsCertificate",
-    "PdsVerificationError",
-    "QPolynomial",
-    "RECIPES",
-    "Spectrum",
-    "SubsetCode",
-    "WeightDistribution",
-    "ab_condition",
-    "analyze_scheme",
-    "build_cyclotomic_subset",
-    "build_recipe",
-    "build_tower",
-    "cyclotomic_classes",
-    "full_spectrum",
-    "induced_code_automorphism_check",
-    "is_automorphism_of",
-    "is_cutting_vectorial_blocking",
-    "is_fq_invariant",
-    "minimality_cyclotomic_sufficient",
-    "minimality_latin_sufficient",
-    "minimality_pds_sufficient",
-    "orthogonality_sum",
-    "predicted_cyclotomic_eigenvalues",
-    "psi_sum",
-    "quadric_subset",
-    "verify_pds_direct",
-    "verify_pds_spectral",
-    "weight_class",
-    "weight_distribution_predicted",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "blocking": ("BlockingReport", "is_cutting_vectorial_blocking"),
+    "charsums": ("Spectrum", "full_spectrum", "orthogonality_sum", "psi_sum"),
+    "codes": (
+        "MinimalityReport",
+        "SubsetCode",
+        "WeightDistribution",
+        "ab_condition",
+        "minimality_cyclotomic_sufficient",
+        "minimality_latin_sufficient",
+        "minimality_pds_sufficient",
+        "weight_class",
+        "weight_distribution_predicted",
+    ),
+    "cyclotomic": ("CyclotomicInteger",),
+    "field": ("FieldSpec", "FieldTower", "build_tower"),
+    "pds": (
+        "FieldSubset",
+        "PdsCertificate",
+        "PdsVerificationError",
+        "build_cyclotomic_subset",
+        "cyclotomic_classes",
+        "is_fq_invariant",
+        "predicted_cyclotomic_eigenvalues",
+        "quadric_subset",
+        "verify_pds_direct",
+        "verify_pds_spectral",
+    ),
+    "qpoly": ("QPolynomial", "induced_code_automorphism_check", "is_automorphism_of"),
+    "recipes": ("RECIPES", "build_recipe"),
+    "secretsharing": ("AccessReport", "analyze_scheme"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

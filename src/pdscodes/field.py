@@ -7,22 +7,27 @@ the zero element; every nonzero element is gamma^i for a unique i, and
 the exp/log tables convert between the two views.
 
 F_q always lives inside F_{q^m} as the set of nonzero (q^m-1)/(q-1)-th
-powers together with 0; it is never built as a separate field.  All
-tables are immutable after construction, so a tower can be shared freely
-across threads.
+powers together with 0; it is never built as a separate field.
+
+exp, log, the absolute trace trace_p and the q elements of F_q are built
+up front; neg_table, trace_q, trace_coords and subfield_index on first
+read (a class-union PDS check reads none of them).  No table changes once
+built, so a tower can be shared across threads.  A modulus passes when exp
+fills every log slot; the polynomial tests run only to name a failure.
 
 The traces, the negation, trace_coords and multiplication by a fixed
 power of X are F_p-linear maps on the packed digits, tabulated by
 `FieldTower.linear_map_table` from the images of the basis X^i: on the
 low and the high half of the digits apart (digit-matrix products mod p),
 then joined by one digitwise add of arrays, which gathers from a cached
-table adding two c-digit chunks (c = 5 for p = 3; XOR for p = 2).  exp
-takes its first B ~ sqrt(q^m) powers of X by scalar shift-and-reduce and
-the rest B at a time through the multiply-by-X^B table; log is its
-inverse scatter.  The traces are linearized polynomials sum_k x^(step^k),
-whose basis images come from exp/log (`linearized_table`, which also
-serves q-polynomials).  trace_coords[a] packs the digits Tr_abs(a X^i),
-which index the row of the character transform that holds a's value.
+table adding two c-digit chunks (c = 5 for p = 3; XOR for p = 2), or for
+trace_p, whose images are single digits, by one add mod p.  exp takes
+its first B ~ sqrt(q^m) powers of X by companion-matrix doubling and the
+rest B at a time through the multiply-by-X^B table; log is its inverse
+scatter.  The traces are linearized polynomials sum_k x^(step^k), whose
+basis images come from exp/log (`linearized_table`, which also serves
+q-polynomials).  trace_coords[a] packs the digits Tr_abs(a X^i), which
+index the row of the character transform that holds a's value.
 
 Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
@@ -39,9 +44,10 @@ from typing import Sequence
 
 import numpy as np
 
-# Hard cap on table-backed fields: seven tables of this length, mostly int32.
-# F_{2^24} builds in 1.1 s with a 511 MB peak RSS and F_{3^12} in 0.05-0.06 s
-# with 51 MB (2-core Xeon, numpy 2.4); F_{2^26} was not measured.
+# Hard cap on table-backed fields: up to seven tables of this length, mostly
+# int32; a build makes exp, log and the int8 trace_p, the rest come on first
+# read.  F_{2^24} builds in 1.0-1.4 s with a 286 MB peak RSS and F_{3^12} in
+# 0.03-0.04 s with 36 MB (2-core Xeon, numpy 2.4); F_{2^26} was not measured.
 MAX_FIELD_SIZE = 2 ** 26
 
 # Default defining polynomials, low degree first, indexed by (p, e*m).
@@ -232,8 +238,9 @@ class FieldSpec:
 
     ``modulus`` lists the coefficients of a monic irreducible polynomial
     of degree e*m over F_p, low degree first; None selects the built-in
-    default.  The residue of X must be primitive: an order test checks
-    that up front, and table construction checks it again.
+    default.  The residue of X must be primitive: table construction
+    checks that by counting the log slots exp fills, and only when the
+    count fails runs the irreducibility and order tests to name the fault.
     """
 
     p: int
@@ -290,14 +297,9 @@ class FieldTower:
         # index of F_q^* in F_{q^m}^*: gamma^subfield_step generates F_q^*
         self.subfield_step = self.order // (self.q - 1)
 
-        modulus = spec.modulus if spec.modulus is not None else default_modulus(self.p, self.em)
-        if not poly_is_irreducible(modulus, self.p):
-            raise FieldConstructionError(f"modulus {list(modulus)} is reducible over F_{self.p}")
-        if not poly_x_is_primitive(modulus, self.p):
-            raise FieldConstructionError(
-                f"modulus {list(modulus)} is irreducible but X is not primitive"
-            )
-        self.modulus = tuple(modulus)
+        self.modulus = tuple(
+            spec.modulus if spec.modulus is not None else default_modulus(self.p, self.em)
+        )
 
         self._build_tables()
 
@@ -306,7 +308,7 @@ class FieldTower:
     def _build_tables(self):
         p, em, qm, order = self.p, self.em, self.qm, self.order
 
-        # exp: the first B + em powers of X by scalar shift-and-reduce, the
+        # exp: the first B + em powers of X by companion-matrix doubling, the
         # rest B at a time through the multiply-by-X^B table; a premature
         # return to 1 repeats entries, so fewer than q^m - 1 log slots fill
         block = max(isqrt(order), em)
@@ -319,56 +321,57 @@ class FieldTower:
             exp[start:stop] = times_x_block[exp[start - block:stop - block]]
         log = np.full(qm, -1, dtype=np.int32)
         log[exp] = np.arange(order, dtype=np.int32)
-        if np.count_nonzero(log >= 0) != order:
-            raise FieldConstructionError(
-                "residue of X does not generate the multiplicative group; "
-                "supply a primitive modulus"
-            )
+        # a reducible or imprimitive modulus always does, but X over F_2 (X = 0)
+        if np.count_nonzero(log >= 0) != order or self.modulus[0] == 0:
+            self._reject_modulus()
         self.exp = exp
         self.log = log
 
-        # the traces and negation are F_p-linear; trace_p[p^i] is Tr(X^i)
-        trace_p = self.linearized_table([1] * em, p)
-        if trace_p[p ** np.arange(em)].max() >= p:
+        # trace_p: the images Tr(X^i) are single digits, so the half tables
+        # join by one add mod p in the least dtype holding 2(p - 1); int8 while
+        # the digits fit
+        images = self._linearized_images([1] * em, p)
+        if images.max() >= p:
             raise FieldConstructionError("absolute trace left the prime field; tables corrupt")
-        self.trace_p = trace_p.astype(np.int8)
-        # with e = 1 the two traces are one map
-        self.trace_q = (
-            trace_p if self.e == 1
-            else self.linearized_table([1] * self.m, self.q)
-        )
-        self.neg_table = self.linear_map_table([(p - 1) * p ** i for i in range(em)])
-        # trace_coords[a] packs the digits Tr(a X^i), i < em: the row of the
-        # character transform that holds a's value
-        tr_x = self.trace_p[exp[: 2 * em - 1]].astype(np.int64).tolist()
-        self.trace_coords = self.linear_map_table(
-            [sum(tr_x[i + j] * p ** i for i in range(em)) for j in range(em)]
-        )
+        dtype = np.min_scalar_type(2 * (p - 1))
+        high, low = (half.astype(dtype) for half in self._half_tables(images))
+        trace_p = np.add(high[:, None], low).ravel()
+        np.remainder(trace_p, p, out=trace_p)
+        self.trace_p = trace_p.view(np.int8) if p <= 128 else trace_p
 
         # dense labels for F_q: 0 -> 0, 1 + j -> gamma^(j * subfield_step)
         sub = np.zeros(self.q, dtype=np.int32)
         sub[1:] = exp[np.arange(self.q - 1) * self.subfield_step]
         self.subfield_elements = sub
-        idx = np.full(qm, -1, dtype=np.int32)
-        idx[sub] = np.arange(self.q, dtype=np.int32)
-        self.subfield_index = idx
-        if np.count_nonzero(self.subfield_index >= 0) != self.q:
-            raise FieldConstructionError("subfield embedding is not injective")
 
         self._coord_tables = None
         self._subfield_ops = None
 
-    def _powers_of_x(self, count: int) -> list[int]:
-        """Packed X^0 .. X^(count-1): shift the digits up, then subtract the
-        overflow digit times (modulus - X^em)."""
-        p, low = self.p, self.modulus[:-1]
-        digits = [1] + [0] * (self.em - 1)
-        out = []
-        for _ in range(count):
-            out.append(sum(d * p ** i for i, d in enumerate(digits)))
-            top = digits[-1]
-            digits = [(d - top * c) % p for d, c in zip([0] + digits[:-1], low)]
-        return out
+    def _reject_modulus(self):
+        """Raise for a modulus whose X does not generate F_{q^m}^*, naming
+        the fault; the polynomial tests run only once the log count fails."""
+        modulus = list(self.modulus)
+        if not poly_is_irreducible(modulus, self.p):
+            raise FieldConstructionError(f"modulus {modulus} is reducible over F_{self.p}")
+        if not poly_x_is_primitive(modulus, self.p):
+            raise FieldConstructionError(f"modulus {modulus} is irreducible but X is not primitive")
+        raise FieldConstructionError(
+            "residue of X does not generate the multiplicative group; supply a primitive modulus"
+        )
+
+    def _powers_of_x(self, count: int) -> np.ndarray:
+        """Packed X^0 .. X^(count-1) (int64): the digit rows of the first s
+        powers times C^s, C the companion matrix of the modulus (row i the
+        digits of X^(i+1)), give the next s, doubling s until count."""
+        p, em = self.p, self.em
+        companion = np.zeros((em, em), dtype=np.int64)
+        companion[:-1, 1:] = np.eye(em - 1, dtype=np.int64)
+        companion[-1] = [-c % p for c in self.modulus[:-1]]
+        rows = np.eye(1, em, dtype=np.int64)
+        while len(rows) < count:
+            rows = np.concatenate([rows, rows @ companion % p])
+            companion = companion @ companion % p
+        return rows[:count] @ p ** np.arange(em, dtype=np.int64)
 
     def linearized_table(self, coeffs: Sequence[int], step: int) -> np.ndarray:
         """x -> sum_k coeffs[k] * x^(step^k), for step a power of p, tabulated
@@ -377,21 +380,30 @@ class FieldTower:
         The map is F_p-linear, so only the images of the basis X^i = gamma^i
         are computed, through exp/log, and linear_map_table does the rest.
         """
+        return self.linear_map_table(self._linearized_images(coeffs, step))
+
+    def _linearized_images(self, coeffs: Sequence[int], step: int) -> np.ndarray:
+        """The images of the basis X^i under x -> sum_k coeffs[k] * x^(step^k)."""
         i = np.arange(self.em, dtype=np.int64)
         terms = [self.exp[(int(self.log[c]) + i * pow(step, k, self.order)) % self.order]
                  for k, c in enumerate(coeffs) if c]
-        images = reduce(self._add_vec, terms, np.zeros(self.em, dtype=np.int32))
-        return self.linear_map_table(images.tolist())
+        return reduce(self._add_vec, terms, np.zeros(self.em, dtype=np.int32))
 
     def linear_map_table(self, images) -> np.ndarray:
         """The F_p-linear map sending X^i (the packed element p^i) to images[i],
         tabulated on every element (int32, indexed by element); images of
         shape (..., em) give one table per row, of shape (..., q^m).
 
-        The low h = em // 2 and the high em - h digits are tabulated apart, as
-        digit rows of the arguments times digit rows of the images, mod p; one
-        digitwise add joins them: table[hi * p^h + lo] = high[hi] + low[lo].
+        One digitwise add joins the two `_half_tables`:
+        table[hi * p^h + lo] = high[hi] + low[lo].
         """
+        high, low = self._half_tables(images)
+        return self._add_vec(high[..., :, None], low[..., None, :]).reshape(*high.shape[:-1], -1)
+
+    def _half_tables(self, images) -> tuple[np.ndarray, np.ndarray]:
+        """(high, low): the map on the high em - h and the low h = em // 2
+        digits apart, as digit rows of the arguments times digit rows of the
+        images, mod p (int32, one table per row of images)."""
         images = np.asarray(images, dtype=np.int64)
         if images.shape[-1:] != (self.em,):
             raise ValueError(f"need one image per basis element X^i (em = {self.em})")
@@ -401,7 +413,44 @@ class FieldTower:
         args = np.arange(p ** (self.em - h), dtype=np.int64)[:, None] // place[: self.em - h] % p
         high = (args @ rows[..., h:, :] % p @ place).astype(np.int32)
         low = (args[: p ** h, :h] @ rows[..., :h, :] % p @ place).astype(np.int32)
-        return self._add_vec(high[..., :, None], low[..., None, :]).reshape(*images.shape[:-1], -1)
+        return high, low
+
+    # -- tables built on first read ---------------------------------------
+
+    @cached_property
+    def trace_q(self) -> np.ndarray:
+        """Tr_{F_{q^m}/F_q} on every element (int32); for e = 1 the absolute
+        trace, read off trace_p."""
+        if self.e == 1:
+            return self.trace_p.astype(np.int32)
+        return self.linearized_table([1] * self.m, self.q)
+
+    @cached_property
+    def neg_table(self) -> np.ndarray:
+        """-x for every element x (int32); the identity for p = 2."""
+        if self.p == 2:
+            return np.arange(self.qm, dtype=np.int32)
+        return self.linear_map_table([(self.p - 1) * self.p ** i for i in range(self.em)])
+
+    @cached_property
+    def trace_coords(self) -> np.ndarray:
+        """trace_coords[a] packs the digits Tr_abs(a X^i), i < em (int32): the
+        row of the character transform that holds a's value."""
+        p, em = self.p, self.em
+        tr_x = self.trace_p[self.exp[: 2 * em - 1]].astype(np.int64).tolist()
+        return self.linear_map_table(
+            [sum(tr_x[i + j] * p ** i for i in range(em)) for j in range(em)]
+        )
+
+    @cached_property
+    def subfield_index(self) -> np.ndarray:
+        """The dense label of each element of F_q, -1 off F_q (int32), the
+        inverse of subfield_elements, which must be injective."""
+        idx = np.full(self.qm, -1, dtype=np.int32)
+        idx[self.subfield_elements] = np.arange(self.q, dtype=np.int32)
+        if np.count_nonzero(idx >= 0) != self.q:
+            raise FieldConstructionError("subfield embedding is not injective")
+        return idx
 
     # -- digitwise addition (mod-p addition on packed base-p ints) ----------
 

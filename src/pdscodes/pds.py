@@ -113,13 +113,16 @@ class FieldSubset:
         return 0 < len(self) < self.tower.order
 
     def complement(self) -> "FieldSubset":
-        comp = np.flatnonzero(~self.indicator)[1:]  # every nonzero element outside D
-        origin = None
+        """F_{q^m}^* minus D: for a class union (N, J) the union of the
+        classes Z_N minus J, with no q^m-entry scan; else the nonzero
+        elements off the indicator."""
         if isinstance(self.origin, CyclotomicOrigin):
-            rest = tuple(sorted(set(range(self.origin.N)) - set(self.origin.J)))
+            N = self.origin.N
+            rest = tuple(sorted(set(range(N)) - set(self.origin.J)))
             if rest:
-                origin = CyclotomicOrigin(self.origin.N, rest)
-        return FieldSubset(self.tower, comp, origin)
+                members = _class_members(self.tower, N, rest).ravel()
+                return FieldSubset(self.tower, members, CyclotomicOrigin(N, rest))
+        return FieldSubset(self.tower, np.flatnonzero(~self.indicator)[1:])
 
     def is_symmetric(self) -> bool:
         """Closed under negation (needed for a Cayley connection set).

@@ -6,11 +6,14 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdscodes.charsums import full_spectrum, psi_sum
 from pdscodes.codes import rank_reaches
+from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.field import (
     DEFAULT_MODULI,
     FieldConstructionError,
     FieldSpec,
+    FieldTower,
     build_tower,
     default_modulus,
     poly_is_irreducible,
@@ -37,8 +40,11 @@ def test_spec_rejects_bad_parameters():
 
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)(x+2) over F_2? no: over F_2 x^2+1=(x+1)^2
-    with pytest.raises(FieldConstructionError):
+    with pytest.raises(FieldConstructionError, match="is reducible"):
         build_tower(FieldSpec(p=2, e=1, m=2, modulus=(1, 0, 1)))
+    # X over F_2 fills the one log slot of F_2, but X = 0 generates nothing
+    with pytest.raises(FieldConstructionError, match="X is not primitive"):
+        build_tower(FieldSpec(p=2, e=1, m=1, modulus=(0, 1)))
 
 
 def test_irreducible_but_imprimitive_rejected(monkeypatch):
@@ -48,11 +54,11 @@ def test_irreducible_but_imprimitive_rejected(monkeypatch):
     with pytest.raises(FieldConstructionError, match="X is not primitive"):
         build_tower(FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)))
     # x^8 + x^4 + x^3 + x + 1 over F_2: X has order 51 of 255, so the return
-    # to 1 happens past the scalar powers, inside the multiply-by-X^B gathers
+    # to 1 happens past the first B + em powers, inside the multiply-by-X^B gathers
     aes = (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert poly_is_irreducible(aes, 2)
     assert not poly_x_is_primitive(aes, 2)
-    # with the up-front order test passed over, table construction catches both
+    # with the order test made to pass, the failed log count is named as such
     monkeypatch.setattr("pdscodes.field.poly_x_is_primitive", lambda coeffs, p: True)
     for spec in (FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)),
                  FieldSpec(p=2, e=1, m=8, modulus=aes)):
@@ -362,3 +368,46 @@ def test_trace_labels_wide_subfield():
     for v in vs.tolist():
         assert np.array_equal(t.trace_labels(v, xs), reference.trace_labels(t, v, xs))
     assert t.trace_labels(vs[:, None], xs).max() == t.q - 1
+
+
+# (p, e, m): towers over p = 2, 3, 5, 7 and 13, with e = 1 and e > 1
+ONE_DIGIT_TOWERS = [(2, 1, 9), (2, 3, 3), (3, 1, 7), (3, 2, 3), (5, 1, 4), (5, 2, 2),
+                    (7, 1, 3), (13, 1, 2), (13, 2, 1)]
+
+
+@pytest.mark.parametrize("field", ONE_DIGIT_TOWERS, ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_one_digit_traces_equal_the_digitwise_add(field):
+    # trace_p joins its half tables by one add mod p, and for e = 1 trace_q
+    # is read off it; both equal the tabulation through the digitwise add
+    t = build_tower(FieldSpec(*field))
+    assert t.trace_p.dtype == np.int8
+    assert np.array_equal(t.trace_p, t.linearized_table([1] * t.em, t.p))
+    assert t.trace_q.dtype == np.int32
+    assert np.array_equal(t.trace_q, t.linearized_table([1] * t.m, t.q))
+
+
+def test_trace_of_a_large_prime_field_is_not_wrapped():
+    # over F_131 the trace is the identity, with values past int8
+    t = build_tower(FieldSpec(p=131, e=1, m=1))
+    assert t.trace_p.tolist() == list(range(131))
+    assert t.trace_q.tolist() == list(range(131))
+    members = np.array([1, 130])  # {1, -1}
+    zeta = CyclotomicInteger.zeta_power
+    assert psi_sum(t, 1, members) == zeta(131, 1) + zeta(131, 130)
+    assert full_spectrum(t, members).value(1) == psi_sum(t, 1, members)
+
+
+def test_corrupt_trace_tables_are_rejected(monkeypatch):
+    # an absolute trace outside F_p fails the build
+    images = FieldTower._linearized_images
+    monkeypatch.setattr(FieldTower, "_linearized_images",
+                        lambda self, coeffs, step: images(self, coeffs, step) + self.p)
+    with pytest.raises(FieldConstructionError, match="left the prime field"):
+        build_tower(FieldSpec(p=3, e=1, m=4))
+
+
+def test_non_injective_subfield_is_rejected_on_read():
+    t = build_tower(FieldSpec(p=2, e=2, m=2))
+    t.subfield_elements = t.subfield_elements[[0, 1, 1, 2]]
+    with pytest.raises(FieldConstructionError, match="not injective"):
+        t.subfield_index

@@ -4,11 +4,13 @@ Each file under tests/data/golden/ is the exact stdout of the command named
 after it.  Any change to a verdict, witness, weight or key order shows here
 as a failed comparison.
 """
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from pdscodes.cli import main
+from pdscodes.field import FieldTower
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -54,3 +56,51 @@ def test_unreduced_class_indices_print_the_reduced_golden(capsys):
             "--subset", '{"cyclotomic":{"N":10,"J":[10,0]}}', "--methods", "all"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "code-3-4-N10-all.json").read_text()
+
+
+# FieldTower tables built on first read, which a class-union `pds` never reads
+DEFERRED = ("neg_table", "trace_coords", "subfield_index", "trace_q")
+
+
+def _route_deferred_reads(monkeypatch, on_read):
+    """Call on_read(name) on the first read of each deferred table on each tower."""
+    for name in DEFERRED:
+        build = FieldTower.__dict__[name].func
+
+        def read(tower, build=build, name=name):
+            on_read(name)
+            return build(tower)
+
+        table = cached_property(read)
+        table.__set_name__(FieldTower, name)
+        monkeypatch.setattr(FieldTower, name, table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pds", "--recipe", "example-3.1"],
+    ["pds", "--field", '{"p":3,"e":1,"m":8}', "--subset", '{"cyclotomic":{"N":41,"J":[0]}}'],
+], ids=["example-3.1", "3-8-N41"])
+def test_class_union_pds_builds_no_deferred_table(monkeypatch, capsys, argv):
+    reads = []
+
+    def refuse(name):
+        reads.append(name)
+        raise AssertionError(f"class-union pds read FieldTower.{name}")
+
+    with monkeypatch.context() as patched:
+        _route_deferred_reads(patched, refuse)
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+    assert reads == []
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_quadric_code_golden_reads_deferred_tables(monkeypatch, capsys):
+    # the code scans of a quadric do read the deferred tables, and print the golden
+    reads = set()
+    _route_deferred_reads(monkeypatch, reads.add)
+    name = "code-3-8-elliptic-all"
+    assert main(list(GOLDEN[name])) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert reads == {"neg_table", "trace_coords", "subfield_index", "trace_q"}

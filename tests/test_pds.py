@@ -127,6 +127,21 @@ def test_origin_stabiliser_equals_least_period(field):
                     assert scanned == d and np.array_equal(scanned_cosets, cosets)
 
 
+@pytest.mark.parametrize("field", ORIGIN_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_class_union_complement_equals_indicator_route(field):
+    # the classes of Z_N minus J against the nonzero elements off the
+    # indicator of the same members with no origin, for every N | q^m - 1
+    # up to 60 and a random J
+    tower = build_tower(FieldSpec(*field))
+    rng = np.random.default_rng(tower.qm)
+    for N in (n for n in range(2, 61) if tower.order % n == 0):
+        J = sorted(rng.choice(N, size=int(rng.integers(1, N)), replace=False).tolist())
+        union = _class_union(tower, N, J)
+        comp = union.complement()
+        assert np.array_equal(comp.members, FieldSubset(tower, union.members).complement().members)
+        assert comp.origin == CyclotomicOrigin(N, tuple(j for j in range(N) if j not in J))
+
+
 def _hyperplane(tower, a):
     members = tower.hyperplane(a)
     return FieldSubset(tower, members[members != 0])

@@ -14,8 +14,13 @@ UPPERCASE constant that src/ and perfbench/ never read is a cap or guard
 that nothing enforces any more.
 """
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pdscodes
 
@@ -188,3 +193,39 @@ def test_every_constant_is_read_outside_the_tests():
     constants = [f"{path.stem}.{name}" for path in LIBRARY for name in _constants(trees[path])]
     assert len(constants) >= 20  # the scan finds them
     assert sorted(c for c in constants if c.split(".")[1] not in read) == []
+
+
+def _top_level_names(tree):
+    """The names a module defines at top level: functions, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    homes = {}
+    for path in LIBRARY:
+        if path.stem != "__init__":
+            for name in _top_level_names(ast.parse(path.read_text())):
+                homes.setdefault(name, []).append(path.stem)
+    for name in pdscodes.__all__:
+        [home] = homes[name]
+        assert getattr(pdscodes, name) is getattr(importlib.import_module(f"pdscodes.{home}"), name)
+    assert set(pdscodes.__all__) <= set(dir(pdscodes))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pdscodes.no_such_name
+    with pytest.raises(ImportError):
+        from pdscodes import no_such_name  # noqa: F401
+
+
+def test_pds_import_compiles_only_what_pds_imports():
+    # a fresh interpreter, so no other test has imported a module yet
+    code = ("import sys; from pdscodes import pds; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pdscodes'))))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split() == ["pdscodes", "pdscodes.charsums", "pdscodes.cyclotomic",
+                           "pdscodes.field", "pdscodes.pds"]
