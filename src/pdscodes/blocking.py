@@ -10,26 +10,24 @@ D ∩ H_(j-d), so the hyperplanes j < gcd(d, step) stand for all of them.
 
 Tr(gamma^j x) is entry (j + log x) mod (q^m - 1) of the label table, so a
 block of consecutive hyperplanes reads, for each member, one window of that
-table (`codes._label_rows`, as in the weight count): the sizes |D ∩ H_j|
-come from column sums of those windows, and only the intersections below the
-count bound q^(m-2) become rows for the packed rank test.  The annihilators
-of the spans that fall short are read in blocks of one `trace_labels` pass
-each, and one lexsort takes the first nested pair.  The intersection
-matrices and the pairwise containment scan are the oracle in
+table (`FieldTower.label_windows`, as in the weight count): the sizes
+|D ∩ H_j| come from column sums of those windows, and only the intersections
+below the count bound q^(m-2) become rows for the packed rank test.  The
+annihilators of the spans that fall short are read in blocks of one
+`trace_labels` pass each, and one lexsort takes the first nested pair.  The
+intersection matrices and the pairwise containment scan are the oracle in
 tests/reference.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
 import numpy as np
 
-from .codes import DEFAULT_ENUM_BUDGET, _column_sums, _cyclic_windows, _label_rows, rank_reaches
+from .codes import DEFAULT_ENUM_BUDGET, rank_reaches
+from .field import BLOCK, column_sums
 from .pds import FieldSubset, GuardExceeded
-
-BLOCK = 2 ** 17  # entries per block: members x hyperplanes, or spans x em x step
 
 
 @dataclass(frozen=True)
@@ -50,41 +48,31 @@ class BlockingReport:
         return out
 
 
-def _on_hyperplanes(subset: FieldSubset, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(j0, on): on[i, x] says that the member x, in log order, lies on
-    H_(j0+i), for j0 + i < count, in blocks of about BLOCK entries."""
-    tower = subset.tower
-    logs = np.sort(tower.log[subset.members])
-    w = min(count, max(1, BLOCK // max(1, len(logs))))
-    table, wrapped = _cyclic_windows(tower.trace_label_of_exp, w)
-    for top in range(0, count, w):
-        j = min(top, count - w)  # the last block ends at count
-        yield top, (_label_rows(table, wrapped, logs, j)[:, top - j:] == 0).T
-
-
-def _first_nested_pair(subset: FieldSubset, orbits: int, sizes: np.ndarray
+def _first_nested_pair(subset: FieldSubset, logs: np.ndarray, orbits: int, sizes: np.ndarray
                        ) -> tuple[int, int] | None:
     """The first (inner, outer) hyperplane logs, by outer then inner, with
     D ∩ H_inner inside H_outer, that is gamma^outer annihilating <D ∩ H_inner>.
 
-    sizes[j] = |D ∩ H_j|; an intersection of q^(m-2) or more members spans
-    H_j by count, so only the others are rank tested.  A pair (j, l) found
-    for j < orbits = gcd(d, step) stands for the pairs (j - kd, l - kd) mod
-    step, as gamma^kd carries the span and its annihilator along; the first
-    of them has outer l mod orbits.
+    logs are those of the members, ascending, and sizes[j] = |D ∩ H_j|; an
+    intersection of q^(m-2) or more members spans H_j by count, so only the
+    others are rank tested.  A pair (j, l) found for j < orbits = gcd(d,
+    step) stands for the pairs (j - kd, l - kd) mod step, as gamma^kd
+    carries the span and its annihilator along; the first of them has outer
+    l mod orbits.
     """
     tower = subset.tower
     small = sizes < tower.qm // tower.q ** 2
     if not small.any():
         return None
-    elems = tower.exp[np.sort(tower.log[subset.members])]
+    elems = tower.exp[logs]
     short, bases = [], []  # the hyperplanes whose intersections fall short, and their spans
-    for j0, on in _on_hyperplanes(subset, orbits):
-        rows = np.flatnonzero(small[j0:j0 + len(on)])
+    for j0, labels in tower.label_windows(logs, orbits):
+        rows = np.flatnonzero(small[j0:j0 + labels.shape[1]])
         if len(rows):
-            spans, basis = rank_reaches(tower, np.where(on[rows], elems, 0), tower.m - 1)
+            on = labels[:, rows].T == 0  # on[i, x]: the member x lies on H_(j0 + rows[i])
+            spans, basis = rank_reaches(tower, np.where(on, elems, 0), tower.m - 1)
             short.append(j0 + rows[~spans])
-            bases.append(basis[~spans] @ tower.p ** np.arange(tower.em))
+            bases.append(basis[~spans])
     short, bases = np.concatenate(short), np.concatenate(bases)
     if not len(short):
         return None
@@ -119,7 +107,9 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     if orbits * tower.qm > DEFAULT_ENUM_BUDGET:
         raise GuardExceeded(f"cutting test cost {orbits * tower.qm} (hyperplane orbits x q^m) "
                             f"exceeds the budget {DEFAULT_ENUM_BUDGET}")
-    sizes = np.concatenate([_column_sums(on.T) for _, on in _on_hyperplanes(subset, orbits)])
+    logs = np.sort(tower.log[subset.members])
+    sizes = np.concatenate([column_sums(labels == 0)
+                            for _, labels in tower.label_windows(logs, orbits)])
 
     blocking = bool(np.all(sizes > 0))
     witness = None
@@ -133,7 +123,7 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
 
     cutting = blocking and not contains_subspace
     if cutting:
-        nested = _first_nested_pair(subset, orbits, sizes)
+        nested = _first_nested_pair(subset, logs, orbits, sizes)
         if nested is not None:
             cutting = False
             # h1 is the contained intersection, h2 the containing one

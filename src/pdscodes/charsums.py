@@ -80,7 +80,9 @@ class Spectrum:
         return row
 
     def row(self, a: int) -> np.ndarray:
-        """The raw value at a."""
+        """The raw value at a, an element in [0, q^m)."""
+        if not 0 <= a < self.tower.qm:
+            raise ValueError(f"a = {a} is outside the field's elements [0, {self.tower.qm})")
         if a == 0:
             return self._zero_row()
         return self.rows[int(self.tower.log[a]) % self.period]

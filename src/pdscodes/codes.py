@@ -70,10 +70,9 @@ from math import gcd, isqrt
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .charsums import psi_sum
-from .field import FieldTower
+from .field import BLOCK, FieldTower, column_sums
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
@@ -89,9 +88,6 @@ DEFAULT_ENUM_BUDGET = 2 ** 30         # max pairs an enumeration counts: (class,
                                       # d * min(k, n - k) of the weight columns, hyperplanes x
                                       # elements of the cutting test
 SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for the support matrix, rows padded to uint64
-ZERO_BLOCK = 2 ** 16                  # entries per block: classes x elements of the weight count,
-                                      # words x coordinates of the support fill and the zero-set
-                                      # ranks, representatives x words of the cover/Heng scans
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -238,9 +234,9 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     gather and one digitwise add).  The elimination on arrays of digits is
     the oracle in tests/reference.py.
 
-    Returns (reached, basis): basis[c] is the digit row of the pivot of digit
-    c (1 there, 0 before it) or zero, and spans the set whenever reached is
-    False.
+    Returns (reached, basis): basis[c] is the packed pivot of digit c (1
+    there, 0 before it) or zero, int32, and spans the set whenever reached
+    is False.
     """
     sets = np.atleast_2d(np.asarray(elems))
     target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
@@ -248,12 +244,11 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     if count is None:
         count = np.count_nonzero(sets, axis=1)
     reached = (goal <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
-    basis = np.zeros((len(sets), tower.em, tower.em), dtype=np.int64)
+    basis = np.zeros((len(sets), tower.em), dtype=np.int32)
     left = np.flatnonzero(~reached)
     if len(left):
         rows = sets if len(left) == len(sets) else sets[left]
-        reached[left], pivots = _packed_pivots(tower, rows, count[left], goal[left])
-        basis[left] = pivots[:, :, None] // tower.p ** np.arange(tower.em) % tower.p
+        reached[left], basis[left] = _packed_pivots(tower, rows, count[left], goal[left])
     if np.ndim(elems) == 1:
         return bool(reached[0]), basis[0]
     return reached, basis
@@ -359,41 +354,6 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
     return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
-def _cyclic_windows(labels: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, wrapped): row s of table is labels[s : s + w] for s <= n - w,
-    n = len(labels), and row s - (n - w) of wrapped is that window read mod n
-    for n - w <= s < n.  Only the 2 w - 1 labels around the end are copied."""
-    around = np.concatenate([labels[len(labels) - w:], labels[:w - 1]])
-    # sliding_window_view(a, w), without the checks that outcost small gathers
-    return tuple(as_strided(a, (len(a) - w + 1, w), a.strides * 2, writeable=False)
-                 for a in (labels, around))
-
-
-def _label_rows(table: np.ndarray, wrapped: np.ndarray, logs: np.ndarray, j: int) -> np.ndarray:
-    """Row x holds the labels at (log x + j + c) mod n, c < w, for ascending
-    logs and the _cyclic_windows of width w: windows of the table where they
-    end before it does, and where they start past its end, less n; the fewer
-    than w rows that straddle the end read wrapped."""
-    n, w = len(table) + len(wrapped) - 1, len(wrapped)
-    lo, hi = np.searchsorted(logs, [n - w - j + 1, n - j])
-    rows = np.empty((len(logs), w), dtype=table.dtype)
-    rows[:lo] = table[j:][logs[:lo]]
-    rows[lo:hi] = wrapped[logs[lo:hi] - (n - w - j)]
-    rows[hi:] = table[logs[hi:] - (n - j)]
-    return rows
-
-
-def _column_sums(bits: np.ndarray) -> np.ndarray:
-    """Column sums of a 0/1 (rows, w) block as int64, by float32 products with a
-    ones vector, 2^24 rows at a time: exact, as every partial sum is an integer
-    below 2^24, and fast for both narrow and wide blocks."""
-    out = np.zeros(bits.shape[1], dtype=np.int64)
-    for start in range(0, len(bits), 2 ** 24):
-        part = bits[start:start + 2 ** 24]
-        out += (np.ones(len(part), dtype=np.float32) @ part.astype(np.float32)).astype(np.int64)
-    return out
-
-
 class SubsetCode:
     """The length q^m - 1, (generically) dimension m + 1 code of a subset; guard
     caps the word count q^(m+1) of the scans."""
@@ -461,12 +421,12 @@ class SubsetCode:
         the value t at q^(m-1) - [t = 0] nonzero x.  That also gives cnt from
         the same count over the complement, so the smaller side is counted:
         d * min(k, n - k) (j, x) pairs, Tr(gamma^j x) being entry
-        (j + log x) mod (q^m - 1) of the label table.  A block of about
-        ZERO_BLOCK pairs reads, for each x, a run of consecutive j as one
-        window of the table (`_label_rows`, which copies none of it), and its
-        columns are counted by one bincount, or for q = 2 by `_column_sums`.
-        The guard is that work, d * min(k, n - k) pairs, against
-        DEFAULT_ENUM_BUDGET.
+        (j + log x) mod (q^m - 1) of the label table.  For BLOCK elements x
+        at a time, a block of about BLOCK pairs reads, for each x, a run of
+        consecutive j as one window of the table (`FieldTower.label_windows`),
+        and its columns are counted by one bincount, or for q = 2 by
+        `column_sums`.  The guard is that work, d * min(k, n - k) pairs,
+        against DEFAULT_ENUM_BUDGET.
         """
         if self._weight_table is not None:
             return self._weight_table
@@ -479,25 +439,19 @@ class SubsetCode:
         on_subset = 2 * k <= order
         logs = (tower.log[self.subset.members] if on_subset
                 else np.flatnonzero(~self.subset.indicator[tower.exp]))
-        logs.sort()  # a fresh array, ascending for _label_rows
-        labels = tower.trace_label_of_exp
+        logs.sort()  # a fresh array, ascending for label_windows
         cnt = np.zeros((d, q), dtype=np.int64)
-        for start in range(0, len(logs), ZERO_BLOCK):
-            part = logs[start:start + ZERO_BLOCK]
-            w = min(d, max(1, ZERO_BLOCK // len(part)))
-            table, wrapped = _cyclic_windows(labels, w)
-            for top in range(0, d, w):
-                j = min(top, d - w)  # the last block ends at d; its rows below top are counted
-                rows = _label_rows(table, wrapped, part, j)[:, top - j:]
+        for start in range(0, len(logs), BLOCK):
+            for top, rows in tower.label_windows(logs[start:start + BLOCK], d):
+                block = cnt[top:top + rows.shape[1]]
                 if q == 2:  # labels 0 and 1: a column sum counts the ones
-                    cnt[top:j + w, 1] += _column_sums(rows)
+                    block[:, 1] += column_sums(rows)
                 else:
                     keys = rows.astype(np.intp)
                     keys += np.arange(0, keys.shape[1] * q, q)  # column c counts keys c q + label
                     counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * q)
-                    cnt[top:j + w] += counts.reshape(-1, q)
-                    del keys
-                del rows  # so that one block is alive at a time
+                    block += counts.reshape(-1, q)
+                    del keys  # so that one block of keys is alive at a time
         cnt[:, 0] = len(logs) - cnt[:, 1:].sum(axis=1)  # the q = 2 sums count only the ones
         if not on_subset:
             cnt = fibre - (np.arange(q) == 0) - cnt
@@ -553,7 +507,7 @@ class SubsetCode:
 
         The word (u, gamma^w) is nonzero at x = gamma^i where the label of
         Tr(gamma^(w + i)) differs from -u f(x).  Blocks of words, about
-        ZERO_BLOCK (word, coordinate) pairs each, are compared and packed at
+        BLOCK (word, coordinate) pairs each, are compared and packed at
         once.
         """
         if self._supports is not None:
@@ -567,11 +521,11 @@ class SubsetCode:
         mem = self.subset.indicator[tower.exp]
         packed = np.zeros((q * qm, row), dtype=np.uint8)
         packed[self.word_index(1, 0)::qm, :width] = np.packbits(mem)  # v = 0, u != 0
-        windows = _cyclic_windows(tower.trace_label_of_exp, order)[1]
+        windows = tower.label_cycle()
         _, _, neg_q = tower.subfield_tables()
         zero_at = np.where(mem, neg_q[:, None], 0).astype(windows.dtype)[:, None, :]  # -u f(x)
         us = np.arange(q, dtype=np.int64)[:, None]
-        per = max(1, ZERO_BLOCK // (q * order))
+        per = max(1, BLOCK // (q * order))
         for w in range(0, order, per):
             nonzero = windows[w:w + per] != zero_at
             packed[us * qm + tower.exp[w:w + per], :width] = np.packbits(nonzero, axis=2)
@@ -589,11 +543,12 @@ class SubsetCode:
         """The index in _line_words() of the line of each nonzero word: (0, v)
         is on the line F_q^* v, and (u, v), u != 0, on the line of (1, v/u)."""
         tower = self.tower
-        least, rank, scale = tower.line_layout
+        least, rank = tower.line_layout
         u, v = np.divmod(words, tower.qm)
-        # label u >= 1 is gamma^((u - 1) step), so 1/u is row -(u - 1) of scale
-        over_u = scale[-(u - 1) % (tower.q - 1), v]
-        return np.where(u == 0, rank[tower.log[v] % tower.subfield_step], len(least) + over_u)
+        step, log_v = tower.subfield_step, tower.log[v].astype(np.int64)
+        # label u >= 1 is gamma^((u - 1) step), so log(v/u) = log v - (u - 1) step
+        over_u = np.where(v == 0, 0, tower.exp[(log_v - (u - 1) * step) % tower.order])
+        return np.where(u == 0, rank[log_v % step], len(least) + over_u)
 
     def _dependent_columns(self) -> np.ndarray:
         """Row i: the _line_words() columns of the words whose vectors are scalar
@@ -745,7 +700,7 @@ class SubsetCode:
 
         make_test() gives the test, a (block, lines) bool array for a block of
         representatives, once the word guard has passed.  Blocks start at one
-        representative and double up to ZERO_BLOCK (representative, word)
+        representative and double up to BLOCK (representative, word)
         entries, so a scan that stops at an early violation does little more
         than that work.  A violation holds for every word of a line (w and
         lam w have one support and one Heng sum) and for every class of an
@@ -757,7 +712,7 @@ class SubsetCode:
         reps = self._orbit_representatives()
         dependents = self._dependent_columns()
         test = make_test()
-        most = max(1, ZERO_BLOCK // self.word_count)
+        most = max(1, BLOCK // self.word_count)
         start, size = 0, 1
         while start < len(reps):
             block = reps[start:start + size]
@@ -795,7 +750,7 @@ class SubsetCode:
 
         The support rows of the least words of the lines are read through
         their indices, one uint64 column at a time, until the pairs still
-        inside, times the columns left, fit in ZERO_BLOCK; those pairs are
+        inside, times the columns left, fit in BLOCK; those pairs are
         then compared on the rest of the row at once.  Nearly every pair
         escapes in the first column, which is gathered once per scan.
         """
@@ -808,7 +763,7 @@ class SubsetCode:
             outside = ~sup[reps]
             inside = (head & outside[:, :1]) == 0
             c = 0
-            while np.count_nonzero(inside) * (width - 1 - c) > ZERO_BLOCK:
+            while np.count_nonzero(inside) * (width - 1 - c) > BLOCK:
                 c += 1
                 inside &= (sup[lines, c] & outside[:, c, None]) == 0
             rows, cols = np.nonzero(inside)
@@ -835,21 +790,27 @@ class SubsetCode:
         identity sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w).
 
         wt(r + x) is gathered once for every word x, as int32, and summed over
-        the q - 1 points lam w of each line, the same sum for every w on it.
+        the q - 1 points lam w of each line, the same sum for every w on it;
+        the points are read off exp and log once per scan.
         """
         tower = self.tower
         add_q = tower.subfield_tables()[0]
-        q, qm = tower.q, tower.qm
-        least, _, scale = tower.line_layout
+        q, qm, step = tower.q, tower.qm, tower.subfield_step
+        least = tower.line_layout[0]
         # the weight of every word (u, v): (u, 0) has weight k for u != 0,
         # and (u, gamma^i) the weight in column i mod d
         wt = np.zeros((q, qm), dtype=np.int32)
         wt[1:, 0] = len(self.subset)
         wt[:, tower.exp.reshape(-1, self.stabiliser_period)] = self.weight_table()[:, None]
         wt = wt.ravel()
-        # points[lam - 1, c]: the word lam w, w the least word of line c
-        times_u = np.arange(qm, q * qm, qm, dtype=np.int32)[:, None]
-        points = np.concatenate([scale[:, least], times_u + scale], axis=1)
+        # points[lam - 1, c]: the word lam w, w the least word (0, least) or
+        # (1, y) of line c; label lam is gamma^((lam - 1) step), so lam v is
+        # exp read (lam - 1) step past log v, and lam (1, y) is (lam, lam y)
+        v = np.concatenate([least, np.arange(qm, dtype=np.int32)])
+        shifted = tower.log[v] + np.arange(0, (q - 1) * step, step, dtype=np.int32)[:, None]
+        shifted %= tower.order
+        points = np.where(v == 0, 0, tower.exp[shifted])
+        points[:, len(least):] += np.arange(qm, q * qm, qm, dtype=np.int32)[:, None]
         line_wt = wt[points[0]]
         vs = np.arange(qm, dtype=np.int64)
         # digitwise sums carry nothing, so v_r + v adds the high and the low
@@ -879,7 +840,7 @@ class SubsetCode:
 
     def _zero_ranks(self, us, vs, target: int) -> np.ndarray:
         """Whether the generator columns at the zeros of each word (us[i], vs[i]),
-        vs nonzero, have rank >= target, in blocks of about ZERO_BLOCK coordinates.
+        vs nonzero, have rank >= target, in blocks of about BLOCK coordinates.
         The zeros of (u, v) are D_{u,v} = {x in D : Tr(v x) = -u}, maybe empty, and
         D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
         A block finds them as the support fill does: the window of the label
@@ -888,10 +849,10 @@ class SubsetCode:
         tower = self.tower
         xs = tower.exp
         on = self.subset.indicator[xs]
-        windows = _cyclic_windows(tower.trace_label_of_exp, tower.order)[1]
+        windows = tower.label_cycle()
         _, _, neg_q = tower.subfield_tables()
         zero_at = np.where(on, neg_q[:, None], 0).astype(windows.dtype)  # -u f(x)
-        per = max(1, ZERO_BLOCK // tower.order)
+        per = max(1, BLOCK // tower.order)
         reached = np.empty(len(vs), dtype=bool)
         for start in range(0, len(vs), per):
             u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])

@@ -10,10 +10,12 @@ F_q always lives inside F_{q^m} as the set of nonzero (q^m-1)/(q-1)-th
 powers together with 0; it is never built as a separate field.
 
 exp, log, the absolute trace trace_p and the q elements of F_q are built
-up front; neg_table, trace_q, trace_coords and subfield_index on first
-read (a class-union PDS check reads none of them).  No table changes once
-built, so a tower can be shared across threads.  A modulus passes when exp
-fills every log slot; the polynomial tests run only to name a failure.
+up front; neg_table, trace_q and trace_coords on first read (a class-union
+PDS check reads none of them).  No table changes once built, so a tower can
+be shared across threads.  A modulus passes when exp fills every log slot;
+the polynomial tests run only to name a failure.  F_q^* is <gamma^step>,
+so x in F_q has the dense label log x // step + 1 (`subfield_labels`), and
+scaling by label l adds (l - 1) step to a log: neither needs a table.
 
 The traces, the negation, trace_coords and multiplication by a fixed
 power of X are F_p-linear maps on the packed digits, tabulated by
@@ -33,22 +35,28 @@ Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
 Tr(gamma^i).  `trace_labels(v, x)` reads the label table at
 log v + log x; it is the one batch route to the F_q value of Tr(v x).
-Beside them, `line_layout` lays out the lines F_q^* v for the code scans.
+The scans read it in windows (`label_windows`, `label_cycle`), and
+`line_layout` lays out the lines F_q^* v for them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-# Hard cap on table-backed fields: up to seven tables of this length, mostly
+# Hard cap on table-backed fields: up to six tables of this length, mostly
 # int32; a build makes exp, log and the int8 trace_p, the rest come on first
 # read.  F_{2^24} builds in 1.0-1.4 s with a 286 MB peak RSS and F_{3^12} in
 # 0.03-0.04 s with 36 MB (2-core Xeon, numpy 2.4); F_{2^26} was not measured.
 MAX_FIELD_SIZE = 2 ** 26
+
+# Entries per numpy pass of the scans: label windows, word blocks, spans.  2^17
+# halves the cutting test's rank calls but doubles the code scans' temporaries.
+BLOCK = 2 ** 16
 
 # Default defining polynomials, low degree first, indexed by (p, e*m).
 # Each is the first monic primitive polynomial of its degree in the
@@ -442,16 +450,6 @@ class FieldTower:
             [sum(tr_x[i + j] * p ** i for i in range(em)) for j in range(em)]
         )
 
-    @cached_property
-    def subfield_index(self) -> np.ndarray:
-        """The dense label of each element of F_q, -1 off F_q (int32), the
-        inverse of subfield_elements, which must be injective."""
-        idx = np.full(self.qm, -1, dtype=np.int32)
-        idx[self.subfield_elements] = np.arange(self.q, dtype=np.int32)
-        if np.count_nonzero(idx >= 0) != self.q:
-            raise FieldConstructionError("subfield embedding is not injective")
-        return idx
-
     # -- digitwise addition (mod-p addition on packed base-p ints) ----------
 
     @cached_property
@@ -549,39 +547,61 @@ class FieldTower:
     def trace_label_of_exp(self) -> np.ndarray:
         """Dense F_q labels in log order: the label of Tr(gamma^i) at index
         i < q^m - 1, in the smallest unsigned dtype that holds q - 1."""
-        labels = self.subfield_index[self.trace_q[self.exp]]
+        labels = self.subfield_labels(self.trace_q[self.exp])
         return labels.astype(np.min_scalar_type(self.q - 1))
 
     @cached_property
-    def line_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(least, rank, scale) for the lines F_q^* v, v != 0, read-only.
+    def line_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(least, rank) for the lines F_q^* v, v != 0, read-only.
 
-        scale[l - 1, x] is x times the element of label l, gamma^((l - 1)
-        subfield_step), for every x: row 0 is the identity, row 1 reads exp
-        one subfield_step on, and each later row is row 1 after the one
-        before.  The line of v is fixed by log v mod subfield_step, and
+        The line of v is fixed by log v mod subfield_step, and
         rank[log v mod subfield_step] is its index among the lines ordered by
         least element, least holding those elements, ascending.  The minima
         are those of exp read as a (q - 1, subfield_step) array, ranked by
         marking them among all q^m elements, with no sort.  F_{3^12} takes
-        13 ms and F_{5^9} 0.11 s (2-core Xeon, numpy 2.4).
+        7-8 ms and F_{5^9} 21 ms (2-core Xeon, numpy 2.4).
         """
-        step, exp = self.subfield_step, self.exp
-        minima = exp.reshape(self.q - 1, step).min(axis=0)
+        minima = self.exp.reshape(self.q - 1, self.subfield_step).min(axis=0)
         marked = np.zeros(self.qm, dtype=bool)
         marked[minima] = True
         rank = (np.cumsum(marked, dtype=np.int32) - 1)[minima]
-        scale = np.empty((self.q - 1, self.qm), dtype=np.int32)
-        scale[0] = np.arange(self.qm)
-        if self.q > 2:
-            scale[1, 0] = 0
-            scale[1, exp] = np.roll(exp, -step)
-        for t in range(2, self.q - 1):
-            scale[t] = scale[1][scale[t - 1]]
-        tables = np.flatnonzero(marked).astype(np.int32), rank, scale
+        tables = np.flatnonzero(marked).astype(np.int32), rank
         for table in tables:
             table.flags.writeable = False
         return tables
+
+    def label_windows(self, logs: np.ndarray, count: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(top, rows) for top = 0, w, 2w, ... < count <= q^m - 1: rows[x, c] is
+        the label of Tr(gamma^(logs[x] + top + c)), c < min(w, count - top),
+        for ascending logs, w about BLOCK / len(logs) (1 to count).  Row x
+        is the window of trace_label_of_exp at log x + j, j = min(top,
+        count - w), so that the last one ends at count: a row of a strided
+        view where it ends before the table does, or starts past its end
+        (less q^m - 1), else of a copy of the 2w - 1 labels around the end.
+        """
+        labels = self.trace_label_of_exp
+        n = len(labels)
+        w = min(count, max(1, BLOCK // max(1, len(logs))))
+        around = np.concatenate([labels[n - w:], labels[:w - 1]])
+        # sliding_window_view(a, w), without the checks that outcost small gathers
+        table, wrapped = (as_strided(a, (len(a) - w + 1, w), a.strides * 2, writeable=False)
+                          for a in (labels, around))
+        for top in range(0, count, w):
+            j = min(top, count - w)
+            lo, hi = np.searchsorted(logs, [n - w - j + 1, n - j])
+            rows = np.empty((len(logs), w), dtype=labels.dtype)
+            rows[:lo] = table[j:][logs[:lo]]
+            rows[lo:hi] = wrapped[logs[lo:hi] - (n - w - j)]
+            rows[hi:] = table[logs[hi:] - (n - j)]
+            yield top, rows[:, top - j:]
+
+    def label_cycle(self) -> np.ndarray:
+        """A read-only (q^m - 1, q^m - 1) view, row s the label of
+        Tr(gamma^(s + c)) at column c, strided over a doubled copy of
+        trace_label_of_exp made per call."""
+        labels = self.trace_label_of_exp
+        doubled = np.concatenate([labels, labels[:-1]])
+        return as_strided(doubled, (len(labels),) * 2, doubled.strides * 2, writeable=False)
 
     def trace_labels(self, v, x) -> np.ndarray:
         """Dense F_q labels of Tr(v x), broadcasting v against x; zeros allowed.
@@ -601,16 +621,27 @@ class FieldTower:
 
     # -- subfield ----------------------------------------------------------
 
+    def subfield_labels(self, x):
+        """The dense label of each element x of F_q: log x // subfield_step + 1,
+        which is 0 for x = 0 (log 0 = -1) and 1 + j for gamma^(j subfield_step);
+        meaningless off F_q."""
+        return self.log[x] // self.subfield_step + 1
+
     def subfield_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables."""
+        """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables.  The
+        labels of subfield_elements must be 0..q-1 in order, or the
+        embedding is rejected; the product of labels i, j >= 1 is
+        (i + j - 2) mod (q - 1) + 1, a sum of logs."""
         if self._subfield_ops is None:
             elems = self.subfield_elements.astype(np.int64)
-            idx = self.subfield_index
-            add = idx[self.add_sets(elems[:, None], elems[None, :])]
-            logs = self.log[elems[1:]].astype(np.int64)
+            if not np.array_equal(self.subfield_labels(elems), np.arange(self.q)):
+                raise FieldConstructionError("subfield embedding is not injective: its "
+                                             "elements do not take the labels 0..q-1 in order")
+            add = self.subfield_labels(self.add_sets(elems[:, None], elems[None, :]))
+            j = np.arange(self.q - 1, dtype=np.int32)  # label 1 + j is gamma^(j step)
             mul = np.zeros((self.q, self.q), dtype=np.int32)
-            mul[1:, 1:] = idx[self.exp[(logs[:, None] + logs[None, :]) % self.order]]
-            neg = idx[self.neg_table[elems]]
+            mul[1:, 1:] = (j[:, None] + j) % (self.q - 1) + 1
+            neg = self.subfield_labels(self.neg_table[elems])
             self._subfield_ops = (add, mul, neg)
         return self._subfield_ops
 
@@ -652,6 +683,17 @@ def cyclic_period(mask: np.ndarray) -> tuple[int, np.ndarray]:
         while d % ell == 0 and np.array_equal(mask[d // ell : d], mask[: d - d // ell]):
             d //= ell
     return d, np.flatnonzero(mask[:d])
+
+
+def column_sums(bits: np.ndarray) -> np.ndarray:
+    """Column sums of a 0/1 (rows, w) block as int64, by float32 products with a
+    ones vector, 2^24 rows at a time: exact, as every partial sum is an integer
+    below 2^24, and fast for both narrow and wide blocks (`label_windows`)."""
+    out = np.zeros(bits.shape[1], dtype=np.int64)
+    for start in range(0, len(bits), 2 ** 24):
+        part = bits[start:start + 2 ** 24]
+        out += (np.ones(len(part), dtype=np.float32) @ part.astype(np.float32)).astype(np.int64)
+    return out
 
 
 def build_tower(spec: FieldSpec) -> FieldTower:

@@ -89,7 +89,7 @@ class FieldSubset:
         return int(len(self.members))
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.indicator[x])
+        return 0 <= x < self.tower.qm and bool(self.indicator[x])
 
     @cached_property
     def stabiliser(self) -> tuple[int, np.ndarray]:

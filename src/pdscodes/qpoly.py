@@ -21,8 +21,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import ZERO_BLOCK, rank_reaches
-from .field import FieldTower
+from .codes import rank_reaches
+from .field import BLOCK, FieldTower
 from .pds import FieldSubset, quadric_values
 
 
@@ -146,7 +146,7 @@ def tables_induce_code_automorphism(subset: FieldSubset, g_img: np.ndarray, dual
 
 def quadric_reflections(subset: FieldSubset, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stacks (g, g*) of element tables, one row per reflection, in blocks of
-    about ZERO_BLOCK entries: g the reflection x -> x - (B(x, a)/Q(a)) a of the
+    about BLOCK entries: g the reflection x -> x - (B(x, a)/Q(a)) a of the
     subset's quadric Q (a `QuadricOrigin`) and g* its trace dual, for the
     first count a = gamma^j, j ascending, outside the subset (Q(a) != 0).
 
@@ -177,7 +177,7 @@ def quadric_reflections(subset: FieldSubset, count: int) -> Iterator[tuple[np.nd
     images = tower.add_sets(basis, np.where(scale == 0, 0, tower.exp[logs % tower.order]))
     pairs = tower.trace_coords[images][..., None] // basis % p  # [r, i, k] = Tr(X^k g_r(X^i))
     duals = (pairs.transpose(0, 2, 1) @ dual_basis % p) @ basis
-    per = max(1, ZERO_BLOCK // tower.qm)
+    per = max(1, BLOCK // tower.qm)
     for start in range(0, len(a), per):
         yield (tower.linear_map_table(images[start:start + per]),
                tower.linear_map_table(duals[start:start + per]))

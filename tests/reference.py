@@ -38,10 +38,12 @@ the maps they check.  The orbit closure also takes, for a
 quadric, every reflection of its orthogonal group, evaluated on field
 elements, its trace dual found by matching rows of traces.
 
-Trace values are computed here on field elements (mul_vec, then trace_q),
-never through the library's trace-label table, so these references stay
-independent of it; the two class-loop fills are the exception, and the
-tests hold them against the words computed on field elements.
+Trace values are computed here on field elements (mul_vec, then trace_q)
+and named by the scatter of the F_q elements to their labels
+(`subfield_index`), never through the library's trace-label table or its
+log-based labels, so these references stay independent of them; the two
+class-loop fills are the exception, and the tests hold them against the
+words computed on field elements.
 """
 from functools import lru_cache
 
@@ -49,7 +51,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pdscodes import charsums
-from pdscodes.codes import MINIMAL, NOT_MINIMAL, ZERO_BLOCK, SubsetCode
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
+from pdscodes.field import BLOCK
 from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.pds import CyclotomicOrigin, QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
@@ -68,9 +71,20 @@ class Unreduced(SubsetCode):
         return iter(())
 
 
+@lru_cache(maxsize=4)
+def subfield_index(tower):
+    """The dense label of each element of F_q, -1 off F_q (int32, read-only):
+    subfield_elements scattered to their positions, the table that
+    `FieldTower.subfield_labels` computes from log."""
+    idx = np.full(tower.qm, -1, dtype=np.int32)
+    idx[tower.subfield_elements] = np.arange(tower.q, dtype=np.int32)
+    idx.flags.writeable = False
+    return idx
+
+
 def trace_labels(tower, v, xs):
     """Dense F_q labels of Tr(v x) for one v and an array of x, on field elements."""
-    return tower.subfield_index[tower.trace_q[tower.mul_vec(v, np.asarray(xs, dtype=np.int64))]]
+    return subfield_index(tower)[tower.trace_q[tower.mul_vec(v, np.asarray(xs, dtype=np.int64))]]
 
 
 def slice_members(subset, y_label, z):
@@ -86,7 +100,7 @@ def value_labels_at(code, x):
     tower = code.tower
     u_part = tower.subfield_elements * bool(code.subset.indicator[x])
     tr = tower.trace_q[tower.mul_vec(x, np.arange(tower.qm, dtype=np.int64))]
-    return tower.subfield_index[tower.add_sets(u_part[:, None], tr[None, :])].ravel()
+    return subfield_index(tower)[tower.add_sets(u_part[:, None], tr[None, :])].ravel()
 
 
 def codeword(code, u_label, v):
@@ -226,16 +240,14 @@ def cutting_reference(subset):
 
 
 def line_layout(tower):
-    """(least, rank, scale) of `FieldTower.line_layout` on field elements: each
+    """(least, rank) of `FieldTower.line_layout` on field elements: each
     line F_q^* v listed by multiplying v by every nonzero element of F_q one
-    at a time, its least element kept, the minima sorted, and the scaling
-    table filled one product at a time."""
+    at a time, its least element kept, and the minima sorted."""
     scalars = tower.subfield_elements[1:].tolist()
     minima = [min(tower.mul(c, int(v)) for c in scalars) for v in tower.exp[:tower.subfield_step]]
     least = sorted(set(minima))
     rank = [least.index(x) for x in minima]
-    scale = [[tower.mul(c, x) for x in range(tower.qm)] for c in scalars]
-    return np.array(least), np.array(rank), np.array(scale)
+    return np.array(least), np.array(rank)
 
 
 def complement(subset):
@@ -466,7 +478,7 @@ def orbit_representatives(code):
     projective = set(projective_representatives(code).tolist())
 
     def index(word):
-        return int(tower.subfield_index[word[0]]) * tower.qm + word[1]
+        return int(subfield_index(tower)[word[0]]) * tower.qm + word[1]
 
     seen, reps = set(), []
     for u in tower.subfield_elements.tolist():
@@ -583,7 +595,7 @@ def induced_code_automorphism_check(code, g, enforce_preservation=True):
     Checks c(u, v) at position g(x) against c(u, dual(v)) at position x for
     every index pair (u, v), exhaustively: u f(g(x)) + Tr(v g(x)) against
     u f(x) + Tr(dual(v) x) as F_q labels over every (u, v, x), x nonzero, for
-    a chunk of v at a time (temporaries of about ZERO_BLOCK entries).
+    a chunk of v at a time (temporaries of about BLOCK entries).
     """
     subset = code.subset
     tower = code.tower
@@ -595,7 +607,7 @@ def induced_code_automorphism_check(code, g, enforce_preservation=True):
     if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
     u = np.arange(tower.q)[:, None, None]
-    chunk = max(1, ZERO_BLOCK // (tower.q * tower.order))
+    chunk = max(1, BLOCK // (tower.q * tower.order))
     for start in range(0, tower.qm, chunk):
         vs = np.arange(start, min(start + chunk, tower.qm))[:, None]
         if not np.array_equal(code.word_labels(u, vs, gx), code.word_labels(u, dual_img[vs], xs)):

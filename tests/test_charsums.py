@@ -74,6 +74,16 @@ def test_spectrum_value_at_zero_is_size(f34):
     assert spec.value(0) == 17
 
 
+def test_spectrum_rejects_elements_outside_the_field(f34):
+    # unchecked, -4 would read the row of 77 and 81 would index past log's end
+    spec = full_spectrum(f34, build_cyclotomic_subset(f34, 10, [0]).members)
+    for a in (-4, 81):
+        with pytest.raises(ValueError, match=r"outside the field's elements \[0, 81\)"):
+            spec.value(a)
+        with pytest.raises(ValueError, match=r"\[0, 81\)"):
+            spec.row(a)
+
+
 def test_power_residue_spectrum_f35(f35):
     # index-11 residues: 22 elements, nonzero-a values {4, -5}
     members = _power_residues(f35, 11)

@@ -14,7 +14,6 @@ from pdscodes.codes import (
     MethodVerdict,
     MinimalityReport,
     SubsetCode,
-    _column_sums,
     ab_condition,
     characteristic_trace_form,
     dyz_size,
@@ -27,7 +26,7 @@ from pdscodes.codes import (
     weight_distribution_predicted,
 )
 from pdscodes.cli import main
-from pdscodes.field import FieldSpec, build_tower
+from pdscodes.field import FieldSpec, build_tower, column_sums
 from pdscodes.pds import (
     FieldSubset,
     GuardExceeded,
@@ -626,5 +625,5 @@ def test_column_sums_exact_past_float32_precision():
     # sizes sum as many rows on sets of more than 2^24 members
     n = 2 ** 24 + 3
     bits = np.broadcast_to(np.uint8(1), (n, 1))
-    assert _column_sums(bits).tolist() == [n]
-    assert _column_sums(bits[:0]).tolist() == [0]
+    assert column_sums(bits).tolist() == [n]
+    assert column_sums(bits[:0]).tolist() == [0]

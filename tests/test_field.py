@@ -81,7 +81,7 @@ def test_example_field_sizes(f44):
     assert f44.qm == 256
     assert f44.q == 4
     assert len(f44.subfield_elements) == 4
-    assert sorted(f44.subfield_index[f44.subfield_elements]) == [0, 1, 2, 3]
+    assert f44.subfield_labels(f44.subfield_elements).tolist() == [0, 1, 2, 3]
 
 
 def test_prime_field_trivial_tower():
@@ -186,7 +186,7 @@ def test_span_and_annihilator(f34):
         assert not rank_reaches(f34, elems, 1)[0]
     x = int(f34.exp[10])
     reached, rows = rank_reaches(f34, [x], 2)
-    basis = (rows @ f34.p ** np.arange(f34.em))[rows.any(axis=1)]
+    basis = rows[rows != 0]
     assert not reached and len(basis) == 1
     assert int(basis[0]) in {f34.mul(lam, x) for lam in f34.subfield_elements.tolist()}
     spanning = [int(f34.exp[k]) for k in range(f34.m)]
@@ -205,16 +205,43 @@ def test_annihilator_duality_random(f34, f44):
             v1 = reference.greedy_span(tower, rng.integers(1, tower.qm, size=vdim).tolist())[1]
             u1 = rng.choice(v1, size=int(rng.integers(1, min(len(v1), 6))), replace=False)
             reached, rows = rank_reaches(tower, u1, tower.m)
-            rank = tower.m if reached else np.count_nonzero(rows.any(axis=1)) // tower.e
+            rank = tower.m if reached else np.count_nonzero(rows) // tower.e
             assert rank == reference.dimension(tower, u1)
             if not reached:
-                basis = rows @ tower.p ** np.arange(tower.em)
-                assert np.array_equal(reference.greedy_span(tower, basis)[1],
+                assert np.array_equal(reference.greedy_span(tower, rows)[1],
                                       reference.greedy_span(tower, u1)[1])
             assert len(reference.trace_annihilator(tower, u1)) == tower.q ** (tower.m - rank)
             vdim = reference.dimension(tower, v1)
             spans = len(reference.greedy_span(tower, u1)[1]) == len(v1)
             assert rank_reaches(tower, u1, vdim)[0] == spans
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 16])
+def test_label_windows_read_the_label_table_cyclically(f34, monkeypatch, block):
+    # windows of 1 to n columns: counts that are no multiple of the width, logs
+    # whose windows straddle the end of the table, and a single log
+    monkeypatch.setattr("pdscodes.field.BLOCK", block)
+    labels = f34.trace_label_of_exp
+    n = len(labels)
+    rng = np.random.default_rng(block)
+    for logs in (np.arange(n - 5, n), np.array([n - 1]), np.array([0]),
+                 np.sort(rng.choice(n, size=20, replace=False))):
+        for count in (1, 3, 10, n):
+            next_top = 0
+            for top, rows in f34.label_windows(logs, count):
+                assert top == next_top and rows.shape[0] == len(logs)
+                c = np.arange(rows.shape[1])
+                assert np.array_equal(rows, labels[(logs[:, None] + top + c) % n])
+                next_top = top + rows.shape[1]
+            assert next_top == count
+
+
+def test_label_cycle_reads_every_start(f34):
+    labels = f34.trace_label_of_exp
+    n = len(labels)
+    cycle = f34.label_cycle()
+    assert cycle.shape == (n, n) and not cycle.flags.writeable
+    assert np.array_equal(cycle, labels[(np.arange(n)[:, None] + np.arange(n)) % n])
 
 
 def test_subfield_membership(f44):
@@ -229,7 +256,7 @@ def test_subfield_tables_match_scalar_arithmetic(f44, f35):
     for t in (f44, f35, build_tower(FieldSpec(p=3, e=2, m=2))):
         add, mul, neg = t.subfield_tables()
         assert add.dtype == mul.dtype == neg.dtype == np.int32
-        elems, idx = t.subfield_elements.tolist(), t.subfield_index
+        elems, idx = t.subfield_elements.tolist(), reference.subfield_index(t)
         for i, x in enumerate(elems):
             assert neg[i] == idx[t.neg(x)]
             for j, y in enumerate(elems):
@@ -410,4 +437,4 @@ def test_non_injective_subfield_is_rejected_on_read():
     t = build_tower(FieldSpec(p=2, e=2, m=2))
     t.subfield_elements = t.subfield_elements[[0, 1, 1, 2]]
     with pytest.raises(FieldConstructionError, match="not injective"):
-        t.subfield_index
+        t.subfield_tables()

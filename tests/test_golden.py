@@ -59,7 +59,7 @@ def test_unreduced_class_indices_print_the_reduced_golden(capsys):
 
 
 # FieldTower tables built on first read, which a class-union `pds` never reads
-DEFERRED = ("neg_table", "trace_coords", "subfield_index", "trace_q")
+DEFERRED = ("neg_table", "trace_coords", "trace_q")
 
 
 def _route_deferred_reads(monkeypatch, on_read):
@@ -103,4 +103,4 @@ def test_quadric_code_golden_reads_deferred_tables(monkeypatch, capsys):
     name = "code-3-8-elliptic-all"
     assert main(list(GOLDEN[name])) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
-    assert reads == {"neg_table", "trace_coords", "subfield_index", "trace_q"}
+    assert reads == {"neg_table", "trace_coords", "trace_q"}

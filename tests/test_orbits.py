@@ -44,7 +44,7 @@ from reference import (
 )
 from reference import induced_code_automorphism_check as exhaustive_check
 
-from pdscodes import codes, qpoly
+from pdscodes import qpoly
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
 from pdscodes.field import FieldSpec, build_tower
@@ -174,11 +174,11 @@ def test_word_labels_equal_codewords(code):
     us, vs = np.divmod(np.arange(code.word_count), tower.qm)
     labels = code.word_labels(us[:, None], vs[:, None], tower.exp)
     words = np.stack([codeword(code, u, v) for u, v in zip(us.tolist(), vs.tolist())])
-    assert np.array_equal(labels, tower.subfield_index[words])
+    assert np.array_equal(labels, reference.subfield_index(tower)[words])
 
 
 def test_generator_matrix_text_equals_element_route(code):
-    labels = code.tower.subfield_index[generator_matrix(code)]
+    labels = reference.subfield_index(code.tower)[generator_matrix(code)]
     expected = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in labels)
     assert code.generator_matrix_text() == expected
 
@@ -311,11 +311,17 @@ def test_fills_equal_class_loops(code):
     assert_fills_equal_reference(Unreduced(code.subset))  # d = q^m - 1
 
 
+def _set_block(monkeypatch, block):
+    # the label windows read field.BLOCK, the code scans their own import of it
+    for name in ("pdscodes.field.BLOCK", "pdscodes.codes.BLOCK"):
+        monkeypatch.setattr(name, block)
+
+
 @pytest.mark.parametrize("block", [1, 5, 200])
 def test_fill_blocks_equal_class_loops(code, monkeypatch, block):
     # blocks of one entry, of a few classes or words, and of part of the
     # subset (or its complement) when it has more than `block` elements
-    monkeypatch.setattr(codes, "ZERO_BLOCK", block)
+    _set_block(monkeypatch, block)
     assert_fills_equal_reference(SubsetCode(code.subset))
 
 
@@ -358,7 +364,7 @@ def test_block_boundaries_equal_full_scan(code, monkeypatch, cap):
     # blocks of one and two representatives put every block boundary in play;
     # a cap of one entry also makes cover screen every support column
     entries = {"one entry": 1, "one rep": code.word_count, "two reps": 2 * code.word_count}
-    monkeypatch.setattr(codes, "ZERO_BLOCK", entries[cap])
+    _set_block(monkeypatch, entries[cap])
     assert_scans_equal_full(code)
 
 
@@ -366,7 +372,7 @@ def test_first_witness_beyond_first_blocks(f34, monkeypatch):
     code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
     reps = code._orbit_representatives().tolist()
     for per_block in (1, 2):
-        monkeypatch.setattr(codes, "ZERO_BLOCK", per_block * code.word_count)
+        _set_block(monkeypatch, per_block * code.word_count)
         for verdict in (code.minimality_cover(), code.minimality_heng()):
             coverer = code.word_index(*verdict.witness[1])
             assert reps.index(coverer) >= 1 + per_block  # past the blocks of 1 and per_block

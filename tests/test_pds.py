@@ -70,6 +70,14 @@ def test_build_subset_sizes(ex31, row1, f44):
     assert isinstance(drest.complement().origin, CyclotomicOrigin)
 
 
+def test_membership_outside_the_field_is_false(f34):
+    # unchecked, -4 would read indicator[77], a member, and 81 would index past the end
+    subset = build_cyclotomic_subset(f34, 10, [0])
+    assert 77 in subset and 1 in subset
+    for x in (-4, -1, 81, 2 ** 70):
+        assert x not in subset
+
+
 def test_complement_equals_set_difference(ex31, row1, f34):
     quadric, _ = quadric_subset(f34, kind="elliptic")
     explicit = FieldSubset.from_logs(f34, [0, 1, 5, 17, 40])

@@ -11,7 +11,8 @@ the fields kept on purpose.  A parameter with a default that no call in
 src/ or perfbench/ sets, by keyword or by position, is a setting nobody
 uses; UNSET_DEFAULTS names those kept on purpose.  A module-level
 UPPERCASE constant that src/ and perfbench/ never read is a cap or guard
-that nothing enforces any more.
+that nothing enforces any more.  No module imports a `_`-prefixed name
+from a sibling: what another module needs is public in its home module.
 """
 import ast
 import importlib
@@ -193,6 +194,18 @@ def test_every_constant_is_read_outside_the_tests():
     constants = [f"{path.stem}.{name}" for path in LIBRARY for name in _constants(trees[path])]
     assert len(constants) >= 20  # the scan finds them
     assert sorted(c for c in constants if c.split(".")[1] not in read) == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name that another module needs is part of its home module's surface
+    private = sorted(
+        f"{path.stem}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pdscodes"))
+        for alias in node.names if alias.name.startswith("_")
+    )
+    assert private == []
 
 
 def _top_level_names(tree):

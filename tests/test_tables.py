@@ -3,7 +3,9 @@
 tests/data/golden/tables.json holds, per tower, the digest of exp, log,
 trace_p, trace_q, neg_table, trace_coords and subfield_index (each cast to
 int64), their dtypes, and the digest of the raw spectrum of one fixed class
-union, which pins the row order of the character transform.  Regenerate (only on purpose) with
+union, which pins the row order of the character transform.  The tower
+computes F_q labels from log and holds no subfield_index; that digest is
+of `reference.subfield_index`, the scatter the labels are checked against.  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_tables.py
 """
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 from pdscodes.charsums import full_spectrum
 from pdscodes.field import FieldSpec, build_tower
@@ -42,8 +45,11 @@ def _sha(arr) -> str:
 def tower_digests(name: str) -> dict:
     (p, e, m), (N, J) = TOWERS[name]
     tower = build_tower(FieldSpec(p=p, e=e, m=m))
-    out = {t: _sha(getattr(tower, t)) for t in TABLES}
-    out["dtypes"] = {t: str(getattr(tower, t).dtype) for t in TABLES}
+    # the tower computes F_q labels from log; subfield_index is the reference's scatter
+    tables = {t: reference.subfield_index(tower) if t == "subfield_index" else getattr(tower, t)
+              for t in TABLES}
+    out = {t: _sha(table) for t, table in tables.items()}
+    out["dtypes"] = {t: str(table.dtype) for t, table in tables.items()}
     subset = build_cyclotomic_subset(tower, N, J)
     out["spectrum"] = _sha(full_spectrum(tower, subset.members).raw)
     return out
@@ -53,6 +59,19 @@ def tower_digests(name: str) -> dict:
 def test_tables_match_golden(name):
     expected = json.loads(GOLDEN.read_text())[name]
     assert tower_digests(name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_subfield_labels_invert_the_scatter(name):
+    # log x // step + 1 on F_q, the old scatter's label, and on the labels of
+    # Tr(gamma^i) in log order
+    (p, e, m), _ = TOWERS[name]
+    tower = build_tower(FieldSpec(p=p, e=e, m=m))
+    index = reference.subfield_index(tower)
+    on = np.flatnonzero(index >= 0)
+    assert len(on) == tower.q
+    assert np.array_equal(tower.subfield_labels(on), index[on])
+    assert np.array_equal(tower.trace_label_of_exp, index[tower.trace_q[tower.exp]])
 
 
 if __name__ == "__main__":
