@@ -39,9 +39,11 @@ The direct methods use the stabiliser <gamma^d> of the subset: the word
 (u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
 supports (up to that rotation) and every oracle condition are constant on
 the orbits of <gamma^d>.  The weights are kept as (q, d) class columns, one
-per orbit, counted in blocks over windows of the label table; the supports
-of all words are filled a block of words at a time, each block one compare
-against windows of the label table and one packbits.  The scans (cover,
+per orbit, counted in blocks over windows of the label table.  Support
+bits have one route, `SubsetCode._support_columns`: uint64 columns of the
+packed supports of any words, one compare of rows of the label cycle
+against -u f(x) and one packbits; `supports()` runs it over every word and
+column, and cover on the columns it needs.  The scans (cover,
 Heng, the rank flags behind SNC and the secret-sharing count) also use a
 list of verified automorphisms (`SubsetCode._automorphisms`): the least
 Frobenius power x -> x^(p^s) with D^(p^s) = D, which sends (u, v) to
@@ -87,7 +89,8 @@ DEFAULT_WORD_GUARD = 2 ** 22          # max q^(m+1) for exhaustive scans
 DEFAULT_ENUM_BUDGET = 2 ** 30         # max pairs an enumeration counts: (class, element) pairs
                                       # d * min(k, n - k) of the weight columns, hyperplanes x
                                       # elements of the cutting test
-SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for the support matrix, rows padded to uint64
+SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for supports(), rows padded to uint64;
+                                      # cover computes support columns on demand
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -503,34 +506,67 @@ class SubsetCode:
         return self._support_words().view(np.uint8)[:, : (self.tower.order + 7) // 8]
 
     def _support_words(self) -> np.ndarray:
-        """The packed supports as rows of uint64, zero-padded past the last coordinate.
-
-        The word (u, gamma^w) is nonzero at x = gamma^i where the label of
-        Tr(gamma^(w + i)) differs from -u f(x).  Blocks of words, about
-        BLOCK (word, coordinate) pairs each, are compared and packed at
-        once.
-        """
+        """The packed supports as rows of uint64, zero-padded past the last
+        coordinate (cached): `_support_columns` over every word and column,
+        the label cycle read in log order, a slice of about BLOCK labels,
+        compared for every u, at a time."""
         if self._supports is not None:
             return self._supports
         tower = self.tower
-        q, qm, order = tower.q, tower.qm, tower.order
-        width, row = (order + 7) // 8, (order + 63) // 64 * 8  # packed bytes, padded
-        nbytes = q * qm * row
+        q, qm, width = tower.q, tower.qm, (self.n + 63) // 64
+        nbytes = q * qm * width * 8
         if nbytes > SUPPORT_BYTES_CAP:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
-        mem = self.subset.indicator[tower.exp]
-        packed = np.zeros((q * qm, row), dtype=np.uint8)
-        packed[self.word_index(1, 0)::qm, :width] = np.packbits(mem)  # v = 0, u != 0
-        windows = tower.label_cycle()
-        _, _, neg_q = tower.subfield_tables()
-        zero_at = np.where(mem, neg_q[:, None], 0).astype(windows.dtype)[:, None, :]  # -u f(x)
-        us = np.arange(q, dtype=np.int64)[:, None]
-        per = max(1, BLOCK // (q * order))
-        for w in range(0, order, per):
-            nonzero = windows[w:w + per] != zero_at
-            packed[us * qm + tower.exp[w:w + per], :width] = np.packbits(nonzero, axis=2)
-        self._supports = packed.view(np.uint64)
+        tables, us = self._value_tables(), np.arange(q)
+        packed = np.empty((q, qm, width), dtype=np.uint64)  # row (u, v)
+        packed[:, :1] = self._support_columns(tables, us[:, None], None, 0, width)  # v = 0
+        per = max(1, BLOCK // (64 * width))
+        for w in range(0, self.n, per):
+            rows = self._support_columns(tables, us[:, None], slice(w, w + per), 0, width)
+            packed[:, tower.exp[w:w + per]] = rows
+        self._supports = packed.reshape(q * qm, width)
         return self._supports
+
+    def _value_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cycle, zero_at): the tower's `label_cycle`, row s the labels of
+        Tr(gamma^(s + i)) at column i, and zero_at[u, i] the label of
+        -u f(gamma^i).  The word (u, gamma^s) vanishes at gamma^i exactly
+        where row s of cycle equals row u of zero_at."""
+        cycle = self.tower.label_cycle()
+        _, _, neg_q = self.tower.subfield_tables()
+        mem = self.subset.indicator[self.tower.exp]
+        return cycle, np.where(mem, neg_q.astype(cycle.dtype)[:, None], 0)
+
+    def _support_columns(self, tables, us, logs, start: int, stop: int) -> np.ndarray:
+        """uint64 columns start..stop-1 of the packed supports of the words
+        (us, gamma^logs), in one numpy pass; column c packs the coordinates
+        gamma^(64 c) .. gamma^(64 c + 63), zero past the last.
+
+        tables is `_value_tables()`; logs indexes the rows of its label cycle
+        and us those of zero_at.  Either both are aligned arrays, a log of -1
+        naming v = 0 (whose labels are 0), or logs is a slice, or None for
+        v = 0, and us has shape (k, 1), every u against every log.  The
+        words' labels at the columns' coordinates are compared with -u f(x)
+        and packed.
+        """
+        cycle, zero_at = tables
+        lo, hi = 64 * start, min(64 * stop, self.n)
+        labels = 0 if logs is None else cycle[:, lo:hi][logs]
+        if isinstance(logs, np.ndarray):
+            labels[logs < 0] = 0
+        nonzero = labels != zero_at[:, lo:hi][us]
+        packed = np.zeros(nonzero.shape[:-1] + (8 * (stop - start),), dtype=np.uint8)
+        packed[..., : (hi - lo + 7) // 8] = np.packbits(nonzero, axis=-1)
+        return packed.view(np.uint64)
+
+    def _support_blocks(self, tables, us, logs, start: int, stop: int
+                        ) -> Iterator[tuple[slice, np.ndarray]]:
+        """(part, columns): `_support_columns` of the words part of the aligned
+        arrays us and logs, for consecutive parts of about BLOCK coordinates."""
+        per = max(1, BLOCK // (64 * (stop - start)))
+        for s in range(0, len(logs), per):
+            part = slice(s, min(s + per, len(logs)))
+            yield part, self._support_columns(tables, us[part], logs[part], start, stop)
 
     def _line_words(self) -> np.ndarray:
         """The least word of each projective line of the nonzero words,
@@ -692,21 +728,21 @@ class SubsetCode:
         return self._orbit_reps
 
     def _block_scan(
-        self, make_test: Callable[[], Callable[[np.ndarray], np.ndarray]]
+        self, make_test: Callable[[], Callable[[slice], np.ndarray]]
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(reps, bad) for blocks of the ascending orbit representatives, bad[i, c]
         saying that the words on line c of _line_words(), vector-independent of
         reps[i], violate the test.
 
         make_test() gives the test, a (block, lines) bool array for a block of
-        representatives, once the word guard has passed.  Blocks start at one
-        representative and double up to BLOCK (representative, word)
-        entries, so a scan that stops at an early violation does little more
-        than that work.  A violation holds for every word of a line (w and
-        lam w have one support and one Heng sum) and for every class of an
-        orbit or for none, and the lines ascend by least word, so the first
-        one found is the first of a scan over all projective representatives
-        and all words, with the same witness.
+        representatives, named by its slice of them, once the word guard has
+        passed.  Blocks start at one representative and double up to BLOCK
+        (representative, word) entries, so a scan that stops at an early
+        violation does little more than that work.  A violation holds for
+        every word of a line (w and lam w have one support and one Heng sum)
+        and for every class of an orbit or for none, and the lines ascend by
+        least word, so the first one found is the first of a scan over all
+        projective representatives and all words, with the same witness.
         """
         self._check_guard()
         reps = self._orbit_representatives()
@@ -715,9 +751,10 @@ class SubsetCode:
         most = max(1, BLOCK // self.word_count)
         start, size = 0, 1
         while start < len(reps):
-            block = reps[start:start + size]
-            bad = test(block)
-            bad[np.arange(len(block))[:, None], dependents[start:start + size]] = False
+            part = slice(start, start + size)
+            block = reps[part]
+            bad = test(part)
+            bad[np.arange(len(block))[:, None], dependents[part]] = False
             yield block, bad
             start, size = start + size, min(2 * size, most)
 
@@ -745,29 +782,64 @@ class SubsetCode:
             return MethodVerdict(NOT_RUN, note=str(exc))
         return MethodVerdict(MINIMAL)
 
-    def _cover_test(self) -> Callable[[np.ndarray], np.ndarray]:
-        """bad[i, c]: the support of the words on line c lies inside that of reps[i].
+    def _cover_test(self) -> Callable[[slice], np.ndarray]:
+        """bad[i, c]: the support of the words on line c lies inside that of
+        reps[i], reps the part of the orbit representatives tested.
 
-        The support rows of the least words of the lines are read through
-        their indices, one uint64 column at a time, until the pairs still
-        inside, times the columns left, fit in BLOCK; those pairs are
-        then compared on the rest of the row at once.  Nearly every pair
-        escapes in the first column, which is gathered once per scan.
+        No support matrix is held: the support columns of the lines' least
+        words are computed as they are needed.  The first column of every
+        line, 8 bytes a line, is computed once per scan, and the full rows of
+        each block's representatives once per block.  The dependent lines of
+        a representative, inside it on every column, are set aside, and so
+        are the pairs of a representative whose support is full past the
+        columns read, as no later column can part them.  Later columns are
+        computed, one at a time, only for the lines that still hold a pair
+        inside, until those pairs times the columns left fit in BLOCK; those
+        pairs are then compared on the rest of the row, a part of about BLOCK
+        coordinates at a time.  Nearly every pair escapes in the first column.
         """
-        sup = self._support_words()
-        width = sup.shape[1]
-        lines = self._line_words()
-        head = sup[lines, 0]
+        tower, tables = self.tower, self._value_tables()
+        width = (self.n + 63) // 64
+        # (u, log v) of the least words of the lines: (0, least) and (1, y)
+        least = tower.line_layout[0]
+        us = np.repeat(np.array([0, 1], dtype=np.uint8), [len(least), tower.qm])
+        logs = np.concatenate([tower.log[least], tower.log])
+        head = np.empty(len(logs), dtype=np.uint64)
+        for part, column in self._support_blocks(tables, us, logs, 0, 1):
+            head[part] = column[:, 0]
+        rep_us, rep_vs = np.divmod(self._orbit_representatives(), tower.qm)
+        rep_logs = tower.log[rep_vs]  # -1 for v = 0
+        dependents = self._dependent_columns()
+        coordinates = np.packbits(np.arange(64 * width) < self.n).view(np.uint64)
 
-        def test(reps):
-            outside = ~sup[reps]
+        def test(part):
+            outside = coordinates & ~self._support_columns(
+                tables, rep_us[part], rep_logs[part], 0, width)
             inside = (head & outside[:, :1]) == 0
+            inside[np.arange(len(outside))[:, None], dependents[part]] = False
+            rows, cols = np.nonzero(inside)  # the pairs still inside
+            if not len(rows):
+                return inside
+            # the last column on which each representative vanishes somewhere
+            vanishes = outside != 0
+            last = np.where(vanishes.any(axis=1), width - 1 - vanishes[:, ::-1].argmax(axis=1), -1)
             c = 0
-            while np.count_nonzero(inside) * (width - 1 - c) > BLOCK:
+            while True:
+                live = last[rows] > c
+                rows, cols = rows[live], cols[live]
+                if len(rows) * (width - 1 - c) <= BLOCK:
+                    break
                 c += 1
-                inside &= (sup[lines, c] & outside[:, c, None]) == 0
-            rows, cols = np.nonzero(inside)
-            inside[rows, cols] = ~(sup[lines[cols], c + 1:] & outside[rows, c + 1:]).any(axis=1)
+                lines, at = np.unique(cols, return_inverse=True)
+                column = np.concatenate([col[:, 0] for _, col in self._support_blocks(
+                    tables, us[lines], logs[lines], c, c + 1)])
+                escape = (column[at] & outside[rows, c]) != 0
+                inside[rows[escape], cols[escape]] = False
+                rows, cols = rows[~escape], cols[~escape]
+            if len(rows):
+                for chunk, rest in self._support_blocks(tables, us[cols], logs[cols], c + 1, width):
+                    r = rows[chunk]
+                    inside[r, cols[chunk]] = ~(rest & outside[r, c + 1:]).any(axis=1)
             return inside
 
         return test
@@ -785,9 +857,10 @@ class SubsetCode:
 
     # -- weight-sum criterion ------------------------------------------------
 
-    def _heng_test(self) -> Callable[[np.ndarray], np.ndarray]:
+    def _heng_test(self) -> Callable[[slice], np.ndarray]:
         """bad[i, c]: r = reps[i] and the words w on line c satisfy the covering
-        identity sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w).
+        identity sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w),
+        reps the part of the orbit representatives tested.
 
         wt(r + x) is gathered once for every word x, as int32, and summed over
         the q - 1 points lam w of each line, the same sum for every w on it;
@@ -817,7 +890,8 @@ class SubsetCode:
         # halves of the base-p digits apart
         split = tower.p ** (tower.em // 2)
 
-        def test(reps):
+        def test(part):
+            reps = self._orbit_representatives()[part]
             ur, vr = np.divmod(reps, qm)
             high = tower.add_sets((vr - vr % split)[:, None], vs[::split])
             low = tower.add_sets((vr % split)[:, None], vs[:split])
@@ -849,9 +923,7 @@ class SubsetCode:
         tower = self.tower
         xs = tower.exp
         on = self.subset.indicator[xs]
-        windows = tower.label_cycle()
-        _, _, neg_q = tower.subfield_tables()
-        zero_at = np.where(on, neg_q[:, None], 0).astype(windows.dtype)  # -u f(x)
+        windows, zero_at = self._value_tables()
         per = max(1, BLOCK // tower.order)
         reached = np.empty(len(vs), dtype=bool)
         for start in range(0, len(vs), per):

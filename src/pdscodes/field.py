@@ -14,8 +14,9 @@ up front; neg_table, trace_q and trace_coords on first read (a class-union
 PDS check reads none of them).  No table changes once built, so a tower can
 be shared across threads.  A modulus passes when exp fills every log slot;
 the polynomial tests run only to name a failure.  F_q^* is <gamma^step>,
-so x in F_q has the dense label log x // step + 1 (`subfield_labels`), and
-scaling by label l adds (l - 1) step to a log: neither needs a table.
+so x in F_q has the dense label log x // step + 1 (`subfield_labels`),
+scaling by label l adds (l - 1) step to a log, and negation, for odd q,
+(q - 1)/2 steps, as -1 = gamma^(order/2): none of them needs a table.
 
 The traces, the negation, trace_coords and multiplication by a fixed
 power of X are F_p-linear maps on the packed digits, tabulated by
@@ -33,8 +34,9 @@ index the row of the character transform that holds a's value.
 
 Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
-Tr(gamma^i).  `trace_labels(v, x)` reads the label table at
-log v + log x; it is the one batch route to the F_q value of Tr(v x).
+Tr(gamma^i), for e = 1 read off trace_of_exp through the labels of F_p.
+`trace_labels(v, x)` reads the label table at log v + log x; it is the one
+batch route to the F_q value of Tr(v x).
 The scans read it in windows (`label_windows`, `label_cycle`), and
 `line_layout` lays out the lines F_q^* v for them.
 """
@@ -546,9 +548,13 @@ class FieldTower:
     @cached_property
     def trace_label_of_exp(self) -> np.ndarray:
         """Dense F_q labels in log order: the label of Tr(gamma^i) at index
-        i < q^m - 1, in the smallest unsigned dtype that holds q - 1."""
-        labels = self.subfield_labels(self.trace_q[self.exp])
-        return labels.astype(np.min_scalar_type(self.q - 1))
+        i < q^m - 1, in the smallest unsigned dtype that holds q - 1.  For
+        e = 1 the trace is the absolute one, so a p-entry label table is read
+        at trace_of_exp, with no q^m table of trace_q."""
+        dtype = np.min_scalar_type(self.q - 1)
+        if self.e == 1:
+            return self.subfield_labels(np.arange(self.p)).astype(dtype)[self.trace_of_exp]
+        return self.subfield_labels(self.trace_q[self.exp]).astype(dtype)
 
     @cached_property
     def line_layout(self) -> tuple[np.ndarray, np.ndarray]:
@@ -601,7 +607,11 @@ class FieldTower:
         trace_label_of_exp made per call."""
         labels = self.trace_label_of_exp
         doubled = np.concatenate([labels, labels[:-1]])
-        return as_strided(doubled, (len(labels),) * 2, doubled.strides * 2, writeable=False)
+        # the view as_strided makes, without its per-call cost, which outweighs
+        # a small cycle's reads
+        cycle = np.ndarray((len(labels),) * 2, labels.dtype, doubled, strides=doubled.strides * 2)
+        cycle.flags.writeable = False
+        return cycle
 
     def trace_labels(self, v, x) -> np.ndarray:
         """Dense F_q labels of Tr(v x), broadcasting v against x; zeros allowed.
@@ -630,8 +640,10 @@ class FieldTower:
     def subfield_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables.  The
         labels of subfield_elements must be 0..q-1 in order, or the
-        embedding is rejected; the product of labels i, j >= 1 is
-        (i + j - 2) mod (q - 1) + 1, a sum of logs."""
+        embedding is rejected.  The product of labels i, j >= 1 is
+        (i + j - 2) mod (q - 1) + 1, a sum of logs, and for odd q the
+        negation of label 1 + j is label (j + (q - 1)/2) mod (q - 1) + 1, as
+        -1 = gamma^(order/2); for even q it is the identity."""
         if self._subfield_ops is None:
             elems = self.subfield_elements.astype(np.int64)
             if not np.array_equal(self.subfield_labels(elems), np.arange(self.q)):
@@ -641,7 +653,9 @@ class FieldTower:
             j = np.arange(self.q - 1, dtype=np.int32)  # label 1 + j is gamma^(j step)
             mul = np.zeros((self.q, self.q), dtype=np.int32)
             mul[1:, 1:] = (j[:, None] + j) % (self.q - 1) + 1
-            neg = self.subfield_labels(self.neg_table[elems])
+            neg = np.arange(self.q, dtype=np.int32)
+            if self.q % 2:
+                neg[1:] = (j + (self.q - 1) // 2) % (self.q - 1) + 1
             self._subfield_ops = (add, mul, neg)
         return self._subfield_ops
 

@@ -10,8 +10,9 @@ O(q^m) per span step or O(q^2m) per subset, so the tests use them on
 fields of at most a few hundred elements.  The dense (q, q^m) weight table
 and the packed supports are filled one stabiliser class at a time, the
 loops the library replaced with its class columns and block fills.
-Beside them sit the cover and Heng scans of one coverer at a time, with
-the scalar multiples of a word listed in a loop, that the library now
+Beside them sit the cover and Heng scans of one coverer at a time (cover
+reading those class-loop supports), with the scalar multiples of a word
+listed in a loop, that the library now
 runs over blocks of coverers, the flags of such a scan over every class,
 and the participant coverage counted from the unpacked supports.  The
 lines F_q^* v that those scans test one at a time are listed by
@@ -304,10 +305,12 @@ def weight_table(code):
     return wt
 
 
+@lru_cache(maxsize=4)
 def support_words(code):
     """The packed supports as uint64 rows padded like the library's, one class
     j < d at a time: the supports of every (u, gamma^j), held twice over, give
-    those of (u, gamma^(j + t d)) as windows t d coordinates on."""
+    those of (u, gamma^(j + t d)) as windows t d coordinates on (cached per
+    code, read-only)."""
     tower = code.tower
     q, qm, order = tower.q, tower.qm, tower.order
     width = (order + 7) // 8
@@ -324,12 +327,14 @@ def support_words(code):
     for j in range(d):
         twice[:, :order] = twice[:, order:] = add_q[u_f, labels_twice[j:j + order]] != 0
         packed[us * qm + tower.exp[j::d], :width] = np.packbits(windows, axis=2)
+    packed.flags.writeable = False
     return packed.view(np.uint64)
 
 
 def cover_violations(code, r):
-    """Word indices (vector-independent of r) whose support lies inside r's."""
-    sup = code.supports()
+    """Word indices (vector-independent of r) whose support lies inside r's,
+    read off the class-loop supports (`support_words`)."""
+    sup = support_words(code)
     escapes = np.bitwise_and(sup, ~sup[r]).any(axis=1)
     return np.setdiff1d(np.nonzero(~escapes)[0], dependent_words(code, r))
 

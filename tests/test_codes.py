@@ -620,6 +620,24 @@ def test_heng_scan_memory():
     assert peak <= 1400 * 1024
 
 
+def test_cover_scan_memory():
+    # F_{3^8}, N = 41, 13 orbits: the scan once filled the 3^9 x 103 uint64
+    # support matrix and peaked at 16 MB; reading support columns as it needs
+    # them, it holds about 8 bytes for each of the 9841 lines
+    tower = build_tower(FieldSpec(p=3, e=1, m=8))
+    code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
+    code._orbit_representatives(), code._dependent_columns(), tower.line_layout
+    tower.trace_label_of_exp, tower.subfield_tables()
+    tracemalloc.start()
+    try:
+        verdict = code.minimality_cover()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == MINIMAL
+    assert peak < 1024 * 1024
+
+
 def test_column_sums_exact_past_float32_precision():
     # 2^24 + 3 ones: one float32 sum would round it to 2^24 + 4; the blocking
     # sizes sum as many rows on sets of more than 2^24 members

@@ -253,7 +253,9 @@ def test_subfield_membership(f44):
 
 
 def test_subfield_tables_match_scalar_arithmetic(f44, f35):
-    for t in (f44, f35, build_tower(FieldSpec(p=3, e=2, m=2))):
+    # the negation is a log shift for odd q and the identity for even q
+    more = [(3, 2, 2), (2, 1, 3), (5, 1, 2), (13, 1, 2), (7, 2, 1), (2, 3, 2)]
+    for t in (f44, f35, *(build_tower(FieldSpec(p=p, e=e, m=m)) for p, e, m in more)):
         add, mul, neg = t.subfield_tables()
         assert add.dtype == mul.dtype == neg.dtype == np.int32
         elems, idx = t.subfield_elements.tolist(), reference.subfield_index(t)

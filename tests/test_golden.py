@@ -33,6 +33,7 @@ GOLDEN = {
                               "--p", "3", "--m", "8", "--methods", "all"],
     "code-3-8-N41-all": ["code", "--field", '{"p":3,"e":1,"m":8}',
                          "--subset", '{"cyclotomic":{"N":41,"J":[0]}}', "--methods", "all"],
+    "code-table-2-row-3-pds": ["code", "--recipe", "table-2-row-3", "--methods", "pds"],
     "sss-3-4-N10-x1-0": ["sss", "--field", '{"p":3,"e":1,"m":4}',
                          "--subset", '{"cyclotomic":{"N":10,"J":[0]}}', "--x1-log", "0"],
     "blocking-3-4-hyperbolic": ["blocking", "--field", '{"p":3,"e":1,"m":4}',
@@ -76,31 +77,47 @@ def _route_deferred_reads(monkeypatch, on_read):
         monkeypatch.setattr(FieldTower, name, table)
 
 
-@pytest.mark.parametrize("argv", [
-    ["pds", "--recipe", "example-3.1"],
-    ["pds", "--field", '{"p":3,"e":1,"m":8}', "--subset", '{"cyclotomic":{"N":41,"J":[0]}}'],
-], ids=["example-3.1", "3-8-N41"])
-def test_class_union_pds_builds_no_deferred_table(monkeypatch, capsys, argv):
+def _run_refusing_deferred_tables(monkeypatch, capsys, argv) -> str:
+    """The stdout of main(argv) with every deferred table made to raise on read."""
     reads = []
 
     def refuse(name):
         reads.append(name)
-        raise AssertionError(f"class-union pds read FieldTower.{name}")
+        raise AssertionError(f"{argv[0]} read FieldTower.{name}")
 
     with monkeypatch.context() as patched:
         _route_deferred_reads(patched, refuse)
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
     assert reads == []
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pds", "--recipe", "example-3.1"],
+    ["pds", "--field", '{"p":3,"e":1,"m":8}', "--subset", '{"cyclotomic":{"N":41,"J":[0]}}'],
+], ids=["example-3.1", "3-8-N41"])
+def test_class_union_pds_builds_no_deferred_table(monkeypatch, capsys, argv):
+    out = _run_refusing_deferred_tables(monkeypatch, capsys, argv)
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == out
 
 
+def test_row3_code_pds_builds_no_deferred_table(monkeypatch, capsys):
+    # the weight count, the kernel words and the certificates of F_{3^12}/N=35
+    # name F_q values by log: -x and the labels of the absolute trace need no
+    # q^m table, and the report is the golden one captured while they did
+    name = "code-table-2-row-3-pds"
+    out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name])
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
 def test_quadric_code_golden_reads_deferred_tables(monkeypatch, capsys):
-    # the code scans of a quadric do read the deferred tables, and print the golden
+    # the code scans of a quadric read neg_table (SNC's zero sets) and
+    # trace_coords (the reflections' trace duals), and print the golden
     reads = set()
     _route_deferred_reads(monkeypatch, reads.add)
     name = "code-3-8-elliptic-all"
     assert main(list(GOLDEN[name])) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
-    assert reads == {"neg_table", "trace_coords", "trace_q"}
+    assert reads == {"neg_table", "trace_coords"}

@@ -1,9 +1,10 @@
 """The orbit-reduced direct oracles against full scans over every class.
 
 The weights are (q, d) columns, one per orbit of the stabiliser <gamma^d>
-of the subset, and the supports are filled a block of words at a time;
-both are compared bit for bit with the class loops in `reference`, and
-through those with the words evaluated one by one.  The cover, Heng and
+of the subset, and the supports, filled a block of words at a time, and
+any run of support columns of any words come from one kernel; all are
+compared bit for bit with the class loops in `reference`, and through
+those with the words evaluated one by one.  The cover, Heng and
 SNC scans and the rank flags visit one member per orbit of <gamma^d>,
 F_q^* scaling, the least Frobenius power x -> x^(p^s) that fixes the
 subset and, for a quadric, the reflections of its orthogonal group, and
@@ -20,7 +21,10 @@ over every z, and the words evaluated one by one.  SNC over every z, and
 all three scans on random quadrics, run on `reference.Unreduced`, the same
 code with the trivial period q^m - 1 and no further automorphisms.  The
 lines F_q^* w that cover and Heng test one column each, and the dependent
-lines of each member, are compared with lists built on field elements.
+lines of each member, are compared with lists built on field elements, and
+the lines that cover flags for each member with those of the reference,
+with the block size set so that cover computes its later support columns
+one at a time, or the rest of each row at once.
 """
 from functools import lru_cache
 
@@ -366,6 +370,100 @@ def test_block_boundaries_equal_full_scan(code, monkeypatch, cap):
     entries = {"one entry": 1, "one rep": code.word_count, "two reps": 2 * code.word_count}
     _set_block(monkeypatch, entries[cap])
     assert_scans_equal_full(code)
+
+
+@pytest.mark.parametrize("block", [1, 200, 2 ** 16])
+def test_support_columns_equal_reference(code, monkeypatch, block):
+    # any words, v = 0 among them, and any run of columns, the last one partly
+    # padding; in parts of one word, of a few, or of all of them
+    _set_block(monkeypatch, block)
+    ref = support_words(code)
+    width = ref.shape[1]
+    rng = np.random.default_rng(width)
+    words = np.concatenate([np.arange(0, code.word_count, code.tower.qm),
+                            rng.choice(code.word_count, 40)])
+    tables = code._value_tables()
+    us, vs = np.divmod(words, code.tower.qm)
+    logs = code.tower.log[vs]  # -1 for v = 0
+    for start, stop in sorted({(0, 1), (0, width), (width - 1, width), (width // 2, width)}):
+        assert np.array_equal(code._support_columns(tables, us, logs, start, stop),
+                              ref[words, start:stop])
+        parts = list(code._support_blocks(tables, us, logs, start, stop))
+        assert np.array_equal(np.concatenate([cols for _, cols in parts]), ref[words, start:stop])
+        assert [part.start for part, _ in parts] == list(range(0, len(words), len(parts[0][1])))
+
+
+def _pairs_past_the_first_column(code):
+    """Whether a line vector-independent of some orbit representative r has a
+    first support column inside r's, r vanishing somewhere past that column,
+    by the reference."""
+    sup, lines = support_words(code), code._line_words()
+    width = sup.shape[1]
+    coordinates = np.packbits(np.arange(64 * width) < code.n).view(np.uint64)
+    for r, dependent in zip(code._orbit_representatives(), code._dependent_columns()):
+        inside = (sup[lines, 0] & ~sup[r, 0]) == 0
+        inside[dependent] = False
+        if inside.any() and (coordinates & ~sup[r])[1:].any():
+            return True
+    return False
+
+
+def assert_cover_flags_equal_reference(code, monkeypatch, block):
+    """Every representative's violating lines, the verdict and the witness of
+    cover with BLOCK = block are those of the one-coverer reference scan;
+    one entry makes cover walk the support columns one at a time, 2^16
+    compare each pair still inside after the first column on the rest of
+    its row at once."""
+    _set_block(monkeypatch, block)
+    code = SubsetCode(code.subset)
+    width = (code.n + 63) // 64
+    past = _pairs_past_the_first_column(code)
+    ranges = set()
+    columns = SubsetCode._support_columns
+
+    def recorded(self, tables, us, logs, start, stop):
+        ranges.add((start, stop))
+        return columns(self, tables, us, logs, start, stop)
+
+    monkeypatch.setattr(SubsetCode, "_support_columns", recorded)
+    flags = {}
+    for reps, bad in code._block_scan(code._cover_test):
+        for r, row in zip(reps.tolist(), bad):
+            flags[r] = np.flatnonzero(row).tolist()
+    assert list(flags) == code._orbit_representatives().tolist()
+    for r, lines in flags.items():
+        assert lines == sorted(set(code._line_columns(cover_violations(code, r)).tolist()))
+    verdict = code.minimality_cover()
+    assert (verdict.status, verdict.witness) == full_verdict(code, cover_violations)
+    advanced = any(stop - start == 1 and start > 0 for start, stop in ranges)
+    finished = any(start > 0 and stop == width > start + 1 for start, stop in ranges)
+    if width > 2 and past and block == 1:
+        assert advanced and not finished
+    if width > 2 and past and block == 2 ** 16:
+        assert finished and not advanced
+    assert past or not (advanced or finished)
+
+
+@pytest.mark.parametrize("block", [1, 64, 2 ** 16])
+def test_cover_flags_equal_reference(code, monkeypatch, block):
+    assert_cover_flags_equal_reference(code, monkeypatch, block)
+
+
+# (p, m, size): random sets of logs with no stabiliser, on which many
+# vector-independent pairs stay inside on the first support column and escape
+# on the second alone
+SPARSE = {"F_2^7, 10 logs": (2, 7, 10), "F_3^5, 20 logs": (3, 5, 20), "F_2^8, 5 logs": (2, 8, 5)}
+
+
+@pytest.mark.parametrize("block", [1, 64, 2 ** 16])
+@pytest.mark.parametrize("name", sorted(SPARSE))
+def test_sparse_cover_flags_equal_reference(name, monkeypatch, block):
+    p, m, size = SPARSE[name]
+    tower = _tower(p, 1, m)
+    logs = np.random.default_rng(0).choice(tower.order, size=size, replace=False)
+    code = SubsetCode(FieldSubset.from_logs(tower, logs))
+    assert _pairs_past_the_first_column(code)
+    assert_cover_flags_equal_reference(code, monkeypatch, block)
 
 
 def test_first_witness_beyond_first_blocks(f34, monkeypatch):
