@@ -918,10 +918,12 @@ class SubsetCode:
         The zeros of (u, v) are D_{u,v} = {x in D : Tr(v x) = -u}, maybe empty, and
         D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
         A block finds them as the support fill does: the window of the label
-        table from log v on, compared with -u f(x).
+        table from log v on, compared with -u f(x).  The first zero x_0 of each
+        word is negated by a log shift, -1 = gamma^half (half = 0 for p = 2).
         """
         tower = self.tower
         xs = tower.exp
+        half = int(tower.log[tower.neg(1)])
         on = self.subset.indicator[xs]
         windows, zero_at = self._value_tables()
         per = max(1, BLOCK // tower.order)
@@ -933,7 +935,7 @@ class SubsetCode:
             # D̄_v, and the differences x - x_0 not already in it: those in D
             keep = zero & ~on
             row, col = np.nonzero(ones)
-            diffs = tower.add_sets(xs[col], tower.neg_table[xs[ones.argmax(axis=1)]][row])
+            diffs = tower.add_sets(xs[col], xs[(ones.argmax(axis=1) + half) % tower.order][row])
             keep[row, col] = in_d = self.subset.indicator[diffs]
             gens = np.where(keep, xs, 0)
             gens[row, col] = np.where(in_d, diffs, 0)

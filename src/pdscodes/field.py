@@ -10,16 +10,17 @@ F_q always lives inside F_{q^m} as the set of nonzero (q^m-1)/(q-1)-th
 powers together with 0; it is never built as a separate field.
 
 exp, log, the absolute trace trace_p and the q elements of F_q are built
-up front; neg_table, trace_q and trace_coords on first read (a class-union
-PDS check reads none of them).  No table changes once built, so a tower can
-be shared across threads.  A modulus passes when exp fills every log slot;
-the polynomial tests run only to name a failure.  F_q^* is <gamma^step>,
-so x in F_q has the dense label log x // step + 1 (`subfield_labels`),
-scaling by label l adds (l - 1) step to a log, and negation, for odd q,
-(q - 1)/2 steps, as -1 = gamma^(order/2): none of them needs a table.
+up front; trace_coords on first read (a class-union PDS check never reads
+it).  No table changes once built, so a tower can be shared across threads.
+A modulus passes when exp fills every log slot; the polynomial tests run
+only to name a failure.  F_q^* is <gamma^step>, so x in F_q has the dense
+label log x // step + 1 (`subfield_labels`), scaling by label l adds
+(l - 1) step to a log, and negation, for odd p, adds order/2, as
+-1 = gamma^(order/2) (for p = 2 it is the identity): none of them needs a
+table.
 
-The traces, the negation, trace_coords and multiplication by a fixed
-power of X are F_p-linear maps on the packed digits, tabulated by
+The absolute trace, trace_coords, the q-polynomials and multiplication by
+a fixed power of X are F_p-linear maps on the packed digits, tabulated by
 `FieldTower.linear_map_table` from the images of the basis X^i: on the
 low and the high half of the digits apart (digit-matrix products mod p),
 then joined by one digitwise add of arrays, which gathers from a cached
@@ -34,7 +35,8 @@ index the row of the character transform that holds a's value.
 
 Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
-Tr(gamma^i), for e = 1 read off trace_of_exp through the labels of F_p.
+Tr(gamma^i), for e = 1 read off trace_of_exp through the labels of F_p and
+for e > 1 the half tables of the F_q-trace joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
 batch route to the F_q value of Tr(v x).
 The scans read it in windows (`label_windows`, `label_cycle`), and
@@ -50,10 +52,11 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Hard cap on table-backed fields: up to six tables of this length, mostly
-# int32; a build makes exp, log and the int8 trace_p, the rest come on first
-# read.  F_{2^24} builds in 1.0-1.4 s with a 286 MB peak RSS and F_{3^12} in
-# 0.03-0.04 s with 36 MB (2-core Xeon, numpy 2.4); F_{2^26} was not measured.
+# Hard cap on table-backed fields: a build makes exp and log (int32) and the
+# int8 trace_p of this length; trace_coords (int32) and the log-order traces
+# (one or two bytes) come on first read.  F_{2^24} builds in 1.0-1.4 s with a
+# 286 MB peak RSS and F_{3^12} in 0.03-0.04 s with 36 MB (2-core Xeon, numpy
+# 2.4); F_{2^26} was not measured.
 MAX_FIELD_SIZE = 2 ** 26
 
 # Entries per numpy pass of the scans: label windows, word blocks, spans.  2^17
@@ -428,21 +431,6 @@ class FieldTower:
     # -- tables built on first read ---------------------------------------
 
     @cached_property
-    def trace_q(self) -> np.ndarray:
-        """Tr_{F_{q^m}/F_q} on every element (int32); for e = 1 the absolute
-        trace, read off trace_p."""
-        if self.e == 1:
-            return self.trace_p.astype(np.int32)
-        return self.linearized_table([1] * self.m, self.q)
-
-    @cached_property
-    def neg_table(self) -> np.ndarray:
-        """-x for every element x (int32); the identity for p = 2."""
-        if self.p == 2:
-            return np.arange(self.qm, dtype=np.int32)
-        return self.linear_map_table([(self.p - 1) * self.p ** i for i in range(self.em)])
-
-    @cached_property
     def trace_coords(self) -> np.ndarray:
         """trace_coords[a] packs the digits Tr_abs(a X^i), i < em (int32): the
         row of the character transform that holds a's value."""
@@ -495,11 +483,11 @@ class FieldTower:
     def add(self, x: int, y: int) -> int:
         return int(self._add_vec(int(x), int(y)))
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def neg(self, x: int) -> int:
-        return int(self.neg_table[x])
+        """-x: x gamma^(order/2) for odd p, as -1 = gamma^(order/2); x for p = 2."""
+        if self.p == 2 or x == 0:
+            return int(x)
+        return int(self.exp[(int(self.log[x]) + self.order // 2) % self.order])
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -550,11 +538,19 @@ class FieldTower:
         """Dense F_q labels in log order: the label of Tr(gamma^i) at index
         i < q^m - 1, in the smallest unsigned dtype that holds q - 1.  For
         e = 1 the trace is the absolute one, so a p-entry label table is read
-        at trace_of_exp, with no q^m table of trace_q."""
+        at trace_of_exp; for e > 1 the half tables of Tr_{F_{q^m}/F_q} are
+        joined at exp, BLOCK entries at a time, with no q^m table of the trace."""
         dtype = np.min_scalar_type(self.q - 1)
         if self.e == 1:
             return self.subfield_labels(np.arange(self.p)).astype(dtype)[self.trace_of_exp]
-        return self.subfield_labels(self.trace_q[self.exp]).astype(dtype)
+        high, low = self._half_tables(self._linearized_images([1] * self.m, self.q))
+        labels, split = np.empty(self.order, dtype=dtype), self.p ** (self.em // 2)
+        for start in range(0, self.order, BLOCK):
+            xs = self.exp[start:start + BLOCK]
+            hi = xs // split  # floor division and a product beat divmod
+            labels[start:start + BLOCK] = self.subfield_labels(
+                self._add_vec(high[hi], low[xs - hi * split]))
+        return labels
 
     @cached_property
     def line_layout(self) -> tuple[np.ndarray, np.ndarray]:

@@ -340,8 +340,8 @@ def verify_pds_spectral(
     if not subset.is_proper():
         raise PdsVerificationError("connection set must be nonempty and proper")
     if not subset.is_symmetric():
-        members = subset.members
-        bad = members[~subset.indicator[subset.tower.neg_table[members]]]
+        members, tower = subset.members, subset.tower
+        bad = members[~subset.indicator[tower.mul_vec(tower.neg(1), members)]]
         raise PdsVerificationError("set is not symmetric (-D != D)", witness=int(bad[0]))
     if spectrum is None:
         spectrum = subset.spectrum()

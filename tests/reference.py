@@ -39,7 +39,8 @@ the maps they check.  The orbit closure also takes, for a
 quadric, every reflection of its orthogonal group, evaluated on field
 elements, its trace dual found by matching rows of traces.
 
-Trace values are computed here on field elements (mul_vec, then trace_q)
+Trace values are computed here on field elements (mul_vec, then `trace_q`,
+the tabulated linearized polynomial, which the library does not keep)
 and named by the scatter of the F_q elements to their labels
 (`subfield_index`), never through the library's trace-label table or its
 log-based labels, so these references stay independent of them; the two
@@ -83,9 +84,31 @@ def subfield_index(tower):
     return idx
 
 
+@lru_cache(maxsize=4)
+def trace_q(tower):
+    """Tr_{F_{q^m}/F_q} on every element (int32, read-only), tabulated as the
+    linearized polynomial sum_k x^(q^k), which the library reads only in log
+    order, as labels."""
+    table = tower.linearized_table([1] * tower.m, tower.q)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=4)
+def neg_table(tower):
+    """-x for every element x (int32, read-only): the F_p-linear map X^i ->
+    (p - 1) X^i, and the identity for p = 2; the library shifts logs instead."""
+    if tower.p == 2:
+        table = np.arange(tower.qm, dtype=np.int32)
+    else:
+        table = tower.linear_map_table([(tower.p - 1) * tower.p ** i for i in range(tower.em)])
+    table.flags.writeable = False
+    return table
+
+
 def trace_labels(tower, v, xs):
     """Dense F_q labels of Tr(v x) for one v and an array of x, on field elements."""
-    return subfield_index(tower)[tower.trace_q[tower.mul_vec(v, np.asarray(xs, dtype=np.int64))]]
+    return subfield_index(tower)[trace_q(tower)[tower.mul_vec(v, np.asarray(xs, dtype=np.int64))]]
 
 
 def slice_members(subset, y_label, z):
@@ -100,7 +123,7 @@ def value_labels_at(code, x):
     added on field elements."""
     tower = code.tower
     u_part = tower.subfield_elements * bool(code.subset.indicator[x])
-    tr = tower.trace_q[tower.mul_vec(x, np.arange(tower.qm, dtype=np.int64))]
+    tr = trace_q(tower)[tower.mul_vec(x, np.arange(tower.qm, dtype=np.int64))]
     return subfield_index(tower)[tower.add_sets(u_part[:, None], tr[None, :])].ravel()
 
 
@@ -108,7 +131,7 @@ def codeword(code, u_label, v):
     """The word (u, v) as field elements in log order: u f(x) + Tr(v x), added on elements."""
     tower, xs = code.tower, code.tower.exp.astype(np.int64)
     u_part = np.where(code.subset.indicator[xs], int(tower.subfield_elements[u_label]), 0)
-    return tower.add_sets(u_part, tower.trace_q[tower.mul_vec(v, xs)])
+    return tower.add_sets(u_part, trace_q(tower)[tower.mul_vec(v, xs)])
 
 
 def generator_matrix(code):
@@ -121,7 +144,7 @@ def complement_kernel_slice(subset, z):
     """{x outside D (nonzero) : Tr(x z) = 0}."""
     tower = subset.tower
     comp = np.flatnonzero(~subset.indicator)[1:]  # drop the zero element
-    return comp[tower.trace_q[tower.mul_vec(z, comp)] == 0]
+    return comp[trace_q(tower)[tower.mul_vec(z, comp)] == 0]
 
 
 def greedy_span(tower, elems):
@@ -152,7 +175,7 @@ def trace_annihilator(tower, elems):
     mask = np.ones(tower.qm, dtype=bool)
     xs = np.arange(tower.qm, dtype=np.int64)
     for s in greedy_span(tower, elems)[0]:
-        mask &= tower.trace_q[tower.mul_vec(s, xs)] == 0
+        mask &= trace_q(tower)[tower.mul_vec(s, xs)] == 0
     return np.flatnonzero(mask)
 
 
@@ -160,7 +183,7 @@ def slice_annihilator(subset, y_label, z):
     """The annihilator of every pairwise difference of D_{y,z} and of D̄_z."""
     tower = subset.tower
     dyz = slice_members(subset, y_label, z)
-    diffs = np.unique(tower.add_sets(dyz[:, None], tower.neg_table[dyz][None, :]).ravel())
+    diffs = np.unique(tower.add_sets(dyz[:, None], neg_table(tower)[dyz][None, :]).ravel())
     return trace_annihilator(tower, np.concatenate([diffs, complement_kernel_slice(subset, z)]))
 
 
@@ -183,7 +206,7 @@ def snc_reference(code):
 def hyperplane_members(subset, j):
     """D ∩ H_j, H_j the kernel of x -> Tr(gamma^j x)."""
     tower = subset.tower
-    return subset.members[tower.trace_q[tower.mul_vec(int(tower.exp[j]), subset.members)] == 0]
+    return subset.members[trace_q(tower)[tower.mul_vec(int(tower.exp[j]), subset.members)] == 0]
 
 
 def intersection_masks(tower, indicator):
@@ -191,7 +214,7 @@ def intersection_masks(tower, indicator):
     hyperplane j being the kernel of x -> Tr(gamma^j x), j < step."""
     xs = np.arange(tower.qm, dtype=np.int64)
     kernels = np.stack([
-        tower.trace_q[tower.mul_vec(int(tower.exp[j]), xs)] == 0
+        trace_q(tower)[tower.mul_vec(int(tower.exp[j]), xs)] == 0
         for j in range(tower.subfield_step)
     ])
     kernels[:, 0] = False
@@ -452,7 +475,7 @@ def reflection_duals(code):
     nonzero = xs[1:]
 
     def rows(images):
-        return [tower.trace_q[tower.mul_vec(v, images)].tobytes() for v in range(tower.qm)]
+        return [trace_q(tower)[tower.mul_vec(v, images)].tobytes() for v in range(tower.qm)]
 
     position = {row: w for w, row in enumerate(rows(nonzero))}
     duals = []
@@ -508,13 +531,13 @@ def orbit_representatives(code):
 def is_symmetric(subset):
     """Whether -x lies in the subset for every member x, gathered through the
     negation table."""
-    return bool(np.all(subset.indicator[subset.tower.neg_table[subset.members]]))
+    return bool(np.all(subset.indicator[neg_table(subset.tower)[subset.members]]))
 
 
 def asymmetry_witness(subset):
     """The least member x whose negative -x lies outside the subset, tried
     one member at a time."""
-    return next(int(d) for d in subset.members if not subset.indicator[subset.tower.neg_table[d]])
+    return next(int(d) for d in subset.members if not subset.indicator[neg_table(subset.tower)[d]])
 
 
 def indicator_members(tower, members):
@@ -669,7 +692,7 @@ def rank_reaches(tower, elems, target):
 def from_basis_images(tower, images):
     """The coefficients of the reduced q-polynomial sending gamma^i to images[i],
     i < m: the Moore-style system sum_j a_j (gamma^i)^(q^j) = images[i] solved by
-    Gauss-Jordan elimination with one scalar tower.mul / tower.sub per entry."""
+    Gauss-Jordan elimination with one scalar tower.mul, tower.neg and tower.add per entry."""
     m, q = tower.m, tower.q
     rows = [[tower.pow(int(tower.exp[i]), q ** j) for j in range(m)] + [int(images[i])]
             for i in range(m)]
@@ -681,6 +704,6 @@ def from_basis_images(tower, images):
         for r in range(m):
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [tower.sub(rows[r][c], tower.mul(factor, rows[col][c]))
+                rows[r] = [tower.add(rows[r][c], tower.neg(tower.mul(factor, rows[col][c])))
                            for c in range(m + 1)]
     return [rows[j][m] for j in range(m)]

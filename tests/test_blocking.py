@@ -82,8 +82,8 @@ def _secondary_condition(subset):
     """Secondary hypothesis of the cutting-set construction, read as: every
     nonzero v has some x in the subset with Tr(v x) = -1."""
     tower = subset.tower
-    target = int(tower.neg_table[tower.subfield_elements[1]])
-    return all(np.any(tower.trace_q[tower.mul_vec(v, subset.members)] == target)
+    target = int(reference.neg_table(tower)[tower.subfield_elements[1]])
+    return all(np.any(reference.trace_q(tower)[tower.mul_vec(v, subset.members)] == target)
                for v in tower.exp.tolist())
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import DenseSpectrum, coset_logs, least_period, route_spectrum
+from reference import DenseSpectrum, coset_logs, least_period, route_spectrum, trace_q
 
 from pdscodes import charsums
 from pdscodes.charsums import (
@@ -54,7 +54,7 @@ def test_orthogonality_exhaustive_f35(f35):
     hits = 0
     for x in range(f35.qm):
         val = orthogonality_sum(f35, x)
-        expected = f35.q if f35.trace_q[x] == 0 else 0
+        expected = f35.q if trace_q(f35)[x] == 0 else 0
         assert val == expected
         hits += val == f35.q
     assert hits == 81

@@ -60,7 +60,7 @@ def test_unreduced_class_indices_print_the_reduced_golden(capsys):
 
 
 # FieldTower tables built on first read, which a class-union `pds` never reads
-DEFERRED = ("neg_table", "trace_coords", "trace_q")
+DEFERRED = ("trace_coords",)
 
 
 def _route_deferred_reads(monkeypatch, on_read):
@@ -112,12 +112,22 @@ def test_row3_code_pds_builds_no_deferred_table(monkeypatch, capsys):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["code-example-3.1-all", "sss-example-3.1-in-Dbar",
+                                  "blocking-4-4-N5", "sss-table-2-row-1"])
+def test_class_union_code_sss_blocking_build_no_deferred_table(monkeypatch, capsys, name):
+    # SNC negates the first zero of each word by a log shift, and for e > 1 the
+    # F_q-trace labels join its half tables at exp: no q^m table is built for
+    # either, and the reports are the goldens
+    out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name])
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
 def test_quadric_code_golden_reads_deferred_tables(monkeypatch, capsys):
-    # the code scans of a quadric read neg_table (SNC's zero sets) and
-    # trace_coords (the reflections' trace duals), and print the golden
+    # the code scans of a quadric read trace_coords (the reflections' trace
+    # duals), and print the golden
     reads = set()
     _route_deferred_reads(monkeypatch, reads.add)
     name = "code-3-8-elliptic-all"
     assert main(list(GOLDEN[name])) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
-    assert reads == {"neg_table", "trace_coords"}
+    assert reads == {"trace_coords"}

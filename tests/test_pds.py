@@ -271,7 +271,7 @@ def test_direct_verification_failure_witness(f34):
     rng = np.random.default_rng(12)
     # random symmetric set of the same size as the hyperbolic quadric
     half = rng.choice(np.arange(1, f34.qm), size=16, replace=False).astype(np.int64)
-    members = np.unique(np.concatenate([half, f34.neg_table[half].astype(np.int64)]))
+    members = np.unique(np.concatenate([half, reference.neg_table(f34)[half].astype(np.int64)]))
     bad = FieldSubset(f34, members)
     with pytest.raises(PdsVerificationError) as err:
         verify_pds_direct(bad)
@@ -285,7 +285,7 @@ def test_irrational_certificate_witness():
     # t = Tr(a x) != 0, and the witness is the least such a
     tower = build_tower(FieldSpec(p=5, e=1, m=3))
     x = int(tower.exp[7])
-    subset = FieldSubset(tower, [x, int(tower.neg_table[x])])
+    subset = FieldSubset(tower, [x, int(reference.neg_table(tower)[x])])
     with pytest.raises(PdsVerificationError) as exc:
         verify_pds_spectral(subset)
     traces = tower.trace_p[tower.mul_vec(x, np.arange(tower.qm))]
@@ -471,7 +471,7 @@ def _direct_reference(subset):
 
 def _symmetric_random(tower, size, seed):
     half = np.random.default_rng(seed).choice(np.arange(1, tower.qm), size=size, replace=False)
-    return FieldSubset(tower, np.concatenate([half, tower.neg_table[half]]))
+    return FieldSubset(tower, np.concatenate([half, reference.neg_table(tower)[half]]))
 
 
 DIRECT_PDS = {

@@ -4,8 +4,10 @@ tests/data/golden/tables.json holds, per tower, the digest of exp, log,
 trace_p, trace_q, neg_table, trace_coords and subfield_index (each cast to
 int64), their dtypes, and the digest of the raw spectrum of one fixed class
 union, which pins the row order of the character transform.  The tower
-computes F_q labels from log and holds no subfield_index; that digest is
-of `reference.subfield_index`, the scatter the labels are checked against.  Regenerate (only on purpose) with
+names F_q labels, the F_q-trace and -x through log and holds no
+subfield_index, trace_q or neg_table; those digests are of the tables in
+`reference.py` that the log routes are checked against.  Regenerate (only
+on purpose) with
 
     PYTHONPATH=src python tests/test_tables.py
 """
@@ -24,6 +26,7 @@ from pdscodes.pds import build_cyclotomic_subset
 GOLDEN = Path(__file__).parent / "data" / "golden" / "tables.json"
 
 TABLES = ("exp", "log", "trace_p", "trace_q", "neg_table", "trace_coords", "subfield_index")
+REFERENCE_TABLES = ("trace_q", "neg_table", "subfield_index")
 
 # (p, e, m) and the class union (N, J) whose spectrum is digested
 TOWERS = {
@@ -45,8 +48,8 @@ def _sha(arr) -> str:
 def tower_digests(name: str) -> dict:
     (p, e, m), (N, J) = TOWERS[name]
     tower = build_tower(FieldSpec(p=p, e=e, m=m))
-    # the tower computes F_q labels from log; subfield_index is the reference's scatter
-    tables = {t: reference.subfield_index(tower) if t == "subfield_index" else getattr(tower, t)
+    # the tower names these through log; the reference tabulates them
+    tables = {t: getattr(reference, t)(tower) if t in REFERENCE_TABLES else getattr(tower, t)
               for t in TABLES}
     out = {t: _sha(table) for t, table in tables.items()}
     out["dtypes"] = {t: str(table.dtype) for t, table in tables.items()}
@@ -71,7 +74,18 @@ def test_subfield_labels_invert_the_scatter(name):
     on = np.flatnonzero(index >= 0)
     assert len(on) == tower.q
     assert np.array_equal(tower.subfield_labels(on), index[on])
-    assert np.array_equal(tower.trace_label_of_exp, index[tower.trace_q[tower.exp]])
+    assert np.array_equal(tower.trace_label_of_exp, index[reference.trace_q(tower)[tower.exp]])
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_negation_by_log_shift_equals_the_reference(name):
+    # -x is x gamma^(order/2) for odd p and x for p = 2, zero included
+    (p, e, m), _ = TOWERS[name]
+    tower = build_tower(FieldSpec(p=p, e=e, m=m))
+    expected = reference.neg_table(tower)
+    xs = np.arange(tower.qm)
+    assert [tower.neg(x) for x in xs.tolist()] == expected.tolist()
+    assert np.array_equal(tower.mul_vec(tower.neg(1), xs), expected)
 
 
 if __name__ == "__main__":
