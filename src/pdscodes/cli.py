@@ -65,6 +65,8 @@ def _load_spec_arg(value: str) -> dict:
 
 
 def _build_inputs(args):
+    if getattr(args, "guard_codewords", 0) < 0:
+        raise ConfigError(f"--guard-codewords must be at least 0, got {args.guard_codewords}")
     for flag in ("kind", "p", "m"):
         if getattr(args, flag) is not None and args.recipe != "example-3.3":
             raise ConfigError(f"--{flag} only applies to --recipe example-3.3")
@@ -153,6 +155,8 @@ def _selected_methods(spec: str) -> list[str]:
     if spec == "all":
         return list(ALL_METHODS)
     methods = [s.strip() for s in spec.split(",") if s.strip()]
+    if not methods:
+        raise ConfigError(f"--methods is empty; name some of {','.join(ALL_METHODS)} or 'all'")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")

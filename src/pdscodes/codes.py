@@ -246,7 +246,7 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     goal = tower.e * target
     if count is None:
         count = np.count_nonzero(sets, axis=1)
-    reached = (goal <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
+    reached = counted_rank(tower, count, target)
     basis = np.zeros((len(sets), tower.em), dtype=np.int32)
     left = np.flatnonzero(~reached)
     if len(left):
@@ -255,6 +255,11 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     if np.ndim(elems) == 1:
         return bool(reached[0]), basis[0]
     return reached, basis
+
+
+def counted_rank(tower: FieldTower, count, target):
+    """The count certificate: count distinct nonzero elements span >= target dimensions."""
+    return (target <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
 
 
 def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal: np.ndarray):
@@ -736,9 +741,9 @@ class SubsetCode:
 
         make_test() gives the test, a (block, lines) bool array for a block of
         representatives, named by its slice of them, once the word guard has
-        passed.  Blocks start at one representative and double up to BLOCK
-        (representative, word) entries, so a scan that stops at an early
-        violation does little more than that work.  A violation holds for
+        passed.  Every block holds max(1, BLOCK // word_count) representatives
+        (about BLOCK (representative, word) entries): a small code takes one or
+        two array passes, an early exit one block at most.  A violation holds for
         every word of a line (w and lam w have one support and one Heng sum)
         and for every class of an orbit or for none, and the lines ascend by
         least word, so the first one found is the first of a scan over all
@@ -749,14 +754,11 @@ class SubsetCode:
         dependents = self._dependent_columns()
         test = make_test()
         most = max(1, BLOCK // self.word_count)
-        start, size = 0, 1
-        while start < len(reps):
-            part = slice(start, start + size)
-            block = reps[part]
+        for start in range(0, len(reps), most):
+            part = slice(start, start + most)
             bad = test(part)
-            bad[np.arange(len(block))[:, None], dependents[part]] = False
-            yield block, bad
-            start, size = start + size, min(2 * size, most)
+            bad[np.arange(len(bad))[:, None], dependents[part]] = False
+            yield reps[part], bad
 
     def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
         """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)
@@ -918,8 +920,9 @@ class SubsetCode:
         The zeros of (u, v) are D_{u,v} = {x in D : Tr(v x) = -u}, maybe empty, and
         D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
         A block finds them as the support fill does: the window of the label
-        table from log v on, compared with -u f(x).  The first zero x_0 of each
-        word is negated by a log shift, -1 = gamma^half (half = 0 for p = 2).
+        table from log v on, compared with -u f(x).  A word whose |D̄_v| passes
+        `counted_rank` is settled there; the others get their differences, x_0
+        negated by a log shift (-1 = gamma^half, half = 0 for p = 2), and `rank_reaches`.
         """
         tower = self.tower
         xs = tower.exp
@@ -931,18 +934,20 @@ class SubsetCode:
         for start in range(0, len(vs), per):
             u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
             zero = windows[tower.log[v]] == zero_at[u]
-            ones = zero & on
-            # D̄_v, and the differences x - x_0 not already in it: those in D
-            keep = zero & ~on
-            row, col = np.nonzero(ones)
-            diffs = tower.add_sets(xs[col], xs[(ones.argmax(axis=1) + half) % tower.order][row])
-            keep[row, col] = in_d = self.subset.indicator[diffs]
-            gens = np.where(keep, xs, 0)
-            gens[row, col] = np.where(in_d, diffs, 0)
+            ones, keep = zero & on, zero & ~on  # D_{u,v} and D̄_v
             count = keep.view(np.uint8).sum(axis=1, dtype=np.int32)  # faster than count_nonzero
             inner = target - ones.any(axis=1)
             ok = inner <= tower.m - 1  # the span lies in H_v
-            ok[ok] = rank_reaches(tower, gens[ok], inner[ok], count[ok])[0]
+            rest = np.flatnonzero(ok & ~counted_rank(tower, count, inner))
+            if len(rest):  # D̄_v, and the differences x - x_0 not in it: those in D
+                ones, keep = ones[rest], keep[rest]
+                row, col = np.nonzero(ones)
+                diffs = tower.add_sets(xs[col], xs[(ones.argmax(axis=1) + half) % tower.order][row])
+                keep[row, col] = in_d = self.subset.indicator[diffs]
+                gens = np.where(keep, xs, 0)
+                gens[row, col] = np.where(in_d, diffs, 0)
+                count = keep.view(np.uint8).sum(axis=1, dtype=np.int32)
+                ok[rest] = rank_reaches(tower, gens, inner[rest], count)[0]
             reached[start:start + per] = ok
         return reached
 
@@ -951,15 +956,16 @@ class SubsetCode:
         (True) of each, computed once per code.
         A word is minimal exactly when the generator columns at its zeros have
         rank k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank
-        k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄.
+        k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄,
+        counted (q^m - 1 - |D|) before D̄ is built.
         """
         self._check_guard()
         reps = self._orbit_representatives()
         if self._rank_orbit_flags is None:
-            k = self.dimension()
-            us, vs = np.divmod(reps, self.tower.qm)
-            comp = self.subset.complement().members
-            flags = np.full(len(reps), rank_reaches(self.tower, comp, k - 1)[0])
+            k, tower = self.dimension(), self.tower
+            us, vs = np.divmod(reps, tower.qm)
+            flags = np.full(len(reps), counted_rank(tower, tower.order - len(self.subset), k - 1)
+                            or rank_reaches(tower, self.subset.complement().members, k - 1)[0])
             flags[vs != 0] = self._zero_ranks(us[vs != 0], vs[vs != 0], k - 1)
             self._rank_orbit_flags = flags
         return reps, self._rank_orbit_flags

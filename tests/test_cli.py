@@ -153,6 +153,25 @@ def test_guard_option_only_where_read(command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", ["", ",", " , "])
+def test_empty_methods_is_config_error(capsys, spec):
+    # a list that names no method would report "minimal": {} with exit 0
+    code, out, err = run_cli(capsys, "code", "--recipe", "example-3.1", "--methods", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --methods is empty")
+
+
+@pytest.mark.parametrize("command", [["code", "--methods", "cover"], ["sss", "--x1", "in-D"]])
+def test_negative_guard_is_config_error(capsys, command):
+    # a negative cap would leave every scan not_run (exit 4) instead of refusing it
+    code, out, err = run_cli(capsys, *command, "--recipe", "example-3.1", "--guard-codewords", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --guard-codewords must be at least 0, got -5")
+    code, out, _ = run_cli(capsys, *command, "--recipe", "example-3.1", "--guard-codewords", "0")
+    assert code == (4 if command[0] == "code" else 0)
+    assert json.loads(out)
+
+
 def test_code_example31_all_methods(capsys):
     code, out, _ = run_cli(capsys, "code", "--recipe", "example-3.1", "--methods", "all")
     assert code == 0

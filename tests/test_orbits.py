@@ -24,7 +24,10 @@ lines F_q^* w that cover and Heng test one column each, and the dependent
 lines of each member, are compared with lists built on field elements, and
 the lines that cover flags for each member with those of the reference,
 with the block size set so that cover computes its later support columns
-one at a time, or the rest of each row at once.
+one at a time, or the rest of each row at once.  The blocks are pinned to
+full size from the first one.  The rank flags that SNC settles by counting
+the complement inside each hyperplane equal those of a run that eliminates
+every set, and only the words the count leaves open reach the elimination.
 """
 from functools import lru_cache
 
@@ -48,10 +51,10 @@ from reference import (
 )
 from reference import induced_code_automorphism_check as exhaustive_check
 
-from pdscodes import qpoly
+from pdscodes import codes, qpoly
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
-from pdscodes.field import FieldSpec, build_tower
+from pdscodes.field import FieldSpec, FieldTower, build_tower
 from pdscodes.pds import (
     FieldSubset,
     PdsVerificationError,
@@ -363,13 +366,67 @@ def test_seeded_fills_equal_class_loops(field, kind):
         assert_fills_equal_reference(code)
 
 
-@pytest.mark.parametrize("cap", ["one entry", "one rep", "two reps"])
+def assert_block_schedule(code, most):
+    """_block_scan yields ceil(len(reps) / most) blocks, in order, each of most
+    representatives but the last, which holds the rest."""
+    reps = code._orbit_representatives()
+    blocks = [block for block, _ in code._block_scan(code._heng_test)]
+    assert [len(block) for block in blocks] == [
+        min(most, len(reps) - start) for start in range(0, len(reps), most)]
+    assert np.array_equal(np.concatenate(blocks), reps)
+
+
+def _first_violation(code):
+    """The position among the orbit representatives of the coverer that the
+    full reference scan names first, None for a minimal code."""
+    _, witness = full_verdict(code, cover_violations)
+    if witness is None:
+        return None
+    return code._orbit_representatives().tolist().index(code.word_index(*witness[1]))
+
+
+def _recording(test, starts):
+    """test, noting the first representative of each block it is given."""
+    def recorded(part):
+        starts.append(part.start)
+        return test(part)
+    return recorded
+
+
+# representatives per block, given the position i of the first violation (0
+# for a minimal code): i inside the first block, past it, opening a block or
+# closing one
+PER_BLOCK = {"one entry": lambda i: 1, "one rep": lambda i: 1, "two reps": lambda i: 2,
+             "first block": lambda i: i + 2, "past the first block": lambda i: max(1, i // 2),
+             "block start": lambda i: max(1, i), "block end": lambda i: i + 1}
+
+
+@pytest.mark.parametrize("cap", sorted(PER_BLOCK))
 def test_block_boundaries_equal_full_scan(code, monkeypatch, cap):
     # blocks of one and two representatives put every block boundary in play;
     # a cap of one entry also makes cover screen every support column
-    entries = {"one entry": 1, "one rep": code.word_count, "two reps": 2 * code.word_count}
-    _set_block(monkeypatch, entries[cap])
+    first = _first_violation(code)
+    most = PER_BLOCK[cap](first or 0)
+    _set_block(monkeypatch, 1 if cap == "one entry" else most * code.word_count)
+    assert_block_schedule(code, most)
+    # each scan tests the blocks up to the one that holds its first violation
+    starts = []
+    for name in ("_cover_test", "_heng_test"):
+        make = getattr(code, name)
+        monkeypatch.setattr(code, name, lambda make=make: _recording(make(), starts))
     assert_scans_equal_full(code)
+    blocks = -(-len(code._orbit_representatives()) // most) if first is None else first // most + 1
+    assert starts == 2 * list(range(0, blocks * most, most))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 16])
+def test_full_size_blocks_equal_full_scan(code, monkeypatch, block):
+    # BLOCK // word_count representatives from the first block on, 1 to 2048 here
+    _set_block(monkeypatch, block)
+    assert_block_schedule(code, max(1, block // code.word_count))
+    for verdict, violations in ((code.minimality_cover(), cover_violations),
+                                (code.minimality_heng(), heng_violations)):
+        assert (verdict.status, verdict.witness) == full_verdict(code, violations)
 
 
 @pytest.mark.parametrize("block", [1, 200, 2 ** 16])
@@ -473,7 +530,7 @@ def test_first_witness_beyond_first_blocks(f34, monkeypatch):
         _set_block(monkeypatch, per_block * code.word_count)
         for verdict in (code.minimality_cover(), code.minimality_heng()):
             coverer = code.word_index(*verdict.witness[1])
-            assert reps.index(coverer) >= 1 + per_block  # past the blocks of 1 and per_block
+            assert reps.index(coverer) >= 1 + per_block  # past the first block of per_block
             assert (verdict.status, verdict.witness) == (NOT_MINIMAL, ((0, 15), (1, 15)))
 
 
@@ -667,3 +724,96 @@ def test_random_invariant_unions_weights_equal_closed_form(field, data):
         return
     predicted = weight_distribution_predicted(cert, tower.q, tower.m)
     assert predicted.rows == code.weight_distribution_direct().rows
+
+
+# -- count-first SNC ranks ------------------------------------------------------
+
+
+def _uncounted_words(code):
+    """(sizes, slices, complement), from the words evaluated one by one.  The
+    count leaves an orbit representative (u, v), v != 0, open when its target
+    t = k - 1 - [D_{u,v} nonempty] lies in 1..m - 1 and |D̄_v| < q^(t - 1);
+    sizes lists |((D_{u,v} - x_0) ∩ D) ∪ D̄_v| for those words, slices sums
+    their |D_{u,v}|, and complement says whether |D̄| < q^(k - 2) leaves the
+    flag of (1, 0) open."""
+    tower, k = code.tower, code.dimension()
+    xs, on = tower.exp.astype(np.int64), code.subset.indicator[tower.exp]
+    sizes, slices = [], []
+    for r in code._orbit_representatives().tolist():
+        u, v = code.word_of_index(r)
+        zero = codeword(code, u, v) == 0
+        ones = xs[zero & on]
+        inner = k - 1 - (len(ones) > 0)
+        dbar = np.count_nonzero(zero & ~on)
+        if v == 0 or not 0 < inner <= tower.m - 1 or dbar >= tower.q ** (inner - 1):
+            continue
+        diffs = tower.add_sets(ones, reference.neg_table(tower)[ones[:1]])
+        sizes.append(dbar + np.count_nonzero(code.subset.indicator[diffs]))
+        slices.append(len(ones))
+    return sorted(sizes), sum(slices), tower.order - len(code.subset) < tower.q ** (k - 2)
+
+
+def assert_count_first_snc_exact(code):
+    """The rank flags, the SNC verdict and its witness equal those of a run
+    with the count certificate patched off (every set then eliminated) and the
+    reference; only the words whose count leaves the rank open reach
+    `add_sets` and `rank_reaches`, and D̄ is built only when |D̄| leaves (1, 0) open."""
+    tower = code.tower
+    sizes, slices, complement = _uncounted_words(code)
+    fresh = SubsetCode(code.subset)
+    fresh.dimension(), fresh._orbit_representatives(), tower.subfield_tables()  # cached set-up
+    counts, added, built = [], [], []
+    rank_reaches, add_sets = codes.rank_reaches, FieldTower.add_sets
+    complement_of = FieldSubset.complement
+
+    def counted_reaches(tower, elems, target, count=None):
+        if np.ndim(elems) == 2:  # the word rows; the complement comes as one set
+            counts.extend(count.tolist())
+        return rank_reaches(tower, elems, target, count)
+
+    def counted_add(self, xs, ys):
+        added.append(len(xs))
+        return add_sets(self, xs, ys)
+
+    def counted_complement(self):
+        built.append(self)
+        return complement_of(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "rank_reaches", counted_reaches)
+        mp.setattr(FieldTower, "add_sets", counted_add)
+        mp.setattr(FieldSubset, "complement", counted_complement)
+        flags = fresh.rank_orbit_flags()[1]
+    assert (sorted(counts), sum(added), len(built)) == (sizes, slices, complement)
+    snc = fresh.minimality_snc()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "counted_rank", lambda tower, count, target: np.asarray(target) <= 0)
+        off = SubsetCode(code.subset)
+        assert np.array_equal(off.rank_orbit_flags()[1], flags)
+        off_snc = off.minimality_snc()
+    assert (snc.status, snc.witness) == (off_snc.status, off_snc.witness)
+    if code.dimension() == tower.m + 1:
+        assert (snc.status, snc.witness) == reference.snc_reference(code)
+    else:  # f is a trace form: a simplex code, outside the paper's criterion
+        assert snc.status == MINIMAL
+
+
+def test_count_first_snc_exact(code):
+    assert_count_first_snc_exact(code)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invariant_unions())
+def test_random_invariant_unions_count_first_snc_exact(case):
+    assert_count_first_snc_exact(SubsetCode(case[1]))
+
+
+@pytest.mark.parametrize("name, uncounted, complement", [
+    ("F_2^4 N=5 J=[0,1]", 4, False), ("F_4^4 N=5 J=[1,2,3,4]", 4, True), ("F_3^4 N=10", 0, False)])
+def test_count_first_takes_both_branches(request, name, uncounted, complement):
+    # the count leaves words to the elimination on some fixture codes, and the
+    # flag of (1, 0) on one; on others it settles every word
+    fixture, build, _, _ = CODES[name]
+    sizes, _, open_ = _uncounted_words(SubsetCode(build(request.getfixturevalue(fixture))))
+    assert (len(sizes), open_) == (uncounted, complement)
