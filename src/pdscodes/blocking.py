@@ -107,7 +107,7 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     if orbits * tower.qm > DEFAULT_ENUM_BUDGET:
         raise GuardExceeded(f"cutting test cost {orbits * tower.qm} (hyperplane orbits x q^m) "
                             f"exceeds the budget {DEFAULT_ENUM_BUDGET}")
-    logs = np.sort(tower.log[subset.members])
+    logs = subset.logs
     sizes = np.concatenate([column_sums(labels == 0)
                             for _, labels in tower.label_windows(logs, orbits)])
 

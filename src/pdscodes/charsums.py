@@ -142,7 +142,7 @@ def trace_count_table(tower: FieldTower, a: int, members: np.ndarray) -> np.ndar
         counts[0] = len(members)
         return counts
     prods = tower.mul_vec(a, members)
-    return np.bincount(tower.trace_p[prods], minlength=tower.p).astype(np.int64)
+    return np.bincount(tower.trace(prods), minlength=tower.p).astype(np.int64)
 
 
 def psi_sum(tower: FieldTower, a: int, members: np.ndarray) -> CyclotomicInteger:
@@ -153,18 +153,10 @@ def psi_sum(tower: FieldTower, a: int, members: np.ndarray) -> CyclotomicInteger
 def orthogonality_sum(tower: FieldTower, x: int) -> int:
     """sum over lambda in F_q of the character at lambda*x: q or 0."""
     total = CyclotomicInteger.integer(tower.p, 0)
-    for lam in tower.subfield_elements.tolist():
-        t = tower.trace_p[tower.mul(lam, x)]
-        total = total + CyclotomicInteger.zeta_power(tower.p, int(t))
+    prods = [tower.mul(lam, x) for lam in tower.subfield_elements.tolist()]
+    for t in tower.trace(np.array(prods)).tolist():
+        total = total + CyclotomicInteger.zeta_power(tower.p, t)
     return total.rational_value()
-
-
-def is_invariant_under_subfield(tower: FieldTower, members: np.ndarray) -> bool:
-    """Whether the set of the sorted, distinct members is closed under F_q^*
-    scaling: scaling by a generator of F_q^* permutes the field, so the set
-    is closed exactly when its scaled members, sorted, are the members."""
-    gen = tower.exp[tower.subfield_step % tower.order]  # generator of F_q^* (1 when q = 2)
-    return bool(np.array_equal(np.sort(tower.mul_vec(int(gen), members)), members))
 
 
 def _gauss_periods(tower: FieldTower, period: int) -> np.ndarray:

@@ -445,9 +445,8 @@ class SubsetCode:
         if cost > DEFAULT_ENUM_BUDGET:
             raise GuardExceeded(f"weight count cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         on_subset = 2 * k <= order
-        logs = (tower.log[self.subset.members] if on_subset
-                else np.flatnonzero(~self.subset.indicator[tower.exp]))
-        logs.sort()  # a fresh array, ascending for label_windows
+        # ascending, for label_windows
+        logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.indicator[tower.exp])
         cnt = np.zeros((d, q), dtype=np.int64)
         for start in range(0, len(logs), BLOCK):
             for top, rows in tower.label_windows(logs[start:start + BLOCK], d):

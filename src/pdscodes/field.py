@@ -9,34 +9,39 @@ the exp/log tables convert between the two views.
 F_q always lives inside F_{q^m} as the set of nonzero (q^m-1)/(q-1)-th
 powers together with 0; it is never built as a separate field.
 
-exp, log, the absolute trace trace_p and the q elements of F_q are built
-up front; trace_coords on first read (a class-union PDS check never reads
-it).  No table changes once built, so a tower can be shared across threads.
-A modulus passes when exp fills every log slot; the polynomial tests run
-only to name a failure.  F_q^* is <gamma^step>, so x in F_q has the dense
-label log x // step + 1 (`subfield_labels`), scaling by label l adds
+exp, the absolute trace's half tables and the q elements of F_q are built
+up front; log, trace_coords and the log-order traces on first read (a
+class-union `pds` reads only trace_of_exp).  A modulus passes when exp
+shows X of order exactly q^m - 1 (X^(q^m - 1) = 1 and no X^((q^m - 1)/ell)
+= 1, ell prime), so the residues form a field; the exact polynomial tests
+then only name a failure.  log refuses an exp that leaves a slot empty.
+F_q^* is <gamma^step>, so x in F_q has the dense label log x // step + 1,
+which `subfield_labels` reads off a q-entry table at x's digits
+in e places where the elements of F_q differ; scaling by label l adds
 (l - 1) step to a log, and negation, for odd p, adds order/2, as
 -1 = gamma^(order/2) (for p = 2 it is the identity): none of them needs a
-table.
+table indexed by element.
 
 The absolute trace, trace_coords, the q-polynomials and multiplication by
-a fixed power of X are F_p-linear maps on the packed digits, tabulated by
-`FieldTower.linear_map_table` from the images of the basis X^i: on the
-low and the high half of the digits apart (digit-matrix products mod p),
-then joined by one digitwise add of arrays, which gathers from a cached
-table adding two c-digit chunks (c = 5 for p = 3; XOR for p = 2), or for
-trace_p, whose images are single digits, by one add mod p.  exp takes
-its first B ~ sqrt(q^m) powers of X by companion-matrix doubling and the
-rest B at a time through the multiply-by-X^B table; log is its inverse
-scatter.  The traces are linearized polynomials sum_k x^(step^k), whose
-basis images come from exp/log (`linearized_table`, which also serves
-q-polynomials).  trace_coords[a] packs the digits Tr_abs(a X^i), which
-index the row of the character transform that holds a's value.
+a fixed power of X are F_p-linear maps on the packed digits, given by two
+`_half_tables` from the images of the basis X^i: on the low and the high
+half of the digits apart (digit-matrix products mod p), joined by one
+digitwise add, which gathers from a cached table adding two c-digit chunks
+(c = 5 for p = 3; XOR for p = 2), or for the absolute trace, whose images
+are single digits, by one add mod p (`trace`), on every element
+(`linear_map_table`) or only where needed.  exp takes its first ~sqrt(q^m)
+powers of X by companion-matrix doubling; each later stretch is the one s
+before times X^s, that map's half tables joined at it.  The traces are
+linearized polynomials sum_k x^(step^k), whose basis images come from exp
+(`linearized_table`, which also serves q-polynomials).  trace_coords[a]
+packs the digits Tr_abs(a X^i), which index the row of the character
+transform that holds a's value.
 
 Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
 Tr(gamma^i), for e = 1 read off trace_of_exp through the labels of F_p and
-for e > 1 the half tables of the F_q-trace joined at exp.
+for e > 1 through the q-entry table at the F_q-trace's keys, whose half
+tables are joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
 batch route to the F_q value of Tr(v x).
 The scans read it in windows (`label_windows`, `label_cycle`), and
@@ -52,16 +57,19 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Hard cap on table-backed fields: a build makes exp and log (int32) and the
-# int8 trace_p of this length; trace_coords (int32) and the log-order traces
-# (one or two bytes) come on first read.  F_{2^24} builds in 1.0-1.4 s with a
-# 286 MB peak RSS and F_{3^12} in 0.03-0.04 s with 36 MB (2-core Xeon, numpy
-# 2.4); F_{2^26} was not measured.
+# Hard cap on table-backed fields: a build makes exp (int32) of this length;
+# log (int32), trace_coords (int32) and the log-order traces (one or two
+# bytes) come on first read.  In a fresh process (2-core Xeon, numpy 2.4)
+# F_{2^26} builds in 0.6-0.8 s with a 289 MB peak RSS, F_{2^24} in 0.18-0.19 s
+# with 94 MB and F_{3^12} in 0.02-0.04 s with 31 MB.
 MAX_FIELD_SIZE = 2 ** 26
 
 # Entries per numpy pass of the scans: label windows, word blocks, spans.  2^17
 # halves the cutting test's rank calls but doubles the code scans' temporaries.
 BLOCK = 2 ** 16
+# Most entries of exp per half-table join: the join's temporaries stay in L2
+# cache (F_{3^16} builds in 1.3-1.7 s, against 2.1-2.6 s with 2^16 entries).
+STRETCH = 2 ** 14
 
 # Default defining polynomials, low degree first, indexed by (p, e*m).
 # Each is the first monic primitive polynomial of its degree in the
@@ -252,8 +260,7 @@ class FieldSpec:
     ``modulus`` lists the coefficients of a monic irreducible polynomial
     of degree e*m over F_p, low degree first; None selects the built-in
     default.  The residue of X must be primitive: table construction
-    checks that by counting the log slots exp fills, and only when the
-    count fails runs the irreducibility and order tests to name the fault.
+    checks its order in exp and names a failure by the polynomial tests.
     """
 
     p: int
@@ -296,7 +303,10 @@ class FieldSpec:
 
 
 class FieldTower:
-    """Immutable exp/log/trace tables for F_{q^m} with q = p^e."""
+    """exp/log/trace tables for F_{q^m} with q = p^e.  No table changes once
+    built, so a tower can be shared across threads; on Python 3.12 or later
+    (no lock in cached_property) two threads racing on the first read of a
+    deferred table may each build it, one copy winning."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -319,42 +329,42 @@ class FieldTower:
     # -- construction ---------------------------------------------------
 
     def _build_tables(self):
-        p, em, qm, order = self.p, self.em, self.qm, self.order
+        p, em, order = self.p, self.em, self.order
 
-        # exp: the first B + em powers of X by companion-matrix doubling, the
-        # rest B at a time through the multiply-by-X^B table; a premature
-        # return to 1 repeats entries, so fewer than q^m - 1 log slots fill
-        block = max(isqrt(order), em)
-        powers = self._powers_of_x(block + em)
-        times_x_block = self.linear_map_table(powers[block:])
-        exp = np.empty(order, dtype=np.int32)
-        exp[:block] = powers[:block]
-        for start in range(block, order, block):
-            stop = min(start + block, order)
-            exp[start:stop] = times_x_block[exp[start - block:stop - block]]
-        log = np.full(qm, -1, dtype=np.int32)
-        log[exp] = np.arange(order, dtype=np.int32)
-        # a reducible or imprimitive modulus always does, but X over F_2 (X = 0)
-        if np.count_nonzero(log >= 0) != order or self.modulus[0] == 0:
+        # exp: about sqrt(q^m) powers of X by companion-matrix doubling, then
+        # exp[n:n + s] = exp[n - s:n] X^s, the half tables of x -> x X^s joined
+        # there, for s growing to n - em (so that its images X^(s + i), i < em,
+        # are filled) up to STRETCH, the tables built only when s changes; one
+        # entry past the end holds X^order
+        powers = np.empty(order + 1, dtype=np.int32)
+        n = min(order + 1, max(isqrt(order), em) + em)
+        powers[:n] = self._powers_of_x(n)
+        s = 0
+        while n <= order:
+            if s < min(n - em, STRETCH):
+                s = min(n - em, STRETCH)
+                halves = self._half_tables(powers[s:s + em])
+            stop = min(n + s, order + 1)
+            powers[n:stop] = self._join(halves, powers[n - s:stop - s])
+            n = stop
+        # X has order q^m - 1 exactly when X^order = 1 and no X^(order / ell),
+        # ell a prime, is 1; then the residues have q^m - 1 units, so they form
+        # a field and the modulus is irreducible and primitive
+        if powers[order] != 1 or any(powers[order // ell] == 1 for ell in factorize(order)):
             self._reject_modulus()
-        self.exp = exp
-        self.log = log
+        self.exp = powers[:order]
 
-        # trace_p: the images Tr(X^i) are single digits, so the half tables
-        # join by one add mod p in the least dtype holding 2(p - 1); int8 while
-        # the digits fit
+        # the absolute trace's images Tr(X^i) are single digits: its half tables
+        # join by one add mod p (`trace`), in the least dtype holding 2(p - 1)
         images = self._linearized_images([1] * em, p)
         if images.max() >= p:
             raise FieldConstructionError("absolute trace left the prime field; tables corrupt")
         dtype = np.min_scalar_type(2 * (p - 1))
-        high, low = (half.astype(dtype) for half in self._half_tables(images))
-        trace_p = np.add(high[:, None], low).ravel()
-        np.remainder(trace_p, p, out=trace_p)
-        self.trace_p = trace_p.view(np.int8) if p <= 128 else trace_p
+        self._trace_halves = tuple(half.astype(dtype) for half in self._half_tables(images))
 
         # dense labels for F_q: 0 -> 0, 1 + j -> gamma^(j * subfield_step)
         sub = np.zeros(self.q, dtype=np.int32)
-        sub[1:] = exp[np.arange(self.q - 1) * self.subfield_step]
+        sub[1:] = self.exp[np.arange(self.q - 1) * self.subfield_step]
         self.subfield_elements = sub
 
         self._coord_tables = None
@@ -362,7 +372,7 @@ class FieldTower:
 
     def _reject_modulus(self):
         """Raise for a modulus whose X does not generate F_{q^m}^*, naming
-        the fault; the polynomial tests run only once the log count fails."""
+        the fault; the polynomial tests run only once the tables show it."""
         modulus = list(self.modulus)
         if not poly_is_irreducible(modulus, self.p):
             raise FieldConstructionError(f"modulus {modulus} is reducible over F_{self.p}")
@@ -398,7 +408,9 @@ class FieldTower:
     def _linearized_images(self, coeffs: Sequence[int], step: int) -> np.ndarray:
         """The images of the basis X^i under x -> sum_k coeffs[k] * x^(step^k)."""
         i = np.arange(self.em, dtype=np.int64)
-        terms = [self.exp[(int(self.log[c]) + i * pow(step, k, self.order)) % self.order]
+        # log 1 = 0, so the traces, whose coefficients are all 1, read no log
+        terms = [self.exp[((int(self.log[c]) if c != 1 else 0) + i * pow(step, k, self.order))
+                          % self.order]
                  for k, c in enumerate(coeffs) if c]
         return reduce(self._add_vec, terms, np.zeros(self.em, dtype=np.int32))
 
@@ -412,6 +424,13 @@ class FieldTower:
         """
         high, low = self._half_tables(images)
         return self._add_vec(high[..., :, None], low[..., None, :]).reshape(*high.shape[:-1], -1)
+
+    def _join(self, halves, xs) -> np.ndarray:
+        """The map of the `_half_tables` halves at the elements xs (int32): one
+        digitwise add of the high table at xs // p^h and the low one at the rest."""
+        high, low = halves
+        hi = xs // self.p ** (self.em // 2)  # floor division and a product beat divmod
+        return self._add_vec(high.take(hi), low.take(xs - hi * self.p ** (self.em // 2)))
 
     def _half_tables(self, images) -> tuple[np.ndarray, np.ndarray]:
         """(high, low): the map on the high em - h and the low h = em // 2
@@ -431,11 +450,23 @@ class FieldTower:
     # -- tables built on first read ---------------------------------------
 
     @cached_property
+    def log(self) -> np.ndarray:
+        """The inverse of exp (int32, log 0 = -1), scattered BLOCK entries at
+        a time.  exp must fill every nonzero slot: a short count is refused."""
+        log = np.full(self.qm, -1, dtype=np.int32)
+        for start in range(0, self.order, BLOCK):
+            stop = min(start + BLOCK, self.order)
+            log[self.exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
+        if log[1:].min() < 0:
+            self._reject_modulus()
+        return log
+
+    @cached_property
     def trace_coords(self) -> np.ndarray:
         """trace_coords[a] packs the digits Tr_abs(a X^i), i < em (int32): the
         row of the character transform that holds a's value."""
         p, em = self.p, self.em
-        tr_x = self.trace_p[self.exp[: 2 * em - 1]].astype(np.int64).tolist()
+        tr_x = self.trace(self.exp[: 2 * em - 1]).astype(np.int64).tolist()
         return self.linear_map_table(
             [sum(tr_x[i + j] * p ** i for i in range(em)) for j in range(em)]
         )
@@ -528,28 +559,45 @@ class FieldTower:
 
     # -- traces and hyperplanes -------------------------------------------
 
+    def trace(self, xs) -> np.ndarray:
+        """Tr_abs(x) for each element of an int array: the absolute trace's half
+        tables joined by one add mod p, in the least dtype that holds 2(p - 1),
+        read as int8 while p <= 128."""
+        (high, low), split = self._trace_halves, self.p ** (self.em // 2)
+        hi = np.asarray(xs) // split
+        out = high.take(hi)
+        out += low.take(xs - hi * split)
+        # mod p for out < 2p, in an unsigned dtype: out - p wraps above out
+        # where out < p (far cheaper than np.remainder on small ints)
+        np.minimum(out, out - self.p, out=out)
+        return out.view(np.int8) if self.p <= 128 else out
+
     @cached_property
     def trace_of_exp(self) -> np.ndarray:
-        """trace_p in log order: Tr_abs(gamma^i) at index i < q^m - 1."""
-        return self.trace_p[self.exp]
+        """Tr_abs(gamma^i) at index i < q^m - 1, BLOCK entries of exp at a time."""
+        out = np.empty(self.order, dtype=self.trace(self.exp[:1]).dtype)
+        for start in range(0, self.order, BLOCK):
+            out[start:start + BLOCK] = self.trace(self.exp[start:start + BLOCK])
+        return out
 
     @cached_property
     def trace_label_of_exp(self) -> np.ndarray:
         """Dense F_q labels in log order: the label of Tr(gamma^i) at index
         i < q^m - 1, in the smallest unsigned dtype that holds q - 1.  For
         e = 1 the trace is the absolute one, so a p-entry label table is read
-        at trace_of_exp; for e > 1 the half tables of Tr_{F_{q^m}/F_q} are
-        joined at exp, BLOCK entries at a time, with no q^m table of the trace."""
+        at trace_of_exp; for e > 1 the half tables of the F_p-linear x ->
+        key of Tr_{F_{q^m}/F_q}(x) (`_subfield_key`) are joined at exp, BLOCK
+        entries at a time, and the q-entry label table read at the keys."""
         dtype = np.min_scalar_type(self.q - 1)
         if self.e == 1:
             return self.subfield_labels(np.arange(self.p)).astype(dtype)[self.trace_of_exp]
-        high, low = self._half_tables(self._linearized_images([1] * self.m, self.q))
-        labels, split = np.empty(self.order, dtype=dtype), self.p ** (self.em // 2)
+        table = self._subfield_places[1].astype(dtype)
+        halves = self._half_tables(
+            self._subfield_key(self._linearized_images([1] * self.m, self.q)))
+        labels = np.empty(self.order, dtype=dtype)
         for start in range(0, self.order, BLOCK):
-            xs = self.exp[start:start + BLOCK]
-            hi = xs // split  # floor division and a product beat divmod
-            labels[start:start + BLOCK] = self.subfield_labels(
-                self._add_vec(high[hi], low[xs - hi * split]))
+            keys = self._join(halves, self.exp[start:start + BLOCK])
+            labels[start:start + BLOCK] = table.take(keys)
         return labels
 
     @cached_property
@@ -627,17 +675,42 @@ class FieldTower:
 
     # -- subfield ----------------------------------------------------------
 
+    @cached_property
+    def _subfield_places(self) -> tuple[list[int], np.ndarray]:
+        """(places, labels): digit places, taken greedily while they shrink the
+        set of elements of F_q that are zero there, until only 0 is (e places
+        for an F_p-subspace), and labels[k] the label of the element whose
+        digits there pack to k (`_subfield_key`): a q-entry table."""
+        places, keys = [], np.zeros(self.q, dtype=np.int64)
+        for place in range(self.em):
+            if np.count_nonzero(keys == 0) == 1:
+                break
+            trial = keys * self.p + self.subfield_elements // self.p ** place % self.p
+            if np.count_nonzero(trial == 0) < np.count_nonzero(keys == 0):
+                places, keys = places + [place], trial
+        labels = np.zeros(self.p ** len(places), dtype=np.int32)
+        labels[keys] = np.arange(self.q, dtype=np.int32)
+        return places, labels
+
+    def _subfield_key(self, x):
+        """The digits of x at `_subfield_places`, packed: an F_p-linear map
+        into F_p^e, one to one on F_q."""
+        key = 0
+        for place in self._subfield_places[0]:
+            key = key * self.p + x // self.p ** place % self.p
+        return key
+
     def subfield_labels(self, x):
-        """The dense label of each element x of F_q: log x // subfield_step + 1,
-        which is 0 for x = 0 (log 0 = -1) and 1 + j for gamma^(j subfield_step);
-        meaningless off F_q."""
-        return self.log[x] // self.subfield_step + 1
+        """The dense label of each element x of F_q, 0 for x = 0 and 1 + j for
+        gamma^(j subfield_step), read at its key (`_subfield_key`) in a
+        q-entry table; meaningless off F_q."""
+        return self._subfield_places[1][self._subfield_key(x)]
 
     def subfield_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables.  The
-        labels of subfield_elements must be 0..q-1 in order, or the
-        embedding is rejected.  The product of labels i, j >= 1 is
-        (i + j - 2) mod (q - 1) + 1, a sum of logs, and for odd q the
+        labels of subfield_elements must be 0..q-1 in order and their sums
+        in F_q, or the embedding is rejected.  The product of labels i, j >= 1
+        is (i + j - 2) mod (q - 1) + 1, a sum of logs, and for odd q the
         negation of label 1 + j is label (j + (q - 1)/2) mod (q - 1) + 1, as
         -1 = gamma^(order/2); for even q it is the identity."""
         if self._subfield_ops is None:
@@ -645,7 +718,11 @@ class FieldTower:
             if not np.array_equal(self.subfield_labels(elems), np.arange(self.q)):
                 raise FieldConstructionError("subfield embedding is not injective: its "
                                              "elements do not take the labels 0..q-1 in order")
-            add = self.subfield_labels(self.add_sets(elems[:, None], elems[None, :]))
+            sums = self.add_sets(elems[:, None], elems[None, :])
+            add = self.subfield_labels(sums)
+            if not np.array_equal(elems[add], sums):
+                raise FieldConstructionError("subfield is not closed under addition: a sum of "
+                                             "two of its elements lies outside F_q")
             j = np.arange(self.q - 1, dtype=np.int32)  # label 1 + j is gamma^(j step)
             mul = np.zeros((self.q, self.q), dtype=np.int32)
             mul[1:, 1:] = (j[:, None] + j) % (self.q - 1) + 1

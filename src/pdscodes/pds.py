@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charsums import Spectrum, is_invariant_under_subfield, stabiliser_spectrum
+from .charsums import Spectrum, stabiliser_spectrum
 from .field import FieldTower, cyclic_period, int_field, int_list, obj_field, required
 
 DIRECT_VERIFY_CAP = 10_000
@@ -90,6 +90,18 @@ class FieldSubset:
 
     def __contains__(self, x: int) -> bool:
         return 0 <= x < self.tower.qm and bool(self.indicator[x])
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """The members' logs, ascending (int32, read-only): i N + j, j in J, for
+        a class union (N, J), with no table and no sort; else log[members] sorted."""
+        if isinstance(self.origin, CyclotomicOrigin):
+            starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
+            logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
+        else:
+            logs = np.sort(self.tower.log[self.members])
+        logs.flags.writeable = False
+        return logs
 
     @cached_property
     def stabiliser(self) -> tuple[int, np.ndarray]:
@@ -210,8 +222,11 @@ def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:
 
 
 def is_fq_invariant(subset: FieldSubset) -> bool:
-    """Closure under F_q^* scaling; cyclotomic origins are cross-checked via rho."""
-    direct = is_invariant_under_subfield(subset.tower, subset.members)
+    """Closure under F_q^* = <gamma^step> (trivial for q = 2): exp at the logs
+    plus step, sorted, are the members; class unions are cross-checked via rho."""
+    tower = subset.tower
+    direct = tower.q == 2 or bool(np.array_equal(
+        np.sort(tower.exp[(subset.logs + tower.subfield_step) % tower.order]), subset.members))
     if isinstance(subset.origin, CyclotomicOrigin):
         via_rho = rho_invariant(subset.tower, subset.origin.N, subset.origin.J)
         if via_rho != direct:

@@ -39,6 +39,12 @@ the maps they check.  The orbit closure also takes, for a
 quadric, every reflection of its orthogonal group, evaluated on field
 elements, its trace dual found by matching rows of traces.
 
+The tower tables come here by the routes the library avoids for their
+q^m-entry temporaries: exp through the multiply-by-X^B table, log by one
+scatter of a q^m-entry arange, and the absolute trace tabulated on every
+element (`trace_p`); F_q^* invariance is tested by scaling the members
+through mul_vec.
+
 Trace values are computed here on field elements (mul_vec, then `trace_q`,
 the tabulated linearized polynomial, which the library does not keep)
 and named by the scatter of the F_q elements to their labels
@@ -48,6 +54,7 @@ class-loop fills are the exception, and the tests hold them against the
 words computed on field elements.
 """
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,6 +111,58 @@ def neg_table(tower):
         table = tower.linear_map_table([(tower.p - 1) * tower.p ** i for i in range(tower.em)])
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=4)
+def exp_by_times_x_block(tower):
+    """exp filled through the multiply-by-X^B table (int32): the first B + em
+    powers of X by companion-matrix doubling, B = max(isqrt(q^m - 1), em),
+    then B at a time by gathers from the q^m-entry table of x -> x X^B; the
+    library joins half tables at each stretch instead."""
+    order, em = tower.order, tower.em
+    block = max(isqrt(order), em)
+    powers = tower._powers_of_x(block + em)
+    times_x_block = tower.linear_map_table(powers[block:])
+    exp = np.empty(order, dtype=np.int32)
+    exp[:block] = powers[:block]
+    for start in range(block, order, block):
+        stop = min(start + block, order)
+        exp[start:stop] = times_x_block[exp[start - block:stop - block]]
+    exp.flags.writeable = False
+    return exp
+
+
+def log_by_scatter(tower):
+    """The inverse of exp_by_times_x_block, log 0 = -1, by one scatter of a
+    q^m-entry arange."""
+    log = np.full(tower.qm, -1, dtype=np.int32)
+    log[exp_by_times_x_block(tower)] = np.arange(tower.order, dtype=np.int32)
+    return log
+
+
+@lru_cache(maxsize=4)
+def trace_p(tower):
+    """Tr_abs on every element, indexed by element (read-only): the half tables
+    of the absolute trace joined on every pair, by one add mod p, in the
+    least dtype that holds 2(p - 1), read as int8 while p <= 128; the library
+    joins them only at the elements it is asked about (`FieldTower.trace`)."""
+    p = tower.p
+    images = tower._linearized_images([1] * tower.em, p)
+    dtype = np.min_scalar_type(2 * (p - 1))
+    high, low = (half.astype(dtype) for half in tower._half_tables(images))
+    table = np.add(high[:, None], low).ravel()
+    np.remainder(table, p, out=table)
+    table = table.view(np.int8) if p <= 128 else table
+    table.flags.writeable = False
+    return table
+
+
+def is_invariant_under_subfield(tower, members):
+    """Whether the set of the sorted, distinct members is closed under F_q^*
+    scaling: their products with a generator of F_q^*, through mul_vec,
+    sorted, are the members."""
+    gen = tower.exp[tower.subfield_step % tower.order]  # generator of F_q^* (1 when q = 2)
+    return bool(np.array_equal(np.sort(tower.mul_vec(int(gen), members)), members))
 
 
 def trace_labels(tower, v, xs):

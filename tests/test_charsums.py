@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import DenseSpectrum, coset_logs, least_period, route_spectrum, trace_q
+from reference import (
+    DenseSpectrum,
+    coset_logs,
+    is_invariant_under_subfield,
+    least_period,
+    route_spectrum,
+    trace_q,
+)
 
 from pdscodes import charsums
 from pdscodes.charsums import (
     Spectrum,
     SpectrumError,
     full_spectrum,
-    is_invariant_under_subfield,
     orthogonality_sum,
     parseval_total,
     psi_sum,

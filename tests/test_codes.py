@@ -90,7 +90,8 @@ def test_dimensions(ex31_code, row1_code):
 
 def test_binary_degenerate_dimension(f16):
     # over F_2 the indicator of {x : Tr(x) = 1} is itself a trace form
-    members = np.array([x for x in range(1, f16.qm) if f16.trace_p[x] == 1], dtype=np.int64)
+    members = np.array([x for x in range(1, f16.qm) if reference.trace_p(f16)[x] == 1],
+                       dtype=np.int64)
     code = SubsetCode(FieldSubset(f16, members))
     assert characteristic_trace_form(code.subset) == 1
     assert code.dimension() == f16.m
@@ -151,7 +152,8 @@ def test_trace_form_code_is_minimal_by_every_oracle(f16):
     # f = Tr(x) on F_2^4 makes the one-weight [15, 4] simplex code, which is
     # minimal: the zeros of each word have rank k - 1 = m - 1, and the
     # complement spans only a hyperplane
-    code = SubsetCode(FieldSubset(f16, [x for x in range(1, f16.qm) if f16.trace_p[x] == 1]))
+    code = SubsetCode(FieldSubset(f16, [x for x in range(1, f16.qm)
+                                        if reference.trace_p(f16)[x] == 1]))
     assert code.dimension() == f16.m
     for verdict in (code.minimality_cover(), code.minimality_heng(), code.minimality_snc()):
         assert verdict.status == MINIMAL
@@ -171,7 +173,7 @@ def test_kernel_count_matches_closed_form_dimension(f16, f34, f35, f44):
         build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]),
         build_cyclotomic_subset(f35, 11, [0]),
         quadric_subset(f34, kind="elliptic")[0],
-        FieldSubset(f16, [x for x in range(1, f16.qm) if f16.trace_p[x] == 1]),
+        FieldSubset(f16, [x for x in range(1, f16.qm) if reference.trace_p(f16)[x] == 1]),
     ]
     subsets += [
         FieldSubset(t, rng.choice(np.arange(1, t.qm), size=t.qm // 3, replace=False))

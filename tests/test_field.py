@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -54,11 +55,12 @@ def test_irreducible_but_imprimitive_rejected(monkeypatch):
     with pytest.raises(FieldConstructionError, match="X is not primitive"):
         build_tower(FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)))
     # x^8 + x^4 + x^3 + x + 1 over F_2: X has order 51 of 255, so the return
-    # to 1 happens past the first B + em powers, inside the multiply-by-X^B gathers
+    # to 1 happens past the first powers, inside the half-table joins
     aes = (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert poly_is_irreducible(aes, 2)
     assert not poly_x_is_primitive(aes, 2)
-    # with the order test made to pass, the failed log count is named as such
+    # with the polynomial order test made to pass, the failed order of X in
+    # exp is named as such
     monkeypatch.setattr("pdscodes.field.poly_x_is_primitive", lambda coeffs, p: True)
     for spec in (FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)),
                  FieldSpec(p=2, e=1, m=8, modulus=aes)):
@@ -88,9 +90,10 @@ def test_prime_field_trivial_tower():
     t = build_tower(FieldSpec(p=3, e=1, m=1))
     assert t.qm == 3
     # trace is the identity on F_3
+    traces = t.trace(np.arange(t.qm))
     for x in range(3):
         assert reference.trace_q(t)[x] == x
-        assert t.trace_p[x] == x
+        assert traces[x] == x
 
 
 def test_exp_log_round_trip(f35):
@@ -115,7 +118,7 @@ def test_field_axioms_sampled(f44):
 
 def test_trace_count_f35(f35):
     # elements with absolute trace zero: exactly 3^4 = 81 of the 243
-    assert int(np.count_nonzero(f35.trace_p == 0)) == 81
+    assert int(np.count_nonzero(f35.trace(np.arange(f35.qm)) == 0)) == 81
 
 
 def test_trace_surjective_and_balanced(f44):
@@ -124,7 +127,7 @@ def test_trace_surjective_and_balanced(f44):
     for v in vals.tolist():
         counts[v] += 1
     assert all(c == f44.qm // f44.q for c in counts.values())
-    pvals = f44.trace_p[np.arange(f44.qm)]
+    pvals = f44.trace(np.arange(f44.qm))
     for t in range(f44.p):
         assert int(np.count_nonzero(pvals == t)) == f44.qm // f44.p
 
@@ -133,11 +136,12 @@ def test_trace_linearity_exhaustive_small():
     t = build_tower(FieldSpec(p=2, e=1, m=2))  # F_4 over F_2
     # Tr_{F_4/F_2}(gamma) = gamma + gamma^2 = 1 for gamma^2 + gamma + 1 = 0
     gamma = int(t.exp[1])
-    assert t.trace_p[gamma] == 1
-    assert t.trace_p[0] == 0
+    traces = t.trace(np.arange(t.qm))
+    assert traces[gamma] == 1
+    assert traces[0] == 0
     for x in range(t.qm):
         for y in range(t.qm):
-            assert t.trace_p[t.add(x, y)] == (int(t.trace_p[x]) + int(t.trace_p[y])) % 2
+            assert traces[t.add(x, y)] == (int(traces[x]) + int(traces[y])) % 2
 
 
 def test_trace_fq_linearity(f44):
@@ -153,6 +157,7 @@ def test_trace_fq_linearity(f44):
 
 def test_trace_transitivity(f44, f35):
     # Tr to F_p factors through Tr to F_q; nontrivial when e > 1
+    traces = f44.trace(np.arange(f44.qm))
     for x in range(f44.qm):
         inner = int(reference.trace_q(f44)[x])
         # trace of a subfield element down to F_p: sum of e Frobenius powers
@@ -160,9 +165,10 @@ def test_trace_transitivity(f44, f35):
         for _ in range(f44.e - 1):
             cur = f44.pow(cur, f44.p)
             acc = f44.add(acc, cur)
-        assert acc == f44.trace_p[x]
+        assert acc == traces[x]
+    traces = f35.trace(np.arange(f35.qm))
     for x in range(f35.qm):
-        assert f35.trace_p[x] == reference.trace_q(f35)[x] % 3
+        assert traces[x] == reference.trace_q(f35)[x] % 3
 
 
 def test_hyperplane_sizes(f35, f44):
@@ -360,7 +366,8 @@ def test_trace_coords_are_trace_digits(f35, f44):
         xs = np.arange(t.qm, dtype=np.int64)
         expected = np.zeros(t.qm, dtype=np.int64)
         for i in range(t.em):
-            expected += t.trace_p[t.mul_vec(int(t.exp[i]), xs)].astype(np.int64) * t.p ** i
+            traces = t.trace(t.mul_vec(int(t.exp[i]), xs))
+            expected += traces.astype(np.int64) * t.p ** i
         assert np.array_equal(t.trace_coords, expected)
 
 
@@ -412,8 +419,8 @@ def test_one_digit_traces_equal_the_digitwise_add(field):
     # joined from the F_q-trace's half tables at exp for e > 1, name that of the
     # tabulated F_q-trace
     t = build_tower(FieldSpec(*field))
-    assert t.trace_p.dtype == np.int8
-    assert np.array_equal(t.trace_p, t.linearized_table([1] * t.em, t.p))
+    assert t.trace(np.arange(t.qm)).dtype == np.int8
+    assert np.array_equal(t.trace(np.arange(t.qm)), t.linearized_table([1] * t.em, t.p))
     index = reference.subfield_index(t)
     assert np.array_equal(t.trace_label_of_exp, index[reference.trace_q(t)[t.exp]])
 
@@ -421,7 +428,7 @@ def test_one_digit_traces_equal_the_digitwise_add(field):
 def test_trace_of_a_large_prime_field_is_not_wrapped():
     # over F_131 the trace is the identity, with values past int8
     t = build_tower(FieldSpec(p=131, e=1, m=1))
-    assert t.trace_p.tolist() == list(range(131))
+    assert t.trace(np.arange(t.qm)).tolist() == list(range(131))
     assert t.trace_label_of_exp.tolist() == list(range(1, 131))  # gamma^i has label i + 1
     members = np.array([1, 130])  # {1, -1}
     zeta = CyclotomicInteger.zeta_power
@@ -443,3 +450,103 @@ def test_non_injective_subfield_is_rejected_on_read():
     t.subfield_elements = t.subfield_elements[[0, 1, 1, 2]]
     with pytest.raises(FieldConstructionError, match="not injective"):
         t.subfield_tables()
+
+
+def test_non_closed_subfield_is_rejected_on_read():
+    # distinct elements take the labels 0..q-1 in order, but 1 + X lies outside
+    # {0, 1, X, X^2}, so the addition table is refused
+    t = build_tower(FieldSpec(p=2, e=2, m=2))
+    t.subfield_elements = np.array([0, 1, 2, 4], dtype=np.int32)
+    with pytest.raises(FieldConstructionError, match="not closed under addition"):
+        t.subfield_tables()
+
+
+def _random_primitive_modulus(p, degree, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        modulus = tuple(int(c) for c in rng.integers(0, p, size=degree)) + (1,)
+        if poly_is_irreducible(modulus, p) and poly_x_is_primitive(modulus, p):
+            return modulus
+
+
+# the eight towers of tests/data/golden/tables.json, then towers over random
+# primitive moduli for p = 2, 3, 5, 7 and 131
+ORACLE_SPECS = (
+    [FieldSpec(p=p, e=e, m=m) for p, e, m in ((3, 1, 12), (2, 1, 16), (2, 2, 8), (5, 1, 6),
+                                              (7, 1, 4), (13, 1, 2), (3, 2, 3), (2, 3, 4))]
+    + [FieldSpec(p=p, e=1, m=degree, modulus=_random_primitive_modulus(p, degree, seed))
+       for p, degree, seed in ((2, 11, 1), (2, 13, 2), (3, 7, 3), (3, 8, 4), (5, 5, 5),
+                               (7, 4, 6), (131, 2, 7))]
+)
+
+
+def _oracle_id(spec):
+    name = "F_%d^(%d*%d)" % (spec.p, spec.e, spec.m)
+    return name if spec.modulus is None else name + "-random"
+
+
+def _assert_tables_equal_the_replaced_routes(t):
+    exp = reference.exp_by_times_x_block(t)
+    assert t.exp.dtype == np.int32 and np.array_equal(t.exp, exp)
+    table = reference.trace_p(t)
+    traces = t.trace(np.arange(t.qm))
+    assert traces.dtype == table.dtype and np.array_equal(traces, table)
+    assert t.trace_of_exp.dtype == table.dtype and np.array_equal(t.trace_of_exp, table[exp])
+    log = reference.log_by_scatter(t)
+    assert t.log.dtype == np.int32 and np.array_equal(t.log, log)
+    labels = reference.subfield_index(t)[reference.trace_q(t)[exp]]
+    assert np.array_equal(t.trace_label_of_exp, labels)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_oracle_id)
+def test_tables_equal_the_replaced_routes(spec):
+    # exp by half-table joins against the multiply-by-X^B table, the trace
+    # joined at the elements asked for against the tabulated trace_p, the
+    # blockwise log against one scatter, and the labels of the F_q-trace in
+    # log order against the scatter of F_q to its labels
+    _assert_tables_equal_the_replaced_routes(build_tower(spec))
+
+
+@pytest.mark.parametrize("spec", [ORACLE_SPECS[i] for i in (4, 6, 10, 14)], ids=_oracle_id)
+def test_short_stretches_and_blocks_equal_the_replaced_routes(spec, monkeypatch):
+    # joins of at most 5 entries, several half-table builds, and trace, label
+    # and log blocks of 7 entries, none of which divides q^m - 1
+    monkeypatch.setattr("pdscodes.field.STRETCH", 5)
+    monkeypatch.setattr("pdscodes.field.BLOCK", 7)
+    _assert_tables_equal_the_replaced_routes(build_tower(spec))
+
+
+def test_deferred_log_refuses_a_corrupt_exp(monkeypatch):
+    # a join that writes X^(order - 2) again where X^(order - 1) belongs leaves
+    # one log slot empty: the build passes, as its order test reads exp only
+    # at order / ell and at order, and the first read of log refuses the short
+    # slot count
+    spec = FieldSpec(p=3, e=1, m=5)
+    honest = build_tower(spec).exp
+    add = FieldTower._add_vec
+
+    def corrupt_join(tower, x, y):
+        out = add(tower, x, y)
+        if "exp" not in vars(tower):  # filling exp
+            out = np.where(out == honest[-1], honest[-2], out)
+        return out
+
+    monkeypatch.setattr(FieldTower, "_add_vec", corrupt_join)
+    tower = build_tower(spec)
+    assert np.flatnonzero(tower.exp != honest).tolist() == [tower.order - 1]
+    with pytest.raises(FieldConstructionError, match="does not generate the multiplicative"):
+        tower.log
+
+
+def test_build_allocates_exp_and_little_more():
+    # F_{3^12}: exp (2.1 MB) and at most 2 MB of temporaries; log and the
+    # absolute trace are not built, nor any q^m-entry table of x -> x X^s
+    build_tower(FieldSpec(p=2, e=1, m=3))  # numpy's first-call set-up, outside the trace
+    tracemalloc.start()
+    try:
+        tower = build_tower(FieldSpec(p=3, e=1, m=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= tower.exp.nbytes + 2 * 2 ** 20
+    assert not {"log", "trace_of_exp", "trace_coords"} & set(vars(tower))

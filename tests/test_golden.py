@@ -60,7 +60,7 @@ def test_unreduced_class_indices_print_the_reduced_golden(capsys):
 
 
 # FieldTower tables built on first read, which a class-union `pds` never reads
-DEFERRED = ("trace_coords",)
+DEFERRED = ("trace_coords", "log")
 
 
 def _route_deferred_reads(monkeypatch, on_read):
@@ -77,27 +77,32 @@ def _route_deferred_reads(monkeypatch, on_read):
         monkeypatch.setattr(FieldTower, name, table)
 
 
-def _run_refusing_deferred_tables(monkeypatch, capsys, argv) -> str:
-    """The stdout of main(argv) with every deferred table made to raise on read."""
-    reads = []
+def _run_refusing_deferred_tables(monkeypatch, capsys, argv, allowed=()) -> str:
+    """The stdout of main(argv) with every deferred table but the allowed ones
+    made to raise on read; the command must read exactly the allowed ones."""
+    reads = set()
 
     def refuse(name):
-        reads.append(name)
-        raise AssertionError(f"{argv[0]} read FieldTower.{name}")
+        reads.add(name)
+        if name not in allowed:
+            raise AssertionError(f"{argv[0]} read FieldTower.{name}")
 
     with monkeypatch.context() as patched:
         _route_deferred_reads(patched, refuse)
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
-    assert reads == []
+    assert reads == set(allowed)
     return out
 
 
 @pytest.mark.parametrize("argv", [
     ["pds", "--recipe", "example-3.1"],
     ["pds", "--field", '{"p":3,"e":1,"m":8}', "--subset", '{"cyclotomic":{"N":41,"J":[0]}}'],
-], ids=["example-3.1", "3-8-N41"])
+    ["pds", "--recipe", "table-2-row-3"],
+], ids=["example-3.1", "3-8-N41", "table-2-row-3"])
 def test_class_union_pds_builds_no_deferred_table(monkeypatch, capsys, argv):
+    # the F_q-invariance check scales the classes' logs i N + j, and the
+    # spectrum reads the absolute trace in log order: no log table is built
     out = _run_refusing_deferred_tables(monkeypatch, capsys, argv)
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == out
@@ -106,7 +111,8 @@ def test_class_union_pds_builds_no_deferred_table(monkeypatch, capsys, argv):
 def test_row3_code_pds_builds_no_deferred_table(monkeypatch, capsys):
     # the weight count, the kernel words and the certificates of F_{3^12}/N=35
     # name F_q values by log: -x and the labels of the absolute trace need no
-    # q^m table, and the report is the golden one captured while they did
+    # q^m table, the members' logs are i N + j, and the report is the golden
+    # one captured while they did
     name = "code-table-2-row-3-pds"
     out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name])
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
@@ -117,17 +123,16 @@ def test_row3_code_pds_builds_no_deferred_table(monkeypatch, capsys):
 def test_class_union_code_sss_blocking_build_no_deferred_table(monkeypatch, capsys, name):
     # SNC negates the first zero of each word by a log shift, and for e > 1 the
     # F_q-trace labels join its half tables at exp: no q^m table is built for
-    # either, and the reports are the goldens
-    out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name])
+    # either, and the reports are the goldens.  SNC, sss and the cutting test
+    # read log (the zero sets' logs, the secret's line, the rank tests)
+    out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name], allowed={"log"})
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 def test_quadric_code_golden_reads_deferred_tables(monkeypatch, capsys):
     # the code scans of a quadric read trace_coords (the reflections' trace
-    # duals), and print the golden
-    reads = set()
-    _route_deferred_reads(monkeypatch, reads.add)
+    # duals) and log, and print the golden
     name = "code-3-8-elliptic-all"
-    assert main(list(GOLDEN[name])) == 0
-    assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
-    assert reads == {"trace_coords"}
+    out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name],
+                                        allowed={"trace_coords", "log"})
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()

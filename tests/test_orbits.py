@@ -87,7 +87,8 @@ CODES = {
     "F_2^4 N=5 J=[0,1]": ("f16", _cyclotomic(5, [0, 1]), 5, 4),
     "F_2^4 hyperplane": ("f16", _hyperplane, 15, 1),
     # f(x) = Tr(x): the words (u, u) span the kernel, so one weight column is zero
-    "F_2^4 trace form": ("f16", lambda t: FieldSubset(t, np.flatnonzero(t.trace_p == 1)), 15, 1),
+    "F_2^4 trace form": ("f16", lambda t: FieldSubset(t, np.flatnonzero(reference.trace_p(t) == 1)),
+                         15, 1),
     # the first block with a violation has two, whose lowest violating words differ
     "F_2^4 not invariant": ("f16", lambda t: FieldSubset.from_logs(t, [0, 9, 11, 13, 14]), 15, 4),
     # not minimal, s = 2 of em = 6: 19 orbits merge into 11, the last of them

@@ -288,7 +288,7 @@ def test_irrational_certificate_witness():
     subset = FieldSubset(tower, [x, int(reference.neg_table(tower)[x])])
     with pytest.raises(PdsVerificationError) as exc:
         verify_pds_spectral(subset)
-    traces = tower.trace_p[tower.mul_vec(x, np.arange(tower.qm))]
+    traces = reference.trace_p(tower)[tower.mul_vec(x, np.arange(tower.qm))]
     assert exc.value.witness == int(np.flatnonzero(traces)[0])
 
 
@@ -598,3 +598,24 @@ def test_class_union_builds_no_indicator():
     assert peak < f312.qm // 2
     verify_pds_spectral(subset, full_spectrum(f312, subset.members))
     assert "indicator" not in vars(subset)
+
+
+def test_logs_and_fq_invariance_equal_the_element_routes(f35, f44, f92):
+    # a class union's logs are i N + j, read off (N, J) with no table; the
+    # invariance check scales the logs, and agrees with scaling the members
+    # by mul_vec
+    cases = [build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]), build_cyclotomic_subset(f44, 17, [0]),
+             build_cyclotomic_subset(f44, 85, [0, 3]), build_cyclotomic_subset(f35, 11, [0]),
+             build_cyclotomic_subset(f92, 20, [0, 5]), build_cyclotomic_subset(f92, 10, [2]),
+             FieldSubset(f92, f92.exp[[0, 1, 2]]), FieldSubset(f92, f92.exp[::4]),
+             quadric_subset(build_tower(FieldSpec(p=3, e=1, m=4)), "elliptic")[0]]
+    seen = set()
+    for subset in cases:
+        tower = subset.tower
+        logs = subset.logs
+        assert logs.dtype == np.int32 and not logs.flags.writeable
+        assert np.array_equal(logs, np.sort(tower.log[subset.members]))
+        invariant = is_fq_invariant(subset)
+        assert invariant == reference.is_invariant_under_subfield(tower, subset.members)
+        seen.add((isinstance(subset.origin, CyclotomicOrigin), invariant))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -4,9 +4,10 @@ tests/data/golden/tables.json holds, per tower, the digest of exp, log,
 trace_p, trace_q, neg_table, trace_coords and subfield_index (each cast to
 int64), their dtypes, and the digest of the raw spectrum of one fixed class
 union, which pins the row order of the character transform.  The tower
-names F_q labels, the F_q-trace and -x through log and holds no
+names F_q labels, the F_q-trace and -x through log, joins the absolute
+trace only at the elements asked about, and holds no trace_p,
 subfield_index, trace_q or neg_table; those digests are of the tables in
-`reference.py` that the log routes are checked against.  Regenerate (only
+`reference.py` that the tower's routes are checked against.  Regenerate (only
 on purpose) with
 
     PYTHONPATH=src python tests/test_tables.py
@@ -26,7 +27,7 @@ from pdscodes.pds import build_cyclotomic_subset
 GOLDEN = Path(__file__).parent / "data" / "golden" / "tables.json"
 
 TABLES = ("exp", "log", "trace_p", "trace_q", "neg_table", "trace_coords", "subfield_index")
-REFERENCE_TABLES = ("trace_q", "neg_table", "subfield_index")
+REFERENCE_TABLES = ("trace_p", "trace_q", "neg_table", "subfield_index")
 
 # (p, e, m) and the class union (N, J) whose spectrum is digested
 TOWERS = {
@@ -48,7 +49,7 @@ def _sha(arr) -> str:
 def tower_digests(name: str) -> dict:
     (p, e, m), (N, J) = TOWERS[name]
     tower = build_tower(FieldSpec(p=p, e=e, m=m))
-    # the tower names these through log; the reference tabulates them
+    # the tower holds none of these; the reference tabulates them
     tables = {t: getattr(reference, t)(tower) if t in REFERENCE_TABLES else getattr(tower, t)
               for t in TABLES}
     out = {t: _sha(table) for t, table in tables.items()}
