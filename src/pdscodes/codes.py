@@ -13,10 +13,10 @@ F_q labels read through the tower's trace-label table
 field elements (multiply, trace, add).
 
 The dimension is m + 1 unless f is a trace form Tr(a x), which only q = 2
-allows; `characteristic_trace_form` reads that one candidate a off the
-tower's trace_coords table and compares it with f.  The kernel words, and
-so the dimension, come from it alone, not from the weight columns, whose
-zeros the tests hold against it.
+and |D| = q^m / 2 allow; `characteristic_trace_form` reads that one
+candidate a off the tower's trace_coords table and compares it with f.  The
+kernel words, and so the dimension, come from it alone, not from the weight
+columns, whose zeros the tests hold against it.
 
 Minimality is decided by several methods of increasing abstraction:
 
@@ -348,13 +348,14 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
     for a nonempty subset.
 
     A nonzero F_q-linear form takes all q values and f only 0 and 1, so only
-    q = 2 leaves a candidate.  There trace_coords[a] packs the bits
+    q = 2 leaves a candidate, and there only when |D| = q^m / 2, the size of
+    the set where a nonzero form is 1.  Then trace_coords[a] packs the bits
     Tr(a X^i), so the one a whose trace_coords packs the bits f(X^i), X^i
     the packed element 2^i, is the only candidate; it is the answer if it
     matches f on every nonzero x.
     """
     tower = subset.tower
-    if tower.q > 2:
+    if tower.q > 2 or 2 * len(subset) != tower.qm:
         return None
     basis = 2 ** np.arange(tower.m)
     a = int(np.argmax(tower.trace_coords == basis @ subset.indicator[basis]))
@@ -914,14 +915,16 @@ class SubsetCode:
     # -- zero-set rank: the span criterion and per-orbit flags ---------------------
 
     def _zero_ranks(self, us, vs, target: int) -> np.ndarray:
-        """Whether the generator columns at the zeros of each word (us[i], vs[i]),
-        vs nonzero, have rank >= target, in blocks of about BLOCK coordinates.
+        """Whether the generator columns at the zeros of each word (us[i], vs[i])
+        have rank >= target, in blocks of about BLOCK coordinates.
         The zeros of (u, v) are D_{u,v} = {x in D : Tr(v x) = -u}, maybe empty, and
-        D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v.
+        D̄_v, of rank [D_{u,v} nonempty] + dim <(D_{u,v} - x_0) ∪ D̄_v>, a span in H_v
+        (in the field for v = 0, whose zeros are D̄ when u != 0).
         A block finds them as the support fill does: the window of the label
-        table from log v on, compared with -u f(x).  A word whose |D̄_v| passes
-        `counted_rank` is settled there; the others get their differences, x_0
-        negated by a log shift (-1 = gamma^half, half = 0 for p = 2), and `rank_reaches`.
+        table from log v on (labels 0 for v = 0, log 0 being -1), compared with
+        -u f(x).  A word whose |D̄_v| passes `counted_rank` is settled there; the
+        others get their differences, x_0 negated by a log shift
+        (-1 = gamma^half, half = 0 for p = 2), and `rank_reaches`.
         """
         tower = self.tower
         xs = tower.exp
@@ -933,10 +936,11 @@ class SubsetCode:
         for start in range(0, len(vs), per):
             u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
             zero = windows[tower.log[v]] == zero_at[u]
+            zero[v == 0] = zero_at[u[v == 0]] == 0  # v = 0 reads labels 0
             ones, keep = zero & on, zero & ~on  # D_{u,v} and D̄_v
             count = keep.view(np.uint8).sum(axis=1, dtype=np.int32)  # faster than count_nonzero
             inner = target - ones.any(axis=1)
-            ok = inner <= tower.m - 1  # the span lies in H_v
+            ok = inner <= tower.m - (v != 0)  # the span lies in H_v, or in the field
             rest = np.flatnonzero(ok & ~counted_rank(tower, count, inner))
             if len(rest):  # D̄_v, and the differences x - x_0 not in it: those in D
                 ones, keep = ones[rest], keep[rest]
@@ -954,19 +958,14 @@ class SubsetCode:
         """(reps, flags): the ascending orbit representatives and the minimality
         (True) of each, computed once per code.
         A word is minimal exactly when the generator columns at its zeros have
-        rank k - 1, k = dimension() (Ashikhmin-Barg).  The zero word, of rank
-        k, counts as minimal, as in the cover scan; (u, 0) has the zeros D̄,
-        counted (q^m - 1 - |D|) before D̄ is built.
+        rank k - 1, k = dimension() (Ashikhmin-Barg); every orbit, (1, 0) with
+        the zeros D̄ among them, takes one `_zero_ranks` route.
         """
         self._check_guard()
         reps = self._orbit_representatives()
         if self._rank_orbit_flags is None:
-            k, tower = self.dimension(), self.tower
-            us, vs = np.divmod(reps, tower.qm)
-            flags = np.full(len(reps), counted_rank(tower, tower.order - len(self.subset), k - 1)
-                            or rank_reaches(tower, self.subset.complement().members, k - 1)[0])
-            flags[vs != 0] = self._zero_ranks(us[vs != 0], vs[vs != 0], k - 1)
-            self._rank_orbit_flags = flags
+            us, vs = np.divmod(reps, self.tower.qm)
+            self._rank_orbit_flags = self._zero_ranks(us, vs, self.dimension() - 1)
         return reps, self._rank_orbit_flags
 
     def minimality_snc(self) -> MethodVerdict:

@@ -511,9 +511,6 @@ class FieldTower:
 
     # -- scalar element operations ---------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        return int(self._add_vec(int(x), int(y)))
-
     def neg(self, x: int) -> int:
         """-x: x gamma^(order/2) for odd p, as -1 = gamma^(order/2); x for p = 2."""
         if self.p == 2 or x == 0:

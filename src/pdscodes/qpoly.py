@@ -95,7 +95,7 @@ def is_automorphism_of(subset: FieldSubset, g: QPolynomial) -> bool:
     return bool(np.all(subset.indicator[g.images()[subset.members]]))
 
 
-def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: bool = True) -> bool:
+def induced_code_automorphism_check(code, g: QPolynomial) -> bool:
     """Whether permuting coordinates by g maps each word onto the dual-indexed word.
 
     The word (u, v) at position g(x) must equal the word (u, dual(v)) at
@@ -115,11 +115,10 @@ def induced_code_automorphism_check(code, g: QPolynomial, enforce_preservation: 
     q q^m (q^m - 1) labels as the oracle.
 
     A g with a nonzero root permutes no coordinates and raises ValueError
-    first; with enforce_preservation, a g that fails (A), that is g(D) != D,
-    raises too.
+    first; a g that fails (A), that is g(D) != D, raises too.
     """
     return bool(tables_induce_code_automorphism(
-        code.subset, g.images(), g.trace_dual().images(), enforce_preservation))
+        code.subset, g.images(), g.trace_dual().images(), True))
 
 
 def tables_induce_code_automorphism(subset: FieldSubset, g_img: np.ndarray, dual_img: np.ndarray,

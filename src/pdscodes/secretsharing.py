@@ -5,8 +5,9 @@ nonzero field element x1 and the other coordinates belong to one
 participant each.  Minimal access sets correspond to support-minimal
 codewords of the primal code whose x1-coordinate is 1, so everything here
 is counted on the primal side: the total is a coset count and, for every
-code, each participant's coverage has a two-value closed form depending
-only on whether its generator column is a scalar multiple of x1's (both
+code, each participant's coverage has one two-value closed form
+(`coverage_closed_form`, over any array of participants), depending only
+on whether its generator column is a scalar multiple of x1's (both
 outside the subset, on one F_q-line).  A word is support-minimal exactly
 when the generator columns at its zeros have rank k - 1
 (`SubsetCode.rank_orbit_flags`), which filters the count for a code that
@@ -28,7 +29,7 @@ class AccessReport:
     x1_in_complement: bool
     total: int
     oracle_total: int | None          # filtered to truly minimal words when the code is not minimal
-    coverage: dict[int, int]          # participant log -> count
+    coverage: dict[int, int]          # participant log (every nonzero element but x1) -> count
     dictators: list[int]              # participant logs lying in every minimal access set
     classification: str               # "dictatorial" | "democratic"
 
@@ -47,13 +48,6 @@ class AccessReport:
         }
 
 
-def _value_labels_at(code: SubsetCode, x: int) -> np.ndarray:
-    """Dense label of every word's coordinate at position x (a nonzero element),
-    by word index."""
-    us = np.arange(code.tower.q)[:, None]
-    return code.word_labels(us, np.arange(code.tower.qm), x).ravel()
-
-
 def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True):
     """Number of minimal access sets: words with coordinate 1 at x1.
 
@@ -63,14 +57,17 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     `SubsetCode`) filter those words to the genuinely minimal ones and both
     numbers are reported.
     """
+    tower = code.tower
     if code_is_minimal:
-        return code.tower.qm, None
-    ones = np.flatnonzero(_value_labels_at(code, x1) == 1)
-    return code.tower.qm, int(np.count_nonzero(code.word_flags(code.rank_orbit_flags(), ones)))
+        return tower.qm, None
+    labels = code.word_labels(np.arange(tower.q)[:, None], np.arange(tower.qm), x1)
+    ones = np.flatnonzero(labels == 1)  # word indices u q^m + v
+    return tower.qm, int(np.count_nonzero(code.word_flags(code.rank_orbit_flags(), ones)))
 
 
-def _coverage(code: SubsetCode, x1: int, xs) -> np.ndarray:
-    """The number of words with a 1 at x1 that are nonzero at each x in xs.
+def coverage_closed_form(code: SubsetCode, x1: int, xs) -> np.ndarray:
+    """The number of words with a 1 at x1 that are nonzero at each x in xs
+    (a 0-d array for one x).
 
     The coordinates at x1 and x are the F_q-linear forms with generator
     columns (f(x1), x1) and (f(x), x).  When the second is a multiple of the
@@ -86,32 +83,19 @@ def _coverage(code: SubsetCode, x1: int, xs) -> np.ndarray:
     return np.where(multiple, tower.qm, tower.qm - tower.qm // tower.q)
 
 
-def participant_coverage(code: SubsetCode, x1: int) -> dict[int, int]:
-    """For each participant (every nonzero element except x1, keyed by its log),
-    the number of minimal access sets containing it when the code is minimal."""
+def analyze_scheme(code: SubsetCode, x1: int, code_is_minimal: bool = True) -> AccessReport:
     tower = code.tower
     if x1 == 0:
         raise ValueError("the secret coordinate must be a nonzero element")
     x1_log = int(tower.log[x1])
-    counts = _coverage(code, x1, tower.exp).tolist()
-    return {j: n for j, n in enumerate(counts) if j != x1_log}
-
-
-def coverage_closed_form(code: SubsetCode, x1: int, xi: int) -> int:
-    """The two-value formula for one participant: q^m for scalar multiples of
-    an x1 outside the subset that lie outside it too, q^m - q^(m-1) otherwise."""
-    return int(_coverage(code, x1, xi))
-
-
-def analyze_scheme(code: SubsetCode, x1: int, code_is_minimal: bool = True) -> AccessReport:
-    tower = code.tower
     total, oracle_total = minimal_access_count(code, x1, code_is_minimal)
-    coverage = participant_coverage(code, x1)
+    counts = coverage_closed_form(code, x1, tower.exp).tolist()
+    coverage = {j: n for j, n in enumerate(counts) if j != x1_log}
     dictators = sorted(j for j, n in coverage.items() if n == total)
     classification = "dictatorial" if dictators else "democratic"
     return AccessReport(
         x1=x1,
-        x1_log=int(tower.log[x1]),
+        x1_log=x1_log,
         x1_in_complement=not code.subset.indicator[x1],
         total=total,
         oracle_total=oracle_total,

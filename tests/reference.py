@@ -357,7 +357,7 @@ def dependent_words(code, w):
         lv = tower.mul(int(tower.subfield_elements[lam]), v)
         for kw in np.flatnonzero(weight_table(code).ravel() == 0).tolist():
             ku, kv = code.word_of_index(int(kw))
-            out.add(code.word_index(int(add_q[lu, ku]), tower.add(lv, kv)))
+            out.add(code.word_index(int(add_q[lu, ku]), int(tower.add_sets(lv, kv))))
     return np.asarray(sorted(out), dtype=np.int64)
 
 
@@ -763,6 +763,6 @@ def from_basis_images(tower, images):
         for r in range(m):
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [tower.add(rows[r][c], tower.neg(tower.mul(factor, rows[col][c])))
+                rows[r] = [int(tower.add_sets(rows[r][c], tower.neg(tower.mul(factor, rows[col][c]))))
                            for c in range(m + 1)]
     return [rows[j][m] for j in range(m)]

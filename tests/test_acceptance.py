@@ -48,8 +48,12 @@ from pdscodes.pds import (
     verify_pds_direct,
     verify_pds_spectral,
 )
-from pdscodes.qpoly import QPolynomial, induced_code_automorphism_check
-from pdscodes.secretsharing import coverage_closed_form, participant_coverage
+from pdscodes.qpoly import (
+    QPolynomial,
+    induced_code_automorphism_check,
+    tables_induce_code_automorphism,
+)
+from pdscodes.secretsharing import analyze_scheme, coverage_closed_form
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -293,12 +297,15 @@ def test_criterion_6f_trace_dual_exhaustive(f34):
             assert fd.trace_dual() == f
             # the induced action: decided by linearity, and label by label
             if f.is_bijective():
-                assert induced_code_automorphism_check(code, f, enforce_preservation=False) \
+                assert bool(tables_induce_code_automorphism(
+                    code.subset, f.images(), f.trace_dual().images(), False)) \
                     == exhaustive_check(code, f, enforce_preservation=False)
             else:
-                for check in (induced_code_automorphism_check, exhaustive_check):
-                    with pytest.raises(ValueError, match="not bijective"):
-                        check(code, f, enforce_preservation=False)
+                with pytest.raises(ValueError, match="not bijective"):
+                    tables_induce_code_automorphism(
+                        code.subset, f.images(), f.trace_dual().images(), False)
+                with pytest.raises(ValueError, match="not bijective"):
+                    exhaustive_check(code, f, enforce_preservation=False)
 
 
 def test_criterion_6g_frobenius_code_automorphism(f44):
@@ -330,10 +337,11 @@ def test_criterion_6h_secret_sharing_coverage(f44):
         subset = build_cyclotomic_subset(f44, 5, [1, 2, 3, 4])
         code = SubsetCode(subset)
         for x1 in (int(subset.members[0]), int(subset.complement().members[0])):
-            coverage = participant_coverage(code, x1)
+            coverage = analyze_scheme(code, x1).coverage
             assert len(coverage) == f44.qm - 2
+            closed = coverage_closed_form(code, x1, f44.exp)
             for j, n in coverage.items():
-                assert n == coverage_closed_form(code, x1, int(f44.exp[j]))
+                assert n == closed[j]
 
 
 def test_criterion_7_negative_controls(f35, f34):

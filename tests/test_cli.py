@@ -273,6 +273,19 @@ def test_code_guard_partial_exit(capsys):
     assert payload["minimal"]["pds_sufficient"]["verdict"] == "minimal"
 
 
+def test_weights_over_budget_leave_only_heng_unrun(capsys):
+    # the weight count on the F_{2^16} elliptic quadric is over its budget, so
+    # the weights are predicted and Heng, which reads the weight columns, is
+    # not run; cover (its first-column screen) and SNC still decide
+    code, out, _ = run_cli(capsys, "code", "--recipe", "example-3.3", "--kind", "elliptic",
+                           "--p", "2", "--m", "16", "--methods", "all")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["weights_source"] == "predicted"
+    assert [payload["minimal"][m] for m in ("cover", "heng", "snc")] == [
+        "minimal", "not_run", "minimal"]
+
+
 def test_blocking_recipe(capsys):
     # the cutting test applies to the complement (zero set of the indicator)
     code, out, _ = run_cli(

@@ -75,7 +75,7 @@ def test_codeword_linearity(ex31_code):
     for _ in range(20):
         u1, u2 = (int(x) for x in rng.integers(0, tower.q, size=2))
         v1, v2 = (int(x) for x in rng.integers(0, tower.qm, size=2))
-        lhs = reference.codeword(code, int(add_q[u1, u2]), tower.add(v1, v2))
+        lhs = reference.codeword(code, int(add_q[u1, u2]), int(tower.add_sets(v1, v2)))
         rhs = tower.add_sets(reference.codeword(code, u1, v1), reference.codeword(code, u2, v2))
         assert np.array_equal(lhs, rhs)
 

@@ -118,6 +118,14 @@ def test_row3_code_pds_builds_no_deferred_table(monkeypatch, capsys):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
+def test_binary_class_union_code_pds_builds_no_deferred_table(monkeypatch, capsys):
+    # a binary f is a trace form only when |D| = q^m / 2: the trace-form test
+    # of F_{2^12}/N=3 (|D| = 1365) reads neither trace_coords nor log
+    _run_refusing_deferred_tables(monkeypatch, capsys, [
+        "code", "--field", '{"p":2,"e":1,"m":12}', "--subset", '{"cyclotomic":{"N":3,"J":[0]}}',
+        "--methods", "pds"])
+
+
 @pytest.mark.parametrize("name", ["code-example-3.1-all", "sss-example-3.1-in-Dbar",
                                   "blocking-4-4-N5", "sss-table-2-row-1"])
 def test_class_union_code_sss_blocking_build_no_deferred_table(monkeypatch, capsys, name):

@@ -69,7 +69,7 @@ from pdscodes.qpoly import (
     quadric_reflections,
     tables_induce_code_automorphism,
 )
-from pdscodes.secretsharing import _value_labels_at, minimal_access_count
+from pdscodes.secretsharing import minimal_access_count
 
 
 def _hyperplane(tower):
@@ -628,7 +628,8 @@ def test_oracle_total_equals_full_flags(request, name):
         total, oracle_total = minimal_access_count(code, int(x1), code_is_minimal=False)
         # each word with a 1 at x1, scaled to its projective representative
         expected = 0
-        for w in np.flatnonzero(_value_labels_at(code, int(x1)) == 1).tolist():
+        labels = code.word_labels(np.arange(tower.q)[:, None], np.arange(tower.qm), int(x1))
+        for w in np.flatnonzero(labels == 1).tolist():
             u, v = code.word_of_index(w)
             if u:
                 inv = next(lam for lam in range(1, tower.q) if mul_q[u, lam] == 1)
@@ -732,35 +733,38 @@ def test_random_invariant_unions_weights_equal_closed_form(field, data):
 
 def _uncounted_words(code):
     """(sizes, slices, complement), from the words evaluated one by one.  The
-    count leaves an orbit representative (u, v), v != 0, open when its target
-    t = k - 1 - [D_{u,v} nonempty] lies in 1..m - 1 and |D̄_v| < q^(t - 1);
-    sizes lists |((D_{u,v} - x_0) ∩ D) ∪ D̄_v| for those words, slices sums
-    their |D_{u,v}|, and complement says whether |D̄| < q^(k - 2) leaves the
-    flag of (1, 0) open."""
+    count leaves an orbit representative (u, v) open when its target
+    t = k - 1 - [D_{u,v} nonempty] lies in 1..m - [v != 0] (the span lies in
+    H_v, or in the field for v = 0) and |D̄_v| < q^(t - 1); sizes lists
+    |((D_{u,v} - x_0) ∩ D) ∪ D̄_v| for those words, slices sums their
+    |D_{u,v}|, and complement says whether (1, 0), whose zeros are D̄, is
+    among them."""
     tower, k = code.tower, code.dimension()
     xs, on = tower.exp.astype(np.int64), code.subset.indicator[tower.exp]
-    sizes, slices = [], []
+    sizes, slices, complement = [], [], False
     for r in code._orbit_representatives().tolist():
         u, v = code.word_of_index(r)
         zero = codeword(code, u, v) == 0
         ones = xs[zero & on]
         inner = k - 1 - (len(ones) > 0)
         dbar = np.count_nonzero(zero & ~on)
-        if v == 0 or not 0 < inner <= tower.m - 1 or dbar >= tower.q ** (inner - 1):
+        if not 0 < inner <= tower.m - (v != 0) or dbar >= tower.q ** (inner - 1):
             continue
         diffs = tower.add_sets(ones, reference.neg_table(tower)[ones[:1]])
         sizes.append(dbar + np.count_nonzero(code.subset.indicator[diffs]))
         slices.append(len(ones))
-    return sorted(sizes), sum(slices), tower.order - len(code.subset) < tower.q ** (k - 2)
+        complement |= v == 0
+    return sorted(sizes), sum(slices), complement
 
 
 def assert_count_first_snc_exact(code):
     """The rank flags, the SNC verdict and its witness equal those of a run
     with the count certificate patched off (every set then eliminated) and the
     reference; only the words whose count leaves the rank open reach
-    `add_sets` and `rank_reaches`, and D̄ is built only when |D̄| leaves (1, 0) open."""
+    `add_sets` and `rank_reaches`, (1, 0) among them, and no subset's
+    complement is built."""
     tower = code.tower
-    sizes, slices, complement = _uncounted_words(code)
+    sizes, slices, _ = _uncounted_words(code)
     fresh = SubsetCode(code.subset)
     fresh.dimension(), fresh._orbit_representatives(), tower.subfield_tables()  # cached set-up
     counts, added, built = [], [], []
@@ -768,8 +772,7 @@ def assert_count_first_snc_exact(code):
     complement_of = FieldSubset.complement
 
     def counted_reaches(tower, elems, target, count=None):
-        if np.ndim(elems) == 2:  # the word rows; the complement comes as one set
-            counts.extend(count.tolist())
+        counts.extend(count.tolist())
         return rank_reaches(tower, elems, target, count)
 
     def counted_add(self, xs, ys):
@@ -785,7 +788,7 @@ def assert_count_first_snc_exact(code):
         mp.setattr(FieldTower, "add_sets", counted_add)
         mp.setattr(FieldSubset, "complement", counted_complement)
         flags = fresh.rank_orbit_flags()[1]
-    assert (sorted(counts), sum(added), len(built)) == (sizes, slices, complement)
+    assert (sorted(counts), sum(added), len(built)) == (sizes, slices, 0)
     snc = fresh.minimality_snc()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "counted_rank", lambda tower, count, target: np.asarray(target) <= 0)
@@ -813,8 +816,8 @@ def test_random_invariant_unions_count_first_snc_exact(case):
 @pytest.mark.parametrize("name, uncounted, complement", [
     ("F_2^4 N=5 J=[0,1]", 4, False), ("F_4^4 N=5 J=[1,2,3,4]", 4, True), ("F_3^4 N=10", 0, False)])
 def test_count_first_takes_both_branches(request, name, uncounted, complement):
-    # the count leaves words to the elimination on some fixture codes, and the
-    # flag of (1, 0) on one; on others it settles every word
+    # the count leaves words with v != 0 to the elimination on some fixture
+    # codes, and (1, 0) joins them on one; on others it settles every word
     fixture, build, _, _ = CODES[name]
     sizes, _, open_ = _uncounted_words(SubsetCode(build(request.getfixturevalue(fixture))))
-    assert (len(sizes), open_) == (uncounted, complement)
+    assert (len(sizes) - open_, open_) == (uncounted, complement)

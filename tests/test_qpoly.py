@@ -6,7 +6,12 @@ from reference import induced_code_automorphism_check as exhaustive_check
 from pdscodes.codes import SubsetCode
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import build_cyclotomic_subset
-from pdscodes.qpoly import QPolynomial, induced_code_automorphism_check, is_automorphism_of
+from pdscodes.qpoly import (
+    QPolynomial,
+    induced_code_automorphism_check,
+    is_automorphism_of,
+    tables_induce_code_automorphism,
+)
 
 
 def _random_qpoly(tower, rng):
@@ -16,6 +21,13 @@ def _random_qpoly(tower, rng):
 def _scaling(tower, a):
     """x -> a x."""
     return QPolynomial(tower, [a] + [0] * (tower.m - 1))
+
+
+def _decision(code, g):
+    """The library's decision by linearity without the preservation check:
+    False, not ValueError, for a bijective g with g(D) != D."""
+    return bool(tables_induce_code_automorphism(
+        code.subset, g.images(), g.trace_dual().images(), False))
 
 
 def _compose(f, g):
@@ -125,7 +137,7 @@ def test_induced_check_fails_without_preservation(f44):
     assert shift.is_bijective()
     with pytest.raises(ValueError, match="does not preserve the subset"):
         induced_code_automorphism_check(code, shift)
-    assert not induced_code_automorphism_check(code, shift, enforce_preservation=False)
+    assert not _decision(code, shift)
 
 
 def test_induced_check_names_a_non_bijective_map(f44):
@@ -133,9 +145,9 @@ def test_induced_check_names_a_non_bijective_map(f44):
     code = SubsetCode(build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]))
     trace = QPolynomial(f44, [1] * f44.m)
     assert not trace.is_bijective()
-    for enforce in (True, False):
+    for check in (induced_code_automorphism_check, _decision):
         with pytest.raises(ValueError, match="g is not bijective on the multiplicative group"):
-            induced_code_automorphism_check(code, trace, enforce_preservation=enforce)
+            check(code, trace)
 
 
 def _induced_check_per_word(code, g):
@@ -157,18 +169,23 @@ def test_induced_check_equals_per_word_scan(f34, f44):
         maps = [QPolynomial.frobenius(tower, i) for i in range(tower.m)]
         maps += [_scaling(tower, int(tower.exp[k])) for k in range(1, 6)]
         for g in maps:
-            got = induced_code_automorphism_check(code, g, enforce_preservation=False)
+            got = _decision(code, g)
             assert got == _induced_check_per_word(code, g)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
 
 
 def _outcome(check, code, g):
-    """The verdict of one route, or the message of the ValueError it raised."""
+    """The verdict of one route without the preservation check, or the
+    message of the ValueError it raised."""
     try:
-        return check(code, g, enforce_preservation=False)
+        return check(code, g)
     except ValueError as err:
         return str(err)
+
+
+def _exhaustive_decision(code, g):
+    return exhaustive_check(code, g, enforce_preservation=False)
 
 
 def _oracle_maps(tower, rng):
@@ -198,8 +215,8 @@ def test_induced_check_equals_exhaustive_oracle(field):
         J = rng.permutation(N)[: rng.integers(1, N)].tolist()
         code = SubsetCode(build_cyclotomic_subset(tower, N, J))
         for g in _oracle_maps(tower, rng):
-            got = _outcome(induced_code_automorphism_check, code, g)
-            assert got == _outcome(exhaustive_check, code, g), (N, g)
+            got = _outcome(_decision, code, g)
+            assert got == _outcome(_exhaustive_decision, code, g), (N, g)
             outcomes.append(got)
     assert {True, False, "g is not bijective on the multiplicative group"} <= set(outcomes)
 
@@ -225,7 +242,7 @@ def test_mutated_tables_against_oracle(f34, f44):
                 img[:] = other
             else:
                 img[at] = img[at] % (tower.qm - 1) + 1  # another nonzero element
-            got = induced_code_automorphism_check(code, g, enforce_preservation=False)
+            got = _decision(code, g)
             assert got == exhaustive_check(code, g, enforce_preservation=False) == expected
 
 
@@ -285,7 +302,7 @@ def test_quadric_symmetry_generators_membership(f34):
     assert shear.is_bijective()
     assert not is_automorphism_of(subset, shear)
     quadric_code = SubsetCode(subset)
-    assert not induced_code_automorphism_check(quadric_code, shear, enforce_preservation=False)
+    assert not _decision(quadric_code, shear)
     assert not exhaustive_check(quadric_code, shear, enforce_preservation=False)
 
     # scalings always preserve the zero set of a quadratic form

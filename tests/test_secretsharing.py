@@ -5,12 +5,7 @@ import reference
 from pdscodes.codes import SubsetCode
 from pdscodes.field import FieldSpec, build_tower
 from pdscodes.pds import FieldSubset, build_cyclotomic_subset
-from pdscodes.secretsharing import (
-    analyze_scheme,
-    coverage_closed_form,
-    minimal_access_count,
-    participant_coverage,
-)
+from pdscodes.secretsharing import analyze_scheme, coverage_closed_form, minimal_access_count
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +16,12 @@ def ex31_code(f44):
 @pytest.fixture(scope="module")
 def row1_code(f35):
     return SubsetCode(build_cyclotomic_subset(f35, 11, [0]))
+
+
+def _labels_at(code, x):
+    """Every word's label at the coordinate x, by word index."""
+    tower = code.tower
+    return code.word_labels(np.arange(tower.q)[:, None], np.arange(tower.qm), x).ravel()
 
 
 def test_minimal_access_totals(ex31_code, row1_code, f44, f35):
@@ -35,12 +36,12 @@ def test_minimal_access_totals(ex31_code, row1_code, f44, f35):
 def test_coverage_closed_form_x1_outside(ex31_code, f44):
     # x1 in the complement: its nontrivial scalar multiples are dictators
     x1 = int(ex31_code.subset.complement().members[0])
-    coverage = participant_coverage(ex31_code, x1)
+    coverage = analyze_scheme(ex31_code, x1).coverage
     x1_log = int(f44.log[x1])
     step = f44.subfield_step
+    closed = coverage_closed_form(ex31_code, x1, f44.exp)
     for j, n in coverage.items():
-        xi = int(f44.exp[j])
-        assert n == coverage_closed_form(ex31_code, x1, xi)
+        assert n == closed[j]
         if (j - x1_log) % step == 0:
             assert n == 256
         else:
@@ -51,11 +52,16 @@ def test_coverage_closed_form_x1_outside(ex31_code, f44):
 
 def test_coverage_closed_form_x1_inside(ex31_code, f44):
     x1 = int(ex31_code.subset.members[0])
-    coverage = participant_coverage(ex31_code, x1)
+    coverage = analyze_scheme(ex31_code, x1).coverage
     assert set(coverage.values()) == {192}
     report = analyze_scheme(ex31_code, x1)
     assert report.classification == "democratic"
     assert report.dictators == []
+
+
+def test_secret_at_zero_is_refused(ex31_code):
+    with pytest.raises(ValueError, match="secret coordinate must be a nonzero element"):
+        analyze_scheme(ex31_code, 0)
 
 
 def test_classification_dictatorial(ex31_code):
@@ -74,9 +80,10 @@ def test_row1_coverage_both_sides(row1_code, f35):
     inside = int(row1_code.subset.members[0])
     outside = int(row1_code.subset.complement().members[0])
     for x1 in (inside, outside):
-        coverage = participant_coverage(row1_code, x1)
+        coverage = analyze_scheme(row1_code, x1).coverage
+        closed = coverage_closed_form(row1_code, x1, f35.exp)
         for j, n in coverage.items():
-            assert n == coverage_closed_form(row1_code, x1, int(f35.exp[j]))
+            assert n == closed[j]
     # q = 3: exactly one dictator when x1 avoids the subset
     report = analyze_scheme(row1_code, outside)
     assert len(report.dictators) == 1
@@ -95,7 +102,7 @@ def test_q2_degenerates_to_democratic():
 
 def test_coverage_constant_on_scalar_classes(ex31_code, f44):
     x1 = int(ex31_code.subset.complement().members[1])
-    coverage = participant_coverage(ex31_code, x1)
+    coverage = analyze_scheme(ex31_code, x1).coverage
     step = f44.subfield_step
     for j, n in coverage.items():
         partner = (j + step) % f44.order
@@ -104,20 +111,16 @@ def test_coverage_constant_on_scalar_classes(ex31_code, f44):
 
 
 def test_value_labels_equal_element_route(ex31_code, f44):
-    from pdscodes.secretsharing import _value_labels_at
-
     # one x1 inside the subset, one outside it
     for x1 in (int(ex31_code.subset.members[0]), int(ex31_code.subset.complement().members[0])):
-        assert np.array_equal(_value_labels_at(ex31_code, x1),
+        assert np.array_equal(_labels_at(ex31_code, x1),
                               reference.value_labels_at(ex31_code, x1))
 
 
 def test_access_sets_are_support_minimal(ex31_code, f44):
     # sampled words with coordinate 1 at x1: no other such word has support inside
-    from pdscodes.secretsharing import _value_labels_at
-
     x1 = int(ex31_code.subset.complement().members[0])
-    labels = _value_labels_at(ex31_code, x1)
+    labels = _labels_at(ex31_code, x1)
     ones = np.nonzero(labels == 1)[0]
     sup = ex31_code.supports()
     rng = np.random.default_rng(41)
@@ -162,10 +165,11 @@ def test_coverage_equals_enumeration(request, f16, f34, name):
         ones = int(np.count_nonzero(reference.value_labels_at(code, x1) == 1))
         for code_is_minimal in (True, False):
             assert minimal_access_count(code, x1, code_is_minimal)[0] == ones == tower.qm
-        coverage = participant_coverage(code, x1)
+        coverage = analyze_scheme(code, x1).coverage
         assert coverage == reference.participant_coverage(code, x1)
+        closed = coverage_closed_form(code, x1, tower.exp)
         for j, n in coverage.items():
-            assert n == coverage_closed_form(code, x1, int(tower.exp[j]))
+            assert n == closed[j]
 
 
 def test_coverage_of_a_non_invariant_subset(f34):
@@ -173,6 +177,7 @@ def test_coverage_of_a_non_invariant_subset(f34):
     # columns (0, x1) and (1, -x1) are independent
     code = SubsetCode(FieldSubset.from_logs(f34, [0, 1, 5, 17, 40]))
     x1 = int(f34.exp[41])
-    assert participant_coverage(code, x1)[1] == 54
+    assert analyze_scheme(code, x1).coverage[1] == 54
     assert coverage_closed_form(code, x1, int(f34.exp[1])) == 54
-    assert participant_coverage(code, int(f34.exp[42]))[2] == 81
+    assert coverage_closed_form(code, x1, int(f34.exp[1])).shape == ()  # one x, a 0-d result
+    assert analyze_scheme(code, int(f34.exp[42])).coverage[2] == 81

@@ -133,9 +133,6 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 UNSET_DEFAULTS = {
     "cli.main argv": "the entry point; tests pass the arguments, a shell leaves them to sys.argv",
     "codes.dyz_size method": "the closed form and the direct count that the tests compare",
-    "qpoly.induced_code_automorphism_check enforce_preservation":
-        "lets the tests hold the decision by linearity against the exhaustive oracle in "
-        "reference.py on maps that do not preserve the subset",
 }
 
 
