@@ -5,28 +5,28 @@ kernels H_j = {x : Tr(gamma^j x) = 0}, one per F_q^*-class of the direction
 gamma^j, so the family has step = (q^m - 1)/(q - 1) members, j < step.
 A subset is a cutting (1, m-1)-pattern when it meets every hyperplane,
 contains none entirely, and no intersection sits inside another one, which
-is <D ∩ H> = H for every H.  The stabiliser <gamma^d> of D maps D ∩ H_j onto
-D ∩ H_(j-d), so the hyperplanes j < gcd(d, step) stand for all of them.
-
-Tr(gamma^j x) is entry (j + log x) mod (q^m - 1) of the label table, so a
-block of consecutive hyperplanes reads, for each member, one window of that
-table (`FieldTower.label_windows`, as in the weight count): the sizes
-|D ∩ H_j| come from column sums of those windows, and only the intersections
-below the count bound q^(m-2) become rows for the packed rank test.  The
-annihilators of the spans that fall short are read in blocks of one
-`trace_labels` pass each, and one lexsort takes the first nested pair.  The
-intersection matrices and the pairwise containment scan are the oracle in
-tests/reference.py.
+is <D ∩ H> = H for every H (Alfarano-Borello-Neri).  H_j is the zero set of
+the word (0, gamma^j) of the subset's code, and the maps of its orbit
+engine (`codes.orbit_engine`: <gamma^d>, a Frobenius power, a quadric's
+reflections) are linear bijections fixing D, which carry D ∩ H with its size
+and span onto D ∩ H' for H, H' in one orbit.  So one hyperplane per merged
+orbit is tested, by one gather of the label table at j + log x for every
+member, and its flags are spread over the heads j < gcd(d, step).  Only when
+a span falls short are the annihilators of every short span j < gcd(d,
+step) read, in blocks of one `trace_labels` pass each, and one lexsort takes
+the first nested pair.  The intersection matrices and the pairwise
+containment scan are the oracle in tests/reference.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
-from .codes import DEFAULT_ENUM_BUDGET, rank_reaches
-from .field import BLOCK, column_sums
+from .codes import DEFAULT_ENUM_BUDGET, orbit_engine, rank_reaches
+from .field import BLOCK
 from .pds import FieldSubset, GuardExceeded
 
 
@@ -48,68 +48,78 @@ class BlockingReport:
         return out
 
 
-def _first_nested_pair(subset: FieldSubset, logs: np.ndarray, orbits: int, sizes: np.ndarray
-                       ) -> tuple[int, int] | None:
+def _sections(subset: FieldSubset, js: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(part, on) for parts of the hyperplane logs js, about BLOCK (hyperplane,
+    member) pairs each: on[i, x] says that member x lies on H_js[part][i],
+    Tr(gamma^j x) being entry j + log x of the label table."""
+    tower, logs = subset.tower, subset.logs
+    per = max(1, BLOCK // max(1, len(logs)))
+    for s in range(0, len(js), per):
+        part = slice(s, s + per)
+        yield part, tower.trace_label_of_exp[(logs + js[part, None]) % tower.order] == 0
+
+
+def _first_nested_pair(subset: FieldSubset, short: np.ndarray) -> tuple[int, int]:
     """The first (inner, outer) hyperplane logs, by outer then inner, with
     D ∩ H_inner inside H_outer, that is gamma^outer annihilating <D ∩ H_inner>.
 
-    logs are those of the members, ascending, and sizes[j] = |D ∩ H_j|; an
-    intersection of q^(m-2) or more members spans H_j by count, so only the
-    others are rank tested.  A pair (j, l) found for j < orbits = gcd(d,
-    step) stands for the pairs (j - kd, l - kd) mod step, as gamma^kd
-    carries the span and its annihilator along; the first of them has outer
-    l mod orbits.
+    short[j], j < orbits = gcd(d, step) = len(short), says that D ∩ H_j falls short of
+    spanning H_j; one such j exists, and its span lies in another hyperplane.
+    A pair (j, l) found for j < orbits stands for the pairs (j - kd, l - kd)
+    mod step, as gamma^kd carries the span and its annihilator along; the
+    first of them has outer l mod orbits.
     """
-    tower = subset.tower
-    small = sizes < tower.qm // tower.q ** 2
-    if not small.any():
-        return None
-    elems = tower.exp[logs]
-    short, bases = [], []  # the hyperplanes whose intersections fall short, and their spans
-    for j0, labels in tower.label_windows(logs, orbits):
-        rows = np.flatnonzero(small[j0:j0 + labels.shape[1]])
-        if len(rows):
-            on = labels[:, rows].T == 0  # on[i, x]: the member x lies on H_(j0 + rows[i])
-            spans, basis = rank_reaches(tower, np.where(on, elems, 0), tower.m - 1)
-            short.append(j0 + rows[~spans])
-            bases.append(basis[~spans])
-    short, bases = np.concatenate(short), np.concatenate(bases)
-    if not len(short):
-        return None
+    tower, short_js = subset.tower, np.flatnonzero(short)
+    elems = tower.exp[subset.logs]
+    bases = np.concatenate([rank_reaches(tower, np.where(on, elems, 0), tower.m - 1)[1]
+                            for _, on in _sections(subset, short_js)])
     step = tower.subfield_step
     directions = tower.exp[:step]
     per = max(1, BLOCK // (tower.em * step))
-    pairs = []  # (i, ls): gamma^ls annihilates the span of D ∩ H_short[i]
-    for s in range(0, len(short), per):
+    pairs = []  # (i, ls): gamma^ls annihilates the span of D ∩ H_short_js[i]
+    for s in range(0, len(short_js), per):
         ann = (tower.trace_labels(bases[s:s + per, :, None], directions) == 0).all(axis=1)
-        ann[np.arange(len(ann)), short[s:s + per]] = False
+        ann[np.arange(len(ann)), short_js[s:s + per]] = False
         i, ls = np.nonzero(ann)
         pairs.append((s + i, ls))
     i, ls = (np.concatenate(part) for part in zip(*pairs))
-    outer = ls % orbits
-    inner = (outer - ls + short[i]) % step
+    outer = ls % len(short)
+    inner = (outer - ls + short_js[i]) % step
     first = np.lexsort((inner, outer))[0]
     return int(inner[first]), int(outer[first])
+
+
+def _check_budget(cost: int, bound: int) -> None:
+    """Refuse only when the bound hyperplane orbits x q^m is over too."""
+    if min(cost, bound) > DEFAULT_ENUM_BUDGET:
+        raise GuardExceeded(f"cutting test cost {cost} (merge classes x maps + hyperplane "
+                            f"orbits x |D|; hyperplane orbits x q^m: {bound}) exceeds the "
+                            f"budget {DEFAULT_ENUM_BUDGET}")
 
 
 def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     """Blocking / subspace-containment / cutting verdicts with a witness.
 
     Blocking and containment read off |D ∩ H|, cutting off an F_q-rank test
-    of D ∩ H, for the hyperplanes j < gcd(d, step); GuardExceeded when that
-    many rows times q^m is over DEFAULT_ENUM_BUDGET.  witness carries the
-    first failure found: the empty hyperplane for a blocking failure, the
-    contained hyperplane for (ii), or the pair (h1_log, h2_log) whose
-    intersections are nested for the cutting test.
+    of D ∩ H, for one hyperplane per merged orbit of the code's orbit engine.
+    The guard estimates the merge (`Orbits.merge_cost`) plus hyperplane
+    orbits x |D|; the nested-pair search, which names the witness of a set
+    that is not cutting, keeps the bound gcd(d, step) x q^m.  witness
+    carries the first failure found: the empty hyperplane for a blocking
+    failure, the contained hyperplane for (ii), or the pair (h1_log, h2_log)
+    whose intersections are nested for the cutting test.
     """
     tower = subset.tower
     orbits = gcd(subset.stabiliser_period, tower.subfield_step)
-    if orbits * tower.qm > DEFAULT_ENUM_BUDGET:
-        raise GuardExceeded(f"cutting test cost {orbits * tower.qm} (hyperplane orbits x q^m) "
-                            f"exceeds the budget {DEFAULT_ENUM_BUDGET}")
-    logs = subset.logs
-    sizes = np.concatenate([column_sums(labels == 0)
-                            for _, labels in tower.label_windows(logs, orbits)])
+    bound = orbits * tower.qm
+    engine = orbit_engine(subset)
+    cost = engine.merge_cost()
+    _check_budget(cost, bound)
+    # the least hyperplane js of each merged orbit, and the orbit of each j < orbits
+    _, js, heads = np.unique(engine.head_orbits(), return_index=True, return_inverse=True)
+    _check_budget(cost + len(js) * len(subset), bound)
+    orbit_sizes = np.concatenate([np.count_nonzero(on, axis=1) for _, on in _sections(subset, js)])
+    sizes = orbit_sizes[heads]
 
     blocking = bool(np.all(sizes > 0))
     witness = None
@@ -123,10 +133,18 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
 
     cutting = blocking and not contains_subspace
     if cutting:
-        nested = _first_nested_pair(subset, logs, orbits, sizes)
-        if nested is not None:
+        spans = orbit_sizes >= tower.qm // tower.q ** 2  # the count bound
+        small = np.flatnonzero(~spans)
+        elems = tower.exp[subset.logs]
+        for part, on in _sections(subset, js[small]):
+            spans[small[part]] = rank_reaches(tower, np.where(on, elems, 0), tower.m - 1,
+                                              orbit_sizes[small[part]])[0]
+        if not spans.all():
+            if bound > DEFAULT_ENUM_BUDGET:
+                raise GuardExceeded(f"nested-pair search cost {bound} (hyperplane orbits x q^m) "
+                                    f"exceeds the budget {DEFAULT_ENUM_BUDGET}")
             cutting = False
             # h1 is the contained intersection, h2 the containing one
-            witness = {"h1_log": nested[0], "h2_log": nested[1]}
+            h1, h2 = _first_nested_pair(subset, ~spans[heads])
+            witness = {"h1_log": h1, "h2_log": h2}
     return BlockingReport(blocking, contains_subspace, cutting, witness)
-

@@ -43,17 +43,14 @@ per orbit, counted in blocks over windows of the label table.  Support
 bits have one route, `SubsetCode._support_columns`: uint64 columns of the
 packed supports of any words, one compare of rows of the label cycle
 against -u f(x) and one packbits; `supports()` runs it over every word and
-column, and cover on the columns it needs.  The scans (cover,
-Heng, the rank flags behind SNC and the secret-sharing count) also use a
-list of verified automorphisms (`SubsetCode._automorphisms`): the least
-Frobenius power x -> x^(p^s) with D^(p^s) = D, which sends (u, v) to
-(u^(p^s), v^(p^s)), the word with its coordinates permuted and raised to
-the p^s-th power, and for a quadric subset reflections g of its orthogonal
-group (orthogonal transvections for p = 2), each sending (u, v) to
-(u, g*(v)), the word with its coordinates permuted, g* the trace dual.  So
-the oracle conditions are constant on the orbits of the group all of them
-generate, and the scans visit the lowest projective word of each: 7
-orbits for a quadric over odd q and 5 over even q, against 6561 projective
+column, and cover on the columns it needs.  The scans (cover, Heng, the
+rank flags behind SNC and the secret-sharing count) and `blocking` read one
+orbit engine per subset (`Orbits`, built once by `orbit_engine`), which
+merges those orbits further along verified automorphisms of the code: the
+least Frobenius power that fixes D and, for a quadric, reflections of its
+orthogonal group.  The oracle conditions are constant on the merged orbits,
+and the scans visit the lowest projective word of each: 7 orbits for a
+quadric over odd q and 5 over even q, against 6561 projective
 classes of the F_{3^8} quadrics under F_q^* alone.  Cover and Heng test
 those members a block at a time, each block one (members x lines) array
 pass over the projective lines F_q^* w of the words (`FieldTower.line_layout`),
@@ -68,8 +65,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Callable, Iterator
+from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 
@@ -363,6 +362,187 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
     return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
 
 
+# -- the orbits of the words ----------------------------------------------------
+
+
+class Orbits:
+    """The orbits of the nonzero words (u, v) of a subset's code under F_q^*
+    scaling, <gamma^d> and the verified automorphisms; the subset is held by
+    a weak reference, so that the memo keyed by it (`orbit_engine`) lets go."""
+
+    def __init__(self, subset: FieldSubset):
+        self._subset, self.tower = ref(subset), subset.tower
+
+    subset = property(lambda self: self._subset())
+
+    @property
+    def period(self) -> int:
+        """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
+        return self.subset.stabiliser_period
+
+    @cached_property
+    def frobenius_power(self) -> int:
+        """The least s with D^(p^s) = D, a divisor of em (s = em: x^(p^em) = x).
+
+        D is the union of the cosets gamma^i <gamma^d>, i in I, and x -> x^(p^s)
+        sends gamma^i <gamma^d> onto gamma^(p^s i) <gamma^d>, so the test is
+        p^s I = I (mod d); p^s is prime to d, so p^s I inside I suffices.
+        """
+        tower = self.tower
+        d, cosets = self.subset.stabiliser
+        on = np.zeros(d, dtype=bool)
+        on[cosets] = True
+        return next(s for s in range(1, tower.em + 1)
+                    if tower.em % s == 0 and on[cosets * pow(tower.p, s, d) % d].all())
+
+    def merge_cost(self) -> int:
+        """The merge's work estimate: g + 1 + d classes, one pass to build
+        them and one per map of `automorphisms`."""
+        tower, d, quadric = self.tower, self.period, isinstance(self.subset.origin, QuadricOrigin)
+        maps = (self.frobenius_power < tower.em) + 2 * tower.m * quadric
+        return (gcd(d, tower.subfield_step) + 1 + d) * (1 + maps)
+
+    def _class_ids(self, words: np.ndarray) -> np.ndarray:
+        """For each nonzero word, its orbit under F_q^* scaling and the
+        stabiliser <gamma^d> as a number below g + 1 + d, g = gcd(d, step).
+
+        The class of (0, v) is that of (0, gamma^(log v mod step)), and its
+        orbit is fixed by log v mod g (numbered so).  The class of (u, v),
+        u != 0, is that of (1, v/u), and its orbit is fixed by log(v/u) mod d
+        (numbered g + 1 + that); v = 0 alone makes the orbit of (1, 0), g.
+        """
+        tower = self.tower
+        d, step = self.period, tower.subfield_step
+        g = gcd(d, step)
+        u, v = np.divmod(np.asarray(words, dtype=np.int64), tower.qm)
+        log_v = tower.log[v].astype(np.int64)
+        # label u >= 1 is gamma^((u - 1) step), so log(v/u) = log v - (u - 1) step
+        scaled = np.where(v == 0, g, g + 1 + (log_v - (u - 1) * step) % d)
+        return np.where(u == 0, log_v % g, scaled)
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(words, rank): the lowest projective word of each orbit of the
+        nonzero words under F_q^* scaling and <gamma^d>, ascending, and the
+        rank of each class number among them.
+
+        The projective words are the heads (0, gamma^j), j < step, one per
+        line F_q^* v, and every (1, v), and each lowest word is a column
+        minimum of exp: the head of class r < g has j = r (mod g), column r
+        of exp[:step] read as a (step/g, g) array; the (1, v) of class
+        g + 1 + r has log v = r (mod d), column r of exp read as an
+        ((q^m - 1)/d, d) array; class g is (1, 0).  Only these g + 1 + d
+        words are sorted.
+        """
+        tower, d = self.tower, self.period
+        g = gcd(d, tower.subfield_step)
+        heads = tower.exp[: tower.subfield_step].reshape(-1, g).min(axis=0)
+        lowest = tower.exp.reshape(-1, d).min(axis=0)
+        words = np.concatenate([heads, tower.qm + np.append(0, lowest)]).astype(np.int64)
+        ascending = np.argsort(words)
+        return words[ascending], np.argsort(ascending)
+
+    def class_index(self, words: np.ndarray) -> np.ndarray:
+        """For each nonzero word, the index in classes[0] of the lowest
+        projective word in its orbit under F_q^* scaling and <gamma^d>."""
+        return self.classes[1][self._class_ids(words)]
+
+    def automorphisms(self, v: np.ndarray) -> Iterator[np.ndarray]:
+        """The images of the elements v under the maps v -> g(v) by which
+        automorphisms of the code act on its words (u, v), u in {0, 1}, beyond
+        F_q^* scaling and <gamma^d>: stacks of image rows, one per map.
+
+        The least Frobenius power x -> x^(p^s) with D^(p^s) = D sends (u, v)
+        to (u^(p^s), v^(p^s)): the word with every coordinate raised to the
+        p^s-th power and read at x^(p^s).  For a quadric subset, each
+        reflection g of `qpoly.quadric_reflections` sends (u, v) to
+        (u, g*(v)), the word read at g(x), g* the trace dual; each is checked
+        by `tables_induce_code_automorphism` before it is used.  At most 2m
+        are drawn; on every quadric tried, 4 to 13 of them reach the orbits
+        of the whole orthogonal group (`merged`).
+        """
+        tower, s = self.tower, self.frobenius_power
+        if s < tower.em:
+            logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
+            yield np.where(v == 0, 0, tower.exp[logs % tower.order])[None]
+        if isinstance(self.subset.origin, QuadricOrigin):
+            from .qpoly import quadric_reflections, tables_induce_code_automorphism
+
+            for g, dual in quadric_reflections(self.subset, 2 * tower.m):
+                if not tables_induce_code_automorphism(self.subset, g, dual, False).all():
+                    raise AssertionError("a reflection of the quadric is no code automorphism; bug")
+                yield dual[:, v]
+
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, labels): the lowest projective representative of each orbit
+        under F_q^* scaling, <gamma^d> and the automorphisms, ascending and
+        read-only, and the orbit of each class, an index into reps.
+
+        Each automorphism permutes the classes.  Their labels, first their
+        own index, settle after each stack of automorphisms: a label takes
+        the least label that the classes holding it reach along a map of the
+        stack, and each class then takes the label of its label, until none
+        changes.  So the classes joined by the stack and by those before it
+        hold one label, the least index among them, and earlier maps need
+        not be kept.  Any set of verified automorphisms gives orbits on which
+        every oracle condition is constant; more of them only merge orbits.
+        The work is on the g + 1 + d classes and their images, none of it
+        word-sized, so the word guard sits at the scans that use it.
+
+        For a quadric subset no more are drawn once the orbits of the whole
+        orthogonal group are reached.  By Witt's theorem those are (1, 0)
+        and, for u = 0 and for u = 1, the words with v isotropic and those
+        with v anisotropic (Q read at the vector that v names through the
+        trace form), the latter split by the square class of Q for odd q, as
+        F_q^* scales Q by squares: 5 orbits for even q, 7 for odd q.
+        """
+        fine = self.classes[0]
+        u, v = np.divmod(fine, self.tower.qm)  # u in {0, 1}
+        quadric = isinstance(self.subset.origin, QuadricOrigin)
+        least = (7 if self.tower.p > 2 else 5) if quadric else 1
+        lowest = np.arange(len(fine))
+        for images in self.automorphisms(v):
+            # row r: the class index of the image of each class under map r
+            succs = self.class_index(u * self.tower.qm + images)
+            last = None
+            while not np.array_equal(lowest, last):
+                last, lowest = lowest, lowest.copy()
+                # each label takes the least label that the classes holding
+                # it reach along a map, and every class its label's label
+                np.minimum.at(lowest, last, last[succs].min(axis=0))
+                while not np.array_equal(lowest, lowest[lowest]):
+                    lowest = lowest[lowest]
+            if np.count_nonzero(lowest == np.arange(len(fine))) <= least:
+                break
+        first, labels = np.unique(lowest, return_inverse=True)
+        reps = fine[first]
+        reps.flags.writeable = False
+        return reps, labels
+
+    def representatives(self) -> np.ndarray:
+        """The ascending orbit representatives, merged[0]."""
+        return self.merged[0]
+
+    def orbit_index(self, words: np.ndarray) -> np.ndarray:
+        """For each nonzero word, the index in representatives() of its orbit."""
+        return self.merged[1][self.class_index(words)]
+
+    def head_orbits(self) -> np.ndarray:
+        """The orbit index of each head (0, gamma^j), j < gcd(d, step), the
+        class numbered j: the word whose zeros are the hyperplane H_j."""
+        return self.merged[1][self.classes[1][: gcd(self.period, self.tower.subfield_step)]]
+
+
+_ENGINES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def orbit_engine(subset: FieldSubset) -> Orbits:
+    """The subset's `Orbits`, held while the subset lives: its classes, merge
+    and reflections are built once for every code of it and `blocking`."""
+    return _ENGINES.setdefault(subset, Orbits(subset))
+
+
 class SubsetCode:
     """The length q^m - 1, (generically) dimension m + 1 code of a subset; guard
     caps the word count q^(m+1) of the scans."""
@@ -379,30 +559,16 @@ class SubsetCode:
         self._supports = None
         self._kernel = None
         self._rank_orbit_flags = None
-        self._orbit_reps = None
-        self._classes = None
-        self._fine_orbit = None
         self._dependents = None
+
+    @cached_property
+    def orbits(self) -> Orbits:  # the subset's engine, shared by its codes
+        return orbit_engine(self.subset)
 
     @property
     def stabiliser_period(self) -> int:
         """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
-        return self.subset.stabiliser_period
-
-    @property
-    def frobenius_power(self) -> int:
-        """The least s with D^(p^s) = D, a divisor of em (s = em: x^(p^em) = x).
-
-        D is the union of the cosets gamma^i <gamma^d>, i in I, and x -> x^(p^s)
-        sends gamma^i <gamma^d> onto gamma^(p^s i) <gamma^d>, so the test is
-        p^s I = I (mod d); p^s is prime to d, so p^s I inside I suffices.
-        """
-        tower = self.tower
-        d, cosets = self.subset.stabiliser
-        on = np.zeros(d, dtype=bool)
-        on[cosets] = True
-        return next(s for s in range(1, tower.em + 1)
-                    if tower.em % s == 0 and on[cosets * pow(tower.p, s, d) % d].all())
+        return self.orbits.period
 
     # -- enumeration -----------------------------------------------------
 
@@ -598,7 +764,7 @@ class SubsetCode:
         of r + kappa / lam, else kappa itself; the zero word is read as r."""
         if self._dependents is None:
             add_q = self.tower.subfield_tables()[0]
-            reps, kernel = self._orbit_representatives(), self.kernel_words()
+            reps, kernel = self.orbits.representatives(), self.kernel_words()
             (ur, vr), (ku, kv) = np.divmod(reps, self.tower.qm), np.divmod(kernel, self.tower.qm)
             shifted = self.word_index(add_q[ur[:, None], ku], self.tower.add_sets(vr[:, None], kv))
             words = np.concatenate([shifted, np.broadcast_to(kernel, shifted.shape)], axis=1)
@@ -606,131 +772,9 @@ class SubsetCode:
             self._dependents = np.where(words == 0, own, self._line_columns(words))
         return self._dependents
 
-    def _class_ids(self, words: np.ndarray) -> np.ndarray:
-        """For each nonzero word, its orbit under F_q^* scaling and the
-        stabiliser <gamma^d> as a number below g + 1 + d, g = gcd(d, step).
-
-        The class of (0, v) is that of (0, gamma^(log v mod step)), and its
-        orbit is fixed by log v mod g (numbered so).  The class of (u, v),
-        u != 0, is that of (1, v/u), and its orbit is fixed by log(v/u) mod d
-        (numbered g + 1 + that); v = 0 alone makes the orbit of (1, 0), g.
-        """
-        tower = self.tower
-        d, step = self.stabiliser_period, tower.subfield_step
-        g = gcd(d, step)
-        u, v = np.divmod(np.asarray(words, dtype=np.int64), tower.qm)
-        log_v = tower.log[v].astype(np.int64)
-        # label u >= 1 is gamma^((u - 1) step), so log(v/u) = log v - (u - 1) step
-        scaled = np.where(v == 0, g, g + 1 + (log_v - (u - 1) * step) % d)
-        return np.where(u == 0, log_v % g, scaled)
-
-    def class_representatives(self) -> np.ndarray:
-        """The lowest projective word of each orbit of the nonzero words under
-        F_q^* scaling and <gamma^d>, ascending (cached with the rank of each
-        orbit's number among them, which class_index reads).
-
-        The projective words are the heads (0, gamma^j), j < step, one per
-        line F_q^* v, and every (1, v), and each lowest word is a column
-        minimum of exp: the head of class r < g has j = r (mod g), column r
-        of exp[:step] read as a (step/g, g) array; the (1, v) of class
-        g + 1 + r has log v = r (mod d), column r of exp read as an
-        ((q^m - 1)/d, d) array; class g is (1, 0).  Only these g + 1 + d
-        words are sorted.
-        """
-        if self._classes is None:
-            tower, d = self.tower, self.stabiliser_period
-            g = gcd(d, tower.subfield_step)
-            heads = tower.exp[: tower.subfield_step].reshape(-1, g).min(axis=0)
-            lowest = tower.exp.reshape(-1, d).min(axis=0)
-            words = np.concatenate([heads, tower.qm + np.append(0, lowest)]).astype(np.int64)
-            ascending = np.argsort(words)
-            self._classes = words[ascending], np.argsort(ascending)  # the rank of each class
-        return self._classes[0]
-
-    def class_index(self, words: np.ndarray) -> np.ndarray:
-        """For each nonzero word, the index in class_representatives() of the
-        lowest projective word in its orbit under F_q^* scaling and <gamma^d>."""
-        self.class_representatives()
-        return self._classes[1][self._class_ids(words)]
-
     def _check_guard(self) -> None:
         if self.word_count > self.guard:
             raise GuardExceeded(f"word count {self.word_count} over guard {self.guard}")
-
-    def _automorphisms(self, v: np.ndarray) -> Iterator[np.ndarray]:
-        """The images of the elements v under the maps v -> g(v) by which
-        automorphisms of the code act on its words (u, v), u in {0, 1}, beyond
-        F_q^* scaling and <gamma^d>: stacks of image rows, one per map.
-
-        The least Frobenius power x -> x^(p^s) with D^(p^s) = D sends (u, v)
-        to (u^(p^s), v^(p^s)): the word with every coordinate raised to the
-        p^s-th power and read at x^(p^s).  For a quadric subset, each
-        reflection g of `qpoly.quadric_reflections` sends (u, v) to
-        (u, g*(v)), the word read at g(x), g* the trace dual; each is checked
-        by `tables_induce_code_automorphism` before it is used.  At most 2m
-        are drawn; on every quadric tried, 4 to 13 of them reach the orbits
-        of the whole orthogonal group (`_orbit_representatives`).
-        """
-        tower, s = self.tower, self.frobenius_power
-        if s < tower.em:
-            logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
-            yield np.where(v == 0, 0, tower.exp[logs % tower.order])[None]
-        if isinstance(self.subset.origin, QuadricOrigin):
-            from .qpoly import quadric_reflections, tables_induce_code_automorphism
-
-            for g, dual in quadric_reflections(self.subset, 2 * tower.m):
-                if not tables_induce_code_automorphism(self.subset, g, dual, False).all():
-                    raise AssertionError("a reflection of the quadric is no code automorphism; bug")
-                yield dual[:, v]
-
-    def _orbit_representatives(self) -> np.ndarray:
-        """The lowest projective representative of each orbit under F_q^*
-        scaling, <gamma^d> and the _automorphisms, ascending (cached).
-
-        Each automorphism permutes the orbits of class_representatives().
-        Their labels, first their own index, settle after each stack of
-        automorphisms: a label takes the least label that the orbits holding
-        it reach along a map of the stack, and each orbit then takes the
-        label of its label, until none changes.  So the orbits joined by the
-        stack and by those before it hold one label, the least index among
-        them, and earlier maps need not be kept.  The orbits with one label
-        make one orbit, represented by the lowest class representative in
-        it.  Any set of verified automorphisms gives orbits on which every
-        oracle condition is constant; more of them only merge orbits.  The
-        work is on the g + 1 + d class representatives and their images, none
-        of it word-sized, so the word guard sits at the scans that use it.
-
-        For a quadric subset no more are drawn once the orbits of the whole
-        orthogonal group are reached.  By Witt's theorem those are (1, 0)
-        and, for u = 0 and for u = 1, the words with v isotropic and those
-        with v anisotropic (Q read at the vector that v names through the
-        trace form), the latter split by the square class of Q for odd q, as
-        F_q^* scales Q by squares: 5 orbits for even q, 7 for odd q.
-        """
-        if self._orbit_reps is None:
-            fine = self.class_representatives()
-            u, v = np.divmod(fine, self.tower.qm)  # u in {0, 1}
-            least = 1
-            if isinstance(self.subset.origin, QuadricOrigin):
-                least = 7 if self.tower.p > 2 else 5
-            lowest = np.arange(len(fine))
-            for images in self._automorphisms(v):
-                # row r: the class index of the image of each class under map r
-                succs = self.class_index(self.word_index(u, images))
-                last = None
-                while not np.array_equal(lowest, last):
-                    last, lowest = lowest, lowest.copy()
-                    # each label takes the least label that the classes holding
-                    # it reach along a map, and every class its label's label
-                    np.minimum.at(lowest, last, last[succs].min(axis=0))
-                    while not np.array_equal(lowest, lowest[lowest]):
-                        lowest = lowest[lowest]
-                if np.count_nonzero(lowest == np.arange(len(fine))) <= least:
-                    break
-            first, self._fine_orbit = np.unique(lowest, return_inverse=True)
-            self._orbit_reps = fine[first]
-            self._orbit_reps.flags.writeable = False
-        return self._orbit_reps
 
     def _block_scan(
         self, make_test: Callable[[], Callable[[slice], np.ndarray]]
@@ -750,7 +794,7 @@ class SubsetCode:
         projective representatives and all words, with the same witness.
         """
         self._check_guard()
-        reps = self._orbit_representatives()
+        reps = self.orbits.representatives()
         dependents = self._dependent_columns()
         test = make_test()
         most = max(1, BLOCK // self.word_count)
@@ -762,9 +806,9 @@ class SubsetCode:
 
     def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
         """The flag of the orbit of each nonzero word, orbit_flags being (reps, flags)
-        over _orbit_representatives(): word -> class_index -> its merged orbit."""
+        over the orbit representatives (`Orbits.orbit_index`)."""
         _, flags = orbit_flags
-        return flags[self._fine_orbit[self.class_index(words)]]
+        return flags[self.orbits.orbit_index(words)]
 
     def _scan_verdict(self, make_test, note: str) -> MethodVerdict:
         """NotMinimal at the scan's first violation, witnessed as (covered, coverer):
@@ -809,7 +853,7 @@ class SubsetCode:
         head = np.empty(len(logs), dtype=np.uint64)
         for part, column in self._support_blocks(tables, us, logs, 0, 1):
             head[part] = column[:, 0]
-        rep_us, rep_vs = np.divmod(self._orbit_representatives(), tower.qm)
+        rep_us, rep_vs = np.divmod(self.orbits.representatives(), tower.qm)
         rep_logs = tower.log[rep_vs]  # -1 for v = 0
         dependents = self._dependent_columns()
         coordinates = np.packbits(np.arange(64 * width) < self.n).view(np.uint64)
@@ -864,19 +908,32 @@ class SubsetCode:
         identity sum over lam in F_q^* of wt(r + lam w) = (q - 1) wt(r) - wt(w),
         reps the part of the orbit representatives tested.
 
-        wt(r + x) is gathered once for every word x, as int32, and summed over
-        the q - 1 points lam w of each line, the same sum for every w on it;
-        the points are read off exp and log once per scan.
+        For w independent of r no r + lam w is a kernel word, so each weighs
+        at least w_min, the least positive weight, k among them; the identity
+        then needs (q - 1) wt(r) >= q w_min, the weight-ratio bound of
+        Ashikhmin-Barg ("Minimal vectors in linear codes", IEEE TIT 1998).
+        The rows of the other r are False with no gathers, and with no r
+        left nothing more is built.  wt(r + x) is gathered once for every
+        word x, as int32, and summed over the q - 1 points lam w of each
+        line, the same sum for every w on it; the points are read off exp and
+        log once per scan.
         """
         tower = self.tower
         add_q = tower.subfield_tables()[0]
         q, qm, step = tower.q, tower.qm, tower.subfield_step
-        least = tower.line_layout[0]
+        d, k, table = self.stabiliser_period, len(self.subset), self.weight_table()
+        least, reps = tower.line_layout[0], self.orbits.representatives()
+        rep_u, rep_v = np.divmod(reps, qm)
+        rep_wt = np.where(rep_v == 0, k, table[rep_u, tower.log[rep_v] % d])
+        live = (q - 1) * rep_wt >= q * min(k, table[table > 0].min())
+        shape = (len(least) + qm,)
+        if not live.any():
+            return lambda part: np.zeros((len(reps[part]),) + shape, dtype=bool)
         # the weight of every word (u, v): (u, 0) has weight k for u != 0,
         # and (u, gamma^i) the weight in column i mod d
         wt = np.zeros((q, qm), dtype=np.int32)
-        wt[1:, 0] = len(self.subset)
-        wt[:, tower.exp.reshape(-1, self.stabiliser_period)] = self.weight_table()[:, None]
+        wt[1:, 0] = k
+        wt[:, tower.exp.reshape(-1, d)] = table[:, None]
         wt = wt.ravel()
         # points[lam - 1, c]: the word lam w, w the least word (0, least) or
         # (1, y) of line c; label lam is gamma^((lam - 1) step), so lam v is
@@ -893,16 +950,18 @@ class SubsetCode:
         split = tower.p ** (tower.em // 2)
 
         def test(part):
-            reps = self._orbit_representatives()[part]
-            ur, vr = np.divmod(reps, qm)
+            bad = np.zeros((len(reps[part]),) + shape, dtype=bool)
+            rows = np.flatnonzero(live[part])
+            ur, vr = rep_u[part][rows], rep_v[part][rows]
             high = tower.add_sets((vr - vr % split)[:, None], vs[::split])
             low = tower.add_sets((vr % split)[:, None], vs[:split])
-            sums = (high[:, :, None] + low[:, None, :]).reshape(len(reps), qm)  # v_r + v
-            near = wt[(add_q[ur] * qm)[:, :, None] + sums[:, None, :]].reshape(len(reps), -1)
-            total = near[:, points[0]]  # near[i, x] = wt(reps[i] + x)
+            sums = (high[:, :, None] + low[:, None, :]).reshape(len(rows), qm)  # v_r + v
+            near = wt[(add_q[ur] * qm)[:, :, None] + sums[:, None, :]].reshape(len(rows), q * qm)
+            total = near[:, points[0]]  # near[i, x] = wt(r_i + x)
             for row in points[1:]:
                 total += near[:, row]
-            return total == (q - 1) * wt[reps][:, None] - line_wt
+            bad[rows] = total == (q - 1) * rep_wt[part][rows, None] - line_wt
+            return bad
 
         return test
 
@@ -962,7 +1021,7 @@ class SubsetCode:
         the zeros D̄ among them, takes one `_zero_ranks` route.
         """
         self._check_guard()
-        reps = self._orbit_representatives()
+        reps = self.orbits.representatives()
         if self._rank_orbit_flags is None:
             us, vs = np.divmod(reps, self.tower.qm)
             self._rank_orbit_flags = self._zero_ranks(us, vs, self.dimension() - 1)

@@ -68,7 +68,7 @@ class QPolynomial:
     def trace_dual(self) -> "QPolynomial":
         """The unique reduced g with Tr(f(x) y) = Tr(g(y) x) for all x, y (cached)."""
         if self._dual is None:
-            tower = self.tower
+            tower: FieldTower = self.tower
             m, q = tower.m, tower.q
             out = []
             for i in range(m):

@@ -14,7 +14,10 @@ Beside them sit the cover and Heng scans of one coverer at a time (cover
 reading those class-loop supports), with the scalar multiples of a word
 listed in a loop, that the library now
 runs over blocks of coverers, the flags of such a scan over every class,
-and the participant coverage counted from the unpacked supports.  The
+and the participant coverage counted from the unpacked supports; those
+scans also run on `Unreduced`, the code on an orbit engine with the
+trivial period and no automorphisms, built apart from the library's memo
+so that no reduced engine reaches it.  The
 lines F_q^* v that those scans test one at a time are listed by
 multiplying v by each nonzero element of F_q, and the complement of a
 subset is taken as a set difference.  Then
@@ -53,31 +56,40 @@ log-based labels, so these references stay independent of them; the two
 class-loop fills are the exception, and the tests hold them against the
 words computed on field elements.
 """
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pdscodes import charsums
-from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, Orbits, SubsetCode
 from pdscodes.field import BLOCK
 from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.pds import CyclotomicOrigin, QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
 
 
-class Unreduced(SubsetCode):
-    """The same code with the trivial period q^m - 1 in place of the least
+class UnreducedOrbits(Orbits):
+    """The orbit engine with the trivial period q^m - 1 in place of the least
     stabiliser period d and no further automorphisms (no Frobenius power, no
-    reflections): every orbit-reduced scan then visits every class."""
+    reflections), built apart from the library's memo."""
 
     @property
-    def stabiliser_period(self):
+    def period(self):
         return self.tower.order
 
-    def _automorphisms(self, v):
+    def automorphisms(self, v):
         return iter(())
+
+
+class Unreduced(SubsetCode):
+    """The same code on `UnreducedOrbits`: every orbit-reduced scan then
+    visits every class, and the weights are counted over q^m - 1 columns."""
+
+    @cached_property
+    def orbits(self):
+        return UnreducedOrbits(self.subset)
 
 
 @lru_cache(maxsize=4)

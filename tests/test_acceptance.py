@@ -151,8 +151,8 @@ def test_criterion_4_example_33_quadrics():
 
 
 def test_criterion_4_elliptic_quadric_cutting_at_scale():
-    # the hyperplane sections of the F_{2^12} elliptic quadric: 4095 rank tests
-    # below the count bound, cold through the CLI
+    # the 4095 hyperplane sections of the F_{2^12} elliptic quadric, below the
+    # count bound, in 2 orbits of its orthogonal group, cold through the CLI
     env = dict(os.environ, PYTHONPATH=str(SRC))
     with budget("4 (blocking, F_2^12 elliptic quadric, cold)", 2):
         proc = subprocess.run(
@@ -162,6 +162,24 @@ def test_criterion_4_elliptic_quadric_cutting_at_scale():
         )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["cutting"] is True
+
+
+@pytest.mark.parametrize("field", ['{"p":3,"e":1,"m":10}', '{"p":2,"e":1,"m":16}'],
+                         ids=["F_3^10", "F_2^16"])
+def test_criterion_4_elliptic_quadric_cutting_past_the_hyperplane_bound(field):
+    # 29 524 and 65 535 hyperplanes (x q^m = 1.7e9 and 4.3e9, over the 2^30
+    # budget of a hyperplane-by-hyperplane test) fall into 3 and 2 orbits of
+    # the orthogonal group, one rank test each, cold through the CLI
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with budget(f"4 (blocking, {field} elliptic quadric, cold)", 5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdscodes.cli", "blocking", "--field", field,
+             "--subset", '{"quadric":{"kind":"elliptic"}}'],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"blocking": True, "contains_subspace": False,
+                                       "cutting": True}
 
 
 def test_criterion_4_elliptic_quadric_all_methods_at_scale():
@@ -198,8 +216,8 @@ def test_criterion_5_class_representatives_at_scale():
     tower = build_tower(FieldSpec(p=5, e=1, m=9))
     code = SubsetCode(build_cyclotomic_subset(tower, 19, [0]))
     with budget("5 (F_5^9 N=19 class representatives and orbit merge)", 0.1):
-        assert len(code.class_representatives()) == 39
-        assert len(code._orbit_representatives()) == 7
+        assert len(code.orbits.classes[0]) == 39
+        assert len(code.orbits.representatives()) == 7
 
 
 def test_criterion_6a_orthogonality_exhaustive_f35(f35):

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from math import gcd
+
 import numpy as np
 import pytest
 import reference
@@ -5,9 +8,9 @@ from reference import hyperplane_intersections
 
 from pdscodes import blocking
 from pdscodes.blocking import is_cutting_vectorial_blocking
-from pdscodes.codes import MINIMAL, SubsetCode
+from pdscodes.codes import MINIMAL, SubsetCode, orbit_engine
 from pdscodes.field import FieldSpec, build_tower
-from pdscodes.pds import FieldSubset, build_cyclotomic_subset, quadric_subset
+from pdscodes.pds import FieldSubset, GuardExceeded, build_cyclotomic_subset, quadric_subset
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +164,88 @@ def test_nested_pair_past_the_first_annihilator_block():
     short_before = sum(len(reference.hyperplane_members(subset, j)) < tower.m - 1
                        for j in range(inner))
     assert short_before >= blocking.BLOCK // (tower.em * tower.subfield_step)
+
+
+# -- one hyperplane per merged orbit ------------------------------------------------
+
+QUADRIC_FIELDS = [(3, 1, 4), (3, 1, 6), (2, 1, 8), (2, 1, 10), (2, 2, 4), (3, 2, 4)]
+
+
+@lru_cache(maxsize=None)
+def _tower(p, e, m):
+    return build_tower(FieldSpec(p=p, e=e, m=m))
+
+
+@pytest.mark.parametrize("kind", ["elliptic", "hyperbolic"])
+@pytest.mark.parametrize("field", QUADRIC_FIELDS, ids=[f"F_{p ** e}^{m}" for p, e, m in QUADRIC_FIELDS])
+def test_quadric_blocking_on_merged_orbits_equals_reference(field, kind):
+    # the reflections leave the hyperplanes with v isotropic and those with v
+    # anisotropic, the latter split by the square class of Q for odd q; the
+    # m = 4 elliptic quadrics (ovoids) alone are not cutting
+    tower = _tower(*field)
+    subset = quadric_subset(tower, kind=kind)[0]
+    report = is_cutting_vectorial_blocking(subset).to_json()
+    assert report == reference.cutting_reference(subset)
+    assert len(np.unique(orbit_engine(subset).head_orbits())) == (3 if tower.p > 2 else 2)
+    assert report["cutting"] == (kind == "hyperbolic" or tower.m > 4)
+
+
+def _all_but_gamma(tower):
+    # every nonzero element but gamma: a trivial stabiliser, no Frobenius power
+    # fixes it, and q^m - 2 members
+    return FieldSubset(tower, np.setdiff1d(np.arange(1, tower.qm), tower.exp[1]))
+
+
+FAILING = {
+    "F_3^4 elliptic quadric": (lambda: quadric_subset(_tower(3, 1, 4), kind="elliptic")[0],
+                               {"h1_log": 0, "h2_log": 1}),
+    "F_4^4 elliptic quadric": (lambda: quadric_subset(_tower(2, 2, 4), kind="elliptic")[0],
+                               {"h1_log": 8, "h2_log": 0}),
+    "F_3^4 hyperplane": (lambda: FieldSubset(_tower(3, 1, 4), _tower(3, 1, 4).hyperplane(1)[1:]),
+                         {"contained_h_log": 0}),
+    "F_9^2 N=4 J=[0]": (lambda: build_cyclotomic_subset(_tower(3, 2, 2), 4, [0]),
+                        {"empty_h_log": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_merged_orbits_name_the_reference_witness(name):
+    build, witness = FAILING[name]
+    subset = build()
+    report = is_cutting_vectorial_blocking(subset).to_json()
+    assert report == reference.cutting_reference(subset)
+    assert report["witness"] == witness
+
+
+def _budget(monkeypatch, budget):
+    monkeypatch.setattr(blocking, "DEFAULT_ENUM_BUDGET", budget)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING) + ["all but gamma"])
+def test_guard_refuses_nothing_within_the_per_hyperplane_bound(monkeypatch, name):
+    # hyperplane orbits x q^m at the budget: accepted, as before the merge,
+    # though q^m - 2 members put the merge's estimate above that bound
+    subset = _all_but_gamma(_tower(3, 1, 4)) if name not in FAILING else FAILING[name][0]()
+    tower = subset.tower
+    bound = gcd(subset.stabiliser_period, tower.subfield_step) * tower.qm
+    engine = orbit_engine(subset)
+    cost = engine.merge_cost() + len(np.unique(engine.head_orbits())) * len(subset)
+    assert name in FAILING or cost > bound
+    _budget(monkeypatch, bound)
+    assert is_cutting_vectorial_blocking(subset).to_json() == reference.cutting_reference(subset)
+    _budget(monkeypatch, min(cost, bound) - 1)
+    with pytest.raises(GuardExceeded, match=f"cost {cost} .*: {bound}\\) exceeds the budget"):
+        is_cutting_vectorial_blocking(subset)
+
+
+def test_nested_pair_search_keeps_the_per_hyperplane_bound(monkeypatch):
+    # the F_3^4 elliptic quadric: its 3 hyperplane orbits pass the engine
+    # route's estimate, but naming the nested pair reads all 40 hyperplanes
+    subset = FAILING["F_3^4 elliptic quadric"][0]()
+    engine = orbit_engine(subset)
+    cost = engine.merge_cost() + len(np.unique(engine.head_orbits())) * len(subset)
+    _budget(monkeypatch, cost)
+    with pytest.raises(GuardExceeded, match=f"nested-pair search cost {40 * 81} "):
+        is_cutting_vectorial_blocking(subset)
+    _budget(monkeypatch, 40 * 81)
+    assert is_cutting_vectorial_blocking(subset).witness == {"h1_log": 0, "h2_log": 1}

@@ -497,7 +497,10 @@ def test_blocking_f2_16_cubes_under_memory_limit():
 
 
 def test_blocking_guard_exits_partial():
-    # a set with a trivial stabiliser leaves 65 535 hyperplane orbits
-    proc = _blocking_f2_16('{"explicit":{"logs":[0,1]}}')
+    # gamma^0 .. gamma^16999: no stabiliser and no Frobenius power, so 65 535
+    # hyperplane orbits of 17 000 members each, over the budget as 65 535 x q^m is
+    proc = _blocking_f2_16(json.dumps({"explicit": {"logs": list(range(17000))}}))
     assert proc.returncode == 4, proc.stderr
-    assert f"cost {65535 * 65536}" in proc.stderr and str(2 ** 30) in proc.stderr
+    merge = 2 * 65535 + 1  # g + 1 + d classes, no map
+    assert f"cost {merge + 65535 * 17000} " in proc.stderr
+    assert f"{65535 * 65536}) exceeds the budget {2 ** 30}" in proc.stderr

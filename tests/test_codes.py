@@ -1,10 +1,14 @@
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import reference
 
+from pdscodes import codes, qpoly
+from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import (
     INCONCLUSIVE,
@@ -13,6 +17,7 @@ from pdscodes.codes import (
     NOT_RUN,
     MethodVerdict,
     MinimalityReport,
+    Orbits,
     SubsetCode,
     ab_condition,
     characteristic_trace_form,
@@ -20,13 +25,14 @@ from pdscodes.codes import (
     minimality_cyclotomic_sufficient,
     minimality_latin_sufficient,
     minimality_pds_sufficient,
+    orbit_engine,
     rank_reaches,
     slice_members,
     weight_class,
     weight_distribution_predicted,
 )
 from pdscodes.cli import main
-from pdscodes.field import FieldSpec, build_tower, column_sums
+from pdscodes.field import FieldSpec, FieldTower, build_tower, column_sums
 from pdscodes.pds import (
     FieldSubset,
     GuardExceeded,
@@ -279,18 +285,86 @@ def test_one_zero_rank_scan_per_code(hyperplane_subset, monkeypatch):
 
 def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code):
     calls = []
-    class_index = SubsetCode.class_index
+    class_index = Orbits.class_index
 
     def counted(self, words):
         calls.append(len(words))
         return class_index(self, words)
 
     code = SubsetCode(row1_code.subset)
-    reps = code._orbit_representatives()
-    monkeypatch.setattr(SubsetCode, "class_index", counted)
-    assert code._orbit_representatives() is reps
+    reps = code.orbits.representatives()
+    monkeypatch.setattr(Orbits, "class_index", counted)
+    assert code.orbits.representatives() is reps
     assert calls == []
     assert code.minimality_cover().status == MINIMAL
+
+
+def test_orbit_engine_is_shared_by_codes_and_blocking(monkeypatch, f34):
+    # a second code of the same subset and the cutting test read the engine
+    # the first code built: no class is indexed and no reflection drawn again
+    subset = quadric_subset(f34, kind="elliptic")[0]
+    first = SubsetCode(subset)
+    assert first.minimality_cover().status == MINIMAL
+    calls = []
+    class_index, reflections = Orbits.class_index, qpoly.quadric_reflections
+
+    def counted(self, words):
+        calls.append("class_index")
+        return class_index(self, words)
+
+    def drawn(*args):
+        calls.append("quadric_reflections")
+        return reflections(*args)
+
+    monkeypatch.setattr(Orbits, "class_index", counted)
+    monkeypatch.setattr(qpoly, "quadric_reflections", drawn)
+    second = SubsetCode(subset)
+    assert second.orbits is first.orbits is orbit_engine(subset)
+    assert (second.minimality_cover().status, second.minimality_heng().status) == (MINIMAL,) * 2
+    report = is_cutting_vectorial_blocking(subset).to_json()
+    assert calls == []
+    assert report == reference.cutting_reference(subset)
+    # the unreduced oracle never reads the memo: it indexes its own classes
+    full = reference.Unreduced(subset)
+    assert full.orbits is not first.orbits
+    assert len(full.orbits.representatives()) == len(full.orbits.classes[0])
+    assert full.minimality_cover().status == MINIMAL
+
+
+def test_orbit_engine_goes_with_its_subset(f34):
+    # the memo is keyed weakly and the engine holds the subset weakly, so a
+    # subset with a built engine is freed, and its entry with it
+    subset = quadric_subset(f34, kind="elliptic")[0]
+    code = SubsetCode(subset)
+    code.minimality_cover(), is_cutting_vectorial_blocking(subset)
+    engine, alive, held = code.orbits, weakref.ref(subset), len(codes._ENGINES)
+    del subset, code
+    gc.collect()
+    assert alive() is None and engine.subset is None
+    assert len(codes._ENGINES) == held - 1
+
+
+def test_heng_screen_builds_nothing_without_a_live_representative(monkeypatch):
+    # F_{2^12}, N = 3 meets the Ashikhmin-Barg ratio: no representative r has
+    # (q - 1) wt(r) >= q w_min, so Heng gathers no sum and builds neither the
+    # dense weights nor the line points; with them it peaked at 837 KB, and
+    # its (representatives x lines) bool rows take 41 KB
+    tower = build_tower(FieldSpec(p=2, e=1, m=12))
+    code = SubsetCode(build_cyclotomic_subset(tower, 3, [0]))
+    code.weight_table(), code._dependent_columns(), tower.line_layout, tower.subfield_tables()
+
+    def refused(*args):
+        raise AssertionError("Heng gathered a sum")
+
+    monkeypatch.setattr(FieldTower, "add_sets", refused)
+    tracemalloc.start()
+    try:
+        verdict = code.minimality_heng()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == MINIMAL
+    assert peak < 2 * len(code.orbits.representatives()) * (tower.subfield_step + tower.qm)
 
 
 def test_annihilator_escapes_witness():
@@ -526,7 +600,7 @@ def test_generator_matrix(row1_code):
 def test_guards_return_not_run(row1_code, monkeypatch):
     code = SubsetCode(row1_code.subset, guard=10)
     # the orbit merge does no word-sized work: the guard sits at the scans
-    assert np.array_equal(code._orbit_representatives(), row1_code._orbit_representatives())
+    assert np.array_equal(code.orbits.representatives(), row1_code.orbits.representatives())
     assert code.minimality_cover().status == NOT_RUN
     assert code.minimality_heng().status == NOT_RUN
     assert code.minimality_snc().status == NOT_RUN
@@ -611,7 +685,7 @@ def test_heng_scan_memory():
     # the points of each line in int32 peaks at 1.23 MB
     tower = build_tower(FieldSpec(p=3, e=1, m=8))
     code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
-    code.weight_table(), code._orbit_representatives(), tower.line_layout
+    code.weight_table(), code.orbits.representatives(), tower.line_layout
     tracemalloc.start()
     try:
         verdict = code.minimality_heng()
@@ -628,7 +702,7 @@ def test_cover_scan_memory():
     # them, it holds about 8 bytes for each of the 9841 lines
     tower = build_tower(FieldSpec(p=3, e=1, m=8))
     code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
-    code._orbit_representatives(), code._dependent_columns(), tower.line_layout
+    code.orbits.representatives(), code._dependent_columns(), tower.line_layout
     tower.trace_label_of_exp, tower.subfield_tables()
     tracemalloc.start()
     try:

@@ -144,3 +144,13 @@ def test_quadric_code_golden_reads_deferred_tables(monkeypatch, capsys):
     out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name],
                                         allowed={"trace_coords", "log"})
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_quadric_blocking_golden_reads_deferred_tables(monkeypatch, capsys):
+    # the cutting test merges a quadric's hyperplanes along the reflections of
+    # the orbit engine (their trace duals read trace_coords), and the classes
+    # and rank tests read log; the report is the golden
+    name = "blocking-3-4-hyperbolic"
+    out = _run_refusing_deferred_tables(monkeypatch, capsys, GOLDEN[name],
+                                        allowed={"trace_coords", "log"})
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()

@@ -28,6 +28,9 @@ one at a time, or the rest of each row at once.  The blocks are pinned to
 full size from the first one.  The rank flags that SNC settles by counting
 the complement inside each hyperplane equal those of a run that eliminates
 every set, and only the words the count leaves open reach the elimination.
+The cutting test, which tests one hyperplane per merged orbit of the same
+engine, equals the full intersection matrices of `reference` on every
+code and on random invariant unions.
 """
 from functools import lru_cache
 
@@ -52,6 +55,7 @@ from reference import (
 from reference import induced_code_automorphism_check as exhaustive_check
 
 from pdscodes import codes, qpoly
+from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
 from pdscodes.field import FieldSpec, FieldTower, build_tower
@@ -211,12 +215,18 @@ def test_stabiliser_period_values(request, name):
 def test_frobenius_power_values(request, name):
     fixture, build, _, s = CODES[name]
     code = SubsetCode(build(request.getfixturevalue(fixture)))
-    assert code.frobenius_power == s
-    assert code.frobenius_power == least_frobenius_power(code.tower, code.subset.members)
+    assert code.orbits.frobenius_power == s
+    assert code.orbits.frobenius_power == least_frobenius_power(code.tower, code.subset.members)
 
 
 def test_orbit_representatives_equal_closure(code):
-    assert np.array_equal(code._orbit_representatives(), orbit_representatives(code))
+    assert np.array_equal(code.orbits.representatives(), orbit_representatives(code))
+
+
+def test_blocking_on_merged_orbits_equals_reference(code):
+    # one hyperplane per merged orbit of the heads, from the engine the scans read
+    report = is_cutting_vectorial_blocking(code.subset).to_json()
+    assert report == reference.cutting_reference(code.subset)
 
 
 # (p, e, m), N, J -> orbits of <gamma^d> and scaling, and with the Frobenius power
@@ -232,8 +242,8 @@ ORBIT_COUNTS = {
 def test_frobenius_merged_orbit_counts(name):
     field, N, J, fine, merged = ORBIT_COUNTS[name]
     code = SubsetCode(build_cyclotomic_subset(_tower(*field), N, J))
-    assert len(np.unique(code.class_index(projective_representatives(code)))) == fine
-    assert len(code._orbit_representatives()) == merged
+    assert len(np.unique(code.orbits.class_index(projective_representatives(code)))) == fine
+    assert len(code.orbits.representatives()) == merged
 
 
 # (p, e, m), kind -> orbits of F_q^* (every projective word but the v-scalings
@@ -260,8 +270,8 @@ def _reflections(code):
 def test_reflection_merged_orbit_counts(name):
     field, kind, fine, merged = QUADRIC_ORBIT_COUNTS[name]
     code = SubsetCode(quadric_subset(_tower(*field), kind=kind)[0])
-    assert len(np.unique(code.class_index(projective_representatives(code)))) == fine
-    assert len(code._orbit_representatives()) == merged
+    assert len(np.unique(code.orbits.class_index(projective_representatives(code)))) == fine
+    assert len(code.orbits.representatives()) == merged
     # every reflection drawn induces a code automorphism (A and B on the tables)
     g, dual = _reflections(code)
     assert len(g) == 2 * code.tower.m
@@ -308,6 +318,16 @@ def test_non_invariant_period_does_not_divide_step(f35):
 
 def test_reduced_scans_equal_full_scan(code):
     assert_reduced_equals_full(code)
+
+
+def test_heng_screened_representatives_have_no_reference_violation(code):
+    # Ashikhmin-Barg: when (q - 1) wt(r) < q w_min, w_min the least positive
+    # weight, no independent w meets the covering identity with r
+    q, wt = code.tower.q, weight_table(code).ravel()
+    w_min = wt[wt > 0].min()
+    for r in code.orbits.representatives().tolist():
+        if (q - 1) * wt[r] < q * w_min:
+            assert len(heng_violations(code, r)) == 0
 
 
 def test_orbit_fill_equals_words(code):
@@ -370,7 +390,7 @@ def test_seeded_fills_equal_class_loops(field, kind):
 def assert_block_schedule(code, most):
     """_block_scan yields ceil(len(reps) / most) blocks, in order, each of most
     representatives but the last, which holds the rest."""
-    reps = code._orbit_representatives()
+    reps = code.orbits.representatives()
     blocks = [block for block, _ in code._block_scan(code._heng_test)]
     assert [len(block) for block in blocks] == [
         min(most, len(reps) - start) for start in range(0, len(reps), most)]
@@ -383,7 +403,7 @@ def _first_violation(code):
     _, witness = full_verdict(code, cover_violations)
     if witness is None:
         return None
-    return code._orbit_representatives().tolist().index(code.word_index(*witness[1]))
+    return code.orbits.representatives().tolist().index(code.word_index(*witness[1]))
 
 
 def _recording(test, starts):
@@ -416,7 +436,7 @@ def test_block_boundaries_equal_full_scan(code, monkeypatch, cap):
         make = getattr(code, name)
         monkeypatch.setattr(code, name, lambda make=make: _recording(make(), starts))
     assert_scans_equal_full(code)
-    blocks = -(-len(code._orbit_representatives()) // most) if first is None else first // most + 1
+    blocks = -(-len(code.orbits.representatives()) // most) if first is None else first // most + 1
     assert starts == 2 * list(range(0, blocks * most, most))
 
 
@@ -458,7 +478,7 @@ def _pairs_past_the_first_column(code):
     sup, lines = support_words(code), code._line_words()
     width = sup.shape[1]
     coordinates = np.packbits(np.arange(64 * width) < code.n).view(np.uint64)
-    for r, dependent in zip(code._orbit_representatives(), code._dependent_columns()):
+    for r, dependent in zip(code.orbits.representatives(), code._dependent_columns()):
         inside = (sup[lines, 0] & ~sup[r, 0]) == 0
         inside[dependent] = False
         if inside.any() and (coordinates & ~sup[r])[1:].any():
@@ -488,7 +508,7 @@ def assert_cover_flags_equal_reference(code, monkeypatch, block):
     for reps, bad in code._block_scan(code._cover_test):
         for r, row in zip(reps.tolist(), bad):
             flags[r] = np.flatnonzero(row).tolist()
-    assert list(flags) == code._orbit_representatives().tolist()
+    assert list(flags) == code.orbits.representatives().tolist()
     for r, lines in flags.items():
         assert lines == sorted(set(code._line_columns(cover_violations(code, r)).tolist()))
     verdict = code.minimality_cover()
@@ -526,7 +546,7 @@ def test_sparse_cover_flags_equal_reference(name, monkeypatch, block):
 
 def test_first_witness_beyond_first_blocks(f34, monkeypatch):
     code = SubsetCode(build_cyclotomic_subset(f34, 10, [0]))
-    reps = code._orbit_representatives().tolist()
+    reps = code.orbits.representatives().tolist()
     for per_block in (1, 2):
         _set_block(monkeypatch, per_block * code.word_count)
         for verdict in (code.minimality_cover(), code.minimality_heng()):
@@ -540,21 +560,21 @@ def test_projective_representatives_equal_list_form(code):
     # of the classes among the projective words listed one by one, and
     # class_index numbers each class by the rank of that word
     words = projective_representatives(code)  # ascending: a class's first is its lowest
-    _, first = np.unique(code._class_ids(words), return_index=True)
+    _, first = np.unique(code.orbits._class_ids(words), return_index=True)
     lowest = words[first]
-    assert np.array_equal(code.class_representatives(), np.sort(lowest))
-    assert np.array_equal(code.class_index(lowest), np.argsort(np.argsort(lowest)))
+    assert np.array_equal(code.orbits.classes[0], np.sort(lowest))
+    assert np.array_equal(code.orbits.class_index(lowest), np.argsort(np.argsort(lowest)))
 
 
 def test_class_orbit_is_lowest_class_of_its_orbit(code):
     reps = projective_representatives(code)
-    orbit = code.class_representatives()[code.class_index(reps)]
+    orbit = code.orbits.classes[0][code.orbits.class_index(reps)]
     assert set(orbit.tolist()) <= set(reps.tolist())
     for o in np.unique(orbit).tolist():
         assert o == reps[orbit == o].min()
     assert len(np.unique(orbit)) == 1 + code.stabiliser_period + np.gcd(
         code.stabiliser_period, code.tower.subfield_step)
-    assert np.array_equal(code.class_representatives(), np.unique(orbit))
+    assert np.array_equal(code.orbits.classes[0], np.unique(orbit))
 
 
 @pytest.mark.parametrize("p, e, m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3), (3, 2, 2)])
@@ -581,7 +601,7 @@ def test_line_layout_equals_element_route(p, e, m):
 
 
 def test_dependent_columns_equal_reference(code):
-    reps = code._orbit_representatives().tolist()
+    reps = code.orbits.representatives().tolist()
     for r, row in zip(reps, code._dependent_columns()):
         words = reference.dependent_words(code, r)
         assert set(row.tolist()) == set(code._line_columns(words[words != 0]).tolist())
@@ -663,9 +683,9 @@ def test_random_quadrics_reduced_equals_unreduced(field, data):
     except ValueError:  # a degenerate form
         assume(False)
     code, full = SubsetCode(subset), Unreduced(subset)
-    assert len(code._orbit_representatives()) == (7 if tower.p > 2 else 5)
+    assert len(code.orbits.representatives()) == (7 if tower.p > 2 else 5)
     if tower.qm <= 81:  # the closure under every reflection, word by word
-        assert np.array_equal(code._orbit_representatives(), orbit_representatives(code))
+        assert np.array_equal(code.orbits.representatives(), orbit_representatives(code))
     for method in ("minimality_cover", "minimality_heng", "minimality_snc"):
         reduced, unreduced = getattr(code, method)(), getattr(full, method)()
         assert (reduced.status, reduced.witness) == (unreduced.status, unreduced.witness)
@@ -707,6 +727,14 @@ def test_random_invariant_unions_reduced_equals_full(case):
     assert_fill_equals_words(code)
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invariant_unions())
+def test_random_invariant_unions_blocking_equals_reference(case):
+    subset = case[1]
+    assert is_cutting_vectorial_blocking(subset).to_json() == reference.cutting_reference(subset)
+
+
 @pytest.mark.parametrize("field", WEIGHT_FIELDS)
 @settings(derandomize=True, database=None, max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -742,7 +770,7 @@ def _uncounted_words(code):
     tower, k = code.tower, code.dimension()
     xs, on = tower.exp.astype(np.int64), code.subset.indicator[tower.exp]
     sizes, slices, complement = [], [], False
-    for r in code._orbit_representatives().tolist():
+    for r in code.orbits.representatives().tolist():
         u, v = code.word_of_index(r)
         zero = codeword(code, u, v) == 0
         ones = xs[zero & on]
@@ -766,7 +794,7 @@ def assert_count_first_snc_exact(code):
     tower = code.tower
     sizes, slices, _ = _uncounted_words(code)
     fresh = SubsetCode(code.subset)
-    fresh.dimension(), fresh._orbit_representatives(), tower.subfield_tables()  # cached set-up
+    fresh.dimension(), fresh.orbits.representatives(), tower.subfield_tables()  # cached set-up
     counts, added, built = [], [], []
     rank_reaches, add_sets = codes.rank_reaches, FieldTower.add_sets
     complement_of = FieldSubset.complement

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdscodes
@@ -75,21 +76,95 @@ def _used_names(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _shared_names(trees):
+    """Method names that numpy, its arrays, the builtin containers and the
+    benchmark's own classes also have: a bare `.name` read of one (`np.add`,
+    `seen.add`, `tracer.record`) shows nothing about a library method."""
+    names = {name for obj in (np, np.ndarray, list, dict, set, str, int) for name in dir(obj)}
+    return names | {item.name for path, tree in trees.items() if path not in LIBRARY
+                    for node in tree.body if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.FunctionDef)}
+
+
+def _names_in(annotation):
+    """The class names an annotation mentions, string annotations included."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _typed_reads(tree):
+    """(class, name) of each `.name` read on the class itself (`FieldTower.pow`),
+    on self or cls in its methods, or on a local bound to an instance: a
+    parameter or an assignment annotated with the class, or a name assigned
+    from a call of the class or of one of its attributes."""
+    def reads(scope, owners):
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)):
+                for owner in owners.get(node.value.id, ()):
+                    yield owner, node.attr
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield node.value.id, node.attr  # on the class itself
+        if isinstance(node, ast.ClassDef):
+            yield from reads(node, {"self": {node.name}, "cls": {node.name}})
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owners = {}
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.annotation is not None:
+                owners.setdefault(arg.arg, set()).update(_names_in(arg.annotation))
+        for child in ast.walk(node):
+            if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                owners.setdefault(child.target.id, set()).update(_names_in(child.annotation))
+            elif isinstance(child, ast.Assign) and isinstance(child.value, ast.Call):
+                func = child.value.func
+                while isinstance(func, ast.Attribute):
+                    func = func.value
+                for target in child.targets:
+                    if isinstance(target, ast.Name) and isinstance(func, ast.Name):
+                        owners.setdefault(target.id, set()).add(func.id)
+        yield from reads(node, owners)
+
+
 def test_every_library_function_has_a_caller_outside_the_tests():
     # a method is reached only as `.name`: a local variable of the same name
-    # calls nothing
+    # calls nothing; a method named like an attribute of numpy, the builtin
+    # containers or the benchmark's classes needs a read typed by its class
     trees = {path: ast.parse(path.read_text()) for path in CALLERS}
     used = {name for tree in trees.values() for name in _used_names(tree)}
     attributes = {name for tree in trees.values() for name in _read_attributes(tree)}
+    shared = _shared_names(trees)
+    typed = {read for tree in trees.values() for read in _typed_reads(tree)}
     uncalled = sorted(
         f"{path.stem}.{qualified}"
         for path in LIBRARY
         for qualified, name, owner, _ in _definitions(trees[path])
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in (used if owner is None else attributes)
+        and (name not in (used if owner is None else attributes)
+             or owner is not None and name in shared and (owner, name) not in typed)
         and name not in pdscodes.__all__
     )
     assert uncalled == sorted(ALLOWED)
+
+
+def test_shared_method_names_need_a_typed_read():
+    # FieldTower.add once passed as called through np.add, seen.add and
+    # OpLog.add; with only those reads it is flagged, and a typed read clears it
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    assert {"add", "log", "pow", "trace", "record", "call", "count"} <= _shared_names(trees)
+    untyped = ast.parse("def f(seen, tower):\n    np.add(1, 2)\n    seen.add(1)\n    tower.add(1, 2)\n")
+    assert ("FieldTower", "add") not in set(_typed_reads(untyped))
+    for source in ("def f(tower: FieldTower):\n    tower.add(1, 2)\n",
+                   "def f(t):\n    tower: FieldTower = t\n    return tower.add(1, 2)\n",
+                   "def f():\n    tower = FieldTower(1)\n    return tower.add(1, 2)\n",
+                   "x = FieldTower.add\n"):
+        assert ("FieldTower", "add") in set(_typed_reads(ast.parse(source)))
 
 
 def _is_dataclass(node):
