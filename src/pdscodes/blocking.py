@@ -25,8 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import DEFAULT_ENUM_BUDGET, orbit_engine, rank_reaches
-from .field import BLOCK
+from .codes import DEFAULT_ENUM_BUDGET, orbit_engine
+from .field import blocks, rank_reaches
 from .pds import FieldSubset, GuardExceeded
 
 
@@ -53,9 +53,7 @@ def _sections(subset: FieldSubset, js: np.ndarray) -> Iterator[tuple[slice, np.n
     member) pairs each: on[i, x] says that member x lies on H_js[part][i],
     Tr(gamma^j x) being entry j + log x of the label table."""
     tower, logs = subset.tower, subset.logs
-    per = max(1, BLOCK // max(1, len(logs)))
-    for s in range(0, len(js), per):
-        part = slice(s, s + per)
+    for part in blocks(len(js), len(logs)):
         yield part, tower.trace_label_of_exp[(logs + js[part, None]) % tower.order] == 0
 
 
@@ -75,13 +73,12 @@ def _first_nested_pair(subset: FieldSubset, short: np.ndarray) -> tuple[int, int
                             for _, on in _sections(subset, short_js)])
     step = tower.subfield_step
     directions = tower.exp[:step]
-    per = max(1, BLOCK // (tower.em * step))
     pairs = []  # (i, ls): gamma^ls annihilates the span of D ∩ H_short_js[i]
-    for s in range(0, len(short_js), per):
-        ann = (tower.trace_labels(bases[s:s + per, :, None], directions) == 0).all(axis=1)
-        ann[np.arange(len(ann)), short_js[s:s + per]] = False
+    for part in blocks(len(short_js), tower.em * step):
+        ann = (tower.trace_labels(bases[part, :, None], directions) == 0).all(axis=1)
+        ann[np.arange(len(ann)), short_js[part]] = False
         i, ls = np.nonzero(ann)
-        pairs.append((s + i, ls))
+        pairs.append((part.start + i, ls))
     i, ls = (np.concatenate(part) for part in zip(*pairs))
     outer = ls % len(short)
     inner = (outer - ls + short_js[i]) % step

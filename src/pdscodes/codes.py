@@ -25,10 +25,8 @@ Minimality is decided by several methods of increasing abstraction:
 * snc: the span/annihilator criterion on trace slices of the subset, an
   exact characterization and a rank test: the generator columns at the
   zeros of each word must span a hyperplane.  `rank_orbit_flags` runs that
-  test (`rank_reaches`, an elimination on the packed elements, whose
-  base-p digits are their F_p-coordinates) once per code and orbit
-  (below); SNC reads its verdict and witness from those cached flags, as
-  the `sss` count does;
+  test (`field.rank_reaches`) once per code and orbit (below); SNC reads
+  its verdict and witness from those cached flags, as the `sss` count does;
 * certificate-based sufficient conditions for verified PDS subsets
   (general, Latin-type, cyclotomic), which can return Minimal or
   Inconclusive but never NotMinimal.
@@ -63,7 +61,8 @@ member, which neither test may flag, are listed once per code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
@@ -72,8 +71,9 @@ from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 
+from . import field
 from .charsums import psi_sum
-from .field import BLOCK, FieldTower, column_sums
+from .field import FieldTower, blocks, column_sums, counted_rank, rank_reaches
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
@@ -83,6 +83,7 @@ from .pds import (
     is_fq_invariant,
     rho_invariant,
 )
+from .qpoly import quadric_reflections, tables_induce_code_automorphism
 
 DEFAULT_WORD_GUARD = 2 ** 22          # max q^(m+1) for exhaustive scans
 DEFAULT_ENUM_BUDGET = 2 ** 30         # max pairs an enumeration counts: (class, element) pairs
@@ -131,7 +132,7 @@ SUFFICIENT_METHODS = {"pds_sufficient", "latin_sufficient", "cyclotomic_sufficie
 
 @dataclass
 class MinimalityReport:
-    methods: dict[str, MethodVerdict] = field(default_factory=dict)
+    methods: dict[str, MethodVerdict] = dataclasses.field(default_factory=dict)
 
     def record(self, name: str, verdict: MethodVerdict):
         if name in SUFFICIENT_METHODS and verdict.status == NOT_MINIMAL:
@@ -214,89 +215,6 @@ def weight_class(cert: PdsCertificate, q: int, m: int) -> str:
     """"three" or "four" nonzero weights for a minimal code with this certificate."""
     base = q ** m - q ** (m - 1)
     return "three" if cert.k in (base, base + cert.theta1, base + cert.theta2) else "four"
-
-
-# -- F_q-rank ------------------------------------------------------------------
-
-
-def rank_reaches(tower: FieldTower, elems, target, count=None):
-    """Whether the F_q-span of a set of distinct elements has dimension >= target.
-
-    elems is one set, or a 2-D array of sets padded with 0, of any integer
-    dtype, and target one number or one per set; count, when the caller
-    knows it, is the number of nonzero elements of each set.  A subspace of
-    dimension target - 1 has q^(target-1) - 1 nonzero elements, so that many
-    elements decide it (count certificate).  The other sets are reduced over
-    F_p on the packed elements times w^i, i < e (w = gamma^step, so they
-    F_p-span the F_q-span): an element's base-p digits are its
-    F_p-coordinates.  The reduction runs on chunks of doubling size, until
-    e * target pivots turn up, one digit column c at a time: the first
-    vector with digit c is the pivot, its p multiples come from digitwise
-    adds, and every vector adds the multiple that clears its digit c (one
-    gather and one digitwise add).  The elimination on arrays of digits is
-    the oracle in tests/reference.py.
-
-    Returns (reached, basis): basis[c] is the packed pivot of digit c (1
-    there, 0 before it) or zero, int32, and spans the set whenever reached
-    is False.
-    """
-    sets = np.atleast_2d(np.asarray(elems))
-    target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
-    goal = tower.e * target
-    if count is None:
-        count = np.count_nonzero(sets, axis=1)
-    reached = counted_rank(tower, count, target)
-    basis = np.zeros((len(sets), tower.em), dtype=np.int32)
-    left = np.flatnonzero(~reached)
-    if len(left):
-        rows = sets if len(left) == len(sets) else sets[left]
-        reached[left], basis[left] = _packed_pivots(tower, rows, count[left], goal[left])
-    if np.ndim(elems) == 1:
-        return bool(reached[0]), basis[0]
-    return reached, basis
-
-
-def counted_rank(tower: FieldTower, count, target):
-    """The count certificate: count distinct nonzero elements span >= target dimensions."""
-    return (target <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
-
-
-def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal: np.ndarray):
-    """(reached, pivots) for sets of count nonzero elements each, padded with 0:
-    pivots[i, c] is the packed pivot of digit c of set i, or 0, after the
-    chunk in which goal[i] pivots turn up, or after the whole set."""
-    p, em = tower.p, tower.em
-    reached = np.zeros(len(sets), dtype=bool)
-    pivots = np.zeros((len(sets), em), dtype=np.int32)
-    rest = np.zeros((len(sets), count.max()), dtype=np.int32)
-    rest[np.arange(rest.shape[1]) < count[:, None]] = sets[sets != 0]  # nonzero elements first
-    scalars = tower.exp[np.arange(tower.e) * tower.subfield_step].tolist()  # w^i
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    # clear[a, t]: the multiple of a pivot with digit a that clears digit t
-    clear = -np.arange(p) * inverse[:, None] % p
-    start, size = 0, 8 * tower.m  # elements, each giving e vectors
-    while start < rest.shape[1] and not reached.all():
-        sub = np.flatnonzero(~reached)
-        part = rest[sub, start:start + size]
-        gens = np.stack([tower.mul_vec(w, part) for w in scalars], axis=2).reshape(len(sub), -1)
-        vecs = np.concatenate([pivots[sub], gens], axis=1)
-        start, size = start + size, 2 * size
-        rows = np.arange(len(sub))
-        for c in range(em):
-            high = vecs // p ** c
-            digit = high - high // p * p  # floor divisions are cheaper than %
-            at = (digit != 0).argmax(axis=1)  # 0, with digit 0, where there is none
-            pivot, lead = vecs[rows, at], digit[rows, at]
-            mult = [np.zeros_like(pivot), pivot]
-            for _ in range(2, p):
-                mult.append(tower._add_vec(mult[-1], pivot))
-            mult = np.stack(mult, axis=1)
-            pivots[sub, c] = mult[rows, inverse[lead]]
-            # row s of fix holds the multiples of pivot s that clear digits 0..p-1
-            fix = mult[rows[:, None], clear[lead]]
-            vecs = tower._add_vec(vecs, fix.take(digit + (rows * p)[:, None]))
-        reached[sub] = np.count_nonzero(pivots[sub], axis=1) >= goal[sub]
-    return reached, pivots
 
 
 # -- trace slices of the subset ------------------------------------------------
@@ -450,28 +368,26 @@ class Orbits:
     def automorphisms(self, v: np.ndarray) -> Iterator[np.ndarray]:
         """The images of the elements v under the maps v -> g(v) by which
         automorphisms of the code act on its words (u, v), u in {0, 1}, beyond
-        F_q^* scaling and <gamma^d>: stacks of image rows, one per map.
+        F_q^* scaling and <gamma^d>: one image row per map.
 
         The least Frobenius power x -> x^(p^s) with D^(p^s) = D sends (u, v)
         to (u^(p^s), v^(p^s)): the word with every coordinate raised to the
         p^s-th power and read at x^(p^s).  For a quadric subset, each
         reflection g of `qpoly.quadric_reflections` sends (u, v) to
         (u, g*(v)), the word read at g(x), g* the trace dual; each is checked
-        by `tables_induce_code_automorphism` before it is used.  At most 2m
-        are drawn; on every quadric tried, 4 to 13 of them reach the orbits
-        of the whole orthogonal group (`merged`).
+        by `tables_induce_code_automorphism`, a stack of them at a time, before
+        it is used.  At most 2m are drawn; on every quadric tried, 4 to 13 of
+        them reach the orbits of the whole orthogonal group (`merged`).
         """
         tower, s = self.tower, self.frobenius_power
         if s < tower.em:
             logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
-            yield np.where(v == 0, 0, tower.exp[logs % tower.order])[None]
+            yield np.where(v == 0, 0, tower.exp[logs % tower.order])
         if isinstance(self.subset.origin, QuadricOrigin):
-            from .qpoly import quadric_reflections, tables_induce_code_automorphism
-
             for g, dual in quadric_reflections(self.subset, 2 * tower.m):
                 if not tables_induce_code_automorphism(self.subset, g, dual, False).all():
                     raise AssertionError("a reflection of the quadric is no code automorphism; bug")
-                yield dual[:, v]
+                yield from dual[:, v]
 
     @cached_property
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
@@ -480,15 +396,15 @@ class Orbits:
         read-only, and the orbit of each class, an index into reps.
 
         Each automorphism permutes the classes.  Their labels, first their
-        own index, settle after each stack of automorphisms: a label takes
-        the least label that the classes holding it reach along a map of the
-        stack, and each class then takes the label of its label, until none
-        changes.  So the classes joined by the stack and by those before it
-        hold one label, the least index among them, and earlier maps need
-        not be kept.  Any set of verified automorphisms gives orbits on which
-        every oracle condition is constant; more of them only merge orbits.
-        The work is on the g + 1 + d classes and their images, none of it
-        word-sized, so the word guard sits at the scans that use it.
+        own index, settle after each map: a label takes the least label that
+        the classes holding it reach along the map, and each class then takes
+        the label of its label, until none changes.  So the classes joined by
+        the maps so far hold one label, the least index among them, and
+        earlier maps need not be kept.  Any set of verified automorphisms
+        gives orbits on which every oracle condition is constant; more of
+        them only merge orbits.  The work is on the g + 1 + d classes and
+        their images under one map at a time, none of it word-sized, so the
+        word guard sits at the scans that use it.
 
         For a quadric subset no more are drawn once the orbits of the whole
         orthogonal group are reached.  By Witt's theorem those are (1, 0)
@@ -502,15 +418,14 @@ class Orbits:
         quadric = isinstance(self.subset.origin, QuadricOrigin)
         least = (7 if self.tower.p > 2 else 5) if quadric else 1
         lowest = np.arange(len(fine))
-        for images in self.automorphisms(v):
-            # row r: the class index of the image of each class under map r
-            succs = self.class_index(u * self.tower.qm + images)
+        for image in self.automorphisms(v):
+            succ = self.class_index(u * self.tower.qm + image)  # of each class's image
             last = None
             while not np.array_equal(lowest, last):
                 last, lowest = lowest, lowest.copy()
                 # each label takes the least label that the classes holding
-                # it reach along a map, and every class its label's label
-                np.minimum.at(lowest, last, last[succs].min(axis=0))
+                # it reach along the map, and every class its label's label
+                np.minimum.at(lowest, last, last[succ])
                 while not np.array_equal(lowest, lowest[lowest]):
                     lowest = lowest[lowest]
             if np.count_nonzero(lowest == np.arange(len(fine))) <= least:
@@ -615,8 +530,8 @@ class SubsetCode:
         # ascending, for label_windows
         logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.indicator[tower.exp])
         cnt = np.zeros((d, q), dtype=np.int64)
-        for start in range(0, len(logs), BLOCK):
-            for top, rows in tower.label_windows(logs[start:start + BLOCK], d):
+        for part in blocks(len(logs)):
+            for top, rows in tower.label_windows(logs[part], d):
                 block = cnt[top:top + rows.shape[1]]
                 if q == 2:  # labels 0 and 1: a column sum counts the ones
                     block[:, 1] += column_sums(rows)
@@ -691,10 +606,8 @@ class SubsetCode:
         tables, us = self._value_tables(), np.arange(q)
         packed = np.empty((q, qm, width), dtype=np.uint64)  # row (u, v)
         packed[:, :1] = self._support_columns(tables, us[:, None], None, 0, width)  # v = 0
-        per = max(1, BLOCK // (64 * width))
-        for w in range(0, self.n, per):
-            rows = self._support_columns(tables, us[:, None], slice(w, w + per), 0, width)
-            packed[:, tower.exp[w:w + per]] = rows
+        for part in blocks(self.n, 64 * width):
+            packed[:, tower.exp[part]] = self._support_columns(tables, us[:, None], part, 0, width)
         self._supports = packed.reshape(q * qm, width)
         return self._supports
 
@@ -734,9 +647,7 @@ class SubsetCode:
                         ) -> Iterator[tuple[slice, np.ndarray]]:
         """(part, columns): `_support_columns` of the words part of the aligned
         arrays us and logs, for consecutive parts of about BLOCK coordinates."""
-        per = max(1, BLOCK // (64 * (stop - start)))
-        for s in range(0, len(logs), per):
-            part = slice(s, min(s + per, len(logs)))
+        for part in blocks(len(logs), 64 * (stop - start)):
             yield part, self._support_columns(tables, us[part], logs[part], start, stop)
 
     def _line_words(self) -> np.ndarray:
@@ -797,9 +708,7 @@ class SubsetCode:
         reps = self.orbits.representatives()
         dependents = self._dependent_columns()
         test = make_test()
-        most = max(1, BLOCK // self.word_count)
-        for start in range(0, len(reps), most):
-            part = slice(start, start + most)
+        for part in blocks(len(reps), self.word_count):
             bad = test(part)
             bad[np.arange(len(bad))[:, None], dependents[part]] = False
             yield reps[part], bad
@@ -873,7 +782,7 @@ class SubsetCode:
             while True:
                 live = last[rows] > c
                 rows, cols = rows[live], cols[live]
-                if len(rows) * (width - 1 - c) <= BLOCK:
+                if len(rows) * (width - 1 - c) <= field.BLOCK:
                     break
                 c += 1
                 lines, at = np.unique(cols, return_inverse=True)
@@ -990,10 +899,9 @@ class SubsetCode:
         half = int(tower.log[tower.neg(1)])
         on = self.subset.indicator[xs]
         windows, zero_at = self._value_tables()
-        per = max(1, BLOCK // tower.order)
         reached = np.empty(len(vs), dtype=bool)
-        for start in range(0, len(vs), per):
-            u, v = np.asarray(us[start:start + per]), np.asarray(vs[start:start + per])
+        for part in blocks(len(vs), tower.order):
+            u, v = np.asarray(us[part]), np.asarray(vs[part])
             zero = windows[tower.log[v]] == zero_at[u]
             zero[v == 0] = zero_at[u[v == 0]] == 0  # v = 0 reads labels 0
             ones, keep = zero & on, zero & ~on  # D_{u,v} and D̄_v
@@ -1010,7 +918,7 @@ class SubsetCode:
                 gens[row, col] = np.where(in_d, diffs, 0)
                 count = keep.view(np.uint8).sum(axis=1, dtype=np.int32)
                 ok[rest] = rank_reaches(tower, gens, inner[rest], count)[0]
-            reached[start:start + per] = ok
+            reached[part] = ok
         return reached
 
     def rank_orbit_flags(self) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,9 @@ tables are joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
 batch route to the F_q value of Tr(v x).
 The scans read it in windows (`label_windows`, `label_cycle`), and
-`line_layout` lays out the lines F_q^* v for them.
+`line_layout` lays out the lines F_q^* v for them.  The layers above take
+the F_q-rank of a set of elements here (`rank_reaches`: the minimality and
+cutting criteria) and their numpy passes of about BLOCK entries (`blocks`).
 """
 from __future__ import annotations
 
@@ -64,8 +66,9 @@ from numpy.lib.stride_tricks import as_strided
 # with 94 MB and F_{3^12} in 0.02-0.04 s with 31 MB.
 MAX_FIELD_SIZE = 2 ** 26
 
-# Entries per numpy pass of the scans: label windows, word blocks, spans.  2^17
-# halves the cutting test's rank calls but doubles the code scans' temporaries.
+# Entries per numpy pass (`blocks`): table builds, label windows, word blocks,
+# spans, reflections and the direct PDS check.  2^17 halves the cutting test's
+# rank calls but doubles the code scans' temporaries.
 BLOCK = 2 ** 16
 # Most entries of exp per half-table join: the join's temporaries stay in L2
 # cache (F_{3^16} builds in 1.3-1.7 s, against 2.1-2.6 s with 2^16 entries).
@@ -454,9 +457,8 @@ class FieldTower:
         """The inverse of exp (int32, log 0 = -1), scattered BLOCK entries at
         a time.  exp must fill every nonzero slot: a short count is refused."""
         log = np.full(self.qm, -1, dtype=np.int32)
-        for start in range(0, self.order, BLOCK):
-            stop = min(start + BLOCK, self.order)
-            log[self.exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
+        for part in blocks(self.order):
+            log[self.exp[part]] = np.arange(part.start, part.stop, dtype=np.int32)
         if log[1:].min() < 0:
             self._reject_modulus()
         return log
@@ -573,8 +575,8 @@ class FieldTower:
     def trace_of_exp(self) -> np.ndarray:
         """Tr_abs(gamma^i) at index i < q^m - 1, BLOCK entries of exp at a time."""
         out = np.empty(self.order, dtype=self.trace(self.exp[:1]).dtype)
-        for start in range(0, self.order, BLOCK):
-            out[start:start + BLOCK] = self.trace(self.exp[start:start + BLOCK])
+        for part in blocks(self.order):
+            out[part] = self.trace(self.exp[part])
         return out
 
     @cached_property
@@ -592,9 +594,8 @@ class FieldTower:
         halves = self._half_tables(
             self._subfield_key(self._linearized_images([1] * self.m, self.q)))
         labels = np.empty(self.order, dtype=dtype)
-        for start in range(0, self.order, BLOCK):
-            keys = self._join(halves, self.exp[start:start + BLOCK])
-            labels[start:start + BLOCK] = table.take(keys)
+        for part in blocks(self.order):
+            labels[part] = table.take(self._join(halves, self.exp[part]))
         return labels
 
     @cached_property
@@ -752,6 +753,24 @@ class FieldTower:
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m}, size={self.qm})"
 
 
+def blocks(count: int, width: int = 1) -> Iterator[slice]:
+    """Consecutive slices of range(count), max(1, BLOCK // width) items each
+    (the last one maybe fewer): numpy passes of about BLOCK entries over
+    items of width entries each."""
+    per = max(1, BLOCK // max(1, width))
+    for start in range(0, count, per):
+        yield slice(start, min(start + per, count))
+
+
+def distinct(values, dtype=None) -> np.ndarray:
+    """The distinct entries of values, ascending, in dtype (theirs by default):
+    one sort and a neighbour compare (np.unique would import numpy.ma)."""
+    values = np.sort(np.asarray(values, dtype=dtype), axis=None)
+    first = np.ones(len(values), dtype=bool)  # the first of each run of repeats
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def cyclic_period(mask: np.ndarray) -> tuple[int, np.ndarray]:
     """(d, I): the least d with mask[i + d mod n] = mask[i] for every i, n
     = len(mask), and the ascending i < d marked in mask.
@@ -767,6 +786,86 @@ def cyclic_period(mask: np.ndarray) -> tuple[int, np.ndarray]:
         while d % ell == 0 and np.array_equal(mask[d // ell : d], mask[: d - d // ell]):
             d //= ell
     return d, np.flatnonzero(mask[:d])
+
+
+def rank_reaches(tower: FieldTower, elems, target, count=None):
+    """Whether the F_q-span of a set of distinct elements has dimension >= target.
+
+    elems is one set, or a 2-D array of sets padded with 0, of any integer
+    dtype, and target one number or one per set; count, when the caller
+    knows it, is the number of nonzero elements of each set.  A subspace of
+    dimension target - 1 has q^(target-1) - 1 nonzero elements, so that many
+    elements decide it (count certificate).  The other sets are reduced over
+    F_p on the packed elements times w^i, i < e (w = gamma^step, so they
+    F_p-span the F_q-span): an element's base-p digits are its
+    F_p-coordinates.  The reduction runs on chunks of doubling size, until
+    e * target pivots turn up, one digit column c at a time: the first
+    vector with digit c is the pivot, its p multiples come from digitwise
+    adds, and every vector adds the multiple that clears its digit c (one
+    gather and one digitwise add).  The elimination on arrays of digits is
+    the oracle in tests/reference.py.
+
+    Returns (reached, basis): basis[c] is the packed pivot of digit c (1
+    there, 0 before it) or zero, int32, and spans the set whenever reached
+    is False.
+    """
+    sets = np.atleast_2d(np.asarray(elems))
+    target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
+    goal = tower.e * target
+    if count is None:
+        count = np.count_nonzero(sets, axis=1)
+    reached = counted_rank(tower, count, target)
+    basis = np.zeros((len(sets), tower.em), dtype=np.int32)
+    left = np.flatnonzero(~reached)
+    if len(left):
+        rows = sets if len(left) == len(sets) else sets[left]
+        reached[left], basis[left] = _packed_pivots(tower, rows, count[left], goal[left])
+    if np.ndim(elems) == 1:
+        return bool(reached[0]), basis[0]
+    return reached, basis
+
+
+def counted_rank(tower: FieldTower, count, target):
+    """The count certificate: count distinct nonzero elements span >= target dimensions."""
+    return (target <= 0) | (count >= tower.q ** np.maximum(target - 1, 0))
+
+
+def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal: np.ndarray):
+    """(reached, pivots) for sets of count nonzero elements each, padded with 0:
+    pivots[i, c] is the packed pivot of digit c of set i, or 0, after the
+    chunk in which goal[i] pivots turn up, or after the whole set."""
+    p, em = tower.p, tower.em
+    reached = np.zeros(len(sets), dtype=bool)
+    pivots = np.zeros((len(sets), em), dtype=np.int32)
+    rest = np.zeros((len(sets), count.max()), dtype=np.int32)
+    rest[np.arange(rest.shape[1]) < count[:, None]] = sets[sets != 0]  # nonzero elements first
+    scalars = tower.exp[np.arange(tower.e) * tower.subfield_step].tolist()  # w^i
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    # clear[a, t]: the multiple of a pivot with digit a that clears digit t
+    clear = -np.arange(p) * inverse[:, None] % p
+    start, size = 0, 8 * tower.m  # elements, each giving e vectors
+    while start < rest.shape[1] and not reached.all():
+        sub = np.flatnonzero(~reached)
+        part = rest[sub, start:start + size]
+        gens = np.stack([tower.mul_vec(w, part) for w in scalars], axis=2).reshape(len(sub), -1)
+        vecs = np.concatenate([pivots[sub], gens], axis=1)
+        start, size = start + size, 2 * size
+        rows = np.arange(len(sub))
+        for c in range(em):
+            high = vecs // p ** c
+            digit = high - high // p * p  # floor divisions are cheaper than %
+            at = (digit != 0).argmax(axis=1)  # 0, with digit 0, where there is none
+            pivot, lead = vecs[rows, at], digit[rows, at]
+            mult = [np.zeros_like(pivot), pivot]
+            for _ in range(2, p):
+                mult.append(tower._add_vec(mult[-1], pivot))
+            mult = np.stack(mult, axis=1)
+            pivots[sub, c] = mult[rows, inverse[lead]]
+            # row s of fix holds the multiples of pivot s that clear digits 0..p-1
+            fix = mult[rows[:, None], clear[lead]]
+            vecs = tower._add_vec(vecs, fix.take(digit + (rows * p)[:, None]))
+        reached[sub] = np.count_nonzero(pivots[sub], axis=1) >= goal[sub]
+    return reached, pivots
 
 
 def column_sums(bits: np.ndarray) -> np.ndarray:

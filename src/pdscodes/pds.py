@@ -18,12 +18,19 @@ from typing import Sequence
 import numpy as np
 
 from .charsums import Spectrum, stabiliser_spectrum
-from .field import FieldTower, cyclic_period, int_field, int_list, obj_field, required
+from .field import (
+    FieldTower,
+    blocks,
+    cyclic_period,
+    distinct,
+    int_field,
+    int_list,
+    obj_field,
+    rank_reaches,
+    required,
+)
 
 DIRECT_VERIFY_CAP = 10_000
-# (g, member) pairs counted per numpy pass in the direct PDS check: 8 MB of
-# int64 keys
-PAIR_CHUNK = 2 ** 20
 
 
 class PdsVerificationError(ValueError):
@@ -57,8 +64,8 @@ class QuadricOrigin:
 class FieldSubset:
     """A subset of F_{q^m}^*: its members, sorted and without repeats, in
     int64, taken from any array of elements by one int32 sort and a
-    neighbour compare, and an indicator built on first read; origin is a
-    CyclotomicOrigin, a QuadricOrigin or None."""
+    neighbour compare (`distinct`), and an indicator built on first read;
+    origin is a CyclotomicOrigin, a QuadricOrigin or None."""
 
     def __init__(self, tower: FieldTower, members: np.ndarray,
                  origin: CyclotomicOrigin | QuadricOrigin | None = None):
@@ -66,12 +73,7 @@ class FieldSubset:
         # checked before the int32 cast, which would wrap larger values
         if members.size and (members.min() < 0 or members.max() >= tower.qm):
             raise ValueError("member out of field range")
-        members = members.astype(np.int32)  # q^m <= MAX_FIELD_SIZE = 2^26
-        members.sort()
-        first = np.ones(len(members), dtype=bool)  # the first of each run of repeats
-        np.not_equal(members[1:], members[:-1], out=first[1:])
-        members = members[first]
-        del first  # freed before the int64 copy, which sets the peak
+        members = distinct(members, np.int32)  # q^m <= MAX_FIELD_SIZE = 2^26
         if len(members) and members[0] == 0:
             raise ValueError("subsets live in the multiplicative group; 0 not allowed")
         self.tower = tower
@@ -370,8 +372,8 @@ def verify_pds_direct(subset: FieldSubset) -> tuple[int, int]:
     multiplying by gamma^d maps D and D + g onto D and D + gamma^d g, so the
     count and the membership of g repeat with period d in log order, and the
     first violation, with its witness, is the one a scan over every g finds.
-    The counts are taken PAIR_CHUNK (g, member) pairs at a time, and the
-    scan stops after the first chunk that holds a violation.
+    The counts are taken about BLOCK (g, member) pairs at a time (`blocks`),
+    and the scan stops after the first pass that holds a violation.
     """
     tower = subset.tower
     if tower.qm > DIRECT_VERIFY_CAP:
@@ -385,15 +387,13 @@ def verify_pds_direct(subset: FieldSubset) -> tuple[int, int]:
     on = subset.indicator[gs].astype(np.intp)
     first = np.array([np.argmin(on), np.argmax(on)])  # the first g off D and in D
     counts = np.zeros(len(gs), dtype=np.int64)
-    step = max(1, PAIR_CHUNK // len(subset))
-    for g0 in range(0, len(gs), step):
-        stop = min(g0 + step, len(gs))
-        shifted = tower.add_sets(gs[g0:stop, None], subset.members[None, :])
-        counts[g0:stop] = np.count_nonzero(subset.indicator[shifted], axis=1)
-        # a side's first count lies in this block or an earlier one
-        bad = np.flatnonzero(counts[g0:stop] != counts[first[on[g0:stop]]])
+    for part in blocks(len(gs), len(subset)):
+        shifted = tower.add_sets(gs[part, None], subset.members[None, :])
+        counts[part] = np.count_nonzero(subset.indicator[shifted], axis=1)
+        # a side's first count lies in this pass or an earlier one
+        bad = np.flatnonzero(counts[part] != counts[first[on[part]]])
         if len(bad):
-            g = g0 + int(bad[0])
+            g = part.start + int(bad[0])
             ref = int(first[on[g]])
             raise PdsVerificationError(
                 f"common-neighbor count not constant {('off', 'on')[on[g]]} the set",
@@ -553,14 +553,12 @@ def quadric_subset(
         raise ValueError(f"gram matrix must be {m}x{m}")
     if any(not 0 <= v < q for row in gram for v in row):
         raise ValueError(f"gram entries must be F_q labels 0..{q - 1}")
-    from .codes import rank_reaches  # codes imports this module
-
     add, _, _ = tower.subfield_tables()
     element_of_code, _ = tower.coordinate_tables()
     # the polarization B(x,y) = Q(x+y) - Q(x) - Q(y) has the matrix G + G^T,
     # and is nondegenerate when its rows, as elements, have rank m
     polar = np.array([[add[gram[i][j], gram[j][i]] for j in range(m)] for i in range(m)])
-    if not rank_reaches(tower, np.unique(element_of_code[polar @ q ** np.arange(m)]), m)[0]:
+    if not rank_reaches(tower, distinct(element_of_code[polar @ q ** np.arange(m)]), m)[0]:
         raise ValueError("quadratic form is degenerate (polar form has a radical)")
     members = np.flatnonzero(quadric_values(tower, gram, np.arange(tower.qm)) == 0)[1:]
     sqm = isqrt(tower.qm)

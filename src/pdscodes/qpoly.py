@@ -21,8 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import rank_reaches
-from .field import BLOCK, FieldTower
+from .field import FieldTower, blocks, distinct, rank_reaches
 from .pds import FieldSubset, quadric_values
 
 
@@ -61,7 +60,7 @@ class QPolynomial:
     def is_bijective(self) -> bool:
         """Kernel triviality: the images of the basis gamma^i, i < m, have rank m."""
         tower = self.tower
-        return rank_reaches(tower, np.unique(self.images()[tower.exp[: tower.m]]), tower.m)[0]
+        return rank_reaches(tower, distinct(self.images()[tower.exp[: tower.m]]), tower.m)[0]
 
     # -- algebra -------------------------------------------------------------
 
@@ -176,7 +175,5 @@ def quadric_reflections(subset: FieldSubset, count: int) -> Iterator[tuple[np.nd
     images = tower.add_sets(basis, np.where(scale == 0, 0, tower.exp[logs % tower.order]))
     pairs = tower.trace_coords[images][..., None] // basis % p  # [r, i, k] = Tr(X^k g_r(X^i))
     duals = (pairs.transpose(0, 2, 1) @ dual_basis % p) @ basis
-    per = max(1, BLOCK // tower.qm)
-    for start in range(0, len(a), per):
-        yield (tower.linear_map_table(images[start:start + per]),
-               tower.linear_map_table(duals[start:start + per]))
+    for part in blocks(len(a), tower.qm):
+        yield tower.linear_map_table(images[part]), tower.linear_map_table(duals[part])

@@ -184,17 +184,20 @@ def test_criterion_4_elliptic_quadric_cutting_past_the_hyperplane_bound(field):
 
 def test_criterion_4_elliptic_quadric_all_methods_at_scale():
     # F_{3^8}: cover, Heng and SNC scan the 7 orbits of the orthogonal group
-    # (6561 projective classes under F_q^* alone), cold through the CLI
+    # (6561 projective classes under F_q^* alone), cold through the CLI.
+    # F_{5^6}: dimension 7; cover, Heng, SNC, pds and latin say minimal while
+    # the AB condition fails, a minimal code outside Ashikhmin-Barg's bound
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    with budget("4 (code --methods all, F_3^8 elliptic quadric, cold)", 2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pdscodes.cli", "code", "--recipe", "example-3.3",
-             "--kind", "elliptic", "--p", "3", "--m", "8", "--methods", "all"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-    assert proc.returncode == 0, proc.stderr
-    golden = Path(__file__).parent / "data" / "golden" / "code-3-8-elliptic-all.json"
-    assert proc.stdout == golden.read_text()
+    for p, m in ((3, 8), (5, 6)):
+        with budget(f"4 (code --methods all, F_{p}^{m} elliptic quadric, cold)", 2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pdscodes.cli", "code", "--recipe", "example-3.3",
+                 "--kind", "elliptic", "--p", str(p), "--m", str(m), "--methods", "all"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).parent / "data" / "golden" / f"code-{p}-{m}-elliptic-all.json"
+        assert proc.stdout == golden.read_text()
 
 
 def test_criterion_5_table2_row3_extended():

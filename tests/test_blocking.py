@@ -6,7 +6,7 @@ import pytest
 import reference
 from reference import hyperplane_intersections
 
-from pdscodes import blocking
+from pdscodes import blocking, field
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.codes import MINIMAL, SubsetCode, orbit_engine
 from pdscodes.field import FieldSpec, build_tower
@@ -145,7 +145,7 @@ def test_nested_pair_past_the_first_batch(key):
            & (tower.trace_labels(int(tower.exp[l]), elems) != 0))
     subset = FieldSubset(tower, np.sort(elems[~off]).astype(np.int64))
     assert subset.stabiliser_period == tower.order
-    assert blocking.BLOCK // len(subset) < j0 < tower.subfield_step
+    assert field.BLOCK // len(subset) < j0 < tower.subfield_step
     report = is_cutting_vectorial_blocking(subset).to_json()
     assert report == reference.cutting_reference(subset)
     assert report["witness"]["h1_log"] == j0
@@ -163,7 +163,7 @@ def test_nested_pair_past_the_first_annihilator_block():
     inner = report["witness"]["h1_log"]
     short_before = sum(len(reference.hyperplane_members(subset, j)) < tower.m - 1
                        for j in range(inner))
-    assert short_before >= blocking.BLOCK // (tower.em * tower.subfield_step)
+    assert short_before >= field.BLOCK // (tower.em * tower.subfield_step)
 
 
 # -- one hyperplane per merged orbit ------------------------------------------------

@@ -26,13 +26,12 @@ from pdscodes.codes import (
     minimality_latin_sufficient,
     minimality_pds_sufficient,
     orbit_engine,
-    rank_reaches,
     slice_members,
     weight_class,
     weight_distribution_predicted,
 )
 from pdscodes.cli import main
-from pdscodes.field import FieldSpec, FieldTower, build_tower, column_sums
+from pdscodes.field import FieldSpec, FieldTower, build_tower, column_sums, rank_reaches
 from pdscodes.pds import (
     FieldSubset,
     GuardExceeded,
@@ -317,7 +316,7 @@ def test_orbit_engine_is_shared_by_codes_and_blocking(monkeypatch, f34):
         return reflections(*args)
 
     monkeypatch.setattr(Orbits, "class_index", counted)
-    monkeypatch.setattr(qpoly, "quadric_reflections", drawn)
+    monkeypatch.setattr(codes, "quadric_reflections", drawn)
     second = SubsetCode(subset)
     assert second.orbits is first.orbits is orbit_engine(subset)
     assert (second.minimality_cover().status, second.minimality_heng().status) == (MINIMAL,) * 2
@@ -342,6 +341,25 @@ def test_orbit_engine_goes_with_its_subset(f34):
     gc.collect()
     assert alive() is None and engine.subset is None
     assert len(codes._ENGINES) == held - 1
+
+
+def test_orbit_merge_temporaries_are_class_sized():
+    # F_{2^12} elliptic quadric: 8191 classes and 24 reflections, drawn 16 to
+    # a stack.  The merge maps one reflection at a time, so its temporaries
+    # are the size of the class list: 1.9 MB, against 8.8 MB when each stack
+    # went through int64 (maps x classes) arrays
+    tower = build_tower(FieldSpec(p=2, e=1, m=12))
+    subset = quadric_subset(tower, kind="elliptic")[0]
+    engine = orbit_engine(subset)
+    subset.indicator, tower.log, tower.trace_coords, engine.classes  # built before
+    tracemalloc.start()
+    try:
+        reps, labels = engine.merged
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(reps), len(labels)) == (5, len(engine.classes[0]))
+    assert peak < 2.25e6
 
 
 def test_heng_screen_builds_nothing_without_a_live_representative(monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdscodes.charsums import full_spectrum, psi_sum
-from pdscodes.codes import rank_reaches
 from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.field import (
     DEFAULT_MODULI,
@@ -19,6 +18,7 @@ from pdscodes.field import (
     default_modulus,
     poly_is_irreducible,
     poly_x_is_primitive,
+    rank_reaches,
 )
 
 

@@ -31,6 +31,8 @@ GOLDEN = {
                          "--subset", '{"cyclotomic":{"N":10,"J":[0]}}', "--methods", "all"],
     "code-3-8-elliptic-all": ["code", "--recipe", "example-3.3", "--kind", "elliptic",
                               "--p", "3", "--m", "8", "--methods", "all"],
+    "code-5-6-elliptic-all": ["code", "--recipe", "example-3.3", "--kind", "elliptic",
+                              "--p", "5", "--m", "6", "--methods", "all"],
     "code-3-8-N41-all": ["code", "--field", '{"p":3,"e":1,"m":8}',
                          "--subset", '{"cyclotomic":{"N":41,"J":[0]}}', "--methods", "all"],
     "code-table-2-row-3-pds": ["code", "--recipe", "table-2-row-3", "--methods", "pds"],

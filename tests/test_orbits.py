@@ -54,11 +54,11 @@ from reference import (
 )
 from reference import induced_code_automorphism_check as exhaustive_check
 
-from pdscodes import codes, qpoly
+from pdscodes import codes
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.charsums import psi_sum
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, SubsetCode, weight_distribution_predicted
-from pdscodes.field import FieldSpec, FieldTower, build_tower
+from pdscodes.field import FieldSpec, FieldTower, build_tower, rank_reaches
 from pdscodes.pds import (
     FieldSubset,
     PdsVerificationError,
@@ -287,7 +287,7 @@ def test_reflection_failing_the_check_is_refused(f34, monkeypatch):
             dual[:, [1, 2]] = dual[:, [2, 1]]
             yield g, dual
 
-    monkeypatch.setattr(qpoly, "quadric_reflections", corrupted)
+    monkeypatch.setattr(codes, "quadric_reflections", corrupted)
     code = SubsetCode(quadric_subset(f34, kind="elliptic")[0])
     with pytest.raises(AssertionError, match="no code automorphism"):
         code.minimality_cover()
@@ -340,9 +340,8 @@ def test_fills_equal_class_loops(code):
 
 
 def _set_block(monkeypatch, block):
-    # the label windows read field.BLOCK, the code scans their own import of it
-    for name in ("pdscodes.field.BLOCK", "pdscodes.codes.BLOCK"):
-        monkeypatch.setattr(name, block)
+    # the label windows and the code scans' passes (`field.blocks`) read field.BLOCK
+    monkeypatch.setattr("pdscodes.field.BLOCK", block)
 
 
 @pytest.mark.parametrize("block", [1, 5, 200])
@@ -796,7 +795,7 @@ def assert_count_first_snc_exact(code):
     fresh = SubsetCode(code.subset)
     fresh.dimension(), fresh.orbits.representatives(), tower.subfield_tables()  # cached set-up
     counts, added, built = [], [], []
-    rank_reaches, add_sets = codes.rank_reaches, FieldTower.add_sets
+    add_sets = FieldTower.add_sets
     complement_of = FieldSubset.complement
 
     def counted_reaches(tower, elems, target, count=None):
@@ -818,8 +817,13 @@ def assert_count_first_snc_exact(code):
         flags = fresh.rank_orbit_flags()[1]
     assert (sorted(counts), sum(added), len(built)) == (sizes, slices, 0)
     snc = fresh.minimality_snc()
+
+    def uncounted(tower, count, target):
+        return np.asarray(target) <= 0
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "counted_rank", lambda tower, count, target: np.asarray(target) <= 0)
+        mp.setattr(codes, "counted_rank", uncounted)  # the SNC pre-screen
+        mp.setattr("pdscodes.field.counted_rank", uncounted)  # and rank_reaches' own
         off = SubsetCode(code.subset)
         assert np.array_equal(off.rank_orbit_flags()[1], flags)
         off_snc = off.minimality_snc()

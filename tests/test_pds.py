@@ -6,8 +6,7 @@ import reference
 
 from pdscodes import pds
 from pdscodes.charsums import full_spectrum
-from pdscodes.codes import rank_reaches
-from pdscodes.field import FieldSpec, build_tower
+from pdscodes.field import FieldSpec, build_tower, rank_reaches
 from pdscodes.pds import (
     CyclotomicOrigin,
     FieldSubset,
@@ -544,7 +543,7 @@ def test_direct_check_chunks_equal_full_scan(request, monkeypatch, table, name, 
         if isinstance(expected, PdsVerificationError):
             step = int(subset.tower.log[expected.witness[1]])
             assert step < d and int(subset.tower.log[expected.witness[0]]) < step
-    monkeypatch.setattr(pds, "PAIR_CHUNK", step * len(subset))
+    monkeypatch.setattr("pdscodes.field.BLOCK", step * len(subset))
     if not isinstance(expected, PdsVerificationError):
         assert verify_pds_direct(subset) == expected
         return

@@ -19,10 +19,10 @@ import reference
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdscodes import codes, qpoly
+from pdscodes import codes, pds, qpoly
 from pdscodes.blocking import is_cutting_vectorial_blocking
-from pdscodes.codes import SubsetCode, rank_reaches, slice_members
-from pdscodes.field import FieldSpec, build_tower
+from pdscodes.codes import SubsetCode, slice_members
+from pdscodes.field import FieldSpec, build_tower, rank_reaches
 from pdscodes.pds import FieldSubset, quadric_subset
 from pdscodes.qpoly import QPolynomial
 
@@ -272,7 +272,7 @@ def test_single_set_callers_equal_digit_oracle(monkeypatch):
         return assert_kernel_equals_oracle(tower, elems, target)
 
     monkeypatch.setattr(qpoly, "rank_reaches", checked)
-    monkeypatch.setattr(codes, "rank_reaches", checked)  # quadric_subset imports it per call
+    monkeypatch.setattr(pds, "rank_reaches", checked)
     rng = np.random.default_rng(11)
     verdicts = set()
     for key in ORACLE_FIELDS:

@@ -13,12 +13,15 @@ uses; UNSET_DEFAULTS names those kept on purpose.  A module-level
 UPPERCASE constant that src/ and perfbench/ never read is a cap or guard
 that nothing enforces any more.  No module imports a `_`-prefixed name
 from a sibling: what another module needs is public in its home module.
+The sibling imports sit at module level and form the layers of LAYERS,
+with no cycle.
 """
 import ast
 import importlib
 import os
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +287,45 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert private == []
 
 
+# The modules, lowest layer first: each imports only siblings before it.
+LAYERS = ["cyclotomic", "field", "charsums", "pds", "qpoly", "codes", "blocking",
+          "secretsharing", "recipes", "cli"]
+
+
+def _sibling_imports(tree):
+    """The sibling module of each import statement under tree that names one:
+    `from .x import ...`, `from . import x`, `from pdscodes.x import ...` or
+    `import pdscodes.x`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pdscodes")):
+            module = (node.module or "").removeprefix("pdscodes").lstrip(".")
+            yield from [module.split(".")[0]] if module else (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("pdscodes."))
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    # an import inside a function hides a dependency from the module graph
+    local = sorted(
+        f"{path.stem}.{node.name}: {sibling}"
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sibling in _sibling_imports(node)
+    )
+    assert local == []
+
+
+def test_sibling_imports_form_acyclic_layers():
+    graph = {path.stem: set(_sibling_imports(ast.parse(path.read_text())))
+             for path in LIBRARY if path.stem != "__init__"}
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert sorted(graph) == sorted(LAYERS)
+    upward = sorted(f"{module} -> {sibling}" for module, siblings in graph.items()
+                    for sibling in siblings if LAYERS.index(sibling) >= LAYERS.index(module))
+    assert upward == []
+
+
 def _top_level_names(tree):
     """The names a module defines at top level: functions, classes, assignments."""
     for node in tree.body:
@@ -309,12 +351,29 @@ def test_every_export_is_the_object_of_its_home_module():
         from pdscodes import no_such_name  # noqa: F401
 
 
-def test_pds_import_compiles_only_what_pds_imports():
-    # a fresh interpreter, so no other test has imported a module yet
-    code = ("import sys; from pdscodes import pds; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pdscodes'))))")
+def _fresh_modules(code):
+    """The pdscodes modules, and numpy.ma if loaded, after code runs in a fresh
+    interpreter, so that no other test has imported a module yet."""
+    code += ("\nimport sys; print(' '.join(sorted(m for m in sys.modules"
+             " if m.startswith('pdscodes') or m == 'numpy.ma')))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.split() == ["pdscodes", "pdscodes.charsums", "pdscodes.cyclotomic",
-                           "pdscodes.field", "pdscodes.pds"]
+    return out.split()
+
+
+def test_pds_import_compiles_only_what_pds_imports():
+    assert _fresh_modules("from pdscodes import pds") == [
+        "pdscodes", "pdscodes.charsums", "pdscodes.cyclotomic", "pdscodes.field", "pdscodes.pds"]
+    # q-polynomials sit below the codes; the rank test of the polar form and
+    # of a map's basis images takes its distinct elements with no np.unique,
+    # which imports numpy.ma
+    modules = _fresh_modules(
+        "from pdscodes import qpoly\n"
+        "from pdscodes.field import FieldSpec, build_tower\n"
+        "from pdscodes.pds import quadric_subset\n"
+        "tower = build_tower(FieldSpec(p=3, e=1, m=4))\n"
+        "subset, _ = quadric_subset(tower, kind='elliptic')\n"
+        "qpoly.is_automorphism_of(subset, qpoly.QPolynomial.frobenius(tower))")
+    assert "pdscodes.qpoly" in modules
+    assert "pdscodes.codes" not in modules and "numpy.ma" not in modules
