@@ -37,15 +37,15 @@ The direct methods use the stabiliser <gamma^d> of the subset: the word
 (u, gamma^d v) is the word (u, v) rotated by d coordinates, so weights,
 supports (up to that rotation) and every oracle condition are constant on
 the orbits of <gamma^d>.  The weights are kept as (q, d) class columns, one
-per orbit, counted in blocks over windows of the label table.  Support
-bits have one route, `SubsetCode._support_columns`: uint64 columns of the
-packed supports of any words, one compare of rows of the label cycle
-against -u f(x) and one packbits; `supports()` runs it over every word and
-column, and cover on the columns it needs.  The scans (cover, Heng, the
-rank flags behind SNC and the secret-sharing count) and `blocking` read one
-orbit engine per subset (`Orbits`, built once by `orbit_engine`), which
-merges those orbits further along verified automorphisms of the code: the
-least Frobenius power that fixes D and, for a quadric, reflections of its
+per orbit.  Support bits have one route, `SubsetCode._support_columns`:
+uint64 columns of the packed supports of any words, one compare of rows of
+the label cycle against -u f(x) and one packbits; `supports()` runs it over
+every word and column, and cover on the columns it needs.  The weight
+count, the scans (cover, Heng, the rank flags behind SNC and the
+secret-sharing count) and `blocking` read one orbit engine per subset
+(`Orbits`, built once by `orbit_engine`), which merges those orbits further
+along verified automorphisms of the code: the least Frobenius power that
+fixes D and, for a quadric, reflections of its
 orthogonal group.  The oracle conditions are constant on the merged orbits,
 and the scans visit the lowest projective word of each: 7 orbits for a
 quadric over odd q and 5 over even q, against 6561 projective
@@ -73,7 +73,7 @@ import numpy as np
 
 from . import field
 from .charsums import psi_sum
-from .field import FieldTower, blocks, column_sums, counted_rank, rank_reaches
+from .field import FieldTower, blocks, counted_rank, rank_reaches
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
@@ -365,29 +365,38 @@ class Orbits:
         projective word in its orbit under F_q^* scaling and <gamma^d>."""
         return self.classes[1][self._class_ids(words)]
 
-    def automorphisms(self, v: np.ndarray) -> Iterator[np.ndarray]:
-        """The images of the elements v under the maps v -> g(v) by which
-        automorphisms of the code act on its words (u, v), u in {0, 1}, beyond
-        F_q^* scaling and <gamma^d>: one image row per map.
+    def automorphisms(self) -> Iterator[np.ndarray]:
+        """The permutations of the g + 1 + d class numbers (`_class_ids`) by
+        which automorphisms of the code act on its words (u, v), u in {0, 1},
+        beyond F_q^* scaling and <gamma^d>: one row per map, row[c] the class
+        of the image of the words of class c.
 
         The least Frobenius power x -> x^(p^s) with D^(p^s) = D sends (u, v)
         to (u^(p^s), v^(p^s)): the word with every coordinate raised to the
-        p^s-th power and read at x^(p^s).  For a quadric subset, each
-        reflection g of `qpoly.quadric_reflections` sends (u, v) to
-        (u, g*(v)), the word read at g(x), g* the trace dual; each is checked
-        by `tables_induce_code_automorphism`, a stack of them at a time, before
-        it is used.  At most 2m are drawn; on every quadric tried, 4 to 13 of
-        them reach the orbits of the whole orthogonal group (`merged`).
+        p^s-th power and read at x^(p^s).  It multiplies log v by p^s, so it
+        sends class r < g to r p^s mod g, fixes (1, 0), class g, and sends
+        class g + 1 + i to g + 1 + (i p^s mod d), with no log or exp read.
+        For a quadric subset, each reflection g of `qpoly.quadric_reflections`
+        sends (u, v) to (u, g*(v)), the word read at g(x), g* the trace dual,
+        and its row holds the classes of the images of the classes' lowest
+        words; each is checked by `tables_induce_code_automorphism`, a stack
+        of them at a time, before it is used.  At most 2m are drawn; on every
+        quadric tried, 4 to 13 of them reach the orbits of the whole
+        orthogonal group (`merged`).
         """
-        tower, s = self.tower, self.frobenius_power
+        tower, s, d = self.tower, self.frobenius_power, self.period
+        g = gcd(d, tower.subfield_step)
         if s < tower.em:
-            logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
-            yield np.where(v == 0, 0, tower.exp[logs % tower.order])
+            yield np.concatenate([np.arange(g) * pow(tower.p, s, g) % g, [g],
+                                  g + 1 + np.arange(d) * pow(tower.p, s, d) % d])
         if isinstance(self.subset.origin, QuadricOrigin):
-            for g, dual in quadric_reflections(self.subset, 2 * tower.m):
-                if not tables_induce_code_automorphism(self.subset, g, dual, False).all():
+            words, rank = self.classes
+            u, v = np.divmod(words[rank], tower.qm)  # the lowest word of each class
+            for reflection, dual in quadric_reflections(self.subset, 2 * tower.m):
+                if not tables_induce_code_automorphism(self.subset, reflection, dual, False).all():
                     raise AssertionError("a reflection of the quadric is no code automorphism; bug")
-                yield from dual[:, v]
+                for image in dual[:, v]:
+                    yield self._class_ids(u * tower.qm + image)
 
     @cached_property
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +404,8 @@ class Orbits:
         under F_q^* scaling, <gamma^d> and the automorphisms, ascending and
         read-only, and the orbit of each class, an index into reps.
 
-        Each automorphism permutes the classes.  Their labels, first their
+        Each automorphism permutes the classes (a row of `automorphisms`,
+        read in the order of fine through rank).  Their labels, first their
         own index, settle after each map: a label takes the least label that
         the classes holding it reach along the map, and each class then takes
         the label of its label, until none changes.  So the classes joined by
@@ -413,13 +423,13 @@ class Orbits:
         trace form), the latter split by the square class of Q for odd q, as
         F_q^* scales Q by squares: 5 orbits for even q, 7 for odd q.
         """
-        fine = self.classes[0]
-        u, v = np.divmod(fine, self.tower.qm)  # u in {0, 1}
+        fine, rank = self.classes
         quadric = isinstance(self.subset.origin, QuadricOrigin)
         least = (7 if self.tower.p > 2 else 5) if quadric else 1
         lowest = np.arange(len(fine))
-        for image in self.automorphisms(v):
-            succ = self.class_index(u * self.tower.qm + image)  # of each class's image
+        succ = np.empty_like(lowest)
+        for row in self.automorphisms():
+            succ[rank] = rank[row]  # the index of each class's image in fine
             last = None
             while not np.array_equal(lowest, last):
                 last, lowest = lowest, lowest.copy()
@@ -504,51 +514,48 @@ class SubsetCode:
 
         Column j holds the weights of the words (u, gamma^j), u in label
         order: the word (u, v), v != 0, has the weight in column log v mod d,
-        and (u, 0) has weight k for u != 0.  (u, gamma^j) vanishes at x when
-        Tr(gamma^j x) is -u on D and 0 off it, so its weight is
-        (k - cnt[j, -u]) + (n - k - (q^(m-1) - 1 - cnt[j, 0])), with
-        cnt[j, t] = #{x in D : Tr(gamma^j x) = t}; a nonzero functional takes
-        the value t at q^(m-1) - [t = 0] nonzero x.  That also gives cnt from
-        the same count over the complement, so the smaller side is counted:
-        d * min(k, n - k) (j, x) pairs, Tr(gamma^j x) being entry
-        (j + log x) mod (q^m - 1) of the label table.  For BLOCK elements x
-        at a time, a block of about BLOCK pairs reads, for each x, a run of
-        consecutive j as one window of the table (`FieldTower.label_windows`),
-        and its columns are counted by one bincount, or for q = 2 by
-        `column_sums`.  The guard is that work, d * min(k, n - k) pairs,
-        against DEFAULT_ENUM_BUDGET.
+        and (u, 0) has weight k for u != 0.  Row 0 holds n - (q^(m-1) - 1),
+        the weight of a nonzero functional.  For u != 0, (u, gamma^j) is
+        (1, gamma^(j - (u - 1) step)) scaled by u, label u being
+        gamma^((u - 1) step), and the code's automorphisms keep weights, so
+        one word (1, gamma^j) is counted for each merged orbit of those
+        words (`Orbits.merged`).  It vanishes at x when Tr(gamma^j x) is -1
+        on D and 0 off it, so its weight is (k - c[-1]) + (n - k - (q^(m-1)
+        - 1 - c[0])), with c[t] = #{x in D : Tr(gamma^j x) = t}.  A nonzero
+        functional takes the value t at q^(m-1) - [t = 0] nonzero x, so over
+        the complement c[0] - c[-1] is c'[-1] - c'[0] - 1, and the smaller
+        side is counted, Tr(gamma^j x) being entry (j + log x) mod (q^m - 1)
+        of the label table, gathered for about BLOCK (j, x) pairs at a time.
+        The guard is the count's work before the merge, d * min(k, n - k)
+        pairs, against DEFAULT_ENUM_BUDGET.
         """
         if self._weight_table is not None:
             return self._weight_table
         tower = self.tower
-        q, order, fibre = tower.q, tower.order, tower.qm // tower.q
+        order, step = tower.order, tower.subfield_step
         d, k = self.stabiliser_period, len(self.subset)
         cost = d * min(k, order - k)
         if cost > DEFAULT_ENUM_BUDGET:
             raise GuardExceeded(f"weight count cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         on_subset = 2 * k <= order
-        # ascending, for label_windows
         logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.indicator[tower.exp])
-        cnt = np.zeros((d, q), dtype=np.int64)
-        for part in blocks(len(logs)):
-            for top, rows in tower.label_windows(logs[part], d):
-                block = cnt[top:top + rows.shape[1]]
-                if q == 2:  # labels 0 and 1: a column sum counts the ones
-                    block[:, 1] += column_sums(rows)
-                else:
-                    keys = rows.astype(np.intp)
-                    keys += np.arange(0, keys.shape[1] * q, q)  # column c counts keys c q + label
-                    counts = np.bincount(keys.ravel(), minlength=keys.shape[1] * q)
-                    block += counts.reshape(-1, q)
-                    del keys  # so that one block of keys is alive at a time
-        cnt[:, 0] = len(logs) - cnt[:, 1:].sum(axis=1)  # the q = 2 sums count only the ones
-        if not on_subset:
-            cnt = fibre - (np.arange(q) == 0) - cnt
-        _, _, neg_q = tower.subfield_tables()
-        cols = (k - cnt[:, neg_q]) + (order - k - (fibre - 1) + cnt[:, :1])
-        self._weight_table = np.ascontiguousarray(cols.T)
-        self._weight_table.flags.writeable = False
-        return self._weight_table
+        orbit = self.orbits.merged[1][self.orbits.classes[1][gcd(d, step) + 1:]]  # of (1, gamma^j)
+        _, js, at = np.unique(orbit, return_index=True, return_inverse=True)
+        labels, minus_one = tower.trace_label_of_exp, tower.subfield_tables()[2][1]
+        diff = np.zeros(len(js), dtype=np.int64)  # c[0] - c[-1] of each j counted
+        for rows in blocks(len(js), len(logs)):
+            for part in blocks(len(logs), rows.stop - rows.start):
+                keys = np.add(js[rows, None], logs[part], dtype=np.int32)  # below 2^27
+                values = labels[np.remainder(keys, order, out=keys)]
+                diff[rows] += np.count_nonzero(values == 0, axis=1)
+                diff[rows] -= np.count_nonzero(values == minus_one, axis=1)
+        base = order - tower.qm // tower.q + 1
+        ones = base + (diff if on_subset else -1 - diff)[at]  # (1, gamma^j), j < d
+        table = np.full((tower.q, d), base, dtype=np.int64)
+        table[1:] = ones[(np.arange(d) - np.arange(tower.q - 1)[:, None] * step) % d]
+        table.flags.writeable = False
+        self._weight_table = table
+        return table
 
     def kernel_words(self) -> np.ndarray:
         """Indices of the words that evaluate to the zero vector, ascending: (0, 0),

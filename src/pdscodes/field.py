@@ -44,7 +44,7 @@ for e > 1 through the q-entry table at the F_q-trace's keys, whose half
 tables are joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
 batch route to the F_q value of Tr(v x).
-The scans read it in windows (`label_windows`, `label_cycle`), and
+The code scans read it from every start (`label_cycle`), and
 `line_layout` lays out the lines F_q^* v for them.  The layers above take
 the F_q-rank of a set of elements here (`rank_reaches`: the minimality and
 cutting criteria) and their numpy passes of about BLOCK entries (`blocks`).
@@ -57,7 +57,6 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # Hard cap on table-backed fields: a build makes exp (int32) of this length;
 # log (int32), trace_coords (int32) and the log-order traces (one or two
@@ -66,7 +65,7 @@ from numpy.lib.stride_tricks import as_strided
 # with 94 MB and F_{3^12} in 0.02-0.04 s with 31 MB.
 MAX_FIELD_SIZE = 2 ** 26
 
-# Entries per numpy pass (`blocks`): table builds, label windows, word blocks,
+# Entries per numpy pass (`blocks`): table builds, label gathers, word blocks,
 # spans, reflections and the direct PDS check.  2^17 halves the cutting test's
 # rank calls but doubles the code scans' temporaries.
 BLOCK = 2 ** 16
@@ -618,31 +617,6 @@ class FieldTower:
             table.flags.writeable = False
         return tables
 
-    def label_windows(self, logs: np.ndarray, count: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(top, rows) for top = 0, w, 2w, ... < count <= q^m - 1: rows[x, c] is
-        the label of Tr(gamma^(logs[x] + top + c)), c < min(w, count - top),
-        for ascending logs, w about BLOCK / len(logs) (1 to count).  Row x
-        is the window of trace_label_of_exp at log x + j, j = min(top,
-        count - w), so that the last one ends at count: a row of a strided
-        view where it ends before the table does, or starts past its end
-        (less q^m - 1), else of a copy of the 2w - 1 labels around the end.
-        """
-        labels = self.trace_label_of_exp
-        n = len(labels)
-        w = min(count, max(1, BLOCK // max(1, len(logs))))
-        around = np.concatenate([labels[n - w:], labels[:w - 1]])
-        # sliding_window_view(a, w), without the checks that outcost small gathers
-        table, wrapped = (as_strided(a, (len(a) - w + 1, w), a.strides * 2, writeable=False)
-                          for a in (labels, around))
-        for top in range(0, count, w):
-            j = min(top, count - w)
-            lo, hi = np.searchsorted(logs, [n - w - j + 1, n - j])
-            rows = np.empty((len(logs), w), dtype=labels.dtype)
-            rows[:lo] = table[j:][logs[:lo]]
-            rows[lo:hi] = wrapped[logs[lo:hi] - (n - w - j)]
-            rows[hi:] = table[logs[hi:] - (n - j)]
-            yield top, rows[:, top - j:]
-
     def label_cycle(self) -> np.ndarray:
         """A read-only (q^m - 1, q^m - 1) view, row s the label of
         Tr(gamma^(s + c)) at column c, strided over a doubled copy of
@@ -866,17 +840,6 @@ def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal:
             vecs = tower._add_vec(vecs, fix.take(digit + (rows * p)[:, None]))
         reached[sub] = np.count_nonzero(pivots[sub], axis=1) >= goal[sub]
     return reached, pivots
-
-
-def column_sums(bits: np.ndarray) -> np.ndarray:
-    """Column sums of a 0/1 (rows, w) block as int64, by float32 products with a
-    ones vector, 2^24 rows at a time: exact, as every partial sum is an integer
-    below 2^24, and fast for both narrow and wide blocks (`label_windows`)."""
-    out = np.zeros(bits.shape[1], dtype=np.int64)
-    for start in range(0, len(bits), 2 ** 24):
-        part = bits[start:start + 2 ** 24]
-        out += (np.ones(len(part), dtype=np.float32) @ part.astype(np.float32)).astype(np.int64)
-    return out
 
 
 def build_tower(spec: FieldSpec) -> FieldTower:

@@ -28,9 +28,10 @@ least stabiliser period by trying every divisor of q^m - 1, the symmetry
 of a subset by gathering the negatives of its members, its least
 asymmetry witness by trying them one at a time, a subset's members taken
 through a q^m-entry indicator, the least
-Frobenius power by comparing sets of powers, and the orbits of the words
-closed under the stabiliser, scaling and that Frobenius power one word at
-a time.  Then the field's digitwise addition one base-p digit per round,
+Frobenius power by comparing sets of powers, the classes that power sends
+each class to, through the elements of their lowest words, and the orbits
+of the words closed under the stabiliser, scaling and that Frobenius power
+one word at a time.  Then the field's digitwise addition one base-p digit per round,
 and an F_p-linear map evaluated on digit lists, which the library computes
 through its chunked addition table.  Last, the induced code automorphism
 check by comparing every label of every word pair, a chunk of v at a time,
@@ -79,7 +80,7 @@ class UnreducedOrbits(Orbits):
     def period(self):
         return self.tower.order
 
-    def automorphisms(self, v):
+    def automorphisms(self):
         return iter(())
 
 
@@ -514,6 +515,19 @@ def least_frobenius_power(tower, members):
     elems = {x for x in np.asarray(members).tolist() if x != 0}
     return next(s for s in range(1, tower.em + 1)
                 if tower.em % s == 0 and {tower.pow(x, tower.p ** s) for x in elems} == elems)
+
+
+def frobenius_class_images(code):
+    """For each class number c of the code's orbit engine, the index in
+    classes[0] of the class of (u, v^(p^s)), (u, v) the lowest word of class
+    c and s the engine's Frobenius power: the element round trip that the
+    engine replaced with arithmetic on the class numbers, log v p^s mod
+    q^m - 1, then exp, then `Orbits.class_index`."""
+    engine, tower = code.orbits, code.tower
+    words, rank = engine.classes
+    u, v = np.divmod(words[rank], tower.qm)
+    logs = tower.log[v].astype(np.int64) * pow(tower.p, engine.frobenius_power, tower.order)
+    return engine.class_index(u * tower.qm + np.where(v == 0, 0, tower.exp[logs % tower.order]))
 
 
 def quadric_labels(tower, gram):

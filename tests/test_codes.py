@@ -31,7 +31,7 @@ from pdscodes.codes import (
     weight_distribution_predicted,
 )
 from pdscodes.cli import main
-from pdscodes.field import FieldSpec, FieldTower, build_tower, column_sums, rank_reaches
+from pdscodes.field import FieldSpec, FieldTower, build_tower, rank_reaches
 from pdscodes.pds import (
     FieldSubset,
     GuardExceeded,
@@ -336,6 +336,7 @@ def test_orbit_engine_goes_with_its_subset(f34):
     subset = quadric_subset(f34, kind="elliptic")[0]
     code = SubsetCode(subset)
     code.minimality_cover(), is_cutting_vectorial_blocking(subset)
+    gc.collect()  # subsets that earlier tests left in reference cycles go first
     engine, alive, held = code.orbits, weakref.ref(subset), len(codes._ENGINES)
     del subset, code
     gc.collect()
@@ -730,12 +731,3 @@ def test_cover_scan_memory():
         tracemalloc.stop()
     assert verdict.status == MINIMAL
     assert peak < 1024 * 1024
-
-
-def test_column_sums_exact_past_float32_precision():
-    # 2^24 + 3 ones: one float32 sum would round it to 2^24 + 4; the blocking
-    # sizes sum as many rows on sets of more than 2^24 members
-    n = 2 ** 24 + 3
-    bits = np.broadcast_to(np.uint8(1), (n, 1))
-    assert column_sums(bits).tolist() == [n]
-    assert column_sums(bits[:0]).tolist() == [0]

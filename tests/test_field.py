@@ -227,26 +227,6 @@ def test_annihilator_duality_random(f34, f44):
             assert rank_reaches(tower, u1, vdim)[0] == spans
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 16])
-def test_label_windows_read_the_label_table_cyclically(f34, monkeypatch, block):
-    # windows of 1 to n columns: counts that are no multiple of the width, logs
-    # whose windows straddle the end of the table, and a single log
-    monkeypatch.setattr("pdscodes.field.BLOCK", block)
-    labels = f34.trace_label_of_exp
-    n = len(labels)
-    rng = np.random.default_rng(block)
-    for logs in (np.arange(n - 5, n), np.array([n - 1]), np.array([0]),
-                 np.sort(rng.choice(n, size=20, replace=False))):
-        for count in (1, 3, 10, n):
-            next_top = 0
-            for top, rows in f34.label_windows(logs, count):
-                assert top == next_top and rows.shape[0] == len(logs)
-                c = np.arange(rows.shape[1])
-                assert np.array_equal(rows, labels[(logs[:, None] + top + c) % n])
-                next_top = top + rows.shape[1]
-            assert next_top == count
-
-
 def test_label_cycle_reads_every_start(f34):
     labels = f34.trace_label_of_exp
     n = len(labels)

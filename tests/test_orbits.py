@@ -62,6 +62,7 @@ from pdscodes.field import FieldSpec, FieldTower, build_tower, rank_reaches
 from pdscodes.pds import (
     FieldSubset,
     PdsVerificationError,
+    QuadricOrigin,
     build_cyclotomic_subset,
     is_fq_invariant,
     quadric_subset,
@@ -229,6 +230,20 @@ def test_blocking_on_merged_orbits_equals_reference(code):
     assert report == reference.cutting_reference(code.subset)
 
 
+def test_frobenius_row_equals_element_round_trip(code):
+    # the class permutation of x -> x^(p^s), by arithmetic on the class
+    # numbers, against the images of the classes' lowest words through log,
+    # exp and class_index; x -> x^(p^em) is the identity and draws no row
+    engine = code.orbits
+    rows = list(engine.automorphisms())
+    images = reference.frobenius_class_images(code)
+    if engine.frobenius_power < code.tower.em:
+        assert np.array_equal(engine.classes[1][rows[0]], images)
+    else:
+        assert np.array_equal(images, engine.classes[1])
+        assert isinstance(code.subset.origin, QuadricOrigin) or rows == []
+
+
 # (p, e, m), N, J -> orbits of <gamma^d> and scaling, and with the Frobenius power
 ORBIT_COUNTS = {
     "table-2-row-1": ((3, 1, 5), 11, [0], 23, 7),
@@ -340,7 +355,8 @@ def test_fills_equal_class_loops(code):
 
 
 def _set_block(monkeypatch, block):
-    # the label windows and the code scans' passes (`field.blocks`) read field.BLOCK
+    # the weight count's gathers and the code scans' passes (`field.blocks`)
+    # read field.BLOCK
     monkeypatch.setattr("pdscodes.field.BLOCK", block)
 
 
