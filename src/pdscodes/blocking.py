@@ -26,8 +26,8 @@ from typing import Iterator
 import numpy as np
 
 from .codes import DEFAULT_ENUM_BUDGET, orbit_engine
-from .field import blocks, rank_reaches
-from .pds import FieldSubset, GuardExceeded
+from .field import GuardExceeded, blocks, rank_reaches
+from .pds import FieldSubset
 
 
 @dataclass(frozen=True)

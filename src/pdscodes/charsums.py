@@ -36,7 +36,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger
-from .field import FieldTower
+from .field import FieldTower, GuardExceeded
 
 
 # Cost of the orbit count per unit of its work estimate, (p - 1) * q^m plus
@@ -46,6 +46,12 @@ from .field import FieldTower
 # 0.15 (F_7^4), 0.19-0.25 (F_3^12, F_5^6, F_3^10, F_2^16, F_7^5), 0.27 (F_3^8)
 # and 0.34-0.36 (F_2^12, F_2^10).
 ORBIT_UNIT_COST = 0.25
+# Most work the cheaper route may take, in the transform's additions: it admits
+# the F_{2^26} and F_{3^16} elliptic quadrics (7.0 and 6.2 * 10^9) and F_{2039^2},
+# N = 3 (2.1 * 10^9, `pds` 4-5 s cold), but not F_{4093^2} or F_{8191^2}, N = 3
+# (1.7 * 10^10, 37 s, and 1.4 * 10^11), where the count makes p - 1 passes over
+# q^m entries (2-core Xeon).
+SPECTRUM_BUDGET = 10 ** 10
 # Entries of trace_of_exp in each row of the wide view that the Gauss-period
 # count reduces over, so that a small period does not make narrow reductions
 FOLD_WIDTH = 4096
@@ -246,6 +252,13 @@ def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
     return stabiliser_spectrum(tower, members, *tower.stabiliser(members))
 
 
+def route_costs(tower: FieldTower, period: int, count: int) -> tuple[float, int]:
+    """(orbit, transform): the work of the two routes for S a union of count
+    cosets of <gamma^period>, in the transform's additions."""
+    return (ORBIT_UNIT_COST * ((tower.p - 1) * tower.qm + count * period * tower.p),
+            tower.em * tower.p ** 2 * tower.qm)
+
+
 def stabiliser_spectrum(tower: FieldTower, members: np.ndarray, period: int,
                         cosets: np.ndarray) -> Spectrum:
     """full_spectrum for an S whose stabiliser (period, cosets) is known, by
@@ -253,10 +266,14 @@ def stabiliser_spectrum(tower: FieldTower, members: np.ndarray, period: int,
     |I| * d * p additions for the stabiliser <gamma^d> of S, a union of |I|
     cosets, or the transform, em * p^2 * q^m additions.  The count is
     charged even when the tower holds its table, so that the route depends
-    on (d, |I|) alone and not on what ran before.
+    on (d, |I|) alone and not on what ran before.  The cheaper estimate,
+    in the transform's additions, is refused past SPECTRUM_BUDGET.
     """
-    work = (tower.p - 1) * tower.qm + len(cosets) * period * tower.p
-    if ORBIT_UNIT_COST * work < tower.em * tower.p ** 2 * tower.qm:
+    orbit, transform = route_costs(tower, period, len(cosets))
+    if min(orbit, transform) > SPECTRUM_BUDGET:
+        raise GuardExceeded(f"spectrum cost {min(orbit, transform):.3g} transform additions "
+                            f"exceeds the budget {SPECTRUM_BUDGET:.3g}")
+    if orbit < transform:
         rows = _spectrum_orbit(tower, period, cosets, len(members))
         return Spectrum(tower, rows, period, len(members))
     return Spectrum(tower, _spectrum_transform(tower, members), tower.order, len(members))

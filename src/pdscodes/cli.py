@@ -33,11 +33,10 @@ from .codes import (
     weight_distribution_predicted,
 )
 from .blocking import is_cutting_vectorial_blocking
-from .field import FieldConstructionError, FieldSpec, build_tower
+from .field import FieldConstructionError, FieldSpec, GuardExceeded, build_tower
 from .pds import (
     CyclotomicOrigin,
     FieldSubset,
-    GuardExceeded,
     PdsVerificationError,
     is_fq_invariant,
     predicted_cyclotomic_eigenvalues,
@@ -115,16 +114,13 @@ def cmd_pds(args) -> int:
     return EXIT_OK
 
 
-def _pds_verdict(code, cert, cert_error) -> MethodVerdict:
-    if cert is not None and is_fq_invariant(code.subset):
-        return minimality_pds_sufficient(cert, code.tower.q, code.tower.m)
-    return MethodVerdict(INCONCLUSIVE, note=cert_error or "subset is not invariant")
-
-
-def _latin_verdict(code, cert, cert_error) -> MethodVerdict:
-    if cert is not None:
-        return minimality_latin_sufficient(cert, code.tower.q, code.tower.m)
-    return MethodVerdict(INCONCLUSIVE, note=cert_error)
+def _certificate_verdict(rule):
+    """The verdict of rule(cert, q, m), inconclusive with cert_error without a certificate."""
+    def verdict(code, cert, cert_error) -> MethodVerdict:
+        if cert is None:
+            return MethodVerdict(INCONCLUSIVE, note=cert_error)
+        return rule(cert, code.tower.q, code.tower.m)
+    return verdict
 
 
 def _cyclotomic_verdict(code, cert, cert_error) -> MethodVerdict:
@@ -144,8 +140,8 @@ METHODS = {
     "cover": ("cover", lambda code, *_: code.minimality_cover()),
     "heng": ("heng", lambda code, *_: code.minimality_heng()),
     "snc": ("snc", lambda code, *_: code.minimality_snc()),
-    "pds": ("pds_sufficient", _pds_verdict),
-    "latin": ("latin_sufficient", _latin_verdict),
+    "pds": ("pds_sufficient", _certificate_verdict(minimality_pds_sufficient)),
+    "latin": ("latin_sufficient", _certificate_verdict(minimality_latin_sufficient)),
     "cyclotomic": ("cyclotomic_sufficient", _cyclotomic_verdict),
 }
 ALL_METHODS = tuple(METHODS)
@@ -169,10 +165,12 @@ def cmd_code(args) -> int:
     methods = _selected_methods(args.methods)
     report = MinimalityReport()
 
-    cert = None
-    cert_error = None
+    cert, cert_error = None, None
     try:
         cert, _ = verify_pds_spectral(subset)
+        if not is_fq_invariant(subset):  # the certificate's readings need invariance
+            cert, cert_error = None, ("subset is a PDS but not F_q^*-invariant, so its "
+                                      "certificate gives neither weights nor minimality")
     except PdsVerificationError as exc:
         cert_error = str(exc)
 
@@ -180,14 +178,11 @@ def cmd_code(args) -> int:
         if name in methods:
             report.record(key, verdict(code, cert, cert_error))
 
-    dist = None
-    dist_source = None
+    dist, dist_source = None, None
     try:
-        dist = code.weight_distribution_direct()
-        dist_source = "direct"
+        dist, dist_source = code.weight_distribution_direct(), "direct"
     except GuardExceeded:
         pass
-    predicted = None
     if cert is not None:
         predicted = weight_distribution_predicted(cert, tower.q, tower.m)
         if dist is not None and dist.rows != predicted.rows:

@@ -73,11 +73,10 @@ import numpy as np
 
 from . import field
 from .charsums import psi_sum
-from .field import FieldTower, blocks, counted_rank, rank_reaches
+from .field import FieldTower, GuardExceeded, blocks, counted_rank, rank_reaches
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
-    GuardExceeded,
     PdsCertificate,
     QuadricOrigin,
     is_fq_invariant,
@@ -87,8 +86,9 @@ from .qpoly import quadric_reflections, tables_induce_code_automorphism
 
 DEFAULT_WORD_GUARD = 2 ** 22          # max q^(m+1) for exhaustive scans
 DEFAULT_ENUM_BUDGET = 2 ** 30         # max pairs an enumeration counts: (class, element) pairs
-                                      # d * min(k, n - k) of the weight columns, hyperplanes x
-                                      # elements of the cutting test
+                                      # d * min(k, n - k) of the weight columns (or the q * d
+                                      # entries of their table), hyperplanes x elements of the
+                                      # cutting test
 SUPPORT_BYTES_CAP = 2 ** 28           # memory ceiling for supports(), rows padded to uint64;
                                       # cover computes support columns on demand
 
@@ -527,21 +527,23 @@ class SubsetCode:
         side is counted, Tr(gamma^j x) being entry (j + log x) mod (q^m - 1)
         of the label table, gathered for about BLOCK (j, x) pairs at a time.
         The guard is the count's work before the merge, d * min(k, n - k)
-        pairs, against DEFAULT_ENUM_BUDGET.
+        pairs, or the table's q * d entries where q is larger, against
+        DEFAULT_ENUM_BUDGET.
         """
         if self._weight_table is not None:
             return self._weight_table
         tower = self.tower
         order, step = tower.order, tower.subfield_step
         d, k = self.stabiliser_period, len(self.subset)
-        cost = d * min(k, order - k)
+        cost = d * max(min(k, order - k), tower.q)
         if cost > DEFAULT_ENUM_BUDGET:
             raise GuardExceeded(f"weight count cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         on_subset = 2 * k <= order
         logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.indicator[tower.exp])
         orbit = self.orbits.merged[1][self.orbits.classes[1][gcd(d, step) + 1:]]  # of (1, gamma^j)
         _, js, at = np.unique(orbit, return_index=True, return_inverse=True)
-        labels, minus_one = tower.trace_label_of_exp, tower.subfield_tables()[2][1]
+        labels = tower.trace_label_of_exp
+        minus_one = 1 + (tower.q - 1) // 2 if tower.q % 2 else 1  # -1 = gamma^(order/2)
         diff = np.zeros(len(js), dtype=np.int64)  # c[0] - c[-1] of each j counted
         for rows in blocks(len(js), len(logs)):
             for part in blocks(len(logs), rows.stop - rows.start):

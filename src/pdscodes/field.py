@@ -13,8 +13,10 @@ exp, the absolute trace's half tables and the q elements of F_q are built
 up front; log, trace_coords and the log-order traces on first read (a
 class-union `pds` reads only trace_of_exp).  A modulus passes when exp
 shows X of order exactly q^m - 1 (X^(q^m - 1) = 1 and no X^((q^m - 1)/ell)
-= 1, ell prime), so the residues form a field; the exact polynomial tests
-then only name a failure.  log refuses an exp that leaves a slot empty.
+= 1, ell prime), so the residues form a field; Rabin's test on powers of
+the companion matrix then names a failure reducible or imprimitive, and
+the modulus search runs the same order test on those powers.  log
+refuses an exp that leaves a slot empty.
 F_q^* is <gamma^step>, so x in F_q has the dense label log x // step + 1,
 which `subfield_labels` reads off a q-entry table at x's digits
 in e places where the elements of F_q differ; scaling by label l adds
@@ -128,6 +130,10 @@ class FieldConstructionError(ValueError):
     """Raised when a field spec cannot be realized (bad prime, modulus, size)."""
 
 
+class GuardExceeded(RuntimeError):
+    """A cost guard stopped an exhaustive computation."""
+
+
 def int_field(value, name: str) -> int:
     """A JSON spec field that must be an integer (not a bool), or a ValueError naming it."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -175,82 +181,65 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _poly_mulmod(a, b, f, p):
-    n = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for d in range(len(out) - 1, n - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for i in range(n):
-                out[d - n + i] = (out[d - n + i] - c * f[i]) % p
-    out = out[:n]
-    out += [0] * (n - len(out))
-    return out
+def _companion(coeffs: Sequence[int], p: int) -> np.ndarray:
+    """The companion matrix of a monic modulus over F_p (int64): row i holds
+    the digits of X^(i+1), so a row of digits times it is that residue times X."""
+    n = len(coeffs) - 1
+    companion = np.zeros((n, n), dtype=np.int64)
+    companion[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
+    companion[-1] = [-c % p for c in coeffs[:-1]]
+    return companion
 
 
-def _poly_powmod(a, exponent, f, p):
-    n = len(f) - 1
-    res = [1] + [0] * (n - 1)
-    base = list(a)
-    while exponent:
-        if exponent & 1:
-            res = _poly_mulmod(res, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        exponent >>= 1
-    return res
+def _power(matrix: np.ndarray, k: int, p: int) -> np.ndarray:
+    """matrix^k mod p (int64) by squaring, exact while n (p - 1)^2 < 2^63 for
+    an n x n matrix, as under the table cap.  For the companion matrix C of
+    a modulus that is the multiplication by X^k on the residues, its row 0
+    the digits of X^k, and for h(C) the multiplication by h(X)^k."""
+    power = np.eye(len(matrix), dtype=np.int64)
+    while k:
+        if k & 1:
+            power = power @ matrix % p
+        matrix = matrix @ matrix % p
+        k >>= 1
+    return power
 
 
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p (Rabin's test)."""
+    """Irreducibility of a monic f of degree n over F_p, by Rabin's test on
+    its companion matrix C: X^(p^n) = X, and gcd(X^(p^(n/ell)) - X, f) = 1
+    for each prime ell | n.  Once X^(p^n) = X, the residues are a product
+    of fields F_(p^d), d | n, so g is prime to f exactly when g^(p^n - 1) = 1."""
     n = len(coeffs) - 1
     if n < 1 or coeffs[-1] % p != 1:
         return False
-    if n == 1:
-        return True
-    if coeffs[0] % p == 0:
-        return False
-    x = [0, 1] + [0] * (n - 2)
-    if _poly_powmod(x, p ** n, coeffs, p) != x:
-        return False
-    for ell in factorize(n):
-        if _poly_powmod(x, p ** (n // ell), coeffs, p) == x:
-            return False
-    return True
+    companion, one = _companion(coeffs, p), np.eye(n, dtype=np.int64)
+    return np.array_equal(_power(companion, p ** n, p), companion) and all(
+        np.array_equal(_power((_power(companion, p ** (n // ell), p) - companion) % p,
+                              p ** n - 1, p), one) for ell in factorize(n))
 
 
 def poly_x_is_primitive(coeffs: Sequence[int], p: int) -> bool:
-    """Whether the residue of X has full multiplicative order p^n - 1."""
-    n = len(coeffs) - 1
-    order = p ** n - 1
-    if coeffs[0] % p == 0:
-        return False
-    if n == 1:
-        g = (-coeffs[0]) % p
-        return all(pow(g, order // ell, p) != 1 for ell in factorize(order))
-    x = [0, 1] + [0] * (n - 2)
-    one = [1] + [0] * (n - 1)
-    for ell in factorize(order):
-        if _poly_powmod(x, order // ell, coeffs, p) == one:
-            return False
-    return True
+    """Whether the residue of X mod a monic f of degree n has multiplicative
+    order exactly p^n - 1: X^(p^n - 1) = 1 and no X^((p^n - 1)/ell) = 1, ell
+    prime.  Then the residues hold p^n - 1 units, so f is irreducible too."""
+    order, companion = p ** (len(coeffs) - 1) - 1, _companion(coeffs, p)
+    one = np.eye(len(companion), dtype=np.int64)
+    return bool(coeffs[0] % p) and np.array_equal(_power(companion, order, p), one) and not any(
+        np.array_equal(_power(companion, order // ell, p), one) for ell in factorize(order))
 
 
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:
     """Built-in defining polynomial for F_{p^degree}.
 
-    Falls back to a deterministic search (same enumeration that produced
-    the frozen table) for pairs outside it.
+    Falls back to a deterministic search by the order test (the same
+    enumeration that produced the frozen table) for pairs outside it.
     """
     if (p, degree) in DEFAULT_MODULI:
         return DEFAULT_MODULI[(p, degree)]
     for code in range(1, p ** degree):
         f = [code // p ** i % p for i in range(degree)] + [1]
-        if f[0] != 0 and poly_is_irreducible(f, p) and poly_x_is_primitive(f, p):
+        if poly_x_is_primitive(f, p):
             return tuple(f)
     raise FieldConstructionError(f"no primitive polynomial found for p={p}, degree={degree}")
 
@@ -351,9 +340,12 @@ class FieldTower:
             n = stop
         # X has order q^m - 1 exactly when X^order = 1 and no X^(order / ell),
         # ell a prime, is 1; then the residues have q^m - 1 units, so they form
-        # a field and the modulus is irreducible and primitive
+        # a field and the modulus is irreducible and primitive; Rabin's test
+        # names a failure
         if powers[order] != 1 or any(powers[order // ell] == 1 for ell in factorize(order)):
-            self._reject_modulus()
+            fault = ("is irreducible but X is not primitive" if poly_is_irreducible(self.modulus, p)
+                     else f"is reducible over F_{p}")
+            raise FieldConstructionError(f"modulus {list(self.modulus)} {fault}")
         self.exp = powers[:order]
 
         # the absolute trace's images Tr(X^i) are single digits: its half tables
@@ -372,26 +364,12 @@ class FieldTower:
         self._coord_tables = None
         self._subfield_ops = None
 
-    def _reject_modulus(self):
-        """Raise for a modulus whose X does not generate F_{q^m}^*, naming
-        the fault; the polynomial tests run only once the tables show it."""
-        modulus = list(self.modulus)
-        if not poly_is_irreducible(modulus, self.p):
-            raise FieldConstructionError(f"modulus {modulus} is reducible over F_{self.p}")
-        if not poly_x_is_primitive(modulus, self.p):
-            raise FieldConstructionError(f"modulus {modulus} is irreducible but X is not primitive")
-        raise FieldConstructionError(
-            "residue of X does not generate the multiplicative group; supply a primitive modulus"
-        )
-
     def _powers_of_x(self, count: int) -> np.ndarray:
         """Packed X^0 .. X^(count-1) (int64): the digit rows of the first s
-        powers times C^s, C the companion matrix of the modulus (row i the
-        digits of X^(i+1)), give the next s, doubling s until count."""
+        powers times C^s, C the `_companion` matrix of the modulus, give the
+        next s, doubling s until count."""
         p, em = self.p, self.em
-        companion = np.zeros((em, em), dtype=np.int64)
-        companion[:-1, 1:] = np.eye(em - 1, dtype=np.int64)
-        companion[-1] = [-c % p for c in self.modulus[:-1]]
+        companion = _companion(self.modulus, p)
         rows = np.eye(1, em, dtype=np.int64)
         while len(rows) < count:
             rows = np.concatenate([rows, rows @ companion % p])
@@ -458,8 +436,8 @@ class FieldTower:
         log = np.full(self.qm, -1, dtype=np.int32)
         for part in blocks(self.order):
             log[self.exp[part]] = np.arange(part.start, part.stop, dtype=np.int32)
-        if log[1:].min() < 0:
-            self._reject_modulus()
+        if log[1:].min() < 0:  # the build's order test passed, so exp is at fault
+            raise FieldConstructionError("exp leaves a slot of log empty; tables corrupt")
         return log
 
     @cached_property
@@ -684,7 +662,11 @@ class FieldTower:
         in F_q, or the embedding is rejected.  The product of labels i, j >= 1
         is (i + j - 2) mod (q - 1) + 1, a sum of logs, and for odd q the
         negation of label 1 + j is label (j + (q - 1)/2) mod (q - 1) + 1, as
-        -1 = gamma^(order/2); for even q it is the identity."""
+        -1 = gamma^(order/2); for even q it is the identity.  The tables
+        have q^2 entries, refused past MAX_FIELD_SIZE."""
+        if self.q ** 2 > MAX_FIELD_SIZE:
+            raise GuardExceeded(f"F_q tables of q^2 = {self.q ** 2} entries exceed "
+                                f"the table cap {MAX_FIELD_SIZE}")
         if self._subfield_ops is None:
             elems = self.subfield_elements.astype(np.int64)
             if not np.array_equal(self.subfield_labels(elems), np.arange(self.q)):

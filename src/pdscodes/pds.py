@@ -20,6 +20,7 @@ import numpy as np
 from .charsums import Spectrum, stabiliser_spectrum
 from .field import (
     FieldTower,
+    GuardExceeded,
     blocks,
     cyclic_period,
     distinct,
@@ -39,10 +40,6 @@ class PdsVerificationError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class GuardExceeded(RuntimeError):
-    """A cost guard stopped an exhaustive computation."""
 
 
 # -- subset construction ----------------------------------------------------

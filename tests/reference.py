@@ -39,7 +39,10 @@ which the library decides by F_p-linearity and the basis pairs, the rank
 test's elimination on arrays of base-p digits, which the library runs on
 the packed elements, and the q-polynomial through given basis images
 solved with one scalar field operation per entry, by which the tests build
-the maps they check.  The orbit closure also takes, for a
+the maps they check.  The modulus tests have brute-force references on
+coefficient lists: irreducibility by trial division by every monic
+polynomial of at most half the degree, and the order of X by multiplying
+by X until it returns to 1.  The orbit closure also takes, for a
 quadric, every reflection of its orthogonal group, evaluated on field
 elements, its trace dual found by matching rows of traces.
 
@@ -58,6 +61,7 @@ class-loop fills are the exception, and the tests hold them against the
 words computed on field elements.
 """
 from functools import cached_property, lru_cache
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -792,3 +796,34 @@ def from_basis_images(tower, images):
                 rows[r] = [int(tower.add_sets(rows[r][c], tower.neg(tower.mul(factor, rows[col][c]))))
                            for c in range(m + 1)]
     return [rows[j][m] for j in range(m)]
+
+
+def _remainder(f, g, p):
+    """f mod a monic g over F_p, coefficient lists low degree first."""
+    f, n = list(f), len(g) - 1
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top]
+        for i in range(n + 1):
+            f[top - n + i] = (f[top - n + i] - c * g[i]) % p
+    return f[:n]
+
+
+def is_irreducible_by_trial_division(coeffs, p):
+    """A monic f of degree n >= 1 is irreducible when no monic polynomial of
+    degree 1..n/2 divides it."""
+    n = len(coeffs) - 1
+    return not any(not any(_remainder(coeffs, list(low) + [1], p))
+                   for d in range(1, n // 2 + 1) for low in product(range(p), repeat=d))
+
+
+def x_order_by_multiplication(coeffs, p):
+    """The multiplicative order of X mod a monic f over F_p, by multiplying
+    by X until the residue is 1 again; None when X is not a unit."""
+    n = len(coeffs) - 1
+    one = [1] + [0] * (n - 1)
+    power = _remainder([0, 1] + [0] * n, coeffs, p)  # X
+    for k in range(1, p ** n):
+        if power == one:
+            return k
+        power = _remainder([0] + power, coeffs, p)
+    return None

@@ -1,5 +1,7 @@
+import re
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from reference import (
     trace_q,
 )
 
-from pdscodes import charsums
+from pdscodes import charsums, pds
 from pdscodes.charsums import (
     Spectrum,
     SpectrumError,
@@ -22,11 +24,13 @@ from pdscodes.charsums import (
     orthogonality_sum,
     parseval_total,
     psi_sum,
+    route_costs,
     squared_norms,
+    stabiliser_spectrum,
     trace_count_table,
 )
 from pdscodes.cyclotomic import CyclotomicInteger
-from pdscodes.field import FieldSpec, build_tower
+from pdscodes.field import FieldSpec, GuardExceeded, build_tower
 from pdscodes.pds import (
     FieldSubset,
     build_cyclotomic_subset,
@@ -428,3 +432,31 @@ def test_class_union_spectrum_stays_in_its_rows():
     assert values == [(1365, 1398101), (-683, 2796202)]
     assert peak < tower.qm * tower.p * 8
     assert "raw" not in vars(spec)
+
+
+def _cheaper_route(p, em, period, count):
+    tower = SimpleNamespace(p=p, em=em, qm=p ** em)
+    return min(route_costs(tower, period, count))
+
+
+@pytest.mark.parametrize("p, em, period, count, cost", [
+    # quadrics, stable under F_q^* only, cheaper by the transform
+    (2, 24, 2 ** 24 - 1, 2 ** 23, 1.6e9), (5, 10, (5 ** 10 - 1) // 4, 5 ** 9 // 4, 2.4e9),
+    (2, 26, 2 ** 26 - 1, 2 ** 25, 7.0e9), (3, 16, (3 ** 16 - 1) // 2, 3 ** 15 // 2, 6.2e9),
+    # class unions, cheaper by the orbit count
+    (2, 26, 3, 1, 1.7e7), (3, 16, 41, 20, 2.2e7), (11, 7, 43, 1, 4.9e7), (2039, 2, 3, 1, 2.1e9),
+])
+def test_spectrum_budget_admits_the_recorded_inputs(p, em, period, count, cost):
+    assert _cheaper_route(p, em, period, count) == pytest.approx(cost, rel=0.05)
+    assert _cheaper_route(p, em, period, count) <= charsums.SPECTRUM_BUDGET
+
+
+@pytest.mark.parametrize("p, cost", [(4093, "1.71e+10"), (8191, "1.37e+11")])
+def test_spectrum_budget_refuses_huge_prime_squares(p, cost):
+    # F_{p^2}, N = 3: one compare pass over the q^m-entry trace table per
+    # t < p; refused before any table is read, by the guard pds re-exports
+    assert pds.GuardExceeded is GuardExceeded
+    tower = SimpleNamespace(p=p, em=2, qm=p ** 2)
+    message = f"spectrum cost {cost} transform additions exceeds the budget 1e+10"
+    with pytest.raises(GuardExceeded, match=re.escape(message)):
+        stabiliser_spectrum(tower, np.zeros(0, dtype=np.int64), 3, np.array([0]))

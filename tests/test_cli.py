@@ -504,3 +504,107 @@ def test_blocking_guard_exits_partial():
     merge = 2 * 65535 + 1  # g + 1 + d classes, no map
     assert f"cost {merge + 65535 * 17000} " in proc.stderr
     assert f"{65535 * 65536}) exceeds the budget {2 ** 30}" in proc.stderr
+
+
+def test_reducible_sextic_modulus_is_named_reducible(capsys):
+    # (x + 1)(x^2 + x + 1)(x^3 + x + 1): X^8 = X, and X^4 != X, X^2 != X
+    code, out, err = run_cli(capsys, "pds", "--field",
+                             '{"p": 2, "e": 1, "m": 6, "modulus": [1, 1, 0, 0, 1, 0, 1]}',
+                             "--subset", '{"cyclotomic": {"N": 3, "J": [0]}}')
+    assert (code, out) == (2, "")
+    assert err == "error: modulus [1, 1, 0, 0, 1, 0, 1] is reducible over F_2\n"
+
+
+NOT_INVARIANT = "subset is a PDS but not F_q^*-invariant"
+
+
+@pytest.mark.parametrize("methods", ["all", "pds", "latin", "cover,latin", "cyclotomic"])
+def test_code_on_a_pds_that_is_not_invariant(capsys, methods):
+    # N = 3, J = {0} on F_{4^4}: a PDS, but F_4^* = <gamma^85> moves class 0 to
+    # class 1, so the certificate's predicted weights (85, 3), (181, 255),
+    # (192, 255), (197, 510) are not the code's
+    code, out, _ = run_cli(capsys, "code", "--field", F44,
+                           "--subset", '{"cyclotomic": {"N": 3, "J": [0]}}', "--methods", methods)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pds_error"].startswith(NOT_INVARIANT)
+    assert [(r["w"], r["freq"]) for r in payload["weights"]] == [
+        (0, 1), (85, 3), (189, 510), (192, 255), (197, 255)]
+    assert payload["weights_source"] == "direct"
+    for key in ("pds_sufficient", "latin_sufficient"):
+        assert payload["minimal"].get(key, "inconclusive") == "inconclusive"
+    assert "weight_class" not in payload
+
+
+def test_refused_weight_count_of_a_non_invariant_pds_reports_no_weights(capsys, monkeypatch):
+    # with the count refused, the certificate's weights are not reported instead
+    monkeypatch.setattr("pdscodes.codes.DEFAULT_ENUM_BUDGET", 10)
+    code, out, _ = run_cli(capsys, "code", "--field", '{"p": 2, "e": 2, "m": 2}',
+                           "--subset", '{"cyclotomic": {"N": 3, "J": [0]}}', "--methods", "pds")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pds_error"].startswith(NOT_INVARIANT)
+    assert "weights" not in payload
+
+
+@pytest.mark.parametrize("command", [["pds"], ["code", "--methods", "all"]])
+def test_spectrum_over_budget_exits_partial(capsys, monkeypatch, command):
+    # F_{3^4}, N = 10, J = {0}: the orbit count's 0.25 (2 * 81 + 10 * 3) = 48
+    argv = [*command, "--field", F34, "--subset", '{"cyclotomic": {"N": 10, "J": [0]}}']
+    monkeypatch.setattr("pdscodes.charsums.SPECTRUM_BUDGET", 47)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "guard: spectrum cost 48 transform additions exceeds the budget 47\n"
+    monkeypatch.setattr("pdscodes.charsums.SPECTRUM_BUDGET", 48)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+F65537 = '{"p": 65537, "e": 1, "m": 1}'
+THREE_LOGS = '{"explicit": {"logs": [0, 1, 2]}}'
+
+
+@pytest.mark.parametrize("methods, expected", [("pds", 0), ("cover", 4), ("all", 4)])
+def test_code_on_a_large_prime_field_reads_no_label_tables(capsys, methods, expected):
+    # the weight count reads the label of -1 by arithmetic, and its 65537 x
+    # 65536 table is over the budget; no q^2-entry F_q table is built
+    code, out, err = run_cli(capsys, "code", "--field", F65537, "--subset", THREE_LOGS,
+                             "--methods", methods)
+    assert code == expected
+    assert "weights" not in json.loads(out)
+
+
+def test_label_tables_past_the_cap_exit_partial(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "code", "--field", F65537, "--subset", THREE_LOGS,
+                             "--methods", "pds", "--gen-matrix", str(tmp_path / "g.txt"))
+    assert (code, out) == (4, "")
+    assert err == f"guard: F_q tables of q^2 = {65537 ** 2} entries exceed the table cap {2 ** 26}\n"
+
+
+def _sweep_subsets(p, e, m):
+    """An invariant class union (N the least prime dividing the index of
+    F_q^*), for q = 4 the non-invariant N = 3, three explicit logs, and the
+    quadrics (m is even on every field swept)."""
+    step = (p ** (e * m) - 1) // (p ** e - 1)
+    n = next(ell for ell in range(2, step + 1) if step % ell == 0)
+    subsets = [{"cyclotomic": {"N": n, "J": [0]}}, {"explicit": {"logs": [0, 1, 2]}},
+               {"quadric": {"kind": "hyperbolic"}}, {"quadric": {"kind": "elliptic"}}]
+    if p ** e == 4:
+        subsets.append({"cyclotomic": {"N": 3, "J": [0]}})
+    return subsets
+
+
+SWEEP_COMMANDS = (["pds"], ["code", "--methods", "all"], ["blocking"],
+                  ["sss", "--x1", "in-D"], ["sss", "--x1", "in-Dbar"])
+
+
+@pytest.mark.parametrize("p, e, m", [(2, 1, 4), (3, 1, 4), (2, 2, 2), (2, 2, 4), (2, 3, 2),
+                                     (3, 2, 2), (5, 1, 2)])
+def test_small_field_exit_sweep(capsys, p, e, m):
+    # every command on every subset ends in a documented exit code, with no
+    # exception escaping main
+    field = json.dumps({"p": p, "e": e, "m": m})
+    for subset in _sweep_subsets(p, e, m):
+        for command in SWEEP_COMMANDS:
+            code, _, err = run_cli(capsys, *command, "--field", field,
+                                   "--subset", json.dumps(subset))
+            assert code in (0, 2, 3, 4), (command, subset, err)

@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -46,6 +47,9 @@ def test_reducible_modulus_rejected():
     # X over F_2 fills the one log slot of F_2, but X = 0 generates nothing
     with pytest.raises(FieldConstructionError, match="X is not primitive"):
         build_tower(FieldSpec(p=2, e=1, m=1, modulus=(0, 1)))
+    # a reducible sextic that an equality-only Rabin test passes
+    with pytest.raises(FieldConstructionError, match="is reducible"):
+        build_tower(FieldSpec(p=2, e=1, m=6, modulus=(1, 1, 0, 0, 1, 0, 1)))
 
 
 def test_irreducible_but_imprimitive_rejected(monkeypatch):
@@ -59,13 +63,42 @@ def test_irreducible_but_imprimitive_rejected(monkeypatch):
     aes = (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert poly_is_irreducible(aes, 2)
     assert not poly_x_is_primitive(aes, 2)
-    # with the polynomial order test made to pass, the failed order of X in
-    # exp is named as such
+    # the order of X in exp decides, not the polynomial order test: with that
+    # test made to pass, an irreducible modulus is still named imprimitive
     monkeypatch.setattr("pdscodes.field.poly_x_is_primitive", lambda coeffs, p: True)
     for spec in (FieldSpec(p=3, e=1, m=2, modulus=(1, 0, 1)),
                  FieldSpec(p=2, e=1, m=8, modulus=aes)):
-        with pytest.raises(FieldConstructionError, match="does not generate the multiplicative"):
+        with pytest.raises(FieldConstructionError, match="irreducible but X is not primitive"):
             build_tower(spec)
+
+
+def _monic_polynomials(p, top):
+    return [list(low) + [1] for n in range(1, top + 1) for low in product(range(p), repeat=n)]
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 3), (7, 3)])
+def test_modulus_tests_match_brute_force(p, top):
+    # every monic polynomial of degree <= top: Rabin's test against trial
+    # division, the order test against the order of X by multiplication
+    for coeffs in _monic_polynomials(p, top):
+        order = reference.x_order_by_multiplication(coeffs, p)
+        assert poly_is_irreducible(coeffs, p) == reference.is_irreducible_by_trial_division(
+            coeffs, p), coeffs
+        assert poly_x_is_primitive(coeffs, p) == (order == p ** (len(coeffs) - 1) - 1), coeffs
+    # x^6 + x^4 + x + 1 = (x + 1)(x^2 + x + 1)(x^3 + x + 1) has X^8 = X and
+    # X^4 != X, X^2 != X, but shares factors with both X^4 - X and X^2 - X
+    assert not poly_is_irreducible([1, 1, 0, 0, 1, 0, 1], 2)
+    # x^3 + 1 = (x + 1)(x^2 + x + 1): X has order 3, so X^7 != 1, though
+    # X^(7/ell) = X != 1 for the one prime ell = 7
+    assert not poly_x_is_primitive([1, 0, 0, 1], 2)
+
+
+def test_modulus_search_reproduces_the_table(monkeypatch):
+    table = dict(DEFAULT_MODULI)
+    monkeypatch.setattr("pdscodes.field.DEFAULT_MODULI", {})
+    for (p, n), coeffs in table.items():
+        assert default_modulus(p, n) == coeffs, (p, n)
+    assert DEFAULT_MODULI == table
 
 
 def test_default_moduli_are_primitive():
@@ -517,7 +550,7 @@ def test_deferred_log_refuses_a_corrupt_exp(monkeypatch):
     monkeypatch.setattr(FieldTower, "_add_vec", corrupt_join)
     tower = build_tower(spec)
     assert np.flatnonzero(tower.exp != honest).tolist() == [tower.order - 1]
-    with pytest.raises(FieldConstructionError, match="does not generate the multiplicative"):
+    with pytest.raises(FieldConstructionError, match="slot of log empty; tables corrupt"):
         tower.log
 
 
