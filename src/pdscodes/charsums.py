@@ -23,20 +23,28 @@ table they summarise; a period past that bound is counted afresh each time.
 The butterfly transform, one pass per F_p digit of the field, costs
 em * p^2 * q^m integer additions whatever S is; it serves the sets with a
 small stabiliser, such as quadrics and trace hyperplanes, and its output,
-taken in log order, is the case d = q^m - 1.  The transform and an
-unreduced count with one key per (row, member) pair are the two test
-references, reached through `tests/reference.py`, and all three agree bit
-for bit.
+taken in log order, is the case d = q^m - 1.  It runs on two int32
+(p, q^m) buffers, each stage reading one and writing the other, and takes
+its log-order rows a block at a time.  The int64 transform that rolled
+fresh copies, and an unreduced count with one key per (row, member) pair,
+are the two test references, reached through `tests/reference.py`, and all
+three agree bit for bit.
+
+The readers of every a, the dense array `Spectrum.raw`, the rational
+values, the least irrational a and the restricted values, and the
+Parseval total over raw, take BLOCK elements or rows at a time, so none
+of them holds a second array of q^m entries.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterator
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger
-from .field import FieldTower, GuardExceeded
+from .field import FieldTower, GuardExceeded, blocks
 
 
 # Cost of the orbit count per unit of its work estimate, (p - 1) * q^m plus
@@ -77,8 +85,9 @@ class Spectrum:
         self.rows = rows
         self.period = period
         self.set_size = set_size
-        self._canon = rows[:, : tower.p - 1] - rows[:, tower.p - 1 :]
-        self._rational = np.all(self._canon[:, 1:] == 0, axis=1)
+        # a row is rational when its canonical form, each coefficient minus
+        # the last, vanishes past the first: coefficients 1..p-1 agree
+        self._rational = np.all(rows[:, 1 : tower.p - 1] == rows[:, tower.p - 1 :], axis=1)
 
     def _zero_row(self) -> np.ndarray:
         row = np.zeros(self.tower.p, dtype=np.int64)
@@ -93,19 +102,29 @@ class Spectrum:
             return self._zero_row()
         return self.rows[int(self.tower.log[a]) % self.period]
 
-    def _row_index(self) -> np.ndarray:
-        """The row serving each nonzero a = 1, ..., q^m - 1."""
-        return self.tower.log[1:] % self.period
+    def _row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(a, index): the nonzero elements in ascending runs of BLOCK, as a
+        slice, and the row serving each, log a mod period."""
+        for part in blocks(self.tower.order):
+            a = slice(part.start + 1, part.stop + 1)
+            yield a, self.tower.log[a] % self.period
+
+    def _values(self, index) -> np.ndarray:
+        """The rational part of the rows at index, the first coefficient of
+        their canonical form: the value there when the row is rational."""
+        return self.rows[index, 0] - self.rows[index, self.tower.p - 1]
 
     def value(self, a: int) -> CyclotomicInteger:
         return CyclotomicInteger(self.tower.p, self.row(a).tolist())
 
     @cached_property
     def raw(self) -> np.ndarray:
-        """The dense (q^m, p) array, row a the value at a; built once, on first use."""
+        """The dense (q^m, p) array, row a the value at a; built once, on first
+        use, BLOCK rows at a time."""
         raw = np.empty((self.tower.qm, self.tower.p), dtype=self.rows.dtype)
         raw[0] = self._zero_row()
-        np.take(self.rows, self._row_index(), axis=0, out=raw[1:])
+        for a, index in self._row_blocks():
+            raw[a] = self.rows.take(index, axis=0)
         return raw
 
     @property
@@ -114,10 +133,14 @@ class Spectrum:
         return bool(np.all(self._rational))
 
     def irrational_witness(self) -> int | None:
-        """The least a whose value is irrational, or None when all are rational."""
+        """The least a whose value is irrational, or None when all are rational;
+        the scan stops at the first block of elements that holds one."""
         if self.all_rational:
             return None
-        return int(np.argmin(self._rational[self._row_index()])) + 1
+        for a, index in self._row_blocks():
+            bad = np.flatnonzero(~self._rational[index])
+            if len(bad):
+                return a.start + int(bad[0])
 
     def _check_rational(self) -> None:
         bad = self.irrational_witness()
@@ -129,15 +152,20 @@ class Spectrum:
         self._check_rational()
         vals = np.empty(self.tower.qm, dtype=self.rows.dtype)
         vals[0] = self.set_size
-        vals[1:] = self._canon[self._row_index(), 0]
+        for a, index in self._row_blocks():
+            vals[a] = self._values(index)
         return vals
 
     def restricted_values(self) -> list[tuple[int, int]]:
-        """Distinct values over nonzero a with multiplicities, descending by value."""
+        """Distinct values over nonzero a with multiplicities, descending by
+        value: the rows' values counted BLOCK rows at a time, then merged."""
         self._check_rational()
-        uniq, counts = np.unique(self._canon[:, 0], return_counts=True)
+        counts: dict[int, int] = {}
+        for part in blocks(self.period):
+            for v, c in zip(*np.unique(self._values(part), return_counts=True)):
+                counts[int(v)] = counts.get(int(v), 0) + int(c)
         per_row = self.tower.order // self.period
-        return [(int(v), int(c) * per_row) for v, c in zip(uniq[::-1], counts[::-1])]
+        return [(v, counts[v] * per_row) for v in sorted(counts, reverse=True)]
 
 
 def trace_count_table(tower: FieldTower, a: int, members: np.ndarray) -> np.ndarray:
@@ -220,30 +248,48 @@ def _spectrum_orbit(tower: FieldTower, period: int, cosets: np.ndarray,
     return rows
 
 
+def _butterfly(work: np.ndarray, out: np.ndarray, d: int) -> None:
+    """One stage of `_spectrum_transform`, along digit d, from the (p, q^m)
+    buffer work into out: out at digit k is the sum over digits j of work
+    at digit j times zeta^(k j).  Multiplying by zeta^s shifts the
+    coefficients cyclically by s, so each term is two slice adds, and the
+    sum starts from work at digit 0."""
+    p, qm = work.shape
+    shape = (p, qm // p ** (d + 1), p, p ** d)  # coefficient, higher digits, digit d, lower
+    view, new = work.reshape(shape), out.reshape(shape)
+    for k in range(p):
+        acc = new[:, :, k]
+        for j in range(1, p):
+            s, base = k * j % p, view[:, :, 0] if j == 1 else acc
+            # acc[t] = base[t] + view[t - s mod p] at digit j
+            np.add(base[s:], view[: p - s, :, j], out=acc[s:])
+            np.add(base[:s], view[p - s:, :, j], out=acc[:s])
+
+
 def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
     """Exact additive-character transform over the digit group (F_p)^em, as
     one row per gamma^i, i < q^m - 1.
 
     Works on zeta-coefficient vectors: multiplying by zeta^t is a cyclic
-    shift, so each butterfly stage is p^2 shifted adds along one digit.
+    shift, so each butterfly stage (`_butterfly`) is p^2 shifted adds along
+    one digit, from one int32 (p, q^m) buffer into the other, coefficient
+    first so that each add runs along the lower digits; an entry counts
+    members, at most |S| < 2^26, so int32 holds it.
     """
-    p, em, qm = tower.p, tower.em, tower.qm
-    work = np.zeros((qm, p), dtype=np.int64)
-    work[members, 0] = 1
-    for d in range(em):
-        lo = p ** d
-        hi = qm // (lo * p)
-        view = work.reshape(hi, p, lo, p)
-        new = np.empty_like(view)
-        for k in range(p):
-            acc = view[:, 0, :, :].copy()
-            for j in range(1, p):
-                acc += np.roll(view[:, j, :, :], (k * j) % p, axis=-1)
-            new[:, k, :, :] = acc
-        work = new.reshape(qm, p)
+    coords = tower.trace_coords  # built, if it must be, before the buffers
+    work = np.zeros((tower.p, tower.qm), dtype=np.int32)
+    work[0, members] = 1
+    spare = np.empty_like(work)
+    for d in range(tower.em):
+        _butterfly(work, spare, d)
+        work, spare = spare, work
+    del spare
 
     # the row holding a's values is indexed by the digits Tr_abs(a * X^i)
-    return work[tower.trace_coords[tower.exp]]
+    rows = np.empty((tower.order, tower.p), dtype=np.int64)
+    for part in blocks(tower.order, tower.p):
+        rows[part] = work.take(coords.take(tower.exp[part]), axis=1).T
+    return rows
 
 
 def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
@@ -295,8 +341,10 @@ def squared_norms(raw: np.ndarray) -> np.ndarray:
 
 
 def parseval_total(spectrum: Spectrum) -> int:
-    """sum over a of |value(a)|^2, computed exactly; equals q^m * |S|."""
-    total = squared_norms(spectrum.raw).sum(axis=0)
+    """sum over a of |value(a)|^2, computed exactly; equals q^m * |S|.  The
+    dense array is squared BLOCK rows at a time."""
+    raw = spectrum.raw
+    total = sum(squared_norms(raw[part]).sum(axis=0) for part in blocks(len(raw), raw.shape[1]))
     if np.any(total[1:]):
         raise SpectrumError("sum of |value|^2 failed to be rational; arithmetic bug")
     return int(total[0])

@@ -366,37 +366,39 @@ class Orbits:
         return self.classes[1][self._class_ids(words)]
 
     def automorphisms(self) -> Iterator[np.ndarray]:
-        """The permutations of the g + 1 + d class numbers (`_class_ids`) by
-        which automorphisms of the code act on its words (u, v), u in {0, 1},
-        beyond F_q^* scaling and <gamma^d>: one row per map, row[c] the class
-        of the image of the words of class c.
+        """The permutations of the g + 1 + d classes by which automorphisms of
+        the code act on its words (u, v), u in {0, 1}, beyond F_q^* scaling
+        and <gamma^d>: one row per map, in the order of classes[0], row[i] the
+        index there of the class of the image of the words of class i.
 
         The least Frobenius power x -> x^(p^s) with D^(p^s) = D sends (u, v)
         to (u^(p^s), v^(p^s)): the word with every coordinate raised to the
         p^s-th power and read at x^(p^s).  It multiplies log v by p^s, so it
-        sends class r < g to r p^s mod g, fixes (1, 0), class g, and sends
-        class g + 1 + i to g + 1 + (i p^s mod d), with no log or exp read.
+        sends class number r < g (`_class_ids`) to r p^s mod g, fixes (1, 0),
+        class g, and sends class g + 1 + i to g + 1 + (i p^s mod d), with no
+        log or exp read; its row reads that map at each class's number.
         For a quadric subset, each reflection g of `qpoly.quadric_reflections`
         sends (u, v) to (u, g*(v)), the word read at g(x), g* the trace dual,
-        and its row holds the classes of the images of the classes' lowest
-        words; each is checked by `tables_induce_code_automorphism`, a stack
-        of them at a time, before it is used.  At most 2m are drawn; on every
-        quadric tried, 4 to 13 of them reach the orbits of the whole
+        and its row holds the `class_index` of the images of the classes'
+        lowest words; each is checked by `tables_induce_code_automorphism`, a
+        stack of them at a time, before it is used.  At most 2m are drawn; on
+        every quadric tried, 4 to 13 of them reach the orbits of the whole
         orthogonal group (`merged`).
         """
         tower, s, d = self.tower, self.frobenius_power, self.period
         g = gcd(d, tower.subfield_step)
+        words, rank = self.classes
         if s < tower.em:
-            yield np.concatenate([np.arange(g) * pow(tower.p, s, g) % g, [g],
-                                  g + 1 + np.arange(d) * pow(tower.p, s, d) % d])
+            numbers = np.concatenate([np.arange(g) * pow(tower.p, s, g) % g, [g],
+                                      g + 1 + np.arange(d) * pow(tower.p, s, d) % d])
+            yield rank[numbers][np.argsort(rank)]  # argsort(rank): the number of each class
         if isinstance(self.subset.origin, QuadricOrigin):
-            words, rank = self.classes
-            u, v = np.divmod(words[rank], tower.qm)  # the lowest word of each class
+            u, v = np.divmod(words, tower.qm)  # the lowest word of each class
             for reflection, dual in quadric_reflections(self.subset, 2 * tower.m):
                 if not tables_induce_code_automorphism(self.subset, reflection, dual, False).all():
                     raise AssertionError("a reflection of the quadric is no code automorphism; bug")
                 for image in dual[:, v]:
-                    yield self._class_ids(u * tower.qm + image)
+                    yield self.class_index(u * tower.qm + image)
 
     @cached_property
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
@@ -404,17 +406,17 @@ class Orbits:
         under F_q^* scaling, <gamma^d> and the automorphisms, ascending and
         read-only, and the orbit of each class, an index into reps.
 
-        Each automorphism permutes the classes (a row of `automorphisms`,
-        read in the order of fine through rank).  Their labels, first their
-        own index, settle after each map: a label takes the least label that
-        the classes holding it reach along the map, and each class then takes
-        the label of its label, until none changes.  So the classes joined by
-        the maps so far hold one label, the least index among them, and
-        earlier maps need not be kept.  Any set of verified automorphisms
-        gives orbits on which every oracle condition is constant; more of
-        them only merge orbits.  The work is on the g + 1 + d classes and
-        their images under one map at a time, none of it word-sized, so the
-        word guard sits at the scans that use it.
+        Each automorphism permutes the classes (a row of `automorphisms`, in
+        the order of fine).  Their labels, first their own index, settle after
+        each map (`_settle`), whose temporaries go with it: a label takes the
+        least label that the classes holding it reach along the map, and each
+        class then takes the label of its label, until none changes.  So the
+        classes joined by the maps so far hold one label, the least index
+        among them, and earlier maps need not be kept.  Any set of verified
+        automorphisms gives orbits on which every oracle condition is
+        constant; more of them only merge orbits.  The work is on the
+        g + 1 + d classes and their images under one map at a time, none of
+        it word-sized, so the word guard sits at the scans that use it.
 
         For a quadric subset no more are drawn once the orbits of the whole
         orthogonal group are reached.  By Witt's theorem those are (1, 0)
@@ -423,21 +425,12 @@ class Orbits:
         trace form), the latter split by the square class of Q for odd q, as
         F_q^* scales Q by squares: 5 orbits for even q, 7 for odd q.
         """
-        fine, rank = self.classes
+        fine = self.classes[0]
         quadric = isinstance(self.subset.origin, QuadricOrigin)
         least = (7 if self.tower.p > 2 else 5) if quadric else 1
         lowest = np.arange(len(fine))
-        succ = np.empty_like(lowest)
-        for row in self.automorphisms():
-            succ[rank] = rank[row]  # the index of each class's image in fine
-            last = None
-            while not np.array_equal(lowest, last):
-                last, lowest = lowest, lowest.copy()
-                # each label takes the least label that the classes holding
-                # it reach along the map, and every class its label's label
-                np.minimum.at(lowest, last, last[succ])
-                while not np.array_equal(lowest, lowest[lowest]):
-                    lowest = lowest[lowest]
+        for succ in self.automorphisms():  # the index in fine of each class's image
+            lowest = _settle(lowest, succ)
             if np.count_nonzero(lowest == np.arange(len(fine))) <= least:
                 break
         first, labels = np.unique(lowest, return_inverse=True)
@@ -457,6 +450,17 @@ class Orbits:
         """The orbit index of each head (0, gamma^j), j < gcd(d, step), the
         class numbered j: the word whose zeros are the hyperplane H_j."""
         return self.merged[1][self.classes[1][: gcd(self.period, self.tower.subfield_step)]]
+
+
+def _settle(lowest: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """The class labels of `Orbits.merged`, settled after the map succ."""
+    last = None
+    while not np.array_equal(lowest, last):
+        last, lowest = lowest, lowest.copy()
+        np.minimum.at(lowest, last, last[succ])
+        while not np.array_equal(lowest, lowest[lowest]):
+            lowest = lowest[lowest]
+    return lowest
 
 
 _ENGINES: WeakKeyDictionary = WeakKeyDictionary()

@@ -233,11 +233,13 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
     """Built-in defining polynomial for F_{p^degree}.
 
     Falls back to a deterministic search by the order test (the same
-    enumeration that produced the frozen table) for pairs outside it.
+    enumeration that produced the frozen table) for pairs outside it.  For
+    degree n >= 2 it starts at code p, past the binomials X^n + c: none is
+    primitive, as X^n = -c gives X an order dividing n (p - 1) < p^n - 1.
     """
     if (p, degree) in DEFAULT_MODULI:
         return DEFAULT_MODULI[(p, degree)]
-    for code in range(1, p ** degree):
+    for code in range(p if degree > 1 else 1, p ** degree):
         f = [code // p ** i % p for i in range(degree)] + [1]
         if poly_x_is_primitive(f, p):
             return tuple(f)
@@ -361,7 +363,6 @@ class FieldTower:
         sub[1:] = self.exp[np.arange(self.q - 1) * self.subfield_step]
         self.subfield_elements = sub
 
-        self._coord_tables = None
         self._subfield_ops = None
 
     def _powers_of_x(self, count: int) -> np.ndarray:
@@ -685,25 +686,6 @@ class FieldTower:
                 neg[1:] = (j + (self.q - 1) // 2) % (self.q - 1) + 1
             self._subfield_ops = (add, mul, neg)
         return self._subfield_ops
-
-    def coordinate_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bijection between elements and F_q-coordinate codes.
-
-        Coordinates are taken over the basis 1, gamma, ..., gamma^(m-1);
-        a coordinate vector (c_0..c_{m-1}) of dense labels is packed as
-        sum(c_i * q^i).  Returns (element_of_code, code_of_element).
-        """
-        if self._coord_tables is None:
-            elems = np.array([0], dtype=np.int64)
-            for k in range(self.m):
-                mults = self.mul_vec(int(self.exp[k]), self.subfield_elements.astype(np.int64))
-                # flat index = c_k * q^k + previous code
-                elems = self.add_sets(mults[:, None], elems[None, :]).ravel()
-            element_of_code = elems.astype(np.int64)
-            code_of_element = np.empty(self.qm, dtype=np.int64)
-            code_of_element[element_of_code] = np.arange(self.qm, dtype=np.int64)
-            self._coord_tables = (element_of_code, code_of_element)
-        return self._coord_tables
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m}, size={self.qm})"

@@ -3,7 +3,11 @@
 A subset is carried as its sorted members plus its origin: the (N, J) of
 a union of cyclotomic classes, the Gram matrix of a quadratic form whose
 nonzero zeros it is, or none (an explicit element list).  Its q^m-entry
-indicator bitset is built only when something reads it.  Verification
+indicator bitset is built only when something reads it.  A quadric's zeros
+are collected a block of elements at a time, from each element's
+F_q-coordinates (its base-p digits for e = 1, the traces against the dual
+basis for e > 1), so that the build holds no array of q^m entries beside
+the members.  Verification
 runs on two independent routes: the spectral one reads the distinct
 character-sum values off the full spectrum, the combinatorial one counts
 differences directly; on small fields both must agree.
@@ -11,7 +15,7 @@ differences directly; on small fields both must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isqrt
 from typing import Sequence
 
@@ -510,18 +514,63 @@ def default_gram(tower: FieldTower, kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in gram)
 
 
+def _elements(tower: FieldTower, labels) -> np.ndarray:
+    """sum over j of labels[i][j] gamma^j for each row i of dense F_q labels:
+    label l >= 1 is gamma^((l - 1) step), so each term is one read of exp."""
+    labels = np.asarray(labels, dtype=np.int64)
+    logs = (labels - 1) * tower.subfield_step + np.arange(tower.m)
+    return reduce(tower.add_sets, np.where(labels > 0, tower.exp[logs % tower.order], 0).T)
+
+
+def _dual_basis(tower: FieldTower) -> np.ndarray:
+    """delta_0, ..., delta_(m-1) with Tr(delta_i gamma^j) = 1 for i = j and 0
+    otherwise, Tr the trace to F_q: the rows of T^-1, T[i][j] = Tr(gamma^(i+j)),
+    by reducing [T | I] over the F_q label tables (T is invertible, as the
+    trace form is nondegenerate)."""
+    add, mul, neg = tower.subfield_tables()
+    m = tower.m
+    inverse = (mul == 1).argmax(axis=1)  # of each nonzero label
+    rows = np.concatenate([tower.trace_label_of_exp[np.add.outer(np.arange(m), np.arange(m))],
+                           np.eye(m, dtype=np.int64)], axis=1)
+    for c in range(m):
+        pivot = c + int(np.flatnonzero(rows[c:, c])[0])
+        rows[[c, pivot]] = rows[[pivot, c]]
+        rows[c] = mul[inverse[rows[c, c]], rows[c]]
+        factor = neg[rows[:, c]]
+        factor[c] = 0
+        rows = add[rows, mul[factor[:, None], rows[c]]]
+    return _elements(tower, rows[:, m:])
+
+
 def quadric_values(tower: FieldTower, gram, xs) -> np.ndarray:
     """Dense F_q labels of Q(x) = sum over i <= j of gram[i][j] x_i x_j for an
-    array of elements x, x_i the F_q-coordinates over 1, gamma, ..., gamma^(m-1)."""
+    array of elements x, x_i the F_q-coordinates over 1, gamma, ..., gamma^(m-1).
+
+    For e = 1 the coordinates are the base-p digits of x, read off a table of
+    the digits of each half of x, so Q(x) is a sum of integer products,
+    reduced mod p once.  For e > 1 x_i is the label of Tr(delta_i x), delta
+    the trace-dual basis (`_dual_basis`), read through
+    `FieldTower.trace_labels`, and the products and sums go through the F_q
+    label tables."""
+    xs = np.asarray(xs)
+    terms = [(i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if j >= i and g]
+    if tower.e == 1:
+        p, h = tower.p, tower.m // 2
+        half = np.arange(p ** (tower.m - h), dtype=np.int32)
+        table = [half // p ** i % p for i in range(tower.m - h)]
+        high = xs // p ** h
+        low = xs - high * p ** h
+        digits = [t.take(low) for t in table[:h]] + [t.take(high) for t in table]
+        value = tower.subfield_elements  # of each label of F_p
+        total = np.zeros_like(xs)
+        for i, j, g in terms:
+            total += int(value[g]) * digits[i] * digits[j]
+        return tower.subfield_labels(total % p)
     add, mul, _ = tower.subfield_tables()
-    _, code_of_element = tower.coordinate_tables()
-    codes = code_of_element[np.asarray(xs)]
-    coords = [codes // tower.q ** i % tower.q for i in range(tower.m)]
-    values = np.zeros(codes.shape, dtype=np.int64)
-    for i, row in enumerate(gram):
-        for j in range(i, tower.m):
-            if row[j]:
-                values = add[values, mul[mul[row[j], coords[i]], coords[j]]]
+    coords = tower.trace_labels(_dual_basis(tower).reshape((-1,) + (1,) * xs.ndim), xs)
+    values = np.zeros(xs.shape, dtype=np.int32)
+    for i, j, g in terms:
+        values = add[values, mul[mul[g, coords[i]], coords[j]]]
     return values
 
 
@@ -530,9 +579,10 @@ def quadric_subset(
 ) -> tuple[FieldSubset, PdsCertificate]:
     """Nonzero zero-locus of a nondegenerate quadratic form, plus its predicted certificate.
 
-    The field is viewed as F_q^m through the coordinate tables; gram is an
-    upper-triangular coefficient matrix of dense F_q labels with
-    Q(x) = sum over i<=j of gram[i][j] * x_i * x_j.
+    The field is viewed as F_q^m over the basis 1, gamma, ..., gamma^(m-1);
+    gram is an upper-triangular coefficient matrix of dense F_q labels with
+    Q(x) = sum over i<=j of gram[i][j] * x_i * x_j.  Q is evaluated on BLOCK
+    elements at a time (`quadric_values`), and only the zeros are kept.
     """
     if kind not in (None, "hyperbolic", "elliptic"):
         raise ValueError(f"kind must be 'hyperbolic' or 'elliptic', got {kind!r}")
@@ -551,13 +601,16 @@ def quadric_subset(
     if any(not 0 <= v < q for row in gram for v in row):
         raise ValueError(f"gram entries must be F_q labels 0..{q - 1}")
     add, _, _ = tower.subfield_tables()
-    element_of_code, _ = tower.coordinate_tables()
     # the polarization B(x,y) = Q(x+y) - Q(x) - Q(y) has the matrix G + G^T,
     # and is nondegenerate when its rows, as elements, have rank m
-    polar = np.array([[add[gram[i][j], gram[j][i]] for j in range(m)] for i in range(m)])
-    if not rank_reaches(tower, distinct(element_of_code[polar @ q ** np.arange(m)]), m)[0]:
+    polar = [[add[gram[i][j], gram[j][i]] for j in range(m)] for i in range(m)]
+    if not rank_reaches(tower, distinct(_elements(tower, polar)), m)[0]:
         raise ValueError("quadratic form is degenerate (polar form has a radical)")
-    members = np.flatnonzero(quadric_values(tower, gram, np.arange(tower.qm)) == 0)[1:]
+    zeros = []
+    for part in blocks(tower.qm):
+        xs = np.arange(part.start, part.stop, dtype=np.int32)
+        zeros.append(xs[quadric_values(tower, gram, xs) == 0])
+    members = np.concatenate(zeros)[1:]  # x = 0 is the first zero
     sqm = isqrt(tower.qm)
 
     half = q ** (m // 2 - 1)

@@ -22,8 +22,9 @@ lines F_q^* v that those scans test one at a time are listed by
 multiplying v by each nonzero element of F_q, and the complement of a
 subset is taken as a set difference.  Then
 come the projective representatives as a sorted list of word indices, the
-spectrum by its two test routes (the transform and the unreduced count,
-one key per (row, member) pair) or read off its dense (q^m, p) array, the
+spectrum by its two test routes (the int64 transform on rolled copies,
+which the library runs on two int32 buffers, and the unreduced count, one
+key per (row, member) pair) or read off its dense (q^m, p) array, the
 least stabiliser period by trying every divisor of q^m - 1, the symmetry
 of a subset by gathering the negatives of its members, its least
 asymmetry witness by trying them one at a time, a subset's members taken
@@ -44,7 +45,9 @@ coefficient lists: irreducibility by trial division by every monic
 polynomial of at most half the degree, and the order of X by multiplying
 by X until it returns to 1.  The orbit closure also takes, for a
 quadric, every reflection of its orthogonal group, evaluated on field
-elements, its trace dual found by matching rows of traces.
+elements, its trace dual found by matching rows of traces, and Q itself
+is read one element at a time through the element <-> coordinate tables
+that the library replaced with per-block digits and dual-basis traces.
 
 The tower tables come here by the routes the library avoids for their
 q^m-entry temporaries: exp through the multiply-by-X^B table, log by one
@@ -498,9 +501,30 @@ def pointwise_rows(tower, members, chunk=2 ** 20):
     return rows
 
 
+def transform_rows(tower, members):
+    """The additive-character transform over the digit group (F_p)^em in
+    int64, one row per gamma^i, i < q^m - 1: each butterfly stage builds a
+    fresh (q^m, p) array from p^2 rolled copies along one digit, and the rows
+    are gathered at trace_coords[exp] in one step."""
+    p, em, qm = tower.p, tower.em, tower.qm
+    work = np.zeros((qm, p), dtype=np.int64)
+    work[members, 0] = 1
+    for d in range(em):
+        lo = p ** d
+        view = work.reshape(qm // (lo * p), p, lo, p)
+        new = np.empty_like(view)
+        for k in range(p):
+            acc = view[:, 0, :, :].copy()
+            for j in range(1, p):
+                acc += np.roll(view[:, j, :, :], (k * j) % p, axis=-1)
+            new[:, k, :, :] = acc
+        work = new.reshape(qm, p)
+    return work[tower.trace_coords[tower.exp]]
+
+
 def route_spectrum(tower, members, route):
     """A test reference as a Spectrum: "transform", or "pointwise", the unreduced count."""
-    rows = (charsums._spectrum_transform(tower, members) if route == "transform"
+    rows = (transform_rows(tower, members) if route == "transform"
             else pointwise_rows(tower, members))
     return charsums.Spectrum(tower, rows, tower.order, len(members))
 
@@ -534,12 +558,26 @@ def frobenius_class_images(code):
     return engine.class_index(u * tower.qm + np.where(v == 0, 0, tower.exp[logs % tower.order]))
 
 
+def coordinate_tables(tower):
+    """(element_of_code, code_of_element), int64: the bijection between the
+    elements and their F_q-coordinates over 1, gamma, ..., gamma^(m-1), a
+    vector (c_0..c_{m-1}) of dense labels packed as sum(c_i * q^i), built by
+    adding c_k gamma^k to every code so far, one k at a time."""
+    elems = np.array([0], dtype=np.int64)
+    for k in range(tower.m):
+        mults = tower.mul_vec(int(tower.exp[k]), tower.subfield_elements.astype(np.int64))
+        elems = tower.add_sets(mults[:, None], elems[None, :]).ravel()  # c_k q^k + code
+    code_of_element = np.empty(tower.qm, dtype=np.int64)
+    code_of_element[elems] = np.arange(tower.qm, dtype=np.int64)
+    return elems, code_of_element
+
+
 def quadric_labels(tower, gram):
     """Q(x) as a dense F_q label for every element x, Q(x) = sum over i <= j of
     gram[i][j] x_i x_j, x_i the F_q-coordinates over 1, gamma, ..., gamma^(m-1),
     one element at a time on Python ints."""
     add, mul, _ = tower.subfield_tables()
-    _, code_of_element = tower.coordinate_tables()
+    _, code_of_element = coordinate_tables(tower)
     out = []
     for x in range(tower.qm):
         c = [int(code_of_element[x]) // tower.q ** i % tower.q for i in range(tower.m)]

@@ -12,8 +12,10 @@ from reference import (
     coset_logs,
     is_invariant_under_subfield,
     least_period,
+    pointwise_rows,
     route_spectrum,
     trace_q,
+    transform_rows,
 )
 
 from pdscodes import charsums, pds
@@ -155,6 +157,15 @@ def test_parseval_with_irrational_norms():
     sq = squared_norms(spec.raw)
     assert np.any(sq[:, 1:] != 0)
     assert parseval_total(spec) == tower.qm * len(members)
+
+
+def test_corrupted_raw_changes_the_parseval_total(f34):
+    # the total is taken block by block from the cached dense array itself,
+    # so a corrupted entry of raw shows in it
+    spec = full_spectrum(f34, quadric_subset(f34, kind="elliptic")[0].members)
+    total = parseval_total(spec)
+    spec.raw[1, 0] += 1
+    assert parseval_total(spec) != total
 
 
 def test_irrational_spectrum_detected(f35):
@@ -460,3 +471,55 @@ def test_spectrum_budget_refuses_huge_prime_squares(p, cost):
     message = f"spectrum cost {cost} transform additions exceeds the budget 1e+10"
     with pytest.raises(GuardExceeded, match=re.escape(message)):
         stabiliser_spectrum(tower, np.zeros(0, dtype=np.int64), 3, np.array([0]))
+
+
+# (p, e, m) of the fields on which the transform meets both references
+TRANSFORM_FIELDS = [(2, 1, 8), (3, 1, 5), (5, 1, 3), (7, 1, 3), (2, 2, 4), (3, 2, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("field", TRANSFORM_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_transform_rows_equal_references(field):
+    # the int32 transform on two buffers against the int64 one with rolled
+    # copies and against the unreduced count: random sets with and without
+    # 0, a singleton and the whole field, whose counts reach q^m
+    tower = _route_tower(*field)
+    rng = np.random.default_rng(tower.qm)
+    sets = [rng.choice(tower.qm, size=size, replace=False)
+            for size in (1, tower.qm // 3, tower.qm // 2, tower.qm - 1)]
+    for members in sets + [np.arange(tower.qm)]:
+        rows = charsums._spectrum_transform(tower, members)
+        assert rows.dtype == np.int64 and rows.shape == (tower.order, tower.p)
+        assert np.array_equal(rows, transform_rows(tower, members))
+        assert np.array_equal(rows, pointwise_rows(tower, members))
+
+
+def _traced_peak(read):
+    """The tracemalloc peak of read(), in bytes."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def n73_spectrum(f312):
+    """F_3^12, N = 73, J = {0, 5}: a fresh class-union spectrum whose dense
+    array, not built yet, is 12.8 MB, with the log table its rows are found
+    through."""
+    f312.log
+    return build_cyclotomic_subset(f312, 73, [0, 5]).spectrum()
+
+
+def test_raw_is_filled_a_block_at_a_time(n73_spectrum):
+    # traced, raw took 2.5 times its own size when its rows were gathered at once
+    peak = _traced_peak(lambda: n73_spectrum.raw)
+    assert peak <= 1.25 * n73_spectrum.raw.nbytes
+
+
+def test_parseval_squares_a_block_at_a_time(n73_spectrum, f312):
+    # traced, the total took twice raw when it squared every row at once
+    raw = n73_spectrum.raw
+    assert _traced_peak(lambda: parseval_total(n73_spectrum)) <= raw.nbytes / 4
+    assert parseval_total(n73_spectrum) == f312.qm * 2 * f312.order // 73

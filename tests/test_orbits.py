@@ -232,13 +232,14 @@ def test_blocking_on_merged_orbits_equals_reference(code):
 
 def test_frobenius_row_equals_element_round_trip(code):
     # the class permutation of x -> x^(p^s), by arithmetic on the class
-    # numbers, against the images of the classes' lowest words through log,
-    # exp and class_index; x -> x^(p^em) is the identity and draws no row
+    # numbers and read in the order of classes[0], against the images of the
+    # classes' lowest words through log, exp and class_index; x -> x^(p^em)
+    # is the identity and draws no row
     engine = code.orbits
     rows = list(engine.automorphisms())
     images = reference.frobenius_class_images(code)
     if engine.frobenius_power < code.tower.em:
-        assert np.array_equal(engine.classes[1][rows[0]], images)
+        assert np.array_equal(rows[0][engine.classes[1]], images)
     else:
         assert np.array_equal(images, engine.classes[1])
         assert isinstance(code.subset.origin, QuadricOrigin) or rows == []

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from reference import codeword, from_basis_images, neg_table, trace_q, weight_table
+from reference import (
+    codeword,
+    coordinate_tables,
+    from_basis_images,
+    neg_table,
+    trace_q,
+    weight_table,
+)
 from reference import induced_code_automorphism_check as exhaustive_check
 
 from pdscodes.codes import SubsetCode
@@ -279,7 +286,7 @@ def test_quadric_symmetry_generators_membership(f34):
     from pdscodes.qpoly import induced_code_automorphism_check
 
     subset, _ = quadric_subset(f34, kind="hyperbolic")
-    element_of_code, code_of_element = f34.coordinate_tables()
+    element_of_code, code_of_element = coordinate_tables(f34)
     q = f34.q
 
     def map_from_coordinate_permutation(perm):

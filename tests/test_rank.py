@@ -318,7 +318,7 @@ def test_polar_form_rank(f34):
     for gram in ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],  # x0 x1 + x2^2
                  [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]):
         polar = [[int(add[gram[i][j], gram[j][i]]) for j in range(4)] for i in range(4)]
-        element_of_code, _ = f34.coordinate_tables()
+        element_of_code, _ = reference.coordinate_tables(f34)
         rows = element_of_code[np.array(polar) @ q ** np.arange(4)]
         assert reference.dimension(f34, rows) < 4
         with pytest.raises(ValueError, match="degenerate"):
