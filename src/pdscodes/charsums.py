@@ -3,7 +3,9 @@
 The canonical additive character sends x to zeta_p^Tr(x) with Tr the
 absolute trace; the sum of a subset S twisted by a is found by counting
 how often each trace value t occurs on a*S and weighting by zeta_p^t.
-Everything stays in Z[zeta_p] as raw zeta-coefficient vectors of length p.
+Everything stays in Z[zeta_p] as raw zeta-coefficient vectors of length p,
+held in int32: every coefficient counts members, at most |S| < 2^26, and
+only the squared norms, products of two counts, are taken in int64.
 
 A spectrum is held as its distinct rows: if gamma^d S = S, the value at a
 depends only on log(a) mod d (for a class union these are the d Gauss
@@ -24,8 +26,8 @@ The butterfly transform, one pass per F_p digit of the field, costs
 em * p^2 * q^m integer additions whatever S is; it serves the sets with a
 small stabiliser, such as quadrics and trace hyperplanes, and its output,
 taken in log order, is the case d = q^m - 1.  It runs on two int32
-(p, q^m) buffers, each stage reading one and writing the other, and takes
-its log-order rows a block at a time.  The int64 transform that rolled
+(p, q^m) buffers, each stage reading one and writing the other, and fills
+its int32 log-order rows a block at a time.  The int64 transform that rolled
 fresh copies, and an unreduced count with one key per (row, member) pair,
 are the two test references, reached through `tests/reference.py`, and all
 three agree bit for bit.
@@ -90,7 +92,7 @@ class Spectrum:
         self._rational = np.all(rows[:, 1 : tower.p - 1] == rows[:, tower.p - 1 :], axis=1)
 
     def _zero_row(self) -> np.ndarray:
-        row = np.zeros(self.tower.p, dtype=np.int64)
+        row = np.zeros(self.tower.p, dtype=self.rows.dtype)
         row[0] = self.set_size  # Tr(0 * x) = 0 for every x
         return row
 
@@ -170,7 +172,7 @@ class Spectrum:
 
 def trace_count_table(tower: FieldTower, a: int, members: np.ndarray) -> np.ndarray:
     """counts[t] = #{x in S : Tr_abs(a x) = t}; sums to |S|."""
-    members = np.asarray(members, dtype=np.int64)
+    members = np.asarray(members)
     if a == 0 or len(members) == 0:
         counts = np.zeros(tower.p, dtype=np.int64)
         counts[0] = len(members)
@@ -240,7 +242,7 @@ def _spectrum_orbit(tower: FieldTower, period: int, cosets: np.ndarray,
     i in cosets, added as two slices per i; the rest of set_size is 0.
     """
     periods = gauss_periods(tower, period)
-    rows = np.zeros((period, tower.p), dtype=np.int64)
+    rows = np.zeros((period, tower.p), dtype=np.int32)  # counts of at most |S| < 2^26
     for i in cosets.tolist():
         rows[: period - i] += periods[i:]
         rows[period - i :] += periods[:i]
@@ -286,7 +288,7 @@ def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
     del spare
 
     # the row holding a's values is indexed by the digits Tr_abs(a * X^i)
-    rows = np.empty((tower.order, tower.p), dtype=np.int64)
+    rows = np.empty((tower.order, tower.p), dtype=np.int32)
     for part in blocks(tower.order, tower.p):
         rows[part] = work.take(coords.take(tower.exp[part]), axis=1).T
     return rows
@@ -294,7 +296,9 @@ def _spectrum_transform(tower: FieldTower, members: np.ndarray) -> np.ndarray:
 
 def full_spectrum(tower: FieldTower, members: np.ndarray) -> Spectrum:
     """Character sums of S (distinct elements, 0 allowed) twisted by every a."""
-    members = np.asarray(members, dtype=np.int64)
+    members = np.asarray(members)
+    if members.dtype.kind not in "iu":  # an empty list reads as float64
+        members = members.astype(np.int64)
     return stabiliser_spectrum(tower, members, *tower.stabiliser(members))
 
 
@@ -330,8 +334,10 @@ def squared_norms(raw: np.ndarray) -> np.ndarray:
 
     Returned in canonical form, p - 1 coefficients over 1, zeta, ...,
     zeta^(p-2) per row: column 0 is the rational part, and the value is
-    rational exactly when the other columns vanish.
+    rational exactly when the other columns vanish.  raw is widened to int64
+    on entry, as the products of two counts pass 2^31.
     """
+    raw = np.asarray(raw, dtype=np.int64)
     p = raw.shape[1]
     # t-th coefficient of z * conj(z) is sum_i c_i c_{i-t}
     coeffs = np.stack(

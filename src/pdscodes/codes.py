@@ -305,11 +305,13 @@ class Orbits:
         D is the union of the cosets gamma^i <gamma^d>, i in I, and x -> x^(p^s)
         sends gamma^i <gamma^d> onto gamma^(p^s i) <gamma^d>, so the test is
         p^s I = I (mod d); p^s is prime to d, so p^s I inside I suffices.
+        The int32 cosets are widened for the product, which passes 2^31.
         """
         tower = self.tower
         d, cosets = self.subset.stabiliser
         on = np.zeros(d, dtype=bool)
         on[cosets] = True
+        cosets = cosets.astype(np.int64)
         return next(s for s in range(1, tower.em + 1)
                     if tower.em % s == 0 and on[cosets * pow(tower.p, s, d) % d].all())
 

@@ -167,18 +167,17 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n stays below 2^26 here."""
-    out: dict[int, int] = {}
-    d = 2
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; n stays
+    below 2^26 here."""
+    out, d = [], 2
     while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return out + [n] * (n > 1)
 
 
 def _companion(coeffs: Sequence[int], p: int) -> np.ndarray:
@@ -216,7 +215,7 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     companion, one = _companion(coeffs, p), np.eye(n, dtype=np.int64)
     return np.array_equal(_power(companion, p ** n, p), companion) and all(
         np.array_equal(_power((_power(companion, p ** (n // ell), p) - companion) % p,
-                              p ** n - 1, p), one) for ell in factorize(n))
+                              p ** n - 1, p), one) for ell in prime_factors(n))
 
 
 def poly_x_is_primitive(coeffs: Sequence[int], p: int) -> bool:
@@ -226,7 +225,7 @@ def poly_x_is_primitive(coeffs: Sequence[int], p: int) -> bool:
     order, companion = p ** (len(coeffs) - 1) - 1, _companion(coeffs, p)
     one = np.eye(len(companion), dtype=np.int64)
     return bool(coeffs[0] % p) and np.array_equal(_power(companion, order, p), one) and not any(
-        np.array_equal(_power(companion, order // ell, p), one) for ell in factorize(order))
+        np.array_equal(_power(companion, order // ell, p), one) for ell in prime_factors(order))
 
 
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:
@@ -344,7 +343,7 @@ class FieldTower:
         # ell a prime, is 1; then the residues have q^m - 1 units, so they form
         # a field and the modulus is irreducible and primitive; Rabin's test
         # names a failure
-        if powers[order] != 1 or any(powers[order // ell] == 1 for ell in factorize(order)):
+        if powers[order] != 1 or any(powers[order // ell] == 1 for ell in prime_factors(order)):
             fault = ("is irreducible but X is not primitive" if poly_is_irreducible(self.modulus, p)
                      else f"is reducible over F_{p}")
             raise FieldConstructionError(f"modulus {list(self.modulus)} {fault}")
@@ -531,7 +530,7 @@ class FieldTower:
         cosets gamma^i <gamma^d>, i in I: the cyclic period of S's
         indicator in log order (`cyclic_period`)."""
         mem = np.zeros(self.order + 1, dtype=bool)  # the last slot takes log[0] = -1
-        mem[self.log[members].astype(np.intp)] = True
+        mark(mem, self.log.take(members))
         return cyclic_period(mem[:-1])
 
     # -- traces and hyperplanes -------------------------------------------
@@ -700,6 +699,14 @@ def blocks(count: int, width: int = 1) -> Iterator[slice]:
         yield slice(start, min(start + per, count))
 
 
+def mark(mask: np.ndarray, index: np.ndarray) -> None:
+    """mask[index] = True, BLOCK keys at a time cast to intp: numpy scatters
+    int32 keys on a slow buffered path, and an intp copy of every key would
+    take twice their bytes."""
+    for part in blocks(len(index)):
+        mask[index[part].astype(np.intp)] = True
+
+
 def distinct(values, dtype=None) -> np.ndarray:
     """The distinct entries of values, ascending, in dtype (theirs by default):
     one sort and a neighbour compare (np.unique would import numpy.ma)."""
@@ -711,19 +718,26 @@ def distinct(values, dtype=None) -> np.ndarray:
 
 def cyclic_period(mask: np.ndarray) -> tuple[int, np.ndarray]:
     """(d, I): the least d with mask[i + d mod n] = mask[i] for every i, n
-    = len(mask), and the ascending i < d marked in mask.
+    = len(mask) < 2^31, and the ascending i < d marked in mask, in int32.
 
     The cyclic periods of mask are the multiples of d dividing n, so d is n
     divided by each prime for as long as the quotient s = d / ell is still
     a period.  mask has cyclic period d and s divides d, so s is one exactly
     when the first d entries, shifted by s, agree with themselves:
-    mask[s:d] = mask[:d-s].  Those first d entries mark I.
+    mask[s:d] = mask[:d-s].  Those first d entries mark I, found BLOCK
+    entries at a time into one int32 array, so no int64 index list of more
+    than BLOCK entries and no second list of |I| entries is made.
     """
     d = len(mask)
-    for ell in factorize(d):
+    for ell in prime_factors(d):
         while d % ell == 0 and np.array_equal(mask[d // ell : d], mask[: d - d // ell]):
             d //= ell
-    return d, np.flatnonzero(mask[:d])
+    cosets, start = np.empty(np.count_nonzero(mask[:d]), dtype=np.int32), 0
+    for part in blocks(d):
+        found = np.flatnonzero(mask[part])
+        cosets[start : start + len(found)] = found + part.start
+        start += len(found)
+    return d, cosets
 
 
 def rank_reaches(tower: FieldTower, elems, target, count=None):

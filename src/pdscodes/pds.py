@@ -1,16 +1,17 @@
 """Candidate subsets of F_{q^m}^* and partial-difference-set verification.
 
-A subset is carried as its sorted members plus its origin: the (N, J) of
-a union of cyclotomic classes, the Gram matrix of a quadratic form whose
-nonzero zeros it is, or none (an explicit element list).  Its q^m-entry
-indicator bitset is built only when something reads it.  A quadric's zeros
+A subset is carried as its sorted int32 members plus its origin: the
+(N, J) of a union of cyclotomic classes, the Gram matrix of a quadratic
+form whose nonzero zeros it is, or none (an explicit element list).  Its
+q^m-entry indicator bitset is built only when something reads it, and its
+stabiliser's coset list, like the members, is int32.  A quadric's zeros
 are collected a block of elements at a time, from each element's
 F_q-coordinates (its base-p digits for e = 1, the traces against the dual
 basis for e > 1), so that the build holds no array of q^m entries beside
-the members.  Verification
-runs on two independent routes: the spectral one reads the distinct
-character-sum values off the full spectrum, the combinatorial one counts
-differences directly; on small fields both must agree.
+the members.  Verification runs on two independent routes: the spectral
+one reads the distinct character-sum values off the full spectrum, the
+combinatorial one counts differences directly; on small fields both must
+agree.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .field import (
     distinct,
     int_field,
     int_list,
+    mark,
     obj_field,
     rank_reaches,
     required,
@@ -64,9 +66,10 @@ class QuadricOrigin:
 
 class FieldSubset:
     """A subset of F_{q^m}^*: its members, sorted and without repeats, in
-    int64, taken from any array of elements by one int32 sort and a
-    neighbour compare (`distinct`), and an indicator built on first read;
-    origin is a CyclotomicOrigin, a QuadricOrigin or None."""
+    int32 (q^m <= MAX_FIELD_SIZE = 2^26), taken from any array of elements
+    by one int32 sort and a neighbour compare (`distinct`), and an indicator
+    built on first read; origin is a CyclotomicOrigin, a QuadricOrigin or
+    None."""
 
     def __init__(self, tower: FieldTower, members: np.ndarray,
                  origin: CyclotomicOrigin | QuadricOrigin | None = None):
@@ -74,18 +77,18 @@ class FieldSubset:
         # checked before the int32 cast, which would wrap larger values
         if members.size and (members.min() < 0 or members.max() >= tower.qm):
             raise ValueError("member out of field range")
-        members = distinct(members, np.int32)  # q^m <= MAX_FIELD_SIZE = 2^26
+        members = distinct(members, np.int32)
         if len(members) and members[0] == 0:
             raise ValueError("subsets live in the multiplicative group; 0 not allowed")
         self.tower = tower
-        self.members = members.astype(np.int64)  # sorted, without repeats
+        self.members = members  # sorted, without repeats
         self.origin = origin
 
     @cached_property
     def indicator(self) -> np.ndarray:
         """The q^m-entry membership bitset, built on first read."""
         indicator = np.zeros(self.tower.qm, dtype=bool)
-        indicator[self.members] = True
+        mark(indicator, self.members)
         return indicator
 
     def __len__(self):

@@ -8,14 +8,18 @@ is counted on the primal side: the total is a coset count and, for every
 code, each participant's coverage has one two-value closed form
 (`coverage_closed_form`, over any array of participants), depending only
 on whether its generator column is a scalar multiple of x1's (both
-outside the subset, on one F_q-line).  A word is support-minimal exactly
+outside the subset, on one F_q-line).  So only the q - 2 participants
+lambda x1, lambda != 0, 1, can differ from the rest: the report's classes
+and dictators are read off them, and the per-participant dict of q^m - 2
+entries is built only when read.  A word is support-minimal exactly
 when the generator columns at its zeros have rank k - 1
 (`SubsetCode.rank_orbit_flags`), which filters the count for a code that
 is not minimal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,26 +28,29 @@ from .codes import SubsetCode
 
 @dataclass
 class AccessReport:
+    code: SubsetCode = field(repr=False)
     x1: int
     x1_log: int
     x1_in_complement: bool
     total: int
     oracle_total: int | None          # filtered to truly minimal words when the code is not minimal
-    coverage: dict[int, int]          # participant log (every nonzero element but x1) -> count
+    coverage_classes: list[tuple[int, int]]  # (count n, participants covered n times), n descending
     dictators: list[int]              # participant logs lying in every minimal access set
     classification: str               # "dictatorial" | "democratic"
 
+    @cached_property
+    def coverage(self) -> dict[int, int]:
+        """Participant log (every nonzero element but x1) -> count, from the
+        closed form at every element; q^m - 2 entries, built on first read."""
+        counts = coverage_closed_form(self.code, self.x1, self.code.tower.exp).tolist()
+        return {j: n for j, n in enumerate(counts) if j != self.x1_log}
+
     def to_json(self) -> dict:
-        classes: dict[int, int] = {}
-        for n in self.coverage.values():
-            classes[n] = classes.get(n, 0) + 1
         return {
             "x1_log": self.x1_log,
             "x1_in_Dbar": self.x1_in_complement,
             "total": self.total,
-            "coverage_classes": [
-                {"n": n, "count": c} for n, c in sorted(classes.items(), reverse=True)
-            ],
+            "coverage_classes": [{"n": n, "count": c} for n, c in self.coverage_classes],
             "classification": self.classification,
         }
 
@@ -84,22 +91,28 @@ def coverage_closed_form(code: SubsetCode, x1: int, xs) -> np.ndarray:
 
 
 def analyze_scheme(code: SubsetCode, x1: int, code_is_minimal: bool = True) -> AccessReport:
+    """The access structure with the secret at x1.  The closed form gives
+    every participant off x1's F_q-line q^m - q^(m-1), so it is evaluated at
+    the q - 2 participants lambda x1 (log x1 + k step, 0 < k < q - 1) alone."""
     tower = code.tower
     if x1 == 0:
         raise ValueError("the secret coordinate must be a nonzero element")
     x1_log = int(tower.log[x1])
     total, oracle_total = minimal_access_count(code, x1, code_is_minimal)
-    counts = coverage_closed_form(code, x1, tower.exp).tolist()
-    coverage = {j: n for j, n in enumerate(counts) if j != x1_log}
-    dictators = sorted(j for j, n in coverage.items() if n == total)
-    classification = "dictatorial" if dictators else "democratic"
+    line = (x1_log + tower.subfield_step * np.arange(1, tower.q - 1)) % tower.order
+    counts = coverage_closed_form(code, x1, tower.exp[line])
+    classes = {tower.qm - tower.qm // tower.q: tower.order - 1 - len(line)}
+    for n in counts.tolist():
+        classes[n] = classes.get(n, 0) + 1
+    dictators = sorted(line[counts == total].tolist())
     return AccessReport(
+        code=code,
         x1=x1,
         x1_log=x1_log,
         x1_in_complement=not code.subset.indicator[x1],
         total=total,
         oracle_total=oracle_total,
-        coverage=coverage,
+        coverage_classes=sorted(((n, c) for n, c in classes.items() if c), reverse=True),
         dictators=dictators,
-        classification=classification,
+        classification="dictatorial" if dictators else "democratic",
     )

@@ -518,13 +518,21 @@ def test_latin_sufficient(f34):
     # threshold: r = 2 > 2*9/(9+3) = 1.5
     assert minimality_latin_sufficient(ell, 3, 4).status == MINIMAL
     # boundary r = 1, eps = 1 is inconclusive
-    from pdscodes.pds import PdsCertificate, eigensystem_from_parameters
+    from pdscodes.pds import PdsCertificate, classify_latin_type, eigensystem_from_parameters
 
     v, k = 81, 1 * (9 - 1)
     lam, mu = 9 + 1 - 3, 0
     t1, t2, m1, m2 = eigensystem_from_parameters(v, k, lam, mu)
     cert = PdsCertificate(v, k, lam, mu, t1, t2, m1, m2, "latin", 1, 1)
     assert minimality_latin_sufficient(cert, 3, 4).status == INCONCLUSIVE
+    # eps = 1 with r = n - 1 (the complement of the r = 1 set): minimal by
+    # the Latin branch, while the negative-Latin one excludes r = n - 1
+    r = 8
+    k, lam, mu = r * (9 - 1), 9 + r * r - 3 * r, r * r - r
+    t1, t2, m1, m2 = eigensystem_from_parameters(v, k, lam, mu)
+    cert = PdsCertificate(v, k, lam, mu, t1, t2, m1, m2, "latin", r, 1)
+    assert classify_latin_type(v, k, lam, mu) == ("latin", r, 1)
+    assert minimality_latin_sufficient(cert, 3, 4).status == MINIMAL
 
 
 def test_cyclotomic_sufficient(f44):

@@ -16,11 +16,35 @@ from pdscodes.field import (
     FieldSpec,
     FieldTower,
     build_tower,
+    cyclic_period,
     default_modulus,
+    is_prime,
     poly_is_irreducible,
     poly_x_is_primitive,
+    prime_factors,
     rank_reaches,
 )
+
+
+def test_prime_factors_are_the_prime_divisors():
+    for n in range(1, 3000):
+        assert prime_factors(n) == [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+    assert prime_factors(2 ** 26 - 1) == [3, 2731, 8191]
+
+
+def test_cyclic_period_against_a_scan():
+    # the least cyclic period d of a mask and its marked entries below d, in
+    # int32, against a scan over the divisors of its length; periods below
+    # and above BLOCK = 2^16, so the list fills one block or several
+    rng = np.random.default_rng(26)
+    n = 15 * 2 ** 15
+    divisors = [e for e in range(1, n + 1) if n % e == 0]
+    for period in (1, 15, 3 * 2 ** 15, n):
+        mask = np.tile(rng.random(period) < 0.3, n // period)
+        least = next(e for e in divisors if np.array_equal(mask[e:], mask[: n - e]))
+        d, cosets = cyclic_period(mask)
+        assert d == least
+        assert cosets.dtype == np.int32 and np.array_equal(cosets, np.flatnonzero(mask[:d]))
 
 
 def test_spec_rejects_bad_parameters():

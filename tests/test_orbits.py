@@ -220,6 +220,17 @@ def test_frobenius_power_values(request, name):
     assert code.orbits.frobenius_power == least_frobenius_power(code.tower, code.subset.members)
 
 
+def test_frobenius_power_past_int32_products():
+    # S = {x, x^(2^11)}, x = gamma^-1 in F_{2^22}: the stabiliser is trivial,
+    # so the cosets are the logs, near 2^22, and times 2^11 they pass 2^31;
+    # an int32 product would wrap there and miss s = 11
+    tower = build_tower(FieldSpec(p=2, e=1, m=22))
+    subset = FieldSubset.from_logs(tower, [-1, -2 ** 11])
+    d, cosets = subset.stabiliser
+    assert d == tower.order and int(cosets.max()) * 2 ** 11 >= 2 ** 31
+    assert SubsetCode(subset).orbits.frobenius_power == 11
+
+
 def test_orbit_representatives_equal_closure(code):
     assert np.array_equal(code.orbits.representatives(), orbit_representatives(code))
 

@@ -336,6 +336,19 @@ def test_prediction_toy_cases_f16(f16, N, J):
     assert len(subset) == pred.certificate.k
 
 
+@pytest.mark.parametrize("spec,N", [((3, 1, 6), 4), ((5, 1, 2), 6), ((7, 1, 2), 8)],
+                         ids=["F_3^6 N=4", "F_5^2 N=6", "F_7^2 N=8"])
+def test_prediction_special_classes_shift_by_half(spec, N):
+    # N even, (p^ell1 + 1)/N odd and t odd: the classes that take the value
+    # of multiplicity k are -J + N/2, not -J, and the spectrum shows it
+    tower = build_tower(FieldSpec(*spec))
+    for J in ([0], [1], [0, 1]):
+        pred = predicted_cyclotomic_eigenvalues(tower, N, J)
+        assert pred.t % 2 == 1 and (tower.p ** pred.ell1 + 1) // N % 2 == 1
+        vals = build_cyclotomic_subset(tower, N, J).spectrum().rational_values()
+        assert np.array_equal(vals[tower.exp], np.tile(pred.coset_values, tower.order // N))
+
+
 def test_prediction_t_odd_f64():
     f64 = build_tower(FieldSpec(p=2, e=1, m=6))
     pred = predicted_cyclotomic_eigenvalues(f64, 9, [0, 3, 6])
@@ -387,6 +400,16 @@ def test_quadric_rejects_bad_input(f34, f35):
 def test_eigensystem_closed_forms():
     theta1, theta2, m1, m2 = eigensystem_from_parameters(243, 22, 1, 2)
     assert (theta1, theta2, m1, m2) == (4, -5, 132, 110)
+
+
+def test_eigensystem_small_discriminants():
+    # discriminant 0 (lambda = mu = k): one eigenvalue, so the multiplicities
+    # have no divisor, and the refusal comes before any division by it
+    with pytest.raises(PdsVerificationError, match="non-integral multiplicities"):
+        eigensystem_from_parameters(16, 6, 6, 6)
+    # discriminant 1 (k = mu, lambda - mu = -1): s = 1 divides everything, so
+    # the closed forms are integral and returned
+    assert eigensystem_from_parameters(16, 6, 5, 6) == (0, -1, 9, 6)
 
 
 @pytest.mark.parametrize(
@@ -553,11 +576,23 @@ def test_direct_check_chunks_equal_full_scan(request, monkeypatch, table, name, 
     assert batched.value.witness == expected.witness
 
 
+def test_empty_and_full_subsets_are_refused(f34):
+    # a connection set must be nonempty and proper, for both verifiers
+    everything = f34.exp[: f34.order]
+    for members in ([], everything):
+        subset = FieldSubset(f34, members)
+        assert not subset.is_proper()
+        for verify in (verify_pds_spectral, verify_pds_direct):
+            with pytest.raises(PdsVerificationError, match="nonempty and proper"):
+                verify(subset)
+    assert FieldSubset(f34, everything[1:]).is_proper()
+
+
 def test_field_subset_input_validation(f34):
     members = [int(f34.exp[i]) for i in (7, 3, 3, 40, 0, 7)]
     subset = FieldSubset(f34, members)
     assert subset.members.tolist() == sorted(set(members))
-    assert subset.members.dtype == np.int64
+    assert subset.members.dtype == np.int32
     assert np.flatnonzero(subset.indicator).tolist() == sorted(set(members))
     assert len(FieldSubset(f34, [])) == 0
     with pytest.raises(ValueError, match="0 not allowed"):
@@ -574,7 +609,7 @@ def test_field_subset_input_validation(f34):
                     drawn.reshape(6, 10), []):
         subset = FieldSubset(f34, members)
         expected = reference.indicator_members(f34, members)
-        assert subset.members.dtype == np.int64
+        assert subset.members.dtype == np.int32
         assert np.array_equal(subset.members, expected)
         assert np.array_equal(np.flatnonzero(subset.indicator), expected)
     # range-checked before the int32 cast, where 2^32 + 5 would wrap to 5

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import reference
@@ -16,6 +18,16 @@ def ex31_code(f44):
 @pytest.fixture(scope="module")
 def row1_code(f35):
     return SubsetCode(build_cyclotomic_subset(f35, 11, [0]))
+
+
+def _dict_route(coverage, total):
+    """The coverage classes and dictators, counted over a dict of every
+    participant log -> coverage."""
+    classes = {}
+    for n in coverage.values():
+        classes[n] = classes.get(n, 0) + 1
+    return ([{"n": n, "count": c} for n, c in sorted(classes.items(), reverse=True)],
+            sorted(j for j, n in coverage.items() if n == total))
 
 
 def _labels_at(code, x):
@@ -165,11 +177,17 @@ def test_coverage_equals_enumeration(request, f16, f34, name):
         ones = int(np.count_nonzero(reference.value_labels_at(code, x1) == 1))
         for code_is_minimal in (True, False):
             assert minimal_access_count(code, x1, code_is_minimal)[0] == ones == tower.qm
-        coverage = analyze_scheme(code, x1).coverage
-        assert coverage == reference.participant_coverage(code, x1)
+        report = analyze_scheme(code, x1)
+        enumerated = reference.participant_coverage(code, x1)
+        assert report.coverage == enumerated
         closed = coverage_closed_form(code, x1, tower.exp)
-        for j, n in coverage.items():
+        for j, n in report.coverage.items():
             assert n == closed[j]
+        # the classes and dictators read off x1's F_q-line are those of the
+        # dict of every participant
+        classes, dictators = _dict_route(enumerated, report.total)
+        assert report.to_json()["coverage_classes"] == classes
+        assert report.dictators == dictators
 
 
 def test_coverage_of_a_non_invariant_subset(f34):
@@ -181,3 +199,25 @@ def test_coverage_of_a_non_invariant_subset(f34):
     assert coverage_closed_form(code, x1, int(f34.exp[1])) == 54
     assert coverage_closed_form(code, x1, int(f34.exp[1])).shape == ()  # one x, a 0-d result
     assert analyze_scheme(code, int(f34.exp[42])).coverage[2] == 81
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 20), (2, 2, 10)], ids=["F_2^20", "F_4^10"])
+def test_report_reads_the_line_of_x1_alone(spec):
+    # the report evaluates the closed form at the q - 2 multiples lambda x1
+    # alone, and builds the dict of q^m - 2 participants (about 100 MB
+    # traced here) only when coverage is read
+    tower = build_tower(FieldSpec(*spec))
+    code = SubsetCode(build_cyclotomic_subset(tower, 3, [0]))
+    tower.log, code.subset.indicator  # the tables it reads, built before the trace
+    for x1 in (int(code.subset.members[0]), int(code.subset.complement().members[0])):
+        tracemalloc.start()
+        try:
+            report = analyze_scheme(code, x1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        classes, dictators = _dict_route(report.coverage, report.total)
+        assert report.to_json()["coverage_classes"] == classes
+        assert report.dictators == dictators
+        assert len(report.coverage) == tower.qm - 2
