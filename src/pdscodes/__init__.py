@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "blocking": ("BlockingReport", "is_cutting_vectorial_blocking"),
-    "charsums": ("Spectrum", "full_spectrum", "orthogonality_sum", "psi_sum"),
+    "charsums": ("Spectrum", "full_spectrum"),
     "codes": (
         "MinimalityReport",
         "SubsetCode",
@@ -23,7 +23,6 @@ _EXPORTS = {
         "weight_class",
         "weight_distribution_predicted",
     ),
-    "cyclotomic": ("CyclotomicInteger",),
     "field": ("FieldSpec", "FieldTower", "build_tower"),
     "pds": (
         "FieldSubset",

@@ -3,9 +3,11 @@
 The canonical additive character sends x to zeta_p^Tr(x) with Tr the
 absolute trace; the sum of a subset S twisted by a is found by counting
 how often each trace value t occurs on a*S and weighting by zeta_p^t.
-Everything stays in Z[zeta_p] as raw zeta-coefficient vectors of length p,
-held in int32: every coefficient counts members, at most |S| < 2^26, and
-only the squared norms, products of two counts, are taken in int64.
+A value in Z[zeta_p] is held one way, as its raw row of the p trace-value
+counts: int32 in arrays (each count is at most |S| < 2^26), int64 only in
+the squared norms, and a tuple of p Python ints for one value (`psi_sum`,
+`Spectrum.value`).  Rows of one S all sum to |S|, so two are equal exactly
+when their values in Z[zeta_p] are.
 
 A spectrum is held as its distinct rows: if gamma^d S = S, the value at a
 depends only on log(a) mod d (for a class union these are the d Gauss
@@ -45,7 +47,6 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger
 from .field import FieldTower, GuardExceeded, blocks
 
 
@@ -116,8 +117,9 @@ class Spectrum:
         their canonical form: the value there when the row is rational."""
         return self.rows[index, 0] - self.rows[index, self.tower.p - 1]
 
-    def value(self, a: int) -> CyclotomicInteger:
-        return CyclotomicInteger(self.tower.p, self.row(a).tolist())
+    def value(self, a: int) -> tuple[int, ...]:
+        """The raw row at a as a tuple of p Python ints, so that == is a bool."""
+        return tuple(self.row(a).tolist())
 
     @cached_property
     def raw(self) -> np.ndarray:
@@ -170,29 +172,14 @@ class Spectrum:
         return [(v, counts[v] * per_row) for v in sorted(counts, reverse=True)]
 
 
-def trace_count_table(tower: FieldTower, a: int, members: np.ndarray) -> np.ndarray:
-    """counts[t] = #{x in S : Tr_abs(a x) = t}; sums to |S|."""
+def psi_sum(tower: FieldTower, a: int, members: np.ndarray) -> tuple[int, ...]:
+    """The character sum of a*S as its raw row, p Python ints:
+    counts[t] = #{x in S : Tr_abs(a x) = t}, which sum to |S|."""
     members = np.asarray(members)
-    if a == 0 or len(members) == 0:
-        counts = np.zeros(tower.p, dtype=np.int64)
-        counts[0] = len(members)
-        return counts
-    prods = tower.mul_vec(a, members)
-    return np.bincount(tower.trace(prods), minlength=tower.p).astype(np.int64)
-
-
-def psi_sum(tower: FieldTower, a: int, members: np.ndarray) -> CyclotomicInteger:
-    """Character sum of the twisted set a*S, exactly in Z[zeta_p]."""
-    return CyclotomicInteger.from_counts(tower.p, trace_count_table(tower, a, members).tolist())
-
-
-def orthogonality_sum(tower: FieldTower, x: int) -> int:
-    """sum over lambda in F_q of the character at lambda*x: q or 0."""
-    total = CyclotomicInteger.integer(tower.p, 0)
-    prods = [tower.mul(lam, x) for lam in tower.subfield_elements.tolist()]
-    for t in tower.trace(np.array(prods)).tolist():
-        total = total + CyclotomicInteger.zeta_power(tower.p, t)
-    return total.rational_value()
+    if len(members) == 0:  # an empty list reads as float64
+        return (0,) * tower.p
+    counts = np.bincount(tower.trace(tower.mul_vec(a, members)), minlength=tower.p)
+    return tuple(counts.tolist())
 
 
 def _gauss_periods(tower: FieldTower, period: int) -> np.ndarray:
@@ -334,15 +321,15 @@ def squared_norms(raw: np.ndarray) -> np.ndarray:
 
     Returned in canonical form, p - 1 coefficients over 1, zeta, ...,
     zeta^(p-2) per row: column 0 is the rational part, and the value is
-    rational exactly when the other columns vanish.  raw is widened to int64
-    on entry, as the products of two counts pass 2^31.
+    rational exactly when the other columns vanish.  Each product of two
+    counts is taken in int64, as it may pass 2^31; raw itself is not widened.
     """
-    raw = np.asarray(raw, dtype=np.int64)
     p = raw.shape[1]
+    coeffs = np.zeros((len(raw), p), dtype=np.int64)
     # t-th coefficient of z * conj(z) is sum_i c_i c_{i-t}
-    coeffs = np.stack(
-        [sum(raw[:, i] * raw[:, (i - t) % p] for i in range(p)) for t in range(p)], axis=1
-    )
+    for t in range(p):
+        for i in range(p):
+            coeffs[:, t] += np.multiply(raw[:, i], raw[:, (i - t) % p], dtype=np.int64)
     return coeffs[:, : p - 1] - coeffs[:, p - 1:]
 
 

@@ -72,14 +72,12 @@ from weakref import WeakKeyDictionary, ref
 import numpy as np
 
 from . import field
-from .charsums import psi_sum
 from .field import FieldTower, GuardExceeded, blocks, counted_rank, rank_reaches
 from .pds import (
     CyclotomicPrediction,
     FieldSubset,
     PdsCertificate,
     QuadricOrigin,
-    is_fq_invariant,
     rho_invariant,
 )
 from .qpoly import quadric_reflections, tables_induce_code_automorphism
@@ -227,34 +225,6 @@ def slice_members(subset: FieldSubset, y_label: int, z: int) -> np.ndarray:
     tower = subset.tower
     _, _, neg_q = tower.subfield_tables()
     return subset.members[tower.trace_labels(z, subset.members) == neg_q[y_label]]
-
-
-def dyz_size(subset: FieldSubset, y_label: int, z: int, method: str = "auto") -> int:
-    """|{x in D : Tr(x z) = -y}| via the character closed form when available.
-
-    The closed form ( |D| - psi ) / q for y != 0 and ( |D| + (q-1) psi ) / q
-    for y = 0 needs an F_q^*-invariant subset; otherwise counts directly.
-    """
-    tower = subset.tower
-    q = tower.q
-    if method == "auto":
-        method = "closed" if is_fq_invariant(subset) else "direct"
-    if method == "direct":
-        size = int(len(slice_members(subset, y_label, z)))
-    elif method == "closed":
-        if not is_fq_invariant(subset):
-            raise ValueError("closed form requires an F_q^*-invariant subset")
-        psi = psi_sum(tower, z, subset.members).rational_value()
-        k = len(subset)
-        num = k - psi if y_label != 0 else k + (q - 1) * psi
-        if num % q:
-            raise AssertionError("closed-form slice size is not an integer; bug")
-        size = num // q
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if not 0 <= size <= q ** (tower.m - 1):
-        raise AssertionError("slice size out of the [0, q^(m-1)] range; bug")
-    return size
 
 
 # -- the code ------------------------------------------------------------------

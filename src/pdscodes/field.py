@@ -496,11 +496,6 @@ class FieldTower:
             return int(x)
         return int(self.exp[(int(self.log[x]) + self.order // 2) % self.order])
 
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return int(self.exp[(int(self.log[x]) + int(self.log[y])) % self.order])
-
     def pow(self, x: int, k: int) -> int:
         if x == 0:
             if k <= 0:
@@ -614,7 +609,7 @@ class FieldTower:
         MAX_FIELD_SIZE = 2^26 the sum of two int32 logs cannot overflow.
         """
         v, x = np.asarray(v), np.asarray(x)
-        labels = self.trace_label_of_exp[(self.log[v] + self.log[x]) % self.order]
+        labels = self.trace_label_of_exp.take((self.log.take(v) + self.log.take(x)) % self.order)
         return np.where((v == 0) | (x == 0), 0, labels)
 
     def hyperplane(self, a: int) -> np.ndarray:

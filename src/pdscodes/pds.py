@@ -105,7 +105,7 @@ class FieldSubset:
             starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
             logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
         else:
-            logs = np.sort(self.tower.log[self.members])
+            logs = np.sort(self.tower.log.take(self.members))
         logs.flags.writeable = False
         return logs
 

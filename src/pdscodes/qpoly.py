@@ -91,7 +91,7 @@ def is_automorphism_of(subset: FieldSubset, g: QPolynomial) -> bool:
     """Bijective and maps the subset onto itself."""
     if not g.is_bijective():
         return False
-    return bool(np.all(subset.indicator[g.images()[subset.members]]))
+    return bool(np.all(subset.indicator[g.images().take(subset.members)]))
 
 
 def induced_code_automorphism_check(code, g: QPolynomial) -> bool:

@@ -73,7 +73,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from pdscodes import charsums
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, Orbits, SubsetCode
 from pdscodes.field import BLOCK
-from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.pds import CyclotomicOrigin, QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
 
@@ -112,6 +111,13 @@ def subfield_index(tower):
 
 
 @lru_cache(maxsize=4)
+def mul(tower, x, y):
+    """x y in the field, read off the log and exp tables."""
+    if x == 0 or y == 0:
+        return 0
+    return int(tower.exp[(int(tower.log[x]) + int(tower.log[y])) % tower.order])
+
+
 def trace_q(tower):
     """Tr_{F_{q^m}/F_q} on every element (int32, read-only), tabulated as the
     linearized polynomial sum_k x^(q^k), which the library reads only in log
@@ -347,7 +353,7 @@ def line_layout(tower):
     line F_q^* v listed by multiplying v by every nonzero element of F_q one
     at a time, its least element kept, and the minima sorted."""
     scalars = tower.subfield_elements[1:].tolist()
-    minima = [min(tower.mul(c, int(v)) for c in scalars) for v in tower.exp[:tower.subfield_step]]
+    minima = [min(mul(tower, c, int(v)) for c in scalars) for v in tower.exp[:tower.subfield_step]]
     least = sorted(set(minima))
     rank = [least.index(x) for x in minima]
     return np.array(least), np.array(rank)
@@ -374,7 +380,7 @@ def dependent_words(code, w):
     out = set()
     for lam in range(tower.q):
         lu = int(mul_q[lam, u])
-        lv = tower.mul(int(tower.subfield_elements[lam]), v)
+        lv = mul(tower, int(tower.subfield_elements[lam]), v)
         for kw in np.flatnonzero(weight_table(code).ravel() == 0).tolist():
             ku, kv = code.word_of_index(int(kw))
             out.add(code.word_index(int(add_q[lu, ku]), int(tower.add_sets(lv, kv))))
@@ -576,7 +582,7 @@ def quadric_labels(tower, gram):
     """Q(x) as a dense F_q label for every element x, Q(x) = sum over i <= j of
     gram[i][j] x_i x_j, x_i the F_q-coordinates over 1, gamma, ..., gamma^(m-1),
     one element at a time on Python ints."""
-    add, mul, _ = tower.subfield_tables()
+    add, mul_q, _ = tower.subfield_tables()
     _, code_of_element = coordinate_tables(tower)
     out = []
     for x in range(tower.qm):
@@ -584,7 +590,7 @@ def quadric_labels(tower, gram):
         value = 0
         for i in range(tower.m):
             for j in range(i, tower.m):
-                value = int(add[value, mul[mul[gram[i][j], c[i]], c[j]]])
+                value = int(add[value, mul_q[mul_q[gram[i][j], c[i]], c[j]]])
         out.append(value)
     return np.array(out)
 
@@ -596,7 +602,7 @@ def reflection_duals(code):
     g is evaluated on every element, and g*(v) is the w whose row of traces
     Tr(w x) over the nonzero x equals the row Tr(v g(x))."""
     tower = code.tower
-    add, mul, neg = tower.subfield_tables()
+    add, mul_q, neg = tower.subfield_tables()
     values = quadric_labels(tower, code.subset.origin.gram)
     xs = np.arange(tower.qm, dtype=np.int64)
     nonzero = xs[1:]
@@ -608,9 +614,9 @@ def reflection_duals(code):
     duals = []
     for a in np.flatnonzero(values).tolist():  # Q(a) != 0
         polar = add[add[values[tower.add_sets(xs, a)], neg[values]], neg[values[a]]]
-        inverse = next(c for c in range(1, tower.q) if mul[values[a], c] == 1)
-        scale = neg[mul[polar, inverse]]  # -B(x, a)/Q(a)
-        moves = np.array([tower.mul(int(tower.subfield_elements[c]), a) for c in range(tower.q)])
+        inverse = next(c for c in range(1, tower.q) if mul_q[values[a], c] == 1)
+        scale = neg[mul_q[polar, inverse]]  # -B(x, a)/Q(a)
+        moves = np.array([mul(tower, int(tower.subfield_elements[c]), a) for c in range(tower.q)])
         g = tower.add_sets(xs, moves[scale])
         duals.append(np.array([position[row] for row in rows(g[nonzero])]))
     return duals
@@ -643,7 +649,7 @@ def orbit_representatives(code):
             orbit, todo = {(u, v)}, [(u, v)]
             while todo:
                 a, b = todo.pop()
-                images = [(a, tower.mul(shift, b)), (tower.mul(lam, a), tower.mul(lam, b)),
+                images = [(a, mul(tower, shift, b)), (mul(tower, lam, a), mul(tower, lam, b)),
                           (tower.pow(a, power), tower.pow(b, power))]
                 for word in images + [(a, dual[b]) for dual in duals]:
                     if word not in orbit:
@@ -685,6 +691,13 @@ def coset_logs(tower, members, period):
                             for x in np.asarray(members).tolist() if x != 0}), dtype=np.int64)
 
 
+def rational_value(row):
+    """The integer a raw zeta-count row stands for: each count less the last."""
+    first, *rest = (c - row[-1] for c in row[:-1])
+    assert not any(rest), f"{row} is not a rational integer"
+    return first
+
+
 class DenseSpectrum:
     """A spectrum read off one raw row per element a, as Spectrum did when it
     held the dense (q^m, p) array."""
@@ -697,7 +710,7 @@ class DenseSpectrum:
         self._rational_mask = np.all(self._canon[:, 1:] == 0, axis=1)
 
     def value(self, a):
-        return CyclotomicInteger(self.tower.p, self.raw[a].tolist())
+        return tuple(self.raw[a].tolist())
 
     @property
     def all_rational(self):
@@ -819,7 +832,7 @@ def rank_reaches(tower, elems, target):
 def from_basis_images(tower, images):
     """The coefficients of the reduced q-polynomial sending gamma^i to images[i],
     i < m: the Moore-style system sum_j a_j (gamma^i)^(q^j) = images[i] solved by
-    Gauss-Jordan elimination with one scalar tower.mul, tower.neg and tower.add per entry."""
+    Gauss-Jordan elimination with one scalar mul, tower.neg and tower.add_sets per entry."""
     m, q = tower.m, tower.q
     rows = [[tower.pow(int(tower.exp[i]), q ** j) for j in range(m)] + [int(images[i])]
             for i in range(m)]
@@ -827,12 +840,12 @@ def from_basis_images(tower, images):
         piv = next(r for r in range(col, m) if rows[r][col] != 0)
         rows[col], rows[piv] = rows[piv], rows[col]
         inv = tower.pow(rows[col][col], -1)
-        rows[col] = [tower.mul(inv, v) for v in rows[col]]
+        rows[col] = [mul(tower, inv, v) for v in rows[col]]
         for r in range(m):
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [int(tower.add_sets(rows[r][c], tower.neg(tower.mul(factor, rows[col][c]))))
-                           for c in range(m + 1)]
+                rows[r] = [int(tower.add_sets(x, tower.neg(mul(tower, factor, y))))
+                           for x, y in zip(rows[r], rows[col])]
     return [rows[j][m] for j in range(m)]
 
 

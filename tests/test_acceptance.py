@@ -18,22 +18,23 @@ from reference import (
     heng_violations,
     neg_table,
     projective_representatives,
+    rational_value,
     route_spectrum,
     trace_q,
 )
 from reference import induced_code_automorphism_check as exhaustive_check
 
 from pdscodes.blocking import is_cutting_vectorial_blocking
-from pdscodes.charsums import full_spectrum, orthogonality_sum, parseval_total
+from pdscodes.charsums import full_spectrum, parseval_total, psi_sum
 from pdscodes.codes import (
     MINIMAL,
     NOT_MINIMAL,
     SubsetCode,
     ab_condition,
-    dyz_size,
     minimality_cyclotomic_sufficient,
     minimality_latin_sufficient,
     minimality_pds_sufficient,
+    slice_members,
     weight_class,
     weight_distribution_predicted,
 )
@@ -233,7 +234,7 @@ def test_criterion_6a_orthogonality_exhaustive_f35(f35):
     with budget("6a (character orthogonality on F_3^5)", 120):
         zero_trace = 0
         for x in range(f35.qm):
-            val = orthogonality_sum(f35, x)
+            val = rational_value(psi_sum(f35, x, f35.subfield_elements))
             assert val == (3 if trace_q(f35)[x] == 0 else 0)
             zero_trace += val == 3
         assert zero_trace == 81
@@ -291,18 +292,15 @@ def test_criterion_6d_heng_equals_cover_per_codeword(f34, f35):
 
 def test_criterion_6e_dyz_closed_form_exhaustive(f35, f44):
     with budget("6e (slice-size closed form, exhaustive)", 120):
-        subset35 = build_cyclotomic_subset(f35, 11, [0])
-        for z in f35.exp[np.arange(f35.order)].tolist():
-            for y in range(f35.q):
-                assert dyz_size(subset35, y, int(z), method="closed") == dyz_size(
-                    subset35, y, int(z), method="direct"
-                )
-        subset44 = build_cyclotomic_subset(f44, 5, [1, 2, 3, 4])
-        for z in f44.exp[np.arange(f44.order)].tolist():
-            for y in range(f44.q):
-                assert dyz_size(subset44, y, int(z), method="closed") == dyz_size(
-                    subset44, y, int(z), method="direct"
-                )
+        # (|D| - psi(zD)) / q for y != 0 and (|D| + (q - 1) psi(zD)) / q for y = 0
+        for subset in (build_cyclotomic_subset(f35, 11, [0]),
+                       build_cyclotomic_subset(f44, 5, [1, 2, 3, 4])):
+            tower, k = subset.tower, len(subset)
+            for z in tower.exp[np.arange(tower.order)].tolist():
+                psi = rational_value(psi_sum(tower, z, subset.members))
+                for y in range(tower.q):
+                    closed = k + (tower.q - 1) * psi if y == 0 else k - psi
+                    assert closed == tower.q * len(slice_members(subset, y, z))
 
 
 def test_criterion_6f_trace_dual_exhaustive(f34):

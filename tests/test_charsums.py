@@ -12,7 +12,9 @@ from reference import (
     coset_logs,
     is_invariant_under_subfield,
     least_period,
+    mul,
     pointwise_rows,
+    rational_value,
     route_spectrum,
     trace_q,
     transform_rows,
@@ -23,15 +25,12 @@ from pdscodes.charsums import (
     Spectrum,
     SpectrumError,
     full_spectrum,
-    orthogonality_sum,
     parseval_total,
     psi_sum,
     route_costs,
     squared_norms,
     stabiliser_spectrum,
-    trace_count_table,
 )
-from pdscodes.cyclotomic import CyclotomicInteger
 from pdscodes.field import FieldSpec, GuardExceeded, build_tower
 from pdscodes.pds import (
     FieldSubset,
@@ -49,42 +48,40 @@ def _power_residues(tower, n):
 
 def test_psi_sum_trivial_cases(f35):
     members = _power_residues(f35, 11)
-    assert psi_sum(f35, 0, members) == len(members)
+    assert psi_sum(f35, 0, members) == (len(members), 0, 0)
     full = f35.exp[np.arange(f35.order)].astype(np.int64)
     for a in (1, int(f35.exp[40])):
-        assert psi_sum(f35, a, full) == -1
+        assert rational_value(psi_sum(f35, a, full)) == -1
 
 
 def test_trace_count_table_partition(f35):
     members = _power_residues(f35, 11)
     for a in (0, 1, int(f35.exp[7])):
-        counts = trace_count_table(f35, a, members)
-        assert counts.sum() == len(members)
+        assert sum(psi_sum(f35, a, members)) == len(members)
 
 
 def test_orthogonality_exhaustive_f35(f35):
+    # the sum over lambda in F_q of the character at lambda x is q or 0
     hits = 0
     for x in range(f35.qm):
-        val = orthogonality_sum(f35, x)
-        expected = f35.q if trace_q(f35)[x] == 0 else 0
-        assert val == expected
+        val = rational_value(psi_sum(f35, x, f35.subfield_elements))
+        assert val == (f35.q if trace_q(f35)[x] == 0 else 0)
         hits += val == f35.q
     assert hits == 81
-    assert orthogonality_sum(f35, 0) == f35.q
 
 
 def test_spectrum_empty_set(f34):
     for members in (np.array([], dtype=np.int64), []):
         spec = full_spectrum(f34, members)
         assert spec.set_size == 0
-        assert all(spec.value(a).is_zero() for a in range(f34.qm))
+        assert all(spec.value(a) == (0, 0, 0) for a in range(f34.qm))
 
 
 def test_spectrum_value_at_zero_is_size(f34):
     rng = np.random.default_rng(2)
     members = rng.choice(np.arange(1, f34.qm), size=17, replace=False)
     spec = full_spectrum(f34, members)
-    assert spec.value(0) == 17
+    assert spec.value(0) == (17, 0, 0)
 
 
 def test_spectrum_rejects_elements_outside_the_field(f34):
@@ -122,22 +119,26 @@ def test_scaled_sum_invariance(f44):
     lams = f44.subfield_elements[1:].tolist()
     for a in rng.integers(0, f44.qm, size=20).tolist() + [0]:
         for lam in lams:
-            assert psi_sum(f44, f44.mul(lam, a), members) == psi_sum(f44, a, members)
+            assert psi_sum(f44, mul(f44, lam, a), members) == psi_sum(f44, a, members)
     # a set that is not invariant breaks the identity
     bad = np.array([1, int(f44.exp[2])], dtype=np.int64)
     assert is_invariant_under_subfield(f44, np.sort(members))
     assert not is_invariant_under_subfield(f44, bad)
-    assert any(psi_sum(f44, f44.mul(lam, a), bad) != psi_sum(f44, a, bad)
+    assert any(psi_sum(f44, mul(f44, lam, a), bad) != psi_sum(f44, a, bad)
                for a in range(1, f44.qm) for lam in lams)
 
 
 def test_complement_relation(f35):
+    # S and its complement in F^* count, between them, the trace values on F^*
     members = _power_residues(f35, 11)
-    comp = np.setdiff1d(f35.exp[np.arange(f35.order)].astype(np.int64), members)
+    full = f35.exp[np.arange(f35.order)].astype(np.int64)
+    comp = np.setdiff1d(full, members)
     s1 = full_spectrum(f35, members)
     s2 = full_spectrum(f35, comp)
     for a in range(1, f35.qm):
-        assert s2.value(a) == CyclotomicInteger.integer(3, -1) - s1.value(a)
+        both = psi_sum(f35, a, full)
+        assert tuple(map(sum, zip(s1.value(a), s2.value(a)))) == both
+        assert rational_value(both) == -1
 
 
 def test_parseval_on_random_subsets(f34):
@@ -183,9 +184,7 @@ def test_example31_character_values_rational(f44):
     )
     rng = np.random.default_rng(10)
     for a in rng.integers(1, f44.qm, size=12).tolist():
-        val = psi_sum(f44, int(a), members)
-        assert val.is_rational()
-        assert val.rational_value() in (12, -4)
+        assert rational_value(psi_sum(f44, int(a), members)) in (12, -4)
 
 
 # -- routes: the orbit count, the transform and the unreduced count -----------
@@ -236,13 +235,16 @@ def test_spectrum_routes_agree_bit_for_bit(case):
     default = full_spectrum(tower, members)
     orbit = Spectrum(tower, charsums._spectrum_orbit(tower, period, cosets, len(members)),
                      period, len(members))
+    butterfly = Spectrum(tower, charsums._spectrum_transform(tower, members), tower.order,
+                         len(members))
     transform = route_spectrum(tower, members, "transform")
     pointwise = route_spectrum(tower, members, "pointwise")
-    for spec in (default, orbit, pointwise):
+    for spec in (default, orbit, butterfly, pointwise):
         assert np.array_equal(spec.raw, transform.raw)
     assert default.set_size == transform.set_size == pointwise.set_size == len(members)
-    for spec in (default, transform, pointwise):
-        assert_rows_read_as_dense(spec)
+    direct = [psi_sum(tower, a, members) for a in range(tower.qm)]
+    for spec in (default, orbit, butterfly, transform, pointwise):
+        assert_rows_read_as_dense(spec, direct)
 
 
 # (p, e, m) of the fields the Gauss-period count is checked on, every
@@ -336,10 +338,17 @@ def test_second_candidate_with_the_same_period_counts_nothing(monkeypatch):
     assert calls == [41]
 
 
-def assert_rows_read_as_dense(spec):
-    """Every reading of the rows equals the same reading of the dense array."""
+def assert_rows_read_as_dense(spec, direct):
+    """Every reading of the rows equals the same reading of the dense array,
+    and the value at each a is direct[a], the direct character sum; both are
+    tuples of p Python ints that sum to |S| and compare as a bool."""
     dense = DenseSpectrum(spec.tower, spec.raw, spec.set_size)
-    assert all(spec.value(a) == dense.value(a) for a in range(spec.tower.qm))
+    for a in range(spec.tower.qm):
+        value = spec.value(a)
+        for row in (value, direct[a]):
+            assert type(row) is tuple and len(row) == spec.tower.p
+            assert all(type(c) is int for c in row) and sum(row) == spec.set_size
+        assert (value == direct[a]) is True and value == dense.value(a)
     assert spec.all_rational == dense.all_rational
     assert spec.irrational_witness() == dense.irrational_witness()
     if dense.all_rational:
@@ -372,9 +381,10 @@ def test_irrational_rows_read_as_dense(name):
     members = FieldSubset.from_logs(tower, logs).members
     specs = [full_spectrum(tower, members)]
     specs += [route_spectrum(tower, members, route) for route in ("transform", "pointwise")]
+    direct = [psi_sum(tower, a, members) for a in range(tower.qm)]
     for spec in specs:
         assert not spec.all_rational
-        assert_rows_read_as_dense(spec)
+        assert_rows_read_as_dense(spec, direct)
 
 
 @pytest.fixture(scope="module")

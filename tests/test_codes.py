@@ -21,7 +21,6 @@ from pdscodes.codes import (
     SubsetCode,
     ab_condition,
     characteristic_trace_form,
-    dyz_size,
     minimality_cyclotomic_sufficient,
     minimality_latin_sufficient,
     minimality_pds_sufficient,
@@ -207,21 +206,22 @@ def test_dyz_sizes_example31(ex31_code, f44):
     vals = spec.rational_values()
     z_neg = next(int(z) for z in range(1, f44.qm) if vals[z] == -4)
     z_pos = next(int(z) for z in range(1, f44.qm) if vals[z] == 12)
-    assert dyz_size(code.subset, 1, z_neg, method="closed") == 52
-    assert dyz_size(code.subset, 0, z_pos, method="closed") == 60
-    assert dyz_size(code.subset, 1, z_neg, method="direct") == 52
+    # |D_{y,z}| = (|D| - psi(zD)) / q for y != 0 and (|D| + (q - 1) psi(zD)) / q for y = 0
+    assert len(slice_members(code.subset, 1, z_neg)) == (204 + 4) // 4 == 52
+    assert len(slice_members(code.subset, 0, z_pos)) == (204 + 3 * 12) // 4 == 60
     # partition over y recovers |D|
     for z in (z_neg, z_pos):
-        assert sum(dyz_size(code.subset, y, z) for y in range(f44.q)) == 204
+        assert sum(len(slice_members(code.subset, y, z)) for y in range(f44.q)) == 204
 
 
 def test_dyz_closed_vs_direct_exhaustive_f34(f34):
     subset, _ = quadric_subset(f34, kind="hyperbolic")
+    k, q = len(subset), f34.q
     for z in f34.exp[np.arange(f34.order)].tolist():
-        for y in range(f34.q):
-            assert dyz_size(subset, y, int(z), method="closed") == dyz_size(
-                subset, y, int(z), method="direct"
-            )
+        psi = reference.rational_value(psi_sum(f34, z, subset.members))
+        for y in range(q):
+            closed = k + (q - 1) * psi if y == 0 else k - psi
+            assert closed == q * len(slice_members(subset, y, z))
 
 
 def _log_q(tower, size):
@@ -579,7 +579,7 @@ def test_weight_closed_form_matches_table(row1_code, f35):
     members = row1_code.subset.members
     for v in range(1, f35.qm):
         # q^m - q^(m-1) + psi(vD) for u, v nonzero and D invariant
-        expected = f35.qm - f35.qm // f35.q + psi_sum(f35, v, members).rational_value()
+        expected = f35.qm - f35.qm // f35.q + reference.rational_value(psi_sum(f35, v, members))
         for u in range(1, f35.q):
             assert wt[u, v] == expected
 

@@ -4,6 +4,7 @@ from reference import (
     codeword,
     coordinate_tables,
     from_basis_images,
+    mul,
     neg_table,
     trace_q,
     weight_table,
@@ -59,8 +60,8 @@ def test_frobenius_dual_pattern(f34):
     img_d = dual.images()
     for x in range(f34.qm):
         for y in range(f34.qm):
-            lhs = trace_q(f34)[f34.mul(int(img_f[x]), y)]
-            rhs = trace_q(f34)[f34.mul(int(img_d[y]), x)]
+            lhs = trace_q(f34)[mul(f34, int(img_f[x]), y)]
+            rhs = trace_q(f34)[mul(f34, int(img_d[y]), x)]
             assert lhs == rhs
 
 

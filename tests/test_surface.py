@@ -34,13 +34,9 @@ LIBRARY = sorted((ROOT / "src" / "pdscodes").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
 ALLOWED = {
-    "codes.dyz_size": "the slice-size closed form, checked against direct counts",
     "charsums.Spectrum.rational_values": "the integer value at every a, checked against "
                                          "the dense spectrum and the Gauss periods",
     "codes.WeightDistribution.as_dict": "weight -> frequency, as the README example prints it",
-    "cyclotomic.CyclotomicInteger.norm_squared": "|z|^2 in Z[zeta_p], checked against the "
-                                                 "norm form of Z[zeta_3]",
-    "cyclotomic.CyclotomicInteger.is_zero": "the zero test of a value in Z[zeta_p]",
 }
 
 
@@ -210,7 +206,6 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 # Parameters with a default that no caller sets, each with the reason it stays.
 UNSET_DEFAULTS = {
     "cli.main argv": "the entry point; tests pass the arguments, a shell leaves them to sys.argv",
-    "codes.dyz_size method": "the closed form and the direct count that the tests compare",
 }
 
 
@@ -288,7 +283,7 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 
 
 # The modules, lowest layer first: each imports only siblings before it.
-LAYERS = ["cyclotomic", "field", "charsums", "pds", "qpoly", "codes", "blocking",
+LAYERS = ["field", "charsums", "pds", "qpoly", "codes", "blocking",
           "secretsharing", "recipes", "cli"]
 
 
@@ -364,7 +359,7 @@ def _fresh_modules(code):
 
 def test_pds_import_compiles_only_what_pds_imports():
     assert _fresh_modules("from pdscodes import pds") == [
-        "pdscodes", "pdscodes.charsums", "pdscodes.cyclotomic", "pdscodes.field", "pdscodes.pds"]
+        "pdscodes", "pdscodes.charsums", "pdscodes.field", "pdscodes.pds"]
     # q-polynomials sit below the codes; the rank test of the polar form and
     # of a map's basis images takes its distinct elements with no np.unique,
     # which imports numpy.ma
