@@ -120,8 +120,6 @@ class MethodVerdict:
 def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 
@@ -268,28 +266,11 @@ class Orbits:
         """The least d with gamma^d D = D: Stab(D) = <gamma^d> in F_{q^m}^*."""
         return self.subset.stabiliser_period
 
-    @cached_property
-    def frobenius_power(self) -> int:
-        """The least s with D^(p^s) = D, a divisor of em (s = em: x^(p^em) = x).
-
-        D is the union of the cosets gamma^i <gamma^d>, i in I, and x -> x^(p^s)
-        sends gamma^i <gamma^d> onto gamma^(p^s i) <gamma^d>, so the test is
-        p^s I = I (mod d); p^s is prime to d, so p^s I inside I suffices.
-        The int32 cosets are widened for the product, which passes 2^31.
-        """
-        tower = self.tower
-        d, cosets = self.subset.stabiliser
-        on = np.zeros(d, dtype=bool)
-        on[cosets] = True
-        cosets = cosets.astype(np.int64)
-        return next(s for s in range(1, tower.em + 1)
-                    if tower.em % s == 0 and on[cosets * pow(tower.p, s, d) % d].all())
-
     def merge_cost(self) -> int:
         """The merge's work estimate: g + 1 + d classes, one pass to build
         them and one per map of `automorphisms`."""
         tower, d, quadric = self.tower, self.period, isinstance(self.subset.origin, QuadricOrigin)
-        maps = (self.frobenius_power < tower.em) + 2 * tower.m * quadric
+        maps = (self.subset.frobenius_power < tower.em) + 2 * tower.m * quadric
         return (gcd(d, tower.subfield_step) + 1 + d) * (1 + maps)
 
     def _class_ids(self, words: np.ndarray) -> np.ndarray:
@@ -357,7 +338,7 @@ class Orbits:
         every quadric tried, 4 to 13 of them reach the orbits of the whole
         orthogonal group (`merged`).
         """
-        tower, s, d = self.tower, self.frobenius_power, self.period
+        tower, s, d = self.tower, self.subset.frobenius_power, self.period
         g = gcd(d, tower.subfield_step)
         words, rank = self.classes
         if s < tower.em:

@@ -18,11 +18,10 @@ the companion matrix then names a failure reducible or imprimitive, and
 the modulus search runs the same order test on those powers.  log
 refuses an exp that leaves a slot empty.
 F_q^* is <gamma^step>, so x in F_q has the dense label log x // step + 1,
-which `subfield_labels` reads off a q-entry table at x's digits
-in e places where the elements of F_q differ; scaling by label l adds
-(l - 1) step to a log, and negation, for odd p, adds order/2, as
--1 = gamma^(order/2) (for p = 2 it is the identity): none of them needs a
-table indexed by element.
+which `subfield_labels` finds by binary search among the q elements of F_q
+sorted ascending; scaling by label l adds (l - 1) step to a log, and
+negation, for odd p, adds order/2, as -1 = gamma^(order/2) (for p = 2 it
+is the identity): none of them needs a table indexed by element.
 
 The absolute trace, trace_coords, the q-polynomials and multiplication by
 a fixed power of X are F_p-linear maps on the packed digits, given by two
@@ -42,8 +41,8 @@ transform that holds a's value.
 Two cached tables hold traces in log order: trace_of_exp[i] is
 Tr_abs(gamma^i), and trace_label_of_exp[i] the dense F_q label of
 Tr(gamma^i), for e = 1 read off trace_of_exp through the labels of F_p and
-for e > 1 through the q-entry table at the F_q-trace's keys, whose half
-tables are joined at exp.
+for e > 1 through a q-entry table at the e absolute traces Tr_abs(w^k
+gamma^i), w = gamma^step, whose half tables are joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
 batch route to the F_q value of Tr(v x).
 The code scans read it from every start (`label_cycle`), and
@@ -554,19 +553,32 @@ class FieldTower:
     @cached_property
     def trace_label_of_exp(self) -> np.ndarray:
         """Dense F_q labels in log order: the label of Tr(gamma^i) at index
-        i < q^m - 1, in the smallest unsigned dtype that holds q - 1.  For
-        e = 1 the trace is the absolute one, so a p-entry label table is read
-        at trace_of_exp; for e > 1 the half tables of the F_p-linear x ->
-        key of Tr_{F_{q^m}/F_q}(x) (`_subfield_key`) are joined at exp, BLOCK
-        entries at a time, and the q-entry label table read at the keys."""
+        i < q^m - 1, in the smallest unsigned dtype that holds q - 1.
+
+        With w = gamma^step, the e digits Tr_abs(w^k y) = Tr_{F_q/F_p}(w^k
+        Tr(y)), k < e (the trace is transitive), name Tr(y) one to one, as
+        the w^k are an F_p-basis of F_q and the trace form is nondegenerate.
+        For e = 1 they are trace_of_exp, read through a p-entry label table;
+        for e > 1 the half tables of the F_p-linear y -> sum_k p^k
+        Tr_abs(w^k y) are joined at exp, BLOCK entries at a time, and read
+        through a q-entry table filled at the digits Tr_{F_q/F_p}(w^(j + k))
+        of each w^j, label j + 1, with Tr_{F_q/F_p}(x) = sum_{l<e} x^(p^l)."""
         dtype = np.min_scalar_type(self.q - 1)
         if self.e == 1:
             return self.subfield_labels(np.arange(self.p)).astype(dtype)[self.trace_of_exp]
-        table = self._subfield_places[1].astype(dtype)
-        halves = self._half_tables(
-            self._subfield_key(self._linearized_images([1] * self.m, self.q)))
-        labels = np.empty(self.order, dtype=dtype)
-        for part in blocks(self.order):
+        e, q, step, order = self.e, self.q, self.subfield_step, self.order
+        k, place = np.arange(e), self.p ** np.arange(e)
+        # row k: Tr_abs(w^k X^i), i < em
+        traces = self.trace(self.exp[(k[:, None] * step + np.arange(self.em)) % order])
+        halves = self._half_tables(place @ traces.astype(np.int64))
+        logs = np.arange(q - 1, dtype=np.int64) * step  # of w^j
+        sub = reduce(self._add_vec, [self.exp[logs * pow(self.p, l, order) % order]
+                                     for l in range(e)])  # Tr_{F_q/F_p}(w^j)
+        keys = sub[(np.arange(q - 1)[:, None] + k) % (q - 1)].astype(np.int64) @ place
+        table = np.zeros(q, dtype=dtype)
+        table[keys] = np.arange(1, q)
+        labels = np.empty(order, dtype=dtype)
+        for part in blocks(order):
             labels[part] = table.take(self._join(halves, self.exp[part]))
         return labels
 
@@ -621,35 +633,18 @@ class FieldTower:
     # -- subfield ----------------------------------------------------------
 
     @cached_property
-    def _subfield_places(self) -> tuple[list[int], np.ndarray]:
-        """(places, labels): digit places, taken greedily while they shrink the
-        set of elements of F_q that are zero there, until only 0 is (e places
-        for an F_p-subspace), and labels[k] the label of the element whose
-        digits there pack to k (`_subfield_key`): a q-entry table."""
-        places, keys = [], np.zeros(self.q, dtype=np.int64)
-        for place in range(self.em):
-            if np.count_nonzero(keys == 0) == 1:
-                break
-            trial = keys * self.p + self.subfield_elements // self.p ** place % self.p
-            if np.count_nonzero(trial == 0) < np.count_nonzero(keys == 0):
-                places, keys = places + [place], trial
-        labels = np.zeros(self.p ** len(places), dtype=np.int32)
-        labels[keys] = np.arange(self.q, dtype=np.int32)
-        return places, labels
-
-    def _subfield_key(self, x):
-        """The digits of x at `_subfield_places`, packed: an F_p-linear map
-        into F_p^e, one to one on F_q."""
-        key = 0
-        for place in self._subfield_places[0]:
-            key = key * self.p + x // self.p ** place % self.p
-        return key
+    def _subfield_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(elements, labels): the q elements of F_q ascending, and the label of each."""
+        labels = np.argsort(self.subfield_elements).astype(np.int32)
+        return self.subfield_elements[labels], labels
 
     def subfield_labels(self, x):
         """The dense label of each element x of F_q, 0 for x = 0 and 1 + j for
-        gamma^(j subfield_step), read at its key (`_subfield_key`) in a
-        q-entry table; meaningless off F_q."""
-        return self._subfield_places[1][self._subfield_key(x)]
+        gamma^(j subfield_step): the label at x's place among the elements of
+        F_q sorted ascending, found by binary search; meaningless, though in
+        range, off F_q."""
+        elements, labels = self._subfield_order
+        return labels.take(np.searchsorted(elements, x), mode="clip")
 
     def subfield_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense F_q arithmetic on labels 0..q-1: (add, mul, neg) tables.  The

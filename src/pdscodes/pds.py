@@ -8,7 +8,8 @@ stabiliser's coset list, like the members, is int32.  A quadric's zeros
 are collected a block of elements at a time, from each element's
 F_q-coordinates (its base-p digits for e = 1, the traces against the dual
 basis for e > 1), so that the build holds no array of q^m entries beside
-the members.  Verification runs on two independent routes: the spectral
+the members.  Its invariances under F_q^*, -1 and Frobenius are read off
+its stabiliser.  Verification runs on two independent routes: the spectral
 one reads the distinct character-sum values off the full spectrum, the
 combinatorial one counts differences directly; on small fields both must
 agree.
@@ -150,6 +151,23 @@ class FieldSubset:
         """
         return self.tower.p == 2 or self.tower.order // 2 % self.stabiliser_period == 0
 
+    @cached_property
+    def frobenius_power(self) -> int:
+        """The least s with D^(p^s) = D, a divisor of em (s = em: x^(p^em) = x).
+
+        D is the union of the cosets gamma^i <gamma^d>, i in I, and x -> x^(p^s)
+        sends gamma^i <gamma^d> onto gamma^(p^s i) <gamma^d>, so the test is
+        p^s I = I (mod d); p^s is prime to d, so p^s I inside I suffices.
+        The int32 cosets are widened for the product, which passes 2^31.
+        """
+        tower = self.tower
+        d, cosets = self.stabiliser
+        on = np.zeros(d, dtype=bool)
+        on[cosets] = True
+        cosets = cosets.astype(np.int64)
+        return next(s for s in range(1, tower.em + 1)
+                    if tower.em % s == 0 and on[cosets * pow(tower.p, s, d) % d].all())
+
     def spectrum(self) -> Spectrum:
         return stabiliser_spectrum(self.tower, self.members, *self.stabiliser)
 
@@ -228,18 +246,9 @@ def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:
 
 
 def is_fq_invariant(subset: FieldSubset) -> bool:
-    """Closure under F_q^* = <gamma^step> (trivial for q = 2): exp at the logs
-    plus step, sorted, are the members; class unions are cross-checked via rho."""
-    tower = subset.tower
-    direct = tower.q == 2 or bool(np.array_equal(
-        np.sort(tower.exp[(subset.logs + tower.subfield_step) % tower.order]), subset.members))
-    if isinstance(subset.origin, CyclotomicOrigin):
-        via_rho = rho_invariant(subset.tower, subset.origin.N, subset.origin.J)
-        if via_rho != direct:
-            raise AssertionError(
-                "rho-invariance of J disagrees with direct scaling; construction bug"
-            )
-    return direct
+    """Closure under F_q^* = <gamma^step>: gamma^step lies in Stab(D) =
+    <gamma^d> exactly when d | step (always for q = 2, where step = q^m - 1)."""
+    return subset.tower.subfield_step % subset.stabiliser_period == 0
 
 
 # -- certificates ------------------------------------------------------------
@@ -568,7 +577,7 @@ def quadric_values(tower: FieldTower, gram, xs) -> np.ndarray:
         total = np.zeros_like(xs)
         for i, j, g in terms:
             total += int(value[g]) * digits[i] * digits[j]
-        return tower.subfield_labels(total % p)
+        return tower.subfield_labels(np.arange(p)).take(total % p)
     add, mul, _ = tower.subfield_tables()
     coords = tower.trace_labels(_dual_basis(tower).reshape((-1,) + (1,) * xs.ndim), xs)
     values = np.zeros(xs.shape, dtype=np.int32)

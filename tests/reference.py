@@ -554,13 +554,13 @@ def least_frobenius_power(tower, members):
 def frobenius_class_images(code):
     """For each class number c of the code's orbit engine, the index in
     classes[0] of the class of (u, v^(p^s)), (u, v) the lowest word of class
-    c and s the engine's Frobenius power: the element round trip that the
+    c and s the subset's Frobenius power: the element round trip that the
     engine replaced with arithmetic on the class numbers, log v p^s mod
     q^m - 1, then exp, then `Orbits.class_index`."""
-    engine, tower = code.orbits, code.tower
+    engine, tower, s = code.orbits, code.tower, code.subset.frobenius_power
     words, rank = engine.classes
     u, v = np.divmod(words[rank], tower.qm)
-    logs = tower.log[v].astype(np.int64) * pow(tower.p, engine.frobenius_power, tower.order)
+    logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
     return engine.class_index(u * tower.qm + np.where(v == 0, 0, tower.exp[logs % tower.order]))
 
 

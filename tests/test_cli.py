@@ -127,6 +127,25 @@ def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pds"], "either --recipe or both --field and --subset are required"),
+    (["code", "--recipe", "example-3.1", "--methods", "cover,bogus"], "unknown methods: bogus"),
+    (["sss", "--recipe", "example-3.1"], "give --x1-log N or --x1 in-D|in-Dbar"),
+    (["pds", "--field", F34, "--subset", '{"random": {}}'],
+     "subset spec must be one of cyclotomic/explicit/quadric"),
+    (["pds", "--field", F34, "--subset", '{"quadric": {}}'],
+     "give a kind (hyperbolic/elliptic) or an explicit gram matrix"),
+    (["pds", "--field", F34, "--subset", '{"quadric": {"gram": [[1, 0], [0, 1]]}}'],
+     "gram matrix must be 4x4"),
+    (["pds", "--field", '{"p": 3, "e": 1, "m": 2, "modulus": [2, 1, 2]}',
+      "--subset", '{"cyclotomic": {"N": 2, "J": [0]}}'], "modulus must be monic"),
+])
+def test_input_errors_exit_2_with_their_message(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+
+
 def test_huge_explicit_logs_reduce_mod_the_group_order(capsys):
     # the squares of F_81 (a Paley PDS), each log shifted by a multiple of 80
     # far past int64

@@ -476,6 +476,9 @@ def test_trace_of_a_large_prime_field_is_not_wrapped():
     # zeta + zeta^-1: one member of trace 1 and one of trace 130
     assert psi_sum(t, 1, members) == tuple(int(s in (1, 130)) for s in range(131))
     assert full_spectrum(t, members).value(1) == psi_sum(t, 1, members)
+    # over F_257 the labels run to 256, one past a byte
+    wide = build_tower(FieldSpec(p=257, e=1, m=1))
+    assert wide.trace_label_of_exp.tolist() == list(range(1, 257))
 
 
 def test_corrupt_trace_tables_are_rejected(monkeypatch):

@@ -142,9 +142,13 @@ def full_verdict(code, violations):
 def assert_scans_equal_full(code):
     rank = code.word_flags(code.rank_orbit_flags(), projective_representatives(code))
     assert rank.tolist() == full_flags(code, cover_violations) == full_flags(code, heng_violations)
-    for verdict, violations in ((code.minimality_cover(), cover_violations),
-                                (code.minimality_heng(), heng_violations)):
+    cover, heng = code.minimality_cover(), code.minimality_heng()
+    for verdict, violations in ((cover, cover_violations), (heng, heng_violations)):
         assert (verdict.status, verdict.witness) == full_verdict(code, violations)
+    # for w independent of r, sum over lambda != 0 of wt(r + lambda w) is
+    # (q - 1) wt(r) - wt(w) exactly when supp w is in supp r (Heng-Ding-Zhou),
+    # so both scans flag the same (representative, line) pairs first
+    assert (cover.status, cover.witness) == (heng.status, heng.witness)
 
 
 def assert_reduced_equals_full(code):
@@ -204,7 +208,8 @@ def test_stabiliser_period_is_least_period(code):
     assert tower.order % d == 0
     assert np.array_equal(np.roll(mem, d), mem)
     assert all(not np.array_equal(np.roll(mem, e), mem) for e in range(1, d))
-    assert (tower.subfield_step % d == 0) == is_fq_invariant(code.subset)
+    assert is_fq_invariant(code.subset) == reference.is_invariant_under_subfield(
+        tower, code.subset.members)
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
@@ -217,8 +222,8 @@ def test_stabiliser_period_values(request, name):
 def test_frobenius_power_values(request, name):
     fixture, build, _, s = CODES[name]
     code = SubsetCode(build(request.getfixturevalue(fixture)))
-    assert code.orbits.frobenius_power == s
-    assert code.orbits.frobenius_power == least_frobenius_power(code.tower, code.subset.members)
+    assert code.subset.frobenius_power == s
+    assert code.subset.frobenius_power == least_frobenius_power(code.tower, code.subset.members)
 
 
 def test_frobenius_power_past_int32_products():
@@ -229,7 +234,7 @@ def test_frobenius_power_past_int32_products():
     subset = FieldSubset.from_logs(tower, [-1, -2 ** 11])
     d, cosets = subset.stabiliser
     assert d == tower.order and int(cosets.max()) * 2 ** 11 >= 2 ** 31
-    assert SubsetCode(subset).orbits.frobenius_power == 11
+    assert subset.frobenius_power == 11
 
 
 def test_orbit_representatives_equal_closure(code):
@@ -250,7 +255,7 @@ def test_frobenius_row_equals_element_round_trip(code):
     engine = code.orbits
     rows = list(engine.automorphisms())
     images = reference.frobenius_class_images(code)
-    if engine.frobenius_power < code.tower.em:
+    if code.subset.frobenius_power < code.tower.em:
         assert np.array_equal(rows[0][engine.classes[1]], images)
     else:
         assert np.array_equal(images, engine.classes[1])
@@ -473,9 +478,13 @@ def test_full_size_blocks_equal_full_scan(code, monkeypatch, block):
     # BLOCK // word_count representatives from the first block on, 1 to 2048 here
     _set_block(monkeypatch, block)
     assert_block_schedule(code, max(1, block // code.word_count))
-    for verdict, violations in ((code.minimality_cover(), cover_violations),
-                                (code.minimality_heng(), heng_violations)):
+    cover, heng = code.minimality_cover(), code.minimality_heng()
+    for verdict, violations in ((cover, cover_violations), (heng, heng_violations)):
         assert (verdict.status, verdict.witness) == full_verdict(code, violations)
+    # for w independent of r, sum over lambda != 0 of wt(r + lambda w) is
+    # (q - 1) wt(r) - wt(w) exactly when supp w is in supp r (Heng-Ding-Zhou),
+    # so both scans flag the same (representative, line) pairs first
+    assert (cover.status, cover.witness) == (heng.status, heng.witness)
 
 
 @pytest.mark.parametrize("block", [1, 200, 2 ** 16])

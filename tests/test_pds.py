@@ -11,6 +11,7 @@ from pdscodes.pds import (
     CyclotomicOrigin,
     FieldSubset,
     GuardExceeded,
+    PdsCertificate,
     PdsVerificationError,
     build_cyclotomic_subset,
     classify_latin_type,
@@ -408,8 +409,11 @@ def test_eigensystem_small_discriminants():
     with pytest.raises(PdsVerificationError, match="non-integral multiplicities"):
         eigensystem_from_parameters(16, 6, 6, 6)
     # discriminant 1 (k = mu, lambda - mu = -1): s = 1 divides everything, so
-    # the closed forms are integral and returned
+    # the closed forms are integral and returned; their zero eigenvalue meets
+    # every other identity of a certificate, so only the straddle check refuses it
     assert eigensystem_from_parameters(16, 6, 5, 6) == (0, -1, 9, 6)
+    with pytest.raises(PdsVerificationError, match="straddle zero"):
+        PdsCertificate(16, 6, 5, 6, 0, -1, 9, 6, "neither")
 
 
 @pytest.mark.parametrize(
@@ -636,8 +640,7 @@ def test_class_union_builds_no_indicator():
 
 def test_logs_and_fq_invariance_equal_the_element_routes(f35, f44, f92):
     # a class union's logs are i N + j, read off (N, J) with no table; the
-    # invariance check scales the logs, and agrees with scaling the members
-    # by mul_vec
+    # invariance check, d | step, agrees with scaling the members by mul_vec
     cases = [build_cyclotomic_subset(f44, 5, [1, 2, 3, 4]), build_cyclotomic_subset(f44, 17, [0]),
              build_cyclotomic_subset(f44, 85, [0, 3]), build_cyclotomic_subset(f35, 11, [0]),
              build_cyclotomic_subset(f92, 20, [0, 5]), build_cyclotomic_subset(f92, 10, [2]),
