@@ -78,7 +78,6 @@ from .pds import (
     FieldSubset,
     PdsCertificate,
     QuadricOrigin,
-    rho_invariant,
 )
 from .qpoly import quadric_reflections, tables_induce_code_automorphism
 
@@ -984,7 +983,7 @@ def minimality_cyclotomic_sufficient(
     """Sufficient condition on (N, u, t) for class-union subsets."""
     q, m = tower.q, tower.m
     N, u, t, sqm = prediction.N, prediction.u, prediction.t, prediction.sqrt_qm
-    if not rho_invariant(tower, N, prediction.J):
+    if tower.subfield_step % field.cyclic_period(prediction.J, N)[0]:  # J + step != J (mod N)
         return MethodVerdict(
             INCONCLUSIVE, note="J is not closed under the subfield shift; criterion inapplicable"
         )

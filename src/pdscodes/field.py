@@ -48,7 +48,8 @@ batch route to the F_q value of Tr(v x).
 The code scans read it from every start (`label_cycle`), and
 `line_layout` lays out the lines F_q^* v for them.  The layers above take
 the F_q-rank of a set of elements here (`rank_reaches`: the minimality and
-cutting criteria) and their numpy passes of about BLOCK entries (`blocks`).
+cutting criteria), every stabiliser as a period of sorted logs or class
+numbers (`cyclic_period`) and numpy passes of about BLOCK entries (`blocks`).
 """
 from __future__ import annotations
 
@@ -521,11 +522,19 @@ class FieldTower:
     def stabiliser(self, members: np.ndarray) -> tuple[int, np.ndarray]:
         """(d, I): the least d with gamma^d S = S, S the nonzero members, so
         Stab(S) = <gamma^d>, and the ascending i < d with S the union of the
-        cosets gamma^i <gamma^d>, i in I: the cyclic period of S's
-        indicator in log order (`cyclic_period`)."""
-        mem = np.zeros(self.order + 1, dtype=bool)  # the last slot takes log[0] = -1
-        mark(mem, self.log.take(members))
-        return cyclic_period(mem[:-1])
+        cosets gamma^i <gamma^d>, i in I: the cyclic period of S's logs, sorted
+        in place (`cyclic_period`).  A member outside [0, q^m) or a repeat,
+        an equal neighbour after the sort, is refused."""
+        members = np.asarray(members)
+        if members.size and (members.min() < 0 or members.max() >= self.qm):
+            bad = members[(members < 0) | (members >= self.qm)][0]
+            raise ValueError(f"member {bad} lies outside [0, {self.qm})")
+        logs = self.log.take(members)
+        logs.sort()
+        repeats = logs[1:][logs[1:] == logs[:-1]]
+        if len(repeats):
+            raise ValueError(f"member {self.exp[repeats[0]] if repeats[0] >= 0 else 0} repeats")
+        return cyclic_period(logs[1:] if len(logs) and logs[0] < 0 else logs, self.order)
 
     # -- traces and hyperplanes -------------------------------------------
 
@@ -689,14 +698,6 @@ def blocks(count: int, width: int = 1) -> Iterator[slice]:
         yield slice(start, min(start + per, count))
 
 
-def mark(mask: np.ndarray, index: np.ndarray) -> None:
-    """mask[index] = True, BLOCK keys at a time cast to intp: numpy scatters
-    int32 keys on a slow buffered path, and an intp copy of every key would
-    take twice their bytes."""
-    for part in blocks(len(index)):
-        mask[index[part].astype(np.intp)] = True
-
-
 def distinct(values, dtype=None) -> np.ndarray:
     """The distinct entries of values, ascending, in dtype (theirs by default):
     one sort and a neighbour compare (np.unique would import numpy.ma)."""
@@ -706,28 +707,26 @@ def distinct(values, dtype=None) -> np.ndarray:
     return values[first]
 
 
-def cyclic_period(mask: np.ndarray) -> tuple[int, np.ndarray]:
-    """(d, I): the least d with mask[i + d mod n] = mask[i] for every i, n
-    = len(mask) < 2^31, and the ascending i < d marked in mask, in int32.
+def cyclic_period(positions, n: int) -> tuple[int, np.ndarray]:
+    """(d, I): the least d with T + d = T (mod n), T a set of ascending
+    distinct positions in [0, n), n < 2^31, and I the positions below d: a
+    prefix of T, as an int32 view.
 
-    The cyclic periods of mask are the multiples of d dividing n, so d is n
-    divided by each prime for as long as the quotient s = d / ell is still
-    a period.  mask has cyclic period d and s divides d, so s is one exactly
-    when the first d entries, shifted by s, agree with themselves:
-    mask[s:d] = mask[:d-s].  Those first d entries mark I, found BLOCK
-    entries at a time into one int32 array, so no int64 index list of more
-    than BLOCK entries and no second list of |I| entries is made.
+    The periods of T are the multiples of d dividing n, so d is n divided by
+    each prime ell while the quotient s = d / ell is still a period.  T holds
+    the positions below d, so s is one exactly when the b = |T| / ell below
+    s, shifted by multiples of s, make up T (ell divides |T|): T[b:] - T[:-b]
+    = s everywhere, which gives T[b - 1] = T[-1] - (ell - 1) s < s.  The next
+    test reads those b positions alone.
     """
-    d = len(mask)
-    for ell in prime_factors(d):
-        while d % ell == 0 and np.array_equal(mask[d // ell : d], mask[: d - d // ell]):
-            d //= ell
-    cosets, start = np.empty(np.count_nonzero(mask[:d]), dtype=np.int32), 0
-    for part in blocks(d):
-        found = np.flatnonzero(mask[part])
-        cosets[start : start + len(found)] = found + part.start
-        start += len(found)
-    return d, cosets
+    T, d = np.asarray(positions, dtype=np.int32), n
+    for ell in prime_factors(n):
+        while d % ell == 0:
+            b, rest = divmod(len(T), ell)
+            if rest or b and (T[b:] - T[:-b] != d // ell).any():
+                break
+            T, d = T[:b], d // ell
+    return d, T
 
 
 def rank_reaches(tower: FieldTower, elems, target, count=None):

@@ -3,16 +3,16 @@
 A subset is carried as its sorted int32 members plus its origin: the
 (N, J) of a union of cyclotomic classes, the Gram matrix of a quadratic
 form whose nonzero zeros it is, or none (an explicit element list).  Its
-q^m-entry indicator bitset is built only when something reads it, and its
-stabiliser's coset list, like the members, is int32.  A quadric's zeros
-are collected a block of elements at a time, from each element's
-F_q-coordinates (its base-p digits for e = 1, the traces against the dual
-basis for e > 1), so that the build holds no array of q^m entries beside
-the members.  Its invariances under F_q^*, -1 and Frobenius are read off
-its stabiliser.  Verification runs on two independent routes: the spectral
-one reads the distinct character-sum values off the full spectrum, the
-combinatorial one counts differences directly; on small fields both must
-agree.
+q^m-entry indicator bitset is built only when something reads it.  A
+quadric's zeros are collected a block of elements at a time, from each
+element's F_q-coordinates (its base-p digits for e = 1, the traces against
+the dual basis for e > 1), so that the build holds no array of q^m entries
+beside the members.  Its stabiliser <gamma^d> is the period of J in Z_N or
+of its sorted logs (`cyclic_period`), and its invariances under F_q^*, -1
+and Frobenius are read off that period.  Verification runs on two
+independent routes: the spectral one reads the distinct character-sum
+values off the full spectrum, the combinatorial one counts differences
+directly; on small fields both must agree.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .field import (
     distinct,
     int_field,
     int_list,
-    mark,
     obj_field,
     rank_reaches,
     required,
@@ -89,7 +88,8 @@ class FieldSubset:
     def indicator(self) -> np.ndarray:
         """The q^m-entry membership bitset, built on first read."""
         indicator = np.zeros(self.tower.qm, dtype=bool)
-        mark(indicator, self.members)
+        for part in blocks(len(self)):  # numpy scatters int32 keys on a slow path
+            indicator[self.members[part].astype(np.intp)] = True
         return indicator
 
     def __len__(self):
@@ -106,22 +106,21 @@ class FieldSubset:
             starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
             logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
         else:
-            logs = np.sort(self.tower.log.take(self.members))
+            logs = self.tower.log.take(self.members)
+            logs.sort()
         logs.flags.writeable = False
         return logs
 
     @cached_property
     def stabiliser(self) -> tuple[int, np.ndarray]:
         """(d, I): Stab(D) = <gamma^d> in F_{q^m}^*, and D the union of the
-        cosets gamma^i <gamma^d>, i in I.  A class union (N, J) has
-        gamma^d D = D exactly when J + d = J (mod N), so d and I are read
-        off J's indicator on Z_N in O(N); other subsets scan their members
-        (`FieldTower.stabiliser`)."""
+        cosets gamma^i <gamma^d>, i in I: the cyclic period of D's sorted
+        logs (`cyclic_period`), I a prefix of `logs`.  A class union (N, J)
+        has gamma^d D = D exactly when J + d = J (mod N), so d and I are the
+        period of J in Z_N, read in O(|J| log N) with no member scan."""
         if isinstance(self.origin, CyclotomicOrigin):
-            classes = np.zeros(self.origin.N, dtype=bool)
-            classes[list(self.origin.J)] = True
-            return cyclic_period(classes)
-        return self.tower.stabiliser(self.members)
+            return cyclic_period(self.origin.J, self.origin.N)
+        return cyclic_period(self.logs, self.tower.order)
 
     @property
     def stabiliser_period(self) -> int:
@@ -236,13 +235,6 @@ def build_cyclotomic_subset(tower: FieldTower, N: int, J: Sequence[int]) -> Fiel
     """Union of the classes indexed by J; enforces the odd-q symmetry conditions."""
     J = _class_indices(tower, N, J)
     return FieldSubset(tower, _class_members(tower, N, J).ravel(), CyclotomicOrigin(N, J))
-
-
-def rho_invariant(tower: FieldTower, N: int, J: Sequence[int]) -> bool:
-    """J closed under j -> j + (q^m-1)/(q-1) mod N (subfield-scaling shift)."""
-    shift = tower.subfield_step % N
-    J = {int(j) % N for j in J}
-    return {(j + shift) % N for j in J} == J
 
 
 def is_fq_invariant(subset: FieldSubset) -> bool:

@@ -426,6 +426,19 @@ def test_small_stabilisers_take_the_transform(monkeypatch):
         assert parseval_total(spec) == tower.qm * len(members)
 
 
+@pytest.mark.parametrize("members, message", [
+    ([7, 7], "member 7 repeats"),  # gamma^4 twice: counted as the zero element
+    ([1, 1], "member 1 repeats"),
+    ([0, 0], "member 0 repeats"),
+    ([-1], r"member -1 lies outside \[0, 81\)"),  # read as the element 80
+    ([0, 81], r"member 81 lies outside \[0, 81\)"),  # past the log table
+], ids=["repeat", "one twice", "zero twice", "negative", "past q^m"])
+def test_full_spectrum_refuses_bad_members(f34, members, message):
+    assert f34.exp[4] == 7
+    with pytest.raises(ValueError, match=message):
+        full_spectrum(f34, np.array(members))
+
+
 @pytest.mark.parametrize("a", [1, 64, 65, 200, 242])
 def test_irrational_witness_is_least_element(f35, a):
     # one irrational row, serving a alone

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pdscodes import pds
 from pdscodes.cli import main
 from pdscodes.field import FieldTower
 
@@ -355,18 +356,25 @@ def test_sss_x1_sides(capsys):
                                   ["pds", "--recipe", "example-3.3-elliptic"]])
 def test_one_stabiliser_scan_per_subset(capsys, monkeypatch, argv):
     # the spectrum, the direct check and the code read the subset's cached
-    # (d, I); a class union reads it off (N, J) with no member scan, and the
-    # 20 zeros of the elliptic quadric on F_3^4 are scanned once
-    calls = []
-    stabiliser = FieldTower.stabiliser
+    # (d, I), found by one period scan: a class union scans its 4 classes
+    # of Z_5, the elliptic quadric on F_3^4 the sorted logs of its 20 zeros,
+    # and no raw member array is scanned (`FieldTower.stabiliser`)
+    scans, raw = [], []
+    period, stabiliser = pds.cyclic_period, FieldTower.stabiliser
 
-    def counted(self, members):
-        calls.append(len(members))
+    def counted(positions, n):
+        scans.append((len(positions), n))
+        return period(positions, n)
+
+    def counted_raw(self, members):
+        raw.append(len(members))
         return stabiliser(self, members)
 
-    monkeypatch.setattr(FieldTower, "stabiliser", counted)
+    monkeypatch.setattr(pds, "cyclic_period", counted)
+    monkeypatch.setattr(FieldTower, "stabiliser", counted_raw)
     assert run_cli(capsys, *argv)[0] == 0
-    assert calls == ([] if "example-3.1" in argv else [20])
+    assert scans == ([(4, 5)] if "example-3.1" in argv else [(20, 80)])
+    assert raw == []
 
 
 def test_table_format_and_out_file(capsys, tmp_path):

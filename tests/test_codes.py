@@ -543,6 +543,16 @@ def test_cyclotomic_sufficient(f44):
     assert minimality_latin_sufficient(pred.certificate, f44.q, f44.m).status == MINIMAL
 
 
+def test_cyclotomic_sufficient_needs_the_subfield_shift(f44):
+    # F_{4^4}: the subfield step 85 is 1 mod 3, so J = [0] is not closed
+    # under j -> j + 85 (mod 3), and 0 mod 5, so every J mod 5 is closed
+    pred = predicted_cyclotomic_eigenvalues(f44, 3, [0])
+    assert minimality_cyclotomic_sufficient(f44, pred) == MethodVerdict(
+        INCONCLUSIVE, note="J is not closed under the subfield shift; criterion inapplicable")
+    pred = predicted_cyclotomic_eigenvalues(f44, 5, [0, 1])
+    assert minimality_cyclotomic_sufficient(f44, pred) == MethodVerdict(MINIMAL)
+
+
 def test_cyclotomic_sufficient_boundary():
     f64 = build_tower(FieldSpec(p=2, e=1, m=6))
     pred = predicted_cyclotomic_eigenvalues(f64, 9, [0])

@@ -31,19 +31,67 @@ def test_prime_factors_are_the_prime_divisors():
     assert prime_factors(2 ** 26 - 1) == [3, 2731, 8191]
 
 
+def _scanned_period(positions, n):
+    # the least divisor e of n with T + e = T (mod n), by trying each one
+    T = set(np.asarray(positions).tolist())
+    return next(e for e in range(1, n + 1) if n % e == 0 and {(t + e) % n for t in T} == T)
+
+
+def _assert_prefix_below(d, cosets, positions):
+    # I is the int32 view of the positions below d, a prefix of T
+    below = np.count_nonzero(positions < d)
+    assert cosets.dtype == np.int32 and np.array_equal(cosets, positions[:below])
+    assert np.shares_memory(cosets, positions) or below == 0
+
+
 def test_cyclic_period_against_a_scan():
-    # the least cyclic period d of a mask and its marked entries below d, in
-    # int32, against a scan over the divisors of its length; periods below
-    # and above BLOCK = 2^16, so the list fills one block or several
+    # the least cyclic period d of a set of ascending positions and its
+    # positions below d, against a scan over the divisors of n; periods
+    # below and above BLOCK = 2^16
     rng = np.random.default_rng(26)
     n = 15 * 2 ** 15
     divisors = [e for e in range(1, n + 1) if n % e == 0]
     for period in (1, 15, 3 * 2 ** 15, n):
         mask = np.tile(rng.random(period) < 0.3, n // period)
         least = next(e for e in divisors if np.array_equal(mask[e:], mask[: n - e]))
-        d, cosets = cyclic_period(mask)
+        positions = np.flatnonzero(mask).astype(np.int32)
+        d, cosets = cyclic_period(positions, n)
         assert d == least
-        assert cosets.dtype == np.int32 and np.array_equal(cosets, np.flatnonzero(mask[:d]))
+        _assert_prefix_below(d, cosets, positions)
+
+
+@pytest.mark.parametrize("positions, n, d, cosets", [
+    ([], 12, 1, []),                  # no positions
+    (range(12), 12, 1, [0]),          # every position
+    ([], 1, 1, []),                   # n = 1
+    ([0], 1, 1, [0]),
+    ([0, 3], 7, 7, [0, 3]),           # a prime n
+    ([2, 5], 6, 3, [2]),
+    ([0, 4, 8], 12, 4, [0]),          # ell = 2 does not divide |T| = 3; ell = 3 passes
+    ([0, 1, 6, 7], 12, 6, [0, 1]),    # then 3 does not divide |T| = 2
+    ([1, 3, 5, 7, 9, 11], 12, 2, [1]),
+    ([0, 1, 2, 4], 6, 6, [0, 1, 2, 4]),  # 2 divides |T|, no shift by 3 fits
+])
+def test_cyclic_period_small_cases(positions, n, d, cosets):
+    positions = np.array(positions, dtype=np.int32)
+    assert _scanned_period(positions, n) == d
+    found, prefix = cyclic_period(positions, n)
+    assert found == d and prefix.tolist() == cosets
+    _assert_prefix_below(d, prefix, positions)
+
+
+def test_cyclic_period_random_sets():
+    # random n <= 2000 and a random set tiled at a random divisor of n, so
+    # that its least period is that divisor or one of its divisors
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        n = int(rng.integers(1, 2001))
+        tile = int(rng.choice([e for e in range(1, n + 1) if n % e == 0]))
+        on = np.flatnonzero(rng.random(tile) < rng.random())
+        positions = (on + tile * np.arange(n // tile)[:, None]).ravel().astype(np.int32)
+        d, cosets = cyclic_period(positions, n)
+        assert d == _scanned_period(positions, n)
+        _assert_prefix_below(d, cosets, positions)
 
 
 def test_spec_rejects_bad_parameters():

@@ -20,7 +20,6 @@ from pdscodes.pds import (
     is_fq_invariant,
     predicted_cyclotomic_eigenvalues,
     quadric_subset,
-    rho_invariant,
     verify_pds_direct,
     verify_pds_spectral,
 )
@@ -133,6 +132,11 @@ def test_origin_stabiliser_equals_least_period(field):
                 for members in (s.members, np.append(s.members, 0)):  # 0 is in no coset
                     scanned, scanned_cosets = tower.stabiliser(members)
                     assert scanned == d and np.array_equal(scanned_cosets, cosets)
+                # with no origin, the period of the sorted logs, I a prefix view of them
+                plain = FieldSubset(tower, s.members)
+                assert plain.stabiliser_period == d
+                assert np.array_equal(plain.stabiliser[1], cosets)
+                assert np.shares_memory(plain.stabiliser[1], plain.logs)
 
 
 @pytest.mark.parametrize("field", ORIGIN_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
@@ -182,9 +186,8 @@ def test_is_symmetric_equals_the_gather(request, name):
 
 
 def test_invariance_routes(ex31, row1, f35):
-    # N = 5 divides (4^4-1)/3 = 85, so rho is the identity on Z_5
+    # N = 5 divides (4^4-1)/3 = 85, so the shift by 85 is the identity on Z_5
     assert ex31.tower.subfield_step % 5 == 0
-    assert rho_invariant(ex31.tower, 5, [1, 2, 3, 4])
     assert is_fq_invariant(ex31)
     assert is_fq_invariant(row1)
     # invariant by construction: any union of F_q^*-cosets
@@ -366,6 +369,19 @@ def test_prediction_t_odd_f64():
 def test_prediction_requires_semiprimitivity(f35):
     with pytest.raises(PdsVerificationError, match="semiprimitivity"):
         predicted_cyclotomic_eigenvalues(f35, 11, [0])
+
+
+@pytest.mark.parametrize("p, m, N, message", [
+    # e*m = 1 leaves no ell to try, though 5^1 = -1 (mod 2)
+    (5, 1, 2, "no ell in 1..0 with 5^ell = -1 (mod 2); semiprimitivity fails"),
+    (5, 3, 2, "2*ell1 = 2 does not divide e*m = 3"),
+    (3, 12, 13, "no ell in 1..6 with 3^ell = -1 (mod 13); semiprimitivity fails"),
+])
+def test_prediction_refusals(p, m, N, message):
+    tower = build_tower(FieldSpec(p=p, e=1, m=m))
+    with pytest.raises(PdsVerificationError) as refusal:
+        predicted_cyclotomic_eigenvalues(tower, N, [0])
+    assert str(refusal.value) == message
 
 
 def test_quadric_certificates_f34(f34):
