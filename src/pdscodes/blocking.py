@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .codes import DEFAULT_ENUM_BUDGET, orbit_engine
-from .field import GuardExceeded, blocks, rank_reaches
+from .field import GuardExceeded, blocks, counted_rank, rank_reaches
 from .pds import FieldSubset
 
 
@@ -130,7 +130,7 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
 
     cutting = blocking and not contains_subspace
     if cutting:
-        spans = orbit_sizes >= tower.qm // tower.q ** 2  # the count bound
+        spans = counted_rank(tower, orbit_sizes, tower.m - 1)
         small = np.flatnonzero(~spans)
         elems = tower.exp[subset.logs]
         for part, on in _sections(subset, js[small]):

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 from typing import Callable, Iterator
@@ -199,11 +198,12 @@ def weight_distribution_predicted(cert: PdsCertificate, q: int, m: int) -> Weigh
 
 
 def ab_condition(dist: WeightDistribution, q: int) -> bool:
-    """Sufficient minimality test: min/max nonzero weight ratio above (q-1)/q, exactly."""
+    """Sufficient minimality test: min/max nonzero weight ratio above (q-1)/q,
+    compared in integers as q w_min > (q - 1) w_max."""
     weights = dist.nonzero_weights()
     if not weights:
         raise ValueError("no nonzero weights")
-    return Fraction(min(weights), max(weights)) > Fraction(q - 1, q)
+    return q * min(weights) > (q - 1) * max(weights)
 
 
 def weight_class(cert: PdsCertificate, q: int, m: int) -> str:
@@ -436,11 +436,6 @@ class SubsetCode:
         self.n = self.tower.order
         self.word_count = self.tower.q * self.tower.qm
         self.guard = guard
-        self._weight_table = None
-        self._supports = None
-        self._kernel = None
-        self._rank_orbit_flags = None
-        self._dependents = None
 
     @cached_property
     def orbits(self) -> Orbits:  # the subset's engine, shared by its codes
@@ -486,8 +481,10 @@ class SubsetCode:
         pairs, or the table's q * d entries where q is larger, against
         DEFAULT_ENUM_BUDGET.
         """
-        if self._weight_table is not None:
-            return self._weight_table
+        return self._weight_table
+
+    @cached_property
+    def _weight_table(self) -> np.ndarray:
         tower = self.tower
         order, step = tower.order, tower.subfield_step
         d, k = self.stabiliser_period, len(self.subset)
@@ -512,7 +509,6 @@ class SubsetCode:
         table = np.full((tower.q, d), base, dtype=np.int64)
         table[1:] = ones[(np.arange(d) - np.arange(tower.q - 1)[:, None] * step) % d]
         table.flags.writeable = False
-        self._weight_table = table
         return table
 
     def kernel_words(self) -> np.ndarray:
@@ -520,10 +516,12 @@ class SubsetCode:
         and (1, a) when f is the trace form Tr(a x) (`characteristic_trace_form`,
         over F_2 only).  Each u has at most one v with u f(x) + Tr(v x) = 0 on
         every nonzero x, and for u != 0 only a trace form f has one."""
-        if self._kernel is None:
-            a = characteristic_trace_form(self.subset)
-            self._kernel = np.array([0] if a is None else [0, self.word_index(1, a)])
         return self._kernel
+
+    @cached_property
+    def _kernel(self) -> np.ndarray:
+        a = characteristic_trace_form(self.subset)
+        return np.array([0] if a is None else [0, self.word_index(1, a)])
 
     def dimension(self) -> int:
         """m + 1, less one when f is a trace form: m + 2 less the kernel size."""
@@ -554,15 +552,14 @@ class SubsetCode:
 
     def supports(self) -> np.ndarray:
         """Packed support bitsets, one row per word, filled a block of words at a time."""
-        return self._support_words().view(np.uint8)[:, : (self.tower.order + 7) // 8]
+        return self._supports.view(np.uint8)[:, : (self.tower.order + 7) // 8]
 
-    def _support_words(self) -> np.ndarray:
+    @cached_property
+    def _supports(self) -> np.ndarray:
         """The packed supports as rows of uint64, zero-padded past the last
-        coordinate (cached): `_support_columns` over every word and column,
-        the label cycle read in log order, a slice of about BLOCK labels,
-        compared for every u, at a time."""
-        if self._supports is not None:
-            return self._supports
+        coordinate: `_support_columns` over every word and column, the label
+        cycle read in log order, a slice of about BLOCK labels, compared for
+        every u, at a time."""
         tower = self.tower
         q, qm, width = tower.q, tower.qm, (self.n + 63) // 64
         nbytes = q * qm * width * 8
@@ -573,8 +570,7 @@ class SubsetCode:
         packed[:, :1] = self._support_columns(tables, us[:, None], None, 0, width)  # v = 0
         for part in blocks(self.n, 64 * width):
             packed[:, tower.exp[part]] = self._support_columns(tables, us[:, None], part, 0, width)
-        self._supports = packed.reshape(q * qm, width)
-        return self._supports
+        return packed.reshape(q * qm, width)
 
     def _value_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(cycle, zero_at): the tower's `label_cycle`, row s the labels of
@@ -633,20 +629,19 @@ class SubsetCode:
         over_u = np.where(v == 0, 0, tower.exp[(log_v - (u - 1) * step) % tower.order])
         return np.where(u == 0, rank[log_v % step], len(least) + over_u)
 
-    def _dependent_columns(self) -> np.ndarray:
+    @cached_property
+    def _dependents(self) -> np.ndarray:
         """Row i: the _line_words() columns of the words whose vectors are scalar
-        multiples of that of the orbit representative r = reps[i] (cached).
-        Those are lam r + kappa, kappa in the kernel: for lam != 0 on the line
-        of r + kappa / lam, else kappa itself; the zero word is read as r."""
-        if self._dependents is None:
-            add_q = self.tower.subfield_tables()[0]
-            reps, kernel = self.orbits.representatives(), self.kernel_words()
-            (ur, vr), (ku, kv) = np.divmod(reps, self.tower.qm), np.divmod(kernel, self.tower.qm)
-            shifted = self.word_index(add_q[ur[:, None], ku], self.tower.add_sets(vr[:, None], kv))
-            words = np.concatenate([shifted, np.broadcast_to(kernel, shifted.shape)], axis=1)
-            own = self._line_columns(reps)[:, None]
-            self._dependents = np.where(words == 0, own, self._line_columns(words))
-        return self._dependents
+        multiples of that of the orbit representative r = reps[i].  Those are
+        lam r + kappa, kappa in the kernel: for lam != 0 on the line of r +
+        kappa / lam, else kappa itself; the zero word is read as r."""
+        add_q = self.tower.subfield_tables()[0]
+        reps, kernel = self.orbits.representatives(), self.kernel_words()
+        (ur, vr), (ku, kv) = np.divmod(reps, self.tower.qm), np.divmod(kernel, self.tower.qm)
+        shifted = self.word_index(add_q[ur[:, None], ku], self.tower.add_sets(vr[:, None], kv))
+        words = np.concatenate([shifted, np.broadcast_to(kernel, shifted.shape)], axis=1)
+        own = self._line_columns(reps)[:, None]
+        return np.where(words == 0, own, self._line_columns(words))
 
     def _check_guard(self) -> None:
         if self.word_count > self.guard:
@@ -671,11 +666,10 @@ class SubsetCode:
         """
         self._check_guard()
         reps = self.orbits.representatives()
-        dependents = self._dependent_columns()
         test = make_test()
         for part in blocks(len(reps), self.word_count):
             bad = test(part)
-            bad[np.arange(len(bad))[:, None], dependents[part]] = False
+            bad[np.arange(len(bad))[:, None], self._dependents[part]] = False
             yield reps[part], bad
 
     def word_flags(self, orbit_flags: tuple[np.ndarray, np.ndarray], words) -> np.ndarray:
@@ -729,14 +723,13 @@ class SubsetCode:
             head[part] = column[:, 0]
         rep_us, rep_vs = np.divmod(self.orbits.representatives(), tower.qm)
         rep_logs = tower.log[rep_vs]  # -1 for v = 0
-        dependents = self._dependent_columns()
         coordinates = np.packbits(np.arange(64 * width) < self.n).view(np.uint64)
 
         def test(part):
             outside = coordinates & ~self._support_columns(
                 tables, rep_us[part], rep_logs[part], 0, width)
             inside = (head & outside[:, :1]) == 0
-            inside[np.arange(len(outside))[:, None], dependents[part]] = False
+            inside[np.arange(len(outside))[:, None], self._dependents[part]] = False
             rows, cols = np.nonzero(inside)  # the pairs still inside
             if not len(rows):
                 return inside
@@ -894,11 +887,12 @@ class SubsetCode:
         the zeros D̄ among them, takes one `_zero_ranks` route.
         """
         self._check_guard()
-        reps = self.orbits.representatives()
-        if self._rank_orbit_flags is None:
-            us, vs = np.divmod(reps, self.tower.qm)
-            self._rank_orbit_flags = self._zero_ranks(us, vs, self.dimension() - 1)
-        return reps, self._rank_orbit_flags
+        return self.orbits.representatives(), self._rank_orbit_flags
+
+    @cached_property
+    def _rank_orbit_flags(self) -> np.ndarray:
+        us, vs = np.divmod(self.orbits.representatives(), self.tower.qm)
+        return self._zero_ranks(us, vs, self.dimension() - 1)
 
     def minimality_snc(self) -> MethodVerdict:
         """Exact span criterion, read off the rank flags: the complement spans the

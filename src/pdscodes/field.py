@@ -741,10 +741,11 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     F_p-span the F_q-span): an element's base-p digits are its
     F_p-coordinates.  The reduction runs on chunks of doubling size, until
     e * target pivots turn up, one digit column c at a time: the first
-    vector with digit c is the pivot, its p multiples come from digitwise
-    adds, and every vector adds the multiple that clears its digit c (one
-    gather and one digitwise add).  The elimination on arrays of digits is
-    the oracle in tests/reference.py.
+    vector with digit c is the pivot, its multiples k pivot / lead by the
+    F_p constants k are field products (lead its digit c), and every vector
+    adds the multiple that clears its digit c (one gather and one digitwise
+    add).  The elimination on arrays of digits is the oracle in
+    tests/reference.py.
 
     Returns (reached, basis): basis[c] is the packed pivot of digit c (1
     there, 0 before it) or zero, int32, and spans the set whenever reached
@@ -775,21 +776,19 @@ def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal:
     """(reached, pivots) for sets of count nonzero elements each, padded with 0:
     pivots[i, c] is the packed pivot of digit c of set i, or 0, after the
     chunk in which goal[i] pivots turn up, or after the whole set."""
-    p, em = tower.p, tower.em
+    p, em, log, exp = tower.p, tower.em, tower.log, tower.exp
     reached = np.zeros(len(sets), dtype=bool)
     pivots = np.zeros((len(sets), em), dtype=np.int32)
     rest = np.zeros((len(sets), count.max()), dtype=np.int32)
     rest[np.arange(rest.shape[1]) < count[:, None]] = sets[sets != 0]  # nonzero elements first
-    scalars = tower.exp[np.arange(tower.e) * tower.subfield_step].tolist()  # w^i
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    # clear[a, t]: the multiple of a pivot with digit a that clears digit t
-    clear = -np.arange(p) * inverse[:, None] % p
+    scalars = exp[np.arange(1, tower.e) * tower.subfield_step].tolist()  # w^i, 0 < i < e
+    logk = log[:p]  # the logs of the F_p constants k < p, log 0 = -1
     start, size = 0, 8 * tower.m  # elements, each giving e vectors
     while start < rest.shape[1] and not reached.all():
         sub = np.flatnonzero(~reached)
         part = rest[sub, start:start + size]
-        gens = np.stack([tower.mul_vec(w, part) for w in scalars], axis=2).reshape(len(sub), -1)
-        vecs = np.concatenate([pivots[sub], gens], axis=1)
+        gens = np.stack([part] + [tower.mul_vec(w, part) for w in scalars], axis=2)
+        vecs = np.concatenate([pivots[sub], gens.reshape(len(sub), -1)], axis=1)
         start, size = start + size, 2 * size
         rows = np.arange(len(sub))
         for c in range(em):
@@ -797,14 +796,11 @@ def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal:
             digit = high - high // p * p  # floor divisions are cheaper than %
             at = (digit != 0).argmax(axis=1)  # 0, with digit 0, where there is none
             pivot, lead = vecs[rows, at], digit[rows, at]
-            mult = [np.zeros_like(pivot), pivot]
-            for _ in range(2, p):
-                mult.append(tower._add_vec(mult[-1], pivot))
-            mult = np.stack(mult, axis=1)
-            pivots[sub, c] = mult[rows, inverse[lead]]
-            # row s of fix holds the multiples of pivot s that clear digits 0..p-1
-            fix = mult[rows[:, None], clear[lead]]
-            vecs = tower._add_vec(vecs, fix.take(digit + (rows * p)[:, None]))
+            # mult[s, k] = k pivot / lead, 0 at k = 0 and where set s has no pivot
+            mult = np.where((lead != 0)[:, None] & (logk >= 0),
+                            exp[((log[pivot] - log[lead])[:, None] + logk) % tower.order], 0)
+            pivots[sub, c] = mult[:, 1]
+            vecs = tower._add_vec(vecs, mult[rows[:, None], -digit])  # column -t clears digit t
         reached[sub] = np.count_nonzero(pivots[sub], axis=1) >= goal[sub]
     return reached, pivots
 

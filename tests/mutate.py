@@ -4,9 +4,15 @@
 
 A site is a comparison operator (< and <=, > and >=, == and !=, each way),
 an arithmetic operator (+ and -, // and *, % to //) or a small integer
-constant (0 to 9, which becomes one more).  The sites of the named modules
-(all of them by default) are listed in `ast.walk` order, and the seed
-draws count of them.  Each mutant is its module's tree with that one site
+constant (0 to 9, which becomes one more).  The seed draws count sites
+from the named modules (all of them by default), by a key hashed from the
+seed, the module, the enclosing def or class, the site's line and node,
+and its change: the modules, taken by name, get count // len(modules)
+sites each (the first count % len(modules) one more), the sites of least
+key.  So a module's draw depends on its own sites alone, and a change to
+one module leaves the draw from the others as it was; within a module a
+site the change did not touch stays drawn unless a new site of smaller key
+takes its place.  Each mutant is its module's tree with that one site
 changed, written back with `ast.unparse` into a copy of src/, tests/,
 perfbench/ (which test_surface reads) and pyproject.toml, in a fresh
 temporary directory removed at the end.  Tier-1 then runs there with -x
@@ -19,14 +25,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import os
-import random
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pdscodes"
@@ -45,21 +52,68 @@ SMALL = range(10)
 TIMEOUT = 300  # seconds per mutant; tier-1 takes about a minute
 
 
-def sites(tree: ast.AST):
-    """(index in ast.walk order, operator slot or None, line, description) of
-    every site of tree; the slot is the comparison's operator number."""
+class Site(NamedTuple):
+    module: str
+    index: int  # in ast.walk order
+    slot: int | None  # the comparison's operator number
+    line: int
+    change: str
+    name: str  # module, enclosing scope, line and source, change, repeat number
+
+
+def scopes(tree: ast.AST) -> dict[int, str]:
+    """id of each node -> the dotted name of the innermost def or class
+    around it, or of the def or class it is ('' at module level)."""
+    names = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}".lstrip(".")
+            names[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return names
+
+
+def sites(module: str, source: str) -> list[Site]:
+    """Every site of the module's source, in ast.walk order.  A site's name
+    reads its scope, its stripped line, its node unparsed and its change,
+    and numbers the repeats of that text in walk order."""
+    tree, lines, seen, out = ast.parse(source), source.splitlines(), {}, []
+    scope = scopes(tree)
     for index, node in enumerate(ast.walk(tree)):
+        changes = []
         if isinstance(node, ast.Compare):
-            for slot, op in enumerate(node.ops):
-                if type(op) in SWAPS:
-                    new = SWAPS[type(op)]
-                    yield index, slot, node.lineno, f"{SYMBOLS[type(op)]} -> {SYMBOLS[new]}"
+            changes = [(slot, f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}")
+                       for slot, op in enumerate(node.ops) if type(op) in SWAPS]
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-            new = SWAPS[type(node.op)]
-            yield index, None, node.lineno, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}"
+            changes = [(None, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[SWAPS[type(node.op)]]}")]
         elif (isinstance(node, ast.Constant) and type(node.value) is int
               and node.value in SMALL):
-            yield index, None, node.lineno, f"{node.value} -> {node.value + 1}"
+            changes = [(None, f"{node.value} -> {node.value + 1}")]
+        for slot, change in changes:
+            text = "\0".join([module, scope[id(node)], lines[node.lineno - 1].strip(),
+                              ast.unparse(node), change])
+            seen[text] = seen.get(text, -1) + 1
+            out.append(Site(module, index, slot, node.lineno, change, f"{text}\0{seen[text]}"))
+    return out
+
+
+def draw(sources: dict[str, str], seed: int, count: int) -> list[Site]:
+    """count sites of the modules in sources (name -> source): the modules,
+    sorted by name, take count // len(sources) each and the first count %
+    len(sources) one more, each its sites of least key, the hash of the
+    seed and the site's name, in key order."""
+    names = sorted(sources)
+    drawn = []
+    for i, module in enumerate(names):
+        share = count // len(names) + (i < count % len(names))
+        drawn += sorted(sites(module, sources[module]), key=lambda site: hashlib.blake2b(
+            f"{seed}\0{site.name}".encode(), digest_size=8).digest())[:share]
+    return drawn
 
 
 def mutant(source: str, index: int, slot: int | None) -> str:
@@ -100,9 +154,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sources = {name: (PACKAGE / f"{name}.py").read_text() for name in args.modules}
-    pool = [(name, *site) for name in args.modules for site in sites(ast.parse(sources[name]))]
-    drawn = random.Random(args.seed).sample(pool, min(args.count, len(pool)))
-    print(f"{len(drawn)} of {len(pool)} sites in {', '.join(args.modules)}, seed {args.seed}")
+    pool = sum(len(sites(name, source)) for name, source in sources.items())
+    drawn = draw(sources, args.seed, args.count)
+    print(f"{len(drawn)} of {pool} sites in {', '.join(sorted(sources))}, seed {args.seed}")
 
     workdir = Path(tempfile.mkdtemp(prefix="pdscodes-mutate-"))
     for part in ("src", "tests", "perfbench"):
@@ -111,15 +165,15 @@ def main(argv=None) -> int:
     shutil.copy2(ROOT / "pyproject.toml", workdir)  # the pytest settings
     tally = {"killed": 0, "survived": 0, "timed out": 0}
     try:
-        for name, index, slot, line, change in drawn:
-            target = workdir / "src" / "pdscodes" / f"{name}.py"
-            target.write_text(mutant(sources[name], index, slot))
+        for site in drawn:
+            target = workdir / "src" / "pdscodes" / f"{site.module}.py"
+            target.write_text(mutant(sources[site.module], site.index, site.slot))
             try:
                 outcome = run_tier1(workdir)
             finally:
-                target.write_text(sources[name])
+                target.write_text(sources[site.module])
             tally[outcome] += 1
-            print(f"{outcome:9}  {name}.py:{line}  {change}", flush=True)
+            print(f"{outcome:9}  {site.module}.py:{site.line}  {site.change}", flush=True)
     finally:
         shutil.rmtree(workdir)
     detected = tally["killed"] + tally["timed out"]

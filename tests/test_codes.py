@@ -389,7 +389,7 @@ def test_heng_screen_builds_nothing_without_a_live_representative(monkeypatch):
     # its (representatives x lines) bool rows take 41 KB
     tower = build_tower(FieldSpec(p=2, e=1, m=12))
     code = SubsetCode(build_cyclotomic_subset(tower, 3, [0]))
-    code.weight_table(), code._dependent_columns(), tower.line_layout, tower.subfield_tables()
+    code.weight_table(), code._dependents, tower.line_layout, tower.subfield_tables()
 
     def refused(*args):
         raise AssertionError("Heng gathered a sum")
@@ -626,6 +626,10 @@ def test_ab_condition(row1_code):
 
     flat = WeightDistribution(((0, 1), (10, 80)))
     assert ab_condition(flat, 3)  # single weight: ratio one
+    # equality, w_min / w_max = (q - 1) / q, is not above the bound
+    assert not ab_condition(WeightDistribution(((0, 1), (6, 8), (9, 72))), 3)
+    assert not ab_condition(WeightDistribution(((0, 1), (12, 15), (16, 48))), 4)
+    assert ab_condition(WeightDistribution(((0, 1), (7, 8), (9, 72))), 3)
     # the size bound predicts the violation: k = 22 <= (q-1)^2 q^(m-2) = 108
     assert 22 <= (3 - 1) ** 2 * 3 ** (5 - 2)
 
@@ -699,7 +703,7 @@ def test_support_cap_counts_padded_rows(f34, monkeypatch):
     with pytest.raises(GuardExceeded, match=f"would need {allocated} bytes"):
         SubsetCode(subset).supports()
     monkeypatch.setattr("pdscodes.codes.SUPPORT_BYTES_CAP", allocated)
-    assert SubsetCode(subset)._support_words().nbytes == allocated
+    assert SubsetCode(subset)._supports.nbytes == allocated
 
 
 def test_weight_distribution_memory_below_dense_table():
@@ -758,7 +762,7 @@ def test_cover_scan_memory():
     # them, it holds about 8 bytes for each of the 9841 lines
     tower = build_tower(FieldSpec(p=3, e=1, m=8))
     code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
-    code.orbits.representatives(), code._dependent_columns(), tower.line_layout
+    code.orbits.representatives(), code._dependents, tower.line_layout
     tower.trace_label_of_exp, tower.subfield_tables()
     tracemalloc.start()
     try:

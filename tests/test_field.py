@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from pdscodes.charsums import full_spectrum, psi_sum
 from pdscodes.field import (
+    BLOCK,
     DEFAULT_MODULI,
     FieldConstructionError,
     FieldSpec,
     FieldTower,
+    blocks,
     build_tower,
     cyclic_period,
     default_modulus,
@@ -42,6 +44,18 @@ def _assert_prefix_below(d, cosets, positions):
     below = np.count_nonzero(positions < d)
     assert cosets.dtype == np.int32 and np.array_equal(cosets, positions[:below])
     assert np.shares_memory(cosets, positions) or below == 0
+
+
+def test_blocks_cover_the_range_about_block_entries_at_a_time():
+    # BLOCK items of width 0 or 1, BLOCK // width of wider ones, one at least
+    for width in (0, 1):
+        assert list(blocks(BLOCK + 1, width)) == [slice(0, BLOCK), slice(BLOCK, BLOCK + 1)]
+    parts = list(blocks(2 * BLOCK, 3))
+    assert [part.start for part in parts] == list(range(0, 2 * BLOCK, BLOCK // 3))
+    assert [part.stop for part in parts[:-1]] == [part.start for part in parts[1:]]
+    assert parts[-1].stop == 2 * BLOCK
+    assert list(blocks(3, BLOCK + 1)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(blocks(0)) == []
 
 
 def test_cyclic_period_against_a_scan():
@@ -180,6 +194,10 @@ def test_default_moduli_are_primitive():
         assert poly_is_irreducible(coeffs, p)
         assert poly_x_is_primitive(coeffs, p)
     assert default_modulus(2, 8) == DEFAULT_MODULI[(2, 8)]
+    # each prime's degrees run 1, 2, ... with no gap
+    for p in {p for p, _ in DEFAULT_MODULI}:
+        degrees = sorted(n for key, n in DEFAULT_MODULI if key == p)
+        assert degrees == list(range(1, len(degrees) + 1)), p
 
 
 def test_example_field_sizes(f44):

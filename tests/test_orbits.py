@@ -178,7 +178,7 @@ def assert_fills_equal_reference(code):
     assert np.array_equal(code.kernel_words(), np.flatnonzero(dense.ravel() == 0))
     weights, freqs = np.unique(dense, return_counts=True)
     assert code.weight_distribution_direct().rows == tuple(zip(weights.tolist(), freqs.tolist()))
-    assert np.array_equal(code._support_words(), support_words(code))
+    assert np.array_equal(code._supports, support_words(code))
 
 
 def test_kernel_size_is_the_zero_weight_frequency(code):
@@ -515,7 +515,7 @@ def _pairs_past_the_first_column(code):
     sup, lines = support_words(code), code._line_words()
     width = sup.shape[1]
     coordinates = np.packbits(np.arange(64 * width) < code.n).view(np.uint64)
-    for r, dependent in zip(code.orbits.representatives(), code._dependent_columns()):
+    for r, dependent in zip(code.orbits.representatives(), code._dependents):
         inside = (sup[lines, 0] & ~sup[r, 0]) == 0
         inside[dependent] = False
         if inside.any() and (coordinates & ~sup[r])[1:].any():
@@ -639,7 +639,7 @@ def test_line_layout_equals_element_route(p, e, m):
 
 def test_dependent_columns_equal_reference(code):
     reps = code.orbits.representatives().tolist()
-    for r, row in zip(reps, code._dependent_columns()):
+    for r, row in zip(reps, code._dependents):
         words = reference.dependent_words(code, r)
         assert set(row.tolist()) == set(code._line_columns(words[words != 0]).tolist())
 

@@ -163,7 +163,9 @@ def test_batched_sets_equal_one_at_a_time(f34, f44):
             assert np.array_equal(basis, alone[1])
 
 
-ORACLE_FIELDS = [(2, 1, 8), (3, 1, 4), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)]
+# p up to 13 and e up to 3: the kernel scales a pivot by the logs of the F_p constants
+ORACLE_FIELDS = [(2, 1, 8), (3, 1, 4), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2),
+                 (13, 1, 2), (2, 3, 3), (5, 2, 2)]
 
 
 def assert_kernel_equals_oracle(tower, elems, target):

@@ -347,10 +347,11 @@ def test_every_export_is_the_object_of_its_home_module():
 
 
 def _fresh_modules(code):
-    """The pdscodes modules, and numpy.ma if loaded, after code runs in a fresh
-    interpreter, so that no other test has imported a module yet."""
+    """The pdscodes modules, and numpy.ma, fractions and decimal if loaded,
+    after code runs in a fresh interpreter, so that no other test has
+    imported a module yet."""
     code += ("\nimport sys; print(' '.join(sorted(m for m in sys.modules"
-             " if m.startswith('pdscodes') or m == 'numpy.ma')))")
+             " if m.startswith('pdscodes') or m in ('numpy.ma', 'fractions', 'decimal'))))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, timeout=60).stdout
@@ -372,3 +373,10 @@ def test_pds_import_compiles_only_what_pds_imports():
         "qpoly.is_automorphism_of(subset, qpoly.QPolynomial.frobenius(tower))")
     assert "pdscodes.qpoly" in modules
     assert "pdscodes.codes" not in modules and "numpy.ma" not in modules
+
+
+def test_cli_import_loads_no_exact_rationals():
+    # ab_condition compares q w_min with (q - 1) w_max in integers
+    modules = _fresh_modules("import pdscodes.cli\nfrom pdscodes import blocking, secretsharing")
+    assert "pdscodes.codes" in modules
+    assert "fractions" not in modules and "decimal" not in modules
