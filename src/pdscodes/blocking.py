@@ -10,12 +10,14 @@ the word (0, gamma^j) of the subset's code, and the maps of its orbit
 engine (`codes.orbit_engine`: <gamma^d>, a Frobenius power, a quadric's
 reflections) are linear bijections fixing D, which carry D ∩ H with its size
 and span onto D ∩ H' for H, H' in one orbit.  So one hyperplane per merged
-orbit is tested, by one gather of the label table at j + log x for every
-member, and its flags are spread over the heads j < gcd(d, step).  Only when
-a span falls short are the annihilators of every short span j < gcd(d,
-step) read, in blocks of one `trace_labels` pass each, and one lexsort takes
-the first nested pair.  The intersection matrices and the pairwise
-containment scan are the oracle in tests/reference.py.
+orbit is tested, its least head j (`Orbits.picks(0)`: one np.minimum.at
+over the heads' orbit indices, with no sort), by one gather of the label
+table at j + log x for every member, and its flags are spread over the
+heads j < gcd(d, step).  Only when a span falls short are the annihilators
+of every short span j < gcd(d, step) read, in blocks of one `trace_labels`
+pass each, and one lexsort takes the first nested pair.  The intersection
+matrices and the pairwise containment scan are the oracle in
+tests/reference.py.
 """
 from __future__ import annotations
 
@@ -51,10 +53,10 @@ class BlockingReport:
 def _sections(subset: FieldSubset, js: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """(part, on) for parts of the hyperplane logs js, about BLOCK (hyperplane,
     member) pairs each: on[i, x] says that member x lies on H_js[part][i],
-    Tr(gamma^j x) being entry j + log x of the label table."""
+    Tr(gamma^j x) being entry j + log x of the label table (`shifted_labels`)."""
     tower, logs = subset.tower, subset.logs
     for part in blocks(len(js), len(logs)):
-        yield part, tower.trace_label_of_exp[(logs + js[part, None]) % tower.order] == 0
+        yield part, tower.shifted_labels(js[part], logs) == 0
 
 
 def _first_nested_pair(subset: FieldSubset, short: np.ndarray) -> tuple[int, int]:
@@ -113,7 +115,7 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     cost = engine.merge_cost()
     _check_budget(cost, bound)
     # the least hyperplane js of each merged orbit, and the orbit of each j < orbits
-    _, js, heads = np.unique(engine.head_orbits(), return_index=True, return_inverse=True)
+    js, heads = engine.picks(0)
     _check_budget(cost + len(js) * len(subset), bound)
     orbit_sizes = np.concatenate([np.count_nonzero(on, axis=1) for _, on in _sections(subset, js)])
     sizes = orbit_sizes[heads]

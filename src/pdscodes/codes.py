@@ -58,6 +58,14 @@ least word.  A violation holds on a whole orbit, so that member is the
 lowest violating projective word, and the witnesses are those of a scan
 over one projective word after another.  The words dependent on each
 member, which neither test may flag, are listed once per code.
+
+A code builds each of its tables once and holds it while it lives: the
+value tables (`_value_tables`: the tower's label cycle and the labels of
+-u f(x)) that `supports()`, cover and SNC read, the weight table, the
+packed supports, the kernel words, the words dependent on each
+representative and the rank flags.  The orbit engine is built once per
+subset and shared by its codes and `blocking`; its `picks` give the least
+direction of each merged orbit, to the weight count and the cutting test.
 """
 from __future__ import annotations
 
@@ -398,10 +406,20 @@ class Orbits:
         """For each nonzero word, the index in representatives() of its orbit."""
         return self.merged[1][self.class_index(words)]
 
-    def head_orbits(self) -> np.ndarray:
-        """The orbit index of each head (0, gamma^j), j < gcd(d, step), the
-        class numbered j: the word whose zeros are the hyperplane H_j."""
-        return self.merged[1][self.classes[1][: gcd(self.period, self.tower.subfield_step)]]
+    def picks(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(js, at) for the words (u, gamma^j): u = 0 and j < g = gcd(d, step),
+        the heads (class j) whose zeros are the hyperplanes H_j, or u = 1 and
+        j < d (class g + 1 + j).  js is the least j of each merged orbit among
+        them, by ascending orbit index, and at[j] the place in js of the orbit
+        of j: what np.unique(orbit, return_index=True, return_inverse=True)
+        gives on their orbit indices, from one np.minimum.at with no sort."""
+        g = gcd(self.period, self.tower.subfield_step)
+        numbers = slice(g + 1, None) if u else slice(0, g)
+        orbit = self.merged[1][self.classes[1][numbers]]
+        first = np.full(len(self.merged[0]), len(orbit))
+        np.minimum.at(first, orbit, np.arange(len(orbit)))
+        present = first < len(orbit)
+        return first[present], (np.cumsum(present) - 1)[orbit]
 
 
 def _settle(lowest: np.ndarray, succ: np.ndarray) -> np.ndarray:
@@ -476,7 +494,8 @@ class SubsetCode:
         functional takes the value t at q^(m-1) - [t = 0] nonzero x, so over
         the complement c[0] - c[-1] is c'[-1] - c'[0] - 1, and the smaller
         side is counted, Tr(gamma^j x) being entry (j + log x) mod (q^m - 1)
-        of the label table, gathered for about BLOCK (j, x) pairs at a time.
+        of the label table, gathered for about BLOCK (j, x) pairs at a time
+        (`FieldTower.shifted_labels`).
         The guard is the count's work before the merge, d * min(k, n - k)
         pairs, or the table's q * d entries where q is larger, against
         DEFAULT_ENUM_BUDGET.
@@ -493,15 +512,12 @@ class SubsetCode:
             raise GuardExceeded(f"weight count cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         on_subset = 2 * k <= order
         logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.indicator[tower.exp])
-        orbit = self.orbits.merged[1][self.orbits.classes[1][gcd(d, step) + 1:]]  # of (1, gamma^j)
-        _, js, at = np.unique(orbit, return_index=True, return_inverse=True)
-        labels = tower.trace_label_of_exp
+        js, at = self.orbits.picks(1)
         minus_one = 1 + (tower.q - 1) // 2 if tower.q % 2 else 1  # -1 = gamma^(order/2)
         diff = np.zeros(len(js), dtype=np.int64)  # c[0] - c[-1] of each j counted
         for rows in blocks(len(js), len(logs)):
             for part in blocks(len(logs), rows.stop - rows.start):
-                keys = np.add(js[rows, None], logs[part], dtype=np.int32)  # below 2^27
-                values = labels[np.remainder(keys, order, out=keys)]
+                values = tower.shifted_labels(js[rows], logs[part])
                 diff[rows] += np.count_nonzero(values == 0, axis=1)
                 diff[rows] -= np.count_nonzero(values == minus_one, axis=1)
         base = order - tower.qm // tower.q + 1
@@ -565,36 +581,38 @@ class SubsetCode:
         nbytes = q * qm * width * 8
         if nbytes > SUPPORT_BYTES_CAP:
             raise GuardExceeded(f"support matrix would need {nbytes} bytes")
-        tables, us = self._value_tables(), np.arange(q)
+        us = np.arange(q)[:, None]
         packed = np.empty((q, qm, width), dtype=np.uint64)  # row (u, v)
-        packed[:, :1] = self._support_columns(tables, us[:, None], None, 0, width)  # v = 0
+        packed[:, :1] = self._support_columns(us, None, 0, width)  # v = 0
         for part in blocks(self.n, 64 * width):
-            packed[:, tower.exp[part]] = self._support_columns(tables, us[:, None], part, 0, width)
+            packed[:, tower.exp[part]] = self._support_columns(us, part, 0, width)
         return packed.reshape(q * qm, width)
 
+    @cached_property
     def _value_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(cycle, zero_at): the tower's `label_cycle`, row s the labels of
         Tr(gamma^(s + i)) at column i, and zero_at[u, i] the label of
-        -u f(gamma^i).  The word (u, gamma^s) vanishes at gamma^i exactly
-        where row s of cycle equals row u of zero_at."""
+        -u f(gamma^i), built once per code for `supports()`, cover and SNC.
+        The word (u, gamma^s) vanishes at gamma^i exactly where row s of
+        cycle equals row u of zero_at."""
         cycle = self.tower.label_cycle()
         _, _, neg_q = self.tower.subfield_tables()
         mem = self.subset.indicator[self.tower.exp]
         return cycle, np.where(mem, neg_q.astype(cycle.dtype)[:, None], 0)
 
-    def _support_columns(self, tables, us, logs, start: int, stop: int) -> np.ndarray:
+    def _support_columns(self, us, logs, start: int, stop: int) -> np.ndarray:
         """uint64 columns start..stop-1 of the packed supports of the words
         (us, gamma^logs), in one numpy pass; column c packs the coordinates
         gamma^(64 c) .. gamma^(64 c + 63), zero past the last.
 
-        tables is `_value_tables()`; logs indexes the rows of its label cycle
-        and us those of zero_at.  Either both are aligned arrays, a log of -1
+        logs indexes the rows of the label cycle of `_value_tables` and us
+        those of its zero_at.  Either both are aligned arrays, a log of -1
         naming v = 0 (whose labels are 0), or logs is a slice, or None for
         v = 0, and us has shape (k, 1), every u against every log.  The
         words' labels at the columns' coordinates are compared with -u f(x)
         and packed.
         """
-        cycle, zero_at = tables
+        cycle, zero_at = self._value_tables
         lo, hi = 64 * start, min(64 * stop, self.n)
         labels = 0 if logs is None else cycle[:, lo:hi][logs]
         if isinstance(logs, np.ndarray):
@@ -604,12 +622,12 @@ class SubsetCode:
         packed[..., : (hi - lo + 7) // 8] = np.packbits(nonzero, axis=-1)
         return packed.view(np.uint64)
 
-    def _support_blocks(self, tables, us, logs, start: int, stop: int
+    def _support_blocks(self, us, logs, start: int, stop: int
                         ) -> Iterator[tuple[slice, np.ndarray]]:
         """(part, columns): `_support_columns` of the words part of the aligned
         arrays us and logs, for consecutive parts of about BLOCK coordinates."""
         for part in blocks(len(logs), 64 * (stop - start)):
-            yield part, self._support_columns(tables, us[part], logs[part], start, stop)
+            yield part, self._support_columns(us[part], logs[part], start, stop)
 
     def _line_words(self) -> np.ndarray:
         """The least word of each projective line of the nonzero words,
@@ -712,22 +730,21 @@ class SubsetCode:
         pairs are then compared on the rest of the row, a part of about BLOCK
         coordinates at a time.  Nearly every pair escapes in the first column.
         """
-        tower, tables = self.tower, self._value_tables()
+        tower = self.tower
         width = (self.n + 63) // 64
         # (u, log v) of the least words of the lines: (0, least) and (1, y)
         least = tower.line_layout[0]
         us = np.repeat(np.array([0, 1], dtype=np.uint8), [len(least), tower.qm])
         logs = np.concatenate([tower.log[least], tower.log])
         head = np.empty(len(logs), dtype=np.uint64)
-        for part, column in self._support_blocks(tables, us, logs, 0, 1):
+        for part, column in self._support_blocks(us, logs, 0, 1):
             head[part] = column[:, 0]
         rep_us, rep_vs = np.divmod(self.orbits.representatives(), tower.qm)
         rep_logs = tower.log[rep_vs]  # -1 for v = 0
         coordinates = np.packbits(np.arange(64 * width) < self.n).view(np.uint64)
 
         def test(part):
-            outside = coordinates & ~self._support_columns(
-                tables, rep_us[part], rep_logs[part], 0, width)
+            outside = coordinates & ~self._support_columns(rep_us[part], rep_logs[part], 0, width)
             inside = (head & outside[:, :1]) == 0
             inside[np.arange(len(outside))[:, None], self._dependents[part]] = False
             rows, cols = np.nonzero(inside)  # the pairs still inside
@@ -745,12 +762,12 @@ class SubsetCode:
                 c += 1
                 lines, at = np.unique(cols, return_inverse=True)
                 column = np.concatenate([col[:, 0] for _, col in self._support_blocks(
-                    tables, us[lines], logs[lines], c, c + 1)])
+                    us[lines], logs[lines], c, c + 1)])
                 escape = (column[at] & outside[rows, c]) != 0
                 inside[rows[escape], cols[escape]] = False
                 rows, cols = rows[~escape], cols[~escape]
             if len(rows):
-                for chunk, rest in self._support_blocks(tables, us[cols], logs[cols], c + 1, width):
+                for chunk, rest in self._support_blocks(us[cols], logs[cols], c + 1, width):
                     r = rows[chunk]
                     inside[r, cols[chunk]] = ~(rest & outside[r, c + 1:]).any(axis=1)
             return inside
@@ -811,17 +828,17 @@ class SubsetCode:
         points = np.where(v == 0, 0, tower.exp[shifted])
         points[:, len(least):] += np.arange(qm, q * qm, qm, dtype=np.int32)[:, None]
         line_wt = wt[points[0]]
-        vs = np.arange(qm, dtype=np.int64)
         # digitwise sums carry nothing, so v_r + v adds the high and the low
         # halves of the base-p digits apart
         split = tower.p ** (tower.em // 2)
+        highs, lows = np.arange(0, qm, split), np.arange(split)
 
         def test(part):
             bad = np.zeros((len(reps[part]),) + shape, dtype=bool)
             rows = np.flatnonzero(live[part])
             ur, vr = rep_u[part][rows], rep_v[part][rows]
-            high = tower.add_sets((vr - vr % split)[:, None], vs[::split])
-            low = tower.add_sets((vr % split)[:, None], vs[:split])
+            high = tower.add_sets((vr - vr % split)[:, None], highs)
+            low = tower.add_sets((vr % split)[:, None], lows)
             sums = (high[:, :, None] + low[:, None, :]).reshape(len(rows), qm)  # v_r + v
             near = wt[(add_q[ur] * qm)[:, :, None] + sums[:, None, :]].reshape(len(rows), q * qm)
             total = near[:, points[0]]  # near[i, x] = wt(r_i + x)
@@ -856,7 +873,7 @@ class SubsetCode:
         xs = tower.exp
         half = int(tower.log[tower.neg(1)])
         on = self.subset.indicator[xs]
-        windows, zero_at = self._value_tables()
+        windows, zero_at = self._value_tables
         reached = np.empty(len(vs), dtype=bool)
         for part in blocks(len(vs), tower.order):
             u, v = np.asarray(us[part]), np.asarray(vs[part])

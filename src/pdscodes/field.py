@@ -44,7 +44,9 @@ Tr(gamma^i), for e = 1 read off trace_of_exp through the labels of F_p and
 for e > 1 through a q-entry table at the e absolute traces Tr_abs(w^k
 gamma^i), w = gamma^step, whose half tables are joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
-batch route to the F_q value of Tr(v x).
+batch route to the F_q value of Tr(v x) from elements, and `shifted_labels`
+reads it at the sums of given logs (the hyperplane sections, the weight
+count).
 The code scans read it from every start (`label_cycle`), and
 `line_layout` lays out the lines F_q^* v for them.  The layers above take
 the F_q-rank of a set of elements here (`rank_reaches`: the minimality and
@@ -519,6 +521,16 @@ class FieldTower:
         xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
         return self._add_vec(xs, ys).astype(np.int64, copy=False)
 
+    def logs_of(self, members: np.ndarray) -> np.ndarray:
+        """log[members], members in [0, q^m), as a new int32 array.  take
+        copies int32 keys to intp, twice the output's bytes at once in one
+        gather, so the keys go BLOCK at a time into slices of the output,
+        with mode="clip" (with "raise", take buffers an out= array)."""
+        logs = np.empty(len(members), dtype=np.int32)
+        for part in blocks(len(members)):
+            self.log.take(members[part], out=logs[part], mode="clip")
+        return logs
+
     def stabiliser(self, members: np.ndarray) -> tuple[int, np.ndarray]:
         """(d, I): the least d with gamma^d S = S, S the nonzero members, so
         Stab(S) = <gamma^d>, and the ascending i < d with S the union of the
@@ -529,7 +541,7 @@ class FieldTower:
         if members.size and (members.min() < 0 or members.max() >= self.qm):
             bad = members[(members < 0) | (members >= self.qm)][0]
             raise ValueError(f"member {bad} lies outside [0, {self.qm})")
-        logs = self.log.take(members)
+        logs = self.logs_of(members)
         logs.sort()
         repeats = logs[1:][logs[1:] == logs[:-1]]
         if len(repeats):
@@ -622,6 +634,15 @@ class FieldTower:
         cycle = np.ndarray((len(labels),) * 2, labels.dtype, doubled, strides=doubled.strides * 2)
         cycle.flags.writeable = False
         return cycle
+
+    def shifted_labels(self, starts, logs) -> np.ndarray:
+        """(len(starts), len(logs)) labels of Tr(gamma^(s + l)), s in starts
+        and l in logs, both in [0, q^m - 1): trace_label_of_exp at s + l,
+        less q^m - 1 where the sum passes it (a masked subtract, which is
+        several times faster than a remainder on these small blocks)."""
+        keys = np.add(starts[:, None], logs, dtype=np.intp)
+        np.subtract(keys, self.order, out=keys, where=keys >= self.order)
+        return self.trace_label_of_exp.take(keys)
 
     def trace_labels(self, v, x) -> np.ndarray:
         """Dense F_q labels of Tr(v x), broadcasting v against x; zeros allowed.
@@ -744,8 +765,9 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     vector with digit c is the pivot, its multiples k pivot / lead by the
     F_p constants k are field products (lead its digit c), and every vector
     adds the multiple that clears its digit c (one gather and one digitwise
-    add).  The elimination on arrays of digits is the oracle in
-    tests/reference.py.
+    add).  For p = 2 the digit is a bit and the multiples are 0 and the
+    pivot, so the vectors with bit c set XOR the pivot in.  The elimination
+    on arrays of digits is the oracle in tests/reference.py.
 
     Returns (reached, basis): basis[c] is the packed pivot of digit c (1
     there, 0 before it) or zero, int32, and spans the set whenever reached
@@ -792,6 +814,12 @@ def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal:
         start, size = start + size, 2 * size
         rows = np.arange(len(sub))
         for c in range(em):
+            if p == 2:  # digit c is bit c: the pivot's multiples are 0 and itself
+                has = (vecs & 1 << c) != 0
+                at = has.argmax(axis=1)
+                pivots[sub, c] = pivot = np.where(has[rows, at], vecs[rows, at], 0)
+                np.bitwise_xor(vecs, pivot[:, None], out=vecs, where=has)
+                continue
             high = vecs // p ** c
             digit = high - high // p * p  # floor divisions are cheaper than %
             at = (digit != 0).argmax(axis=1)  # 0, with digit 0, where there is none

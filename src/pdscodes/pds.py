@@ -106,7 +106,7 @@ class FieldSubset:
             starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
             logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
         else:
-            logs = self.tower.log.take(self.members)
+            logs = self.tower.logs_of(self.members)
             logs.sort()
         logs.flags.writeable = False
         return logs

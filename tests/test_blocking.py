@@ -186,7 +186,7 @@ def test_quadric_blocking_on_merged_orbits_equals_reference(field, kind):
     subset = quadric_subset(tower, kind=kind)[0]
     report = is_cutting_vectorial_blocking(subset).to_json()
     assert report == reference.cutting_reference(subset)
-    assert len(np.unique(orbit_engine(subset).head_orbits())) == (3 if tower.p > 2 else 2)
+    assert len(orbit_engine(subset).picks(0)[0]) == (3 if tower.p > 2 else 2)
     assert report["cutting"] == (kind == "hyperbolic" or tower.m > 4)
 
 
@@ -229,7 +229,7 @@ def test_guard_refuses_nothing_within_the_per_hyperplane_bound(monkeypatch, name
     tower = subset.tower
     bound = gcd(subset.stabiliser_period, tower.subfield_step) * tower.qm
     engine = orbit_engine(subset)
-    cost = engine.merge_cost() + len(np.unique(engine.head_orbits())) * len(subset)
+    cost = engine.merge_cost() + len(engine.picks(0)[0]) * len(subset)
     assert name in FAILING or cost > bound
     _budget(monkeypatch, bound)
     assert is_cutting_vectorial_blocking(subset).to_json() == reference.cutting_reference(subset)
@@ -243,7 +243,7 @@ def test_nested_pair_search_keeps_the_per_hyperplane_bound(monkeypatch):
     # route's estimate, but naming the nested pair reads all 40 hyperplanes
     subset = FAILING["F_3^4 elliptic quadric"][0]()
     engine = orbit_engine(subset)
-    cost = engine.merge_cost() + len(np.unique(engine.head_orbits())) * len(subset)
+    cost = engine.merge_cost() + len(engine.picks(0)[0]) * len(subset)
     _budget(monkeypatch, cost)
     with pytest.raises(GuardExceeded, match=f"nested-pair search cost {40 * 81} "):
         is_cutting_vectorial_blocking(subset)

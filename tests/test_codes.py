@@ -282,6 +282,27 @@ def test_one_zero_rank_scan_per_code(hyperplane_subset, monkeypatch):
     assert not flags.all() and report.oracle_total < report.total
 
 
+def test_value_tables_are_built_once_per_code(hyperplane_subset, ex31_code, monkeypatch):
+    # supports(), cover (run twice) and SNC read one label cycle per code; a
+    # second code of the same subset builds its own
+    calls = []
+    label_cycle = FieldTower.label_cycle
+
+    def counted(self):
+        calls.append(self)
+        return label_cycle(self)
+
+    monkeypatch.setattr(FieldTower, "label_cycle", counted)
+    for subset in (hyperplane_subset, ex31_code.subset):
+        for _ in range(2):
+            code = SubsetCode(subset)
+            code.supports()
+            code.minimality_cover()
+            code.minimality_snc()
+            code.minimality_cover()
+    assert calls == [hyperplane_subset.tower] * 2 + [ex31_code.tower] * 2
+
+
 def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code):
     calls = []
     class_index = Orbits.class_index

@@ -25,6 +25,7 @@ from pdscodes.field import (
     prime_factors,
     rank_reaches,
 )
+from pdscodes.pds import FieldSubset, quadric_subset
 
 
 def test_prime_factors_are_the_prime_divisors():
@@ -360,6 +361,19 @@ def test_label_cycle_reads_every_start(f34):
     assert np.array_equal(cycle, labels[(np.arange(n)[:, None] + np.arange(n)) % n])
 
 
+def test_shifted_labels_read_every_sum(f34, f44, f92):
+    # every start against every log, int32 and intp, with sums below, at and
+    # past q^m - 1, against the labels of Tr(gamma^s gamma^l)
+    for tower in (f34, f44, f92):
+        n = tower.order
+        starts, logs = np.arange(n), np.arange(n, dtype=np.int32)
+        want = tower.trace_labels(tower.exp[starts][:, None], tower.exp[logs])
+        assert np.array_equal(tower.shifted_labels(starts, logs), want)
+        ends = np.array([n - 1, 0, 1], dtype=np.intp)
+        assert np.array_equal(tower.shifted_labels(starts[::-3], ends), want[::-3][:, ends])
+        assert np.array_equal(tower.label_cycle(), want)
+
+
 def test_subfield_membership(f44):
     # F_q is 0 and the powers of gamma^step; nonzero x lies in F_q iff x^(q-1) = 1
     step = f44.subfield_step
@@ -661,3 +675,31 @@ def test_build_allocates_exp_and_little_more():
         tracemalloc.stop()
     assert peak <= tower.exp.nbytes + 2 * 2 ** 20
     assert not {"log", "trace_of_exp", "trace_coords"} & set(vars(tower))
+
+
+def _traced_peak(read):
+    """(value, tracemalloc peak in bytes) of read()."""
+    tracemalloc.start()
+    try:
+        value = read()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_logs_gather_one_block_of_keys_at_a_time():
+    # the F_{2^20} elliptic quadric, 523 775 members: int32 logs (2.0 MB) and
+    # one BLOCK of intp keys, where one take copied every key to intp first
+    # (a 6.0 MB peak); int64 keys need no copy
+    tower = build_tower(FieldSpec(p=2, e=1, m=20))
+    members = quadric_subset(tower, kind="elliptic")[0].members
+    want = tower.log[members.astype(np.int64)]
+    for keys in (members, members.astype(np.int64)):
+        logs, peak = _traced_peak(lambda: tower.logs_of(keys))
+        assert logs.dtype == np.int32 and np.array_equal(logs, want)
+        assert peak <= logs.nbytes + 8 * BLOCK + 2 ** 16
+    subset = FieldSubset(tower, members)
+    logs, peak = _traced_peak(lambda: subset.logs)
+    assert np.array_equal(logs, np.sort(want))
+    assert peak <= logs.nbytes + 8 * BLOCK + 2 ** 16
+    assert tower.stabiliser(members[::-1])[0] == subset.stabiliser_period

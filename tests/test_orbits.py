@@ -497,13 +497,12 @@ def test_support_columns_equal_reference(code, monkeypatch, block):
     rng = np.random.default_rng(width)
     words = np.concatenate([np.arange(0, code.word_count, code.tower.qm),
                             rng.choice(code.word_count, 40)])
-    tables = code._value_tables()
     us, vs = np.divmod(words, code.tower.qm)
     logs = code.tower.log[vs]  # -1 for v = 0
     for start, stop in sorted({(0, 1), (0, width), (width - 1, width), (width // 2, width)}):
-        assert np.array_equal(code._support_columns(tables, us, logs, start, stop),
+        assert np.array_equal(code._support_columns(us, logs, start, stop),
                               ref[words, start:stop])
-        parts = list(code._support_blocks(tables, us, logs, start, stop))
+        parts = list(code._support_blocks(us, logs, start, stop))
         assert np.array_equal(np.concatenate([cols for _, cols in parts]), ref[words, start:stop])
         assert [part.start for part, _ in parts] == list(range(0, len(words), len(parts[0][1])))
 
@@ -536,9 +535,9 @@ def assert_cover_flags_equal_reference(code, monkeypatch, block):
     ranges = set()
     columns = SubsetCode._support_columns
 
-    def recorded(self, tables, us, logs, start, stop):
+    def recorded(self, us, logs, start, stop):
         ranges.add((start, stop))
-        return columns(self, tables, us, logs, start, stop)
+        return columns(self, us, logs, start, stop)
 
     monkeypatch.setattr(SubsetCode, "_support_columns", recorded)
     flags = {}
@@ -612,6 +611,19 @@ def test_class_orbit_is_lowest_class_of_its_orbit(code):
     assert len(np.unique(orbit)) == 1 + code.stabiliser_period + np.gcd(
         code.stabiliser_period, code.tower.subfield_step)
     assert np.array_equal(code.orbits.classes[0], np.unique(orbit))
+
+
+def test_orbit_picks_equal_sorted_unique(code):
+    # the least j of each merged orbit among the words (u, gamma^j), u = 0
+    # with j < gcd(d, step) and u = 1 with j < d, and the orbit of each j, as
+    # np.unique's first indices and inverse give them on the orbit indices
+    tower, d = code.tower, code.stabiliser_period
+    for u, count in ((0, np.gcd(d, tower.subfield_step)), (1, d)):
+        words = code.word_index(u, tower.exp[:count].astype(np.int64))
+        _, js, at = np.unique(code.orbits.orbit_index(words), return_index=True,
+                              return_inverse=True)
+        picked, where = code.orbits.picks(u)
+        assert np.array_equal(picked, js) and np.array_equal(where, at)
 
 
 @pytest.mark.parametrize("p, e, m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3), (3, 2, 2)])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from pdscodes import codes, pds, qpoly
 from pdscodes.blocking import is_cutting_vectorial_blocking
 from pdscodes.codes import SubsetCode, slice_members
-from pdscodes.field import FieldSpec, build_tower, rank_reaches
+from pdscodes.field import FieldSpec, build_tower, counted_rank, rank_reaches
 from pdscodes.pds import FieldSubset, quadric_subset
 from pdscodes.qpoly import QPolynomial
 
@@ -212,6 +212,39 @@ def test_packed_elimination_equals_digit_oracle(key):
         for row in batch[:4]:
             assert_kernel_equals_oracle(tower, row[row != 0], int(rng.integers(0, tower.m + 2)))
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("key", [(2, 1, 8), (2, 1, 10), (2, 2, 4), (2, 2, 8)])
+def test_xor_elimination_equals_digit_oracle(key):
+    # p = 2 clears a bit by XOR-ing the pivot into the vectors that have it:
+    # seeded padded batches, with count given and not (assert_kernel_equals_oracle),
+    # hold sets settled by their count, sets that reach the target in the
+    # first chunk of 8 m elements and sets that fall short; in the last
+    # batch, 8 m + 4 elements of a hyperplane come before one off it, so
+    # rank m needs the second chunk
+    tower = _tower(*key)
+    rng = np.random.default_rng(46 + sum(key))
+    m = tower.m
+    batches = [_padded_batch(tower, rng, 12, width) for width in (m, 3 * m, 12 * m)]
+    inside = tower.hyperplane(int(tower.exp[5]))[1:]
+    outside = np.setdiff1d(np.arange(1, tower.qm), inside)
+    batches.append(np.array([np.append(rng.permutation(inside)[:8 * m + 4], rng.choice(outside))
+                             for _ in range(4)]))
+    kinds = set()
+    for batch in batches:
+        count = np.count_nonzero(batch, axis=1)
+        for target in [rng.integers(0, m + 2, size=len(batch))] + list(range(m + 2)):
+            reached, _ = assert_kernel_equals_oracle(tower, batch, target)
+            target = np.broadcast_to(target, (len(batch),))
+            for row, goal, got, n in zip(batch, target, reached, count):
+                if counted_rank(tower, n, goal):
+                    kinds.add("count")
+                elif got:
+                    first = reference.rank_reaches(tower, row[row != 0][:8 * m], goal)[0]
+                    kinds.add("first chunk" if first else "later chunk")
+                else:
+                    kinds.add("short")
+    assert kinds == {"count", "first chunk", "later chunk", "short"}
 
 
 @pytest.mark.parametrize("key", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
