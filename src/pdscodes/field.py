@@ -46,12 +46,11 @@ gamma^i), w = gamma^step, whose half tables are joined at exp.
 `trace_labels(v, x)` reads the label table at log v + log x; it is the one
 batch route to the F_q value of Tr(v x) from elements, and `shifted_labels`
 reads it at the sums of given logs (the hyperplane sections, the weight
-count).
-The code scans read it from every start (`label_cycle`), and
-`line_layout` lays out the lines F_q^* v for them.  The layers above take
-the F_q-rank of a set of elements here (`rank_reaches`: the minimality and
-cutting criteria), every stabiliser as a period of sorted logs or class
-numbers (`cyclic_period`) and numpy passes of about BLOCK entries (`blocks`).
+count).  The code scans read it from every start (`label_cycle`).  The
+layers above take the F_q-rank of a set of elements here (`rank_reaches`:
+the minimality and cutting criteria), every stabiliser as a period of
+sorted logs or class numbers (`cyclic_period`) and numpy passes of about
+BLOCK entries (`blocks`).
 """
 from __future__ import annotations
 
@@ -364,8 +363,6 @@ class FieldTower:
         sub[1:] = self.exp[np.arange(self.q - 1) * self.subfield_step]
         self.subfield_elements = sub
 
-        self._subfield_ops = None
-
     def _powers_of_x(self, count: int) -> np.ndarray:
         """Packed X^0 .. X^(count-1) (int64): the digit rows of the first s
         powers times C^s, C the `_companion` matrix of the modulus, give the
@@ -603,26 +600,6 @@ class FieldTower:
             labels[part] = table.take(self._join(halves, self.exp[part]))
         return labels
 
-    @cached_property
-    def line_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """(least, rank) for the lines F_q^* v, v != 0, read-only.
-
-        The line of v is fixed by log v mod subfield_step, and
-        rank[log v mod subfield_step] is its index among the lines ordered by
-        least element, least holding those elements, ascending.  The minima
-        are those of exp read as a (q - 1, subfield_step) array, ranked by
-        marking them among all q^m elements, with no sort.  F_{3^12} takes
-        7-8 ms and F_{5^9} 21 ms (2-core Xeon, numpy 2.4).
-        """
-        minima = self.exp.reshape(self.q - 1, self.subfield_step).min(axis=0)
-        marked = np.zeros(self.qm, dtype=bool)
-        marked[minima] = True
-        rank = (np.cumsum(marked, dtype=np.int32) - 1)[minima]
-        tables = np.flatnonzero(marked).astype(np.int32), rank
-        for table in tables:
-            table.flags.writeable = False
-        return tables
-
     def label_cycle(self) -> np.ndarray:
         """A read-only (q^m - 1, q^m - 1) view, row s the label of
         Tr(gamma^(s + c)) at column c, strided over a doubled copy of
@@ -687,24 +664,26 @@ class FieldTower:
         if self.q ** 2 > MAX_FIELD_SIZE:
             raise GuardExceeded(f"F_q tables of q^2 = {self.q ** 2} entries exceed "
                                 f"the table cap {MAX_FIELD_SIZE}")
-        if self._subfield_ops is None:
-            elems = self.subfield_elements.astype(np.int64)
-            if not np.array_equal(self.subfield_labels(elems), np.arange(self.q)):
-                raise FieldConstructionError("subfield embedding is not injective: its "
-                                             "elements do not take the labels 0..q-1 in order")
-            sums = self.add_sets(elems[:, None], elems[None, :])
-            add = self.subfield_labels(sums)
-            if not np.array_equal(elems[add], sums):
-                raise FieldConstructionError("subfield is not closed under addition: a sum of "
-                                             "two of its elements lies outside F_q")
-            j = np.arange(self.q - 1, dtype=np.int32)  # label 1 + j is gamma^(j step)
-            mul = np.zeros((self.q, self.q), dtype=np.int32)
-            mul[1:, 1:] = (j[:, None] + j) % (self.q - 1) + 1
-            neg = np.arange(self.q, dtype=np.int32)
-            if self.q % 2:
-                neg[1:] = (j + (self.q - 1) // 2) % (self.q - 1) + 1
-            self._subfield_ops = (add, mul, neg)
         return self._subfield_ops
+
+    @cached_property
+    def _subfield_ops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        elems = self.subfield_elements.astype(np.int64)
+        if not np.array_equal(self.subfield_labels(elems), np.arange(self.q)):
+            raise FieldConstructionError("subfield embedding is not injective: its "
+                                         "elements do not take the labels 0..q-1 in order")
+        sums = self.add_sets(elems[:, None], elems[None, :])
+        add = self.subfield_labels(sums)
+        if not np.array_equal(elems[add], sums):
+            raise FieldConstructionError("subfield is not closed under addition: a sum of "
+                                         "two of its elements lies outside F_q")
+        j = np.arange(self.q - 1, dtype=np.int32)  # label 1 + j is gamma^(j step)
+        mul = np.zeros((self.q, self.q), dtype=np.int32)
+        mul[1:, 1:] = (j[:, None] + j) % (self.q - 1) + 1
+        neg = np.arange(self.q, dtype=np.int32)
+        if self.q % 2:
+            neg[1:] = (j + (self.q - 1) // 2) % (self.q - 1) + 1
+        return add, mul, neg
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m}, size={self.qm})"

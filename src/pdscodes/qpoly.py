@@ -17,6 +17,7 @@ orbits with them.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,8 +37,6 @@ class QPolynomial:
             raise ValueError("coefficients must be field elements")
         self.tower = tower
         self.coeffs = coeffs
-        self._images = None
-        self._dual = None
 
     @classmethod
     def frobenius(cls, tower: FieldTower, i: int = 1) -> "QPolynomial":
@@ -50,9 +49,11 @@ class QPolynomial:
 
     def images(self) -> np.ndarray:
         """f applied to every field element (indexed by element)."""
-        if self._images is None:
-            self._images = self.tower.linearized_table(self.coeffs, self.tower.q)
         return self._images
+
+    @cached_property
+    def _images(self) -> np.ndarray:
+        return self.tower.linearized_table(self.coeffs, self.tower.q)
 
     def __call__(self, x: int) -> int:
         return int(self.images()[x])
@@ -66,15 +67,13 @@ class QPolynomial:
 
     def trace_dual(self) -> "QPolynomial":
         """The unique reduced g with Tr(f(x) y) = Tr(g(y) x) for all x, y (cached)."""
-        if self._dual is None:
-            tower: FieldTower = self.tower
-            m, q = tower.m, tower.q
-            out = []
-            for i in range(m):
-                a = self.coeffs[(m - i) % m]
-                out.append(tower.pow(a, q ** i) if a else 0)
-            self._dual = QPolynomial(tower, out)
         return self._dual
+
+    @cached_property
+    def _dual(self) -> "QPolynomial":
+        tower: FieldTower = self.tower
+        shifted = [self.coeffs[-i] for i in range(tower.m)]  # a_0, a_(m-1), ..., a_1
+        return QPolynomial(tower, [tower.pow(a, tower.q ** i) if a else 0 for i, a in enumerate(shifted)])
 
     def __eq__(self, other):
         return (

@@ -15,12 +15,10 @@ reading those class-loop supports), with the scalar multiples of a word
 listed in a loop, that the library now
 runs over blocks of coverers, the flags of such a scan over every class,
 and the participant coverage counted from the unpacked supports; those
-scans also run on `Unreduced`, the code on an orbit engine with the
-trivial period and no automorphisms, built apart from the library's memo
-so that no reduced engine reaches it.  The
-lines F_q^* v that those scans test one at a time are listed by
-multiplying v by each nonzero element of F_q, and the complement of a
-subset is taken as a set difference.  Then
+scans also run on `Unreduced`, the code of the subset taken with the
+trivial period, on an orbit engine with no automorphisms, built apart
+from the library's memo so that no reduced engine reaches it.  The
+complement of a subset is taken as a set difference.  Then
 come the projective representatives as a sorted list of word indices, the
 spectrum by its two test routes (the int64 transform on rolled copies,
 which the library runs on two int32 buffers, and the unreduced count, one
@@ -30,9 +28,11 @@ of a subset by gathering the negatives of its members, its least
 asymmetry witness by trying them one at a time, a subset's members taken
 through a q^m-entry indicator, the least
 Frobenius power by comparing sets of powers, the classes that power sends
-each class to, through the elements of their lowest words, and the orbits
-of the words closed under the stabiliser, scaling and that Frobenius power
-one word at a time.  Then the field's digitwise addition one base-p digit per round,
+each class to, through the elements of their lowest words, the orbit merge
+by the sorted route the engine replaced (the classes' lowest words sorted,
+each class numbered by its rank, the maps joined by union-find), and the
+orbits of the words closed under the stabiliser, scaling and that
+Frobenius power one word at a time.  Then the field's digitwise addition one base-p digit per round,
 and an F_p-linear map evaluated on digit lists, which the library computes
 through its chunked addition table.  Last, the induced code automorphism
 check by comparing every label of every word pair, a chunk of v at a time,
@@ -71,28 +71,40 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pdscodes import charsums
-from pdscodes.codes import MINIMAL, NOT_MINIMAL, Orbits, SubsetCode
+from pdscodes.codes import MINIMAL, NOT_MINIMAL, Orbits, SubsetCode, word_classes
 from pdscodes.field import BLOCK
-from pdscodes.pds import CyclotomicOrigin, QuadricOrigin
+from pdscodes.pds import CyclotomicOrigin, FieldSubset, QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
 
 
-class UnreducedOrbits(Orbits):
-    """The orbit engine with the trivial period q^m - 1 in place of the least
-    stabiliser period d and no further automorphisms (no Frobenius power, no
-    reflections), built apart from the library's memo."""
+class UnreducedSubset(FieldSubset):
+    """The same members and origin with the trivial stabiliser <gamma^(q^m - 1)>
+    in place of the least one: every coset is a single log."""
 
-    @property
-    def period(self):
-        return self.tower.order
+    def __init__(self, subset):
+        super().__init__(subset.tower, subset.members, subset.origin)
+
+    @cached_property
+    def stabiliser(self):
+        return self.tower.order, self.logs
+
+
+class UnreducedOrbits(Orbits):
+    """The orbit engine with no automorphisms beyond scaling and the
+    stabiliser (no Frobenius power, no reflections), built apart from the
+    library's memo."""
 
     def automorphisms(self):
         return iter(())
 
 
 class Unreduced(SubsetCode):
-    """The same code on `UnreducedOrbits`: every orbit-reduced scan then
-    visits every class, and the weights are counted over q^m - 1 columns."""
+    """The same code of `UnreducedSubset` on `UnreducedOrbits`: every
+    orbit-reduced scan then visits every class, and the weights are counted
+    over q^m - 1 columns."""
+
+    def __init__(self, subset):
+        super().__init__(UnreducedSubset(subset))
 
     @cached_property
     def orbits(self):
@@ -348,17 +360,6 @@ def cutting_reference(subset):
     return out
 
 
-def line_layout(tower):
-    """(least, rank) of `FieldTower.line_layout` on field elements: each
-    line F_q^* v listed by multiplying v by every nonzero element of F_q one
-    at a time, its least element kept, and the minima sorted."""
-    scalars = tower.subfield_elements[1:].tolist()
-    minima = [min(mul(tower, c, int(v)) for c in scalars) for v in tower.exp[:tower.subfield_step]]
-    least = sorted(set(minima))
-    rank = [least.index(x) for x in minima]
-    return np.array(least), np.array(rank)
-
-
 def complement(subset):
     """(members, origin) of the complement of a subset in F_{q^m}^*: the
     set difference of every nonzero element and the members, and for a
@@ -398,7 +399,7 @@ def weight_table(code):
     mem = code.subset.indicator[tower.exp]
     k = len(code.subset)
     _, _, neg_q = tower.subfield_tables()
-    d = code.stabiliser_period
+    d = code.subset.stabiliser_period
     cols = np.empty((q, d), dtype=np.int64)
     labels_twice = np.tile(tower.trace_label_of_exp, 2)
     for j in range(d):
@@ -423,7 +424,7 @@ def support_words(code):
     q, qm, order = tower.q, tower.qm, tower.order
     width = (order + 7) // 8
     mem = code.subset.indicator[tower.exp]
-    d = code.stabiliser_period
+    d = code.subset.stabiliser_period
     packed = np.zeros((q * qm, (order + 63) // 64 * 8), dtype=np.uint8)
     packed[code.word_index(1, 0)::qm, :width] = np.packbits(mem)
     twice = np.empty((q, 2 * order), dtype=bool)
@@ -552,16 +553,40 @@ def least_frobenius_power(tower, members):
 
 
 def frobenius_class_images(code):
-    """For each class number c of the code's orbit engine, the index in
-    classes[0] of the class of (u, v^(p^s)), (u, v) the lowest word of class
-    c and s the subset's Frobenius power: the element round trip that the
-    engine replaced with arithmetic on the class numbers, log v p^s mod
-    q^m - 1, then exp, then `Orbits.class_index`."""
+    """For each class number c of the code's orbit engine, the number of the
+    class of (u, v^(p^s)), (u, v) the lowest word of class c and s the
+    subset's Frobenius power: the element round trip that the engine
+    replaced with arithmetic on the class numbers, log v p^s mod q^m - 1,
+    then exp, then `codes.word_classes`."""
     engine, tower, s = code.orbits, code.tower, code.subset.frobenius_power
-    words, rank = engine.classes
-    u, v = np.divmod(words[rank], tower.qm)
+    u, v = np.divmod(engine.lowest_words, tower.qm)
     logs = tower.log[v].astype(np.int64) * pow(tower.p, s, tower.order)
-    return engine.class_index(u * tower.qm + np.where(v == 0, 0, tower.exp[logs % tower.order]))
+    images = u * tower.qm + np.where(v == 0, 0, tower.exp[logs % tower.order])
+    return word_classes(tower, images, code.subset.stabiliser_period)
+
+
+def sorted_merge(engine):
+    """(reps, labels) of `Orbits.merged` by the sorted route the engine
+    replaced: the classes' lowest words sorted, each class numbered by its
+    rank among them, and the classes joined along every automorphism row by
+    union-find on those ranks, each orbit's root its least rank; reps is the
+    lowest word of each orbit, ascending, and labels the orbit of each class
+    number.  Every row is read, past the point where the engine stops."""
+    ascending = np.argsort(engine.lowest_words)
+    rank = np.argsort(ascending)
+    root = list(range(len(rank)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for row in engine.automorphisms():
+        for i, j in zip(rank.tolist(), rank[row].tolist()):
+            a, b = sorted((find(i), find(j)))
+            root[b] = a
+    first, labels = np.unique([find(i) for i in range(len(rank))], return_inverse=True)
+    return engine.lowest_words[ascending][first], labels[rank]
 
 
 def coordinate_tables(tower):

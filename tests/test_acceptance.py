@@ -226,7 +226,7 @@ def test_criterion_5_class_representatives_at_scale():
     tower = build_tower(FieldSpec(p=5, e=1, m=9))
     code = SubsetCode(build_cyclotomic_subset(tower, 19, [0]))
     with budget("5 (F_5^9 N=19 class representatives and orbit merge)", 0.1):
-        assert len(code.orbits.classes[0]) == 39
+        assert len(code.orbits.lowest_words) == 39
         assert len(code.orbits.representatives()) == 7
 
 

@@ -17,7 +17,6 @@ from pdscodes.codes import (
     NOT_RUN,
     MethodVerdict,
     MinimalityReport,
-    Orbits,
     SubsetCode,
     ab_condition,
     characteristic_trace_form,
@@ -305,38 +304,40 @@ def test_value_tables_are_built_once_per_code(hyperplane_subset, ex31_code, monk
 
 def test_orbit_representatives_are_scanned_once_per_code(monkeypatch, row1_code):
     calls = []
-    class_index = Orbits.class_index
+    word_classes = codes.word_classes
 
-    def counted(self, words):
-        calls.append(len(words))
-        return class_index(self, words)
+    def counted(tower, words, d):
+        calls.append(d)
+        return word_classes(tower, words, d)
 
     code = SubsetCode(row1_code.subset)
     reps = code.orbits.representatives()
-    monkeypatch.setattr(Orbits, "class_index", counted)
+    monkeypatch.setattr(codes, "word_classes", counted)
     assert code.orbits.representatives() is reps
     assert calls == []
     assert code.minimality_cover().status == MINIMAL
+    assert code.tower.order in calls and code.subset.stabiliser_period not in calls
 
 
 def test_orbit_engine_is_shared_by_codes_and_blocking(monkeypatch, f34):
     # a second code of the same subset and the cutting test read the engine
-    # the first code built: no class is indexed and no reflection drawn again
+    # the first code built: no class is numbered and no reflection drawn again
     subset = quadric_subset(f34, kind="elliptic")[0]
     first = SubsetCode(subset)
     assert first.minimality_cover().status == MINIMAL
     calls = []
-    class_index, reflections = Orbits.class_index, qpoly.quadric_reflections
+    word_classes, reflections = codes.word_classes, qpoly.quadric_reflections
 
-    def counted(self, words):
-        calls.append("class_index")
-        return class_index(self, words)
+    def counted(tower, words, d):
+        if d == subset.stabiliser_period:
+            calls.append("word_classes")
+        return word_classes(tower, words, d)
 
     def drawn(*args):
         calls.append("quadric_reflections")
         return reflections(*args)
 
-    monkeypatch.setattr(Orbits, "class_index", counted)
+    monkeypatch.setattr(codes, "word_classes", counted)
     monkeypatch.setattr(codes, "quadric_reflections", drawn)
     second = SubsetCode(subset)
     assert second.orbits is first.orbits is orbit_engine(subset)
@@ -347,7 +348,7 @@ def test_orbit_engine_is_shared_by_codes_and_blocking(monkeypatch, f34):
     # the unreduced oracle never reads the memo: it indexes its own classes
     full = reference.Unreduced(subset)
     assert full.orbits is not first.orbits
-    assert len(full.orbits.representatives()) == len(full.orbits.classes[0])
+    assert len(full.orbits.representatives()) == len(full.orbits.lowest_words)
     assert full.minimality_cover().status == MINIMAL
 
 
@@ -373,14 +374,14 @@ def test_orbit_merge_temporaries_are_class_sized():
     tower = build_tower(FieldSpec(p=2, e=1, m=12))
     subset = quadric_subset(tower, kind="elliptic")[0]
     engine = orbit_engine(subset)
-    subset.indicator, tower.log, tower.trace_coords, engine.classes  # built before
+    subset.indicator, tower.log, tower.trace_coords, engine.lowest_words  # built before
     tracemalloc.start()
     try:
         reps, labels = engine.merged
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (len(reps), len(labels)) == (5, len(engine.classes[0]))
+    assert (len(reps), len(labels)) == (5, len(engine.lowest_words))
     assert peak < 2.25e6
 
 
@@ -392,7 +393,7 @@ def test_orbit_merge_keeps_no_class_array_per_map():
     tower = build_tower(FieldSpec(p=2, e=1, m=16))
     subset = quadric_subset(tower, kind="elliptic")[0]
     engine = orbit_engine(subset)
-    subset.indicator, tower.log, tower.trace_coords, engine.classes  # built before
+    subset.indicator, tower.log, tower.trace_coords, engine.lowest_words  # built before
     tracemalloc.start()
     try:
         reps, labels = engine.merged
@@ -410,7 +411,7 @@ def test_heng_screen_builds_nothing_without_a_live_representative(monkeypatch):
     # its (representatives x lines) bool rows take 41 KB
     tower = build_tower(FieldSpec(p=2, e=1, m=12))
     code = SubsetCode(build_cyclotomic_subset(tower, 3, [0]))
-    code.weight_table(), code._dependents, tower.line_layout, tower.subfield_tables()
+    code.weight_table(), code._dependents, tower.subfield_tables()
 
     def refused(*args):
         raise AssertionError("Heng gathered a sum")
@@ -431,7 +432,7 @@ def test_annihilator_escapes_witness():
     # differences and the complement kernel slice span too little
     t = build_tower(FieldSpec(p=3, e=1, m=3))
     code = SubsetCode(FieldSubset.from_logs(t, [1, 4, 6, 7, 8, 9, 10, 11, 14, 16, 19, 23, 24]))
-    assert (code.stabiliser_period, code.dimension()) == (26, 4)
+    assert (code.subset.stabiliser_period, code.dimension()) == (26, 4)
     snc = code.minimality_snc()
     assert (snc.status, snc.witness) == (NOT_MINIMAL, ("annihilator_escapes", (2, 5)))
     assert snc.note == "slice annihilator is larger than the direction line"
@@ -733,7 +734,7 @@ def test_weight_distribution_memory_below_dense_table():
     subset = build_cyclotomic_subset(tower, 23, [0])
     code = SubsetCode(subset)
     # fill the caches the count reads first, so that the peak is the count's own
-    code.stabiliser_period, tower.trace_label_of_exp, tower.subfield_tables()
+    code.subset.stabiliser_period, tower.trace_label_of_exp, tower.subfield_tables()
     tracemalloc.start()
     try:
         dist = code.weight_distribution_direct()
@@ -749,7 +750,7 @@ def test_weight_count_reads_the_label_table_in_place():
     # table and peaked at 1176 KB; it must stay at least 200 KB below that
     tower = build_tower(FieldSpec(p=2, e=1, m=18))
     code = SubsetCode(build_cyclotomic_subset(tower, 3, [0]))
-    code.stabiliser_period, tower.trace_label_of_exp, tower.subfield_tables()
+    code.subset.stabiliser_period, tower.trace_label_of_exp, tower.subfield_tables()
     tracemalloc.start()
     try:
         dist = code.weight_distribution_direct()
@@ -763,10 +764,12 @@ def test_weight_count_reads_the_label_table_in_place():
 def test_heng_scan_memory():
     # F_{3^8}, N = 41, 13 orbits: the scan once summed (block, q, q^m) int64
     # arrays over q - 1 gathers and peaked at 1.75 MB; summing wt(r + x) over
-    # the points of each line in int32 peaks at 1.23 MB
+    # the points of each line in int32, it peaked at 1132 KB with the keys of
+    # every u at once, a (block, q, q^m) int64 array, and at 816 KB with the
+    # keys of one u at a time
     tower = build_tower(FieldSpec(p=3, e=1, m=8))
     code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
-    code.weight_table(), code.orbits.representatives(), tower.line_layout
+    code.weight_table(), code.orbits.representatives(), tower.subfield_tables()
     tracemalloc.start()
     try:
         verdict = code.minimality_heng()
@@ -774,7 +777,7 @@ def test_heng_scan_memory():
     finally:
         tracemalloc.stop()
     assert verdict.status == MINIMAL
-    assert peak <= 1400 * 1024
+    assert peak <= 950 * 1024
 
 
 def test_cover_scan_memory():
@@ -783,7 +786,7 @@ def test_cover_scan_memory():
     # them, it holds about 8 bytes for each of the 9841 lines
     tower = build_tower(FieldSpec(p=3, e=1, m=8))
     code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
-    code.orbits.representatives(), code._dependents, tower.line_layout
+    code.orbits.representatives(), code._dependents
     tower.trace_label_of_exp, tower.subfield_tables()
     tracemalloc.start()
     try:

@@ -87,6 +87,22 @@ def _cyclotomic(N, J):
     return lambda tower: build_cyclotomic_subset(tower, N, J)
 
 
+def _classes(code, words):
+    """The engine's class number of each nonzero word."""
+    return codes.word_classes(code.tower, words, code.subset.stabiliser_period)
+
+
+def _lines(code, words):
+    """The line F_q^* w of each nonzero word, numbered as cover and Heng read them."""
+    return codes.word_classes(code.tower, words, code.tower.order)
+
+
+def _line_words(tower):
+    """A word of each line, by line number: (0, gamma^c), c < step, (1, 0), (1, gamma^i)."""
+    return np.concatenate([tower.exp[: tower.subfield_step],
+                           tower.qm + np.append(0, tower.exp)]).astype(np.int64)
+
+
 # name -> (tower fixture, subset builder, stabiliser period d, Frobenius power s)
 CODES = {
     "F_2^4 N=3": ("f16", _cyclotomic(3, [0]), 3, 1),
@@ -172,7 +188,7 @@ def assert_fill_equals_words(code):
 def assert_fills_equal_reference(code):
     """The class columns, kernel words, distribution and packed supports
     against the class loops of `reference`, bit for bit."""
-    tower, d = code.tower, code.stabiliser_period
+    tower, d = code.tower, code.subset.stabiliser_period
     dense = weight_table(code)
     assert np.array_equal(code.weight_table(), dense[:, tower.exp[:d]])
     assert np.array_equal(code.kernel_words(), np.flatnonzero(dense.ravel() == 0))
@@ -203,7 +219,7 @@ def test_generator_matrix_text_equals_element_route(code):
 
 def test_stabiliser_period_is_least_period(code):
     tower = code.tower
-    d = code.stabiliser_period
+    d = code.subset.stabiliser_period
     mem = code.subset.indicator[tower.exp]
     assert tower.order % d == 0
     assert np.array_equal(np.roll(mem, d), mem)
@@ -215,7 +231,7 @@ def test_stabiliser_period_is_least_period(code):
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_stabiliser_period_values(request, name):
     fixture, build, d, _ = CODES[name]
-    assert SubsetCode(build(request.getfixturevalue(fixture))).stabiliser_period == d
+    assert build(request.getfixturevalue(fixture)).stabiliser_period == d
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
@@ -249,17 +265,25 @@ def test_blocking_on_merged_orbits_equals_reference(code):
 
 def test_frobenius_row_equals_element_round_trip(code):
     # the class permutation of x -> x^(p^s), by arithmetic on the class
-    # numbers and read in the order of classes[0], against the images of the
-    # classes' lowest words through log, exp and class_index; x -> x^(p^em)
-    # is the identity and draws no row
+    # numbers, against the images of the classes' lowest words through log,
+    # exp and word_classes; x -> x^(p^em) is the identity and draws no row
     engine = code.orbits
     rows = list(engine.automorphisms())
     images = reference.frobenius_class_images(code)
     if code.subset.frobenius_power < code.tower.em:
-        assert np.array_equal(rows[0][engine.classes[1]], images)
+        assert np.array_equal(rows[0], images)
     else:
-        assert np.array_equal(images, engine.classes[1])
+        assert np.array_equal(images, np.arange(len(engine.lowest_words)))
         assert isinstance(code.subset.origin, QuadricOrigin) or rows == []
+
+
+def test_merge_equals_sorted_route(code):
+    # the labels settled on class numbers, each orbit read at the least of
+    # its classes' lowest words, against the sorted route: classes ranked by
+    # lowest word and joined by union-find along every row
+    reps, labels = code.orbits.merged
+    expected_reps, expected_labels = reference.sorted_merge(code.orbits)
+    assert np.array_equal(reps, expected_reps) and np.array_equal(labels, expected_labels)
 
 
 # (p, e, m), N, J -> orbits of <gamma^d> and scaling, and with the Frobenius power
@@ -275,7 +299,7 @@ ORBIT_COUNTS = {
 def test_frobenius_merged_orbit_counts(name):
     field, N, J, fine, merged = ORBIT_COUNTS[name]
     code = SubsetCode(build_cyclotomic_subset(_tower(*field), N, J))
-    assert len(np.unique(code.orbits.class_index(projective_representatives(code)))) == fine
+    assert len(np.unique(_classes(code, projective_representatives(code)))) == fine
     assert len(code.orbits.representatives()) == merged
 
 
@@ -303,7 +327,7 @@ def _reflections(code):
 def test_reflection_merged_orbit_counts(name):
     field, kind, fine, merged = QUADRIC_ORBIT_COUNTS[name]
     code = SubsetCode(quadric_subset(_tower(*field), kind=kind)[0])
-    assert len(np.unique(code.orbits.class_index(projective_representatives(code)))) == fine
+    assert len(np.unique(_classes(code, projective_representatives(code)))) == fine
     assert len(code.orbits.representatives()) == merged
     # every reflection drawn induces a code automorphism (A and B on the tables)
     g, dual = _reflections(code)
@@ -345,8 +369,8 @@ def test_reflections_are_code_automorphisms(request, name):
 
 def test_non_invariant_period_does_not_divide_step(f35):
     code = SubsetCode(FieldSubset.from_logs(f35, [0, 1]))
-    assert code.stabiliser_period == f35.order
-    assert f35.subfield_step % code.stabiliser_period != 0
+    assert code.subset.stabiliser_period == f35.order
+    assert f35.subfield_step % code.subset.stabiliser_period != 0
 
 
 def test_reduced_scans_equal_full_scan(code):
@@ -416,7 +440,7 @@ def test_seeded_fills_equal_class_loops(field, kind):
     for seed in range(3):
         code = SubsetCode(_seeded_subset(tower, kind, seed))
         assert (2 * len(code.subset) > tower.order) == (kind == "dense") or kind == "union"
-        assert kind != "least period" or code.stabiliser_period * len(code.subset) == tower.order
+        assert kind != "least period" or code.subset.stabiliser_period * len(code.subset) == tower.order
         assert_fills_equal_reference(code)
 
 
@@ -511,7 +535,7 @@ def _pairs_past_the_first_column(code):
     """Whether a line vector-independent of some orbit representative r has a
     first support column inside r's, r vanishing somewhere past that column,
     by the reference."""
-    sup, lines = support_words(code), code._line_words()
+    sup, lines = support_words(code), _line_words(code.tower)
     width = sup.shape[1]
     coordinates = np.packbits(np.arange(64 * width) < code.n).view(np.uint64)
     for r, dependent in zip(code.orbits.representatives(), code._dependents):
@@ -546,7 +570,7 @@ def assert_cover_flags_equal_reference(code, monkeypatch, block):
             flags[r] = np.flatnonzero(row).tolist()
     assert list(flags) == code.orbits.representatives().tolist()
     for r, lines in flags.items():
-        assert lines == sorted(set(code._line_columns(cover_violations(code, r)).tolist()))
+        assert lines == sorted(set(_lines(code, cover_violations(code, r)).tolist()))
     verdict = code.minimality_cover()
     assert (verdict.status, verdict.witness) == full_verdict(code, cover_violations)
     advanced = any(stop - start == 1 and start > 0 for start, stop in ranges)
@@ -592,32 +616,30 @@ def test_first_witness_beyond_first_blocks(f34, monkeypatch):
 
 
 def test_projective_representatives_equal_list_form(code):
-    # the class representatives, column minima of exp, are the lowest words
-    # of the classes among the projective words listed one by one, and
-    # class_index numbers each class by the rank of that word
+    # the lowest words, column minima of exp, are the lowest words of the
+    # classes among the projective words listed one by one, by class number
     words = projective_representatives(code)  # ascending: a class's first is its lowest
-    _, first = np.unique(code.orbits._class_ids(words), return_index=True)
-    lowest = words[first]
-    assert np.array_equal(code.orbits.classes[0], np.sort(lowest))
-    assert np.array_equal(code.orbits.class_index(lowest), np.argsort(np.argsort(lowest)))
+    numbers, first = np.unique(_classes(code, words), return_index=True)
+    assert np.array_equal(numbers, np.arange(len(code.orbits.lowest_words)))
+    assert np.array_equal(code.orbits.lowest_words, words[first])
 
 
 def test_class_orbit_is_lowest_class_of_its_orbit(code):
     reps = projective_representatives(code)
-    orbit = code.orbits.classes[0][code.orbits.class_index(reps)]
+    orbit = code.orbits.lowest_words[_classes(code, reps)]
     assert set(orbit.tolist()) <= set(reps.tolist())
     for o in np.unique(orbit).tolist():
         assert o == reps[orbit == o].min()
-    assert len(np.unique(orbit)) == 1 + code.stabiliser_period + np.gcd(
-        code.stabiliser_period, code.tower.subfield_step)
-    assert np.array_equal(code.orbits.classes[0], np.unique(orbit))
+    assert len(np.unique(orbit)) == 1 + code.subset.stabiliser_period + np.gcd(
+        code.subset.stabiliser_period, code.tower.subfield_step)
+    assert np.array_equal(np.sort(code.orbits.lowest_words), np.unique(orbit))
 
 
 def test_orbit_picks_equal_sorted_unique(code):
     # the least j of each merged orbit among the words (u, gamma^j), u = 0
     # with j < gcd(d, step) and u = 1 with j < d, and the orbit of each j, as
     # np.unique's first indices and inverse give them on the orbit indices
-    tower, d = code.tower, code.stabiliser_period
+    tower, d = code.tower, code.subset.stabiliser_period
     for u, count in ((0, np.gcd(d, tower.subfield_step)), (1, d)):
         words = code.word_index(u, tower.exp[:count].astype(np.int64))
         _, js, at = np.unique(code.orbits.orbit_index(words), return_index=True,
@@ -628,32 +650,37 @@ def test_orbit_picks_equal_sorted_unique(code):
 
 @pytest.mark.parametrize("p, e, m", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 3), (3, 2, 2)])
 def test_line_layout_equals_element_route(p, e, m):
+    # the q - 1 multiples of every nonzero word, computed on field elements,
+    # share one line number (word_classes at d = q^m - 1); the line words
+    # (0, gamma^c), c < step, (1, 0) and (1, gamma^i) number 0, 1, ... in order
     tower = _tower(p, e, m)
-    layout = tower.line_layout
-    for table, expected in zip(layout, reference.line_layout(tower)):
-        assert np.array_equal(table, expected)
-    least = layout[0]
-    assert np.all(np.diff(least) > 0) and len(least) == tower.subfield_step
-    # every nonzero word is on the column of each of its q - 1 multiples, and
-    # that column's least word is the least of them
+    step, lines = tower.subfield_step, np.arange(tower.subfield_step + tower.qm)
     code = SubsetCode(_hyperplane(tower))
     _, mul_q, _ = tower.subfield_tables()
-    lines = code._line_words()
-    assert np.all(np.diff(lines) > 0)
     u, v = np.divmod(np.arange(1, code.word_count), tower.qm)
     multiples = np.stack([code.word_index(mul_q[lam, u], tower.mul_vec(int(c), v))
                           for lam, c in enumerate(tower.subfield_elements.tolist()) if lam])
-    columns = code._line_columns(multiples)
+    columns = _lines(code, multiples)
     assert np.all(columns == columns[0])
-    assert np.array_equal(lines[columns[0]], multiples.min(axis=0))
-    assert np.array_equal(code._line_columns(lines), np.arange(len(lines)))
+    assert np.array_equal(_lines(code, _line_words(tower)), lines)
+    # a scan that flags some lines of its first representative is witnessed
+    # by their least word, the least multiple of a word on them
+    least = np.empty(len(lines), dtype=np.int64)
+    least[columns[0]] = multiples.min(axis=0)
+    free = np.setdiff1d(lines, code._dependents[0])
+    rng = np.random.default_rng(p * e * m)
+    for flagged in [free[:3], free[free > step][-3:], free[free >= step][:2],
+                    *(rng.choice(free, 4, replace=False) for _ in range(10))]:
+        row = np.isin(lines, flagged)
+        verdict = code._scan_verdict(lambda: lambda part: np.tile(row, (part.stop - part.start, 1)), "")
+        assert verdict.witness[0] == code.word_of_index(int(least[flagged].min()))
 
 
 def test_dependent_columns_equal_reference(code):
     reps = code.orbits.representatives().tolist()
     for r, row in zip(reps, code._dependents):
         words = reference.dependent_words(code, r)
-        assert set(row.tolist()) == set(code._line_columns(words[words != 0]).tolist())
+        assert set(row.tolist()) == set(_lines(code, words[words != 0]).tolist())
 
 
 @pytest.mark.parametrize("p, e, m, N, J, witness", [
@@ -772,7 +799,7 @@ def test_random_invariant_unions_reduced_equals_full(case):
     n, subset = case
     assert is_fq_invariant(subset)
     code = SubsetCode(subset)
-    assert n % code.stabiliser_period == 0
+    assert n % code.subset.stabiliser_period == 0
     assert_reduced_equals_full(code)
     assert_fill_equals_words(code)
 

@@ -59,7 +59,7 @@ def _elimination_sets(code):
     T = (D_{y,z} - x_0) ∪ D̄_z below the count bound q^(m-2), and how many in all."""
     tower = code.tower
     below = total = 0
-    for z in tower.exp[: code.stabiliser_period].tolist():
+    for z in tower.exp[: code.subset.stabiliser_period].tolist():
         dbar = set(reference.complement_kernel_slice(code.subset, z).tolist())
         for y in range(tower.q):
             dyz = slice_members(code.subset, y, z)

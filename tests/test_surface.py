@@ -282,6 +282,32 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert private == []
 
 
+def _none_sentinels(tree):
+    """The lines that set a private attribute of self to None or test one
+    against None: the two halves of a cache filled on first read by hand."""
+    def on_self(node):
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self" and node.attr.startswith("_")
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_none(node.value) and any(map(on_self, node.targets)):
+            yield node.lineno
+        if isinstance(node, ast.Compare) and on_self(node.left) and is_none(node.comparators[-1]):
+            yield node.lineno
+
+
+def test_no_cache_with_a_none_sentinel():
+    # a table built on first read is a cached_property, whose first read
+    # fills the instance dict, not `self._x = None` in __init__ and
+    # `if self._x is None:` at the read
+    found = sorted(f"{path.name}:{line}" for path in LIBRARY
+                   for line in _none_sentinels(ast.parse(path.read_text())))
+    assert found == []
+
+
 # The modules, lowest layer first: each imports only siblings before it.
 LAYERS = ["field", "charsums", "pds", "qpoly", "codes", "blocking",
           "secretsharing", "recipes", "cli"]
