@@ -237,9 +237,9 @@ def cmd_sss(args) -> int:
     if args.x1_log is not None:
         x1 = int(tower.exp[args.x1_log % tower.order])
     elif args.x1 == "in-D":
-        x1 = int(subset.members[0])
+        x1 = int(subset.members.min())
     elif args.x1 == "in-Dbar":
-        x1 = int(subset.complement().members[0])
+        x1 = int(subset.complement().members.min())
     else:
         raise ConfigError("give --x1-log N or --x1 in-D|in-Dbar")
     # trust minimality unless SNC can run and disproves it; its rank flags

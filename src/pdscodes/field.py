@@ -9,14 +9,15 @@ the exp/log tables convert between the two views.
 F_q always lives inside F_{q^m} as the set of nonzero (q^m-1)/(q-1)-th
 powers together with 0; it is never built as a separate field.
 
-exp, the absolute trace's half tables and the q elements of F_q are built
-up front; log, trace_coords and the log-order traces on first read (a
-class-union `pds` reads only trace_of_exp).  A modulus passes when exp
-shows X of order exactly q^m - 1 (X^(q^m - 1) = 1 and no X^((q^m - 1)/ell)
-= 1, ell prime), so the residues form a field; Rabin's test on powers of
-the companion matrix then names a failure reducible or imprimitive, and
-the modulus search runs the same order test on those powers.  log
-refuses an exp that leaves a slot empty.
+exp, the absolute trace's half tables (for p = 2 its packed images) and
+the q elements of F_q are built up front; log, trace_coords and the
+log-order traces on first read (a `pds` of a class union or of explicit
+logs reads only trace_of_exp).  A modulus passes when exp shows X of order
+exactly q^m - 1 (X^(q^m - 1) = 1 and no X^((q^m - 1)/ell) = 1, ell prime),
+so the residues form a field; Rabin's test on powers of the companion
+matrix then names a failure reducible or imprimitive, and the modulus
+search runs the same order test on those powers.  log refuses an exp that
+leaves a slot empty.
 F_q^* is <gamma^step>, so x in F_q has the dense label log x // step + 1,
 which `subfield_labels` finds by binary search among the q elements of F_q
 sorted ascending; scaling by label l adds (l - 1) step to a log, and
@@ -29,10 +30,11 @@ a fixed power of X are F_p-linear maps on the packed digits, given by two
 half of the digits apart (digit-matrix products mod p), joined by one
 digitwise add, which gathers from a cached table adding two c-digit chunks
 (c = 5 for p = 3; XOR for p = 2), or for the absolute trace, whose images
-are single digits, by one add mod p (`trace`), on every element
-(`linear_map_table`) or only where needed.  exp takes its first ~sqrt(q^m)
-powers of X by companion-matrix doubling; each later stretch is the one s
-before times X^s, that map's half tables joined at it.  The traces are
+are single digits, by one add mod p (`trace`; for p = 2 the trace is the
+parity of the bits shared with the packed images, one popcount), on every
+element (`linear_map_table`) or only where needed.  exp takes its first
+~sqrt(q^m) powers of X by companion-matrix doubling; each later stretch is
+the one s before times X^s, that map's half tables joined at it.  The traces are
 linearized polynomials sum_k x^(step^k), whose basis images come from exp
 (`linearized_table`, which also serves q-polynomials).  trace_coords[a]
 packs the digits Tr_abs(a X^i), which index the row of the character
@@ -49,14 +51,14 @@ reads it at the sums of given logs (the hyperplane sections, the weight
 count).  The code scans read it from every start (`label_cycle`).  The
 layers above take the F_q-rank of a set of elements here (`rank_reaches`:
 the minimality and cutting criteria), every stabiliser as a period of
-sorted logs or class numbers (`cyclic_period`) and numpy passes of about
-BLOCK entries (`blocks`).
+ascending logs or class numbers (`cyclic_period`), numpy passes of about
+BLOCK entries (`blocks`) and blockwise gathers (`gather`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -355,8 +357,11 @@ class FieldTower:
         images = self._linearized_images([1] * em, p)
         if images.max() >= p:
             raise FieldConstructionError("absolute trace left the prime field; tables corrupt")
-        dtype = np.min_scalar_type(2 * (p - 1))
-        self._trace_halves = tuple(half.astype(dtype) for half in self._half_tables(images))
+        if p == 2:  # Tr(x) is the parity of the bits x shares with the packed Tr(X^i)
+            self._trace_bits = int(images @ (1 << np.arange(em)))
+        else:
+            dtype = np.min_scalar_type(2 * (p - 1))
+            self._trace_halves = tuple(half.astype(dtype) for half in self._half_tables(images))
 
         # dense labels for F_q: 0 -> 0, 1 + j -> gamma^(j * subfield_step)
         sub = np.zeros(self.q, dtype=np.int32)
@@ -519,38 +524,35 @@ class FieldTower:
         return self._add_vec(xs, ys).astype(np.int64, copy=False)
 
     def logs_of(self, members: np.ndarray) -> np.ndarray:
-        """log[members], members in [0, q^m), as a new int32 array.  take
-        copies int32 keys to intp, twice the output's bytes at once in one
-        gather, so the keys go BLOCK at a time into slices of the output,
-        with mode="clip" (with "raise", take buffers an out= array)."""
-        logs = np.empty(len(members), dtype=np.int32)
-        for part in blocks(len(members)):
-            self.log.take(members[part], out=logs[part], mode="clip")
-        return logs
+        """log[members], members in [0, q^m), as a new int32 array (`gather`)."""
+        return gather(self.log, members)
 
     def stabiliser(self, members: np.ndarray) -> tuple[int, np.ndarray]:
         """(d, I): the least d with gamma^d S = S, S the nonzero members, so
         Stab(S) = <gamma^d>, and the ascending i < d with S the union of the
-        cosets gamma^i <gamma^d>, i in I: the cyclic period of S's logs, sorted
-        in place (`cyclic_period`).  A member outside [0, q^m) or a repeat,
-        an equal neighbour after the sort, is refused."""
+        cosets gamma^i <gamma^d>, i in I: the cyclic period of S's logs
+        (`cyclic_period`), which are sorted in place unless they already
+        strictly ascend (`distinct`), as a subset's members do.  A member
+        outside [0, q^m) or a repeat is refused."""
         members = np.asarray(members)
         if members.size and (members.min() < 0 or members.max() >= self.qm):
             bad = members[(members < 0) | (members >= self.qm)][0]
             raise ValueError(f"member {bad} lies outside [0, {self.qm})")
         logs = self.logs_of(members)
-        logs.sort()
-        repeats = logs[1:][logs[1:] == logs[:-1]]
-        if len(repeats):
-            raise ValueError(f"member {self.exp[repeats[0]] if repeats[0] >= 0 else 0} repeats")
+        if len(distinct(logs)) < len(logs):  # logs is now sorted, with the repeat
+            repeat = logs[1:][logs[1:] == logs[:-1]][0]
+            raise ValueError(f"member {self.exp[repeat] if repeat >= 0 else 0} repeats")
         return cyclic_period(logs[1:] if len(logs) and logs[0] < 0 else logs, self.order)
 
     # -- traces and hyperplanes -------------------------------------------
 
     def trace(self, xs) -> np.ndarray:
-        """Tr_abs(x) for each element of an int array: the absolute trace's half
+        """Tr_abs(x) for each element of an int array: for p = 2 the parity of
+        x & t, t the packed Tr(X^i), by popcount; else the absolute trace's half
         tables joined by one add mod p, in the least dtype that holds 2(p - 1),
         read as int8 while p <= 128."""
+        if self.p == 2:
+            return (np.bitwise_count(np.bitwise_and(xs, self._trace_bits)) & 1).view(np.int8)
         (high, low), split = self._trace_halves, self.p ** (self.em // 2)
         hi = np.asarray(xs) // split
         out = high.take(hi)
@@ -698,13 +700,29 @@ def blocks(count: int, width: int = 1) -> Iterator[slice]:
         yield slice(start, min(start + per, count))
 
 
-def distinct(values, dtype=None) -> np.ndarray:
-    """The distinct entries of values, ascending, in dtype (theirs by default):
-    one sort and a neighbour compare (np.unique would import numpy.ma)."""
-    values = np.sort(np.asarray(values, dtype=dtype), axis=None)
+def gather(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """table[keys], keys in range, as a new array.  take copies int32 keys to
+    intp, twice the output's bytes at once in one gather, so the keys go
+    BLOCK at a time into slices of the output, with mode="clip" (with
+    "raise", take buffers an out= array)."""
+    out = np.empty(len(keys), dtype=table.dtype)
+    for part in blocks(len(keys)):
+        table.take(keys[part], out=out[part], mode="clip")
+    return out
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct entries of values, ascending: values as they are when they
+    already strictly ascend, else sorted in place (a given array is sorted
+    itself) and compressed only when a neighbour compare finds a repeat
+    (np.unique would import numpy.ma)."""
+    values = np.asarray(values).ravel()
+    if (values[1:] > values[:-1]).all():
+        return values
+    values.sort()
     first = np.ones(len(values), dtype=bool)  # the first of each run of repeats
     np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
+    return values if first.all() else values[first]
 
 
 def cyclic_period(positions, n: int) -> tuple[int, np.ndarray]:
@@ -712,14 +730,20 @@ def cyclic_period(positions, n: int) -> tuple[int, np.ndarray]:
     distinct positions in [0, n), n < 2^31, and I the positions below d: a
     prefix of T, as an int32 view.
 
-    The periods of T are the multiples of d dividing n, so d is n divided by
-    each prime ell while the quotient s = d / ell is still a period.  T holds
-    the positions below d, so s is one exactly when the b = |T| / ell below
-    s, shifted by multiples of s, make up T (ell divides |T|): T[b:] - T[:-b]
-    = s everywhere, which gives T[b - 1] = T[-1] - (ell - 1) s < s.  The next
-    test reads those b positions alone.
+    A period d makes T the n / d shifts of I, so n / d divides |T| and d is
+    at least d0 = n / gcd(n, |T|), tested first.  s is a period exactly when
+    the b = |T| s / n positions below it, shifted by multiples of s, make up
+    T: T[b:] - T[:-b] = s everywhere, which gives T[b - 1] = T[-1] - (n/s -
+    1) s < s.  Failing d0, the periods are the multiples of d dividing n, so
+    d is n divided by each prime ell while the quotient s = d / ell is still
+    a period, the next test reading the b = |T| / ell positions below s alone.
     """
-    T, d = np.asarray(positions, dtype=np.int32), n
+    T = np.asarray(positions, dtype=np.int32)
+    d = n // gcd(n, len(T))
+    b = len(T) * d // n
+    if (T[b:] - T[:-b] == d).all():  # b = |T| (d = n) and b = 0 compare no pairs
+        return d, T[:b]
+    d = n
     for ell in prime_factors(n):
         while d % ell == 0:
             b, rest = divmod(len(T), ell)

@@ -1,15 +1,17 @@
 """Candidate subsets of F_{q^m}^* and partial-difference-set verification.
 
-A subset is carried as its sorted int32 members plus its origin: the
-(N, J) of a union of cyclotomic classes, the Gram matrix of a quadratic
-form whose nonzero zeros it is, or none (an explicit element list).  Its
-q^m-entry indicator bitset is built only when something reads it.  A
-quadric's zeros are collected a block of elements at a time, from each
-element's F_q-coordinates (its base-p digits for e = 1, the traces against
-the dual basis for e > 1), so that the build holds no array of q^m entries
-beside the members.  Its stabiliser <gamma^d> is the period of J in Z_N or
-of its sorted logs (`cyclic_period`), and its invariances under F_q^*, -1
-and Frobenius are read off that period.  Verification runs on two
+A subset is carried as its int32 members in ascending log order plus its
+origin: the (N, J) of a union of cyclotomic classes, whose members are read
+off exp with no sort, the Gram matrix of a quadratic form whose nonzero
+zeros it is, or none (explicit logs or elements).  Every subset but a class
+union is built from its logs and keeps them.  Its q^m-entry indicator
+bitset is built only when something reads it.  A quadric's zeros are
+collected a block of elements at a time, from each element's
+F_q-coordinates (its base-p digits for e = 1, the traces against the dual
+basis for e > 1), so that the build holds no array of q^m entries beside
+the members.  Its stabiliser <gamma^d> is the period of J in Z_N or of its
+logs (`cyclic_period`), and its invariances under F_q^*, -1 and Frobenius
+are read off that period.  Verification runs on two
 independent routes: the spectral one reads the distinct character-sum
 values off the full spectrum, the combinatorial one counts differences
 directly; on small fields both must agree.
@@ -30,6 +32,7 @@ from .field import (
     blocks,
     cyclic_period,
     distinct,
+    gather,
     int_field,
     int_list,
     obj_field,
@@ -65,24 +68,41 @@ class QuadricOrigin:
 
 
 class FieldSubset:
-    """A subset of F_{q^m}^*: its members, sorted and without repeats, in
-    int32 (q^m <= MAX_FIELD_SIZE = 2^26), taken from any array of elements
-    by one int32 sort and a neighbour compare (`distinct`), and an indicator
-    built on first read; origin is a CyclotomicOrigin, a QuadricOrigin or
-    None."""
+    """A subset of F_{q^m}^*: its members in int32 (q^m <= MAX_FIELD_SIZE =
+    2^26), without repeats and in ascending log order, the order of the
+    codes' coordinates, and an indicator built on first read; origin is a
+    CyclotomicOrigin, a QuadricOrigin or None.  A class union's members are
+    read off exp at i N + j, j in J, with no sort and no log table; any
+    other subset is built from its logs (`logs`), taken from the elements
+    once, sorted only when they do not already strictly ascend and
+    compressed only when a repeat turns up (`distinct`)."""
 
-    def __init__(self, tower: FieldTower, members: np.ndarray,
-                 origin: CyclotomicOrigin | QuadricOrigin | None = None):
+    def __init__(self, tower: FieldTower, members: np.ndarray):
+        """The subset of any array of elements, in any order, repeats allowed,
+        with no origin."""
         members = np.asarray(members).ravel()
-        # checked before the int32 cast, which would wrap larger values
+        # checked before the logs are read, which clip out-of-range keys
         if members.size and (members.min() < 0 or members.max() >= tower.qm):
             raise ValueError("member out of field range")
-        members = distinct(members, np.int32)
-        if len(members) and members[0] == 0:
+        self._hold_logs(tower, tower.logs_of(members), None)
+
+    def _hold_logs(self, tower: FieldTower, logs: np.ndarray,
+                   origin: CyclotomicOrigin | QuadricOrigin | None) -> None:
+        """Hold the elements of int32 logs in [-1, q^m - 1), log 0 = -1 refused."""
+        logs = distinct(logs)
+        if len(logs) and logs[0] < 0:
             raise ValueError("subsets live in the multiplicative group; 0 not allowed")
-        self.tower = tower
-        self.members = members  # sorted, without repeats
-        self.origin = origin
+        logs.flags.writeable = False
+        self.tower, self.origin, self.logs = tower, origin, logs
+        self.members = gather(tower.exp, logs)
+
+    @classmethod
+    def _of_logs(cls, tower: FieldTower, logs: np.ndarray, origin=None) -> "FieldSubset":
+        """The subset of the elements of int32 logs (`_hold_logs`), read off exp
+        with no log table; the logs become its own."""
+        subset = cls.__new__(cls)
+        subset._hold_logs(tower, logs, origin)
+        return subset
 
     @cached_property
     def indicator(self) -> np.ndarray:
@@ -100,14 +120,11 @@ class FieldSubset:
 
     @cached_property
     def logs(self) -> np.ndarray:
-        """The members' logs, ascending (int32, read-only): i N + j, j in J, for
-        a class union (N, J), with no table and no sort; else log[members] sorted."""
-        if isinstance(self.origin, CyclotomicOrigin):
-            starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
-            logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
-        else:
-            logs = self.tower.logs_of(self.members)
-            logs.sort()
+        """The members' logs, strictly ascending (int32, read-only).  A class
+        union (N, J) reads them on first use, i N + j for j in J, with no
+        table and no sort; every other subset is built from its logs."""
+        starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
+        logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
         logs.flags.writeable = False
         return logs
 
@@ -132,15 +149,15 @@ class FieldSubset:
 
     def complement(self) -> "FieldSubset":
         """F_{q^m}^* minus D: for a class union (N, J) the union of the
-        classes Z_N minus J, with no q^m-entry scan; else the nonzero
-        elements off the indicator."""
+        classes Z_N minus J, with no q^m-entry scan; else the logs off the
+        indicator read in log order."""
         if isinstance(self.origin, CyclotomicOrigin):
             N = self.origin.N
             rest = tuple(sorted(set(range(N)) - set(self.origin.J)))
             if rest:
-                members = _class_members(self.tower, N, rest).ravel()
-                return FieldSubset(self.tower, members, CyclotomicOrigin(N, rest))
-        return FieldSubset(self.tower, np.flatnonzero(~self.indicator)[1:])
+                return _class_union(self.tower, N, rest)
+        off = np.flatnonzero(~self.indicator[self.tower.exp]).astype(np.int32)
+        return FieldSubset._of_logs(self.tower, off)
 
     def is_symmetric(self) -> bool:
         """Closed under negation (needed for a Cayley connection set).
@@ -173,8 +190,8 @@ class FieldSubset:
     @classmethod
     def from_logs(cls, tower: FieldTower, logs: Sequence[int]) -> "FieldSubset":
         # reduced as Python ints, so any integer log is taken mod q^m - 1
-        logs = np.array([int(lg) % tower.order for lg in logs], dtype=np.int64)
-        return cls(tower, tower.exp[logs])
+        logs = np.array([int(lg) % tower.order for lg in logs], dtype=np.int32)
+        return cls._of_logs(tower, logs)
 
     @classmethod
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
@@ -199,8 +216,10 @@ class FieldSubset:
 
 
 def cyclotomic_classes(tower: FieldTower, N: int) -> list[np.ndarray]:
-    """The N classes gamma^i * <gamma^N>, each of size (q^m-1)/N."""
-    return list(_class_members(tower, N, _class_indices(tower, N)))
+    """The N classes gamma^i * <gamma^N>, each of size (q^m-1)/N, in log order:
+    exp read as a ((q^m-1)/N, N) array has class i as its column i."""
+    _class_indices(tower, N)
+    return list(np.array(tower.exp.reshape(-1, N).T))
 
 
 def _class_indices(tower: FieldTower, N: int,
@@ -225,16 +244,23 @@ def _class_indices(tower: FieldTower, N: int,
     return J
 
 
-def _class_members(tower: FieldTower, N: int, J: tuple[int, ...]) -> np.ndarray:
-    """Row r is the class gamma^J[r] <gamma^N>: exp read as a ((q^m-1)/N, N)
-    array has class j as its column j (one int32 gather)."""
-    return tower.exp.reshape(-1, N).T[list(J)]
+def _class_union(tower: FieldTower, N: int, J: tuple[int, ...]) -> FieldSubset:
+    """The union of the classes of the sorted J: member (i, c) is exp at
+    i N + J[c], in log order, filled one column c at a time (a broadcast
+    gather over so narrow an axis is several times slower); its logs are
+    read off (N, J) when first used."""
+    rows = tower.exp.reshape(-1, N)
+    members = np.empty((len(rows), len(J)), dtype=np.int32)
+    for c, j in enumerate(J):
+        members[:, c] = rows[:, j]
+    subset = FieldSubset.__new__(FieldSubset)
+    subset.tower, subset.members, subset.origin = tower, members.ravel(), CyclotomicOrigin(N, J)
+    return subset
 
 
 def build_cyclotomic_subset(tower: FieldTower, N: int, J: Sequence[int]) -> FieldSubset:
     """Union of the classes indexed by J; enforces the odd-q symmetry conditions."""
-    J = _class_indices(tower, N, J)
-    return FieldSubset(tower, _class_members(tower, N, J).ravel(), CyclotomicOrigin(N, J))
+    return _class_union(tower, N, _class_indices(tower, N, J))
 
 
 def is_fq_invariant(subset: FieldSubset) -> bool:
@@ -364,7 +390,7 @@ def verify_pds_spectral(
     if not subset.is_symmetric():
         members, tower = subset.members, subset.tower
         bad = members[~subset.indicator[tower.mul_vec(tower.neg(1), members)]]
-        raise PdsVerificationError("set is not symmetric (-D != D)", witness=int(bad[0]))
+        raise PdsVerificationError("set is not symmetric (-D != D)", witness=int(bad.min()))
     if spectrum is None:
         spectrum = subset.spectrum()
     return certificate_from_spectrum(subset, spectrum), spectrum
@@ -610,16 +636,17 @@ def quadric_subset(
     polar = [[add[gram[i][j], gram[j][i]] for j in range(m)] for i in range(m)]
     if not rank_reaches(tower, distinct(_elements(tower, polar)), m)[0]:
         raise ValueError("quadratic form is degenerate (polar form has a radical)")
-    zeros = []
+    zeros = []  # their logs, log 0 = -1 first
     for part in blocks(tower.qm):
         xs = np.arange(part.start, part.stop, dtype=np.int32)
-        zeros.append(xs[quadric_values(tower, gram, xs) == 0])
-    members = np.concatenate(zeros)[1:]  # x = 0 is the first zero
+        zeros.append(tower.logs_of(xs[quadric_values(tower, gram, xs) == 0]))
+    logs = np.concatenate(zeros)[1:]
+    del zeros  # before the members are gathered: the peak holds one copy of the logs
     sqm = isqrt(tower.qm)
 
     half = q ** (m // 2 - 1)
     for eps, r, flag in ((1, half + 1, "latin"), (-1, half - 1, "negative_latin")):
-        if len(members) == r * (sqm - eps):
+        if len(logs) == r * (sqm - eps):
             k = r * (sqm - eps)
             lam = eps * sqm + r * r - 3 * eps * r
             mu = r * r - eps * r
@@ -627,9 +654,9 @@ def quadric_subset(
             cert = PdsCertificate(tower.qm, k, lam, mu, t1, t2, m1, m2, flag, r, eps)
             if kind is not None and flag != {"hyperbolic": "latin", "elliptic": "negative_latin"}[kind]:
                 raise ValueError(
-                    f"form has {len(members)} zeros, inconsistent with a {kind} quadric"
+                    f"form has {len(logs)} zeros, inconsistent with a {kind} quadric"
                 )
-            return FieldSubset(tower, members, QuadricOrigin(gram)), cert
+            return FieldSubset._of_logs(tower, logs, QuadricOrigin(gram)), cert
     raise PdsVerificationError(
-        f"zero count {len(members)} matches neither quadric type", witness=len(members)
+        f"zero count {len(logs)} matches neither quadric type", witness=len(logs)
     )

@@ -82,7 +82,8 @@ class UnreducedSubset(FieldSubset):
     in place of the least one: every coset is a single log."""
 
     def __init__(self, subset):
-        super().__init__(subset.tower, subset.members, subset.origin)
+        super().__init__(subset.tower, subset.members)
+        self.origin = subset.origin
 
     @cached_property
     def stabiliser(self):
@@ -196,11 +197,11 @@ def trace_p(tower):
 
 
 def is_invariant_under_subfield(tower, members):
-    """Whether the set of the sorted, distinct members is closed under F_q^*
-    scaling: their products with a generator of F_q^*, through mul_vec,
-    sorted, are the members."""
+    """Whether the set of the distinct members is closed under F_q^* scaling:
+    their products with a generator of F_q^*, through mul_vec, sorted, are
+    the members sorted."""
     gen = tower.exp[tower.subfield_step % tower.order]  # generator of F_q^* (1 when q = 2)
-    return bool(np.array_equal(np.sort(tower.mul_vec(int(gen), members)), members))
+    return bool(np.array_equal(np.sort(tower.mul_vec(int(gen), members)), np.sort(members)))
 
 
 def trace_labels(tower, v, xs):
@@ -694,8 +695,9 @@ def is_symmetric(subset):
 
 def asymmetry_witness(subset):
     """The least member x whose negative -x lies outside the subset, tried
-    one member at a time."""
-    return next(int(d) for d in subset.members if not subset.indicator[neg_table(subset.tower)[d]])
+    one member at a time in ascending order."""
+    return next(int(d) for d in sorted(subset.members.tolist())
+                if not subset.indicator[neg_table(subset.tower)[d]])
 
 
 def indicator_members(tower, members):
@@ -707,6 +709,16 @@ def indicator_members(tower, members):
     indicator = np.zeros(tower.qm, dtype=bool)
     indicator[members] = True
     return np.flatnonzero(indicator)
+
+
+def log_ordered(tower, members):
+    """The distinct members of a subset in ascending log order: their
+    q^m-entry indicator (`indicator_members`) read at gamma^0, gamma^1, ...
+    (`exp_by_times_x_block`)."""
+    indicator = np.zeros(tower.qm, dtype=bool)
+    indicator[indicator_members(tower, members)] = True
+    exp = exp_by_times_x_block(tower)
+    return exp[indicator[exp]].astype(np.int64)
 
 
 def coset_logs(tower, members, period):

@@ -8,7 +8,7 @@ import pytest
 
 from pdscodes import pds
 from pdscodes.cli import main
-from pdscodes.field import FieldTower
+from pdscodes.field import FieldSpec, FieldTower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -349,6 +349,20 @@ def test_sss_x1_sides(capsys):
     _, out_dbar, _ = run_cli(capsys, "sss", "--recipe", "example-3.1", "--x1", "in-Dbar")
     assert json.loads(out_d)["classification"] == "democratic"
     assert json.loads(out_dbar)["classification"] == "dictatorial"
+
+
+@pytest.mark.parametrize("side, logs, first", [("in-D", [4, 40], 4), ("in-Dbar", [0, 1], 2)])
+def test_sss_x1_is_the_least_member(capsys, side, logs, first):
+    # a subset holds its members in log order: on F_3^4 the member of least
+    # log on the chosen side (gamma^4, and gamma^2 off {1, gamma}) is not the
+    # least element there, -1 = 2 = gamma^40, which x1 must be
+    f34 = FieldTower(FieldSpec(p=3, e=1, m=4))
+    assert int(f34.exp[40]) == 2 and int(f34.exp[first]) > 2
+    code, out, _ = run_cli(capsys, "sss", "--field", '{"p": 3, "e": 1, "m": 4}',
+                           "--subset", json.dumps({"explicit": {"logs": logs}}), "--x1", side)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["x1_log"], payload["x1_in_Dbar"]) == (40, side == "in-Dbar")
 
 
 @pytest.mark.parametrize("argv", [["pds", "--recipe", "example-3.1"],

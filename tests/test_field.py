@@ -109,6 +109,88 @@ def test_cyclic_period_random_sets():
         _assert_prefix_below(d, cosets, positions)
 
 
+@pytest.mark.parametrize("positions, n, d", [
+    ([0, 5], 9, 9),                # gcd(n, |T|) = 1: d0 = n, b = |T|, no pair compared
+    ([3], 1000, 1000),
+    ([0, 3, 6, 9], 12, 3),         # d0 = 3 passes, with b = 1
+    ([0, 1, 4, 5, 8, 9, 12, 13], 16, 4),  # d0 = 2 fails, the walk finds 4
+    ([0, 1, 6, 7], 12, 6),         # d0 = 3 fails, the walk finds 6
+    ([0, 1, 2, 4], 6, 6),          # d0 = 3 fails, and so does every period below n
+    (range(10), 10, 1),            # d0 = 1
+])
+def test_cyclic_period_tries_the_least_candidate_first(positions, n, d):
+    positions = np.array(positions, dtype=np.int32)
+    assert _scanned_period(positions, n) == d
+    found, prefix = cyclic_period(positions, n)
+    assert found == d
+    _assert_prefix_below(d, prefix, positions)
+
+
+def test_cyclic_period_equals_the_scan_on_random_sets():
+    # random sets of any size, unions of the cosets of a random divisor of n,
+    # and sets whose size is prime to n (least period n)
+    rng = np.random.default_rng(48)
+    for _ in range(300):
+        n = int(rng.integers(1, 1500))
+        tile = int(rng.choice([e for e in range(1, n + 1) if n % e == 0]))
+        union = np.flatnonzero(rng.random(tile) < rng.random())
+        union = (union + tile * np.arange(n // tile)[:, None]).ravel()
+        size = int(rng.choice([k for k in range(n + 1) if np.gcd(k, n) == 1]))
+        for positions in (np.flatnonzero(rng.random(n) < rng.random()), union,
+                          np.sort(rng.choice(n, size=size, replace=False))):
+            positions = positions.astype(np.int32)
+            d, cosets = cyclic_period(positions, n)
+            assert d == _scanned_period(positions, n)
+            _assert_prefix_below(d, cosets, positions)
+
+
+@pytest.mark.parametrize("field", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)],
+                         ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_tower_stabiliser_takes_members_in_any_order(field):
+    # unions of the cosets of each divisor d of q^m - 1, given in ascending log
+    # order, reversed, shuffled and with 0: the least period and cosets by
+    # brute force; a repeat, next to its copy or apart, and a member outside
+    # [0, q^m) are refused
+    t = build_tower(FieldSpec(*field))
+    rng = np.random.default_rng(t.qm)
+    for period in (d for d in range(1, t.order + 1) if t.order % d == 0):
+        on = np.flatnonzero(rng.random(period) < 0.5)
+        members = t.exp[(on + period * np.arange(t.order // period)[:, None]).T.ravel()]
+        members = members[np.argsort(t.log[members])]  # ascending logs
+        d = reference.least_period(t, members)
+        for given_ in (members, members[::-1], rng.permutation(members),
+                       np.append(members, 0), np.insert(members, 0, 0)):
+            found, cosets = t.stabiliser(given_)
+            assert found == d
+            assert np.array_equal(cosets, reference.coset_logs(t, members, d))
+        if len(members):
+            x = int(members[len(members) // 2])
+            for repeated in (np.insert(members, len(members) // 2, x), np.append(members, x)):
+                with pytest.raises(ValueError, match=f"member {x} repeats"):
+                    t.stabiliser(repeated)
+            with pytest.raises(ValueError, match="member 0 repeats"):
+                t.stabiliser(np.concatenate([[0], members, [0]]))
+            for bad in (-1, t.qm):
+                with pytest.raises(ValueError, match=f"member {bad} lies outside"):
+                    t.stabiliser(np.append(members, bad))
+
+
+@pytest.mark.parametrize("field", [(2, 1, 8), (2, 1, 12), (2, 2, 4), (2, 2, 8)],
+                         ids=lambda f: "F_%d^(%d*%d)" % f)
+def test_binary_trace_by_popcount_equals_the_half_tables(field):
+    # for p = 2, Tr_abs(x) is the parity of x & t, t the packed Tr(X^i): on
+    # every element, as int32 or int64 keys, it equals the half tables of the
+    # images Tr(X^i) joined by XOR, and so does trace_of_exp in log order
+    t = build_tower(FieldSpec(*field))
+    xs = np.arange(t.qm)
+    joined = t.linear_map_table(t._linearized_images([1] * t.em, 2))
+    assert set(joined.tolist()) == {0, 1}
+    for keys in (xs, xs.astype(np.int32)):
+        traces = t.trace(keys)
+        assert traces.dtype == np.int8 and np.array_equal(traces, joined)
+    assert np.array_equal(t.trace_of_exp, joined[t.exp])
+
+
 def test_spec_rejects_bad_parameters():
     with pytest.raises(FieldConstructionError):
         FieldSpec(p=4, e=1, m=2)

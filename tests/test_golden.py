@@ -4,6 +4,7 @@ Each file under tests/data/golden/ is the exact stdout of the command named
 after it.  Any change to a verdict, witness, weight or key order shows here
 as a failed comparison.
 """
+import json
 from functools import cached_property
 from pathlib import Path
 
@@ -97,17 +98,37 @@ def _run_refusing_deferred_tables(monkeypatch, capsys, argv, allowed=()) -> str:
     return out
 
 
+EXPLICIT_41 = json.dumps({"explicit": {"logs": list(range(0, 6560, 41))}})
+EXPLICIT_EX31 = json.dumps({"explicit": {"logs": [i for i in range(255) if i % 5]}})
+
+
 @pytest.mark.parametrize("argv", [
     ["pds", "--recipe", "example-3.1"],
     ["pds", "--field", '{"p":3,"e":1,"m":8}', "--subset", '{"cyclotomic":{"N":41,"J":[0]}}'],
     ["pds", "--recipe", "table-2-row-3"],
-], ids=["example-3.1", "3-8-N41", "table-2-row-3"])
+    ["pds", "--field", '{"p":3,"e":1,"m":8}', "--subset", EXPLICIT_41],
+    ["pds", "--field", '{"p":2,"e":2,"m":4}', "--subset", EXPLICIT_EX31],
+], ids=["example-3.1", "3-8-N41", "table-2-row-3", "3-8-N41-explicit", "example-3.1-explicit"])
 def test_class_union_pds_builds_no_deferred_table(monkeypatch, capsys, argv):
     # the F_q-invariance check scales the classes' logs i N + j, and the
-    # spectrum reads the absolute trace in log order: no log table is built
+    # spectrum reads the absolute trace in log order: no log table is built.
+    # The same unions given as explicit logs are read off exp at their logs,
+    # whose period gives the stabiliser, so they build none either
     out = _run_refusing_deferred_tables(monkeypatch, capsys, argv)
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == out
+
+
+def test_explicit_logs_print_the_class_union_report(capsys):
+    # example-3.1 and F_{3^8}/N=41 given by their logs print the same report
+    for union, field, explicit in (
+            (["--recipe", "example-3.1"], '{"p":2,"e":2,"m":4}', EXPLICIT_EX31),
+            (["--field", '{"p":3,"e":1,"m":8}', "--subset", '{"cyclotomic":{"N":41,"J":[0]}}'],
+             '{"p":3,"e":1,"m":8}', EXPLICIT_41)):
+        assert main(["pds", *union]) == 0
+        expected = capsys.readouterr().out
+        assert main(["pds", "--field", field, "--subset", explicit]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_row3_code_pds_builds_no_deferred_table(monkeypatch, capsys):

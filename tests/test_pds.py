@@ -1,8 +1,11 @@
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdscodes import pds
 from pdscodes.charsums import full_spectrum
@@ -83,7 +86,8 @@ def test_complement_equals_set_difference(ex31, row1, f34):
     for subset in (ex31, row1, row1.complement(), quadric, explicit):
         comp = subset.complement()
         members, origin = reference.complement(subset)
-        assert np.array_equal(comp.members, members)
+        assert np.array_equal(comp.members, reference.log_ordered(subset.tower, members))
+        assert comp.members.dtype == np.int32
         assert comp.origin == origin
     assert row1.complement().origin == CyclotomicOrigin(11, tuple(range(1, 11)))
 
@@ -106,10 +110,13 @@ ORIGIN_FIELDS = [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2
 
 def _class_union(tower, N, J):
     """The union of the classes indexed by J with its origin (N, J), for any
-    N dividing q^m - 1, also where build_cyclotomic_subset asks for more."""
+    N dividing q^m - 1, also where build_cyclotomic_subset asks for more; its
+    members are the classes' elements, in log order."""
+    subset = pds._class_union(tower, N, tuple(sorted(J)))
     classes = cyclotomic_classes(tower, N)
     members = np.concatenate([classes[j] for j in J])
-    return FieldSubset(tower, members, CyclotomicOrigin(N, tuple(sorted(J))))
+    assert np.array_equal(subset.members, reference.log_ordered(tower, members))
+    return subset
 
 
 @pytest.mark.parametrize("field", ORIGIN_FIELDS, ids=lambda f: "F_%d^(%d*%d)" % f)
@@ -245,19 +252,20 @@ def test_asymmetric_set_rejected(f35):
 
 
 def test_asymmetry_witness_is_the_least():
-    # a symmetric explicit set plus elements above its least member whose
-    # negatives stay outside, so the witness is not the first member
+    # a symmetric set of logs, L and L + (q^m - 1)/2, plus logs below
+    # (q^m - 1)/2 off it, whose negatives stay outside: the subset holds its
+    # members in log order, and the asymmetric member of least log is not
+    # the least asymmetric member, which is the witness
     f38 = build_tower(FieldSpec(p=3, e=1, m=8))
     rng = np.random.default_rng(38)
     half = f38.order // 2
     logs = rng.choice(f38.order, size=40, replace=False)
-    symmetric = FieldSubset.from_logs(f38, np.concatenate([logs, logs + half]))
-    outside = np.setdiff1d(f38.exp.astype(np.int64), symmetric.members)
-    outside = outside[outside > symmetric.members[0]]
-    subset = FieldSubset(f38, np.concatenate(
-        [symmetric.members, rng.choice(outside, size=5, replace=False)]))
+    symmetric = np.union1d(logs % half, logs % half + half)
+    extra = rng.choice(np.setdiff1d(np.arange(half), symmetric), size=5, replace=False)
+    subset = FieldSubset.from_logs(f38, np.concatenate([symmetric, extra]).tolist())
     expected = reference.asymmetry_witness(subset)
-    assert expected != subset.members[0]
+    assert expected == int(f38.exp[extra].min())
+    assert expected != int(f38.exp[extra.min()])  # the first asymmetric member in log order
     with pytest.raises(PdsVerificationError, match="symmetric") as err:
         verify_pds_spectral(subset)
     assert err.value.witness == expected
@@ -611,7 +619,7 @@ def test_empty_and_full_subsets_are_refused(f34):
 def test_field_subset_input_validation(f34):
     members = [int(f34.exp[i]) for i in (7, 3, 3, 40, 0, 7)]
     subset = FieldSubset(f34, members)
-    assert subset.members.tolist() == sorted(set(members))
+    assert subset.members.tolist() == [int(f34.exp[i]) for i in (0, 3, 7, 40)]
     assert subset.members.dtype == np.int32
     assert np.flatnonzero(subset.indicator).tolist() == sorted(set(members))
     assert len(FieldSubset(f34, [])) == 0
@@ -622,16 +630,19 @@ def test_field_subset_input_validation(f34):
     with pytest.raises(ValueError, match="out of field range"):
         FieldSubset(f34, [5, f34.qm])
 
-    # any array of elements gives the members the indicator route gives
+    # any array of elements gives the members the indicator route gives, in
+    # log order, and leaves the caller's array as it was
     rng = np.random.default_rng(34)
     drawn = rng.integers(1, f34.qm, size=60)  # unsorted, with repeats
     for members in (drawn.tolist(), drawn.astype(np.int32), drawn.astype(np.int64),
                     drawn.reshape(6, 10), []):
+        before = np.array(members, copy=True)
         subset = FieldSubset(f34, members)
         expected = reference.indicator_members(f34, members)
         assert subset.members.dtype == np.int32
-        assert np.array_equal(subset.members, expected)
+        assert np.array_equal(subset.members, reference.log_ordered(f34, expected))
         assert np.array_equal(np.flatnonzero(subset.indicator), expected)
+        assert np.array_equal(np.asarray(members), before)
     # range-checked before the int32 cast, where 2^32 + 5 would wrap to 5
     for members in ([5, 2 ** 32 + 5], np.array([5, 2 ** 32 + 5]), np.array([2 ** 31 + 5])):
         with pytest.raises(ValueError, match="out of field range"):
@@ -667,7 +678,8 @@ def test_logs_and_fq_invariance_equal_the_element_routes(f35, f44, f92):
         tower = subset.tower
         logs = subset.logs
         assert logs.dtype == np.int32 and not logs.flags.writeable
-        assert np.array_equal(logs, np.sort(tower.log[subset.members]))
+        assert np.array_equal(logs, tower.log[subset.members])
+        assert (np.diff(logs) > 0).all()
         invariant = is_fq_invariant(subset)
         assert invariant == reference.is_invariant_under_subfield(tower, subset.members)
         seen.add((isinstance(subset.origin, CyclotomicOrigin), invariant))
@@ -691,7 +703,9 @@ def test_quadric_members_equal_reference(field):
     for kind, gram in (("hyperbolic", None), ("elliptic", None), (None, explicit)):
         subset, _ = quadric_subset(tower, kind=kind, gram=gram)
         labels = reference.quadric_labels(tower, gram or pds.default_gram(tower, kind))
-        assert np.array_equal(subset.members, np.flatnonzero(labels == 0)[1:])
+        assert np.array_equal(subset.members,
+                              reference.log_ordered(tower, np.flatnonzero(labels == 0)[1:]))
+        assert subset.members.dtype == np.int32
         xs = np.arange(tower.qm).reshape(tower.p, -1)  # any shape of elements
         assert np.array_equal(pds.quadric_values(tower, subset.origin.gram, xs),
                               labels.reshape(xs.shape))
@@ -714,3 +728,56 @@ def test_quadric_build_grows_with_the_field():
             tracemalloc.stop()
     assert peaks[1] <= 50.4e6 / 5
     assert peaks[1] <= 4 * peaks[0]  # no faster than q^m
+
+
+@lru_cache(maxsize=None)
+def _tower(p, e, m):
+    return build_tower(FieldSpec(p=p, e=e, m=m))
+
+
+# (p, e, m): fields the constructors are drawn on; the first three have quadrics
+LOG_ORDER_FIELDS = [(3, 1, 4), (2, 1, 6), (2, 2, 4), (5, 1, 3), (2, 1, 9)]
+
+
+@st.composite
+def constructed(draw):
+    """(subset, the set of its members by a reference route) for a subset drawn
+    from every constructor: a class union or its complement, from_logs (any
+    integers, repeats) or its complement, shuffled elements with repeats, and a
+    quadric of either kind."""
+    kind = draw(st.sampled_from(["union", "logs", "elements", "quadric"]))
+    tower = _tower(*draw(st.sampled_from(LOG_ORDER_FIELDS[: 3 if kind == "quadric" else None])))
+    logs = np.arange(tower.order)
+    if kind == "quadric":
+        quadric = draw(st.sampled_from(["hyperbolic", "elliptic"]))
+        labels = reference.quadric_labels(tower, pds.default_gram(tower, quadric))
+        zeros = set(np.flatnonzero(labels == 0)[1:].tolist())
+        return quadric_subset(tower, kind=quadric)[0], zeros
+    if kind == "union":
+        half = tower.order // 2 if tower.q % 2 else tower.order  # odd q: N | (q^m - 1)/2
+        N = draw(st.sampled_from([n for n in range(2, half + 1) if half % n == 0]))
+        J = draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=N - 1))
+        subset, on = build_cyclotomic_subset(tower, N, sorted(J)), np.isin(logs % N, list(J))
+    elif kind == "logs":
+        drawn = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=60))
+        subset = FieldSubset.from_logs(tower, drawn)
+        on = np.isin(logs, [x % tower.order for x in drawn])
+    else:
+        drawn = draw(st.lists(st.integers(1, tower.qm - 1), min_size=1, max_size=60))
+        drawn = draw(st.permutations(drawn + drawn[: len(drawn) // 2]))  # repeats, shuffled
+        return FieldSubset(tower, drawn), set(drawn)
+    if draw(st.booleans()):
+        subset, on = subset.complement(), ~on
+    return subset, set(tower.exp[on].tolist())
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(constructed())
+def test_every_constructor_holds_members_in_log_order(case):
+    # int32 members, their logs strictly ascending, the reference set
+    subset, expected = case
+    tower = subset.tower
+    assert subset.members.dtype == np.int32
+    assert (np.diff(tower.log[subset.members]) > 0).all()
+    assert set(subset.members.tolist()) == expected
+    assert np.array_equal(subset.logs, tower.log[subset.members])

@@ -56,14 +56,16 @@ def _frobenius_union(tower, rng):
 
 def _elimination_sets(code):
     """How many SNC words (y, z), z = gamma^j, j < d, have a generator set
-    T = (D_{y,z} - x_0) ∪ D̄_z below the count bound q^(m-2), and how many in all."""
+    T = (D_{y,z} - x_0) ∪ D̄_z below the count bound q^(m-2), and how many in
+    all; x_0 is the member of D_{y,z} of least log, as the library takes it."""
     tower = code.tower
     below = total = 0
     for z in tower.exp[: code.subset.stabiliser_period].tolist():
         dbar = set(reference.complement_kernel_slice(code.subset, z).tolist())
         for y in range(tower.q):
             dyz = slice_members(code.subset, y, z)
-            diffs = set(tower.add_sets(dyz, tower.neg(int(dyz[0]))).tolist()) if len(dyz) else set()
+            x0 = int(dyz[np.argmin(tower.log[dyz])]) if len(dyz) else 0
+            diffs = set(tower.add_sets(dyz, tower.neg(x0)).tolist()) if len(dyz) else set()
             below += len((diffs | dbar) - {0}) < tower.q ** (tower.m - 2)
             total += 1
     return below, total
@@ -117,10 +119,10 @@ def test_f28_random_unions_take_both_branches(seed):
 
 
 def test_snc_elimination_branch():
-    # the complement of the F_2^8 elliptic quadric has one SNC word whose
-    # generator set is below the count bound
+    # the complement of the F_2^8 elliptic quadric has two SNC words whose
+    # generator sets are below the count bound
     code = SubsetCode(quadric_subset(_tower(2, 1, 8), kind="elliptic")[0].complement())
-    assert _elimination_sets(code) == (1, 510)
+    assert _elimination_sets(code) == (2, 510)
     assert_rank_equals_references(code)
 
 
