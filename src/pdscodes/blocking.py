@@ -79,7 +79,7 @@ def _first_nested_pair(subset: FieldSubset, short: np.ndarray) -> tuple[int, int
     for part in blocks(len(short_js), tower.em * step):
         ann = (tower.trace_labels(bases[part, :, None], directions) == 0).all(axis=1)
         ann[np.arange(len(ann)), short_js[part]] = False
-        i, ls = np.nonzero(ann)
+        i, ls = np.divmod(np.flatnonzero(ann), ann.shape[1])
         pairs.append((part.start + i, ls))
     i, ls = (np.concatenate(part) for part in zip(*pairs))
     outer = ls % len(short)
@@ -117,7 +117,8 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     # the least hyperplane js of each merged orbit, and the orbit of each j < orbits
     js, heads = engine.picks(0)
     _check_budget(cost + len(js) * len(subset), bound)
-    orbit_sizes = np.concatenate([np.count_nonzero(on, axis=1) for _, on in _sections(subset, js)])
+    orbit_sizes = np.concatenate([on.view(np.uint8).sum(axis=1, dtype=np.int32)
+                                  for _, on in _sections(subset, js)])
     sizes = orbit_sizes[heads]
 
     blocking = bool(np.all(sizes > 0))

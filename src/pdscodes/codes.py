@@ -2,7 +2,8 @@
 
 Codewords are indexed by (u, v) in F_q x F_{q^m}; the word evaluates
 u*f(x) + Tr(v x) over the nonzero field elements in ascending discrete-log
-order, f being the subset's characteristic function.  Weights come from
+order, f being the subset's characteristic function, which
+`FieldSubset.log_indicator` holds in that order.  Weights come from
 counting trace values directly (no character theory), so the weight
 columns double as an independent oracle for everything the spectral closed
 forms predict.
@@ -253,8 +254,7 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
         return None
     basis = 2 ** np.arange(tower.m)
     a = int(np.argmax(tower.trace_coords == basis @ subset.indicator[basis]))
-    f = subset.indicator[tower.exp]
-    return a if np.array_equal(tower.trace_labels(a, tower.exp), f) else None
+    return a if np.array_equal(tower.trace_labels(a, tower.exp), subset.log_indicator) else None
 
 
 # -- the orbits of the words ----------------------------------------------------
@@ -493,15 +493,15 @@ class SubsetCode:
         if cost > DEFAULT_ENUM_BUDGET:
             raise GuardExceeded(f"weight count cost {cost} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         on_subset = 2 * k <= order
-        logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.indicator[tower.exp])
+        logs = self.subset.logs if on_subset else np.flatnonzero(~self.subset.log_indicator)
         js, at = self.orbits.picks(1)
         minus_one = 1 + (tower.q - 1) // 2 if tower.q % 2 else 1  # -1 = gamma^(order/2)
         diff = np.zeros(len(js), dtype=np.int64)  # c[0] - c[-1] of each j counted
         for rows in blocks(len(js), len(logs)):
             for part in blocks(len(logs), rows.stop - rows.start):
                 values = tower.shifted_labels(js[rows], logs[part])
-                diff[rows] += np.count_nonzero(values == 0, axis=1)
-                diff[rows] -= np.count_nonzero(values == minus_one, axis=1)
+                diff[rows] += (values == 0).view(np.uint8).sum(axis=1, dtype=np.int32)
+                diff[rows] -= (values == minus_one).view(np.uint8).sum(axis=1, dtype=np.int32)
         base = order - tower.qm // tower.q + 1
         ones = base + (diff if on_subset else -1 - diff)[at]  # (1, gamma^j), j < d
         table = np.full((tower.q, d), base, dtype=np.int64)
@@ -579,8 +579,7 @@ class SubsetCode:
         cycle equals row u of zero_at."""
         cycle = self.tower.label_cycle()
         _, _, neg_q = self.tower.subfield_tables()
-        mem = self.subset.indicator[self.tower.exp]
-        return cycle, np.where(mem, neg_q.astype(cycle.dtype)[:, None], 0)
+        return cycle, np.where(self.subset.log_indicator, neg_q.astype(cycle.dtype)[:, None], 0)
 
     def _support_columns(self, us, logs, start: int, stop: int) -> np.ndarray:
         """uint64 columns start..stop-1 of the packed supports of the words
@@ -721,7 +720,7 @@ class SubsetCode:
             outside = coordinates & ~self._support_columns(rep_us[part], rep_logs[part], 0, width)
             inside = (head & outside[:, :1]) == 0
             inside[np.arange(len(outside))[:, None], self._dependents[part]] = False
-            rows, cols = np.nonzero(inside)  # the pairs still inside
+            rows, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])  # pairs still inside
             if not len(rows):
                 return inside
             # the last column on which each representative vanishes somewhere
@@ -857,7 +856,7 @@ class SubsetCode:
         tower = self.tower
         xs = tower.exp
         half = int(tower.log[tower.neg(1)])
-        on = self.subset.indicator[xs]
+        on = self.subset.log_indicator
         windows, zero_at = self._value_tables
         reached = np.empty(len(vs), dtype=bool)
         for part in blocks(len(vs), tower.order):
@@ -871,7 +870,7 @@ class SubsetCode:
             rest = np.flatnonzero(ok & ~counted_rank(tower, count, inner))
             if len(rest):  # D̄_v, and the differences x - x_0 not in it: those in D
                 ones, keep = ones[rest], keep[rest]
-                row, col = np.nonzero(ones)
+                row, col = np.divmod(np.flatnonzero(ones), ones.shape[1])
                 diffs = tower.add_sets(xs[col], xs[(ones.argmax(axis=1) + half) % tower.order][row])
                 keep[row, col] = in_d = self.subset.indicator[diffs]
                 gens = np.where(keep, xs, 0)

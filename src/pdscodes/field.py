@@ -733,21 +733,27 @@ def cyclic_period(positions, n: int) -> tuple[int, np.ndarray]:
     A period d makes T the n / d shifts of I, so n / d divides |T| and d is
     at least d0 = n / gcd(n, |T|), tested first.  s is a period exactly when
     the b = |T| s / n positions below it, shifted by multiples of s, make up
-    T: T[b:] - T[:-b] = s everywhere, which gives T[b - 1] = T[-1] - (n/s -
-    1) s < s.  Failing d0, the periods are the multiples of d dividing n, so
-    d is n divided by each prime ell while the quotient s = d / ell is still
-    a period, the next test reading the b = |T| / ell positions below s alone.
+    T: T[b:] - T[:-b] = s everywhere (compared BLOCK pairs at a time, up to
+    the first mismatch), so T[b - 1] = T[-1] - (n/s - 1) s < s.  Failing d0,
+    the periods are the multiples of d dividing n, so d is n divided by each
+    prime ell while the quotient s = d / ell is still a period, the next
+    test reading the b = |T| / ell positions below s alone.
     """
     T = np.asarray(positions, dtype=np.int32)
+
+    def shifts(b: int, s: int) -> bool:  # b = |T| (d = n) and b = 0 compare no pairs
+        return all((T[b + part.start:b + part.stop] - T[part] == s).all()
+                   for part in blocks(len(T) - b))
+
     d = n // gcd(n, len(T))
     b = len(T) * d // n
-    if (T[b:] - T[:-b] == d).all():  # b = |T| (d = n) and b = 0 compare no pairs
+    if shifts(b, d):
         return d, T[:b]
     d = n
     for ell in prime_factors(n):
         while d % ell == 0:
             b, rest = divmod(len(T), ell)
-            if rest or b and (T[b:] - T[:-b] != d // ell).any():
+            if rest or not shifts(b, d // ell):
                 break
             T, d = T[:b], d // ell
     return d, T
@@ -780,7 +786,7 @@ def rank_reaches(tower: FieldTower, elems, target, count=None):
     target = np.broadcast_to(np.asarray(target, dtype=np.int64), (len(sets),))
     goal = tower.e * target
     if count is None:
-        count = np.count_nonzero(sets, axis=1)
+        count = (sets != 0).view(np.uint8).sum(axis=1, dtype=np.int32)
     reached = counted_rank(tower, count, target)
     basis = np.zeros((len(sets), tower.em), dtype=np.int32)
     left = np.flatnonzero(~reached)
@@ -832,7 +838,7 @@ def _packed_pivots(tower: FieldTower, sets: np.ndarray, count: np.ndarray, goal:
                             exp[((log[pivot] - log[lead])[:, None] + logk) % tower.order], 0)
             pivots[sub, c] = mult[:, 1]
             vecs = tower._add_vec(vecs, mult[rows[:, None], -digit])  # column -t clears digit t
-        reached[sub] = np.count_nonzero(pivots[sub], axis=1) >= goal[sub]
+        reached[sub] = (pivots[sub] != 0).view(np.uint8).sum(axis=1, dtype=np.int32) >= goal[sub]
     return reached, pivots
 
 

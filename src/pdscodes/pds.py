@@ -4,8 +4,10 @@ A subset is carried as its int32 members in ascending log order plus its
 origin: the (N, J) of a union of cyclotomic classes, whose members are read
 off exp with no sort, the Gram matrix of a quadratic form whose nonzero
 zeros it is, or none (explicit logs or elements).  Every subset but a class
-union is built from its logs and keeps them.  Its q^m-entry indicator
-bitset is built only when something reads it.  A quadric's zeros are
+union is built from its logs and keeps them.  Its characteristic function
+in log order (`log_indicator`, the codes' coordinates) is scattered from
+its logs, and its q^m-entry indicator, for lookups of arbitrary elements,
+from its members, each when first read.  A quadric's zeros are
 collected a block of elements at a time, from each element's
 F_q-coordinates (its base-p digits for e = 1, the traces against the dual
 basis for e > 1), so that the build holds no array of q^m entries beside
@@ -70,12 +72,12 @@ class QuadricOrigin:
 class FieldSubset:
     """A subset of F_{q^m}^*: its members in int32 (q^m <= MAX_FIELD_SIZE =
     2^26), without repeats and in ascending log order, the order of the
-    codes' coordinates, and an indicator built on first read; origin is a
-    CyclotomicOrigin, a QuadricOrigin or None.  A class union's members are
-    read off exp at i N + j, j in J, with no sort and no log table; any
-    other subset is built from its logs (`logs`), taken from the elements
-    once, sorted only when they do not already strictly ascend and
-    compressed only when a repeat turns up (`distinct`)."""
+    codes' coordinates, and indicators by element and by log built on first
+    read; origin is a CyclotomicOrigin, a QuadricOrigin or None.  A class
+    union's members are read off exp at i N + j, j in J, with no sort and
+    no log table; any other subset is built from its logs (`logs`), taken
+    from the elements once, sorted only when they do not already strictly
+    ascend and compressed only when a repeat turns up (`distinct`)."""
 
     def __init__(self, tower: FieldTower, members: np.ndarray):
         """The subset of any array of elements, in any order, repeats allowed,
@@ -111,6 +113,18 @@ class FieldSubset:
         for part in blocks(len(self)):  # numpy scatters int32 keys on a slow path
             indicator[self.members[part].astype(np.intp)] = True
         return indicator
+
+    @cached_property
+    def log_indicator(self) -> np.ndarray:
+        """f(gamma^i) at index i < q^m - 1, f the characteristic function of D:
+        the subset in the codes' coordinate order, read-only, built on first
+        read by scattering `logs` as `indicator` scatters the members (a class
+        union's logs come from (N, J), so it reads no log, exp or indicator)."""
+        on = np.zeros(self.tower.order, dtype=bool)
+        for part in blocks(len(self)):
+            on[self.logs[part].astype(np.intp)] = True
+        on.flags.writeable = False
+        return on
 
     def __len__(self):
         return int(len(self.members))
@@ -149,14 +163,14 @@ class FieldSubset:
 
     def complement(self) -> "FieldSubset":
         """F_{q^m}^* minus D: for a class union (N, J) the union of the
-        classes Z_N minus J, with no q^m-entry scan; else the logs off the
-        indicator read in log order."""
+        classes Z_N minus J, with no q^m-entry scan; else the logs off
+        `log_indicator`."""
         if isinstance(self.origin, CyclotomicOrigin):
             N = self.origin.N
             rest = tuple(sorted(set(range(N)) - set(self.origin.J)))
             if rest:
                 return _class_union(self.tower, N, rest)
-        off = np.flatnonzero(~self.indicator[self.tower.exp]).astype(np.int32)
+        off = np.flatnonzero(~self.log_indicator).astype(np.int32)
         return FieldSubset._of_logs(self.tower, off)
 
     def is_symmetric(self) -> bool:
@@ -388,8 +402,9 @@ def verify_pds_spectral(
     if not subset.is_proper():
         raise PdsVerificationError("connection set must be nonempty and proper")
     if not subset.is_symmetric():
-        members, tower = subset.members, subset.tower
-        bad = members[~subset.indicator[tower.mul_vec(tower.neg(1), members)]]
+        # odd q alone leaves D asymmetric, and there -1 = gamma^((q^m - 1)/2)
+        order = subset.tower.order
+        bad = subset.members[~subset.log_indicator[(subset.logs + order // 2) % order]]
         raise PdsVerificationError("set is not symmetric (-D != D)", witness=int(bad.min()))
     if spectrum is None:
         spectrum = subset.spectrum()
@@ -420,7 +435,7 @@ def verify_pds_direct(subset: FieldSubset) -> tuple[int, int]:
     counts = np.zeros(len(gs), dtype=np.int64)
     for part in blocks(len(gs), len(subset)):
         shifted = tower.add_sets(gs[part, None], subset.members[None, :])
-        counts[part] = np.count_nonzero(subset.indicator[shifted], axis=1)
+        counts[part] = subset.indicator[shifted].view(np.uint8).sum(axis=1, dtype=np.int32)
         # a side's first count lies in this pass or an earlier one
         bad = np.flatnonzero(counts[part] != counts[first[on[part]]])
         if len(bad):

@@ -128,7 +128,7 @@ def tables_induce_code_automorphism(subset: FieldSubset, g_img: np.ndarray, dual
     gx = g_img[..., tower.exp]  # coordinate x picks up the value at g(x)
     if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
-    fixes_subset = (subset.indicator[gx] == subset.indicator[tower.exp]).all(axis=-1)  # (A)
+    fixes_subset = (subset.indicator[gx] == subset.log_indicator).all(axis=-1)  # (A)
     if enforce_preservation and not fixes_subset.all():
         raise ValueError("g does not preserve the subset; induced action undefined")
     basis = tower.p ** np.arange(tower.em, dtype=np.int64)
@@ -161,7 +161,7 @@ def quadric_reflections(subset: FieldSubset, count: int) -> Iterator[tuple[np.nd
     basis = p ** np.arange(em, dtype=np.int64)
     hits = np.flatnonzero(np.isin(tower.trace_coords, basis))
     dual_basis = hits[np.argsort(tower.trace_coords[hits])][:, None] // basis % p
-    a = tower.exp[np.flatnonzero(~subset.indicator[tower.exp])[:count]].astype(np.int64)
+    a = tower.exp[np.flatnonzero(~subset.log_indicator)[:count]].astype(np.int64)
     # Q at a + X^i, at X^i and at a, one row per a
     values = quadric_values(tower, gram, np.concatenate(
         [tower.add_sets(a[:, None], basis), np.broadcast_to(basis, (len(a), em)), a[:, None]],

@@ -785,3 +785,21 @@ def test_logs_gather_one_block_of_keys_at_a_time():
     assert np.array_equal(logs, np.sort(want))
     assert peak <= logs.nbytes + 8 * BLOCK + 2 ** 16
     assert tower.stabiliser(members[::-1])[0] == subset.stabiliser_period
+
+
+def test_cyclic_period_compares_one_block_at_a_time():
+    # int32 differences and their compare, BLOCK pairs at a time, where one
+    # full-length difference and compare peaked at 2.6 MB beside the 2.0 MB
+    # of logs of the F_{2^20} elliptic quadric (d0 fails at its first pair),
+    # and at 1.7 MB on the class union of N = 3 (every pair compared)
+    tower = build_tower(FieldSpec(p=2, e=1, m=20))
+    subset = quadric_subset(tower, kind="elliptic")[0]
+    union = np.arange(0, tower.order, 3, dtype=np.int32)
+    for logs, period in ((subset.logs, subset.stabiliser_period), (union, 3)):
+        (d, cosets), peak = _traced_peak(lambda: cyclic_period(logs, tower.order))
+        assert d == period and np.array_equal(cosets, logs[: len(logs) * d // tower.order])
+        assert peak <= 5 * BLOCK + 2 ** 16
+    # the stabiliser of the raw members holds their logs and the ascent test
+    (d, _), peak = _traced_peak(lambda: tower.stabiliser(subset.members))
+    assert d == subset.stabiliser_period
+    assert peak <= subset.logs.nbytes + len(subset) + 8 * BLOCK + 2 ** 16

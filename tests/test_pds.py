@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdscodes import pds
 from pdscodes.charsums import full_spectrum
-from pdscodes.field import FieldSpec, build_tower, rank_reaches
+from pdscodes.field import FieldSpec, FieldTower, build_tower, rank_reaches
 from pdscodes.pds import (
     CyclotomicOrigin,
     FieldSubset,
@@ -781,3 +781,27 @@ def test_every_constructor_holds_members_in_log_order(case):
     assert (np.diff(tower.log[subset.members]) > 0).all()
     assert set(subset.members.tolist()) == expected
     assert np.array_equal(subset.logs, tower.log[subset.members])
+    # f in log order, the codes' coordinates: the indicator read at exp
+    assert not subset.log_indicator.flags.writeable
+    assert np.array_equal(subset.log_indicator, subset.indicator[tower.exp])
+
+
+@pytest.mark.parametrize("p, e, m, N, J", [
+    (3, 1, 4, 8, (0, 3)), (2, 2, 4, 5, (1, 2, 3, 4)), (2, 1, 9, 7, (0,)), (5, 1, 3, 62, (1, 40))])
+def test_class_union_log_indicator_reads_no_element_table(monkeypatch, p, e, m, N, J):
+    # a class union and its complement hold the logs i N + j: their
+    # log_indicator is scattered from those with exp, log and the element
+    # indicator refusing every read
+    tower = _tower(p, e, m)
+    union = build_cyclotomic_subset(tower, N, J)
+    on = np.isin(np.arange(tower.order) % N, J)
+    cases = ((union, on), (union.complement(), ~on))
+
+    def refuse(self):
+        raise AssertionError("an element-order table was read")
+
+    with monkeypatch.context() as patched:
+        for owner, name in ((FieldTower, "exp"), (FieldTower, "log"), (FieldSubset, "indicator")):
+            patched.setattr(owner, name, property(refuse), raising=False)
+        for subset, want in cases:
+            assert np.array_equal(subset.log_indicator, want)

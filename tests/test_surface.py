@@ -14,7 +14,8 @@ UPPERCASE constant that src/ and perfbench/ never read is a cap or guard
 that nothing enforces any more.  No module imports a `_`-prefixed name
 from a sibling: what another module needs is public in its home module.
 The sibling imports sit at module level and form the layers of LAYERS,
-with no cycle.
+with no cycle.  No code calls `nonzero`, or `count_nonzero` with an axis,
+which walk a 2-D array one entry at a time.
 """
 import ast
 import importlib
@@ -280,6 +281,28 @@ def test_no_module_imports_a_private_name_of_a_sibling():
         for alias in node.names if alias.name.startswith("_")
     )
     assert private == []
+
+
+def _entrywise_walks(tree):
+    """The lines that call nonzero, or count_nonzero with an axis."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        by_axis = len(node.args) > 1 or any(k.arg == "axis" for k in node.keywords)
+        if name == "nonzero" or name == "count_nonzero" and by_axis:
+            yield node.lineno
+
+
+def test_no_entrywise_walk_of_a_2d_mask():
+    # numpy 2.4 walks a 2-D mask one entry at a time in nonzero and in
+    # count_nonzero along an axis, several times slower than
+    # np.divmod(np.flatnonzero(mask), width), the same pairs in the same
+    # order, and the int32 row sums of mask.view(np.uint8)
+    walks = sorted(f"{path.stem}:{line}" for path in LIBRARY
+                   for line in _entrywise_walks(ast.parse(path.read_text())))
+    assert walks == []
 
 
 def _none_sentinels(tree):
