@@ -70,8 +70,7 @@ def _first_nested_pair(subset: FieldSubset, short: np.ndarray) -> tuple[int, int
     first of them has outer l mod orbits.
     """
     tower, short_js = subset.tower, np.flatnonzero(short)
-    elems = tower.exp[subset.logs]
-    bases = np.concatenate([rank_reaches(tower, np.where(on, elems, 0), tower.m - 1)[1]
+    bases = np.concatenate([rank_reaches(tower, np.where(on, subset.members, 0), tower.m - 1)[1]
                             for _, on in _sections(subset, short_js)])
     step = tower.subfield_step
     directions = tower.exp[:step]
@@ -135,9 +134,8 @@ def is_cutting_vectorial_blocking(subset: FieldSubset) -> BlockingReport:
     if cutting:
         spans = counted_rank(tower, orbit_sizes, tower.m - 1)
         small = np.flatnonzero(~spans)
-        elems = tower.exp[subset.logs]
         for part, on in _sections(subset, js[small]):
-            spans[small[part]] = rank_reaches(tower, np.where(on, elems, 0), tower.m - 1,
+            spans[small[part]] = rank_reaches(tower, np.where(on, subset.members, 0), tower.m - 1,
                                               orbit_sizes[small[part]])[0]
         if not spans.all():
             if bound > DEFAULT_ENUM_BUDGET:

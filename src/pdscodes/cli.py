@@ -238,8 +238,8 @@ def cmd_sss(args) -> int:
         x1 = int(tower.exp[args.x1_log % tower.order])
     elif args.x1 == "in-D":
         x1 = int(subset.members.min())
-    elif args.x1 == "in-Dbar":
-        x1 = int(subset.complement().members.min())
+    elif args.x1 == "in-Dbar":  # the least nonzero non-member
+        x1 = 1 + int(subset.indicator[1:].argmin())
     else:
         raise ConfigError("give --x1-log N or --x1 in-D|in-Dbar")
     # trust minimality unless SNC can run and disproves it; its rank flags

@@ -8,10 +8,10 @@ counting trace values directly (no character theory), so the weight
 columns double as an independent oracle for everything the spectral closed
 forms predict.
 
-`SubsetCode.word_labels` is the batch route to coordinate values: dense
-F_q labels read through the tower's trace-label table
-(`FieldTower.trace_labels`).  The tests hold it against words computed on
-field elements (multiply, trace, add).
+A word's values have one route, the code's value tables
+(`SubsetCode._value_tables`: the tower's label cycle against the labels of
+-u f(x)); the tests hold every word's zeros against words computed on field
+elements (multiply, trace, add).
 
 The dimension is m + 1 unless f is a trace form Tr(a x), which only q = 2
 and |D| = q^m / 2 allow; `characteristic_trace_form` reads that one
@@ -63,12 +63,12 @@ a scan over one projective word after another.  The words dependent on
 each member, which neither test may flag, are listed once per code.
 
 A code builds each of its tables once and holds it while it lives: the
-value tables (`_value_tables`: the tower's label cycle and the labels of
--u f(x)) that `supports()`, cover and SNC read, the weight table, the
-packed supports, the kernel words, the words dependent on each
-representative and the rank flags.  The orbit engine is built once per
-subset and shared by its codes and `blocking`; its `picks` give the least
-direction of each merged orbit, to the weight count and the cutting test.
+value tables that `supports()`, cover, SNC and the generator matrix read,
+the weight table, the packed supports, the kernel words, the words
+dependent on each representative and the rank flags.  The orbit engine is
+built once per subset and shared by its codes and `blocking`; its `picks`
+give the least direction of each merged orbit, to the weight count and the
+cutting test.
 """
 from __future__ import annotations
 
@@ -223,18 +223,6 @@ def weight_class(cert: PdsCertificate, q: int, m: int) -> str:
     return "three" if cert.k in (base, base + cert.theta1, base + cert.theta2) else "four"
 
 
-# -- trace slices of the subset ------------------------------------------------
-
-
-def slice_members(subset: FieldSubset, y_label: int, z: int) -> np.ndarray:
-    """{x in D : Tr(x z) = -y}, y given as a dense F_q label, z nonzero."""
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    tower = subset.tower
-    _, _, neg_q = tower.subfield_tables()
-    return subset.members[tower.trace_labels(z, subset.members) == neg_q[y_label]]
-
-
 # -- the code ------------------------------------------------------------------
 
 
@@ -245,16 +233,18 @@ def characteristic_trace_form(subset: FieldSubset) -> int | None:
     A nonzero F_q-linear form takes all q values and f only 0 and 1, so only
     q = 2 leaves a candidate, and there only when |D| = q^m / 2, the size of
     the set where a nonzero form is 1.  Then trace_coords[a] packs the bits
-    Tr(a X^i), so the one a whose trace_coords packs the bits f(X^i), X^i
-    the packed element 2^i, is the only candidate; it is the answer if it
-    matches f on every nonzero x.
+    Tr(a X^i), so the one a whose trace_coords packs the bits f(X^i), X^i =
+    gamma^i, is the only candidate; it is the answer if f matches its labels
+    Tr(a gamma^i) = Tr(gamma^(log a + i)), the log-order labels rotated by
+    log a, its place in exp (a = 0, read at place 0, fails at some i < m).
     """
     tower = subset.tower
     if tower.q > 2 or 2 * len(subset) != tower.qm:
         return None
-    basis = 2 ** np.arange(tower.m)
-    a = int(np.argmax(tower.trace_coords == basis @ subset.indicator[basis]))
-    return a if np.array_equal(tower.trace_labels(a, tower.exp), subset.log_indicator) else None
+    f = subset.log_indicator
+    a = int(np.argmax(tower.trace_coords == 2 ** np.arange(tower.m) @ f[: tower.m]))
+    labels = np.roll(tower.trace_label_of_exp, -int(np.argmax(tower.exp == a)))
+    return a if np.array_equal(labels, f) else None
 
 
 # -- the orbits of the words ----------------------------------------------------
@@ -454,12 +444,6 @@ class SubsetCode:
     def word_of_index(self, w: int) -> tuple[int, int]:
         return w // self.tower.qm, w % self.tower.qm
 
-    def word_labels(self, u_label, v, x) -> np.ndarray:
-        """Dense F_q labels of u f(x) + Tr(v x), broadcasting u, v and x; zeros allowed."""
-        add_q = self.tower.subfield_tables()[0]
-        u_f = np.where(self.subset.indicator[x], u_label, 0)
-        return add_q[u_f, self.tower.trace_labels(v, x)]
-
     def weight_table(self) -> np.ndarray:
         """Hamming weights as (q, d) class columns, by direct counting (cached).
 
@@ -526,11 +510,9 @@ class SubsetCode:
         return self.tower.m + 2 - len(self.kernel_words())
 
     def generator_matrix_text(self) -> str:
-        """The generator matrix rows as dense F_q labels, space-separated."""
-        m, exp = self.tower.m, self.tower.exp
-        us = np.array([1] + [0] * m)
-        vs = np.concatenate([[0], exp[:m]])
-        rows = self.word_labels(us[:, None], vs[:, None], exp)
+        """The generator matrix rows as dense F_q labels, space-separated: f,
+        the word (1, 0), then the words (0, gamma^i), i < m, off the label cycle."""
+        rows = np.vstack([self.subset.log_indicator, self._value_tables[0][: self.tower.m]])
         return "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
 
     # -- weight distribution ----------------------------------------------
@@ -574,9 +556,9 @@ class SubsetCode:
     def _value_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(cycle, zero_at): the tower's `label_cycle`, row s the labels of
         Tr(gamma^(s + i)) at column i, and zero_at[u, i] the label of
-        -u f(gamma^i), built once per code for `supports()`, cover and SNC.
-        The word (u, gamma^s) vanishes at gamma^i exactly where row s of
-        cycle equals row u of zero_at."""
+        -u f(gamma^i), built once per code for `supports()`, cover, SNC and
+        the generator matrix.  The word (u, gamma^s) vanishes at gamma^i
+        exactly where row s of cycle equals row u of zero_at."""
         cycle = self.tower.label_cycle()
         _, _, neg_q = self.tower.subfield_tables()
         return cycle, np.where(self.subset.log_indicator, neg_q.astype(cycle.dtype)[:, None], 0)
@@ -793,13 +775,13 @@ class SubsetCode:
         wt[:, tower.exp.reshape(-1, d)] = table[:, None]
         wt = wt.ravel()
         # points[lam - 1, c]: the word lam w, w the word (0, gamma^c), c < step,
-        # or (1, v) of line c, read through log v (-1 for v = 0); label lam is
-        # gamma^((lam - 1) step), so lam v is exp read (lam - 1) step past
-        # log v, and lam (1, v) is (lam, lam v)
-        logs = self._line_logs()
-        shifted = logs + np.arange(0, (q - 1) * step, step, dtype=np.int32)[:, None]
+        # or (1, v) of line c, read through log v (-1 for v = 0, line step);
+        # label lam is gamma^((lam - 1) step), so lam v is exp read
+        # (lam - 1) step past log v, and lam (1, v) is (lam, lam v)
+        shifted = self._line_logs() + np.arange(0, (q - 1) * step, step, dtype=np.int32)[:, None]
         shifted %= tower.order
-        points = np.where(logs < 0, 0, tower.exp[shifted])
+        points = tower.exp[shifted]
+        points[:, step] = 0
         points[:, step:] += np.arange(qm, q * qm, qm, dtype=np.int32)[:, None]
         line_wt = wt[points[0]]
         # digitwise sums carry nothing, so v_r + v adds the high and the low
@@ -915,8 +897,11 @@ class SubsetCode:
         ok = self.word_flags(orbit_flags, words)
         if ok.all():
             return MethodVerdict(MINIMAL)
-        word = self.word_of_index(int(words[ok.argmin()]))
-        if len(slice_members(self.subset, *word)) == 0:
+        at = int(ok.argmin())
+        word = self.word_of_index(int(words[at]))
+        # D_{y,z}, z = gamma^j, lies where row j of the cycle meets -y on D
+        (j, y), (cycle, zero_at) = divmod(at, self.tower.q), self._value_tables
+        if not (self.subset.log_indicator & (cycle[j] == zero_at[y])).any():
             return MethodVerdict(NOT_MINIMAL, witness=("empty_slice", word),
                                  note="a trace slice of the subset is empty")
         return MethodVerdict(NOT_MINIMAL, witness=("annihilator_escapes", word),

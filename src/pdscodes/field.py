@@ -713,11 +713,13 @@ def gather(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def distinct(values) -> np.ndarray:
     """The distinct entries of values, ascending: values as they are when they
-    already strictly ascend, else sorted in place (a given array is sorted
-    itself) and compressed only when a neighbour compare finds a repeat
-    (np.unique would import numpy.ma)."""
+    already strictly ascend (compared BLOCK pairs at a time, up to the first
+    descent), else sorted in place (a given array is sorted itself) and
+    compressed only when a neighbour compare finds a repeat (np.unique would
+    import numpy.ma)."""
     values = np.asarray(values).ravel()
-    if (values[1:] > values[:-1]).all():
+    if all((values[part.start + 1:part.stop + 1] > values[part]).all()
+           for part in blocks(len(values) - 1)):
         return values
     values.sort()
     first = np.ones(len(values), dtype=bool)  # the first of each run of repeats

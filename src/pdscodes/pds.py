@@ -429,8 +429,9 @@ def verify_pds_direct(subset: FieldSubset) -> tuple[int, int]:
     if not subset.is_symmetric():
         raise PdsVerificationError("set is not symmetric (-D != D)")
 
-    gs = tower.exp[: subset.stabiliser_period].astype(np.int64)
-    on = subset.indicator[gs].astype(np.intp)
+    d, cosets = subset.stabiliser
+    gs = tower.exp[:d].astype(np.int64)
+    on = np.bincount(cosets, minlength=d)  # gamma^j in D, j < d: j in I (intp)
     first = np.array([np.argmin(on), np.argmax(on)])  # the first g off D and in D
     counts = np.zeros(len(gs), dtype=np.int64)
     for part in blocks(len(gs), len(subset)):

@@ -67,8 +67,9 @@ def minimal_access_count(code: SubsetCode, x1: int, code_is_minimal: bool = True
     tower = code.tower
     if code_is_minimal:
         return tower.qm, None
-    labels = code.word_labels(np.arange(tower.q)[:, None], np.arange(tower.qm), x1)
-    ones = np.flatnonzero(labels == 1)  # word indices u q^m + v
+    u_f = np.arange(tower.q)[:, None] * bool(code.subset.indicator[x1])
+    labels = tower.subfield_tables()[0][u_f, tower.trace_labels(np.arange(tower.qm), x1)]
+    ones = np.flatnonzero(labels == 1)  # word indices u q^m + v: u f(x1) + Tr(v x1) = 1
     return tower.qm, int(np.count_nonzero(code.word_flags(code.rank_orbit_flags(), ones)))
 
 

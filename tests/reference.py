@@ -72,7 +72,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from pdscodes import charsums
 from pdscodes.codes import MINIMAL, NOT_MINIMAL, Orbits, SubsetCode, word_classes
-from pdscodes.field import BLOCK
 from pdscodes.pds import CyclotomicOrigin, FieldSubset, QuadricOrigin
 from pdscodes.qpoly import is_automorphism_of
 
@@ -799,8 +798,8 @@ def induced_code_automorphism_check(code, g, enforce_preservation=True):
 
     Checks c(u, v) at position g(x) against c(u, dual(v)) at position x for
     every index pair (u, v), exhaustively: u f(g(x)) + Tr(v g(x)) against
-    u f(x) + Tr(dual(v) x) as F_q labels over every (u, v, x), x nonzero, for
-    a chunk of v at a time (temporaries of about BLOCK entries).
+    u f(x) + Tr(dual(v) x) as F_q labels over every (u, v, x), x nonzero,
+    every word at one coordinate at a time (`value_labels_at`).
     """
     subset = code.subset
     tower = code.tower
@@ -811,11 +810,10 @@ def induced_code_automorphism_check(code, g, enforce_preservation=True):
     gx = g.images()[xs]  # coordinate x picks up the value at g(x)
     if np.any(gx == 0):
         raise ValueError("g is not bijective on the multiplicative group")
-    u = np.arange(tower.q)[:, None, None]
-    chunk = max(1, BLOCK // (tower.q * tower.order))
-    for start in range(0, tower.qm, chunk):
-        vs = np.arange(start, min(start + chunk, tower.qm))[:, None]
-        if not np.array_equal(code.word_labels(u, vs, gx), code.word_labels(u, dual_img[vs], xs)):
+    u, v = np.divmod(np.arange(code.word_count), tower.qm)
+    dual_words = u * tower.qm + dual_img[v]  # the index of (u, dual(v))
+    for x, y in zip(xs.tolist(), gx.tolist()):
+        if not np.array_equal(value_labels_at(code, y), value_labels_at(code, x)[dual_words]):
             return False
     return True
 

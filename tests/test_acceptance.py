@@ -20,6 +20,7 @@ from reference import (
     projective_representatives,
     rational_value,
     route_spectrum,
+    slice_members,
     trace_q,
 )
 from reference import induced_code_automorphism_check as exhaustive_check
@@ -34,7 +35,6 @@ from pdscodes.codes import (
     minimality_cyclotomic_sufficient,
     minimality_latin_sufficient,
     minimality_pds_sufficient,
-    slice_members,
     weight_class,
     weight_distribution_predicted,
 )

@@ -9,6 +9,7 @@ import pytest
 from pdscodes import pds
 from pdscodes.cli import main
 from pdscodes.field import FieldSpec, FieldTower
+from pdscodes.pds import FieldSubset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -363,6 +364,19 @@ def test_sss_x1_is_the_least_member(capsys, side, logs, first):
     assert code == 0
     payload = json.loads(out)
     assert (payload["x1_log"], payload["x1_in_Dbar"]) == (40, side == "in-Dbar")
+
+
+@pytest.mark.parametrize("p, e, m", [(2, 1, 6), (3, 1, 4), (2, 2, 4)])
+def test_sss_x1_in_dbar_is_the_least_non_member(capsys, p, e, m):
+    # read off the element indicator as the least nonzero non-member, which
+    # the complement's least member was taken as, on the sweep's sets
+    tower = FieldTower(FieldSpec(p=p, e=e, m=m))
+    field = json.dumps({"p": p, "e": e, "m": m})
+    for spec in _sweep_subsets(p, e, m) + [{"explicit": {"logs": [0, 1]}}]:
+        code, out, err = run_cli(capsys, "sss", "--field", field, "--subset", json.dumps(spec),
+                                 "--x1", "in-Dbar")
+        least = FieldSubset.from_json(tower, spec).complement().members.min()
+        assert (code, json.loads(out)["x1_log"]) == (0, tower.log[least]), err
 
 
 @pytest.mark.parametrize("argv", [["pds", "--recipe", "example-3.1"],

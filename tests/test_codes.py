@@ -24,7 +24,6 @@ from pdscodes.codes import (
     minimality_latin_sufficient,
     minimality_pds_sufficient,
     orbit_engine,
-    slice_members,
     weight_class,
     weight_distribution_predicted,
 )
@@ -138,6 +137,24 @@ def test_characteristic_trace_form_matches_brute_force(p, e, m):
         assert characteristic_trace_form(subset) == (matches[0] if matches else None)
 
 
+def test_characteristic_trace_form_reads_no_log(monkeypatch):
+    # on towers whose log raises, F_2^3 to F_2^10: each trace-one set
+    # {gamma^i : Tr(gamma^(j + i)) = 1} is the trace form a = gamma^j, and
+    # swapping its last member for the first non-member leaves none
+    def no_log(tower):
+        raise AssertionError("the trace-form test read log")
+
+    monkeypatch.setattr(FieldTower, "log", property(no_log))
+    for m in range(3, 11):
+        t = build_tower(FieldSpec(p=2, e=1, m=m))
+        for j in (0, 1, m, t.order // 3, t.order - 1):
+            ones = np.roll(t.trace_of_exp, -j) == 1
+            logs = np.flatnonzero(ones)
+            assert characteristic_trace_form(FieldSubset.from_logs(t, logs)) == t.exp[j]
+            logs[-1] = np.argmin(ones)
+            assert characteristic_trace_form(FieldSubset.from_logs(t, logs)) is None
+
+
 def test_dimension_evaluates_the_trace_form_once(f16, monkeypatch):
     calls = []
 
@@ -206,11 +223,11 @@ def test_dyz_sizes_example31(ex31_code, f44):
     z_neg = next(int(z) for z in range(1, f44.qm) if vals[z] == -4)
     z_pos = next(int(z) for z in range(1, f44.qm) if vals[z] == 12)
     # |D_{y,z}| = (|D| - psi(zD)) / q for y != 0 and (|D| + (q - 1) psi(zD)) / q for y = 0
-    assert len(slice_members(code.subset, 1, z_neg)) == (204 + 4) // 4 == 52
-    assert len(slice_members(code.subset, 0, z_pos)) == (204 + 3 * 12) // 4 == 60
+    assert len(reference.slice_members(code.subset, 1, z_neg)) == (204 + 4) // 4 == 52
+    assert len(reference.slice_members(code.subset, 0, z_pos)) == (204 + 3 * 12) // 4 == 60
     # partition over y recovers |D|
     for z in (z_neg, z_pos):
-        assert sum(len(slice_members(code.subset, y, z)) for y in range(f44.q)) == 204
+        assert sum(len(reference.slice_members(code.subset, y, z)) for y in range(f44.q)) == 204
 
 
 def test_dyz_closed_vs_direct_exhaustive_f34(f34):
@@ -220,7 +237,7 @@ def test_dyz_closed_vs_direct_exhaustive_f34(f34):
         psi = reference.rational_value(psi_sum(f34, z, subset.members))
         for y in range(q):
             closed = k + (q - 1) * psi if y == 0 else k - psi
-            assert closed == q * len(slice_members(subset, y, z))
+            assert closed == q * len(reference.slice_members(subset, y, z))
 
 
 def _log_q(tower, size):
@@ -244,14 +261,15 @@ def test_slice_annihilator_inside_line(ex31_code, f44):
         assert np.all(np.isin(ann, line))
         # the rank is 1 + dim of the difference span, m - 1 as the annihilator is the line
         assert _log_q(f44, len(ann)) == 1
-        assert len(slice_members(code.subset, y, z)) and code._zero_ranks([y], [z], f44.m)[0]
+        assert len(reference.slice_members(code.subset, y, z))
+        assert code._zero_ranks([y], [z], f44.m)[0]
 
 
 def test_empty_slice_annihilator_reduces(f34, hyperplane_subset):
     # slices of a hyperplane subset are empty off the kernel direction, and the
     # zero-set rank is then the dimension of the complement kernel slice alone
     subset = hyperplane_subset
-    assert len(slice_members(subset, 1, 1)) == 0
+    assert len(reference.slice_members(subset, 1, 1)) == 0
     dbar = reference.complement_kernel_slice(subset, 1)
     ann = reference.trace_annihilator(f34, dbar)
     rank = f34.m - _log_q(f34, len(ann))
@@ -435,6 +453,7 @@ def test_annihilator_escapes_witness():
     assert (code.subset.stabiliser_period, code.dimension()) == (26, 4)
     snc = code.minimality_snc()
     assert (snc.status, snc.witness) == (NOT_MINIMAL, ("annihilator_escapes", (2, 5)))
+    assert len(reference.slice_members(code.subset, 2, 5))
     assert snc.note == "slice annihilator is larger than the direction line"
     assert (snc.status, snc.witness) == reference.snc_reference(code)
     assert code.minimality_cover().status == NOT_MINIMAL
@@ -475,6 +494,7 @@ def test_broken_subset_not_minimal(f34, hyperplane_subset):
     assert heng.status == NOT_MINIMAL
     assert snc.status == NOT_MINIMAL
     assert snc.witness[0] == "empty_slice"
+    assert len(reference.slice_members(code.subset, *snc.witness[1])) == 0
 
 
 def test_complement_inside_hyperplane_control(f34):
@@ -778,6 +798,24 @@ def test_heng_scan_memory():
         tracemalloc.stop()
     assert verdict.status == MINIMAL
     assert peak <= 950 * 1024
+
+
+def test_heng_setup_memory():
+    # F_{3^8}, N = 41: the set-up keeps the dense (q, q^m) int32 weights and
+    # builds the (q - 1, step + q^m) int32 line points, 77 KiB each, from
+    # their shifted logs; it peaked at 378 KiB with the shifted logs, their
+    # exp gather and the np.where result alive together, and at 339 KiB with
+    # the gather zeroed in place (numpy's 64 KiB index buffer and the rest)
+    tower = build_tower(FieldSpec(p=3, e=1, m=8))
+    code = SubsetCode(build_cyclotomic_subset(tower, 41, [0]))
+    code.weight_table(), code.orbits.representatives(), tower.subfield_tables(), tower.log
+    tracemalloc.start()
+    try:
+        code._heng_test()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 4 * (tower.q - 1) * (tower.subfield_step + tower.qm) + 2 ** 17
 
 
 def test_cover_scan_memory():

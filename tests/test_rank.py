@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from pdscodes import codes, pds, qpoly
 from pdscodes.blocking import is_cutting_vectorial_blocking
-from pdscodes.codes import SubsetCode, slice_members
+from pdscodes.codes import SubsetCode
 from pdscodes.field import FieldSpec, build_tower, counted_rank, rank_reaches
 from pdscodes.pds import FieldSubset, quadric_subset
 from pdscodes.qpoly import QPolynomial
@@ -63,7 +63,7 @@ def _elimination_sets(code):
     for z in tower.exp[: code.subset.stabiliser_period].tolist():
         dbar = set(reference.complement_kernel_slice(code.subset, z).tolist())
         for y in range(tower.q):
-            dyz = slice_members(code.subset, y, z)
+            dyz = reference.slice_members(code.subset, y, z)
             x0 = int(dyz[np.argmin(tower.log[dyz])]) if len(dyz) else 0
             diffs = set(tower.add_sets(dyz, tower.neg(x0)).tolist()) if len(dyz) else set()
             below += len((diffs | dbar) - {0}) < tower.q ** (tower.m - 2)

@@ -30,12 +30,6 @@ def _dict_route(coverage, total):
             sorted(j for j, n in coverage.items() if n == total))
 
 
-def _labels_at(code, x):
-    """Every word's label at the coordinate x, by word index."""
-    tower = code.tower
-    return code.word_labels(np.arange(tower.q)[:, None], np.arange(tower.qm), x).ravel()
-
-
 def test_minimal_access_totals(ex31_code, row1_code, f44, f35):
     for x1 in (1, int(f44.exp[3]), int(f44.exp[200])):
         total, _ = minimal_access_count(ex31_code, x1)
@@ -123,17 +117,21 @@ def test_coverage_constant_on_scalar_classes(ex31_code, f44):
 
 
 def test_value_labels_equal_element_route(ex31_code, f44):
+    # every word's zero at x1 off the value tables, column log x1 of the label
+    # cycle (labels 0 for v = 0) against -u f(x1), and on the element route;
     # one x1 inside the subset, one outside it
+    cycle, zero_at = ex31_code._value_tables
+    us, vs = np.divmod(np.arange(ex31_code.word_count), f44.qm)
     for x1 in (int(ex31_code.subset.members[0]), int(ex31_code.subset.complement().members[0])):
-        assert np.array_equal(_labels_at(ex31_code, x1),
-                              reference.value_labels_at(ex31_code, x1))
+        at = f44.log[x1]
+        zeros = np.where(vs == 0, 0, cycle[f44.log[vs], at]) == zero_at[us, at]
+        assert np.array_equal(zeros, reference.value_labels_at(ex31_code, x1) == 0)
 
 
 def test_access_sets_are_support_minimal(ex31_code, f44):
     # sampled words with coordinate 1 at x1: no other such word has support inside
     x1 = int(ex31_code.subset.complement().members[0])
-    labels = _labels_at(ex31_code, x1)
-    ones = np.nonzero(labels == 1)[0]
+    ones = np.flatnonzero(reference.value_labels_at(ex31_code, x1) == 1)
     sup = ex31_code.supports()
     rng = np.random.default_rng(41)
     for w in rng.choice(ones, size=10, replace=False).tolist():

@@ -15,7 +15,8 @@ that nothing enforces any more.  No module imports a `_`-prefixed name
 from a sibling: what another module needs is public in its home module.
 The sibling imports sit at module level and form the layers of LAYERS,
 with no cycle.  No code calls `nonzero`, or `count_nonzero` with an axis,
-which walk a 2-D array one entry at a time.
+which walk a 2-D array one entry at a time, and none reads log or an
+indicator at exp.
 """
 import ast
 import importlib
@@ -303,6 +304,33 @@ def test_no_entrywise_walk_of_a_2d_mask():
     walks = sorted(f"{path.stem}:{line}" for path in LIBRARY
                    for line in _entrywise_walks(ast.parse(path.read_text())))
     assert walks == []
+
+
+def _reads_at_exp(tree):
+    """The lines that read log or an indicator, or call trace_labels for x, at
+    exp or a part of it: reads of log at exp are the identity i -> i, and
+    the log-order tables hold the others (`log_indicator`,
+    `trace_label_of_exp`)."""
+    def named(node, *names):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in names
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) \
+                and named(node.value, "log", "indicator") and named(node.slice, "exp"):
+            yield node.lineno
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "take" and named(node.func.value, "log", "indicator")
+                or node.func.attr == "trace_labels") and named(node.args[-1], "exp"):
+            yield node.lineno
+
+
+def test_no_read_at_exp():
+    found = sorted(f"{path.stem}:{line}" for path in LIBRARY
+                   for line in _reads_at_exp(ast.parse(path.read_text())))
+    assert found == []
 
 
 def _none_sentinels(tree):
