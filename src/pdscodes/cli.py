@@ -1,9 +1,10 @@
-"""Command-line front end: construct, verify, and report.
+"""Command-line front end: parse, build the inputs, run one analysis, print.
 
-Subcommands mirror the library layers: `pds` verifies a subset and emits
-its certificate, `code` runs the minimality analysis and weight
-distribution, `blocking` checks the hyperplane-intersection pattern, and
-`sss` reports the secret-sharing structure of the dual code.
+Each subcommand builds a field and subset (`--recipe`, or `--field` and
+`--subset`), runs one library analysis and prints its report as JSON or a
+table: `pds.analyze_pds`, `codes.analyze_code`,
+`blocking.is_cutting_vectorial_blocking` or `secretsharing.analyze_sss`.
+The verdicts are theirs; this module maps them to exit codes.
 
 Exit codes: 0 success; 2 configuration error; 3 verification negative
 (the subset is not a PDS); 4 requested work partially skipped by a cost
@@ -16,35 +17,12 @@ import json
 import sys
 from pathlib import Path
 
-from .codes import (
-    DEFAULT_WORD_GUARD,
-    INCONCLUSIVE,
-    MINIMAL,
-    NOT_MINIMAL,
-    NOT_RUN,
-    MethodVerdict,
-    MinimalityReport,
-    SubsetCode,
-    ab_condition,
-    minimality_cyclotomic_sufficient,
-    minimality_latin_sufficient,
-    minimality_pds_sufficient,
-    weight_class,
-    weight_distribution_predicted,
-)
 from .blocking import is_cutting_vectorial_blocking
-from .field import FieldConstructionError, FieldSpec, GuardExceeded, build_tower
-from .pds import (
-    CyclotomicOrigin,
-    FieldSubset,
-    PdsVerificationError,
-    is_fq_invariant,
-    predicted_cyclotomic_eigenvalues,
-    verify_pds_direct,
-    verify_pds_spectral,
-)
+from .codes import ALL_METHODS, DEFAULT_WORD_GUARD, SubsetCode, analyze_code
+from .field import FieldSpec, GuardExceeded, build_tower
+from .pds import FieldSubset, PdsVerificationError, analyze_pds
 from .recipes import build_recipe
-from .secretsharing import analyze_scheme
+from .secretsharing import analyze_sss
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,12 +48,11 @@ def _build_inputs(args):
         if getattr(args, flag) is not None and args.recipe != "example-3.3":
             raise ConfigError(f"--{flag} only applies to --recipe example-3.3")
     if args.recipe:
-        subset = build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
-        return subset.tower, subset
+        return build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
     if not args.field or not args.subset:
         raise ConfigError("either --recipe or both --field and --subset are required")
     tower = build_tower(FieldSpec.from_json(_load_spec_arg(args.field)))
-    return tower, FieldSubset.from_json(tower, _load_spec_arg(args.subset))
+    return FieldSubset.from_json(tower, _load_spec_arg(args.subset))
 
 
 def _emit(args, payload: dict, table_lines: list[str] | None = None):
@@ -90,61 +67,17 @@ def _emit(args, payload: dict, table_lines: list[str] | None = None):
 
 
 def cmd_pds(args) -> int:
-    tower, subset = _build_inputs(args)
-    invariant = is_fq_invariant(subset)
-    try:
-        cert, _ = verify_pds_spectral(subset)
-    except PdsVerificationError as exc:
-        _emit(args, {"error": str(exc), "witness": getattr(exc, "witness", None)})
+    subset = _build_inputs(args)
+    payload, cert = analyze_pds(subset)
+    if cert is None:
+        _emit(args, payload)
         return EXIT_NEGATIVE
-    try:
-        if verify_pds_direct(subset) != (cert.lam, cert.mu):
-            raise AssertionError("direct and spectral verification disagree; bug")
-        direct = "ok"
-    except GuardExceeded:
-        direct = "skipped"
-    payload = cert.to_json()
-    payload["fq_invariant"] = invariant
-    payload["direct_check"] = direct
     table = [
         "q\tm\tk\ttheta1\ttheta2",
-        f"{tower.q}\t{tower.m}\t{cert.k}\t{cert.theta1}\t{cert.theta2}",
+        f"{subset.tower.q}\t{subset.tower.m}\t{cert.k}\t{cert.theta1}\t{cert.theta2}",
     ]
     _emit(args, payload, table)
     return EXIT_OK
-
-
-def _certificate_verdict(rule):
-    """The verdict of rule(cert, q, m), inconclusive with cert_error without a certificate."""
-    def verdict(code, cert, cert_error) -> MethodVerdict:
-        if cert is None:
-            return MethodVerdict(INCONCLUSIVE, note=cert_error)
-        return rule(cert, code.tower.q, code.tower.m)
-    return verdict
-
-
-def _cyclotomic_verdict(code, cert, cert_error) -> MethodVerdict:
-    origin = code.subset.origin
-    if not isinstance(origin, CyclotomicOrigin):
-        return MethodVerdict(INCONCLUSIVE, note="subset has no cyclotomic description")
-    try:
-        prediction = predicted_cyclotomic_eigenvalues(code.tower, origin.N, origin.J)
-        return minimality_cyclotomic_sufficient(code.tower, prediction)
-    except (PdsVerificationError, ValueError) as exc:
-        return MethodVerdict(INCONCLUSIVE, note=str(exc))
-
-
-# --methods name -> (report key, verdict from (code, cert, cert_error)),
-# run in this order
-METHODS = {
-    "cover": ("cover", lambda code, *_: code.minimality_cover()),
-    "heng": ("heng", lambda code, *_: code.minimality_heng()),
-    "snc": ("snc", lambda code, *_: code.minimality_snc()),
-    "pds": ("pds_sufficient", _certificate_verdict(minimality_pds_sufficient)),
-    "latin": ("latin_sufficient", _certificate_verdict(minimality_latin_sufficient)),
-    "cyclotomic": ("cyclotomic_sufficient", _cyclotomic_verdict),
-}
-ALL_METHODS = tuple(METHODS)
 
 
 def _selected_methods(spec: str) -> list[str]:
@@ -153,73 +86,26 @@ def _selected_methods(spec: str) -> list[str]:
     methods = [s.strip() for s in spec.split(",") if s.strip()]
     if not methods:
         raise ConfigError(f"--methods is empty; name some of {','.join(ALL_METHODS)} or 'all'")
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
     return methods
 
 
 def cmd_code(args) -> int:
-    tower, subset = _build_inputs(args)
+    subset = _build_inputs(args)
     code = SubsetCode(subset, guard=args.guard_codewords)
-    methods = _selected_methods(args.methods)
-    report = MinimalityReport()
-
-    cert, cert_error = None, None
-    try:
-        cert, _ = verify_pds_spectral(subset)
-        if not is_fq_invariant(subset):  # the certificate's readings need invariance
-            cert, cert_error = None, ("subset is a PDS but not F_q^*-invariant, so its "
-                                      "certificate gives neither weights nor minimality")
-    except PdsVerificationError as exc:
-        cert_error = str(exc)
-
-    for name, (key, verdict) in METHODS.items():
-        if name in methods:
-            report.record(key, verdict(code, cert, cert_error))
-
-    dist, dist_source = None, None
-    try:
-        dist, dist_source = code.weight_distribution_direct(), "direct"
-    except GuardExceeded:
-        pass
-    if cert is not None:
-        predicted = weight_distribution_predicted(cert, tower.q, tower.m)
-        if dist is not None and dist.rows != predicted.rows:
-            raise AssertionError("direct and predicted weight distributions disagree; bug")
-        if dist is None:
-            dist, dist_source = predicted, "predicted"
-
-    payload = {
-        "length": code.n,
-        "dim": code.dimension(),
-        "minimal": report.to_json(),
-    }
-    if dist is not None:
-        payload["weights"] = dist.to_json()
-        payload["weights_source"] = dist_source
-        payload["ab_condition"] = ab_condition(dist, tower.q)
-    if cert is not None and report.overall() == MINIMAL:
-        payload["weight_class"] = weight_class(cert, tower.q, tower.m)
-    if cert_error:
-        payload["pds_error"] = cert_error
-
-    if getattr(args, "gen_matrix", None):
+    payload, report = analyze_code(code, _selected_methods(args.methods))
+    if args.gen_matrix:
         Path(args.gen_matrix).write_text(code.generator_matrix_text())
-
     table = [f"[{code.n},{payload['dim']}] code; minimality: {report.overall()}"]
-    if dist is not None:
+    if "weights" in payload:
         table.append("weight\tfrequency")
-        table.extend(f"{w}\t{f}" for w, f in dist.rows)
+        table.extend(f"{row['w']}\t{row['freq']}" for row in payload["weights"])
     _emit(args, payload, table)
-    skipped = any(v.status == NOT_RUN for v in report.methods.values())
-    return EXIT_PARTIAL if skipped else EXIT_OK
+    return EXIT_PARTIAL if report.skipped() else EXIT_OK
 
 
 def cmd_blocking(args) -> int:
-    _, subset = _build_inputs(args)
+    subset = _build_inputs(args)
     report = is_cutting_vectorial_blocking(subset)
-    payload = report.to_json()
     table = [
         f"blocking: {report.blocking}",
         f"contains_subspace: {report.contains_subspace}",
@@ -227,33 +113,16 @@ def cmd_blocking(args) -> int:
     ]
     if report.witness:
         table.append(f"witness: {report.witness}")
-    _emit(args, payload, table)
+    _emit(args, report.to_json(), table)
     return EXIT_OK
 
 
 def cmd_sss(args) -> int:
-    tower, subset = _build_inputs(args)
+    subset = _build_inputs(args)
     code = SubsetCode(subset, guard=args.guard_codewords)
-    if args.x1_log is not None:
-        x1 = int(tower.exp[args.x1_log % tower.order])
-    elif args.x1 == "in-D":
-        x1 = int(subset.members.min())
-    elif args.x1 == "in-Dbar":  # the least nonzero non-member
-        x1 = 1 + int(subset.indicator[1:].argmin())
-    else:
+    if args.x1_log is None and args.x1 is None:
         raise ConfigError("give --x1-log N or --x1 in-D|in-Dbar")
-    # trust minimality unless SNC can run and disproves it; its rank flags
-    # also filter the count for a code that is not minimal
-    verdict = code.minimality_snc()
-    minimal = verdict.status != NOT_MINIMAL
-    report = analyze_scheme(code, x1, code_is_minimal=minimal)
-    payload = report.to_json()
-    if report.oracle_total is not None:
-        payload["oracle_total"] = report.oracle_total
-        payload["note"] = "code is not minimal; the access-set/codeword bijection breaks"
-    elif verdict.status == NOT_RUN:
-        payload["minimality_assumed"] = True
-        payload["note"] = f"SNC not run ({verdict.note}); the code is taken as minimal"
+    payload, report = analyze_sss(code, x1_log=args.x1_log, side=args.x1)
     table = [
         f"x1_log: {report.x1_log} ({'outside' if report.x1_in_complement else 'inside'} the subset)",
         f"minimal access sets: {report.total}",
@@ -288,7 +157,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_code = sub.add_parser("code", help="build the code and run minimality analysis")
     common(p_code)
     p_code.add_argument("--methods", default="all",
-                        help="comma list of cover,heng,snc,pds,latin,cyclotomic or 'all'")
+                        help=f"comma list of {','.join(ALL_METHODS)} or 'all'")
     p_code.add_argument("--gen-matrix", dest="gen_matrix",
                         help="also write the generator matrix (plain text, one row per line): "
                              "the m + 1 rows f, Tr(x), ..., Tr(gamma^(m-1) x), which span the code")
@@ -300,9 +169,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sss = sub.add_parser("sss", help="secret-sharing structure of the dual code")
     common(p_sss)
-    p_sss.add_argument("--x1-log", type=int, help="discrete log of the secret coordinate")
-    p_sss.add_argument("--x1", choices=("in-D", "in-Dbar"),
-                       help="pick the first subset/complement element as the secret coordinate")
+    x1 = p_sss.add_mutually_exclusive_group()
+    x1.add_argument("--x1-log", type=int, help="discrete log of the secret coordinate")
+    x1.add_argument("--x1", choices=("in-D", "in-Dbar"),
+                    help="pick the first subset/complement element as the secret coordinate")
     p_sss.set_defaults(func=cmd_sss)
     for p in (p_code, p_sss):  # the two that run exhaustive scans over all words
         p.add_argument("--guard-codewords", type=int, default=DEFAULT_WORD_GUARD,
@@ -321,7 +191,7 @@ def main(argv=None) -> int:
     except PdsVerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (ConfigError, FieldConstructionError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # bad JSON and fields among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

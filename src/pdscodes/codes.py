@@ -76,7 +76,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 from weakref import WeakKeyDictionary, ref
 
 import numpy as np
@@ -84,10 +84,15 @@ import numpy as np
 from . import field
 from .field import FieldTower, GuardExceeded, blocks, counted_rank, rank_reaches
 from .pds import (
+    CyclotomicOrigin,
     CyclotomicPrediction,
     FieldSubset,
     PdsCertificate,
+    PdsVerificationError,
     QuadricOrigin,
+    is_fq_invariant,
+    predicted_cyclotomic_eigenvalues,
+    verify_pds_spectral,
 )
 from .qpoly import quadric_reflections, tables_induce_code_automorphism
 
@@ -132,9 +137,6 @@ def _json_safe(obj):
     return obj
 
 
-SUFFICIENT_METHODS = {"pds_sufficient", "latin_sufficient", "cyclotomic_sufficient"}
-
-
 @dataclass
 class MinimalityReport:
     methods: dict[str, MethodVerdict] = dataclasses.field(default_factory=dict)
@@ -143,14 +145,8 @@ class MinimalityReport:
         if name in SUFFICIENT_METHODS and verdict.status == NOT_MINIMAL:
             raise ValueError(f"one-directional method {name} may not assert NotMinimal")
         self.methods[name] = verdict
-        self.cross_validate()
-
-    def cross_validate(self):
-        definite = {
-            name: v.status for name, v in self.methods.items() if v.is_definite()
-        }
-        statuses = set(definite.values())
-        if len(statuses) > 1:
+        definite = {name: v.status for name, v in self.methods.items() if v.is_definite()}
+        if len(set(definite.values())) > 1:
             raise AssertionError(f"methods disagree on a definite verdict: {definite}")
 
     def overall(self) -> str:
@@ -158,6 +154,9 @@ class MinimalityReport:
             if v.is_definite():
                 return v.status
         return INCONCLUSIVE
+
+    def skipped(self) -> bool:
+        return any(v.status == NOT_RUN for v in self.methods.values())
 
     def to_json(self):
         return {name: v.to_json() for name, v in self.methods.items()}
@@ -974,3 +973,89 @@ def minimality_cyclotomic_sufficient(
     else:
         ok = u * (sqm + q) * (sqm - 1) > (q - 1) * sqm * N
     return MethodVerdict(MINIMAL if ok else INCONCLUSIVE)
+
+
+# -- the `code` analysis ---------------------------------------------------------
+
+
+def _certificate_verdict(rule):
+    """The verdict of rule(cert, q, m), inconclusive with cert_error without a certificate."""
+    def verdict(code, cert, cert_error) -> MethodVerdict:
+        if cert is None:
+            return MethodVerdict(INCONCLUSIVE, note=cert_error)
+        return rule(cert, code.tower.q, code.tower.m)
+    return verdict
+
+
+def _cyclotomic_verdict(code, cert, cert_error) -> MethodVerdict:
+    origin = code.subset.origin
+    if not isinstance(origin, CyclotomicOrigin):
+        return MethodVerdict(INCONCLUSIVE, note="subset has no cyclotomic description")
+    try:
+        prediction = predicted_cyclotomic_eigenvalues(code.tower, origin.N, origin.J)
+        return minimality_cyclotomic_sufficient(code.tower, prediction)
+    except ValueError as exc:  # a PdsVerificationError among them
+        return MethodVerdict(INCONCLUSIVE, note=str(exc))
+
+
+# the certificates' sufficient conditions, which may not say not_minimal:
+# --methods name -> (report key, verdict from (code, cert, cert_error))
+_CERTIFICATE_METHODS = {
+    "pds": ("pds_sufficient", _certificate_verdict(minimality_pds_sufficient)),
+    "latin": ("latin_sufficient", _certificate_verdict(minimality_latin_sufficient)),
+    "cyclotomic": ("cyclotomic_sufficient", _cyclotomic_verdict),
+}
+SUFFICIENT_METHODS = {key for key, _ in _CERTIFICATE_METHODS.values()}
+# every method, run in this order: the exhaustive scans, then the certificates
+METHODS = {
+    "cover": ("cover", lambda code, *_: code.minimality_cover()),
+    "heng": ("heng", lambda code, *_: code.minimality_heng()),
+    "snc": ("snc", lambda code, *_: code.minimality_snc()),
+    **_CERTIFICATE_METHODS,
+}
+ALL_METHODS = tuple(METHODS)
+
+
+def analyze_code(code: SubsetCode, methods: Collection[str]) -> tuple[dict, MinimalityReport]:
+    """The `code` report and the minimality report of the named methods, run
+    in the order of METHODS.  Only an F_q^*-invariant PDS's certificate feeds
+    the sufficient conditions, the predicted weights and the weight class
+    (else `pds_error` says why); counted and predicted weights must agree."""
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods: {', '.join(sorted(unknown))}")
+    tower, subset = code.tower, code.subset
+    report = MinimalityReport()
+    cert, cert_error = None, None
+    try:
+        cert, _ = verify_pds_spectral(subset)
+        if not is_fq_invariant(subset):  # the certificate's readings need invariance
+            cert, cert_error = None, ("subset is a PDS but not F_q^*-invariant, so its "
+                                      "certificate gives neither weights nor minimality")
+    except PdsVerificationError as exc:
+        cert_error = str(exc)
+
+    for name, (key, verdict) in METHODS.items():
+        if name in methods:
+            report.record(key, verdict(code, cert, cert_error))
+
+    try:
+        dist, dist_source = code.weight_distribution_direct(), "direct"
+    except GuardExceeded:
+        dist, dist_source = None, None
+    if cert is not None:
+        predicted = weight_distribution_predicted(cert, tower.q, tower.m)
+        if dist is None:
+            dist, dist_source = predicted, "predicted"
+        elif dist.rows != predicted.rows:
+            raise AssertionError("direct and predicted weight distributions disagree; bug")
+
+    payload = {"length": code.n, "dim": code.dimension(), "minimal": report.to_json()}
+    if dist is not None:
+        payload.update(weights=dist.to_json(), weights_source=dist_source,
+                       ab_condition=ab_condition(dist, tower.q))
+    if cert is not None and report.overall() == MINIMAL:
+        payload["weight_class"] = weight_class(cert, tower.q, tower.m)
+    if cert_error:
+        payload["pds_error"] = cert_error
+    return payload, report

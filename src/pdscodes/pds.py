@@ -137,10 +137,12 @@ class FieldSubset:
         """The members' logs, strictly ascending (int32, read-only).  A class
         union (N, J) reads them on first use, i N + j for j in J, with no
         table and no sort; every other subset is built from its logs."""
-        starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)[:, None]
-        logs = (starts + np.array(self.origin.J, dtype=np.int32)).ravel()
+        starts = np.arange(0, self.tower.order, self.origin.N, dtype=np.int32)
+        logs = np.empty((len(starts), len(self.origin.J)), dtype=np.int32)
+        for c, j in enumerate(self.origin.J):  # as `_class_union` fills the members
+            np.add(starts, j, out=logs[:, c])
         logs.flags.writeable = False
-        return logs
+        return logs.ravel()  # a view, read-only too
 
     @cached_property
     def stabiliser(self) -> tuple[int, np.ndarray]:
@@ -447,6 +449,24 @@ def verify_pds_direct(subset: FieldSubset) -> tuple[int, int]:
                 witness=(int(gs[ref]), int(gs[g]), int(counts[ref]), int(counts[g])),
             )
     return int(counts[first[1]]), int(counts[first[0]])
+
+
+def analyze_pds(subset: FieldSubset) -> tuple[dict, PdsCertificate | None]:
+    """The `pds` report and the spectral certificate: its JSON with the
+    F_q^*-invariance and the direct check ("ok", or "skipped" past
+    DIRECT_VERIFY_CAP), whose (lambda, mu) must be the certificate's; for a
+    subset that is not a PDS, the error with its witness, and None."""
+    try:
+        cert, _ = verify_pds_spectral(subset)
+    except PdsVerificationError as exc:
+        return {"error": str(exc), "witness": exc.witness}, None
+    try:
+        if verify_pds_direct(subset) != (cert.lam, cert.mu):
+            raise AssertionError("direct and spectral verification disagree; bug")
+        direct = "ok"
+    except GuardExceeded:
+        direct = "skipped"
+    return {**cert.to_json(), "fq_invariant": is_fq_invariant(subset), "direct_check": direct}, cert
 
 
 # -- cyclotomic predictions ---------------------------------------------------

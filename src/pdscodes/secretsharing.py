@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import SubsetCode
+from .codes import NOT_MINIMAL, NOT_RUN, SubsetCode
 
 
 @dataclass
@@ -117,3 +117,28 @@ def analyze_scheme(code: SubsetCode, x1: int, code_is_minimal: bool = True) -> A
         dictators=dictators,
         classification="dictatorial" if dictators else "democratic",
     )
+
+
+def analyze_sss(code: SubsetCode, *, x1_log: int | None = None, side: str | None = None):
+    """The `sss` report and access report, the secret at gamma^x1_log or else
+    at the least member (side "in-D") or nonzero non-member ("in-Dbar").  The
+    code counts as minimal unless SNC runs and disproves it (`oracle_total`);
+    a refused SNC is noted (`minimality_assumed`)."""
+    if x1_log is not None:
+        x1 = int(code.tower.exp[x1_log % code.tower.order])
+    elif side == "in-D":
+        x1 = int(code.subset.members.min())
+    elif side == "in-Dbar":
+        x1 = 1 + int(code.subset.indicator[1:].argmin())
+    else:
+        raise ValueError(f"give x1_log or a side, in-D or in-Dbar, not {side!r}")
+    verdict = code.minimality_snc()
+    report = analyze_scheme(code, x1, code_is_minimal=verdict.status != NOT_MINIMAL)
+    payload = report.to_json()
+    if report.oracle_total is not None:
+        payload["oracle_total"] = report.oracle_total
+        payload["note"] = "code is not minimal; the access-set/codeword bijection breaks"
+    elif verdict.status == NOT_RUN:
+        payload["minimality_assumed"] = True
+        payload["note"] = f"SNC not run ({verdict.note}); the code is taken as minimal"
+    return payload, report

@@ -6,8 +6,9 @@ A site is a comparison operator (< and <=, > and >=, == and !=, each way),
 an arithmetic operator (+ and -, // and *, % to //) or a small integer
 constant (0 to 9, which becomes one more).  The seed draws count sites
 from the named modules (all of them by default), by a key hashed from the
-seed, the module, the enclosing def or class, the site's line and node,
-and its change: the modules, taken by name, get count // len(modules)
+seed, the module, the enclosing def or class, the site's line (less its
+comment, so that editing a comment draws the same sites) and node, and its
+change: the modules, taken by name, get count // len(modules)
 sites each (the first count % len(modules) one more), the sites of least
 key.  So a module's draw depends on its own sites alone, and a change to
 one module leaves the draw from the others as it was; within a module a
@@ -26,12 +27,14 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import io
 import os
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,11 +81,22 @@ def scopes(tree: ast.AST) -> dict[int, str]:
     return names
 
 
+def code_lines(source: str) -> list[str]:
+    """The source's lines, each cut before its comment: a `#` that tokenize
+    reads as a comment, not one inside a string."""
+    lines = source.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col]
+    return lines
+
+
 def sites(module: str, source: str) -> list[Site]:
     """Every site of the module's source, in ast.walk order.  A site's name
-    reads its scope, its stripped line, its node unparsed and its change,
-    and numbers the repeats of that text in walk order."""
-    tree, lines, seen, out = ast.parse(source), source.splitlines(), {}, []
+    reads its scope, its stripped line less any comment, its node unparsed
+    and its change, and numbers the repeats of that text in walk order."""
+    tree, lines, seen, out = ast.parse(source), code_lines(source), {}, []
     scope = scopes(tree)
     for index, node in enumerate(ast.walk(tree)):
         changes = []

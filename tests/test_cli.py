@@ -174,6 +174,14 @@ def test_guard_option_only_where_read(command):
     assert exc.value.code == 2
 
 
+def test_x1_flags_are_exclusive(capsys):
+    # with both given, --x1 was dropped in silence and --x1-log read
+    with pytest.raises(SystemExit) as exc:
+        main(["sss", "--recipe", "example-3.1", "--x1-log", "3", "--x1", "in-D"])
+    assert exc.value.code == 2
+    assert "argument --x1: not allowed with argument --x1-log" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["", ",", " , "])
 def test_empty_methods_is_config_error(capsys, spec):
     # a list that names no method would report "minimal": {} with exit 0

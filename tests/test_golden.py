@@ -10,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from pdscodes.cli import main
-from pdscodes.field import FieldTower
+from pdscodes.cli import main, make_parser
+from pdscodes.codes import ALL_METHODS, SubsetCode, analyze_code
+from pdscodes.field import FieldSpec, FieldTower, build_tower
+from pdscodes.pds import FieldSubset, analyze_pds
+from pdscodes.recipes import build_recipe
+from pdscodes.secretsharing import analyze_sss
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -51,6 +55,42 @@ def test_golden_report(capsys, name):
     assert main(list(GOLDEN[name])) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+# the acceptance test runs these two cold through the CLI, within a time budget
+QUADRIC_GOLDEN = {
+    "code-3-10-elliptic-all": ["code", "--recipe", "example-3.3", "--kind", "elliptic",
+                               "--p", "3", "--m", "10", "--methods", "all"],
+    "code-4-8-elliptic-all": ["code", "--field", '{"p":2,"e":2,"m":8}',
+                              "--subset", '{"quadric":{"kind":"elliptic"}}', "--methods", "all"],
+}
+ANALYZED = {name: argv for name, argv in {**GOLDEN, **QUADRIC_GOLDEN}.items()
+            if argv[0] in ("pds", "code", "sss")}
+
+
+def _library_payload(argv) -> dict:
+    """The report of a golden command, from the library's analysis with no
+    CLI code but the parser that reads its arguments."""
+    args = make_parser().parse_args(argv)
+    if args.recipe:
+        subset = build_recipe(args.recipe, kind=args.kind, p=args.p, m=args.m)
+    else:
+        tower = build_tower(FieldSpec.from_json(json.loads(args.field)))
+        subset = FieldSubset.from_json(tower, json.loads(args.subset))
+    if args.command == "pds":
+        return analyze_pds(subset)[0]
+    code = SubsetCode(subset, guard=args.guard_codewords)
+    if args.command == "code":
+        methods = ALL_METHODS if args.methods == "all" else args.methods.split(",")
+        return analyze_code(code, methods)[0]
+    return analyze_sss(code, x1_log=args.x1_log, side=args.x1)[0]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZED))
+def test_library_analysis_gives_the_golden_report(name):
+    payload = _library_payload(ANALYZED[name])
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 def test_unreduced_class_indices_print_the_reduced_golden(capsys):

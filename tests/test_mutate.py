@@ -1,5 +1,8 @@
 """The mutation harness's draw: sites are picked by a seeded key of what
 they are, so a change to one module leaves the sample of the others alone."""
+import io
+import tokenize
+
 import mutate
 
 MODULES = ("codes", "field", "pds")
@@ -40,6 +43,31 @@ def test_draw_depends_on_the_seed_and_names_each_site_once():
         assert len({site.name for site in listed}) == len(listed)
     assert _names(mutate.draw(sources, 1, 30), "pds") != _names(mutate.draw(sources, 2, 30), "pds")
     assert mutate.draw(sources, 1, 30) == mutate.draw(dict(reversed(sources.items())), 1, 30)
+
+
+def _recommented(source):
+    """source with the text of every comment replaced."""
+    lines = source.splitlines(keepends=True)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col] + "# edited\n"
+    return "".join(lines)
+
+
+def test_editing_a_comment_draws_the_same_sites():
+    sources = _sources()
+    edited = {name: _recommented(source) for name, source in sources.items()}
+    assert edited != sources
+    for name, source in sources.items():
+        assert mutate.sites(name, edited[name]) == mutate.sites(name, source)
+    assert mutate.draw(edited, 51, 30) == mutate.draw(sources, 51, 30)
+    # a `#` inside a string is code: editing after it renames the site
+    plain, edited_string = ('x = "#1" + y  # one\n', 'x = "#2" + y  # two\n')
+    assert [s.name for s in mutate.sites("m", plain)] != [
+        s.name for s in mutate.sites("m", edited_string)]
+    assert [s.name for s in mutate.sites("m", plain)] == [
+        s.name for s in mutate.sites("m", 'x = "#1" + y  # two\n')]
 
 
 def test_mutant_changes_the_drawn_site_alone():

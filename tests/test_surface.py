@@ -452,6 +452,22 @@ def test_pds_import_compiles_only_what_pds_imports():
     assert "pdscodes.codes" not in modules and "numpy.ma" not in modules
 
 
+# the steps of an analysis, which the CLI leaves to pds.analyze_pds,
+# codes.analyze_code and secretsharing.analyze_sss
+ANALYSIS_STEPS = ("is_fq_invariant", "weight_distribution_predicted",
+                  "predicted_cyclotomic_eigenvalues", "analyze_scheme")
+
+
+def test_cli_runs_no_analysis_step():
+    # the CLI parses, builds the inputs and prints: a library user who calls
+    # the analysis gets the certificate dropped, the cross-checks and the
+    # minimality assumption that the CLI's report carries
+    names = set(_used_names(ast.parse((ROOT / "src" / "pdscodes" / "cli.py").read_text())))
+    steps = sorted(name for name in names if name in ANALYSIS_STEPS
+                   or name.startswith(("verify_pds_", "minimality_")))
+    assert steps == []
+
+
 def test_cli_import_loads_no_exact_rationals():
     # ab_condition compares q w_min with (q - 1) w_max in integers
     modules = _fresh_modules("import pdscodes.cli\nfrom pdscodes import blocking, secretsharing")
