@@ -137,14 +137,17 @@ class Spectrum:
         return bool(np.all(self._rational))
 
     def irrational_witness(self) -> int | None:
-        """The least a whose value is irrational, or None when all are rational;
-        the scan stops at the first block of elements that holds one."""
+        """The least a whose value is irrational, or None when all are rational:
+        1 when row 0 is, else the least entry of exp, read as a
+        ((q^m - 1)/period, period) array, in the irrational rows' columns,
+        about BLOCK entries at a time, with no log read."""
         if self.all_rational:
             return None
-        for a, index in self._row_blocks():
-            bad = np.flatnonzero(~self._rational[index])
-            if len(bad):
-                return a.start + int(bad[0])
+        bad = np.flatnonzero(~self._rational)
+        if bad[0] == 0:  # a = 1 = gamma^0
+            return 1
+        table = self.tower.exp.reshape(-1, self.period)
+        return min(int(table[:, bad[part]].min()) for part in blocks(len(bad), len(table)))
 
     def _check_rational(self) -> None:
         bad = self.irrational_witness()

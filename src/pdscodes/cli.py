@@ -36,7 +36,7 @@ class ConfigError(Exception):
 
 def _load_spec_arg(value: str) -> dict:
     value = value.strip()
-    if value.startswith("{"):
+    if value.startswith(("{", "[")):
         return json.loads(value)
     return json.loads(Path(value).read_text())
 

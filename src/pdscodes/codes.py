@@ -81,8 +81,7 @@ from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 
-from . import field
-from .field import FieldTower, GuardExceeded, blocks, counted_rank, rank_reaches
+from .field import FieldTower, GuardExceeded, blocks, counted_rank, cyclic_period, rank_reaches
 from .pds import (
     CyclotomicOrigin,
     CyclotomicPrediction,
@@ -674,16 +673,15 @@ class SubsetCode:
         reps[i], reps the part of the orbit representatives tested.
 
         No support matrix is held: the support columns of a word of each
-        line are computed as they are needed.  The first column of every
-        line, 8 bytes a line, is computed once per scan, and the full rows of
-        each block's representatives once per block.  The dependent lines of
-        a representative, inside it on every column, are set aside, and so
-        are the pairs of a representative whose support is full past the
-        columns read, as no later column can part them.  Later columns are
-        computed, one at a time, only for the lines that still hold a pair
-        inside, until those pairs times the columns left fit in BLOCK; those
-        pairs are then compared on the rest of the row, a part of about BLOCK
-        coordinates at a time.  Nearly every pair escapes in the first column.
+        line are computed as they are needed, in two passes.  The first
+        column of every line, 8 bytes a line, is computed once per scan, and
+        the full rows of each block's representatives once per block; nearly
+        every pair escapes in that first column.  The dependent lines of a
+        representative, inside it on every column, are set aside, and so are
+        the pairs of a representative whose support is full past column 0,
+        as no later column can part them.  The pairs still inside are then
+        compared on columns 1..width - 1, a part of about BLOCK coordinates
+        at a time.
         """
         tower = self.tower
         width = (self.n + 63) // 64
@@ -702,28 +700,11 @@ class SubsetCode:
             inside = (head & outside[:, :1]) == 0
             inside[np.arange(len(outside))[:, None], self._dependents[part]] = False
             rows, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])  # pairs still inside
-            if not len(rows):
-                return inside
-            # the last column on which each representative vanishes somewhere
-            vanishes = outside != 0
-            last = np.where(vanishes.any(axis=1), width - 1 - vanishes[:, ::-1].argmax(axis=1), -1)
-            c = 0
-            while True:
-                live = last[rows] > c
-                rows, cols = rows[live], cols[live]
-                if len(rows) * (width - 1 - c) <= field.BLOCK:
-                    break
-                c += 1
-                lines, at = np.unique(cols, return_inverse=True)
-                column = np.concatenate([col[:, 0] for _, col in self._support_blocks(
-                    us[lines], logs[lines], c, c + 1)])
-                escape = (column[at] & outside[rows, c]) != 0
-                inside[rows[escape], cols[escape]] = False
-                rows, cols = rows[~escape], cols[~escape]
-            if len(rows):
-                for chunk, rest in self._support_blocks(us[cols], logs[cols], c + 1, width):
-                    r = rows[chunk]
-                    inside[r, cols[chunk]] = ~(rest & outside[r, c + 1:]).any(axis=1)
+            live = outside[:, 1:].any(axis=1)[rows]  # r vanishes past column 0
+            rows, cols = rows[live], cols[live]
+            for chunk, rest in self._support_blocks(us[cols], logs[cols], 1, width):
+                r = rows[chunk]
+                inside[r, cols[chunk]] = ~(rest & outside[r, 1:]).any(axis=1)
             return inside
 
         return test
@@ -962,7 +943,7 @@ def minimality_cyclotomic_sufficient(
     """Sufficient condition on (N, u, t) for class-union subsets."""
     q, m = tower.q, tower.m
     N, u, t, sqm = prediction.N, prediction.u, prediction.t, prediction.sqrt_qm
-    if tower.subfield_step % field.cyclic_period(prediction.J, N)[0]:  # J + step != J (mod N)
+    if tower.subfield_step % cyclic_period(prediction.J, N)[0]:  # J + step != J (mod N)
         return MethodVerdict(
             INCONCLUSIVE, note="J is not closed under the subfield shift; criterion inapplicable"
         )

@@ -212,6 +212,10 @@ class FieldSubset:
     @classmethod
     def from_json(cls, tower: FieldTower, obj: dict) -> "FieldSubset":
         obj = obj_field(obj, "subset spec")
+        kinds = [kind for kind in ("cyclotomic", "explicit", "quadric") if kind in obj]
+        if len(kinds) != 1:
+            raise ValueError("subset spec must be one of cyclotomic/explicit/quadric"
+                             + (f", got {' and '.join(kinds)}" if kinds else ""))
         if "cyclotomic" in obj:
             c = obj_field(obj["cyclotomic"], "cyclotomic")
             N, J = (required(c, key, "cyclotomic spec") for key in ("N", "J"))
@@ -219,16 +223,14 @@ class FieldSubset:
         if "explicit" in obj:
             logs = required(obj_field(obj["explicit"], "explicit"), "logs", "explicit spec")
             return cls.from_logs(tower, int_list(logs, "logs"))
-        if "quadric" in obj:
-            qd = obj_field(obj["quadric"], "quadric")
-            gram = qd.get("gram")
-            if gram is not None:
-                if not isinstance(gram, list):
-                    raise ValueError(f"gram must be a list of rows, got {gram!r}")
-                gram = [int_list(row, "gram row") for row in gram]
-            subset, _ = quadric_subset(tower, kind=qd.get("kind"), gram=gram)
-            return subset
-        raise ValueError("subset spec must be one of cyclotomic/explicit/quadric")
+        qd = obj_field(obj["quadric"], "quadric")
+        gram = qd.get("gram")
+        if gram is not None:
+            if not isinstance(gram, list):
+                raise ValueError(f"gram must be a list of rows, got {gram!r}")
+            gram = [int_list(row, "gram row") for row in gram]
+        subset, _ = quadric_subset(tower, kind=qd.get("kind"), gram=gram)
+        return subset
 
 
 def cyclotomic_classes(tower: FieldTower, N: int) -> list[np.ndarray]:

@@ -46,5 +46,7 @@ def build_recipe(name: str, kind: str | None = None, p: int | None = None,
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
     if name == "example-3.3":
-        return _example_33(kind or "hyperbolic", p or 3, m or 4)
+        # only None is unset: p = 0 or m = 0 reaches the field spec's own check
+        return _example_33("hyperbolic" if kind is None else kind,
+                           3 if p is None else p, 4 if m is None else m)
     return RECIPES[name]()

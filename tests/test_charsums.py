@@ -31,9 +31,10 @@ from pdscodes.charsums import (
     squared_norms,
     stabiliser_spectrum,
 )
-from pdscodes.field import FieldSpec, GuardExceeded, build_tower
+from pdscodes.field import FieldSpec, FieldTower, GuardExceeded, build_tower
 from pdscodes.pds import (
     FieldSubset,
+    analyze_pds,
     build_cyclotomic_subset,
     predicted_cyclotomic_eigenvalues,
     quadric_subset,
@@ -447,6 +448,39 @@ def test_irrational_witness_is_least_element(f35, a):
     spec = Spectrum(f35, rows, f35.order, 0)
     assert spec.irrational_witness() == a
     assert DenseSpectrum(f35, spec.raw, 0).irrational_witness() == a
+
+
+# (p, m), a subset spec and the least a whose character sum is irrational:
+# 1 where row 0 is irrational, a later element where it is rational
+IRRATIONAL_WITNESSES = {
+    "F_5^3, N=2": ((5, 3), {"cyclotomic": {"N": 2, "J": [0]}}, 1),
+    "F_7^3, N=9": ((7, 3), {"cyclotomic": {"N": 9, "J": [0]}}, 1),
+    "F_7^3, N=9, J=(1,4)": ((7, 3), {"cyclotomic": {"N": 9, "J": [1, 4]}}, 11),
+    "F_7^3, N=9, J=(1,2)": ((7, 3), {"cyclotomic": {"N": 9, "J": [1, 2]}}, 7),
+    "F_7^3, N=9, J=(1,2) logs": ((7, 3), {"explicit": {"logs": list(range(1, 342, 9))
+                                                       + list(range(2, 342, 9))}}, 7),
+    "F_5^3 symmetric logs": ((5, 3), {"explicit": {"logs": [1, 2, 30, 63, 64, 92]}}, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IRRATIONAL_WITNESSES))
+def test_irrational_witness_reads_no_log(monkeypatch, name):
+    # the least irrational a is read off exp's columns, and a set that is not
+    # a PDS is reported with it, on a tower whose log raises
+    (p, m), config, witness = IRRATIONAL_WITNESSES[name]
+
+    def no_log(tower):
+        raise AssertionError("the irrational witness read log")
+
+    tower = build_tower(FieldSpec(p=p, e=1, m=m))
+    with monkeypatch.context() as patched:
+        patched.setattr(FieldTower, "log", property(no_log))
+        subset = FieldSubset.from_json(tower, config)
+        spec = subset.spectrum()
+        found = spec.irrational_witness()
+        payload, cert = analyze_pds(subset)
+    assert found == witness == DenseSpectrum(tower, spec.raw, spec.set_size).irrational_witness()
+    assert cert is None and payload["witness"] == witness
 
 
 def test_class_union_spectrum_stays_in_its_rows():

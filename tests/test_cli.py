@@ -107,6 +107,12 @@ FIELD_LIST = str(Path(__file__).parent / "data" / "field-list.json")  # holds [3
     (F34, '{"quadric": 5}', "quadric must be a JSON object, got 5"),
     pytest.param(FIELD_LIST, '{"cyclotomic": {"N": 5, "J": [0]}}',
                  "field spec must be a JSON object, got [3, 1, 4]", id="field-file-holds-a-list"),
+    pytest.param("[3, 1, 4]", '{"cyclotomic": {"N": 5, "J": [0]}}',
+                 "field spec must be a JSON object, got [3, 1, 4]", id="inline-field-list"),
+    # a subset spec names one kind
+    pytest.param(F34, '{"quadric": {"kind": "elliptic"}, "cyclotomic": {"N": 5, "J": [0]}}',
+                 "subset spec must be one of cyclotomic/explicit/quadric, got cyclotomic and "
+                 "quadric", id="two-kinds"),
     # a missing key is named together with the spec that lacks it
     ('{"p": 3, "e": 1}', '{"cyclotomic": {"N": 5, "J": [0]}}', "field spec is missing key 'm'"),
     (F44, '{"cyclotomic": {"J": [0]}}', "cyclotomic spec is missing key 'N'"),
@@ -141,6 +147,9 @@ def test_malformed_spec_field_is_config_error(capsys, field, subset, message):
      "gram matrix must be 4x4"),
     (["pds", "--field", '{"p": 3, "e": 1, "m": 2, "modulus": [2, 1, 2]}',
       "--subset", '{"cyclotomic": {"N": 2, "J": [0]}}'], "modulus must be monic"),
+    # 0 is a value, not a default: the quadric recipe's field refuses it
+    (["pds", "--recipe", "example-3.3", "--p", "0"], "p=0 is not prime"),
+    (["pds", "--recipe", "example-3.3", "--m", "0"], "e and m must be positive"),
 ])
 def test_input_errors_exit_2_with_their_message(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
@@ -247,7 +256,8 @@ def test_code_quadric_recipe(capsys):
                                      ["sss", "--x1-log", "2"]])
 def test_quadric_recipe_flags_on_every_subcommand(capsys, command):
     # --kind/--p/--m belong to every subcommand, and name the same subset as
-    # the quadric spec on the same field
+    # the quadric spec on the same field; with none of them the recipe is the
+    # hyperbolic quadric of F_{3^4}
     code, out, err = run_cli(capsys, command[0], "--recipe", "example-3.3", "--kind", "elliptic",
                              "--p", "3", "--m", "4", *command[1:])
     assert (code, err) == (0, "")
@@ -256,6 +266,8 @@ def test_quadric_recipe_flags_on_every_subcommand(capsys, command):
     assert (code, out) == (spec_code, spec_out)
     hyperbolic = run_cli(capsys, command[0], "--recipe", "example-3.3", *command[1:])
     assert hyperbolic[1] != out
+    assert hyperbolic == run_cli(capsys, command[0], "--field", '{"p":3,"e":1,"m":4}',
+                                 "--subset", '{"quadric":{"kind":"hyperbolic"}}', *command[1:])
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -550,10 +550,12 @@ def _pairs_past_the_first_column(code):
 
 def assert_cover_flags_equal_reference(code, monkeypatch, block):
     """Every representative's violating lines, the verdict and the witness of
-    cover with BLOCK = block are those of the one-coverer reference scan;
-    one entry makes cover walk the support columns one at a time, 2^16
-    compare each pair still inside after the first column on the rest of
-    its row at once."""
+    cover with BLOCK = block are those of the one-coverer reference scan.
+    Cover reads the support columns in two passes whatever the block: the
+    first column (0, 1) of every line, the full rows (0, width) of the
+    representatives, and the rest (1, width) of the rows of the pairs still
+    inside, which it reads exactly when a pair inside on the first column
+    has a representative vanishing past it."""
     _set_block(monkeypatch, block)
     code = SubsetCode(code.subset)
     width = (code.n + 63) // 64
@@ -575,13 +577,8 @@ def assert_cover_flags_equal_reference(code, monkeypatch, block):
         assert lines == sorted(set(_lines(code, cover_violations(code, r)).tolist()))
     verdict = code.minimality_cover()
     assert (verdict.status, verdict.witness) == full_verdict(code, cover_violations)
-    advanced = any(stop - start == 1 and start > 0 for start, stop in ranges)
-    finished = any(start > 0 and stop == width > start + 1 for start, stop in ranges)
-    if width > 2 and past and block == 1:
-        assert advanced and not finished
-    if width > 2 and past and block == 2 ** 16:
-        assert finished and not advanced
-    assert past or not (advanced or finished)
+    assert ranges <= {(0, 1), (0, width), (1, width)}
+    assert ((1, width) in ranges) == past
 
 
 @pytest.mark.parametrize("block", [1, 64, 2 ** 16])
